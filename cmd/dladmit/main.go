@@ -55,7 +55,6 @@ func main() {
 		holdUsec = flag.Int("hold", 100, "per-lock hold time in microseconds (-run)")
 		serveFor = flag.Duration("serve-timeout", 30*time.Second, "abort serving after this long — a certified-tier stall means the certification was falsified (-run)")
 		pipeline = flag.Int("pipeline", 0, "certified-tier pipeline depth on wire backends: unacknowledged acquires in flight per session (0 = synchronous) (-run)")
-		flushInt = flag.Duration("flush-interval", 0, "wire backends' batch window: flushes rate-limited to one per interval under sustained traffic (0 = immediate) (-run)")
 		stats    = flag.Bool("stats", false, "dump the full ServiceStats snapshot as JSON on stdout before exit (see doc comment for the fields)")
 		traceN   = flag.Int("trace-sample", 0, "sample 1 in N lock ops into end-to-end stage traces and print the slowest 10 waterfalls after serving (0 = off; negative = default rate)")
 	)
@@ -97,9 +96,6 @@ func main() {
 	}
 	if *pipeline > 0 {
 		opts = append(opts, distlock.WithPipelineDepth(*pipeline))
-	}
-	if *flushInt > 0 {
-		opts = append(opts, distlock.WithFlushInterval(*flushInt))
 	}
 	if *traceN != 0 {
 		opts = append(opts, distlock.WithTraceSampling(*traceN))

@@ -1,23 +1,16 @@
-// Command dlbench regenerates every experiment (E1–E16): the verified
-// reconstructions of the paper's figures, the Theorem 2 reduction
-// validation, the scaling comparisons of the polynomial algorithms against
-// each other and against the exhaustive oracles, the simulated
-// prevention-vs-detection comparison that motivates the paper, the
-// lock-table backend throughput comparison (E12: actor vs sharded on
-// uniform vs Zipf-skewed certified traffic), the shared-mode payoff
-// (E13: read-heavy certified traffic with shared locks honored vs forced
-// exclusive, per backend), and the partitioned-lock-space scaling sweep
-// (E14: certified uniform and Zipf mixes against a hash-partitioned
-// cluster of 1/2/4 capacity-modeled dlservers vs one remote server), the
-// wire batching/pipelining comparison (E15), and the sampled end-to-end
-// latency waterfall on the remote backend (E16: per-stage attribution
-// reconciled against the untraced lock-wait instrument).
+// Command dlbench regenerates the paper-reproduction experiments (E1–E11):
+// the verified reconstructions of the paper's figures, the Theorem 2
+// reduction validation, the scaling comparisons of the polynomial
+// algorithms against each other and against the exhaustive oracles, the
+// simulated prevention-vs-detection comparison that motivates the paper,
+// and the early-unlock optimizer. Runtime performance is measured by
+// ./benchmark, not here.
 //
 // Usage:
 //
 //	dlbench            # run everything
 //	dlbench -run E6    # run one experiment
-//	dlbench -json      # machine-readable timings (perf baselines in CI)
+//	dlbench -json      # machine-readable timings
 package main
 
 import (
@@ -28,20 +21,15 @@ import (
 	"os"
 	goruntime "runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
 	"distlock/internal/baseline"
 	"distlock/internal/core"
 	"distlock/internal/figures"
-	"distlock/internal/locktable"
 	"distlock/internal/model"
-	"distlock/internal/netlock"
-	"distlock/internal/obs"
 	"distlock/internal/optimize"
 	"distlock/internal/reduction"
-	engine "distlock/internal/runtime"
 	"distlock/internal/sat"
 	"distlock/internal/schedule"
 	"distlock/internal/sim"
@@ -55,19 +43,10 @@ type expResult struct {
 	ID        string  `json:"id"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	PairEvals int64   `json:"pair_evals"`
-	// Details carries experiment-specific figures of merit (E12: ops/sec
-	// per workload × lock-table backend) so committed baselines track more
-	// than wall time.
-	Details map[string]float64 `json:"details,omitempty"`
 }
 
-// benchDetails collects the running experiment's Details; timeExperiment
-// drains it into the JSON record.
-var benchDetails = map[string]float64{}
-
 // benchReport is the -json output: one record per experiment, with enough
-// host context to interpret the timings. Committed baselines (e.g.
-// BENCH_PR2.json) track the perf trajectory across PRs.
+// host context to interpret the timings.
 type benchReport struct {
 	Go          string      `json:"go"`
 	OS          string      `json:"os"`
@@ -76,7 +55,7 @@ type benchReport struct {
 }
 
 func main() {
-	run := flag.String("run", "", "run only this experiment (E1..E16)")
+	run := flag.String("run", "", "run only this experiment (E1..E11)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable results on stdout (experiment prose suppressed)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
@@ -98,7 +77,6 @@ func main() {
 	}{
 		{"E1", e1}, {"E2", e2}, {"E3", e3}, {"E4", e4}, {"E5", e5},
 		{"E6", e6}, {"E7", e7}, {"E8", e8}, {"E9", e9}, {"E10", e10}, {"E11", e11},
-		{"E12", e12}, {"E13", e13}, {"E14", e14}, {"E15", e15}, {"E16", e16},
 	}
 	report := benchReport{Go: goruntime.Version(), OS: goruntime.GOOS, Arch: goruntime.GOARCH}
 	ran := false
@@ -144,16 +122,11 @@ func timeExperiment(id string, fn func()) expResult {
 	evalsBefore := core.PairEvalCount()
 	start := time.Now()
 	fn()
-	r := expResult{
+	return expResult{
 		ID:        id,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 		PairEvals: core.PairEvalCount() - evalsBefore,
 	}
-	if len(benchDetails) > 0 {
-		r.Details = benchDetails
-		benchDetails = map[string]float64{}
-	}
-	return r
 }
 
 func check(err error) {
@@ -496,523 +469,3 @@ func e11() {
 }
 
 // nsToUS converts a histogram-snapshot nanosecond figure to microseconds.
-func nsToUS(ns int64) float64 { return float64(ns) / 1000 }
-
-// E12 (extension): concurrent-session lock behavior of the lock-table
-// backends on the certified (no-deadlock-handling) tier — throughput AND
-// per-Lock wait percentiles. The same ordered-2PL class mix — uniform
-// entity choice vs Zipf hot-entity skew — is driven through the session
-// layer on the actor backend (every grant a message round trip through a
-// per-site goroutine), the sharded backend (striped mutexes; uncontended
-// grants take zero channel hops), and the remote backend (a netlock
-// client↔server loopback pair: every grant a TCP round trip plus the
-// lease/fencing bookkeeping). Throughput hides queueing; the p50/p95/p99
-// wait percentiles expose it — the actor backend's serial site goroutine
-// shows up in the tail under Zipf skew long before it costs ops/sec, and
-// the remote backend's wire round trip sets its p50 floor. All figures
-// land in the -json Details so committed baselines (BENCH_PR4.json) track
-// them across PRs.
-func e12() {
-	const (
-		sites, perSite = 4, 16
-		classes        = 8
-		perTxn         = 3
-		clients        = 16
-		txnsPerClient  = 200
-		opsPerTxn      = 2 * perTxn
-	)
-	fmt.Println("workload  backend   committed  elapsed(ms)  ops/sec  p50(µs)  p95(µs)  p99(µs)")
-	for _, wl := range []struct {
-		name   string
-		policy workload.Policy
-	}{
-		{"uniform", workload.PolicyOrdered},
-		{"zipf", workload.PolicyZipf},
-	} {
-		sys := workload.MustGenerate(workload.Config{
-			Sites: sites, EntitiesPerSite: perSite, NumTxns: classes,
-			EntitiesPerTxn: perTxn, Policy: wl.policy, ZipfS: 1.2, Seed: 12,
-		})
-		srv, err := netlock.NewServer(sys.DDB, locktable.Config{}, netlock.ServerOptions{})
-		check(err)
-		check(srv.Listen("127.0.0.1:0"))
-		for _, be := range []engine.Backend{engine.BackendActor, engine.BackendSharded, engine.BackendRemote} {
-			m, err := engine.Run(engine.Config{
-				Templates: sys.Txns, Clients: clients, TxnsPerClient: txnsPerClient,
-				Strategy: engine.StrategyNone, Backend: be, RemoteAddr: srv.Addr(),
-				MeasureLockWait: true, Seed: 12,
-			})
-			check(err)
-			ops := float64(m.Committed*opsPerTxn) / m.Elapsed.Seconds()
-			p50 := nsToUS(m.LockWait.P50)
-			p95 := nsToUS(m.LockWait.P95)
-			p99 := nsToUS(m.LockWait.P99)
-			fmt.Printf("%-9s %-9s %9d %12.2f %8.0f %8.1f %8.1f %8.1f\n",
-				wl.name, be, m.Committed, float64(m.Elapsed.Microseconds())/1000, ops,
-				p50, p95, p99)
-			key := wl.name + "_" + be.String()
-			benchDetails[key+"_ops_per_sec"] = ops
-			benchDetails[key+"_lock_wait_p50_us"] = p50
-			benchDetails[key+"_lock_wait_p95_us"] = p95
-			benchDetails[key+"_lock_wait_p99_us"] = p99
-		}
-		srv.Close()
-	}
-	fmt.Println("expected shape: sharded fastest (no goroutine handoff per grant) with the flattest tail;")
-	fmt.Println("Zipf skew stretches the actor backend's p99 (hot sites serialize); the remote backend's")
-	fmt.Println("p50 is the wire round trip — the price of locks that survive a client crash")
-}
-
-// exclusiveOnly rebuilds every transaction of sys with its lock modes
-// forced to exclusive — the E13 baseline: the same read-heavy programs a
-// pre-mode lock service would run, every read serializing as a write.
-func exclusiveOnly(sys *model.System) *model.System {
-	txns := make([]*model.Transaction, len(sys.Txns))
-	for i, t := range sys.Txns {
-		b := model.NewBuilder(sys.DDB, t.Name())
-		for id := 0; id < t.N(); id++ {
-			nd := t.Node(model.NodeID(id))
-			name := sys.DDB.EntityName(nd.Entity)
-			if nd.Kind == model.LockOp {
-				b.Lock(name)
-			} else {
-				b.Unlock(name)
-			}
-		}
-		for u := 0; u < t.N(); u++ {
-			for _, v := range t.Out(model.NodeID(u)) {
-				b.Arc(model.NodeID(u), model.NodeID(v))
-			}
-		}
-		txns[i] = b.MustFreeze()
-	}
-	return model.MustSystem(sys.DDB, txns...)
-}
-
-// E13 (extension): the shared-mode payoff on read-heavy certified
-// traffic. One Zipf-hot ordered-2PL class mix at ReadFraction 0.9 —
-// certifiable under the conflict-aware Theorems 3–5, so it runs on the
-// no-deadlock-handling tier — is driven twice per backend: once with the
-// template's shared locks honored, once with every lock forced exclusive
-// (what the pre-mode service did to the very same programs). A small
-// per-lock hold widens the window in which readers can overlap; the
-// shared/exclusive throughput ratio is the figure of merit (acceptance
-// gate: >= 2x on the sharded backend).
-func e13() {
-	const (
-		sites, perSite = 4, 8 // 32 entities; Zipf-hot head carries most locks
-		classes        = 8
-		perTxn         = 3
-		clients        = 16
-		txnsPerClient  = 120
-		opsPerTxn      = 2 * perTxn
-		hold           = 20 * time.Microsecond
-		readFraction   = 0.9
-	)
-	shared := workload.MustGenerate(workload.Config{
-		Sites: sites, EntitiesPerSite: perSite, NumTxns: classes,
-		EntitiesPerTxn: perTxn, Policy: workload.PolicyZipf, ZipfS: 1.2,
-		ReadFraction: readFraction, Seed: 13,
-	})
-	if ok, viol := core.SystemSafeDF(shared); !ok {
-		check(fmt.Errorf("E13 mix not certified: %v", viol))
-	}
-	excl := exclusiveOnly(shared)
-	if ok, _ := core.SystemSafeDF(excl); !ok {
-		check(fmt.Errorf("E13 exclusive-only mix not certified"))
-	}
-	fmt.Printf("read fraction %.2f, %d clients, %v hold per lock\n", readFraction, clients, hold)
-	fmt.Println("backend   committed(shared)  ops/sec(shared)  ops/sec(excl-only)  speedup")
-	for _, be := range []engine.Backend{engine.BackendActor, engine.BackendSharded, engine.BackendRemote} {
-		ops := map[string]float64{}
-		committed := map[string]int{}
-		for _, variant := range []struct {
-			name string
-			sys  *model.System
-		}{{"shared", shared}, {"exclusive", excl}} {
-			srv, err := netlock.NewServer(shared.DDB, locktable.Config{}, netlock.ServerOptions{})
-			check(err)
-			check(srv.Listen("127.0.0.1:0"))
-			m, err := engine.Run(engine.Config{
-				Templates: variant.sys.Txns, Clients: clients, TxnsPerClient: txnsPerClient,
-				Strategy: engine.StrategyNone, Backend: be, RemoteAddr: srv.Addr(),
-				HoldTime: hold, StallTimeout: 10 * time.Second, Seed: 13,
-			})
-			srv.Close()
-			check(err)
-			ops[variant.name] = float64(m.Committed*opsPerTxn) / m.Elapsed.Seconds()
-			committed[variant.name] = m.Committed
-		}
-		speedup := ops["shared"] / ops["exclusive"]
-		fmt.Printf("%-9s %17d %16.0f %19.0f %8.2fx\n",
-			be, committed["shared"], ops["shared"], ops["exclusive"], speedup)
-		key := "readheavy_" + be.String()
-		benchDetails[key+"_shared_ops_per_sec"] = ops["shared"]
-		benchDetails[key+"_exclusive_ops_per_sec"] = ops["exclusive"]
-		benchDetails[key+"_speedup"] = speedup
-		if be == engine.BackendSharded && speedup < 2 {
-			fmt.Printf("WARNING: sharded shared-mode speedup %.2fx below the 2x acceptance gate\n", speedup)
-		}
-	}
-	// Stripe sweep: the same shared read-heavy mix on the sharded backend
-	// across stripe counts — 1 (a single global mutex), 0 (the
-	// GOMAXPROCS-resolved adaptive default), and 1024 (static
-	// over-provisioning). With the atomic shared fast path, a reader crowd
-	// on the Zipf-hot head rides per-entity CAS instead of any stripe
-	// mutex, so the rows should be close: the stripe count prices the
-	// exclusive/slow-path traffic only, no longer the reader crowd.
-	fmt.Println("stripe sweep (sharded, shared mix):")
-	fmt.Println("shards    committed   ops/sec")
-	for _, sweep := range []struct {
-		label  string
-		shards int
-	}{{"1", 1}, {"auto", 0}, {"1024", 1024}} {
-		m, err := engine.Run(engine.Config{
-			Templates: shared.Txns, Clients: clients, TxnsPerClient: txnsPerClient,
-			Strategy: engine.StrategyNone, Backend: engine.BackendSharded,
-			Shards: sweep.shards, HoldTime: hold, StallTimeout: 10 * time.Second, Seed: 13,
-		})
-		check(err)
-		ops := float64(m.Committed*opsPerTxn) / m.Elapsed.Seconds()
-		fmt.Printf("%-9s %10d %9.0f\n", sweep.label, m.Committed, ops)
-		benchDetails["readheavy_sharded_shared_shards_"+sweep.label+"_ops_per_sec"] = ops
-	}
-	fmt.Println("expected shape: shared-mode throughput multiples of exclusive-only on the hot read mix —")
-	fmt.Println("readers of one hot entity overlap instead of queueing; the gap widens with hold time and")
-	fmt.Println("shrinks on the remote backend, whose wire round trip dominates the hold window. The")
-	fmt.Println("sharded backend's atomic shared fast path (one CAS per reader grant on the entity's own")
-	fmt.Println("cache line, no stripe mutex until a writer appears) keeps the reader crowd off the")
-	fmt.Println("stripes entirely, so sharded leads every row — including the single-hot-entity crowd")
-	fmt.Println("that used to convoy on one stripe mutex and lose to the actor's batching inbox — and")
-	fmt.Println("the stripe sweep is flat: stripe count now prices only the slow-path traffic")
-}
-
-// E14 (extension): aggregate certified-tier capacity of the partitioned
-// lock space vs server count. The same ordered-2PL mixes as E12 — uniform
-// entity choice and Zipf hot-entity skew — are driven through the session
-// layer against one single-remote dlserver and against hash-partitioned
-// clusters of 1, 2 and 4 dlservers (internal/cluster: each entity owned
-// by exactly one server, no cross-server coordination on the certified
-// tier).
-//
-// Capacity model: every server runs with ServerOptions.ServiceTime — an
-// emulated per-request service cost paid in the connection's serial
-// request loop, standing in for the real per-request work (a durable log
-// append, a replication ack) that makes a production lock server
-// capacity-bound. The emulation is a parked sleep, so K servers sharing
-// this benchmark host overlap their service intervals exactly as K real
-// servers on K machines would overlap their real work — which is what
-// lets a single-host run measure the architecture's scaling honestly:
-// this host has 1 CPU, and without a capacity model every row would just
-// measure the shared host's syscall budget (the raw_* control rows below
-// record that wire-limited regime for transparency; they are expected
-// NOT to scale here). The figure of merit is the cluster-4srv /
-// cluster-1srv ops ratio on the uniform mix (acceptance gate: >= 2x,
-// near-linear expected); the Zipf rows show the open cost of hash
-// routing under skew — the hottest entity's owner becomes the fleet's
-// bottleneck, so scaling is sublinear.
-func e14() {
-	const (
-		sites, perSite = 8, 8 // 64 entities: enough to spread over 4 partitions
-		classes        = 8
-		perTxn         = 3
-		clients        = 24
-		txnsPerClient  = 40
-		opsPerTxn      = 2 * perTxn
-		serviceTime    = 500 * time.Microsecond
-	)
-	type row struct {
-		name    string
-		backend engine.Backend
-		servers int
-		service time.Duration
-	}
-	rows := []row{
-		{"remote-1srv", engine.BackendRemote, 1, serviceTime},
-		{"cluster-1srv", engine.BackendCluster, 1, serviceTime},
-		{"cluster-2srv", engine.BackendCluster, 2, serviceTime},
-		{"cluster-4srv", engine.BackendCluster, 4, serviceTime},
-	}
-	rawRows := []row{
-		{"raw_cluster-1srv", engine.BackendCluster, 1, 0},
-		{"raw_cluster-4srv", engine.BackendCluster, 4, 0},
-	}
-	runRow := func(wl string, sys *model.System, r row) {
-		var addrs []string
-		var srvs []*netlock.Server
-		for i := 0; i < r.servers; i++ {
-			srv, err := netlock.NewServer(sys.DDB, locktable.Config{}, netlock.ServerOptions{ServiceTime: r.service})
-			check(err)
-			check(srv.Listen("127.0.0.1:0"))
-			srvs = append(srvs, srv)
-			addrs = append(addrs, srv.Addr())
-		}
-		m, err := engine.Run(engine.Config{
-			Templates: sys.Txns, Clients: clients, TxnsPerClient: txnsPerClient,
-			Strategy: engine.StrategyNone, Backend: r.backend,
-			RemoteAddr: addrs[0], RemoteAddrs: addrs,
-			MeasureLockWait: true, StallTimeout: 10 * time.Second, Seed: 14,
-		})
-		for _, srv := range srvs {
-			srv.Close()
-		}
-		check(err)
-		ops := float64(m.Committed*opsPerTxn) / m.Elapsed.Seconds()
-		p50 := nsToUS(m.LockWait.P50)
-		p95 := nsToUS(m.LockWait.P95)
-		p99 := nsToUS(m.LockWait.P99)
-		fmt.Printf("%-9s %-17s %9d %12.2f %8.0f %9.1f %9.1f %9.1f\n",
-			wl, r.name, m.Committed, float64(m.Elapsed.Microseconds())/1000, ops, p50, p95, p99)
-		key := wl + "_" + r.name
-		benchDetails[key+"_ops_per_sec"] = ops
-		benchDetails[key+"_lock_wait_p50_us"] = p50
-		benchDetails[key+"_lock_wait_p95_us"] = p95
-		benchDetails[key+"_lock_wait_p99_us"] = p99
-	}
-	fmt.Printf("capacity model: %v service time per lock-table request, %d clients\n", serviceTime, clients)
-	fmt.Println("workload  row               committed  elapsed(ms)  ops/sec  p50(µs)   p95(µs)   p99(µs)")
-	for _, wl := range []struct {
-		name   string
-		policy workload.Policy
-	}{
-		{"uniform", workload.PolicyOrdered},
-		{"zipf", workload.PolicyZipf},
-	} {
-		sys := workload.MustGenerate(workload.Config{
-			Sites: sites, EntitiesPerSite: perSite, NumTxns: classes,
-			EntitiesPerTxn: perTxn, Policy: wl.policy, ZipfS: 1.2, Seed: 14,
-		})
-		for _, r := range rows {
-			runRow(wl.name, sys, r)
-		}
-		scaling := benchDetails[wl.name+"_cluster-4srv_ops_per_sec"] / benchDetails[wl.name+"_cluster-1srv_ops_per_sec"]
-		benchDetails[wl.name+"_cluster_scaling_4v1"] = scaling
-		fmt.Printf("%s aggregate scaling, 4 servers vs 1: %.2fx\n", wl.name, scaling)
-		if wl.name == "uniform" && scaling < 2 {
-			fmt.Printf("WARNING: uniform cluster scaling %.2fx below the 2x acceptance gate\n", scaling)
-		}
-		if wl.name == "uniform" {
-			// Control: the same sweep with no capacity model — on a
-			// single-host, single-CPU run both rows just measure the shared
-			// wire/syscall budget, so this pair is expected flat. It pins
-			// what the service-time rows are correcting for.
-			for _, r := range rawRows {
-				runRow(wl.name, sys, r)
-			}
-			raw := benchDetails[wl.name+"_raw_cluster-4srv_ops_per_sec"] / benchDetails[wl.name+"_raw_cluster-1srv_ops_per_sec"]
-			benchDetails[wl.name+"_raw_cluster_scaling_4v1"] = raw
-			fmt.Printf("%s raw (wire-limited, no capacity model) scaling, 4 vs 1: %.2fx\n", wl.name, raw)
-		}
-	}
-	fmt.Println("expected shape: with per-request service cost dominating, cluster ops scale near-linearly")
-	fmt.Println("with server count on the uniform mix (independent partitions, no coordination) and")
-	fmt.Println("sublinearly under Zipf skew (the hot entity's owner is the fleet's bottleneck); the")
-	fmt.Println("single-remote and cluster-1srv rows coincide (one partition IS a remote table); the raw")
-	fmt.Println("control pair is flat on a single-CPU host, where the shared wire budget, not per-server")
-	fmt.Println("capacity, is the binding constraint")
-}
-
-// E15 (extension): wire batching and certified-chain pipelining on the
-// remote and cluster backends. The same E12 ordered-2PL uniform mix is
-// driven through the session layer in three regimes: synchronous (every
-// Lock/Unlock a full round trip — the E12-remote baseline), coalesce-only
-// (a nonzero batch window on both flush writers, operations still
-// synchronous), and pipelined (PipelineDepth 8: a certified session ships
-// its next lock request before the previous ack returns and fires
-// releases without waiting, joining outcomes at Unlock/Commit). A batch
-// window sweep at depth 8 prices the latency-for-syscalls trade, and a
-// 2-server cluster pair shows per-partition writers flushing
-// independently. Only the certified tier may run pipelined — static
-// certification is the proof that the chain cannot deadlock, which is the
-// paper's program made mechanical — so the figure of merit is how much of
-// the in-process gap the certificate buys back over a real wire:
-// acceptance gate >= 5x the synchronous remote row.
-func e15() {
-	const (
-		sites, perSite = 4, 16
-		classes        = 8
-		perTxn         = 3
-		clients        = 16
-		txnsPerClient  = 1000
-		opsPerTxn      = 2 * perTxn
-	)
-	sys := workload.MustGenerate(workload.Config{
-		Sites: sites, EntitiesPerSite: perSite, NumTxns: classes,
-		EntitiesPerTxn: perTxn, Policy: workload.PolicyOrdered, Seed: 12,
-	})
-	type row struct {
-		name    string
-		backend engine.Backend
-		servers int
-		depth   int
-		flush   time.Duration
-	}
-	rows := []row{
-		{"remote-sync", engine.BackendRemote, 1, 0, 0},
-		{"remote-coalesce", engine.BackendRemote, 1, 0, 50 * time.Microsecond},
-		{"remote-pipelined", engine.BackendRemote, 1, 8, 0},
-		{"remote-pipelined-f50us", engine.BackendRemote, 1, 8, 50 * time.Microsecond},
-		{"remote-pipelined-f200us", engine.BackendRemote, 1, 8, 200 * time.Microsecond},
-		{"cluster2-sync", engine.BackendCluster, 2, 0, 0},
-		{"cluster2-pipelined", engine.BackendCluster, 2, 8, 0},
-	}
-	fmt.Printf("uniform ordered-2PL mix (E12 parameters), %d clients x %d txns\n", clients, txnsPerClient)
-	fmt.Println("row                      committed  elapsed(ms)   ops/sec")
-	for _, r := range rows {
-		var addrs []string
-		var srvs []*netlock.Server
-		for i := 0; i < r.servers; i++ {
-			srv, err := netlock.NewServer(sys.DDB, locktable.Config{}, netlock.ServerOptions{FlushInterval: r.flush})
-			check(err)
-			check(srv.Listen("127.0.0.1:0"))
-			srvs = append(srvs, srv)
-			addrs = append(addrs, srv.Addr())
-		}
-		m, err := engine.Run(engine.Config{
-			Templates: sys.Txns, Clients: clients, TxnsPerClient: txnsPerClient,
-			Strategy: engine.StrategyNone, Backend: r.backend,
-			RemoteAddr: addrs[0], RemoteAddrs: addrs,
-			PipelineDepth: r.depth, FlushInterval: r.flush,
-			StallTimeout: 10 * time.Second, Seed: 12,
-		})
-		for _, srv := range srvs {
-			srv.Close()
-		}
-		check(err)
-		ops := float64(m.Committed*opsPerTxn) / m.Elapsed.Seconds()
-		fmt.Printf("%-24s %9d %12.2f %9.0f\n",
-			r.name, m.Committed, float64(m.Elapsed.Microseconds())/1000, ops)
-		benchDetails[r.name+"_ops_per_sec"] = ops
-	}
-	speedup := benchDetails["remote-pipelined_ops_per_sec"] / benchDetails["remote-sync_ops_per_sec"]
-	benchDetails["remote_pipelined_speedup"] = speedup
-	coalesce := benchDetails["remote-coalesce_ops_per_sec"] / benchDetails["remote-sync_ops_per_sec"]
-	benchDetails["remote_coalesce_speedup"] = coalesce
-	clusterSpeedup := benchDetails["cluster2-pipelined_ops_per_sec"] / benchDetails["cluster2-sync_ops_per_sec"]
-	benchDetails["cluster2_pipelined_speedup"] = clusterSpeedup
-	fmt.Printf("pipelined vs sync (remote): %.2fx  coalesce-only vs sync: %.2fx  pipelined vs sync (cluster-2): %.2fx\n",
-		speedup, coalesce, clusterSpeedup)
-	if speedup < 5 {
-		fmt.Printf("WARNING: pipelined remote speedup %.2fx below the 5x acceptance gate\n", speedup)
-	}
-	fmt.Println("expected shape: coalesce-only buys a modest factor (fewer syscalls, same round trips per")
-	fmt.Println("chain); pipelining removes the per-lock round trip from the certified chain's critical")
-	fmt.Println("path — acks stream back while the session runs ahead — so the pipelined rows recover")
-	fmt.Println("most of the wire tax and the batch window sweep shows the latency/syscall trade; the")
-	fmt.Println("wound-wait and detection tiers cannot ride this path (their mixes carry no certificate),")
-	fmt.Println("which is the paper's static-certification thesis priced on the wire")
-}
-
-// spanP50 is the median of vals (0 if empty); vals is reordered.
-func spanP50(vals []int64) int64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	return vals[len(vals)/2]
-}
-
-// E16 (extension): the latency waterfall — where a remote lock
-// operation's time actually goes. The E15 uniform ordered-2PL mix runs
-// against one dlserver with sampled end-to-end tracing armed (1 span per
-// 16 ops): each sampled acquire is stamped through session submit,
-// client-queue enqueue, wire flush, server pickup, chain start, table
-// grant and reply enqueue, with the server stages crossing the wire as
-// skew-free durations on the reply frame. Two regimes: synchronous
-// (every Lock a round trip) and pipelined depth 8. The reconciliation
-// gate is internal consistency: on the synchronous row the sum of the
-// per-stage p50 gaps and the span-total p50 must both agree with the
-// independently measured lock-wait p50 (MeasureLockWait prices the same
-// ops with plain clock reads, no tracing involved) within run variance —
-// the waterfall is trustworthy attribution, not decoration. The
-// pipelined row shows what pipelining moves: submit→wakeup stretches
-// (acks join later) while the server-side stages stay put.
-func e16() {
-	const (
-		sites, perSite = 4, 16
-		classes        = 8
-		perTxn         = 3
-		clients        = 16
-		txnsPerClient  = 500
-		sample         = 16
-	)
-	sys := workload.MustGenerate(workload.Config{
-		Sites: sites, EntitiesPerSite: perSite, NumTxns: classes,
-		EntitiesPerTxn: perTxn, Policy: workload.PolicyOrdered, Seed: 12,
-	})
-	rows := []struct {
-		name  string
-		depth int
-	}{
-		{"remote-sync-traced", 0},
-		{"remote-pipelined-traced", 8},
-	}
-	fmt.Printf("uniform ordered-2PL mix (E15 parameters), %d clients x %d txns, 1 span per %d ops\n",
-		clients, txnsPerClient, sample)
-	for _, r := range rows {
-		srv, err := netlock.NewServer(sys.DDB, locktable.Config{}, netlock.ServerOptions{})
-		check(err)
-		check(srv.Listen("127.0.0.1:0"))
-		m, err := engine.Run(engine.Config{
-			Templates: sys.Txns, Clients: clients, TxnsPerClient: txnsPerClient,
-			Strategy: engine.StrategyNone, Backend: engine.BackendRemote,
-			RemoteAddr: srv.Addr(), RemoteAddrs: []string{srv.Addr()},
-			PipelineDepth: r.depth, MeasureLockWait: true, TraceSample: sample,
-			StallTimeout: 10 * time.Second, Seed: 12,
-		})
-		srv.Close()
-		check(err)
-
-		// Waterfall statistics over the acquire spans still resident in the
-		// ring. A span's stage gaps telescope to its total by construction,
-		// so summed gap-p50s vs total-p50 differ only by p50-of-sum vs
-		// sum-of-p50s — and both must land on the measured lock-wait p50.
-		var totals []int64
-		gaps := make([][]int64, obs.NumStages)
-		for _, rec := range m.Spans {
-			if rec.Kind != obs.SpanAcquire {
-				continue
-			}
-			totals = append(totals, rec.Total())
-			for s := 0; s < obs.NumStages; s++ {
-				if g := rec.Gap(obs.Stage(s)); g >= 0 {
-					gaps[s] = append(gaps[s], g)
-				}
-			}
-		}
-		us := func(ns int64) float64 { return float64(ns) / 1e3 }
-		var stageSum int64
-		fmt.Printf("\n%s: %d committed, %d acquire spans resident\n", r.name, m.Committed, len(totals))
-		fmt.Println("  stage          p50(µs)  samples")
-		for s := 0; s < obs.NumStages; s++ {
-			if len(gaps[s]) == 0 {
-				continue
-			}
-			p := spanP50(gaps[s])
-			stageSum += p
-			fmt.Printf("  %-13s %8.1f %8d\n", obs.Stage(s), us(p), len(gaps[s]))
-			benchDetails[r.name+"_gap_"+obs.Stage(s).String()+"_p50_us"] = us(p)
-		}
-		totalP50 := spanP50(totals)
-		measured := m.LockWait.P50
-		fmt.Printf("  stage-gap p50 sum %.1fµs | span total p50 %.1fµs | measured lock-wait p50 %.1fµs\n",
-			us(stageSum), us(totalP50), us(measured))
-		benchDetails[r.name+"_stage_sum_p50_us"] = us(stageSum)
-		benchDetails[r.name+"_span_total_p50_us"] = us(totalP50)
-		benchDetails[r.name+"_measured_p50_us"] = us(measured)
-		benchDetails[r.name+"_spans"] = float64(len(totals))
-		if r.depth == 0 {
-			// Reconciliation gate: tracing must attribute the same latency
-			// the untraced instrument measures.
-			lo, hi := float64(measured)*0.65, float64(measured)*1.35
-			if f := float64(stageSum); measured > 0 && (f < lo || f > hi) {
-				fmt.Printf("WARNING: stage sum %.1fµs does not reconcile with measured p50 %.1fµs (±35%% gate)\n",
-					us(stageSum), us(measured))
-			}
-		}
-	}
-	fmt.Println("\nexpected shape: on the sync row the grant stage dominates (lock contention at the table)")
-	fmt.Println("with flush/server/reply stages pricing the wire; the three p50 figures agree — the")
-	fmt.Println("waterfall attributes real latency. On the pipelined row submit→wakeup stretches (the")
-	fmt.Println("session runs ahead; acks join later) while the in-server stages are unchanged")
-}

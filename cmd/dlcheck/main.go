@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,42 +29,54 @@ import (
 )
 
 func main() {
-	brute := flag.Bool("brute", false, "also run the exhaustive oracles (exponential; small systems only)")
-	tirri := flag.Bool("tirri", false, "also run Tirri's (flawed) pairwise deadlock test")
-	maxStates := flag.Int("max-states", 1<<20, "state budget for -brute")
-	flag.Usage = func() {
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run is main with its arguments and report stream injected, so the
+// command's test can drive it; it returns the process exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("dlcheck", flag.ContinueOnError)
+	brute := fs.Bool("brute", false, "also run the exhaustive oracles (exponential; small systems only)")
+	tirri := fs.Bool("tirri", false, "also run Tirri's (flawed) pairwise deadlock test")
+	maxStates := fs.Int("max-states", 1<<20, "state budget for -brute")
+	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dlcheck [flags] <file.txn | ->\n")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
 	}
 
 	var r io.Reader
-	if flag.Arg(0) == "-" {
+	if fs.Arg(0) == "-" {
 		r = os.Stdin
 	} else {
-		f, err := os.Open(flag.Arg(0))
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		r = f
 	}
 	sys, err := parse.System(r)
 	if err != nil {
-		fatal(fmt.Errorf("parse: %w", err))
+		return fail(fmt.Errorf("parse: %w", err))
 	}
 
-	fmt.Printf("system: %d transactions, %d entities, %d sites, %d operation nodes\n",
+	fmt.Fprintf(stdout, "system: %d transactions, %d entities, %d sites, %d operation nodes\n",
 		sys.N(), sys.DDB.NumEntities(), sys.DDB.NumSites(), sys.TotalNodes())
 	ig := sys.InteractionGraph()
-	fmt.Printf("interaction graph: %d edges, %d simple cycles\n\n", ig.NumEdges(), ig.CountSimpleCycles())
+	fmt.Fprintf(stdout, "interaction graph: %d edges, %d simple cycles\n\n", ig.NumEdges(), ig.CountSimpleCycles())
 
 	// Pairwise (Theorem 3).
-	fmt.Println("pairwise safe-and-deadlock-free (Theorem 3):")
+	fmt.Fprintln(stdout, "pairwise safe-and-deadlock-free (Theorem 3):")
 	for i := 0; i < sys.N(); i++ {
 		for j := i + 1; j < sys.N(); j++ {
 			common := model.CommonEntities(sys.Txns[i], sys.Txns[j])
@@ -81,66 +94,67 @@ func main() {
 				verdict = "VIOLATION"
 				detail = " — " + rep.Reason
 			}
-			fmt.Printf("  (%s, %s): %s%s\n", sys.Txns[i].Name(), sys.Txns[j].Name(), verdict, detail)
+			fmt.Fprintf(stdout, "  (%s, %s): %s%s\n", sys.Txns[i].Name(), sys.Txns[j].Name(), verdict, detail)
 			if *tirri {
-				fmt.Printf("      Tirri's test: deadlock-free=%v (unsound for distributed transactions)\n",
+				fmt.Fprintf(stdout, "      Tirri's test: deadlock-free=%v (unsound for distributed transactions)\n",
 					baseline.TirriDeadlockFree(sys.Txns[i], sys.Txns[j]))
 			}
 		}
 	}
 
 	// Whole system (Theorem 4).
-	fmt.Println("\nsystem safe-and-deadlock-free (Theorem 4):")
+	fmt.Fprintln(stdout, "\nsystem safe-and-deadlock-free (Theorem 4):")
 	ok, viol := core.SystemSafeDF(sys)
 	if ok {
-		fmt.Println("  SAFE AND DEADLOCK-FREE — the mix can run with no runtime deadlock handling")
+		fmt.Fprintln(stdout, "  SAFE AND DEADLOCK-FREE — the mix can run with no runtime deadlock handling")
 	} else {
-		fmt.Printf("  VIOLATION: %s\n", viol)
+		fmt.Fprintf(stdout, "  VIOLATION: %s\n", viol)
 		if viol.Pair == nil {
 			names := make([]string, len(viol.Cycle))
 			for i, t := range viol.Cycle {
 				names[i] = sys.Txns[t].Name()
 			}
-			fmt.Printf("  cycle: %v\n", names)
+			fmt.Fprintf(stdout, "  cycle: %v\n", names)
 			steps := viol.BuildSchedule()
-			fmt.Printf("  witness partial schedule (%d steps):", len(steps))
+			fmt.Fprintf(stdout, "  witness partial schedule (%d steps):", len(steps))
 			for _, s := range steps {
-				fmt.Printf(" %s.%s", sys.Txns[s.Txn].Name(), sys.Txns[s.Txn].Label(s.Node))
+				fmt.Fprintf(stdout, " %s.%s", sys.Txns[s.Txn].Name(), sys.Txns[s.Txn].Label(s.Node))
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 
 	if *brute {
-		fmt.Println("\nexhaustive oracles (-brute):")
+		fmt.Fprintln(stdout, "\nexhaustive oracles (-brute):")
 		opt := core.BruteOptions{MaxStates: *maxStates}
 		both, w, err := core.IsSafeAndDeadlockFreeBrute(sys, opt)
-		report("safe ∧ deadlock-free (Lemma 1)", both, err)
+		report(stdout, "safe ∧ deadlock-free (Lemma 1)", both, err)
 		if w != nil {
-			fmt.Printf("      witness: %s\n", formatSteps(sys, w.Steps))
+			fmt.Fprintf(stdout, "      witness: %s\n", formatSteps(sys, w.Steps))
 		}
 		safe, _, err := core.IsSafeBrute(sys, opt)
-		report("safe", safe, err)
+		report(stdout, "safe", safe, err)
 		dl, err := core.FindDeadlock(sys, opt)
 		if err != nil {
-			report("deadlock-free", false, err)
+			report(stdout, "deadlock-free", false, err)
 		} else {
-			report("deadlock-free", dl == nil, nil)
+			report(stdout, "deadlock-free", dl == nil, nil)
 			if dl != nil {
-				fmt.Printf("      deadlock after: %s\n", formatSteps(sys, dl.Steps))
+				fmt.Fprintf(stdout, "      deadlock after: %s\n", formatSteps(sys, dl.Steps))
 			}
 		}
 	}
+	return 0
 }
 
-func report(what string, ok bool, err error) {
+func report(w io.Writer, what string, ok bool, err error) {
 	switch {
 	case err != nil:
-		fmt.Printf("  %-32s ERROR: %v\n", what+":", err)
+		fmt.Fprintf(w, "  %-32s ERROR: %v\n", what+":", err)
 	case ok:
-		fmt.Printf("  %-32s YES\n", what+":")
+		fmt.Fprintf(w, "  %-32s YES\n", what+":")
 	default:
-		fmt.Printf("  %-32s NO\n", what+":")
+		fmt.Fprintf(w, "  %-32s NO\n", what+":")
 	}
 }
 
@@ -155,7 +169,7 @@ func formatSteps(sys *model.System, steps []schedule.Step) string {
 	return s
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "dlcheck:", err)
-	os.Exit(1)
+	return 1
 }

@@ -43,7 +43,6 @@ func main() {
 		siteInbox = flag.Int("site-inbox", 0, "actor backend per-site inbox capacity (0 = default)")
 		woundWait = flag.Bool("wound-wait", false, "host a wound-wait table (for a fallback tier); dialers must agree")
 		lease     = flag.Duration("lease", netlock.DefaultLease, "connection lease: a client silent this long is revoked")
-		svcTime   = flag.Duration("service-time", 0, "emulated per-request service cost (capacity experiments only; 0 disables)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty disables)")
 	)
 	flag.Parse()
@@ -69,7 +68,7 @@ func main() {
 		WoundWait: *woundWait,
 		Shards:    *shards,
 		SiteInbox: *siteInbox,
-	}, netlock.ServerOptions{Lease: *lease, New: mk, ServiceTime: *svcTime})
+	}, netlock.ServerOptions{Lease: *lease, New: mk})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dlserver:", err)
 		os.Exit(1)

@@ -229,11 +229,6 @@ type (
 	AdmissionStats = admission.Stats
 	// AdmitResult reports one admission decision.
 	AdmitResult = admission.Result
-	// MixParams parameterizes an end-to-end ExecuteMix run.
-	MixParams = admission.MixParams
-	// MixMetrics reports the certified (no-handling) and fallback
-	// (wound-wait) engine tiers of an ExecuteMix run.
-	MixMetrics = admission.MixMetrics
 	// ClassFingerprint is the structural hash keying the pair-verdict
 	// cache.
 	ClassFingerprint = admission.Fingerprint
@@ -242,27 +237,12 @@ type (
 var (
 	// NewAdmission creates an admission service over one DDB.
 	NewAdmission = admission.New
-	// ExecuteMix runs certified classes with no deadlock handling and
-	// rejected classes under wound-wait on the goroutine engine.
-	//
-	// Deprecated: ExecuteMix is a batch template-replayer retained for
-	// experiments; it is implemented on top of the session layer. New code
-	// should Open a LockService, Register the classes, and drive Sessions —
-	// that serves live traffic instead of replaying a fixed mix.
-	ExecuteMix = admission.ExecuteMix
 	// FingerprintClass computes a transaction's structural fingerprint.
 	FingerprintClass = admission.FingerprintOf
 )
 
-// Runtime engine (goroutine message-passing; see also SimConfig/RunSim).
-type (
-	// EngineStrategy selects the engine's deadlock handling.
-	EngineStrategy = runtime.Strategy
-	// EngineConfig parameterizes an engine run.
-	EngineConfig = runtime.Config
-	// EngineMetrics summarize an engine run.
-	EngineMetrics = runtime.Metrics
-)
+// EngineStrategy is a tier's deadlock handling (RegisterResult.Strategy).
+type EngineStrategy = runtime.Strategy
 
 const (
 	// StrategyNone runs with no deadlock handling — safe for certified
@@ -272,16 +252,6 @@ const (
 	StrategyDetect = runtime.StrategyDetect
 	// StrategyWoundWait wounds younger lock holders on conflict.
 	StrategyWoundWait = runtime.StrategyWoundWait
-)
-
-var (
-	// RunEngine executes a workload on the goroutine engine.
-	//
-	// Deprecated: RunEngine replays fixed templates with synthetic clients
-	// and is retained for experiments and benchmarks; it is implemented on
-	// top of the session layer (there is no second lock-grant code path).
-	// New code should Open a LockService and drive Sessions.
-	RunEngine = runtime.Run
 )
 
 // Workload generation.

@@ -31,7 +31,6 @@
 // Admitted classes are safe to run on internal/runtime's engine under
 // StrategyNone (the paper's payoff) with at most Multiplicity concurrent
 // instances per class; rejected classes fall back to StrategyWoundWait.
-// See ExecuteMix.
 package admission
 
 import (

@@ -357,36 +357,3 @@ func TestMultiplicityAgreesWithCopiesSafeDF(t *testing.T) {
 		}
 	}
 }
-
-func TestExecuteMixEndToEnd(t *testing.T) {
-	d := xyzDDB()
-	// Certify for the 3-way per-class concurrency the mix will run with.
-	svc := New(d, Options{Multiplicity: 3})
-	var rejected []*model.Transaction
-	for _, txn := range ringTxns(d) {
-		res, err := svc.Admit(ctx, txn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Admitted {
-			rejected = append(rejected, txn)
-		}
-	}
-	if len(rejected) != 1 {
-		t.Fatalf("rejected %d classes, want 1", len(rejected))
-	}
-	m, err := svc.ExecuteMix(rejected, MixParams{ClientsPerClass: 3, TxnsPerClient: 5, Seed: 11})
-	if err != nil {
-		t.Fatalf("ExecuteMix: %v", err)
-	}
-	if m.Certified == nil || m.Certified.Committed != 2*3*5 {
-		t.Fatalf("certified tier metrics = %+v", m.Certified)
-	}
-	// The paper's payoff: a certified mix needs no deadlock handling.
-	if m.Certified.Aborts != 0 || m.Certified.Wounds != 0 {
-		t.Fatalf("certified tier aborted under StrategyNone: %+v", m.Certified)
-	}
-	if m.Fallback == nil || m.Fallback.Committed != 1*3*5 {
-		t.Fatalf("fallback tier metrics = %+v", m.Fallback)
-	}
-}

@@ -39,12 +39,6 @@ import (
 	"distlock/internal/obs"
 )
 
-func init() {
-	locktable.RegisterCluster(func(ddb *model.DDB, cfg locktable.Config, addrs []string) (locktable.Table, error) {
-		return New(ddb, cfg, addrs, Options{Dial: netlock.DialOptions{FlushInterval: cfg.RemoteFlushInterval}})
-	})
-}
-
 // DefaultDialRetries is the connect-retry budget a cluster dial gets when
 // Options.Dial doesn't choose one: a cluster client typically starts
 // concurrently with its N servers, so surviving a racing startup (about

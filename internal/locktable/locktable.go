@@ -27,11 +27,11 @@
 //     for bisecting grant-path bugs, not to serve production traffic
 //     (it was the wound-wait default until the wound-storm soak gate
 //     proved the striped wound path; see ROADMAP).
-//   - NewRemote: the cross-process backend — a client speaking the netlock
-//     wire protocol (internal/netlock, which registers itself here via
-//     RegisterRemote) to a server hosting one of the in-process tables for
-//     many engine processes, with leases and fencing tokens covering the
-//     failure modes a network adds.
+//   - netlock.Dial (internal/netlock): the cross-process backend — a
+//     client speaking the netlock wire protocol to a server hosting one of
+//     the in-process tables for many engine processes, with leases and
+//     fencing tokens covering the failure modes a network adds.
+//     internal/cluster routes one lock space over several such servers.
 //
 // All backends implement identical blocking semantics, verified by a
 // shared conformance suite: shared grants overlap and a writer excludes
@@ -168,15 +168,6 @@ type Config struct {
 	// disables the probe (the layout stays static and StripeStats still
 	// reports the counters).
 	StripeProbe time.Duration
-	// RemoteFlushInterval is the wire backends' batch window: how long a
-	// connection's flush-coalescing writer waits after waking before it
-	// drains its send queue in one buffered write + flush (see
-	// netlock.DialOptions.FlushInterval). Zero — the default, and the
-	// right value for latency-sensitive traffic — flushes as soon as the
-	// writer drains whatever has accumulated, so a lone op still goes out
-	// immediately while concurrent ops coalesce naturally. In-process
-	// backends ignore it.
-	RemoteFlushInterval time.Duration
 	// DisableSharedFastPath forces every shared Acquire/Release of the
 	// sharded backend through the stripe mutexes. The fast path counts
 	// shared holders anonymously (a padded per-entity atomic) instead of

@@ -45,33 +45,4 @@ func init() {
 		}
 		return &loopbackTable{Client: cli, srv: srv}
 	})
-
-	// The same pair with batching armed on both sides: a nonzero batch
-	// window on the client's flush-coalescing writer and the server's
-	// reply writer. The suite's semantics must be invariant under
-	// coalescing — batching may only move frames between syscalls, never
-	// reorder one connection's frames or change any outcome.
-	locktable.RegisterConformanceBackend("netlock-batched", func(ddb *model.DDB, cfg locktable.Config) locktable.Table {
-		srvCfg := cfg
-		srvCfg.OnWound = nil
-		srv, err := netlock.NewServer(ddb, srvCfg, netlock.ServerOptions{
-			Lease:         10 * time.Second,
-			FlushInterval: 200 * time.Microsecond,
-		})
-		if err != nil {
-			panic(err)
-		}
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			panic(err)
-		}
-		cli, err := netlock.Dial(srv.Addr(), ddb, cfg, netlock.DialOptions{
-			HeartbeatEvery: 100 * time.Millisecond,
-			FlushInterval:  200 * time.Microsecond,
-		})
-		if err != nil {
-			srv.Close()
-			panic(err)
-		}
-		return &loopbackTable{Client: cli, srv: srv}
-	})
 }

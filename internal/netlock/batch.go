@@ -1,10 +1,5 @@
 package netlock
 
-import (
-	"runtime"
-	"time"
-)
-
 // writerYields bounds the flush loops' opportunistic micro-batching: on
 // finding the send queue empty, a writer yields the processor up to this
 // many times before flushing, giving concurrently running sessions the
@@ -13,41 +8,3 @@ import (
 // wider batches under load (on a saturated host the writer otherwise
 // wakes between two enqueues and flushes one or two frames per syscall).
 const writerYields = 8
-
-// batchWindow parks until `window` has elapsed since lastFlush, so the
-// caller's flush loop is rate-limited to one flush per window under
-// sustained traffic. Returns false if stop closed during the wait.
-//
-// Sub-millisecond windows — the useful range for a flush-coalescing
-// batch window — sit far below the runtime timer granularity on many
-// hosts (a 50µs timer can fire a millisecond late), so short waits
-// yield-spin instead of arming a timer: Gosched hands the processor to
-// the very goroutines whose frames the window is collecting, which is
-// the point of the wait. Waits long enough for the timer to be accurate
-// use one.
-func batchWindow(lastFlush time.Time, window time.Duration, stop <-chan struct{}) bool {
-	deadline := lastFlush.Add(window)
-	wait := time.Until(deadline)
-	if wait <= 0 {
-		return true
-	}
-	if wait > 2*time.Millisecond {
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		select {
-		case <-stop:
-			return false
-		case <-timer.C:
-			return true
-		}
-	}
-	for time.Now().Before(deadline) {
-		select {
-		case <-stop:
-			return false
-		default:
-		}
-		runtime.Gosched()
-	}
-	return true
-}

@@ -15,15 +15,6 @@ import (
 	"distlock/internal/obs"
 )
 
-// init registers the package as the locktable remote backend, so the
-// runtime can construct remote tables through locktable.NewRemote without
-// the lock-table layer depending on wire code.
-func init() {
-	locktable.RegisterRemote(func(ddb *model.DDB, cfg locktable.Config, addr string) (locktable.Table, error) {
-		return Dial(addr, ddb, cfg, DialOptions{FlushInterval: cfg.RemoteFlushInterval})
-	})
-}
-
 // DialOptions tunes a client connection. The zero value heartbeats at a
 // third of the server-granted lease.
 type DialOptions struct {
@@ -48,20 +39,6 @@ type DialOptions struct {
 	// RetryBackoff is the delay before the first retry; it doubles per
 	// attempt, capped at one second. Default 25ms when DialRetries > 0.
 	RetryBackoff time.Duration
-	// FlushInterval is the writer's batch window: flushes are rate-limited
-	// to at most one per interval, so under sustained traffic the writer
-	// parks until the window since the previous flush elapses and drains
-	// everything that accumulated in one buffered write + flush — trading
-	// up to that much latency for wider coalescing (more frames per
-	// syscall). An op arriving after idle flushes immediately (the window
-	// has long elapsed), so uncontended latency does not regress. Zero —
-	// the default — drains on every wake: a lone op flushes right away,
-	// and concurrent ops still coalesce opportunistically because the
-	// queue accumulates while the writer is busy. Must be well under the
-	// lease's heartbeat period; heartbeats ride the same writer (in a
-	// priority queue drained first), so a window rivaling the renewal
-	// period would eat the lease slack for no additional batching.
-	FlushInterval time.Duration
 }
 
 // result is one response routed to its requester.
@@ -101,16 +78,15 @@ type Client struct {
 	// into one syscall. qmu orders enqueues against shutdown: once
 	// qclosed is set, enqueue fails with ErrStopped (never a write on a
 	// closed conn).
-	qmu        sync.Mutex
-	sendb      []byte // pending request frames, length-prefixed, encoded in place
-	hbb        []byte // pending heartbeat frames: written first, so a deep queue cannot starve the lease
-	sendn      int64  // frames pending in sendb (swapped out with it by the writer)
-	hbn        int64  // frames pending in hbb
-	sendSpare  []byte // retired buffers recycled by the writer (double buffering)
-	hbSpare    []byte
-	qwake      chan struct{}
-	qclosed    bool
-	flushEvery time.Duration
+	qmu       sync.Mutex
+	sendb     []byte // pending request frames, length-prefixed, encoded in place
+	hbb       []byte // pending heartbeat frames: written first, so a deep queue cannot starve the lease
+	sendn     int64  // frames pending in sendb (swapped out with it by the writer)
+	hbn       int64  // frames pending in hbb
+	sendSpare []byte // retired buffers recycled by the writer (double buffering)
+	hbSpare   []byte
+	qwake     chan struct{}
+	qclosed   bool
 	// flushSpans holds sampled spans riding queued frames. The writer
 	// drains it with the buffers and stamps StageFlush strictly BEFORE the
 	// flush syscall: the stamp therefore happens-before the server sees
@@ -185,17 +161,16 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 		tc.SetNoDelay(true)
 	}
 	c := &Client{
-		ddb:        ddb,
-		cfg:        cfg,
-		conn:       nc,
-		pending:    map[uint64]chan result{},
-		fences:     map[fenceRef]uint64{},
-		qwake:      make(chan struct{}, 1),
-		flushEvery: opts.FlushInterval,
-		stop:       make(chan struct{}),
-		m:          cfg.Metrics,
-		wm:         obs.NewWireMetrics(),
-		tr:         cfg.Tracer,
+		ddb:     ddb,
+		cfg:     cfg,
+		conn:    nc,
+		pending: map[uint64]chan result{},
+		fences:  map[fenceRef]uint64{},
+		qwake:   make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		m:       cfg.Metrics,
+		wm:      obs.NewWireMetrics(),
+		tr:      cfg.Tracer,
 	}
 	if c.m == nil {
 		c.m = obs.NewTableMetrics()
@@ -322,24 +297,16 @@ func (c *Client) enqueueSpan(frame []byte, sp *obs.Span) error {
 // that accumulated while the previous cycle was writing — concurrent
 // sessions' requests, pipelined chains, heartbeats — leaves in one
 // syscall. A lone op still flushes immediately (the wake fires, the queue
-// holds one frame, the flush follows); FlushInterval>0 rate-limits
-// flushes instead: a wake landing within the window of the previous
-// flush parks for the remainder, so sustained traffic coalesces into at
-// most one syscall per window while an op arriving after idle (the
-// uncontended case) pays no added latency at all. Heartbeats drain first
-// each cycle: a saturated send queue must not starve the lease.
+// holds one frame, the flush follows). Heartbeats drain first each cycle:
+// a saturated send queue must not starve the lease.
 func (c *Client) writeLoop() {
 	bw := bufio.NewWriterSize(c.conn, 64<<10)
-	var lastFlush time.Time
 	var spanBatch []*obs.Span // reused across cycles; sampled frames only
 	for {
 		select {
 		case <-c.stop:
 			return
 		case <-c.qwake:
-		}
-		if c.flushEvery > 0 && !batchWindow(lastFlush, c.flushEvery, c.stop) {
-			return
 		}
 		yields := 0
 		var cycleFrames, cycleBytes int64
@@ -416,9 +383,6 @@ func (c *Client) writeLoop() {
 			c.wm.Bytes.Add(cycleBytes)
 			c.wm.Flushes.Inc()
 			c.wm.BatchWidth.Record(cycleFrames)
-		}
-		if c.flushEvery > 0 {
-			lastFlush = time.Now()
 		}
 	}
 }

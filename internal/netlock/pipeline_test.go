@@ -19,7 +19,7 @@ import (
 // TestHeartbeatsSurviveSaturatedSendQueue: heartbeats ride the same
 // flush-coalescing writer as every other frame, but at priority — a send
 // queue saturated by pipelined traffic must not delay a renewal past the
-// lease. The lease is short and the batch window deliberately wide, so a
+// lease. The lease is short and eight flooders keep the queue deep, so a
 // regression that queues heartbeats FIFO behind the flood (instead of
 // draining the priority queue first) expires the lease and fails ops
 // with ErrLeaseExpired.
@@ -30,13 +30,8 @@ func TestHeartbeatsSurviveSaturatedSendQueue(t *testing.T) {
 	)
 	ddb, ents := testDDB(t, flooders*depth)
 	lease := 400 * time.Millisecond
-	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{
-		Lease:         lease,
-		FlushInterval: 200 * time.Microsecond,
-	})
-	c := dial(t, srv, locktable.Config{}, DialOptions{
-		FlushInterval: 500 * time.Microsecond,
-	})
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: lease})
+	c := dial(t, srv, locktable.Config{}, DialOptions{})
 
 	deadline := time.Now().Add(3 * lease)
 	errCh := make(chan error, flooders)
@@ -49,7 +44,7 @@ func TestHeartbeatsSurviveSaturatedSendQueue(t *testing.T) {
 			// the shape a certified pipelined session has. Every burst puts
 			// depth acquire frames and then depth release frames into the
 			// send queue without waiting for acks in between, keeping the
-			// queue deep across the batch window.
+			// queue deep.
 			id := 1 + g
 			inst := locktable.Instance{Key: locktable.InstKey{ID: id}, Prio: int64(id)}
 			mine := ents[g*depth : (g+1)*depth]
@@ -107,8 +102,7 @@ func TestCloseFailsRacingOpsDeterministically(t *testing.T) {
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
 
 	for round := 0; round < 5; round++ {
-		c, err := Dial(srv.Addr(), testClientDDB(srv), locktable.Config{},
-			DialOptions{FlushInterval: 100 * time.Microsecond})
+		c, err := Dial(srv.Addr(), testClientDDB(srv), locktable.Config{}, DialOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +211,7 @@ func TestWoundMidChainNoOrphanGrants(t *testing.T) {
 func TestPipelinedChainHappyPath(t *testing.T) {
 	ddb, ents := testDDB(t, 6)
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
-	c := dial(t, srv, locktable.Config{}, DialOptions{FlushInterval: 100 * time.Microsecond})
+	c := dial(t, srv, locktable.Config{}, DialOptions{})
 
 	inst := locktable.Instance{Key: locktable.InstKey{ID: 3}, Prio: 3}
 	comps := make([]locktable.Completion, len(ents))

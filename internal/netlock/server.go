@@ -33,27 +33,6 @@ type ServerOptions struct {
 	// cross-process wound push) and records the grant log itself, so the
 	// constructor receives cfg with OnWound set by the server and Trace off.
 	New func(*model.DDB, locktable.Config) locktable.Table
-	// FlushInterval is the reply writer's batch window, mirroring the
-	// client's DialOptions.FlushInterval: each connection's flush loop is
-	// rate-limited to at most one flush per interval, parking for the
-	// remainder of the window under sustained reply traffic so grants and
-	// acks coalesce into fewer syscalls; a reply after idle flushes
-	// immediately. Zero (the default) drains on every wake — replies
-	// still coalesce naturally whenever the table resolves several while
-	// a flush is in progress. Must be well under the lease; it delays
-	// heartbeat acks like any other reply.
-	FlushInterval time.Duration
-	// ServiceTime emulates a fixed per-request service cost: each
-	// connection's serial request loop parks for this long before every
-	// lock-table mutation it carries (acquire, release, release-all,
-	// withdraw; heartbeats are exempt so lease renewal is undistorted).
-	// It models a server whose request handling does real per-request
-	// work — a durable log append, a replication ack — so capacity
-	// experiments (dlbench E14) can measure how aggregate throughput
-	// scales with server count even when every server shares one
-	// benchmark host. Zero (the default, and the right value for every
-	// production configuration) disables it.
-	ServiceTime time.Duration
 }
 
 // Server hosts one in-process lock table for remote clients. Each accepted
@@ -61,14 +40,12 @@ type ServerOptions struct {
 // its grants carry fencing tokens, and its lease is renewed by heartbeats.
 // Create with NewServer, serve with Serve, stop with Close.
 type Server struct {
-	ddb        *model.DDB
-	cfg        locktable.Config // handshake contract: WoundWait/Trace must match dialers
-	tab        locktable.Table
-	tryTab     locktable.TryAcquirer // s.tab's non-blocking capability, nil if absent
-	lease      time.Duration
-	service    time.Duration // emulated per-request service cost (ServerOptions.ServiceTime)
-	flushEvery time.Duration // reply-writer batch window (ServerOptions.FlushInterval)
-	hash       [32]byte
+	ddb    *model.DDB
+	cfg    locktable.Config // handshake contract: WoundWait/Trace must match dialers
+	tab    locktable.Table
+	tryTab locktable.TryAcquirer // s.tab's non-blocking capability, nil if absent
+	lease  time.Duration
+	hash   [32]byte
 
 	ln       net.Listener
 	wg       sync.WaitGroup
@@ -206,20 +183,18 @@ func NewServer(ddb *model.DDB, cfg locktable.Config, opts ServerOptions) (*Serve
 		mk = locktable.NewSharded
 	}
 	s := &Server{
-		ddb:        ddb,
-		cfg:        cfg,
-		lease:      opts.Lease,
-		service:    opts.ServiceTime,
-		flushEvery: opts.FlushInterval,
-		hash:       DDBHash(ddb),
-		stop:       make(chan struct{}),
-		conns:      map[uint32]*srvConn{},
-		preConns:   map[net.Conn]struct{}{},
-		fences:     map[model.EntityID]uint64{},
-		tm:         cfg.Metrics,
-		wm:         obs.NewWireMetrics(),
-		tr:         cfg.Tracer,
-		spans:      obs.NewSpanRing(256),
+		ddb:      ddb,
+		cfg:      cfg,
+		lease:    opts.Lease,
+		hash:     DDBHash(ddb),
+		stop:     make(chan struct{}),
+		conns:    map[uint32]*srvConn{},
+		preConns: map[net.Conn]struct{}{},
+		fences:   map[model.EntityID]uint64{},
+		tm:       cfg.Metrics,
+		wm:       obs.NewWireMetrics(),
+		tr:       cfg.Tracer,
+		spans:    obs.NewSpanRing(256),
 	}
 	if s.tm == nil {
 		s.tm = obs.NewTableMetrics()
@@ -521,21 +496,14 @@ func (c *srvConn) writeSpan(body []byte, sp *obs.Span) {
 // client's: it drains the outbound queue through one buffered writer and
 // flushes once per cycle, so every grant, ack, and wound push the table
 // resolved while the previous flush was in flight leaves in one syscall.
-// FlushInterval>0 rate-limits flushes: a wake within the window of the
-// previous flush parks for the remainder (wider batches under sustained
-// load), while a reply after idle flushes immediately.
 func (s *Server) replyWriter(c *srvConn) {
 	bw := bufio.NewWriterSize(c.net, 64<<10)
-	var lastFlush time.Time
 	var spanBatch []*obs.Span // reused across cycles; sampled replies only
 	for {
 		select {
 		case <-c.ctx.Done():
 			return
 		case <-c.outWake:
-		}
-		if s.flushEvery > 0 && !batchWindow(lastFlush, s.flushEvery, c.ctx.Done()) {
-			return
 		}
 		yields := 0
 		var cycleFrames, cycleBytes int64
@@ -596,9 +564,6 @@ func (s *Server) replyWriter(c *srvConn) {
 			s.wm.Bytes.Add(cycleBytes)
 			s.wm.Flushes.Inc()
 			s.wm.BatchWidth.Record(cycleFrames)
-		}
-		if s.flushEvery > 0 {
-			lastFlush = time.Now()
 		}
 	}
 }
@@ -793,16 +758,6 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 	d := dec{b: body}
 	op := d.u8()
 	reqID := d.u64()
-	if s.service > 0 {
-		switch op {
-		case opAcquire, opRelease, opReleaseAll, opWithdraw:
-			// Emulated service cost (ServerOptions.ServiceTime): paid in
-			// the connection's serial request loop, like the real work
-			// would be. A parked sleep, not a spin — concurrent servers
-			// on one host must overlap their service intervals.
-			time.Sleep(s.service)
-		}
-	}
 	switch op {
 	case opHeartbeat:
 		if d.err != nil {

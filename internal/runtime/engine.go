@@ -7,20 +7,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"distlock/internal/cluster"
 	"distlock/internal/graph"
 	"distlock/internal/locktable"
 	"distlock/internal/model"
+	"distlock/internal/netlock"
 	"distlock/internal/obs"
-
-	// Arms locktable.NewCluster: the partitioned backend registers itself
-	// in its init (and imports netlock, arming locktable.NewRemote too).
-	_ "distlock/internal/cluster"
 )
-
-// DefaultSiteInbox is the default per-site inbox capacity of the actor
-// lock-table backend — the engine's backpressure bound under that backend.
-// See locktable.DefaultSiteInbox.
-const DefaultSiteInbox = locktable.DefaultSiteInbox
 
 // Backend selects the engine's lock-table implementation (see
 // internal/locktable).
@@ -110,20 +103,13 @@ type EngineOptions struct {
 	// ownership. Every server must host the same database with matching
 	// wound-wait/trace configuration.
 	RemoteAddrs []string
-	// Shards is the sharded backend's initial stripe count. Zero resolves
-	// from GOMAXPROCS and enables adaptive splitting (see
-	// locktable.Config.Shards).
-	Shards int
-	// MaxShards caps the sharded backend's adaptive stripe splitting (see
-	// locktable.Config.MaxShards). Zero keeps the backend's default policy.
-	MaxShards int
-	// StripeProbe is the sharded backend's contention-probe period (see
-	// locktable.Config.StripeProbe). Zero keeps the default; negative
-	// disables the probe.
-	StripeProbe time.Duration
-	// SiteInbox is the actor backend's per-site inbox capacity, that
-	// backend's backpressure bound (see DefaultSiteInbox). Default 256.
-	SiteInbox int
+	// Table is the lock-table configuration, handed to the backend by
+	// value: stripe and inbox tuning, the exact grant log (Trace — only
+	// safe to read after Close), the counter bundle (Metrics — nil
+	// allocates a private one) and the lossy event ring (Tracer). See
+	// locktable.Config for each knob. The engine owns WoundWait, OnWound
+	// and DisableSharedFastPath and overwrites them from Strategy.
+	Table locktable.Config
 	// PipelineDepth enables certified-chain pipelining over a wire
 	// backend: sessions of a StrategyNone engine keep up to this many
 	// unacknowledged acquires in flight (shipping the next lock request
@@ -140,24 +126,6 @@ type EngineOptions struct {
 	// and a context cancellation inside a chain aborts the whole attempt
 	// instead of leaving the session resumable.
 	PipelineDepth int
-	// FlushInterval is the wire backends' batch window (see
-	// locktable.Config.RemoteFlushInterval): how long each connection's
-	// flush-coalescing writer parks after waking before draining its send
-	// queue in one syscall. Zero flushes immediately. In-process backends
-	// ignore it.
-	FlushInterval time.Duration
-	// Trace records per-entity lock-grant order for post-run
-	// serializability checking. The log is only safe to read after Close.
-	Trace bool
-	// Metrics is the lock-table counter bundle the engine threads into its
-	// backend. Nil allocates a private bundle (counting is always on —
-	// see internal/obs); pass a shared bundle to aggregate several engines.
-	Metrics *obs.TableMetrics
-	// Tracer is an optional lossy ring-buffer event tracer (grants, wounds,
-	// expiries). Unlike Trace it does NOT disable the sharded backend's CAS
-	// fast path: the ring is fed from the fast path itself and needs no
-	// holder identity bookkeeping. Nil disables event tracing.
-	Tracer *obs.Ring
 	// MeasureLockWait arms the engine's lock-wait histogram (see
 	// Engine.LockWait): two clock reads per granted Lock. MeasureHoldTime
 	// arms the hold-time histogram (Engine.HoldTime): grant-stamp
@@ -255,20 +223,21 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 	if opts.DetectEvery <= 0 {
 		opts.DetectEvery = 2 * time.Millisecond
 	}
+	cfg := opts.Table
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewTableMetrics()
+	}
 	e := &Engine{
 		strategy:    opts.Strategy,
 		backend:     opts.Backend.resolve(opts.Strategy),
 		ddb:         ddb,
 		detectEvery: opts.DetectEvery,
-		trace:       opts.Trace,
+		trace:       cfg.Trace,
 		stop:        make(chan struct{}),
 		abortChs:    map[int]chan struct{}{},
 		commitEp:    map[int]int{},
-		metrics:     opts.Metrics,
-		tracer:      opts.Tracer,
-	}
-	if e.metrics == nil {
-		e.metrics = obs.NewTableMetrics()
+		metrics:     cfg.Metrics,
+		tracer:      cfg.Tracer,
 	}
 	if opts.MeasureLockWait {
 		e.lockWait = new(obs.Histogram)
@@ -277,38 +246,32 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 		e.holdTime = new(obs.Histogram)
 	}
 	e.holds.stop = e.stop
-	cfg := locktable.Config{
-		Metrics:   e.metrics,
-		Tracer:    opts.Tracer,
-		WoundWait: opts.Strategy == StrategyWoundWait,
-		OnWound: func(holderID int) {
-			e.wounds.Add(1)
-			e.signalAbort(holderID)
-		},
-		Trace:               opts.Trace,
-		SiteInbox:           opts.SiteInbox,
-		Shards:              opts.Shards,
-		MaxShards:           opts.MaxShards,
-		StripeProbe:         opts.StripeProbe,
-		RemoteFlushInterval: opts.FlushInterval,
-		// The detector closes wait-for cycles through shared holders, so
-		// they must be named in Snapshot: anonymous fast-path readers
-		// would hide the edges and cycles would go undetected.
-		DisableSharedFastPath: opts.Strategy == StrategyDetect,
+	cfg.WoundWait = opts.Strategy == StrategyWoundWait
+	cfg.OnWound = func(holderID int) {
+		e.wounds.Add(1)
+		e.signalAbort(holderID)
 	}
+	// The detector closes wait-for cycles through shared holders, so they
+	// must be named in Snapshot: anonymous fast-path readers would hide
+	// the edges and cycles would go undetected.
+	cfg.DisableSharedFastPath = opts.Strategy == StrategyDetect
 	switch e.backend {
 	case BackendSharded:
 		e.table = locktable.NewSharded(ddb, cfg)
 	case BackendActor:
 		e.table = locktable.NewActor(ddb, cfg)
 	case BackendRemote:
-		tab, err := locktable.NewRemote(ddb, cfg, opts.RemoteAddr)
+		if opts.RemoteAddr == "" {
+			return nil, fmt.Errorf("runtime: remote backend needs a server address")
+		}
+		tab, err := netlock.Dial(opts.RemoteAddr, ddb, cfg, netlock.DialOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("runtime: remote lock table: %w", err)
 		}
 		e.table = tab
 	case BackendCluster:
-		tab, err := locktable.NewCluster(ddb, cfg, opts.RemoteAddrs)
+		// cluster.New rejects an empty address list itself.
+		tab, err := cluster.New(ddb, cfg, opts.RemoteAddrs, cluster.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("runtime: cluster lock table: %w", err)
 		}
@@ -386,11 +349,11 @@ func (e *Engine) Counters() Counters {
 }
 
 // TableMetrics returns the engine's lock-table counter bundle
-// (EngineOptions.Metrics, or the private one). Safe to read concurrently
+// (EngineOptions.Table.Metrics, or the private one). Safe to read concurrently
 // with traffic and after Close.
 func (e *Engine) TableMetrics() *obs.TableMetrics { return e.metrics }
 
-// Tracer returns the engine's event ring (nil unless EngineOptions.Tracer
+// Tracer returns the engine's event ring (nil unless EngineOptions.Table.Tracer
 // was set).
 func (e *Engine) Tracer() *obs.Ring { return e.tracer }
 

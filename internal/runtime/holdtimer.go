@@ -17,8 +17,8 @@ import (
 // backends: the actor backend's always-runnable site goroutines keep a P
 // awake as a side effect, so its timers fire promptly while the sharded
 // backend's zero-goroutine fast path parks the world and eats the full
-// wake latency. E13's backend comparison was measuring that artifact, not
-// the lock path.
+// wake latency. A backend comparison would measure that artifact, not the
+// lock path.
 //
 // Instead, one scheduler goroutine owns every pending hold: it sleeps via
 // a real timer while the earliest deadline is comfortably far, and

@@ -25,8 +25,7 @@ func pipelineFixture(t *testing.T, depth int) (*Engine, *model.DDB, *netlock.Ser
 	d.MustEntity("y", "s2")
 	d.MustEntity("z", "s1")
 	srv, err := netlock.NewServer(d, locktable.Config{}, netlock.ServerOptions{
-		Lease:         time.Minute,
-		FlushInterval: 100 * time.Microsecond,
+		Lease: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +40,6 @@ func pipelineFixture(t *testing.T, depth int) (*Engine, *model.DDB, *netlock.Ser
 		Backend:       BackendRemote,
 		RemoteAddr:    srv.Addr(),
 		PipelineDepth: depth,
-		FlushInterval: 100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -68,14 +68,13 @@ func (s Strategy) String() string {
 // configured stall timeout — the signature of an unhandled deadlock.
 var ErrStalled = errors.New("runtime: engine stalled (deadlock with no handling?)")
 
-// Config parameterizes a batch engine run (see Run).
+// Config parameterizes a batch engine run (see Run): the engine's own
+// options, embedded, plus the template driver's.
 type Config struct {
+	EngineOptions
 	Templates     []*model.Transaction
 	Clients       int
 	TxnsPerClient int
-	Strategy      Strategy
-	// DetectEvery is the detector period (StrategyDetect). Default 2ms.
-	DetectEvery time.Duration
 	// StallTimeout: if no lock is granted and no transaction commits for
 	// this long, the run is declared stalled. Default 250ms.
 	StallTimeout time.Duration
@@ -86,52 +85,7 @@ type Config struct {
 	// time.After at this granularity is quantized by the parked-runtime
 	// timer wake (~1ms), and unevenly so across backends.
 	HoldTime time.Duration
-	// Backend selects the lock-table implementation (BackendDefault picks
-	// sharded for StrategyNone, actor otherwise).
-	Backend Backend
-	// RemoteAddr is the netlock server address BackendRemote dials.
-	RemoteAddr string
-	// RemoteAddrs are the dlserver addresses BackendCluster dials (one
-	// partition per address; same list, same order, on every client).
-	RemoteAddrs []string
-	// Shards is the sharded backend's initial stripe count (0 = resolve
-	// from GOMAXPROCS and split adaptively; see locktable.Config.Shards).
-	Shards int
-	// MaxShards caps adaptive stripe splitting (see
-	// locktable.Config.MaxShards).
-	MaxShards int
-	// StripeProbe is the contention-probe period of the sharded backend
-	// (0 = default, negative = disabled; see locktable.Config.StripeProbe).
-	StripeProbe time.Duration
-	// SiteInbox is the actor backend's per-site inbox capacity — that
-	// backend's backpressure bound (senders block once a site has this many
-	// requests in flight). Default DefaultSiteInbox (256).
-	SiteInbox int
-	// PipelineDepth enables certified-chain pipelining on wire backends
-	// (StrategyNone only; see EngineOptions.PipelineDepth). Zero keeps
-	// every operation synchronous.
-	PipelineDepth int
-	// FlushInterval is the wire backends' batch window (see
-	// EngineOptions.FlushInterval). Zero flushes immediately.
-	FlushInterval time.Duration
-	// Trace records per-entity lock-grant order for post-run
-	// serializability checking.
-	Trace bool
-	// MeasureLockWait records the wall time of every Session.Lock into the
-	// engine's fixed-bucket histogram (Metrics.LockWait), the samples
-	// behind E12's latency percentiles. Collection is two clock reads and
-	// one histogram record per lock on the client goroutine — bounded
-	// memory however long the run, unlike the raw-sample slice it replaced
-	// — so it perturbs the measured path by nanoseconds, not queueing
-	// behavior.
-	MeasureLockWait bool
-	// TraceSample arms end-to-end op tracing at roughly one span per this
-	// many lock operations (negative = DefaultTraceSample, zero = off; see
-	// EngineOptions.TraceSampleEvery). Sampled waterfalls land in
-	// Metrics.Spans and their per-stage distributions in
-	// Metrics.TraceStages.
-	TraceSample int
-	Seed        int64
+	Seed     int64
 }
 
 // GrantEvent records that a transaction instance (at a given attempt
@@ -146,20 +100,18 @@ type Metrics struct {
 	Wounds    int
 	Detected  int
 	Elapsed   time.Duration
-	// GrantLog per entity, in grant order (only with Config.Trace).
+	// GrantLog per entity, in grant order (only with Table.Trace).
 	GrantLog map[model.EntityID][]GrantEvent
 	// CommitEpoch maps instance id -> the epoch at which it committed
-	// (only with Config.Trace).
+	// (only with Table.Trace).
 	CommitEpoch map[int]int
 	// LockWait summarizes the wall time of every granted Session.Lock in
-	// nanoseconds (only with Config.MeasureLockWait; zeros otherwise).
+	// nanoseconds (only with MeasureLockWait; zeros otherwise).
 	// Waits of attempts that ended in an abort are included: a wounded
 	// transaction's queueing time is real latency its client saw.
 	LockWait obs.HistogramSnapshot
-	// HoldTime summarizes grant-to-release wall time in nanoseconds.
-	// Always zeros from Run: hold-time tracking prices a third clock read
-	// per operation, so only the service layer arms it (see
-	// distlock.WithLatencyMetrics); the field keeps the shapes aligned.
+	// HoldTime summarizes grant-to-release wall time in nanoseconds (only
+	// with MeasureHoldTime; zeros otherwise).
 	HoldTime obs.HistogramSnapshot
 	// Table is the lock-table counter bundle of the run's engine: grants,
 	// fast-path vs slow-path shared grants, releases, wounds, stripe
@@ -167,7 +119,7 @@ type Metrics struct {
 	Table obs.TableCounters
 	// Spans holds the sampled op waterfalls still resident in the engine's
 	// span ring at run end, and TraceStages their per-stage gap
-	// distributions across the whole run (only with Config.TraceSample;
+	// distributions across the whole run (only with TraceSampleEvery;
 	// nil otherwise).
 	Spans       []obs.SpanRecord
 	TraceStages []obs.StageLatency
@@ -194,22 +146,7 @@ func Run(cfg Config) (*Metrics, error) {
 	if cfg.StallTimeout <= 0 {
 		cfg.StallTimeout = 250 * time.Millisecond
 	}
-	e, err := NewEngine(ddb, EngineOptions{
-		Strategy:         cfg.Strategy,
-		DetectEvery:      cfg.DetectEvery,
-		Backend:          cfg.Backend,
-		RemoteAddr:       cfg.RemoteAddr,
-		RemoteAddrs:      cfg.RemoteAddrs,
-		Shards:           cfg.Shards,
-		MaxShards:        cfg.MaxShards,
-		StripeProbe:      cfg.StripeProbe,
-		SiteInbox:        cfg.SiteInbox,
-		PipelineDepth:    cfg.PipelineDepth,
-		FlushInterval:    cfg.FlushInterval,
-		Trace:            cfg.Trace,
-		MeasureLockWait:  cfg.MeasureLockWait,
-		TraceSampleEvery: cfg.TraceSample,
-	})
+	e, err := NewEngine(ddb, cfg.EngineOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +215,7 @@ watch:
 		m.Spans = e.spans.Spans()
 		m.TraceStages = e.StageLatency()
 	}
-	if cfg.Trace {
+	if cfg.Table.Trace {
 		m.GrantLog = map[model.EntityID][]GrantEvent{}
 		for _, ev := range e.table.GrantLog() {
 			m.GrantLog[ev.Entity] = append(m.GrantLog[ev.Entity], ev)
@@ -294,7 +231,7 @@ watch:
 // deadlock-handling aborts with the instance's original age priority (so a
 // wounded transaction cannot starve under wound-wait). Returns false if
 // the engine is stopping. Lock-wait samples land in the engine's
-// histogram when Config.MeasureLockWait armed it.
+// histogram when MeasureLockWait armed it.
 func (e *Engine) runInstance(id int, tmpl *model.Transaction, rng *rand.Rand, hold time.Duration) bool {
 	prio := int64(id) // arrival order = age: smaller is older
 	for epoch := 0; ; epoch++ {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"distlock/internal/graph"
+	"distlock/internal/locktable"
 	"distlock/internal/model"
 )
 
@@ -52,7 +53,7 @@ func TestCertifiedMixNoHandling(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
 		m, err := Run(Config{
 			Templates: orderedTemplates(), Clients: 6, TxnsPerClient: 20,
-			Strategy: StrategyNone, Backend: b, Seed: 1,
+			EngineOptions: EngineOptions{Strategy: StrategyNone, Backend: b}, Seed: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +74,7 @@ func TestDeadlockMixStallsWithoutHandling(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
 		m, err := Run(Config{
 			Templates: deadlockTemplates(), Clients: 8, TxnsPerClient: 30,
-			Strategy: StrategyNone, Backend: b, StallTimeout: 150 * time.Millisecond,
+			EngineOptions: EngineOptions{Strategy: StrategyNone, Backend: b}, StallTimeout: 150 * time.Millisecond,
 			HoldTime: 300 * time.Microsecond, Seed: 2,
 		})
 		if !errors.Is(err, ErrStalled) {
@@ -88,8 +89,8 @@ func TestDeadlockMixStallsWithoutHandling(t *testing.T) {
 func TestDetectionCompletesDeadlockMix(t *testing.T) {
 	m, err := Run(Config{
 		Templates: deadlockTemplates(), Clients: 8, TxnsPerClient: 20,
-		Strategy: StrategyDetect, DetectEvery: time.Millisecond,
-		HoldTime: 200 * time.Microsecond, Seed: 3,
+		EngineOptions: EngineOptions{Strategy: StrategyDetect, DetectEvery: time.Millisecond},
+		HoldTime:      200 * time.Microsecond, Seed: 3,
 	})
 	if err != nil {
 		t.Fatalf("err=%v metrics=%+v", err, m)
@@ -105,7 +106,7 @@ func TestDetectionCompletesDeadlockMix(t *testing.T) {
 func TestWoundWaitCompletesDeadlockMix(t *testing.T) {
 	m, err := Run(Config{
 		Templates: deadlockTemplates(), Clients: 8, TxnsPerClient: 20,
-		Strategy: StrategyWoundWait, HoldTime: 200 * time.Microsecond, Seed: 4,
+		EngineOptions: EngineOptions{Strategy: StrategyWoundWait}, HoldTime: 200 * time.Microsecond, Seed: 4,
 	})
 	if err != nil {
 		t.Fatalf("err=%v metrics=%+v", err, m)
@@ -131,7 +132,7 @@ func TestDistributedParallelTemplates(t *testing.T) {
 	tmpl := b.MustFreeze()
 	m, err := Run(Config{
 		Templates: []*model.Transaction{tmpl}, Clients: 8, TxnsPerClient: 15,
-		Strategy: StrategyDetect, Seed: 5,
+		EngineOptions: EngineOptions{Strategy: StrategyDetect}, Seed: 5,
 	})
 	if err != nil {
 		t.Fatalf("err=%v metrics=%+v", err, m)
@@ -150,8 +151,8 @@ func TestSerializableCommitOrder(t *testing.T) {
 		for _, b := range backends {
 			m, err := Run(Config{
 				Templates: orderedTemplates(), Clients: 6, TxnsPerClient: 15,
-				Strategy: strat, Backend: b, Trace: true,
-				HoldTime: 100 * time.Microsecond, Seed: 11,
+				EngineOptions: EngineOptions{Strategy: strat, Backend: b, Table: locktable.Config{Trace: true}},
+				HoldTime:      100 * time.Microsecond, Seed: 11,
 			})
 			if err != nil {
 				t.Fatalf("%v/%v: err=%v", strat, b, err)
@@ -165,7 +166,8 @@ func TestSerializableCommitOrder(t *testing.T) {
 		}
 		m, err := Run(Config{
 			Templates: deadlockTemplates(), Clients: 6, TxnsPerClient: 15,
-			Strategy: strat, Trace: true, HoldTime: 100 * time.Microsecond, Seed: 11,
+			EngineOptions: EngineOptions{Strategy: strat, Table: locktable.Config{Trace: true}},
+			HoldTime:      100 * time.Microsecond, Seed: 11,
 		})
 		if err != nil {
 			t.Fatalf("%v: err=%v", strat, err)

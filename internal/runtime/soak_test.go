@@ -58,10 +58,10 @@ func TestWoundStormSoak(t *testing.T) {
 		remote bool
 	}
 	cases := []backendCase{
-		{name: "actor", cfg: Config{Backend: BackendActor}},
-		{name: "sharded", cfg: Config{Backend: BackendSharded}},
-		{name: "sharded-1stripe", cfg: Config{Backend: BackendSharded, Shards: 1}},
-		{name: "sharded-overstriped", cfg: Config{Backend: BackendSharded, Shards: 256}},
+		{name: "actor", cfg: Config{EngineOptions: EngineOptions{Backend: BackendActor}}},
+		{name: "sharded", cfg: Config{EngineOptions: EngineOptions{Backend: BackendSharded}}},
+		{name: "sharded-1stripe", cfg: Config{EngineOptions: EngineOptions{Backend: BackendSharded, Table: locktable.Config{Shards: 1}}}},
+		{name: "sharded-overstriped", cfg: Config{EngineOptions: EngineOptions{Backend: BackendSharded, Table: locktable.Config{Shards: 256}}}},
 		{name: "remote", remote: true},
 	}
 	for _, bc := range cases {
@@ -80,7 +80,7 @@ func TestWoundStormSoak(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer srv.Close()
-				cfg = Config{Backend: BackendRemote, RemoteAddr: srv.Addr()}
+				cfg = Config{EngineOptions: EngineOptions{Backend: BackendRemote, RemoteAddr: srv.Addr()}}
 			}
 			cfg.Templates = sys.Txns
 			cfg.Clients = clients

@@ -199,7 +199,7 @@ func TestTraceSamplingKeepsFastPath(t *testing.T) {
 	e, err := NewEngine(d, EngineOptions{
 		Strategy:         StrategyNone,
 		Backend:          BackendSharded,
-		Metrics:          m,
+		Table:            locktable.Config{Metrics: m},
 		TraceSampleEvery: -1, // default rate
 	})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"distlock/internal/admission"
+	"distlock/internal/locktable"
 	"distlock/internal/model"
 	"distlock/internal/obs"
 	"distlock/internal/runtime"
@@ -31,14 +32,12 @@ type RegisterResult = admission.Result
 
 // LockBackend selects a tier's lock-table implementation (see
 // internal/locktable): BackendActor is the per-site message-passing core,
-// BackendSharded the striped mutex fast path, BackendDefault resolves per
-// tier (sharded for the certified no-deadlock-handling tier, actor for the
-// wound-wait fallback).
+// BackendSharded the striped mutex fast path, BackendDefault resolves to
+// sharded on both tiers.
 type LockBackend = runtime.Backend
 
 const (
-	// BackendDefault resolves to the tier's proven backend: sharded for
-	// the certified tier, actor for the fallback tier.
+	// BackendDefault resolves to sharded on both tiers.
 	BackendDefault = runtime.BackendDefault
 	// BackendActor serializes each site's grants through one goroutine.
 	BackendActor = runtime.BackendActor
@@ -60,15 +59,11 @@ type serviceConfig struct {
 	workers      int
 	cycleBudget  int64
 	multiplicity int
-	siteInbox    int
 	certBackend  LockBackend
-	shards       int
-	maxShards    int
-	stripeProbe  time.Duration
+	table        locktable.Config
 	remoteAddr   string
 	remoteAddrs  []string
 	pipeline     int
-	flushEvery   time.Duration
 	latency      bool
 	traceSample  int
 }
@@ -98,17 +93,6 @@ func WithMultiplicity(m int) ServiceOption {
 	return func(c *serviceConfig) { c.multiplicity = m }
 }
 
-// WithSiteInboxCapacity sets the per-site message-inbox capacity of any
-// tier running the actor lock-table backend — that backend's backpressure
-// bound. A site's lock manager drains its inbox serially; once this many
-// requests are in flight against one site, further session operations
-// block until it catches up, so overload becomes queueing delay instead of
-// unbounded memory. Default 256. The sharded backend has no inboxes and
-// ignores the knob.
-func WithSiteInboxCapacity(n int) ServiceOption {
-	return func(c *serviceConfig) { c.siteInbox = n }
-}
-
 // WithLockBackend selects the certified tier's lock-table backend. The
 // default is BackendSharded: the static certification is exactly the proof
 // that the certified mix needs no deadlock handling, so its grants need no
@@ -126,27 +110,11 @@ func WithLockBackend(b LockBackend) ServiceOption {
 // WithShards pins the sharded lock-table backend to exactly n stripes.
 // The default (0) resolves the count from GOMAXPROCS and lets the
 // backend's contention probe split hot stripes adaptively; an explicit
-// count freezes the layout unless WithMaxShards raises the cap. More
-// stripes admit more concurrent grant decisions; a stripe costs one mutex
-// and one map, so over-provisioning is cheap.
+// count freezes the layout. More stripes admit more concurrent grant
+// decisions; a stripe costs one mutex and one map, so over-provisioning is
+// cheap.
 func WithShards(n int) ServiceOption {
-	return func(c *serviceConfig) { c.shards = n }
-}
-
-// WithMaxShards caps the sharded backend's adaptive stripe splitting at n
-// stripes (see locktable.Config.MaxShards). Zero keeps the default policy:
-// 8x the resolved initial count when WithShards is unset, no growth when
-// it pins the count.
-func WithMaxShards(n int) ServiceOption {
-	return func(c *serviceConfig) { c.maxShards = n }
-}
-
-// WithStripeProbe sets the sampling period of the sharded backend's
-// contention probe — the background tick that reads per-stripe traffic
-// counters and splits a stripe absorbing a disproportionate share. Zero
-// keeps the 15ms default; a negative duration disables the probe.
-func WithStripeProbe(d time.Duration) ServiceOption {
-	return func(c *serviceConfig) { c.stripeProbe = d }
+	return func(c *serviceConfig) { c.table.Shards = n }
 }
 
 // WithRemoteTable puts the certified tier on a cross-process lock table: a
@@ -156,7 +124,7 @@ func WithStripeProbe(d time.Duration) ServiceOption {
 // distributed sites made literal — with the server's lease/fencing
 // machinery guaranteeing that a crashed process's locks are revoked and
 // its late releases rejected. The wound-wait fallback tier stays on a
-// process-local actor table: rejected classes are this process's private
+// process-local sharded table: rejected classes are this process's private
 // traffic, not part of the shared certified mix.
 func WithRemoteTable(addr string) ServiceOption {
 	return func(c *serviceConfig) {
@@ -177,8 +145,8 @@ func WithRemoteTable(addr string) ServiceOption {
 // partition; losing one degrades that slice of the entity space to
 // lease-expiry errors while the rest keep granting. As with
 // WithRemoteTable, the wound-wait fallback tier stays on a process-local
-// table: rejected classes are this process's private traffic, not part
-// of the shared certified mix.
+// sharded table: rejected classes are this process's private traffic, not
+// part of the shared certified mix.
 func WithRemoteCluster(addrs ...string) ServiceOption {
 	return func(c *serviceConfig) {
 		c.certBackend = BackendCluster
@@ -201,20 +169,6 @@ func WithRemoteCluster(addrs ...string) ServiceOption {
 // backends ignore the knob.
 func WithPipelineDepth(depth int) ServiceOption {
 	return func(c *serviceConfig) { c.pipeline = depth }
-}
-
-// WithFlushInterval sets the wire backends' batch window: each
-// connection's flush-coalescing writer rate-limits itself to one
-// buffered-write+flush per interval under sustained traffic (an op
-// arriving after idle still flushes immediately). Zero (the default)
-// flushes as soon as the writer drains, which already coalesces frames
-// that arrive while a flush is in progress; a small positive window
-// (tens of microseconds) trades that much latency for fewer, larger
-// syscalls under concurrent load on many-core hosts. Must be well under
-// the server lease (heartbeats ride the same writer, at priority).
-// In-process backends ignore the knob.
-func WithFlushInterval(d time.Duration) ServiceOption {
-	return func(c *serviceConfig) { c.flushEvery = d }
 }
 
 // WithLatencyMetrics turns on the per-tier lock-wait and hold-time
@@ -333,12 +287,8 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 		Backend:          cfg.certBackend, // BackendDefault resolves to sharded
 		RemoteAddr:       cfg.remoteAddr,
 		RemoteAddrs:      cfg.remoteAddrs,
-		Shards:           cfg.shards,
-		MaxShards:        cfg.maxShards,
-		StripeProbe:      cfg.stripeProbe,
-		SiteInbox:        cfg.siteInbox,
+		Table:            cfg.table,
 		PipelineDepth:    cfg.pipeline,
-		FlushInterval:    cfg.flushEvery,
 		MeasureLockWait:  cfg.latency,
 		MeasureHoldTime:  cfg.latency,
 		TraceSampleEvery: cfg.traceSample,
@@ -349,10 +299,7 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 	fallback, err := runtime.NewEngine(ddb, runtime.EngineOptions{
 		Strategy:         runtime.StrategyWoundWait,
 		Backend:          runtime.BackendDefault, // resolves to sharded post-soak-gate
-		Shards:           cfg.shards,
-		MaxShards:        cfg.maxShards,
-		StripeProbe:      cfg.stripeProbe,
-		SiteInbox:        cfg.siteInbox,
+		Table:            cfg.table,
 		MeasureLockWait:  cfg.latency,
 		MeasureHoldTime:  cfg.latency,
 		TraceSampleEvery: cfg.traceSample,
