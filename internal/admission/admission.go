@@ -39,6 +39,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sync"
 
 	"distlock/internal/core"
@@ -99,10 +100,12 @@ type Options struct {
 	// Workers bounds the pool evaluating uncached PairSafeDF checks.
 	// Defaults to GOMAXPROCS.
 	Workers int
-	// CycleBudget bounds the Theorem 4 cycle checks spent on a single
-	// admission (0 = unlimited). Theorem 4's cost is inherently
-	// proportional to the interaction-graph cycle count, which explodes on
-	// dense mixes; a service with a budget stays responsive by
+	// CycleBudget bounds the interaction-graph cycles enumerated for a
+	// single admission (0 = unlimited). It counts every cycle through the
+	// candidate that the enumeration reaches, including those whose verdict
+	// the admission already holds from a cycle of the same shape.
+	// Theorem 4's cost is inherently proportional to the cycle count, which
+	// explodes on dense mixes; a service with a budget stays responsive by
 	// conservatively REJECTING any class whose certification would exceed
 	// it. Rejection never decertifies the live set, so the budget trades
 	// admission rate for latency, never correctness.
@@ -130,7 +133,7 @@ type Stats struct {
 	PairChecks    int64 `json:"pair_checks"`    // PairSafeDF evaluations actually performed
 	CacheHits     int64 `json:"cache_hits"`     // pair verdicts answered from the fingerprint cache
 	CacheMisses   int64 `json:"cache_misses"`   // pair verdicts that had to be dispatched for evaluation
-	CyclesChecked int64 `json:"cycles_checked"` // Theorem 4 cycle checks (all through a new vertex)
+	CyclesChecked int64 `json:"cycles_checked"` // cycles enumerated for Theorem 4 (all through a new vertex), same-shape repeats included
 	// BudgetExhausted counts classes rejected conservatively because
 	// certifying them would exceed Options.CycleBudget — the admission
 	// latency/admission rate trade made visible.
@@ -157,7 +160,28 @@ type Result struct {
 type class struct {
 	txn  *model.Transaction
 	fp   Fingerprint
-	nbrs map[*class]bool // interaction-graph neighbours within the live set
+	pos  int      // index in Service.classes
+	self bool     // two copies of the class interact: it locks something exclusively
+	nbrs []*class // interaction-graph neighbours within the live set, in admission order
+}
+
+// candidate is a class under decision, with what the pair wave learned
+// about it on the way.
+type candidate struct {
+	txn    *model.Transaction
+	fp     Fingerprint
+	self   bool     // as class.self
+	nbrs   []*class // live classes it interacts with, in admission order
+	peers  []int    // earlier members of its batch it interacts with
+	joined *class   // the class it became, once admitted
+}
+
+// pairJob is one uncached pair verdict of a wave.
+type pairJob struct {
+	key    pairKey
+	t1, t2 *model.Transaction
+	rep    core.PairReport
+	done   bool
 }
 
 // Service is the admission-control service. All methods are safe for
@@ -173,6 +197,7 @@ type Service struct {
 	classes []*class
 	byName  map[string]*class
 	cache   map[pairKey]core.PairReport
+	cycles  core.CycleChecker
 	stats   Stats
 }
 
@@ -228,20 +253,17 @@ func (s *Service) AdmitBatch(ctx context.Context, ts []*model.Transaction) ([]Re
 			return nil, fmt.Errorf("admission: class %s built over a different DDB", t.Name())
 		}
 	}
-	fps := make([]Fingerprint, len(ts))
+	cands := make([]candidate, len(ts))
 	for i, t := range ts {
-		fps[i] = FingerprintOf(t)
+		cands[i] = candidate{txn: t, fp: FingerprintOf(t), self: model.Interacts(t, t)}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// Wave: resolve every pair verdict any batch member might need.
-	type job struct {
-		key    pairKey
-		t1, t2 *model.Transaction
-	}
-	var jobs []job
+	// Wave: find every class each batch member interacts with and resolve
+	// every pair verdict it might need.
+	var jobs []pairJob
 	seen := map[pairKey]bool{}
 	add := func(k pairKey, a, b *model.Transaction) {
 		if seen[k] {
@@ -253,33 +275,68 @@ func (s *Service) AdmitBatch(ctx context.Context, ts []*model.Transaction) ([]Re
 			return
 		}
 		s.stats.CacheMisses++
-		jobs = append(jobs, job{key: k, t1: a, t2: b})
+		jobs = append(jobs, pairJob{key: k, t1: a, t2: b})
 	}
-	for i, t := range ts {
-		if s.mult > 1 && len(model.ConflictingEntities(t, t)) > 0 {
+	for i := range cands {
+		c := &cands[i]
+		if s.mult > 1 && c.self {
 			// Corollary 3 via Theorem 3: the class against its own copy.
-			add(keyOf(fps[i], fps[i]), t, t)
+			add(keyOf(c.fp, c.fp), c.txn, c.txn)
 		}
-		for _, c := range s.classes {
-			if len(model.ConflictingEntities(t, c.txn)) > 0 {
-				add(keyOf(fps[i], c.fp), t, c.txn)
+		for _, l := range s.classes {
+			if model.Interacts(c.txn, l.txn) {
+				c.nbrs = append(c.nbrs, l)
+				add(keyOf(c.fp, l.fp), c.txn, l.txn)
 			}
 		}
-		for j := 0; j < i; j++ {
-			if len(model.ConflictingEntities(t, ts[j])) > 0 {
-				add(keyOf(fps[i], fps[j]), t, ts[j])
+		for j := range cands[:i] {
+			if model.Interacts(c.txn, cands[j].txn) {
+				c.peers = append(c.peers, j)
+				add(keyOf(c.fp, cands[j].fp), c.txn, cands[j].txn)
 			}
 		}
 	}
-	if len(jobs) > 0 {
-		reports := make([]core.PairReport, len(jobs))
-		evaluated := make([]bool, len(jobs))
+	if err := s.evaluate(ctx, jobs); err != nil {
+		return nil, err
+	}
+
+	// Greedy sequential admission against the (evolving) certified set. On
+	// cancellation, the decided prefix is returned alongside the error so
+	// callers can see exactly which classes joined before the cut.
+	results := make([]Result, len(ts))
+	for i := range cands {
+		if err := ctx.Err(); err != nil {
+			return results[:i], err
+		}
+		r, err := s.admitOne(ctx, &cands[i], cands)
+		if err != nil {
+			return results[:i], err
+		}
+		results[i] = r
+	}
+	return results, nil
+}
+
+// evaluate runs the pair checks of one wave and caches whatever was
+// computed — the verdicts are valid regardless of how the admission itself
+// ends. The checks fan out over the worker pool unless there is nothing to
+// overlap: a single job (the common case for one arrival) or a single
+// worker runs on the caller, since a goroutine and a channel cost more than
+// the ~1 µs check they would carry. A cancelled context stops the wave and
+// is returned.
+func (s *Service) evaluate(ctx context.Context, jobs []pairJob) error {
+	workers := min(s.workers, len(jobs))
+	if workers <= 1 {
+		for i := range jobs {
+			if ctx.Err() != nil {
+				break
+			}
+			jobs[i].rep = core.PairSafeDF(jobs[i].t1, jobs[i].t2)
+			jobs[i].done = true
+		}
+	} else {
 		next := make(chan int)
 		var wg sync.WaitGroup
-		workers := s.workers
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
@@ -288,8 +345,8 @@ func (s *Service) AdmitBatch(ctx context.Context, ts []*model.Transaction) ([]Re
 					if ctx.Err() != nil {
 						continue // drain without evaluating
 					}
-					reports[i] = core.PairSafeDF(jobs[i].t1, jobs[i].t2)
-					evaluated[i] = true
+					jobs[i].rep = core.PairSafeDF(jobs[i].t1, jobs[i].t2)
+					jobs[i].done = true
 				}
 			}()
 		}
@@ -303,41 +360,22 @@ func (s *Service) AdmitBatch(ctx context.Context, ts []*model.Transaction) ([]Re
 		}
 		close(next)
 		wg.Wait()
-		// Cache whatever was computed — the verdicts are valid regardless
-		// of how the admission itself ends.
-		for i, j := range jobs {
-			if evaluated[i] {
-				s.cache[j.key] = reports[i]
-				s.stats.PairChecks++
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	}
+	for _, j := range jobs {
+		if j.done {
+			s.cache[j.key] = j.rep
+			s.stats.PairChecks++
 		}
 	}
-
-	// Greedy sequential admission against the (evolving) certified set. On
-	// cancellation, the decided prefix is returned alongside the error so
-	// callers can see exactly which classes joined before the cut.
-	results := make([]Result, len(ts))
-	for i, t := range ts {
-		if err := ctx.Err(); err != nil {
-			return results[:i], err
-		}
-		r, err := s.admitOne(ctx, t, fps[i])
-		if err != nil {
-			return results[:i], err
-		}
-		results[i] = r
-	}
-	return results, nil
+	return ctx.Err()
 }
 
 // admitOne decides one class against the current live set. The caller holds
 // s.mu and has already cached every pair verdict admitOne can need. A
 // context cancellation during the cycle phase aborts the decision (the
 // class does not join) and surfaces as the returned error.
-func (s *Service) admitOne(ctx context.Context, t *model.Transaction, fp Fingerprint) (Result, error) {
+func (s *Service) admitOne(ctx context.Context, c *candidate, batch []candidate) (Result, error) {
+	t, fp := c.txn, c.fp
 	reject := func(reason string, v *core.MultiViolation) Result {
 		s.stats.Rejected++
 		return Result{Class: t.Name(), Strategy: runtime.StrategyWoundWait,
@@ -361,21 +399,24 @@ func (s *Service) admitOne(ctx context.Context, t *model.Transaction, fp Fingerp
 		}
 		return rep
 	}
-	if s.mult > 1 && len(model.ConflictingEntities(t, t)) > 0 {
+	if s.mult > 1 && c.self {
 		if rep := lookup(t, t, fp, fp); !rep.SafeDF {
 			return reject(fmt.Sprintf("two copies of %s fail Corollary 3: %s",
 				t.Name(), rep.Reason), nil), nil
 		}
 	}
-	var nbrs []*class
-	for _, c := range s.classes {
-		if len(model.ConflictingEntities(t, c.txn)) == 0 {
-			continue
+	// The live neighbours the wave found, then the batch peers that have
+	// joined since: s.classes order, which is admission order.
+	nbrs := c.nbrs
+	for _, j := range c.peers {
+		if o := batch[j].joined; o != nil {
+			nbrs = append(nbrs, o)
 		}
-		nbrs = append(nbrs, c)
-		if rep := lookup(t, c.txn, fp, c.fp); !rep.SafeDF {
+	}
+	for _, o := range nbrs {
+		if rep := lookup(t, o.txn, fp, o.fp); !rep.SafeDF {
 			return reject(fmt.Sprintf("pair (%s, %s) fails Theorem 3: %s",
-				t.Name(), c.txn.Name(), rep.Reason), nil), nil
+				t.Name(), o.txn.Name(), rep.Reason), nil), nil
 		}
 	}
 
@@ -384,7 +425,7 @@ func (s *Service) admitOne(ctx context.Context, t *model.Transaction, fp Fingerp
 	// through two copies of one class deadlocks the engine just as surely
 	// as one through distinct classes. The candidate's copies join one at a
 	// time and only cycles through each newly joined vertex are enumerated,
-	// so no cycle is ever checked twice: cycles within the live expansion
+	// so no cycle is ever enumerated twice: cycles within the live expansion
 	// were certified when their own classes were admitted (a cycle's
 	// verdict depends only on the transactions on it).
 	//
@@ -393,16 +434,15 @@ func (s *Service) admitOne(ctx context.Context, t *model.Transaction, fp Fingerp
 	// (Theorem 5: m copies are safe-and-deadlock-free iff two are); skip
 	// the expanded graph build entirely.
 	if len(nbrs) == 0 {
-		return s.join(t, fp, nbrs), nil
+		return s.join(c, nbrs), nil
 	}
 	m := s.mult
 	n := len(s.classes)
+	// Vertex v is copy v%m of class v/m, the candidate being class n.
 	txns := make([]*model.Transaction, 0, (n+1)*m)
-	idx := map[*class]int{}
-	for i, c := range s.classes {
-		idx[c] = i
+	for _, l := range s.classes {
 		for k := 0; k < m; k++ {
-			txns = append(txns, c.txn)
+			txns = append(txns, l.txn)
 		}
 	}
 	for k := 0; k < m; k++ {
@@ -419,28 +459,41 @@ func (s *Service) admitOne(ctx context.Context, t *model.Transaction, fp Fingerp
 			}
 		}
 	}
-	for i, c := range s.classes {
-		for o := range c.nbrs {
-			classEdges(i, idx[o])
+	for i, l := range s.classes {
+		for _, o := range l.nbrs {
+			if o.pos > i {
+				classEdges(i, o.pos)
+			}
 		}
-		if m > 1 && len(model.ConflictingEntities(c.txn, c.txn)) > 0 {
+		if l.self {
 			classEdges(i, i) // copies of one class interact with each other
 		}
 	}
-	sys := model.MustSystem(s.ddb, txns...)
+
+	// A cycle's verdict reads only the syntax of the transactions on it, in
+	// cyclic order, so within this admission each distinct shape is checked
+	// once: the cycles that differ from it only in which copy of a class
+	// they run through (2^(k-1) of them at multiplicity 2) find it benign
+	// already. Every enumerated cycle still counts against the budget, so
+	// the decision does not depend on which cycles share a shape. The memo
+	// dies with the admission: every key carries the candidate.
+	shapes := shapeIDs(s.classes, fp)
+	var benign map[string]struct{}
+	var key []byte
+
 	var viol *core.MultiViolation
 	var checked int64
 	overBudget := false
 	cancelled := false
 	for k := 0; k < m && viol == nil && !overBudget && !cancelled; k++ {
 		v := n*m + k
-		for _, c := range nbrs {
-			clo, chi := span(idx[c])
-			for a := clo; a < chi; a++ {
+		for _, o := range nbrs {
+			lo, hi := span(o.pos)
+			for a := lo; a < hi; a++ {
 				g.AddEdge(a, v)
 			}
 		}
-		if len(model.ConflictingEntities(t, t)) > 0 {
+		if c.self {
 			for a := n * m; a < v; a++ {
 				g.AddEdge(a, v) // earlier candidate copies
 			}
@@ -456,10 +509,18 @@ func (s *Service) admitOne(ctx context.Context, t *model.Transaction, fp Fingerp
 			}
 			checked++
 			s.stats.CyclesChecked++
-			if vl := core.CheckCycle(sys, cycle); vl != nil {
+			key = cycleKey(key[:0], cycle, m, shapes)
+			if _, ok := benign[string(key)]; ok {
+				return true
+			}
+			if vl := s.cycles.CheckCycle(txns, cycle); vl != nil {
 				viol = vl
 				return false
 			}
+			if benign == nil {
+				benign = map[string]struct{}{}
+			}
+			benign[string(key)] = struct{}{}
 			return true
 		})
 	}
@@ -476,20 +537,86 @@ func (s *Service) admitOne(ctx context.Context, t *model.Transaction, fp Fingerp
 			"certifying %s needs more than %d cycle checks (CycleBudget); rejected conservatively",
 			t.Name(), s.budget), nil), nil
 	}
-	return s.join(t, fp, nbrs), nil
+	return s.join(c, nbrs), nil
+}
+
+// shapeIDs numbers the live classes and the candidate (last) by syntax:
+// two get the same number iff their fingerprints are equal.
+func shapeIDs(live []*class, cand Fingerprint) []uint32 {
+	ids := make([]uint32, len(live)+1)
+	fpOf := func(i int) Fingerprint {
+		if i < len(live) {
+			return live[i].fp
+		}
+		return cand
+	}
+	for i := range ids {
+		ids[i] = uint32(i)
+		for j := 0; j < i; j++ {
+			if fpOf(j) == fpOf(i) {
+				ids[i] = ids[j]
+				break
+			}
+		}
+	}
+	return ids
+}
+
+// cycleKey appends to buf the canonical form of a cycle of the expanded
+// graph (vertex v standing for class v/m) as a sequence of shape numbers:
+// the least, in lexicographic order, of the 2k sequences read off the cycle
+// from every starting vertex in both directions. Two cycles get the same
+// key iff one's sequence of shapes is a rotation or reflection of the
+// other's — exactly when core's CheckCycle is asked the same question.
+func cycleKey(buf []byte, cycle []int, m int, shapes []uint32) []byte {
+	k := len(cycle)
+	// at reads the i-th shape of the traversal starting at position r.
+	at := func(r int, backward bool, i int) uint32 {
+		if backward {
+			i = k - i
+		}
+		return shapes[cycle[(r+i)%k]/m]
+	}
+	lo := at(0, false, 0)
+	for i := 1; i < k; i++ {
+		lo = min(lo, at(0, false, i))
+	}
+	bestR, bestBack := -1, false
+	for r := 0; r < k; r++ {
+		if at(r, false, 0) != lo {
+			continue // the least sequence starts with the least shape
+		}
+		for _, backward := range []bool{false, true} {
+			less := bestR < 0
+			for i := 1; i < k && !less; i++ {
+				a, b := at(r, backward, i), at(bestR, bestBack, i)
+				if a != b {
+					less = a < b
+					break
+				}
+			}
+			if less {
+				bestR, bestBack = r, backward
+			}
+		}
+	}
+	for i := 0; i < k; i++ {
+		buf = binary.LittleEndian.AppendUint32(buf, at(bestR, bestBack, i))
+	}
+	return buf
 }
 
 // join adds a certified class to the live set. The caller holds s.mu.
-func (s *Service) join(t *model.Transaction, fp Fingerprint, nbrs []*class) Result {
-	nc := &class{txn: t, fp: fp, nbrs: map[*class]bool{}}
-	for _, c := range nbrs {
-		nc.nbrs[c] = true
-		c.nbrs[nc] = true
+func (s *Service) join(c *candidate, nbrs []*class) Result {
+	nc := &class{txn: c.txn, fp: c.fp, pos: len(s.classes), self: c.self, nbrs: nbrs}
+	for _, o := range nbrs {
+		o.nbrs = append(o.nbrs, nc)
 	}
+	c.joined = nc
 	s.classes = append(s.classes, nc)
-	s.byName[t.Name()] = nc
+	s.byName[c.txn.Name()] = nc
 	s.stats.Admitted++
-	return Result{Class: t.Name(), Admitted: true, Strategy: runtime.StrategyNone}
+	return Result{Class: c.txn.Name(), Admitted: true, Strategy: runtime.StrategyNone}
 }
 
 // Evict removes the named class from the certified set. Removing a vertex
@@ -504,14 +631,12 @@ func (s *Service) Evict(name string) bool {
 		return false
 	}
 	delete(s.byName, name)
-	for o := range c.nbrs {
-		delete(o.nbrs, c)
+	for _, o := range c.nbrs {
+		o.nbrs = slices.DeleteFunc(o.nbrs, func(x *class) bool { return x == c })
 	}
-	for i, x := range s.classes {
-		if x == c {
-			s.classes = append(s.classes[:i], s.classes[i+1:]...)
-			break
-		}
+	s.classes = slices.Delete(s.classes, c.pos, c.pos+1)
+	for _, x := range s.classes[c.pos:] {
+		x.pos--
 	}
 	s.stats.Evicted++
 	return true

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"distlock/internal/graph"
 	"distlock/internal/model"
 	"distlock/internal/schedule"
 )
@@ -22,15 +24,14 @@ type MultiViolation struct {
 	// Prefixes are the maximal prefixes T1*, ..., Tk* (parallel to Cycle).
 	Prefixes []*model.Prefix
 	// Xs are the entities x_i with arcs Ti -> Ti+1 labelled x_i.
-	Xs  []model.EntityID
-	sys *model.System
+	Xs []model.EntityID
 }
 
 // BuildSchedule produces a concrete illegal-certifying partial schedule:
 // a serial execution of the cycle prefixes in order. The result is a legal
 // partial schedule of the system whose digraph D(S′) contains a cycle.
 func (v *MultiViolation) BuildSchedule() []schedule.Step {
-	if v.Pair != nil || v.sys == nil {
+	if v.Pair != nil {
 		return nil
 	}
 	var steps []schedule.Step
@@ -94,12 +95,12 @@ func SystemSafeDF(sys *model.System) (bool, *MultiViolation) {
 	// entities do not interact and need no pair check.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if len(model.ConflictingEntities(sys.Txns[i], sys.Txns[j])) == 0 {
+			if !model.Interacts(sys.Txns[i], sys.Txns[j]) {
 				continue
 			}
 			if rep := PairSafeDF(sys.Txns[i], sys.Txns[j]); !rep.SafeDF {
 				p := [2]int{i, j}
-				return false, &MultiViolation{Pair: &p, sys: sys}
+				return false, &MultiViolation{Pair: &p}
 			}
 		}
 	}
@@ -107,8 +108,9 @@ func SystemSafeDF(sys *model.System) (bool, *MultiViolation) {
 	// Phase 2: directed cycles of the interaction graph.
 	ig := sys.InteractionGraph()
 	var viol *MultiViolation
+	var cc CycleChecker
 	ig.SimpleCycles(0, func(cycle []int) bool {
-		if v := CheckCycle(sys, cycle); v != nil {
+		if v := cc.CheckCycle(sys.Txns, cycle); v != nil {
 			viol = v
 			return false
 		}
@@ -120,130 +122,248 @@ func SystemSafeDF(sys *model.System) (bool, *MultiViolation) {
 	return true, nil
 }
 
+// CycleChecker runs Theorem 4's phase-2 test on interaction-graph cycles,
+// one at a time. It owns the scratch the conflict masks and prefixes of a
+// cycle are built in, so a caller checking many cycles (SystemSafeDF, the
+// admission service) allocates nothing for a cycle that does not violate.
+// The zero value is ready to use; a CycleChecker must not be used by two
+// goroutines at once.
+//
+// The test reads only the shapes (model.Shape) of the transactions on the
+// cycle. Positions 0..k-1 below index the cycle as given; edge p joins
+// positions p and p+1 (mod k).
+type CycleChecker struct {
+	shapes []*model.Shape
+	ew, nw int // words in an entity bitset and a node bitset, the widest on the cycle
+
+	// conf is k×k entity bitsets: row p*k+q holds the entities on which the
+	// transactions at positions p and q conflict.
+	conf []uint64
+	// xs[p] is the first-locked conflicting common entity of edge p, and
+	// lxLo[p], lxHi[p] its Lock node in the transactions at p and p+1.
+	xs         []model.EntityID
+	lxLo, lxHi []model.NodeID
+
+	common  []model.EntityID // conflicting entities of one edge
+	ord     []int            // the traversal being tried: positions in order T1..Tk
+	avoid   []uint64         // entity bitset: what the prefix under construction avoids
+	removed []uint64         // k node bitsets: row i holds the nodes outside Ti*
+}
+
 // CheckCycle runs Theorem 4's phase-2 test on one undirected interaction-
-// graph cycle, given as a sequence of transaction indices into sys.Txns: it
-// attempts the normal-form prefix construction on every orientation (both
+// graph cycle, given as a sequence of indices into txns (at least three; an
+// index may repeat when txns lists one transaction once per copy): it
+// attempts the normal-form prefix construction on every traversal (both
 // directions, every choice of last transaction) and returns a violation if
-// one admits prefixes satisfying properties (1)–(3), else nil.
+// one admits prefixes satisfying properties (1)–(3), else nil. The verdict
+// depends only on the syntax of the transactions on the cycle, in cyclic
+// order.
 //
 // Every transaction on the cycle must already pass Theorem 3 against its
 // cycle neighbours (SystemSafeDF's phase 1); callers maintaining a certified
 // set incrementally guarantee this by construction.
-func CheckCycle(sys *model.System, cycle []int) *MultiViolation {
-	for _, oriented := range orientations(cycle) {
-		if v := tryCycle(sys, oriented); v != nil {
-			return v
+func (c *CycleChecker) CheckCycle(txns []*model.Transaction, cycle []int) *MultiViolation {
+	if !c.load(txns, cycle) {
+		return nil
+	}
+	k := len(cycle)
+	for _, backward := range []bool{false, true} {
+		for r := 0; r < k; r++ {
+			c.orient(k, r, backward)
+			if c.try(backward) {
+				return c.violation(txns, cycle, backward)
+			}
 		}
 	}
 	return nil
 }
 
-// orientations returns every rotation of the cycle in both directions:
-// 2k traversals, each fixing a different transaction as the last one.
-func orientations(cycle []int) [][]int {
+// load computes what all 2k traversals of the cycle share: the conflict
+// masks of every two positions and each edge's first common lock. It
+// reports false if some edge has none — impossible once the edge's pair
+// passed Theorem 3's condition (1), but kept defensive.
+func (c *CycleChecker) load(txns []*model.Transaction, cycle []int) bool {
 	k := len(cycle)
-	out := make([][]int, 0, 2*k)
-	rev := make([]int, k)
-	for i, v := range cycle {
-		rev[k-1-i] = v
+	c.shapes = c.shapes[:0]
+	c.ew, c.nw = 0, 0
+	for _, ti := range cycle {
+		sh := txns[ti].Shape()
+		c.shapes = append(c.shapes, sh)
+		c.ew = max(c.ew, len(sh.Acc))
+		c.nw = max(c.nw, sh.NodeWords)
 	}
-	for _, base := range [][]int{cycle, rev} {
-		for r := 0; r < k; r++ {
-			rot := make([]int, k)
-			for i := 0; i < k; i++ {
-				rot[i] = base[(r+i)%k]
+	c.conf = grow(c.conf, k*k*c.ew)
+	c.avoid = grow(c.avoid, c.ew)
+	c.removed = grow(c.removed, k*c.nw)
+	c.xs = grow(c.xs, k)
+	c.lxLo = grow(c.lxLo, k)
+	c.lxHi = grow(c.lxHi, k)
+	c.ord = grow(c.ord, k)
+
+	for p, a := range c.shapes {
+		for q := p; q < k; q++ {
+			b := c.shapes[q]
+			pq, qp := c.conflicts(p, q), c.conflicts(q, p)
+			for w := range pq {
+				m := a.ConflictWord(b, w)
+				pq[w], qp[w] = m, m
 			}
-			out = append(out, rot)
 		}
 	}
-	return out
+
+	for p := 0; p < k; p++ {
+		q := (p + 1) % k
+		c.common = c.common[:0]
+		for _, e := range c.shapes[p].Entities {
+			if hasBit(c.conflicts(p, q), int(e)) {
+				c.common = append(c.common, e)
+			}
+		}
+		tp, tq := txns[cycle[p]], txns[cycle[q]]
+		x, ok := firstCommonLock(tp, tq, c.common)
+		if !ok {
+			return false
+		}
+		c.xs[p] = x
+		c.lxLo[p], _ = tp.LockNode(x)
+		c.lxHi[p], _ = tq.LockNode(x)
+	}
+	return true
 }
 
-// tryCycle attempts the normal-form prefix construction on the oriented
-// cycle T1 -> ... -> Tk (Tk last). It returns a violation if prefixes
-// satisfying properties (1)–(3) exist, else nil.
-func tryCycle(sys *model.System, cyc []int) *MultiViolation {
-	k := len(cyc)
-	txn := func(i int) *model.Transaction { return sys.Txns[cyc[mod(i, k)]] }
+// conflicts returns the entities on which positions p and q conflict.
+func (c *CycleChecker) conflicts(p, q int) []uint64 {
+	row := p*len(c.shapes) + q
+	return c.conf[row*c.ew : (row+1)*c.ew]
+}
 
-	// x_i: the first-locked CONFLICTING common entity of (Ti, Ti+1); exists
-	// and is unique because every interacting pair passed the generalized
-	// Theorem 3's condition (1).
-	xs := make([]model.EntityID, k)
-	for i := 0; i < k; i++ {
-		conflicting := model.ConflictingEntities(txn(i), txn(i+1))
-		x, ok := firstCommonLock(txn(i), txn(i+1), conflicting)
-		if !ok {
-			// Cannot happen after phase 1, but keep the check defensive.
-			return nil
+// prefixComplement returns the nodes outside the i-th prefix of the
+// traversal being tried.
+func (c *CycleChecker) prefixComplement(i int) []uint64 {
+	return c.removed[i*c.nw : (i+1)*c.nw]
+}
+
+// orient sets c.ord to one of the 2k traversals of a k-cycle: rotation r of
+// the cycle as given, or of its reverse. Each fixes a different transaction
+// as the last one, in one of the two directions.
+func (c *CycleChecker) orient(k, r int, backward bool) {
+	for i := range c.ord {
+		p := (r + i) % k
+		if backward {
+			p = k - 1 - p
 		}
-		xs[i] = x
+		c.ord[i] = p
 	}
+}
 
-	// conflictsWithOthers(i, skip...) = the entities Ti must avoid w.r.t.
-	// every Tj not in the skip set: exactly those of Ti's entities whose
-	// access CONFLICTS with some such Tj's access. An entity Ti and Tj both
-	// merely read neither blocks the serial replay nor adds a D-arc, so the
-	// prefixes may keep it — filtering it out of the avoid set is what
-	// makes the construction complete on R/W systems (treating shared
-	// access as interaction would shrink the prefixes below maximal and
-	// miss violations that need the shared steps executed).
-	conflictsWithOthers := func(i int, skip ...int) map[model.EntityID]bool {
-		m := map[model.EntityID]bool{}
-		for j := 0; j < k; j++ {
-			excluded := false
-			for _, s := range skip {
-				if j == mod(s, k) {
-					excluded = true
-					break
-				}
-			}
-			if excluded {
+// try attempts the normal-form prefix construction on the traversal
+// T1 -> ... -> Tk in c.ord (Tk last), leaving the complements of the
+// prefixes it built in c.removed. It reports whether prefixes satisfying
+// properties (1)–(3) exist, giving up at the first prefix that lacks its
+// Lx_i step: property (3) needs every one of them.
+func (c *CycleChecker) try(backward bool) bool {
+	k := len(c.ord)
+	for i, p := range c.ord {
+		sh := c.shapes[p]
+		next, prev := c.ord[(i+1)%k], -1
+		if i > 0 {
+			prev = c.ord[i-1]
+		}
+
+		// Ti must avoid exactly those of its entities whose access CONFLICTS
+		// with a transaction of the cycle other than its neighbours. An
+		// entity two transactions both merely read neither blocks the serial
+		// replay nor adds a D-arc, so the prefixes may keep it — leaving it
+		// out of the avoid set is what makes the construction complete on
+		// R/W systems (treating shared access as interaction would shrink
+		// the prefixes below maximal and miss violations that need the
+		// shared steps executed).
+		//
+		// T1 has no predecessor to skip: it avoids ALL of Tk's conflicting
+		// entities, which is load-bearing. It is what keeps the serial
+		// replay T1*;...;Tk* legal around the wrap (Tk* may use entities of
+		// T1 freely because T1* never touched a conflicting one) and what
+		// forces the closing D-arc Tk -> T1 (T1 needs x_k only beyond its
+		// prefix).
+		avoid := c.avoid
+		clear(avoid)
+		for q := range c.shapes {
+			if q == p || q == next || q == prev {
 				continue
 			}
-			for _, e := range txn(i).Entities() {
-				if model.Conflicts(txn(i), txn(j), e) {
-					m[e] = true
+			for w, m := range c.conflicts(p, q) {
+				avoid[w] |= m
+			}
+		}
+		// Ti for i = 2..k also avoids what its predecessor's prefix still
+		// HOLDS in a conflicting mode — Y(T*_{i-1}) filtered to conflicts.
+		// Entities the predecessor's prefix has already released are fair
+		// game: the serial replay stays legal and their reuse only adds
+		// D-arcs in the cycle's own direction (T_{i-1} used x before Ti —
+		// the unsafe-but-deadlock-free violations live exactly here).
+		if i > 0 {
+			ps, outside, cf := c.shapes[prev], c.prefixComplement(i-1), c.conflicts(prev, p)
+			for l, y := range ps.Entities {
+				if hasBit(cf, int(y)) && hasBit(outside, int(ps.Unlock[l])) {
+					avoid[y/64] |= 1 << (uint(y) % 64)
 				}
 			}
 		}
-		return m
-	}
 
-	prefixes := make([]*model.Prefix, k)
-	// T1*: maximal prefix avoiding every entity on which T1 conflicts with
-	// T3..Tk (j ≠ 1,2). Avoiding ALL of Tk's conflicting entities here is
-	// load-bearing: it is what keeps the serial replay T1*;...;Tk* legal
-	// around the wrap (Tk* may use entities of T1 freely because T1* never
-	// touched a conflicting one) and what forces the closing D-arc
-	// Tk -> T1 (T1 needs x_k only beyond its prefix).
-	avoid0 := conflictsWithOthers(0, 0, 1)
-	prefixes[0] = model.MaximalPrefixAvoiding(txn(0), func(e model.EntityID) bool { return avoid0[e] })
-	// Ti* for i = 2..k: avoid what the predecessor's prefix still HOLDS in
-	// a conflicting mode — Y(T*_{i-1}) filtered to conflicts — and the
-	// entities on which Ti conflicts with Tj, j ∉ {i-1, i, i+1}. Entities
-	// the predecessor's prefix has already released are fair game: the
-	// serial replay stays legal and their reuse only adds D-arcs in the
-	// cycle's own direction (T_{i-1} used x before Ti — the unsafe-but-
-	// deadlock-free violations live exactly here).
-	for i := 1; i < k; i++ {
-		avoid := conflictsWithOthers(i, i-1, i, i+1)
-		for _, y := range prefixes[i-1].Y() {
-			if model.Conflicts(txn(i), txn(i-1), y) {
-				avoid[y] = true
+		// Ti*: the maximal prefix avoiding them.
+		outside := c.prefixComplement(i)
+		clear(outside)
+		for l, e := range sh.Entities {
+			if hasBit(avoid, int(e)) {
+				for w, m := range sh.Removal(l) {
+					outside[w] |= m
+				}
 			}
 		}
-		prefixes[i] = model.MaximalPrefixAvoiding(txn(i), func(e model.EntityID) bool { return avoid[e] })
-	}
 
-	// Property (3): every prefix contains its Lx_i step.
-	for i := 0; i < k; i++ {
-		lx, ok := txn(i).LockNode(xs[i])
-		if !ok || !prefixes[i].Has(lx) {
-			return nil
+		// Property (3): the prefix contains its Lx_i step, x_i labelling the
+		// arc Ti -> Ti+1.
+		lx := c.lxLo[p]
+		if backward {
+			lx = c.lxHi[next]
+		}
+		if hasBit(outside, int(lx)) {
+			return false
 		}
 	}
-	return &MultiViolation{Cycle: append([]int(nil), cyc...), Prefixes: prefixes, Xs: xs, sys: sys}
+	return true
 }
 
-func mod(a, m int) int { return ((a % m) + m) % m }
+// violation materialises the witness of the traversal try just accepted.
+func (c *CycleChecker) violation(txns []*model.Transaction, cycle []int, backward bool) *MultiViolation {
+	k := len(c.ord)
+	v := &MultiViolation{
+		Cycle:    make([]int, k),
+		Prefixes: make([]*model.Prefix, k),
+		Xs:       make([]model.EntityID, k),
+	}
+	for i, p := range c.ord {
+		t := txns[cycle[p]]
+		outside := c.prefixComplement(i)
+		nodes := graph.NewBitset(t.N())
+		for id := 0; id < t.N(); id++ {
+			if !hasBit(outside, id) {
+				nodes.Set(id)
+			}
+		}
+		edge := p
+		if backward {
+			edge = c.ord[(i+1)%k]
+		}
+		v.Cycle[i] = cycle[p]
+		v.Prefixes[i] = model.MustPrefix(t, nodes)
+		v.Xs[i] = c.xs[edge]
+	}
+	return v
+}
+
+func hasBit(words []uint64, i int) bool { return words[i/64]&(1<<(uint(i)%64)) != 0 }
+
+// grow returns s with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }

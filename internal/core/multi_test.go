@@ -256,18 +256,24 @@ func TestTheorem5ViaTheorem4(t *testing.T) {
 }
 
 func TestOrientations(t *testing.T) {
-	got := orientations([]int{1, 2, 3})
-	if len(got) != 6 {
-		t.Fatalf("orientations of a triangle = %d, want 6", len(got))
-	}
-	seen := map[[3]int]bool{}
-	for _, o := range got {
-		if len(o) != 3 {
-			t.Fatalf("bad orientation %v", o)
+	for _, cycle := range [][]int{{1, 2, 3}, {4, 0, 2, 7, 5}} {
+		k := len(cycle)
+		want := orientations(cycle)
+		if len(want) != 2*k {
+			t.Fatalf("%d reference orientations of a %d-cycle", len(want), k)
 		}
-		seen[[3]int{o[0], o[1], o[2]}] = true
-	}
-	if len(seen) != 6 {
-		t.Fatalf("orientations not distinct: %v", got)
+		c := CycleChecker{ord: make([]int, k)}
+		n := 0
+		for _, backward := range []bool{false, true} {
+			for r := 0; r < k; r++ {
+				c.orient(k, r, backward)
+				for i, p := range c.ord {
+					if cycle[p] != want[n][i] {
+						t.Fatalf("traversal %d of %v visits positions %v, reference order %v", n, cycle, c.ord, want[n])
+					}
+				}
+				n++
+			}
+		}
 	}
 }

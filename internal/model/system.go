@@ -54,7 +54,7 @@ func (s *System) InteractionGraph() *graph.Ugraph {
 	g := graph.NewUgraph(len(s.Txns))
 	for i := range s.Txns {
 		for j := i + 1; j < len(s.Txns); j++ {
-			if len(ConflictingEntities(s.Txns[i], s.Txns[j])) > 0 {
+			if Interacts(s.Txns[i], s.Txns[j]) {
 				g.AddEdge(i, j)
 			}
 		}

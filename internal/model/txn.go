@@ -247,7 +247,7 @@ func (b *Builder) Freeze() (*Transaction, error) {
 	topo, _ := g.TopoSort()
 
 	b.frozen = true
-	return &Transaction{
+	t := &Transaction{
 		name:     b.name,
 		ddb:      b.ddb,
 		nodes:    append([]Node(nil), b.nodes...),
@@ -258,7 +258,9 @@ func (b *Builder) Freeze() (*Transaction, error) {
 		unlockOf: unlockOf,
 		entities: ents,
 		topo:     topo,
-	}, nil
+	}
+	t.shape = newShape(t)
+	return t, nil
 }
 
 // MustFreeze is Freeze that panics on error.
@@ -284,6 +286,7 @@ type Transaction struct {
 	unlockOf map[EntityID]NodeID
 	entities []EntityID // sorted
 	topo     []int      // a topological order of the nodes
+	shape    Shape
 }
 
 // topoOrder returns a topological order of the nodes. Must not be modified.
@@ -300,6 +303,9 @@ func (t *Transaction) Order() []NodeID {
 	}
 	return out
 }
+
+// Shape returns the transaction's dense form. Must not be modified.
+func (t *Transaction) Shape() *Shape { return &t.shape }
 
 // Name returns the transaction's name.
 func (t *Transaction) Name() string { return t.name }
