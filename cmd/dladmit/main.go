@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 	"strings"
@@ -33,32 +34,45 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and output streams injected, so the
+// command's test can drive it; it returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dladmit", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		sites    = flag.Int("sites", 8, "number of database sites")
-		perSite  = flag.Int("entities-per-site", 8, "entities per site")
-		perTxn   = flag.Int("entities-per-txn", 3, "entities accessed per class")
-		events   = flag.Int("events", 64, "churn events (arrivals + departures)")
-		depart   = flag.Float64("depart", 0.25, "departure probability per event")
-		policy   = flag.String("policy", "churn", "generation policy: random|two-phase|ordered|churn|zipf")
-		readFrac = flag.Float64("read-fraction", 0, "probability each generated lock is SHARED (0 = all exclusive; 0.9 = read-heavy)")
-		batch    = flag.Int("batch", 4, "register arrivals in batches of this size")
-		workers  = flag.Int("workers", 0, "pair-check worker pool (0 = GOMAXPROCS)")
-		budget   = flag.Int64("cycle-budget", 4096, "max Theorem 4 cycle checks per registration (0 = unlimited)")
-		seed     = flag.Int64("seed", 1, "generator seed")
-		run      = flag.Bool("run", false, "serve live session traffic for the final mix")
-		backend  = flag.String("backend", "default", "certified-tier lock table: default|actor|sharded|remote|cluster (-run)")
-		addr     = flag.String("addr", "127.0.0.1:9911", "dlserver address for -backend remote (its -sites/-entities-per-site must match)")
-		addrs    = flag.String("addrs", "", "comma-separated dlserver addresses for -backend cluster (same list, same order, on every client)")
-		shards   = flag.Int("shards", 0, "sharded backend stripe count (0 = default) (-run)")
-		clients  = flag.Int("clients", 2, "client goroutines per class (-run)")
-		txns     = flag.Int("txns", 10, "transactions per client (-run)")
-		holdUsec = flag.Int("hold", 100, "per-lock hold time in microseconds (-run)")
-		serveFor = flag.Duration("serve-timeout", 30*time.Second, "abort serving after this long — a certified-tier stall means the certification was falsified (-run)")
-		pipeline = flag.Int("pipeline", 0, "certified-tier pipeline depth on wire backends: unacknowledged acquires in flight per session (0 = synchronous) (-run)")
-		stats    = flag.Bool("stats", false, "dump the full ServiceStats snapshot as JSON on stdout before exit (see doc comment for the fields)")
-		traceN   = flag.Int("trace-sample", 0, "sample 1 in N lock ops into end-to-end stage traces and print the slowest 10 waterfalls after serving (0 = off; negative = default rate)")
+		sites    = fs.Int("sites", 8, "number of database sites")
+		perSite  = fs.Int("entities-per-site", 8, "entities per site")
+		perTxn   = fs.Int("entities-per-txn", 3, "entities accessed per class")
+		events   = fs.Int("events", 64, "churn events (arrivals + departures)")
+		depart   = fs.Float64("depart", 0.25, "departure probability per event")
+		policy   = fs.String("policy", "churn", "generation policy: random|two-phase|ordered|churn|zipf")
+		readFrac = fs.Float64("read-fraction", 0, "probability each generated lock is SHARED (0 = all exclusive; 0.9 = read-heavy)")
+		batch    = fs.Int("batch", 4, "register arrivals in batches of this size")
+		workers  = fs.Int("workers", 0, "pair-check worker pool (0 = GOMAXPROCS)")
+		budget   = fs.Int64("cycle-budget", 4096, "max Theorem 4 cycle checks per registration (0 = unlimited)")
+		seed     = fs.Int64("seed", 1, "generator seed")
+		run      = fs.Bool("run", false, "serve live session traffic for the final mix")
+		backend  = fs.String("backend", "default", "certified-tier lock table: default|remote|cluster (-run)")
+		addr     = fs.String("addr", "127.0.0.1:9911", "dlserver address for -backend remote (its -sites/-entities-per-site must match)")
+		addrs    = fs.String("addrs", "", "comma-separated dlserver addresses for -backend cluster (same list, same order, on every client)")
+		shards   = fs.Int("shards", 0, "sharded backend stripe count (0 = default) (-run)")
+		clients  = fs.Int("clients", 2, "client goroutines per class (-run)")
+		txns     = fs.Int("txns", 10, "transactions per client (-run)")
+		holdUsec = fs.Int("hold", 100, "per-lock hold time in microseconds (-run)")
+		serveFor = fs.Duration("serve-timeout", 30*time.Second, "abort serving after this long — a certified-tier stall means the certification was falsified (-run)")
+		pipeline = fs.Int("pipeline", 0, "certified-tier pipeline depth on wire backends: unacknowledged acquires in flight per session (0 = synchronous) (-run)")
+		stats    = fs.Bool("stats", false, "dump the full ServiceStats snapshot as JSON on stdout before exit (see doc comment for the fields)")
+		traceN   = fs.Int("trace-sample", 0, "sample 1 in N lock ops into end-to-end stage traces and print the slowest 10 waterfalls after serving (0 = off; negative = default rate)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	ctx := context.Background()
 
 	pol, ok := map[string]distlock.WorkloadPolicy{
@@ -69,8 +83,8 @@ func main() {
 		"zipf":      distlock.PolicyZipf,
 	}[*policy]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "dladmit: unknown policy %q\n", *policy)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "dladmit: unknown policy %q\n", *policy)
+		return 2
 	}
 
 	cfg := distlock.WorkloadConfig{
@@ -78,7 +92,9 @@ func main() {
 		Policy: pol, CrossArcProb: 0.3, ReadFraction: *readFrac, Seed: *seed,
 	}
 	ddb, trace, err := workload.ChurnTrace(cfg, *events, *depart)
-	check(err)
+	if err != nil {
+		return fail(stderr, err)
+	}
 
 	// When the mix will serve traffic, certify for the per-class session
 	// concurrency it will actually run with; otherwise certify the class
@@ -86,7 +102,7 @@ func main() {
 	mult := 1
 	if *run {
 		mult = *clients
-		fmt.Printf("certifying for %d concurrent sessions per class\n", mult)
+		fmt.Fprintf(stdout, "certifying for %d concurrent sessions per class\n", mult)
 	}
 	opts := []distlock.ServiceOption{
 		distlock.WithWorkers(*workers),
@@ -100,59 +116,56 @@ func main() {
 	if *traceN != 0 {
 		opts = append(opts, distlock.WithTraceSampling(*traceN))
 	}
-	switch {
-	case *backend == "remote":
+	switch *backend {
+	case "default":
+	case "remote":
 		// The certified tier's locks live in a dlserver: its generator
 		// flags must match ours, which the connection handshake verifies.
 		opts = append(opts, distlock.WithRemoteTable(*addr))
-	case *backend == "cluster":
+	case "cluster":
 		// The certified tier's locks live in a hash-partitioned fleet of
 		// dlservers; every one must host the same database (each
 		// handshake verifies it) and every client the same address list.
-		list := strings.Split(*addrs, ",")
 		var clean []string
-		for _, a := range list {
+		for _, a := range strings.Split(*addrs, ",") {
 			if a = strings.TrimSpace(a); a != "" {
 				clean = append(clean, a)
 			}
 		}
 		if len(clean) == 0 {
-			fmt.Fprintln(os.Stderr, "dladmit: -backend cluster needs -addrs host:port[,host:port...]")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "dladmit: -backend cluster needs -addrs host:port[,host:port...]")
+			return 2
 		}
 		opts = append(opts, distlock.WithRemoteCluster(clean...))
 	default:
-		be, ok := map[string]distlock.LockBackend{
-			"default": distlock.BackendDefault,
-			"actor":   distlock.BackendActor,
-			"sharded": distlock.BackendSharded,
-		}[*backend]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "dladmit: unknown backend %q\n", *backend)
-			os.Exit(2)
-		}
-		opts = append(opts, distlock.WithLockBackend(be))
+		fmt.Fprintf(stderr, "dladmit: unknown backend %q (want default|remote|cluster)\n", *backend)
+		return 2
 	}
 
 	svc, err := distlock.Open(ddb, opts...)
-	check(err)
+	if err != nil {
+		return fail(stderr, err)
+	}
 	defer svc.Close()
 
 	var pending []*distlock.Transaction
-	flush := func() {
+	flush := func() error {
 		if len(pending) == 0 {
-			return
+			return nil
 		}
 		rs, err := svc.RegisterBatch(ctx, pending)
-		check(err)
+		if err != nil {
+			return err
+		}
 		for _, r := range rs {
 			if r.Admitted {
-				fmt.Printf("register %-6s -> certified (runs with no deadlock handling)\n", r.Class)
+				fmt.Fprintf(stdout, "register %-6s -> certified (runs with no deadlock handling)\n", r.Class)
 			} else {
-				fmt.Printf("register %-6s -> fallback (%s): %s\n", r.Class, r.Strategy, r.Reason)
+				fmt.Fprintf(stdout, "register %-6s -> fallback (%s): %s\n", r.Class, r.Strategy, r.Reason)
 			}
 		}
 		pending = pending[:0]
+		return nil
 	}
 
 	start := time.Now()
@@ -160,22 +173,29 @@ func main() {
 		if ev.Arrive {
 			pending = append(pending, ev.Txn)
 			if len(pending) >= *batch {
-				flush()
+				if err := flush(); err != nil {
+					return fail(stderr, err)
+				}
 			}
 			continue
 		}
-		flush() // keep service state in trace order before the departure
+		// keep service state in trace order before the departure
+		if err := flush(); err != nil {
+			return fail(stderr, err)
+		}
 		if svc.Deregister(ev.Txn.Name()) {
-			fmt.Printf("deregister %-6s -> departed\n", ev.Txn.Name())
+			fmt.Fprintf(stdout, "deregister %-6s -> departed\n", ev.Txn.Name())
 		}
 	}
-	flush()
+	if err := flush(); err != nil {
+		return fail(stderr, err)
+	}
 	elapsed := time.Since(start)
 
 	st := svc.Stats().Admission
-	fmt.Printf("\n%d events in %v: live=%d admitted=%d rejected=%d evicted=%d\n",
+	fmt.Fprintf(stdout, "\n%d events in %v: live=%d admitted=%d rejected=%d evicted=%d\n",
 		*events, elapsed.Round(time.Microsecond), st.Live, st.Admitted, st.Rejected, st.Evicted)
-	fmt.Printf("incremental certification: %d PairSafeDF evaluations, %d cache hits, %d cycle checks\n",
+	fmt.Fprintf(stdout, "incremental certification: %d PairSafeDF evaluations, %d cache hits, %d cycle checks\n",
 		st.PairChecks, st.CacheHits, st.CyclesChecked)
 
 	// What would one from-scratch re-certification of the final mix cost?
@@ -184,21 +204,26 @@ func main() {
 	okDF, _ := distlock.SystemSafeDF(snap)
 	scratch := distlock.PairEvalCount() - before
 	if !okDF {
-		fmt.Fprintln(os.Stderr, "dladmit: BUG: certified set fails from-scratch SystemSafeDF")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dladmit: BUG: certified set fails from-scratch SystemSafeDF")
+		return 1
 	}
-	fmt.Printf("from-scratch SystemSafeDF of the final %d-class mix: %d pair evaluations (one shot)\n",
+	fmt.Fprintf(stdout, "from-scratch SystemSafeDF of the final %d-class mix: %d pair evaluations (one shot)\n",
 		snap.N(), scratch)
 
 	if *run {
-		serve(ctx, svc, *clients, *txns, time.Duration(*holdUsec)*time.Microsecond, *serveFor)
+		if code := serve(ctx, svc, stdout, stderr, *clients, *txns, time.Duration(*holdUsec)*time.Microsecond, *serveFor); code != 0 {
+			return code
+		}
 	}
 	if *traceN != 0 {
-		printSlowest(svc)
+		printSlowest(stdout, svc)
 	}
 	if *stats {
-		dumpStats(svc)
+		if err := dumpStats(stdout, svc); err != nil {
+			return fail(stderr, err)
+		}
 	}
+	return 0
 }
 
 // dumpStats emits the service's full ServiceStats snapshot as indented
@@ -219,12 +244,10 @@ func main() {
 //     measures latency; dladmit does not enable it).
 //   - begun: sessions opened. Conservation: after all sessions close,
 //     begun == certified.commits+aborts + fallback.commits+aborts.
-func dumpStats(svc *distlock.LockService) {
-	enc := json.NewEncoder(os.Stdout)
+func dumpStats(stdout io.Writer, svc *distlock.LockService) error {
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(svc.Stats()); err != nil {
-		check(err)
-	}
+	return enc.Encode(svc.Stats())
 }
 
 // printSlowest renders the slowest sampled operation traces as
@@ -233,27 +256,27 @@ func dumpStats(svc *distlock.LockService) {
 // (the gap since the previous present stage) in microseconds. Stages a
 // span never reached — server stages on in-process backends, for
 // example — are simply omitted.
-func printSlowest(svc *distlock.LockService) {
+func printSlowest(stdout io.Writer, svc *distlock.LockService) {
 	spans := svc.SlowestSpans(10)
 	if len(spans) == 0 {
-		fmt.Println("\ntrace sampling armed but no spans recorded (too few ops for the sampling rate?)")
+		fmt.Fprintln(stdout, "\ntrace sampling armed but no spans recorded (too few ops for the sampling rate?)")
 		return
 	}
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	fmt.Printf("\nslowest %d sampled ops (stage-by-stage, µs attributed to each stage):\n", len(spans))
+	fmt.Fprintf(stdout, "\nslowest %d sampled ops (stage-by-stage, µs attributed to each stage):\n", len(spans))
 	for i, rec := range spans {
 		kind := "acquire"
 		if rec.Kind == obs.SpanRelease {
 			kind = "release"
 		}
-		fmt.Printf("  #%-2d %s entity=%d part=%d total=%.1fµs\n", i+1, kind, rec.Entity, rec.Part, us(rec.Total()))
+		fmt.Fprintf(stdout, "  #%-2d %s entity=%d part=%d total=%.1fµs\n", i+1, kind, rec.Entity, rec.Part, us(rec.Total()))
 		line := make([]string, 0, obs.NumStages)
 		for s := 0; s < obs.NumStages; s++ {
 			if g := rec.Gap(obs.Stage(s)); g >= 0 {
 				line = append(line, fmt.Sprintf("%s +%.1f", obs.Stage(s), us(g)))
 			}
 		}
-		fmt.Printf("      %s\n", strings.Join(line, " | "))
+		fmt.Fprintf(stdout, "      %s\n", strings.Join(line, " | "))
 	}
 }
 
@@ -263,10 +286,10 @@ func printSlowest(svc *distlock.LockService) {
 // wound-wait aborts. The timeout is the stall watchdog: a certified mix
 // cannot deadlock, so clients still blocked when it expires mean the
 // certification was falsified — the cancellation propagates into every
-// blocked Lock and the run exits non-zero.
-func serve(ctx context.Context, svc *distlock.LockService, clients, txns int, hold, timeout time.Duration) {
+// blocked Lock and serve returns a non-zero exit code.
+func serve(ctx context.Context, svc *distlock.LockService, stdout, stderr io.Writer, clients, txns int, hold, timeout time.Duration) int {
 	classes := svc.Classes()
-	fmt.Printf("\nserving: %d classes x %d clients x %d txns (hold %v per lock; certified tier on the %s lock table)\n",
+	fmt.Fprintf(stdout, "\nserving: %d classes x %d clients x %d txns (hold %v per lock; certified tier on the %s lock table)\n",
 		len(classes), clients, txns, hold, svc.CertifiedBackend())
 	sctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -291,29 +314,30 @@ func serve(ctx context.Context, svc *distlock.LockService, clients, txns int, ho
 	close(errCh)
 	failed, stalled := false, false
 	for err := range errCh {
-		fmt.Fprintln(os.Stderr, "dladmit:", err)
+		fmt.Fprintln(stderr, "dladmit:", err)
 		failed = true
 		if errors.Is(err, context.DeadlineExceeded) {
 			stalled = true
 		}
 	}
 	if stalled {
-		fmt.Fprintf(os.Stderr, "dladmit: serving did not finish within %v — certified tier stalled? (deadlock with no handling falsifies the certification)\n", timeout)
+		fmt.Fprintf(stderr, "dladmit: serving did not finish within %v — certified tier stalled? (deadlock with no handling falsifies the certification)\n", timeout)
 	}
 
 	st := svc.Stats()
-	fmt.Printf("certified tier: committed=%d aborts=%d wounds=%d\n",
+	fmt.Fprintf(stdout, "certified tier: committed=%d aborts=%d wounds=%d\n",
 		st.Certified.Commits, st.Certified.Aborts, st.Certified.Wounds)
-	fmt.Printf("fallback  tier: committed=%d aborts=%d wounds=%d\n",
+	fmt.Fprintf(stdout, "fallback  tier: committed=%d aborts=%d wounds=%d\n",
 		st.Fallback.Commits, st.Fallback.Aborts, st.Fallback.Wounds)
-	fmt.Printf("served %d sessions in %v\n", st.Begun, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "served %d sessions in %v\n", st.Begun, time.Since(start).Round(time.Millisecond))
 	if got := st.Certified.Commits + st.Certified.Aborts + st.Fallback.Commits + st.Fallback.Aborts; got != st.Begun {
-		fmt.Fprintf(os.Stderr, "dladmit: BUG: conservation violated: begun=%d closed=%d\n", st.Begun, got)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "dladmit: BUG: conservation violated: begun=%d closed=%d\n", st.Begun, got)
+		return 1
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // commitOne runs one transaction instance to commit through the session
@@ -346,9 +370,7 @@ func commitOne(ctx context.Context, svc *distlock.LockService, class string, hol
 	}
 }
 
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dladmit:", err)
-		os.Exit(1)
-	}
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "dladmit:", err)
+	return 1
 }

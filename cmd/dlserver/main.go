@@ -1,12 +1,12 @@
 // Command dlserver hosts a lock table for remote clients: the
 // cross-process half of the paper's distributed sites. It serves the
 // netlock wire protocol (internal/netlock) over TCP, fronting an
-// in-process lock table (sharded by default, actor optionally) with
-// per-connection session identity, heartbeat-renewed leases, fencing
-// tokens on every grant, and release-on-disconnect — so several engine
-// processes (dladmit -backend remote, or any distlock.LockService opened
-// WithRemoteTable) can contend for one shared lock space and a crashed
-// client's locks are revoked, never leaked.
+// in-process sharded lock table with per-connection session identity,
+// heartbeat-renewed leases, fencing tokens on every grant, and
+// release-on-disconnect — so several engine processes (dladmit -backend
+// remote, or any distlock.LockService opened WithRemoteTable) can contend
+// for one shared lock space and a crashed client's locks are revoked,
+// never leaked.
 //
 // The database is reconstructed from the same deterministic generator the
 // clients use: -sites and -entities-per-site must match the client's
@@ -16,7 +16,7 @@
 // Usage:
 //
 //	dlserver -addr :9911 -sites 8 -entities-per-site 8
-//	dlserver -addr :9911 -sites 8 -entities-per-site 8 -backend actor -wound-wait
+//	dlserver -addr :9911 -sites 8 -entities-per-site 8 -wound-wait
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"distlock/internal/locktable"
-	"distlock/internal/model"
 	"distlock/internal/netlock"
 	"distlock/internal/workload"
 )
@@ -38,9 +37,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:9911", "TCP listen address (host:0 picks a free port)")
 		sites     = flag.Int("sites", 8, "number of database sites (must match the clients' generator)")
 		perSite   = flag.Int("entities-per-site", 8, "entities per site (must match the clients' generator)")
-		backend   = flag.String("backend", "sharded", "hosted in-process table: sharded|actor")
 		shards    = flag.Int("shards", 0, "sharded backend stripe count (0 = default)")
-		siteInbox = flag.Int("site-inbox", 0, "actor backend per-site inbox capacity (0 = default)")
 		woundWait = flag.Bool("wound-wait", false, "host a wound-wait table (for a fallback tier); dialers must agree")
 		lease     = flag.Duration("lease", netlock.DefaultLease, "connection lease: a client silent this long is revoked")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty disables)")
@@ -53,22 +50,10 @@ func main() {
 	}
 	ddb := workload.NewDDB(workload.Config{Sites: *sites, EntitiesPerSite: *perSite})
 
-	var mk func(*model.DDB, locktable.Config) locktable.Table
-	switch *backend {
-	case "sharded":
-		mk = locktable.NewSharded
-	case "actor":
-		mk = locktable.NewActor
-	default:
-		fmt.Fprintf(os.Stderr, "dlserver: unknown backend %q (want sharded|actor)\n", *backend)
-		os.Exit(2)
-	}
-
 	srv, err := netlock.NewServer(ddb, locktable.Config{
 		WoundWait: *woundWait,
 		Shards:    *shards,
-		SiteInbox: *siteInbox,
-	}, netlock.ServerOptions{Lease: *lease, New: mk})
+	}, netlock.ServerOptions{Lease: *lease})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dlserver:", err)
 		os.Exit(1)
@@ -77,8 +62,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dlserver:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("dlserver: serving %d entities across %d sites on %s (%s table, wound-wait=%v, lease %v)\n",
-		ddb.NumEntities(), ddb.NumSites(), srv.Addr(), *backend, *woundWait, *lease)
+	fmt.Printf("dlserver: serving %d entities across %d sites on %s (sharded table, wound-wait=%v, lease %v)\n",
+		ddb.NumEntities(), ddb.NumSites(), srv.Addr(), *woundWait, *lease)
 	if *debugAddr != "" {
 		dbg, err := startDebug(*debugAddr, srv)
 		if err != nil {

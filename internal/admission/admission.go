@@ -658,19 +658,6 @@ func (s *Service) Snapshot() *model.System {
 // supports.
 func (s *Service) Multiplicity() int { return s.mult }
 
-// CertifiedTemplates returns the live classes' transactions, in admission
-// order. They are safe to run under runtime.StrategyNone with at most
-// Multiplicity concurrent instances per class.
-func (s *Service) CertifiedTemplates() []*model.Transaction {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	txns := make([]*model.Transaction, len(s.classes))
-	for i, c := range s.classes {
-		txns[i] = c.txn
-	}
-	return txns
-}
-
 // Stats returns a snapshot of the service's counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()

@@ -19,11 +19,10 @@ func benchDDB(entities int) (*model.DDB, []model.EntityID) {
 }
 
 // BenchmarkUncontendedAcquireRelease is the fast path the sharded backend
-// exists for: grant and release with no other traffic. The actor backend
-// pays four channel operations per pair; the sharded backend two mutex
-// sections.
+// exists for: grant and release with no other traffic — two mutex
+// sections per pair.
 func BenchmarkUncontendedAcquireRelease(b *testing.B) {
-	for _, bc := range []backendCase{{"actor", NewActor}, {"sharded", NewSharded}} {
+	for _, bc := range []backendCase{{"sharded", NewSharded}} {
 		b.Run(bc.name, func(b *testing.B) {
 			ddb, ents := benchDDB(4)
 			tab := bc.make(ddb, Config{})
@@ -47,10 +46,9 @@ func BenchmarkUncontendedAcquireRelease(b *testing.B) {
 
 // BenchmarkParallelAcquireRelease measures independent-entity scaling:
 // each worker hammers its own entity, so an ideal table serializes
-// nothing. The actor backend still funnels same-site entities through one
-// goroutine; stripes do not.
+// nothing.
 func BenchmarkParallelAcquireRelease(b *testing.B) {
-	for _, bc := range []backendCase{{"actor", NewActor}, {"sharded", NewSharded}} {
+	for _, bc := range []backendCase{{"sharded", NewSharded}} {
 		b.Run(bc.name, func(b *testing.B) {
 			ddb, ents := benchDDB(64)
 			tab := bc.make(ddb, Config{})

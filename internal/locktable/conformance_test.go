@@ -12,11 +12,14 @@ import (
 	"distlock/internal/model"
 )
 
-// The conformance suite: every Table semantics test runs against both
-// backends — and, for the sharded backend, against edge-case stripe
-// counts (1 stripe ≡ a single global mutex; more stripes than entities
-// leaves stripes empty). A backend passes iff its blocking semantics are
-// indistinguishable from the others' through the interface.
+// The conformance suite: every Table semantics test runs against every
+// backend — the sharded table at its default layout and at edge-case
+// stripe counts (1 stripe ≡ a single global mutex; more stripes than
+// entities leaves stripes empty), plus the registered wire backends. A
+// backend passes iff its blocking semantics are indistinguishable from
+// the others' through the interface — shared grants, writer exclusion,
+// FIFO fairness, wound-while-shared and cancel-while-shared included, and
+// under the race detector (CI's whole-tree race step).
 
 type backendCase struct {
 	name string
@@ -25,7 +28,6 @@ type backendCase struct {
 
 func conformanceBackends() []backendCase {
 	return append([]backendCase{
-		{"actor", NewActor},
 		{"sharded", NewSharded},
 		{"sharded-1stripe", func(ddb *model.DDB, cfg Config) Table {
 			cfg.Shards = 1

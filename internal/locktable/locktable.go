@@ -4,10 +4,10 @@
 // Release / Withdraw / Wound / Snapshot) so the grant machinery can be
 // swapped without touching session semantics.
 //
-// Three implementations exist:
+// Two implementations exist:
 //
-//   - NewSharded: the fast path the paper's program pays for, and the
-//     default for every in-process tier. Entities are split across a
+//   - NewSharded: the one in-process table, for every tier — the fast
+//     path the paper's program pays for. Entities are split across a
 //     GOMAXPROCS-resolved (and contention-adaptive) number of stripes,
 //     each a sync.Mutex guarding its entities' lock states; shared
 //     Acquire/Release ride a per-entity atomic fast path that never takes
@@ -19,17 +19,9 @@
 //     nothing in the hot path has to observe global state: stripes can
 //     grant independently, and a crowd of readers on one scorching entity
 //     does not serialize through anything but one cache line.
-//   - NewActor: the message-passing DEBUG/REFERENCE implementation — one
-//     lock-manager goroutine per database site, serial over a bounded
-//     inbox. Every operation is a message round trip, which makes the
-//     backend's serialization trivially auditable; it exists to
-//     cross-check the sharded backend through the conformance suite and
-//     for bisecting grant-path bugs, not to serve production traffic
-//     (it was the wound-wait default until the wound-storm soak gate
-//     proved the striped wound path; see ROADMAP).
 //   - netlock.Dial (internal/netlock): the cross-process backend — a
-//     client speaking the netlock wire protocol to a server hosting one of
-//     the in-process tables for many engine processes, with leases and
+//     client speaking the netlock wire protocol to a server hosting an
+//     in-process table for many engine processes, with leases and
 //     fencing tokens covering the failure modes a network adds.
 //     internal/cluster routes one lock space over several such servers.
 //
@@ -50,13 +42,6 @@ import (
 	"distlock/internal/model"
 	"distlock/internal/obs"
 )
-
-// DefaultSiteInbox is the default per-site inbox capacity of the actor
-// backend — its backpressure bound. A site goroutine drains its inbox
-// serially; when more than this many requests are in flight against one
-// site, further senders block until the lock manager catches up, so the
-// bound converts overload into queueing delay instead of unbounded memory.
-const DefaultSiteInbox = 256
 
 // DefaultShards is the floor of the sharded backend's GOMAXPROCS-resolved
 // default stripe count (see Config.Shards). More stripes admit more
@@ -114,7 +99,7 @@ type WaitEdge struct {
 
 // GrantEvent records that a transaction instance (at a given attempt epoch)
 // was granted the lock on an entity in the given mode. Per-entity order in
-// GrantLog is the grant order at the owning site or stripe (concurrent
+// GrantLog is the grant order at the owning stripe or server (concurrent
 // shared grants appear in the order the backend recorded them).
 type GrantEvent struct {
 	Entity model.EntityID
@@ -135,20 +120,17 @@ type Config struct {
 	// older than its conflicting waiters).
 	WoundWait bool
 	// OnWound is called with the holder's instance ID when WoundWait is on
-	// and an older requester queues behind a conflicting younger holder. The callback
-	// runs inside the backend's grant-path serialization domain (the actor
-	// backend's site goroutine; the sharded backend's stripe critical
-	// section) so the victim provably still holds the entity, and it must
-	// therefore not call back into the table; it should only signal the
-	// victim (whose parked Acquires then return ErrWounded via their
-	// Doomed channels, or via Wound).
+	// and an older requester queues behind a conflicting younger holder.
+	// The callback runs inside the backend's grant-path serialization
+	// domain (the sharded backend's stripe critical section) so the victim
+	// provably still holds the entity, and it must therefore not call back
+	// into the table; it should only signal the victim (whose parked
+	// Acquires then return ErrWounded via their Doomed channels, or via
+	// Wound).
 	OnWound func(holderID int)
 	// Trace records per-entity lock-grant order, readable via GrantLog
 	// after Close.
 	Trace bool
-	// SiteInbox is the actor backend's per-site inbox capacity (its
-	// backpressure bound). Default DefaultSiteInbox.
-	SiteInbox int
 	// Shards is the sharded backend's INITIAL stripe count. Zero resolves
 	// from GOMAXPROCS (4x, power-of-two, clamped to [DefaultShards, 512])
 	// and enables adaptive splitting by default; an explicit positive
@@ -231,11 +213,8 @@ type Table interface {
 	// Returns ErrStopped on a closed table, whose locks died with it.
 	Release(ent model.EntityID, key InstKey) error
 	// ReleaseAll releases every listed entity the instance holds — the
-	// abort path. On the actor backend the releases are pipelined (all
-	// sends issued before any ack is collected), so an abort costs one
-	// overlapped wave instead of len(ents) sequential round trips. Every
-	// failed release surfaces in the returned error (errors.Join), not
-	// just the last one.
+	// abort path. Every failed release surfaces in the returned error
+	// (errors.Join), not just the last one.
 	ReleaseAll(ents []model.EntityID, key InstKey) error
 	// Withdraw removes the instance's pending request on the entity, if
 	// any. It reports whether the request had already been granted, in
@@ -257,7 +236,7 @@ type Table interface {
 	// only wake-up path.
 	Wound(key InstKey)
 	// Snapshot returns the current wait-for edges (one per queued waiter,
-	// against the entity's holder). Edges from different sites or stripes
+	// against the entity's holder). Edges from different stripes or servers
 	// are collected sequentially, not atomically — the same consistency a
 	// periodic deadlock detector already tolerates. Waiters blocked on
 	// anonymous fast-path readers are attributed to AnonReaderKey, which

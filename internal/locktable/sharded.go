@@ -49,9 +49,8 @@ import (
 //     stripe-set swap that re-homes the lock states while holding every
 //     old stripe mutex. StripeStats reports the observed layout.
 //
-// This is the backend the paper's program cashes in with — the default
-// for both the certified and the wound-wait tier (the actor backend is
-// the debug/reference implementation). A mix that static certification
+// This is the backend the paper's program cashes in with — the one
+// in-process table, for every tier. A mix that static certification
 // (Theorems 3–5) proved deadlock-free needs no deadlock handling, hence
 // no wait-for bookkeeping at grant time, hence no reason to serialize
 // independent entities through one goroutine — or, for a crowd of
@@ -402,11 +401,10 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 		// An older requester wounds every CONFLICTING younger holder.
 		// Delivered inside the critical section so the victims provably
 		// still hold the entity — a Release racing the decision would
-		// otherwise make the wound spurious (the actor backend decides and
-		// wounds atomically in the site goroutine; match it). OnWound must
-		// not call back into the table (see Config), so holding the stripe
-		// is safe. (Wound-wait disables the fast path, so every shared
-		// holder is identified here.)
+		// otherwise make the wound spurious. OnWound must not call back
+		// into the table (see Config), so holding the stripe is safe.
+		// (Wound-wait disables the fast path, so every shared holder is
+		// identified here.)
 		if l.xheld && inst.Prio < l.xprio {
 			t.cfg.OnWound(l.xholder.ID)
 		}
@@ -585,7 +583,7 @@ func (t *shardedTable) releaseLocked(ent model.EntityID, l *slock, key InstKey) 
 // stripe mutex.
 func (t *shardedTable) grantWaveLocked(ent model.EntityID, l *slock) {
 	for len(l.queue) > 0 {
-		pick := pickNext(l.queue, func(w *waiter) int64 { return w.prio }, t.cfg.WoundWait)
+		pick := pickNext(l.queue, t.cfg.WoundWait)
 		w := l.queue[pick]
 		if !t.grantableLocked(ent, l, w.mode) {
 			return
@@ -594,6 +592,23 @@ func (t *shardedTable) grantWaveLocked(ent model.EntityID, l *slock) {
 		t.grantLocked(ent, l, w.key, w.prio, w.mode)
 		w.ch <- nil
 	}
+}
+
+// pickNext is the grant-order policy: the index of the waiter a released
+// entity goes to. Oldest-first (minimum priority, earliest-queued on
+// ties) under wound-wait — preserving the invariant that a holder is
+// older than its waiters — and FIFO otherwise.
+func pickNext(queue []*waiter, woundWait bool) int {
+	if !woundWait {
+		return 0
+	}
+	pick := 0
+	for i := range queue {
+		if queue[i].prio < queue[pick].prio {
+			pick = i
+		}
+	}
+	return pick
 }
 
 // grantableLocked folds the anonymous fast readers into the slock's

@@ -129,8 +129,8 @@ var (
 // and cfg's WoundWait/Trace must match the server's table — the grant
 // discipline is decided server-side, so a mismatched client is rejected
 // instead of running with semantics it did not ask for. cfg.OnWound is
-// invoked locally for server-pushed wounds; SiteInbox/Shards are
-// server-side tuning and ignored here.
+// invoked locally for server-pushed wounds; Shards and the other stripe
+// knobs are server-side tuning and ignored here.
 func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (*Client, error) {
 	if ddb == nil {
 		return nil, fmt.Errorf("netlock: nil database")

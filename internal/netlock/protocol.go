@@ -1,5 +1,5 @@
 // Package netlock is the cross-process lock-table backend: a server that
-// hosts any in-process locktable.Table (actor or sharded) behind a
+// hosts an in-process locktable.Table (the sharded table) behind a
 // length-prefixed binary request/response protocol, and a client that
 // implements the full locktable.Table interface over the wire. The session
 // layer, the service tiers, and the conformance suite run unchanged on

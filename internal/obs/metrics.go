@@ -16,7 +16,7 @@ package obs
 // single padded atomic would re-create the cache-line convoy the CAS
 // fast path exists to avoid.
 type TableMetrics struct {
-	// Grants counts slow-path lock grants (mutex/actor/wire), both modes.
+	// Grants counts slow-path lock grants (mutex/wire), both modes.
 	// A CAS fast-path grant bumps only FastHits — one striped inc, not
 	// two — and Snapshot reports total grants as Grants + FastHits.
 	Grants StripedCounter
@@ -25,7 +25,7 @@ type TableMetrics struct {
 	// is a grant: Snapshot folds it into TableCounters.Grants.
 	FastHits StripedCounter
 	// SlowShared counts shared grants that went through the slow
-	// (mutex/actor/wire) path. FastHits + SlowShared = all shared grants.
+	// (mutex/wire) path. FastHits + SlowShared = all shared grants.
 	SlowShared StripedCounter
 	// Releases counts every actual un-hold (releases of nothing are
 	// no-ops and not counted). Grants − Releases = locks currently held.

@@ -20,23 +20,13 @@ import (
 type Backend int
 
 const (
-	// BackendDefault resolves per strategy: sharded for StrategyNone (a
-	// certified mix needs no wait-for bookkeeping at grant time, so it may
-	// take the striped fast path) AND for StrategyWoundWait (the striped
-	// wound path earned the flip: TestWoundStormSoak — Zipf-hot wound
-	// storms over every stripe configuration — has been clean in CI since
-	// PR 4). StrategyDetect still resolves to actor: the detector is the
-	// uncertified-mix escape hatch, not a throughput path, and keeps the
-	// auditable per-site serialization domain.
+	// BackendDefault is BackendSharded, for every strategy. (Under
+	// StrategyDetect the engine forces DisableSharedFastPath, so the
+	// detector sees every shared holder named in Snapshot.)
 	BackendDefault Backend = iota
-	// BackendActor: one lock-manager goroutine per site, every operation a
-	// message round trip. This is the DEBUG/REFERENCE implementation —
-	// kept to cross-check the sharded backend through the conformance
-	// suite and to bisect grant-path bugs, not a production default.
-	BackendActor
 	// BackendSharded: hash-striped mutexes with per-entity shared/
 	// exclusive lock states and FIFO wait queues; uncontended grants take
-	// zero channel hops. The production backend for every in-process tier.
+	// zero channel hops. The one in-process table.
 	BackendSharded
 	// BackendRemote: the cross-process backend — a netlock client speaking
 	// the wire protocol to a dlserver-hosted table (internal/netlock).
@@ -55,8 +45,6 @@ func (b Backend) String() string {
 	switch b {
 	case BackendDefault:
 		return "default"
-	case BackendActor:
-		return "actor"
 	case BackendSharded:
 		return "sharded"
 	case BackendRemote:
@@ -68,17 +56,12 @@ func (b Backend) String() string {
 	}
 }
 
-// resolve maps BackendDefault to the strategy's proven backend: sharded
-// for the certified tier and for wound-wait (post-soak-gate), actor only
-// for the detector strategy.
-func (b Backend) resolve(s Strategy) Backend {
-	if b != BackendDefault {
-		return b
+// resolve maps BackendDefault to the in-process table.
+func (b Backend) resolve() Backend {
+	if b == BackendDefault {
+		return BackendSharded
 	}
-	if s == StrategyDetect {
-		return BackendActor
-	}
-	return BackendSharded
+	return b
 }
 
 // EngineOptions parameterizes a long-lived Engine (see NewEngine). The
@@ -88,9 +71,8 @@ type EngineOptions struct {
 	Strategy Strategy
 	// DetectEvery is the detector period (StrategyDetect only). Default 2ms.
 	DetectEvery time.Duration
-	// Backend selects the lock-table implementation. BackendDefault picks
-	// sharded for StrategyNone and StrategyWoundWait, actor for
-	// StrategyDetect.
+	// Backend selects the lock-table implementation. BackendDefault is
+	// the in-process sharded table.
 	Backend Backend
 	// RemoteAddr is the netlock server address BackendRemote dials. The
 	// server must host the same database (the handshake verifies a
@@ -104,7 +86,7 @@ type EngineOptions struct {
 	// wound-wait/trace configuration.
 	RemoteAddrs []string
 	// Table is the lock-table configuration, handed to the backend by
-	// value: stripe and inbox tuning, the exact grant log (Trace — only
+	// value: stripe tuning, the exact grant log (Trace — only
 	// safe to read after Close), the counter bundle (Metrics — nil
 	// allocates a private one) and the lossy event ring (Tracer). See
 	// locktable.Config for each knob. The engine owns WoundWait, OnWound
@@ -152,8 +134,8 @@ type EngineOptions struct {
 const DefaultTraceSample = 64
 
 // Engine is a long-lived lock-service core: a pluggable lock table
-// (internal/locktable — per-site actor goroutines, or hash-striped
-// mutexes), plus an optional global deadlock detector. Transactions are
+// (internal/locktable — hash-striped mutexes in process, or a wire
+// client), plus an optional global deadlock detector. Transactions are
 // driven through it as Sessions (Begin / Lock / Unlock / Commit / Abort);
 // the batch entry point Run replays templates over the same session layer.
 // Create with NewEngine, shut down with Close.
@@ -229,7 +211,7 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 	}
 	e := &Engine{
 		strategy:    opts.Strategy,
-		backend:     opts.Backend.resolve(opts.Strategy),
+		backend:     opts.Backend.resolve(),
 		ddb:         ddb,
 		detectEvery: opts.DetectEvery,
 		trace:       cfg.Trace,
@@ -258,8 +240,6 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 	switch e.backend {
 	case BackendSharded:
 		e.table = locktable.NewSharded(ddb, cfg)
-	case BackendActor:
-		e.table = locktable.NewActor(ddb, cfg)
 	case BackendRemote:
 		if opts.RemoteAddr == "" {
 			return nil, fmt.Errorf("runtime: remote backend needs a server address")

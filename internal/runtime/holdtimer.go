@@ -13,19 +13,15 @@ import (
 // far below the wake-up resolution of a parked runtime. When every client
 // goroutine sleeps in its own timer simultaneously the last P parks, and
 // the next timer fires only after an OS-level wake (~1ms here) — 50x the
-// requested hold. Worse, the error is not uniform across lock-table
-// backends: the actor backend's always-runnable site goroutines keep a P
-// awake as a side effect, so its timers fire promptly while the sharded
-// backend's zero-goroutine fast path parks the world and eats the full
-// wake latency. A backend comparison would measure that artifact, not the
-// lock path.
+// requested hold, so a run would measure the wake latency, not the lock
+// path.
 //
 // Instead, one scheduler goroutine owns every pending hold: it sleeps via
 // a real timer while the earliest deadline is comfortably far, and
 // spin-yields (Gosched) across the last stretch so expiry is noticed
 // within a scheduler pass instead of a timer wake. The spin window doubles
 // as the keep-awake: while any sub-millisecond hold is pending the P
-// never parks, for every backend equally. The goroutine starts lazily on
+// never parks. The goroutine starts lazily on
 // the first hold, so engines that never hold (the entire session-layer
 // service path) pay nothing.
 type holdTimer struct {

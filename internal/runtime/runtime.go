@@ -1,7 +1,7 @@
 // Package runtime executes locked transactions on a true-concurrency
 // distributed-database engine: a pluggable lock table (internal/locktable
-// — per-site actor goroutines, or hash-striped mutexes with a zero-hop
-// fast path for the certified tier), plus an optional global deadlock
+// — hash-striped mutexes with a zero-hop fast path in process, or a wire
+// client to a lock server), plus an optional global deadlock
 // detector. It is the true-concurrency counterpart of the deterministic
 // simulator in internal/sim.
 //

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"distlock/internal/graph"
@@ -565,12 +566,24 @@ func (s *Session) Abort() error {
 		// — or releases the grant that raced the withdrawal — so nothing
 		// can land *after* the wave and leak. An acquire that did resolve
 		// into a grant keeps its fence record and is swept by ReleaseAll
-		// below like any other hold.
+		// below like any other hold. The Waits run concurrently so every
+		// cancel is on the wire at once: the server answers one instance's
+		// operations in submission order, so a Wait on an acquire queued
+		// behind one parked on a foreign holder returns only after the
+		// parked one's cancel has been sent — one at a time, in map order,
+		// that is a coin flip between returning at once and stalling until
+		// the client's reply timeout fences the whole connection.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
+		var wg sync.WaitGroup
 		for _, comp := range s.pendAcq {
-			comp.Wait(ctx)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				comp.Wait(ctx)
+			}()
 		}
+		wg.Wait()
 		s.pendAcq = nil
 		s.pendQ = nil
 		s.pendSpans = nil // aborted ops' spans are dropped, never committed

@@ -12,7 +12,7 @@ import (
 // backends are the lock-table implementations every session-semantics test
 // runs against: the contract ("bit-for-bit" blocking semantics) is part of
 // the Table interface, so the suite is table-driven over it.
-var backends = []Backend{BackendActor, BackendSharded}
+var backends = []Backend{BackendSharded}
 
 // forEachBackend runs the test once per lock-table backend.
 func forEachBackend(t *testing.T, f func(t *testing.T, b Backend)) {
@@ -353,25 +353,13 @@ func TestBeginRejectsForeignTemplate(t *testing.T) {
 	}
 }
 
-// TestBackendResolution: BackendDefault gives the certified tier the
-// striped fast path and keeps the deadlock-handling strategies on the
-// actor core.
+// TestBackendResolution: BackendDefault is the sharded table for every
+// strategy.
 func TestBackendResolution(t *testing.T) {
-	for strat, want := range map[Strategy]Backend{
-		StrategyNone:   BackendSharded,
-		StrategyDetect: BackendActor,
-		// Flipped post-soak-gate: TestWoundStormSoak proved the striped
-		// wound path, so wound-wait defaults to sharded too and the actor
-		// backend is the debug/reference implementation.
-		StrategyWoundWait: BackendSharded,
-	} {
+	for _, strat := range []Strategy{StrategyNone, StrategyDetect, StrategyWoundWait} {
 		e, _ := sessionFixture(t, strat, BackendDefault)
-		if got := e.Backend(); got != want {
-			t.Fatalf("%v default backend = %v, want %v", strat, got, want)
+		if got := e.Backend(); got != BackendSharded {
+			t.Fatalf("%v default backend = %v, want %v", strat, got, BackendSharded)
 		}
-	}
-	e, _ := sessionFixture(t, StrategyNone, BackendActor)
-	if got := e.Backend(); got != BackendActor {
-		t.Fatalf("explicit actor override ignored: %v", got)
 	}
 }

@@ -9,13 +9,13 @@ import (
 	"distlock/internal/workload"
 )
 
-// TestWoundStormSoak is the gate the ROADMAP requires before the
-// wound-wait fallback tier's default backend can move off the actor core:
-// a long-running mixed stress under production-shaped contention — Zipf
-// hot-entity skew funnelling most lock traffic onto a few entities, high
-// per-class concurrency, and hold times wide enough that nearly every
-// grant decision races a wound — table-driven over every backend that
-// implements wounding (actor, sharded at several stripe counts, and the
+// TestWoundStormSoak is the gate that keeps the wound-wait fallback tier
+// on the striped wound path: a long-running mixed stress under
+// production-shaped contention — Zipf hot-entity skew funnelling most
+// lock traffic onto a few entities, high per-class concurrency, and hold
+// times wide enough that nearly every grant decision races a wound —
+// table-driven over every backend that
+// implements wounding (sharded at several stripe counts, and the
 // cross-process netlock backend, whose wounds ride the server-push path).
 //
 // The assertions are the wound-wait correctness envelope:
@@ -58,7 +58,6 @@ func TestWoundStormSoak(t *testing.T) {
 		remote bool
 	}
 	cases := []backendCase{
-		{name: "actor", cfg: Config{EngineOptions: EngineOptions{Backend: BackendActor}}},
 		{name: "sharded", cfg: Config{EngineOptions: EngineOptions{Backend: BackendSharded}}},
 		{name: "sharded-1stripe", cfg: Config{EngineOptions: EngineOptions{Backend: BackendSharded, Table: locktable.Config{Shards: 1}}}},
 		{name: "sharded-overstriped", cfg: Config{EngineOptions: EngineOptions{Backend: BackendSharded, Table: locktable.Config{Shards: 256}}}},

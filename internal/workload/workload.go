@@ -41,9 +41,8 @@ const (
 	// uniformly. The shape stays ordered two-phase — certifiable, so the
 	// traffic lands on the certified no-deadlock-handling tier — but a few
 	// entities carry most of the lock traffic, which is the regime that
-	// separates lock-table backends: a per-site serial actor collapses all
-	// hot-entity traffic onto one goroutine, while independent entities
-	// should scale.
+	// tests a lock table: hot-entity traffic must not serialize the
+	// independent entities beside it.
 	PolicyZipf
 )
 

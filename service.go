@@ -30,17 +30,16 @@ var ErrServiceClosed = runtime.ErrClosed
 // pinned to the wound-wait fallback tier and Reason/Violation explain why.
 type RegisterResult = admission.Result
 
-// LockBackend selects a tier's lock-table implementation (see
-// internal/locktable): BackendActor is the per-site message-passing core,
-// BackendSharded the striped mutex fast path, BackendDefault resolves to
-// sharded on both tiers.
+// LockBackend names a tier's lock-table implementation (see
+// internal/locktable): BackendSharded is the in-process striped table —
+// what BackendDefault means on both tiers — and BackendRemote /
+// BackendCluster put the certified tier on dlservers (WithRemoteTable,
+// WithRemoteCluster).
 type LockBackend = runtime.Backend
 
 const (
-	// BackendDefault resolves to sharded on both tiers.
+	// BackendDefault is BackendSharded on both tiers.
 	BackendDefault = runtime.BackendDefault
-	// BackendActor serializes each site's grants through one goroutine.
-	BackendActor = runtime.BackendActor
 	// BackendSharded grants uncontended locks under striped mutexes with
 	// zero channel hops.
 	BackendSharded = runtime.BackendSharded
@@ -91,20 +90,6 @@ func WithCycleBudget(n int64) ServiceOption {
 // parallel traffic per class.
 func WithMultiplicity(m int) ServiceOption {
 	return func(c *serviceConfig) { c.multiplicity = m }
-}
-
-// WithLockBackend selects the certified tier's lock-table backend. The
-// default is BackendSharded: the static certification is exactly the proof
-// that the certified mix needs no deadlock handling, so its grants need no
-// wait-for bookkeeping and may take the striped fast path (uncontended
-// locks granted with zero channel hops). BackendActor forces the
-// message-passing debug/reference core instead — useful for bisecting a
-// suspected grant-path bug, not for serving traffic. The wound-wait
-// fallback tier runs BackendSharded too (the wound-storm soak gate
-// promoted striped wounding; the actor backend remains available through
-// the conformance suite as the reference semantics).
-func WithLockBackend(b LockBackend) ServiceOption {
-	return func(c *serviceConfig) { c.certBackend = b }
 }
 
 // WithShards pins the sharded lock-table backend to exactly n stripes.
@@ -284,7 +269,7 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 	}
 	certified, err := runtime.NewEngine(ddb, runtime.EngineOptions{
 		Strategy:         runtime.StrategyNone,
-		Backend:          cfg.certBackend, // BackendDefault resolves to sharded
+		Backend:          cfg.certBackend, // default (sharded) unless WithRemoteTable/WithRemoteCluster
 		RemoteAddr:       cfg.remoteAddr,
 		RemoteAddrs:      cfg.remoteAddrs,
 		Table:            cfg.table,
@@ -298,7 +283,7 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 	}
 	fallback, err := runtime.NewEngine(ddb, runtime.EngineOptions{
 		Strategy:         runtime.StrategyWoundWait,
-		Backend:          runtime.BackendDefault, // resolves to sharded post-soak-gate
+		Backend:          runtime.BackendDefault,
 		Table:            cfg.table,
 		MeasureLockWait:  cfg.latency,
 		MeasureHoldTime:  cfg.latency,
@@ -575,7 +560,8 @@ func (s *LockService) Snapshot() *System { return s.adm.Snapshot() }
 func (s *LockService) Multiplicity() int { return s.mult }
 
 // CertifiedBackend returns the certified tier's resolved lock-table
-// backend (BackendSharded unless WithLockBackend overrode it).
+// backend (BackendSharded unless WithRemoteTable or WithRemoteCluster
+// put it on dlservers).
 func (s *LockService) CertifiedBackend() LockBackend { return s.certified.Backend() }
 
 // TierStats are one engine tier's cumulative counters: the session-level

