@@ -330,7 +330,8 @@ func serve(ctx context.Context, svc *distlock.LockService, stdout, stderr io.Wri
 	fmt.Fprintf(stdout, "fallback  tier: committed=%d aborts=%d wounds=%d\n",
 		st.Fallback.Commits, st.Fallback.Aborts, st.Fallback.Wounds)
 	fmt.Fprintf(stdout, "served %d sessions in %v\n", st.Begun, time.Since(start).Round(time.Millisecond))
-	if got := st.Certified.Commits + st.Certified.Aborts + st.Fallback.Commits + st.Fallback.Aborts; got != st.Begun {
+	if got := st.Certified.Commits + st.Certified.Aborts + st.Certified.Discarded +
+		st.Fallback.Commits + st.Fallback.Aborts + st.Fallback.Discarded; got != st.Begun {
 		fmt.Fprintf(stderr, "dladmit: BUG: conservation violated: begun=%d closed=%d\n", st.Begun, got)
 		return 1
 	}

@@ -420,6 +420,8 @@ func (t *Table) acquireAsync(inst locktable.Instance, ent model.EntityID, mode l
 // safe to submit regardless — freeing a lock cannot invalidate order,
 // and a failed predecessor acquire left nothing held for this release to
 // free (the partition client resolves it as the held-nothing no-op).
+// Synchronous sessions release through it too: the receipt is what their
+// Commit joins, so each reports exactly its own releases' outcomes.
 func (t *Table) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktable.Completion {
 	p := t.Partition(ent)
 	st, join := t.fenceBegin(key, p, true)

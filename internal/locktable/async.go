@@ -36,6 +36,13 @@ type Completion interface {
 // an uncertified chain reorders conflicting waits and can deadlock a mix
 // that wound-wait or detection would otherwise have handled cleanly.
 //
+// Releases are different: an in-flight release can only lengthen a hold,
+// never grant early or close a waits-for cycle, so the runtime ships every
+// wire-backend release without waiting, certified or not — synchronous
+// sessions through the backend's receipt-carrying release (netlock's
+// ReleaseAsyncAcked; the cluster's ReleaseAsync), pipelined ones through
+// ReleaseAsync — and joins the completions at commit.
+//
 // In-process tables do not implement this — their Acquire is already
 // sub-microsecond, and a completion object would cost more than the call.
 type AsyncTable interface {
@@ -43,9 +50,10 @@ type AsyncTable interface {
 	// AcquireAsync submits the acquire and returns its completion. The
 	// instance's Doomed channel is honored by Wait, like Acquire's.
 	AcquireAsync(inst Instance, ent model.EntityID, mode Mode) Completion
-	// ReleaseAsync submits the release and returns its completion — the
-	// fire-and-forget unlock whose error (ErrStaleFence, a dead server)
-	// surfaces when the caller joins, typically at commit.
+	// ReleaseAsync submits the release and returns its completion, whose
+	// error (ErrStaleFence, a dead server) surfaces when the caller joins,
+	// typically at commit. It may be fire-and-forget: netlock's reports
+	// only a failure the server pushed back before the join.
 	ReleaseAsync(ent model.EntityID, key InstKey) Completion
 }
 

@@ -106,7 +106,12 @@ type Client struct {
 	pending map[uint64]chan result
 	fences  map[fenceRef]uint64 // granted entity -> fencing token
 	closed  bool
-	ffErr   error // first failure pushed back for a fire-and-forget release; read by completion joins
+	// ffErrs holds the failures pushed back for fire-and-forget releases,
+	// by instance: only that instance's completion joins report one (and
+	// consume it). At most ffErrCap are kept: a push that lost the race
+	// with its instance's commit is never joined, so past the cap an
+	// arbitrary record is evicted instead of every one kept forever.
+	ffErrs map[locktable.InstKey]error
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -166,6 +171,7 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 		conn:    nc,
 		pending: map[uint64]chan result{},
 		fences:  map[fenceRef]uint64{},
+		ffErrs:  map[locktable.InstKey]error{},
 		qwake:   make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		m:       cfg.Metrics,
@@ -411,10 +417,14 @@ func (c *Client) readLoop() {
 				return
 			}
 			if reqID == 0 {
-				// Unsolicited failure push for a fire-and-forget release:
-				// latch it for the next completion join (commit). Only the
-				// first failure is kept — any such failure means the lease
-				// was revoked, a connection-wide condition.
+				// Unsolicited failure push for a fire-and-forget release,
+				// naming the failing instance as trailing bytes: record it
+				// for that instance's completion join (its commit) only. A
+				// renewed lease serves every other instance normally.
+				key := d.key()
+				if d.err != nil {
+					return
+				}
 				switch status {
 				case stStaleFence:
 					c.wm.FenceRejections.Inc()
@@ -422,8 +432,14 @@ func (c *Client) readLoop() {
 					c.wm.LeaseExpiries.Inc()
 				}
 				c.mu.Lock()
-				if c.ffErr == nil {
-					c.ffErr = ffStatusErr(status)
+				if len(c.ffErrs) >= ffErrCap {
+					for k := range c.ffErrs {
+						delete(c.ffErrs, k)
+						break
+					}
+				}
+				if c.ffErrs[key] == nil {
+					c.ffErrs[key] = ffStatusErr(status)
 				}
 				c.mu.Unlock()
 				continue
@@ -559,34 +575,46 @@ func (c *Client) sendSpan(build func(*enc), sp *obs.Span) error {
 }
 
 // call is the synchronous request/response path for everything but
-// Acquire. The wait is bounded: these operations complete promptly on a
-// healthy server, so a response that outlasts several lease windows means
-// the server is wedged or partitioned (TCP alive, nobody home) — the
-// client self-fences, turning a would-be permanent hang in Release/
-// Snapshot/Unlock into the same ErrStopped a closed table gives, with the
-// server's lease machinery reclaiming whatever the session held.
+// Acquire and Release.
 func (c *Client) call(build func(reqID uint64, e *enc)) (result, error) {
 	reqID, ch := c.register()
 	if err := c.send(func(e *enc) { build(reqID, e) }); err != nil {
 		c.unregister(reqID)
 		return result{}, err
 	}
-	bound := 3 * c.lease
-	if bound < 15*time.Second {
-		bound = 15 * time.Second
-	}
-	timer := time.NewTimer(bound)
-	defer timer.Stop()
+	return c.await(ch)
+}
+
+// await collects the reply to a request that completes promptly on a
+// healthy server (everything but a parked acquire). The wait is bounded:
+// a response that outlasts several lease windows means the server is
+// wedged or partitioned (TCP alive, nobody home) — the client
+// self-fences, turning a would-be permanent hang in a release join or a
+// call into the same ErrStopped a closed table gives, with
+// the server's lease machinery reclaiming whatever the session held. A
+// reply that already streamed back is taken without arming the timer.
+func (c *Client) await(ch chan result) (result, error) {
+	var res result
 	select {
-	case res := <-ch:
-		if res.status == stStopped {
-			return res, locktable.ErrStopped
+	case res = <-ch:
+	default:
+		bound := 3 * c.lease
+		if bound < 15*time.Second {
+			bound = 15 * time.Second
 		}
-		return res, nil
-	case <-timer.C:
-		c.shutdown()
-		return result{}, locktable.ErrStopped
+		timer := time.NewTimer(bound)
+		defer timer.Stop()
+		select {
+		case res = <-ch:
+		case <-timer.C:
+			c.shutdown()
+			return result{}, locktable.ErrStopped
+		}
 	}
+	if res.status == stStopped {
+		return res, locktable.ErrStopped
+	}
+	return res, nil
 }
 
 // acquireCompletion is one in-flight acquire: submitted, not yet joined.
@@ -802,27 +830,14 @@ func (c *Client) finishRelease(res result, err error) error {
 	}
 }
 
-// Release implements locktable.Table. A release of an entity the instance
-// holds no record for is the in-process no-op; a recorded grant is
-// released with its fencing token, and a stale token (the lease expired
-// and the server revoked the grant) reports ErrStaleFence — the lock was
-// not freed, and whoever holds it now keeps it.
+// Release implements locktable.Table: the acked release, joined at once.
+// A release of an entity the instance holds no record for is the
+// in-process no-op; a recorded grant is released with its fencing token,
+// and a stale token (the lease expired and the server revoked the grant)
+// reports ErrStaleFence — the lock was not freed, and whoever holds it now
+// keeps it.
 func (c *Client) Release(ent model.EntityID, key locktable.InstKey) error {
-	fence, held, closed := c.takeFence(ent, key)
-	if closed {
-		return locktable.ErrStopped
-	}
-	if !held {
-		return nil
-	}
-	res, err := c.call(func(reqID uint64, e *enc) {
-		e.u8(opRelease)
-		e.u64(reqID)
-		e.i64(int64(ent))
-		e.key(key)
-		e.u64(fence)
-	})
-	return c.finishRelease(res, err)
+	return c.ReleaseAsyncAcked(ent, key).Wait(context.Background())
 }
 
 // ffStatusErr maps an unsolicited fire-and-forget failure status onto
@@ -838,20 +853,26 @@ func ffStatusErr(status byte) error {
 	}
 }
 
+// ffErrCap bounds the fire-and-forget failure records a client keeps.
+const ffErrCap = 256
+
 // ReleaseAsync implements locktable.AsyncTable: the release is fully
 // fire-and-forget. The frame is queued for the wire (coalescing with
 // whatever else the flush loop is carrying) with request ID zero — the
 // server applies it silently and replies only on failure, so the common
 // release costs no reply frame, no pending registration, and no join
 // wait. A failure (ErrStaleFence: the lease was revoked and the grant
-// was no longer ours to free) is pushed back unsolicited and latched
-// connection-wide; completion joins — typically at commit — report the
-// latch. The push races the join, so a failure may surface at the next
-// commit instead of this one; staleness means the lease already
-// expired, a condition the lease machinery also surfaces on every
-// subsequent acquire. The fence record is consumed at submission, so a
-// later ReleaseAll of the same entity is the usual no-op rather than a
-// double release.
+// was no longer ours to free) is pushed back unsolicited, naming the
+// instance, and recorded for it alone; the instance's completion joins —
+// typically at its commit — report the record. The push races the join,
+// so a failure may arrive after the commit that should have seen it (the
+// record is then evicted unread, see ffErrCap); staleness means the lease
+// already expired, a condition the lease machinery also surfaces on every
+// acquire until the lease is renewed. That race is why synchronous
+// sessions, whose errors must surface at their own commit, use
+// ReleaseAsyncAcked instead. The fence record is consumed at submission,
+// so a later ReleaseAll of the same entity is the usual no-op rather than
+// a double release.
 func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktable.Completion {
 	fence, held, closed := c.takeFence(ent, key)
 	if closed {
@@ -869,9 +890,12 @@ func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktab
 	}); err != nil {
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
-	return locktable.CompletionFunc(func(ctx context.Context) error {
+	return locktable.CompletionFunc(func(context.Context) error {
 		c.mu.Lock()
-		err := c.ffErr
+		err := c.ffErrs[key]
+		if err != nil {
+			delete(c.ffErrs, key)
+		}
 		c.mu.Unlock()
 		return err
 	})
@@ -881,12 +905,15 @@ func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktab
 // release is queued for the wire without waiting, but it carries a real
 // request ID, so the completion resolves only when the server has
 // actually executed it (the read loop applies releases inline, so the
-// ack proves the lock is free). The cluster backend needs this — a
-// fire-and-forget release's completion only reports the connection's
-// failure latch, which says nothing about *when* the release ran, and
-// cross-partition ordering is exactly a statement about when. On a
-// single connection the wire's FIFO makes the distinction moot, which
-// is why the plain ReleaseAsync stays receipt-free there.
+// ack proves the lock is free) and reports exactly this release's
+// outcome. Two callers need that. The cluster backend orders releases
+// across partitions, which is a statement about *when* a release ran —
+// something a fire-and-forget completion cannot witness. And a
+// synchronous session's Unlock returns at submission, so its Commit must
+// see its own releases' errors, never a racing push. On a single
+// connection the wire's FIFO already orders the release ahead of the
+// instance's next operation, which is why the pipelined tier keeps the
+// receipt-free ReleaseAsync. Release is this call joined at once.
 func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) locktable.Completion {
 	fence, held, closed := c.takeFence(ent, key)
 	if closed {
@@ -906,36 +933,8 @@ func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) lo
 		c.unregister(reqID)
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
-	return locktable.CompletionFunc(func(ctx context.Context) error {
-		select {
-		case res := <-ch:
-			// Steady state: the ack streamed back before the join; no timer.
-			if res.status == stStopped {
-				return locktable.ErrStopped
-			}
-			return c.finishRelease(res, nil)
-		default:
-		}
-		// Same self-fencing bound as call(): a wedged-but-TCP-alive
-		// server must not turn this join into a permanent hang.
-		bound := 3 * c.lease
-		if bound < 15*time.Second {
-			bound = 15 * time.Second
-		}
-		timer := time.NewTimer(bound)
-		defer timer.Stop()
-		select {
-		case res := <-ch:
-			if res.status == stStopped {
-				return locktable.ErrStopped
-			}
-			return c.finishRelease(res, nil)
-		case <-c.stop:
-			return locktable.ErrStopped
-		case <-timer.C:
-			c.shutdown()
-			return locktable.ErrStopped
-		}
+	return locktable.CompletionFunc(func(context.Context) error {
+		return c.finishRelease(c.await(ch))
 	})
 }
 

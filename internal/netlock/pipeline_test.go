@@ -204,6 +204,67 @@ func TestWoundMidChainNoOrphanGrants(t *testing.T) {
 	}
 }
 
+// TestFireAndForgetFailureScopedToInstance: a stale-fence push for one
+// instance's fire-and-forget release fails that instance's join only. Once
+// the lease is renewed, another instance's release on the same client
+// joins clean — the failure is not a connection-wide latch — and the
+// failing instance's record is consumed by its join.
+func TestFireAndForgetFailureScopedToInstance(t *testing.T) {
+	ddb, ents := testDDB(t, 2)
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: 150 * time.Millisecond})
+	c := dial(t, srv, locktable.Config{}, DialOptions{NoHeartbeat: true})
+
+	acquire(t, c, 1, ents[0])
+	waitFor(t, func() bool { return srv.Metrics().LeaseExpiries.Load() >= 1 })
+	stale := c.ReleaseAsync(ents[0], locktable.InstKey{ID: 1})
+	waitFor(t, func() bool { return c.Metrics().FenceRejections.Load() == 1 })
+
+	// Renew the lease by hand and keep it renewed for the rest of the test.
+	heartbeat := func() {
+		if _, err := c.call(func(reqID uint64, e *enc) {
+			e.u8(opHeartbeat)
+			e.u64(reqID)
+		}); err != nil {
+			t.Error(err)
+		}
+	}
+	heartbeat()
+	done := make(chan struct{})
+	var beats sync.WaitGroup
+	beats.Add(1)
+	go func() {
+		defer beats.Done()
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(20 * time.Millisecond):
+				heartbeat()
+			}
+		}
+	}()
+	defer func() {
+		close(done)
+		beats.Wait()
+	}()
+
+	acquire(t, c, 2, ents[1])
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.ReleaseAsync(ents[1], locktable.InstKey{ID: 2}).Wait(ctx); err != nil {
+		t.Fatalf("healthy instance's release after renewal = %v, want nil (failure leaked across instances)", err)
+	}
+	if err := stale.Wait(ctx); !errors.Is(err, ErrStaleFence) {
+		t.Fatalf("stale instance's release = %v, want ErrStaleFence", err)
+	}
+	c.mu.Lock()
+	left := len(c.ffErrs)
+	c.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d failure records left after the failing instance joined", left)
+	}
+}
+
 // TestPipelinedChainHappyPath: a depth-K pipelined chain over one
 // connection resolves every completion in submission order with the
 // right fencing behavior — joins after the fact see the grants, and the

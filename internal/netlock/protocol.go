@@ -81,7 +81,7 @@ const (
 	opGrantLog   = 0x09 // reqID
 	opHeartbeat  = 0x0a // reqID (renews the lease)
 
-	opResult    = 0x80 // reqID, status, payload per request kind
+	opResult    = 0x80 // reqID, status, payload per request kind (reqID 0: a fire-and-forget release's failure, inst key)
 	opWoundPush = 0x81 // holder's client-side instance ID
 )
 

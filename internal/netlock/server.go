@@ -966,15 +966,17 @@ func (s *Server) releaseComposed(c *srvConn, ent model.EntityID, composed lockta
 // execRelease frees the entity and replies under the release reply
 // rules: an acked release (nonzero reqID) always gets its result; a
 // fire-and-forget one (reqID 0, the pipelined certified tier) is silent
-// on success and pushes a failure back as an unsolicited result the
-// client latches for its next commit. Shared by the inline path and the
+// on success and pushes a failure back as an unsolicited result naming
+// the instance (client numbering) in trailing bytes — the client records
+// it for that instance's commit alone. Shared by the inline path and the
 // chain worker.
 func (s *Server) execRelease(c *srvConn, reqID uint64, composed locktable.InstKey, ent model.EntityID, fence uint64) {
 	st := s.releaseComposed(c, ent, composed, fence)
 	if reqID != 0 {
 		c.result(reqID, st, nil)
 	} else if st != stOK {
-		c.result(0, st, nil)
+		local, _ := stripID(c.id, composed.ID)
+		c.result(0, st, func(e *enc) { e.key(locktable.InstKey{ID: local, Epoch: composed.Epoch}) })
 	}
 }
 

@@ -58,14 +58,17 @@ type TableCounters struct {
 
 // Snapshot summarizes the bundle. Nil-safe (zeros), and safe concurrent
 // with live traffic: each counter is read once, so cross-counter sums
-// (Held) can transiently run one operation apart — the standard scrape
-// consistency.
+// lag each other by whatever ran between the reads — the standard scrape
+// consistency. Releases is read first: every release is counted after its
+// grant, so the grants read afterwards include all of them and a live
+// Held never goes negative (it may count a few records already freed).
 func (m *TableMetrics) Snapshot() TableCounters {
 	if m == nil {
 		return TableCounters{}
 	}
+	releases := m.Releases.Load()
 	fast, slow := m.FastHits.Load(), m.SlowShared.Load()
-	grants, releases := m.Grants.Load()+fast, m.Releases.Load()
+	grants := m.Grants.Load() + fast
 	return TableCounters{
 		Grants:           grants,
 		SharedGrants:     fast + slow,

@@ -95,18 +95,20 @@ type EngineOptions struct {
 	// PipelineDepth enables certified-chain pipelining over a wire
 	// backend: sessions of a StrategyNone engine keep up to this many
 	// unacknowledged acquires in flight (shipping the next lock request
-	// before the previous ack returns) and fire releases without waiting,
+	// before the previous ack returns) and fire receipt-free releases,
 	// surfacing their errors at Commit. Zero (the default) keeps every
-	// operation synchronous. The knob only takes effect when the
-	// strategy is StrategyNone AND the backend implements
-	// locktable.AsyncTable (remote, cluster): static certification is the
-	// proof that the pipelined chain cannot deadlock, so the wound-wait
-	// and detection tiers — whose mixes carry no such proof — always run
-	// synchronously. A pipelined session trades mid-chain error locality
-	// for throughput: a failed acquire (wound, lease expiry) surfaces at
-	// the next session operation rather than at the Lock that shipped it,
-	// and a context cancellation inside a chain aborts the whole attempt
-	// instead of leaving the session resumable.
+	// Lock synchronous; Unlock on a wire backend returns at submission
+	// either way, its receipt joined by Commit (see Session.Unlock). The
+	// knob only takes effect when the strategy is StrategyNone AND the
+	// backend implements locktable.AsyncTable (remote, cluster): static
+	// certification is the proof that the pipelined chain cannot
+	// deadlock, so the wound-wait and detection tiers — whose mixes carry
+	// no such proof — always Lock synchronously. A pipelined session
+	// trades mid-chain error locality for throughput: a failed acquire
+	// (wound, lease expiry) surfaces at the next session operation rather
+	// than at the Lock that shipped it, and a context cancellation inside
+	// a chain aborts the whole attempt instead of leaving the session
+	// resumable.
 	PipelineDepth int
 	// MeasureLockWait arms the engine's lock-wait histogram (see
 	// Engine.LockWait): two clock reads per granted Lock. MeasureHoldTime
@@ -153,6 +155,13 @@ type Engine struct {
 	async    locktable.AsyncTable
 	pipeline int
 
+	// releaseAsync is how Unlock ships a release on a wire backend
+	// without waiting for the server: the AsyncTable's ReleaseAsync on a
+	// pipelined engine, a release with an execution receipt otherwise.
+	// Nil on the in-process table, whose Release is synchronous. Picked
+	// once in NewEngine.
+	releaseAsync func(model.EntityID, locktable.InstKey) locktable.Completion
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -161,6 +170,7 @@ type Engine struct {
 	progress atomic.Int64 // bumped on every grant/commit
 	commits  atomic.Int64
 	aborts   atomic.Int64
+	discards atomic.Int64
 	wounds   atomic.Int64
 	detects  atomic.Int64
 	nextID   atomic.Int64
@@ -244,11 +254,12 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 		if opts.RemoteAddr == "" {
 			return nil, fmt.Errorf("runtime: remote backend needs a server address")
 		}
-		tab, err := netlock.Dial(opts.RemoteAddr, ddb, cfg, netlock.DialOptions{})
+		tab, err := dialRemote(opts.RemoteAddr, ddb, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: remote lock table: %w", err)
 		}
 		e.table = tab
+		e.releaseAsync = tab.ReleaseAsyncAcked
 	case BackendCluster:
 		// cluster.New rejects an empty address list itself.
 		tab, err := cluster.New(ddb, cfg, opts.RemoteAddrs, cluster.Options{})
@@ -256,6 +267,7 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 			return nil, fmt.Errorf("runtime: cluster lock table: %w", err)
 		}
 		e.table = tab
+		e.releaseAsync = tab.ReleaseAsync // already carries a receipt
 	default:
 		return nil, fmt.Errorf("runtime: unknown lock-table backend %v", opts.Backend)
 	}
@@ -278,6 +290,7 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 		if at, ok := e.table.(locktable.AsyncTable); ok {
 			e.async = at
 			e.pipeline = opts.PipelineDepth
+			e.releaseAsync = at.ReleaseAsync
 		}
 	}
 	if e.strategy == StrategyDetect {
@@ -288,6 +301,13 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 		}()
 	}
 	return e, nil
+}
+
+// dialRemote dials BackendRemote's client. A variable only so tests can
+// hand the engine a client dialed with other DialOptions (a stalled
+// heartbeat); the engine itself always dials with the zero value.
+var dialRemote = func(addr string, ddb *model.DDB, cfg locktable.Config) (*netlock.Client, error) {
+	return netlock.Dial(addr, ddb, cfg, netlock.DialOptions{})
 }
 
 // DDB returns the database the engine serves.
@@ -301,10 +321,15 @@ func (e *Engine) Backend() Backend { return e.backend }
 
 // Counters is a snapshot of the engine's cumulative counters.
 type Counters struct {
-	Commits  int64 `json:"commits"`
-	Aborts   int64 `json:"aborts"`
-	Wounds   int64 `json:"wounds"`
-	Detected int64 `json:"detected"`
+	Commits int64 `json:"commits"`
+	Aborts  int64 `json:"aborts"`
+	// Discarded counts sessions ended by engine shutdown rather than by
+	// their own Commit or Abort: an Abort (or the batch driver's discard)
+	// on a closed engine releases nothing and is not a transaction abort.
+	// Every session ends in exactly one of Commits, Aborts and Discarded.
+	Discarded int64 `json:"discarded"`
+	Wounds    int64 `json:"wounds"`
+	Detected  int64 `json:"detected"`
 	// PipelinedOps counts lock operations submitted through the
 	// certified-chain async path; SyncOps those that took the synchronous
 	// fallback (in-process backends, or strategies without the
@@ -321,6 +346,7 @@ func (e *Engine) Counters() Counters {
 	return Counters{
 		Commits:      e.commits.Load(),
 		Aborts:       e.aborts.Load(),
+		Discarded:    e.discards.Load(),
 		Wounds:       e.wounds.Load(),
 		Detected:     e.detects.Load(),
 		PipelinedOps: e.pipelinedOps.Load(),

@@ -2,6 +2,9 @@ package runtime
 
 import (
 	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,5 +233,235 @@ func pipelinedAbortConservation(t *testing.T, e *Engine, d *model.DDB, srvs []*n
 			t.Fatalf("servers still hold %d lock records after abort + probe commit", held())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// Receipt-joined releases: on a wire backend a synchronous session's
+// Unlock ships the release with an execution receipt and returns; Commit
+// joins the receipts. These tests pin when Unlock and Commit return, whose
+// Commit a failed release fails, and what a stopped table reports.
+
+// gatedTable is a hosted table whose next Release, once armed, parks on
+// gate — holding the server's read loop (which executes releases inline)
+// and with it the release's receipt.
+type gatedTable struct {
+	locktable.Table
+	armed   atomic.Bool
+	entered chan struct{}
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func (g *gatedTable) Release(ent model.EntityID, key locktable.InstKey) error {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.gate
+	}
+	return g.Table.Release(ent, key)
+}
+
+func (g *gatedTable) open() { g.once.Do(func() { close(g.gate) }) }
+
+// gatedFixture: a synchronous certified engine on one loopback server
+// hosting a gatedTable.
+func gatedFixture(t *testing.T) (*Engine, *model.DDB, *netlock.Server, *gatedTable) {
+	t.Helper()
+	d := model.NewDDB()
+	d.MustEntity("x", "s1")
+	gt := &gatedTable{entered: make(chan struct{}), gate: make(chan struct{})}
+	srv, err := netlock.NewServer(d, locktable.Config{}, netlock.ServerOptions{
+		Lease: time.Minute,
+		New: func(d *model.DDB, cfg locktable.Config) locktable.Table {
+			gt.Table = locktable.NewSharded(d, cfg)
+			return gt
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	t.Cleanup(gt.open) // before srv.Close: the parked read loop must exit
+	e, err := NewEngine(d, EngineOptions{Strategy: StrategyNone, Backend: BackendRemote, RemoteAddr: srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	return e, d, srv, gt
+}
+
+// lockThenHeldUnlock locks x, arms the gate, and unlocks x: the Unlock
+// must return although the server's Release is parked.
+func lockThenHeldUnlock(t *testing.T, e *Engine, d *model.DDB, gt *gatedTable) *Session {
+	t.Helper()
+	x := ent(t, d, "x")
+	s, err := e.Begin(buildChain(d, "A", "Lx Ux"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Lock(ctx, x, model.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	gt.armed.Store(true)
+	unlocked := make(chan error, 1)
+	go func() { unlocked <- s.Unlock(x) }()
+	select {
+	case err := <-unlocked:
+		if err != nil {
+			t.Fatalf("Unlock = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("synchronous Unlock on a wire backend waited for the server's Release")
+	}
+	select {
+	case <-gt.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the release never reached the server")
+	}
+	return s
+}
+
+// TestSyncUnlockReturnsBeforeRelease: Unlock returns while the server's
+// Release is held back, and Commit returns only after it runs.
+func TestSyncUnlockReturnsBeforeRelease(t *testing.T) {
+	e, d, srv, gt := gatedFixture(t)
+	s := lockThenHeldUnlock(t, e, d, gt)
+
+	committed := make(chan error, 1)
+	go func() { committed <- s.Commit() }()
+	select {
+	case err := <-committed:
+		t.Fatalf("Commit returned (%v) while the server still held the release back", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	gt.open()
+	select {
+	case err := <-committed:
+		if err != nil {
+			t.Fatalf("Commit = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Commit still blocked after the release ran")
+	}
+	if held := srv.TableMetrics().Snapshot().Held; held != 0 {
+		t.Fatalf("server holds %d records after Commit", held)
+	}
+	if c := e.Counters(); c.Commits != 1 || c.SyncOps != 1 || c.PipelinedOps != 0 {
+		t.Fatalf("counters = %+v, want one synchronous commit", c)
+	}
+}
+
+// TestCommitOnStoppedTableUnderPendingReceipt: the engine stopping while
+// a release's receipt is pending makes Commit return ErrClosed — what a
+// synchronous Unlock returned on a stopped table before Unlock stopped
+// waiting — and the session's Abort is a discard.
+func TestCommitOnStoppedTableUnderPendingReceipt(t *testing.T) {
+	e, d, _, gt := gatedFixture(t)
+	s := lockThenHeldUnlock(t, e, d, gt)
+
+	committed := make(chan error, 1)
+	go func() { committed <- s.Commit() }()
+	e.Close()
+	select {
+	case err := <-committed:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("Commit on a stopped table = %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Commit still blocked after the engine closed")
+	}
+	if err := s.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if c := e.Counters(); c.Commits != 0 || c.Aborts != 0 || c.Discarded != 1 {
+		t.Fatalf("counters = %+v, want exactly one discard", c)
+	}
+}
+
+// TestStaleFenceFailsOnlyItsOwnCommit: a release the server rejects for a
+// stale fence (the lease lapsed while the session held the lock) fails
+// that session's Commit with netlock.ErrStaleFence, and not the Commit of
+// a sibling session on the same connection whose release ran before.
+func TestStaleFenceFailsOnlyItsOwnCommit(t *testing.T) {
+	d := model.NewDDB()
+	d.MustEntity("x", "s1")
+	d.MustEntity("y", "s2")
+	x, y := ent(t, d, "x"), ent(t, d, "y")
+	srv, err := netlock.NewServer(d, locktable.Config{}, netlock.ServerOptions{Lease: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	// Test-only seam: the engine's client never heartbeats, so its lease
+	// lapses on cue.
+	orig := dialRemote
+	dialRemote = func(addr string, ddb *model.DDB, cfg locktable.Config) (*netlock.Client, error) {
+		return netlock.Dial(addr, ddb, cfg, netlock.DialOptions{NoHeartbeat: true})
+	}
+	e, err := NewEngine(d, EngineOptions{Strategy: StrategyNone, Backend: BackendRemote, RemoteAddr: srv.Addr()})
+	dialRemote = orig
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	// The sibling runs first: its release executes while the lease is live.
+	sib, err := e.Begin(buildChain(d, "B", "Ly Uy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sib.Lock(ctx, y, model.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := sib.Unlock(y); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, func() bool { return srv.TableMetrics().Snapshot().Held == 0 })
+
+	s, err := e.Begin(buildChain(d, "A", "Lx Ux"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Lock(ctx, x, model.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, func() bool { return srv.Metrics().LeaseExpiries.Load() >= 1 })
+	if err := s.Unlock(x); err != nil {
+		t.Fatalf("Unlock = %v, want nil (the release's error belongs to Commit)", err)
+	}
+	if err := s.Commit(); !errors.Is(err, netlock.ErrStaleFence) {
+		t.Fatalf("Commit after a stale-fence release = %v, want ErrStaleFence", err)
+	}
+	if err := sib.Commit(); err != nil {
+		t.Fatalf("sibling Commit = %v, want nil (its release ran under a live lease)", err)
+	}
+	if err := s.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if c := e.Counters(); c.Commits != 1 || c.Aborts != 1 {
+		t.Fatalf("counters = %+v, want one commit and one abort", c)
+	}
+}
+
+// waitUntil polls cond for up to 5s.
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never became true")
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

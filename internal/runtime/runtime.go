@@ -261,8 +261,8 @@ func (e *Engine) driveOnce(s *Session, rng *rand.Rand, hold time.Duration) (bool
 		ready := s.tmpl.MinimalNodes(s.executed)
 		if len(ready) == 0 {
 			if err := s.Commit(); err != nil {
-				s.Abort()
-				return false, false
+				s.Abort() // a discard if the commit failed with ErrClosed
+				return false, errors.Is(err, ErrClosed)
 			}
 			return true, false
 		}

@@ -54,12 +54,13 @@ type Session struct {
 	done     bool
 	doomed   bool
 
-	// Pipelined state (engines with certified-chain pipelining armed; see
-	// EngineOptions.PipelineDepth). pendAcq holds in-flight acquires by
-	// entity, pendQ their submission order (the join-oldest window);
-	// rels the fire-and-forget release completions Commit joins; pipeErr
-	// poisons the session once any joined completion failed — every later
-	// operation reports it, and Abort cleans up whatever is in flight.
+	// In-flight state. pendAcq holds in-flight acquires by entity, pendQ
+	// their submission order (the join-oldest window) — both pipelined
+	// engines only (see EngineOptions.PipelineDepth); rels the completions
+	// of releases Unlock shipped without waiting (every wire backend),
+	// joined by Commit; pipeErr poisons the session once any joined
+	// completion failed — every later operation reports it, and Abort
+	// cleans up whatever is in flight.
 	pendAcq map[model.EntityID]locktable.Completion
 	pendQ   []model.EntityID
 	rels    []locktable.Completion
@@ -413,8 +414,12 @@ func (s *Session) joinAcquire(ctx context.Context, ent model.EntityID) error {
 	return nil
 }
 
-// Unlock releases a held entity. It completes as soon as the lock table
-// processes the release (granting the entity to its next waiter).
+// Unlock releases a held entity. On the in-process table it completes as
+// soon as the table processes the release (granting the entity to its
+// next waiter). On a wire backend it returns once the release is queued
+// for the wire, and Commit joins its completion — so a release's error (a
+// revoked lease's stale fence, a dead server) surfaces at this session's
+// Commit instead of here.
 func (s *Session) Unlock(ent model.EntityID) error {
 	nid, ok := s.tmpl.UnlockNode(ent)
 	if !ok {
@@ -426,12 +431,12 @@ func (s *Session) Unlock(ent model.EntityID) error {
 	if !s.held[ent] {
 		return fmt.Errorf("runtime: %s: Unlock(%s) without holding the lock", s.tmpl.Name(), s.e.ddb.EntityName(ent))
 	}
-	if s.e.async != nil {
-		return s.unlockPipelined(ent, nid)
+	if s.e.releaseAsync != nil {
+		return s.unlockAsync(ent, nid)
 	}
-	// Synchronous releases are traced session-level only (submit + wakeup):
-	// the interesting decomposition is the acquire's, and pipelined
-	// releases are fire-and-forget — there is no wakeup to stamp.
+	// In-process releases are traced session-level only (submit + wakeup):
+	// the interesting decomposition is the acquire's, and wire releases
+	// are joined at Commit — there is no wakeup to stamp.
 	var sp *obs.Span
 	if s.e.spans != nil && s.spanDue() {
 		sp = s.e.spans.Start(obs.SpanRelease, int32(ent))
@@ -441,10 +446,6 @@ func (s *Session) Unlock(ent model.EntityID) error {
 		if errors.Is(err, locktable.ErrStopped) {
 			return ErrClosed
 		}
-		// The remote backend can fail a release for session-local reasons
-		// (a revoked lease's stale fencing token) that are not an engine
-		// shutdown: surface them as themselves so the caller aborts this
-		// session instead of concluding the service died.
 		return fmt.Errorf("runtime: %s: Unlock(%s): %w", s.tmpl.Name(), s.e.ddb.EntityName(ent), err)
 	}
 	if sp != nil {
@@ -457,27 +458,37 @@ func (s *Session) Unlock(ent model.EntityID) error {
 	return nil
 }
 
-// unlockPipelined is Unlock on a pipelined engine: the release is
-// fire-and-forget — queued for the wire, its completion joined at Commit
-// — so the chain never parks here. The one wait it may pay is the
-// entity's own acquire ack, if it is still in flight: the release needs
-// the fencing token that ack carries, and on an uncontended chain the ack
-// has usually streamed back by unlock time, overlapped with the
-// operations in between. The session does NOT wait for its other
-// in-flight acquires — ordering the release behind them is the table's
-// job, not the session's: the netlock server queues a release behind the
-// instance's still-chained acquires (program order on each server's
-// slice), and the cluster backend fences partition switches, so the
-// executed schedule stays inside the certified system while this
-// goroutine runs ahead.
-func (s *Session) unlockPipelined(ent model.EntityID, nid model.NodeID) error {
+// unlockAsync is Unlock on a wire backend: the release is queued for the
+// wire and its completion joined at Commit, so Unlock never waits for the
+// server. That is sound for any session, certified or not: one
+// connection's FIFO executes the release ahead of the instance's next
+// operation, and a release still in flight can only lengthen a hold — it
+// delays other waiters but can neither grant early nor close a waits-for
+// cycle. Synchronous sessions get a release with an execution receipt, so
+// their Commit reports exactly their own releases' outcomes; pipelined
+// ones keep the receipt-free release (see EngineOptions.PipelineDepth).
+//
+// The one wait Unlock may pay is a pipelined entity's own acquire ack, if
+// it is still in flight: the release needs the fencing token that ack
+// carries, and on an uncontended chain the ack has usually streamed back
+// by unlock time, overlapped with the operations in between. The session
+// does NOT wait for its other in-flight acquires — ordering the release
+// behind them is the table's job, not the session's: the netlock server
+// queues a release behind the instance's still-chained acquires (program
+// order on each server's slice), and the cluster backend fences partition
+// switches, so the executed schedule stays inside the certified system
+// while this goroutine runs ahead.
+func (s *Session) unlockAsync(ent model.EntityID, nid model.NodeID) error {
 	if s.pipeErr != nil {
 		return s.mapTableErr(s.pipeErr)
 	}
 	if err := s.joinAcquire(context.Background(), ent); err != nil {
 		return s.mapTableErr(err)
 	}
-	s.rels = append(s.rels, s.e.async.ReleaseAsync(ent, s.key))
+	if s.rels == nil {
+		s.rels = make([]locktable.Completion, 0, s.tmpl.N()/2) // one per Unlock node
+	}
+	s.rels = append(s.rels, s.e.releaseAsync(ent, s.key))
 	s.noteReleased(ent)
 	delete(s.held, ent)
 	s.executed.Set(int(nid))
@@ -486,8 +497,12 @@ func (s *Session) unlockPipelined(ent model.EntityID, nid model.NodeID) error {
 
 // Commit closes the session after a complete run of the class program:
 // every template operation must have executed (which implies every lock
-// was released). A pending deadlock-handling signal does not block a
-// commit — the transaction finished, so the wound is moot.
+// was released). On a wire backend it first joins every release Unlock
+// shipped without waiting: a failed one fails the commit — ErrClosed if
+// the table stopped, the release's error (netlock.ErrStaleFence, ...)
+// wrapped otherwise — and the caller must Abort, exactly as after a
+// failed synchronous Unlock. A pending deadlock-handling signal does not
+// block a commit — the transaction finished, so the wound is moot.
 func (s *Session) Commit() error {
 	if s.done {
 		return ErrSessionDone
@@ -500,11 +515,10 @@ func (s *Session) Commit() error {
 		return fmt.Errorf("runtime: %s: commit while holding %d locks", s.tmpl.Name(), len(s.held))
 	}
 	if len(s.rels) > 0 {
-		// The fire-and-forget releases settle here: this is where a
-		// pipelined session's deferred errors (a stale fence after lease
-		// expiry, a dead server) surface. A failed release means the
-		// attempt did not cleanly return its locks — the caller aborts,
-		// exactly as it would on a failed synchronous Unlock.
+		// The releases Unlock did not wait for settle here: this is where
+		// their errors (a stale fence after lease expiry, a dead server)
+		// surface. A failed release means the attempt did not cleanly
+		// return its locks.
 		for _, rc := range s.rels {
 			if err := rc.Wait(context.Background()); err != nil && s.pipeErr == nil {
 				s.pipeErr = err
@@ -513,7 +527,10 @@ func (s *Session) Commit() error {
 		s.rels = nil
 	}
 	if s.pipeErr != nil {
-		return fmt.Errorf("runtime: %s: commit: pipelined operation failed: %w", s.tmpl.Name(), s.pipeErr)
+		if errors.Is(s.pipeErr, locktable.ErrStopped) {
+			return ErrClosed
+		}
+		return fmt.Errorf("runtime: %s: commit: in-flight operation failed: %w", s.tmpl.Name(), s.pipeErr)
 	}
 	s.done = true
 	s.flushOps()
@@ -547,7 +564,7 @@ func (s *Session) flushOps() {
 // table: on return the session holds nothing. Abort is idempotent;
 // aborting a committed session is a no-op. On a closed engine Abort
 // degrades to a discard — the lock table died with the engine, and
-// shutdown is not a transaction abort, so the abort counter is untouched.
+// shutdown is not a transaction abort, so it counts as Discarded.
 func (s *Session) Abort() error {
 	if s.done {
 		return nil
@@ -605,8 +622,8 @@ func (s *Session) Abort() error {
 
 // discard closes a session during engine shutdown: it only deregisters the
 // abort signal. The lock table dies with the engine, so nothing is
-// released, and the abort counter is not touched — shutdown is not a
-// transaction abort.
+// released, and the session is counted as Discarded, not aborted —
+// shutdown is not a transaction abort.
 func (s *Session) discard() {
 	if s.done {
 		return
@@ -616,4 +633,5 @@ func (s *Session) discard() {
 	s.e.mu.Lock()
 	delete(s.e.abortChs, s.key.ID)
 	s.e.mu.Unlock()
+	s.e.discards.Add(1)
 }

@@ -142,16 +142,17 @@ func WithRemoteCluster(addrs ...string) ServiceOption {
 // WithPipelineDepth lets certified-tier sessions on a wire backend
 // (WithRemoteTable, WithRemoteCluster) keep up to depth unacknowledged
 // lock acquisitions in flight: Lock ships the request and returns
-// immediately, Unlock fires the release without waiting, and any error a
+// immediately, Unlock fires a receipt-free release, and any error a
 // pipelined operation hits surfaces at the next session call (ultimately
 // at Commit). Static certification is what makes this sound — a certified
 // chain cannot deadlock, so shipping lock k+1 before lock k's ack returns
 // changes only latency, never the set of reachable lock-table states (the
 // server applies one session's acquires strictly in submission order).
-// The wound-wait fallback tier always runs synchronously: its mixes carry
-// no such proof, so each acquire must observe its outcome before the next.
-// Zero (the default) keeps every operation synchronous; in-process
-// backends ignore the knob.
+// The wound-wait fallback tier never pipelines: its mixes carry no such
+// proof, so each acquire must observe its outcome before the next. Zero
+// (the default) keeps every Lock synchronous — Unlock on a wire backend
+// still returns without waiting for the server, with Commit joining its
+// receipt (see Session.Unlock); in-process backends ignore the knob.
 func WithPipelineDepth(depth int) ServiceOption {
 	return func(c *serviceConfig) { c.pipeline = depth }
 }
@@ -588,8 +589,9 @@ type TierStats struct {
 // ServiceStats snapshots the service's counters: the admission service's
 // cumulative work and decisions, both engine tiers, and the number of
 // sessions begun. Conservation: every begun session ends in exactly one
-// commit or abort, so after all sessions close,
-// Begun == Certified.Commits+Certified.Aborts+Fallback.Commits+Fallback.Aborts.
+// commit, abort or discard (a session ended by Close), so after all
+// sessions close, Begun == Certified.Commits+Certified.Aborts+
+// Certified.Discarded+Fallback.Commits+Fallback.Aborts+Fallback.Discarded.
 type ServiceStats struct {
 	Admission AdmissionStats `json:"admission"`
 	Certified TierStats      `json:"certified"`
@@ -720,7 +722,11 @@ func (s *Session) LockShared(ctx context.Context, entity string) error {
 	return s.Lock(ctx, entity, Shared)
 }
 
-// Unlock releases a held entity (granting it to its next waiter).
+// Unlock releases a held entity (granting it to its next waiter). On a
+// wire backend (WithRemoteTable, WithRemoteCluster) Unlock returns once
+// the release is on its way to the server, and Commit waits for it: a
+// release that fails (a revoked lease, a lost server) fails this
+// session's Commit rather than this call.
 func (s *Session) Unlock(entity string) error {
 	id, ok := s.svc.ddb.Entity(entity)
 	if !ok {
@@ -730,7 +736,11 @@ func (s *Session) Unlock(entity string) error {
 }
 
 // Commit closes the session after a complete run of the class program
-// (every operation of the class executed, all locks released).
+// (every operation of the class executed, all locks released). On a wire
+// backend it first waits for the session's releases to be executed; if
+// one failed, Commit returns its error (ErrServiceClosed once the service
+// is closed or a WithRemoteTable server is gone) and the session stays
+// open — call Abort.
 func (s *Session) Commit() error {
 	if err := s.inner.Commit(); err != nil {
 		return err
@@ -749,10 +759,11 @@ func (s *Session) Abort() error {
 
 // Drive executes the session's entire class program in one call: every
 // operation in a linear extension of the class's partial order, then
-// Commit. On ErrTxnAborted it aborts the session and returns the error so
-// the caller can retry with BeginRetry; on context cancellation it aborts
-// and returns ctx.Err(). Clients that interleave work between operations
-// drive the session manually instead.
+// Commit. Any failure — an operation's or Commit's — aborts the session
+// before the error is returned, so the session is always closed on
+// return: on ErrTxnAborted the caller can retry with BeginRetry, on
+// context cancellation the error is ctx.Err(). Clients that interleave
+// work between operations drive the session manually instead.
 func (s *Session) Drive(ctx context.Context) error { return s.DriveHold(ctx, 0) }
 
 // DriveHold is Drive with a pause after each granted lock, widening the
@@ -784,5 +795,9 @@ func (s *Session) DriveHold(ctx context.Context, hold time.Duration) error {
 			}
 		}
 	}
-	return s.Commit()
+	if err := s.Commit(); err != nil {
+		s.Abort()
+		return err
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package distlock_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -116,6 +117,64 @@ func TestLockServiceRemoteTable(t *testing.T) {
 	}
 	if err := sess.Drive(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDriveHoldAbortsOnFailedCommit: when the server goes away between a
+// session's Lock and its Unlock, the release cannot be confirmed and
+// Commit fails inside DriveHold. DriveHold must abort the session, which
+// returns its multiplicity slot: at multiplicity 1 the next Begin
+// succeeds instead of blocking forever. Both wire paths defer a release's
+// error to Commit — the receipt-joined synchronous one and the pipelined
+// one.
+func TestDriveHoldAbortsOnFailedCommit(t *testing.T) {
+	for _, depth := range []int{0, 8} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			db := xyzDB()
+			srv, err := netlock.NewServer(db, locktable.Config{}, netlock.ServerOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			svc, err := distlock.Open(db, distlock.WithRemoteTable(srv.Addr()),
+				distlock.WithMultiplicity(1), distlock.WithPipelineDepth(depth))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			ctx := context.Background()
+			if _, err := svc.Register(ctx, chain(db, "A", "Lx", "Ux")); err != nil {
+				t.Fatal(err)
+			}
+
+			sess, err := svc.Begin(ctx, "A")
+			if err != nil {
+				t.Fatal(err)
+			}
+			drove := make(chan error, 1)
+			go func() { drove <- sess.DriveHold(ctx, 300*time.Millisecond) }()
+			// Take the server away during the hold, once the grant (and, on
+			// the pipelined path, its ack) is in.
+			for srv.TableMetrics().Snapshot().Grants == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond)
+			srv.Close()
+			if err := <-drove; err == nil {
+				t.Fatal("DriveHold committed with the server gone")
+			}
+
+			bctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+			defer cancel()
+			next, err := svc.Begin(bctx, "A")
+			if err != nil {
+				t.Fatalf("Begin after DriveHold's failed commit = %v (multiplicity slot leaked)", err)
+			}
+			next.Abort()
+		})
 	}
 }
 

@@ -463,17 +463,21 @@ func TestStatsConcurrentWithClose(t *testing.T) {
 	readers.Wait()
 
 	// Stats after Close still works and the ledgers balance: every begun
-	// session ended in exactly one commit or abort, and committed
-	// sessions released what they locked.
+	// session ended in exactly one commit, abort or discard (a session
+	// caught by Close), and committed sessions released what they locked —
+	// only a session Close cut short (at most 2 locks each) can leave
+	// grant records behind, which died with the table.
 	st := svc.Stats()
-	ended := st.Certified.Commits + st.Certified.Aborts +
-		st.Fallback.Commits + st.Fallback.Aborts
+	ended := st.Certified.Commits + st.Certified.Aborts + st.Certified.Discarded +
+		st.Fallback.Commits + st.Fallback.Aborts + st.Fallback.Discarded
 	if st.Begun != ended {
-		t.Fatalf("begun %d != commits+aborts %d after Close", st.Begun, ended)
+		t.Fatalf("begun %d != commits+aborts+discards %d after Close", st.Begun, ended)
 	}
 	tab := st.Certified.Table
-	if tab.Grants != tab.Releases {
-		t.Fatalf("certified tier leaked holds: %d grants vs %d releases", tab.Grants, tab.Releases)
+	cut := st.Begun - st.Certified.Commits
+	if leaked := tab.Grants - tab.Releases; leaked < 0 || leaked > 2*cut {
+		t.Fatalf("certified tier leaked holds: %d grants vs %d releases with %d sessions cut short by Close",
+			tab.Grants, tab.Releases, cut)
 	}
 	if st.Certified.Commits > 0 {
 		if tab.Grants == 0 {
