@@ -248,7 +248,8 @@ const (
 	// StrategyNone runs with no deadlock handling — safe for certified
 	// mixes only.
 	StrategyNone = runtime.StrategyNone
-	// StrategyDetect runs a periodic global deadlock detector.
+	// StrategyDetect runs a periodic global deadlock detector (in-process
+	// lock tables only: a remote or cluster table has no detector).
 	StrategyDetect = runtime.StrategyDetect
 	// StrategyWoundWait wounds younger lock holders on conflict.
 	StrategyWoundWait = runtime.StrategyWoundWait

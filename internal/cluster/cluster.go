@@ -232,7 +232,11 @@ func (t *Table) Acquire(ctx context.Context, inst locktable.Instance, ent model.
 //     AND releases on other partitions. Releases must carry execution
 //     receipts for this (ReleaseAsyncAcked): ordering across servers is
 //     a statement about when the release *ran*, which a fire-and-forget
-//     completion cannot witness. An acquire, by contrast, never waits on
+//     completion cannot witness. The released entity's own acquire lives
+//     on p and is not joined: while it is unacked the partition client
+//     ships a token-0 release, which p's chain runs right after it, so
+//     the receipt also proves that acquire resolved. An acquire, by
+//     contrast, never waits on
 //     other partitions' releases: a release frame is executed inline by
 //     its read loop as soon as it arrives, unconditionally, so an
 //     acquire overtaking one can only lengthen a hold — it delays other
@@ -419,7 +423,9 @@ func (t *Table) acquireAsync(inst locktable.Instance, ent model.EntityID, mode l
 // completion and surfaces its failure at commit, and a release is always
 // safe to submit regardless — freeing a lock cannot invalidate order,
 // and a failed predecessor acquire left nothing held for this release to
-// free (the partition client resolves it as the held-nothing no-op).
+// free (the partition client resolves it as the held-nothing no-op, or,
+// if the entity's own acquire is still unacked, ships a token-0 release
+// its server resolves the same way once that acquire failed).
 // Synchronous sessions release through it too: the receipt is what their
 // Commit joins, so each reports exactly its own releases' outcomes.
 func (t *Table) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktable.Completion {
@@ -541,7 +547,8 @@ func renameKey(p int, k locktable.InstKey) locktable.InstKey {
 // Snapshot implements locktable.Table: the per-partition wait graphs are
 // concatenated under the merged namespace (see renameID). Entities are
 // disjoint across partitions, so no edge is ever duplicated; the result
-// is one coherent table view for StrategyDetect's detector.
+// is one coherent table view (the runtime still runs no detector on it:
+// other client processes' waits are missing from this client's view).
 func (t *Table) Snapshot() []locktable.WaitEdge {
 	var out []locktable.WaitEdge
 	for p, c := range t.parts {

@@ -41,7 +41,13 @@ type Completion interface {
 // wire-backend release without waiting, certified or not — synchronous
 // sessions through the backend's receipt-carrying release (netlock's
 // ReleaseAsyncAcked; the cluster's ReleaseAsync), pipelined ones through
-// ReleaseAsync — and joins the completions at commit.
+// ReleaseAsync — and joins the completions at commit. A release is bound
+// by the same submission order as the acquires: it may be submitted while
+// the instance's own AcquireAsync of the entity is still in flight, and
+// the implementation must apply it after that acquire resolved (netlock
+// resolves such a release server-side, in the instance's wire order, to
+// whatever grant the acquire recorded), so the pipelined caller joins its
+// acquires at commit rather than before each release.
 //
 // In-process tables do not implement this — their Acquire is already
 // sub-microsecond, and a completion object would cost more than the call.

@@ -60,10 +60,10 @@ type fenceRef struct {
 //
 // Client also implements locktable.AsyncTable: AcquireAsync/ReleaseAsync
 // submit without waiting for the reply, which the certified tier uses to
-// pipeline lock chains (see internal/runtime). One instance's acquires
+// pipeline lock chains (see internal/runtime). One instance's operations
 // take effect in submission order — the server chains them — so the
 // pipelined run reaches exactly the lock-table states of the synchronous
-// one.
+// one, and a release may be submitted before its own acquire's ack.
 type Client struct {
 	ddb   *model.DDB
 	cfg   locktable.Config
@@ -104,8 +104,16 @@ type Client struct {
 
 	mu      sync.Mutex
 	pending map[uint64]chan result
-	fences  map[fenceRef]uint64 // granted entity -> fencing token
-	closed  bool
+	// fences maps each granted (entity, instance) to the acquire that
+	// granted it, whose fence field holds the fencing token. Every acquire
+	// is entered at submission, with token 0 —
+	// never minted, counters start at 1 — until its grant arrives: that
+	// entry is the in-flight mark. A release submitted before the ack
+	// consumes the mark and ships token 0, and the grant that then
+	// arrives is counted as granted and released at once, so Grants −
+	// Releases stays the records held.
+	fences map[fenceRef]*acquireCompletion
+	closed bool
 	// ffErrs holds the failures pushed back for fire-and-forget releases,
 	// by instance: only that instance's completion joins report one (and
 	// consume it). At most ffErrCap are kept: a push that lost the race
@@ -170,7 +178,7 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 		cfg:     cfg,
 		conn:    nc,
 		pending: map[uint64]chan result{},
-		fences:  map[fenceRef]uint64{},
+		fences:  map[fenceRef]*acquireCompletion{},
 		ffErrs:  map[locktable.InstKey]error{},
 		qwake:   make(chan struct{}, 1),
 		stop:    make(chan struct{}),
@@ -486,7 +494,7 @@ func (c *Client) heartbeats(every time.Duration) {
 		case <-c.stop:
 			return
 		case <-t.C:
-			reqID, _ := c.register()
+			reqID, _ := c.register(nil)
 			var e enc
 			e.u8(opHeartbeat)
 			e.u64(reqID)
@@ -523,8 +531,10 @@ func (c *Client) shutdown() {
 	}
 }
 
-// register allocates a request ID and its response channel.
-func (c *Client) register() (uint64, chan result) {
+// register allocates a request ID and its response channel. A non-nil
+// mark (an acquire) is entered in fences as its in-flight mark, in the
+// same critical section.
+func (c *Client) register(mark *acquireCompletion) (uint64, chan result) {
 	reqID := c.nextReq.Add(1)
 	ch := make(chan result, 1)
 	c.mu.Lock()
@@ -534,6 +544,9 @@ func (c *Client) register() (uint64, chan result) {
 		return reqID, ch
 	}
 	c.pending[reqID] = ch
+	if mark != nil {
+		c.fences[fenceRef{ent: mark.ent, key: mark.key}] = mark
+	}
 	depth := int64(len(c.pending))
 	c.mu.Unlock()
 	c.wm.InFlight.Add(1)
@@ -577,7 +590,7 @@ func (c *Client) sendSpan(build func(*enc), sp *obs.Span) error {
 // call is the synchronous request/response path for everything but
 // Acquire and Release.
 func (c *Client) call(build func(reqID uint64, e *enc)) (result, error) {
-	reqID, ch := c.register()
+	reqID, ch := c.register(nil)
 	if err := c.send(func(e *enc) { build(reqID, e) }); err != nil {
 		c.unregister(reqID)
 		return result{}, err
@@ -617,16 +630,26 @@ func (c *Client) await(ch chan result) (result, error) {
 	return res, nil
 }
 
-// acquireCompletion is one in-flight acquire: submitted, not yet joined.
+// acquireCompletion is one acquire: submitted, then joined, then — once
+// granted — the grant record fences keeps until the release. It is in
+// fences from submission on, as the in-flight mark.
 type acquireCompletion struct {
 	c      *Client
 	reqID  uint64
 	ch     chan result
 	key    locktable.InstKey
 	ent    model.EntityID
-	mode   locktable.Mode
 	doomed <-chan struct{}
 	sp     *obs.Span // non-nil iff the op is sampled
+	mode   locktable.Mode
+
+	// Guarded by c.mu. fence is the grant's fencing token (0 until the
+	// grant is processed); released is set when a release consumed the
+	// in-flight mark and shipped token 0 before that. (released packs
+	// into the padding after mode, which keeps the record in the 80-byte
+	// size class every acquire allocates.)
+	released bool
+	fence    uint64
 }
 
 // Wait implements locktable.Completion: the parked tail of Acquire. The
@@ -636,19 +659,32 @@ type acquireCompletion struct {
 func (a *acquireCompletion) Wait(ctx context.Context) error {
 	select {
 	case res := <-a.ch:
-		return a.c.finishAcquire(res, a.key, a.ent, a.mode, a.sp)
+		return a.c.finishAcquire(a, res, a.sp)
 	default:
 	}
 	select {
 	case res := <-a.ch:
-		return a.c.finishAcquire(res, a.key, a.ent, a.mode, a.sp)
+		return a.c.finishAcquire(a, res, a.sp)
 	case <-ctx.Done():
-		return a.c.cancelAcquire(a.reqID, a.ch, a.key, a.ent, a.mode, ctx.Err())
+		return a.c.cancelAcquire(a, ctx.Err())
 	case <-a.doomed:
-		return a.c.cancelAcquire(a.reqID, a.ch, a.key, a.ent, a.mode, locktable.ErrWounded)
+		return a.c.cancelAcquire(a, locktable.ErrWounded)
 	case <-a.c.stop:
+		a.c.unmark(a)
 		return locktable.ErrStopped
 	}
+}
+
+// unmark clears an acquire's in-flight mark once it resolved without a
+// grant. A grant turned the mark into a record, and a token-0 release
+// already consumed it; both are left alone.
+func (c *Client) unmark(a *acquireCompletion) {
+	ref := fenceRef{ent: a.ent, key: a.key}
+	c.mu.Lock()
+	if c.fences[ref] == a && a.fence == 0 {
+		delete(c.fences, ref)
+	}
+	c.mu.Unlock()
 }
 
 // AcquireAsync implements locktable.AsyncTable: the request is queued for
@@ -657,15 +693,17 @@ func (a *acquireCompletion) Wait(ctx context.Context) error {
 // hosted table serially), so a pipelined chain reaches exactly the states
 // the synchronous chain would — the property that lets a *certified*
 // template ship its next lock request before the previous ack returns.
+// The (entity, instance) is marked in flight until the completion
+// resolves, so a release may follow at once (see ReleaseAsync).
 func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) locktable.Completion {
 	return c.acquireAsync(inst, ent, mode, nil)
 }
 
 // AcquireAsyncSpan implements locktable.SpannedAsyncTable: AcquireAsync
 // with a sampled span riding along. The frame grows one trailing marker
-// byte — legal on the v2 protocol because the decoder ignores leftover
-// bytes — which tells the server to time its stages and send them back as
-// deltas on the grant reply.
+// byte — the acquire decoder ignores leftover bytes, so this needed no
+// version bump — which tells the server to time its stages and send them
+// back as deltas on the grant reply.
 func (c *Client) AcquireAsyncSpan(inst locktable.Instance, ent model.EntityID, mode locktable.Mode, sp *obs.Span) locktable.Completion {
 	return c.acquireAsync(inst, ent, mode, sp)
 }
@@ -677,7 +715,9 @@ func (c *Client) AcquireSpan(ctx context.Context, inst locktable.Instance, ent m
 }
 
 func (c *Client) acquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode, sp *obs.Span) locktable.Completion {
-	reqID, ch := c.register()
+	a := &acquireCompletion{c: c, key: inst.Key, ent: ent, mode: mode, doomed: inst.Doomed, sp: sp}
+	reqID, ch := c.register(a)
+	a.reqID, a.ch = reqID, ch
 	if err := c.sendSpan(func(e *enc) {
 		e.u8(opAcquire)
 		e.u64(reqID)
@@ -690,9 +730,10 @@ func (c *Client) acquireAsync(inst locktable.Instance, ent model.EntityID, mode 
 		}
 	}, sp); err != nil {
 		c.unregister(reqID)
+		c.unmark(a)
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
-	return &acquireCompletion{c: c, reqID: reqID, ch: ch, key: inst.Key, ent: ent, mode: mode, doomed: inst.Doomed, sp: sp}
+	return a
 }
 
 // Acquire implements locktable.Table: the request blocks server-side in
@@ -700,19 +741,28 @@ func (c *Client) acquireAsync(inst locktable.Instance, ent model.EntityID, mode 
 // cancellation and doom map to a cancel message that withdraws it there,
 // and a grant that races the cancellation is released before returning.
 func (c *Client) Acquire(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode locktable.Mode) error {
-	return c.AcquireAsync(inst, ent, mode).Wait(ctx)
+	return c.acquireAsync(inst, ent, mode, nil).Wait(ctx)
 }
 
 // finishAcquire maps an acquire result onto the Table contract, recording
 // the fencing token on a grant. Grants are counted here — client-side, so
 // this connection's table bundle covers exactly the traffic it generated
 // (the server keeps its own authoritative bundle for the hosted table).
-func (c *Client) finishAcquire(res result, key locktable.InstKey, ent model.EntityID, mode locktable.Mode, sp *obs.Span) error {
+// The acquire is already in fences as its mark, so the token is all it
+// records; if a token-0 release consumed the mark, the server ran that
+// release right after the grant, and the grant is counted with its
+// release.
+func (c *Client) finishAcquire(a *acquireCompletion, res result, sp *obs.Span) error {
+	key, ent, mode := a.key, a.ent, a.mode
+	if res.status != stOK {
+		c.unmark(a)
+	}
 	switch res.status {
 	case stOK:
 		d := dec{b: res.payload}
 		fence := d.u64()
 		if d.err != nil {
+			c.unmark(a)
 			return fmt.Errorf("netlock: malformed grant: %w", d.err)
 		}
 		if sp != nil && len(d.b) >= 24 {
@@ -723,10 +773,14 @@ func (c *Client) finishAcquire(res result, key locktable.InstKey, ent model.Enti
 		}
 		sp.Stamp(obs.StageWakeup)
 		c.mu.Lock()
-		c.fences[fenceRef{ent: ent, key: key}] = fence
+		a.fence = fence
+		released := a.released
 		c.mu.Unlock()
 		hint := uint64(key.ID)
 		c.m.Grants.Inc(hint)
+		if released {
+			c.m.Releases.Inc(hint) // after the grant: Held never dips below zero
+		}
 		if mode == locktable.Shared {
 			c.m.SlowShared.Inc(hint)
 		}
@@ -756,11 +810,12 @@ func (c *Client) finishAcquire(res result, key locktable.InstKey, ent model.Enti
 // cancelAcquire withdraws an in-flight acquire after the caller's context
 // or doom fired, then waits for the server's authoritative answer: if the
 // grant won the race it is released before returning, so the instance
-// holds nothing either way.
-func (c *Client) cancelAcquire(reqID uint64, ch chan result, key locktable.InstKey, ent model.EntityID, mode locktable.Mode, cause error) error {
+// holds nothing either way — and leaves no mark.
+func (c *Client) cancelAcquire(a *acquireCompletion, cause error) error {
+	defer c.unmark(a)
 	if err := c.send(func(e *enc) {
 		e.u8(opCancel)
-		e.u64(reqID)
+		e.u64(a.reqID)
 	}); err != nil {
 		// Connection gone: the request dies with the session server-side
 		// (release-on-disconnect); nothing is held.
@@ -778,11 +833,12 @@ func (c *Client) cancelAcquire(reqID uint64, ch chan result, key locktable.InstK
 	timer := time.NewTimer(bound)
 	defer timer.Stop()
 	select {
-	case res := <-ch:
+	case res := <-a.ch:
 		if res.status == stOK {
-			// The grant raced the cancel: record it, then give it back.
-			if c.finishAcquire(res, key, ent, mode, nil) == nil {
-				c.Release(ent, key)
+			// The grant raced the cancel: record it, then give it back (a
+			// no-op when a token-0 release chained behind it already did).
+			if c.finishAcquire(a, res, nil) == nil {
+				c.Release(a.ent, a.key)
 			}
 		}
 		return cause
@@ -796,7 +852,9 @@ func (c *Client) cancelAcquire(reqID uint64, ch chan result, key locktable.InstK
 
 // takeFence consumes the client-side grant record for (ent, key),
 // reporting the fencing token and whether a record existed. The shared
-// front half of every release path.
+// front half of the single-entity release paths. An in-flight mark is
+// consumed too and reports token 0: the release then names the grant its
+// acquire will record, and finishAcquire counts both when it arrives.
 func (c *Client) takeFence(ent model.EntityID, key locktable.InstKey) (fence uint64, held, closed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -804,13 +862,19 @@ func (c *Client) takeFence(ent model.EntityID, key locktable.InstKey) (fence uin
 		return 0, false, true
 	}
 	ref := fenceRef{ent: ent, key: key}
-	fence, held = c.fences[ref]
+	a, held := c.fences[ref]
 	if held {
 		delete(c.fences, ref)
-		// The client-side un-hold: the grant record is consumed here, so
-		// this is where Grants − Releases = records still held balances
-		// (whatever the server replies, the record is no longer ours).
-		c.m.Releases.Inc(uint64(key.ID))
+		fence = a.fence
+		if fence == 0 {
+			a.released = true
+		} else {
+			// The client-side un-hold: the grant record is consumed here,
+			// so this is where Grants − Releases = records still held
+			// balances (whatever the server replies, the record is no
+			// longer ours).
+			c.m.Releases.Inc(uint64(key.ID))
+		}
 	}
 	return fence, held, false
 }
@@ -818,7 +882,7 @@ func (c *Client) takeFence(ent model.EntityID, key locktable.InstKey) (fence uin
 // finishRelease maps a release result onto the Table contract.
 func (c *Client) finishRelease(res result, err error) error {
 	switch {
-	case err != nil:
+	case err != nil, res.status == stStopped:
 		return locktable.ErrStopped
 	case res.status == stOK:
 		return nil
@@ -873,6 +937,14 @@ const ffErrCap = 256
 // ReleaseAsyncAcked instead. The fence record is consumed at submission,
 // so a later ReleaseAll of the same entity is the usual no-op rather than
 // a double release.
+//
+// The release need not wait for its own acquire's ack: while an acquire
+// of the entity is in flight it ships token 0, which the
+// server resolves in the instance's wire order to whatever that acquire
+// recorded — the grant is released right after it is made, and a failed
+// or withdrawn acquire makes the release the silent no-op. The caller
+// still joins the acquire, whose completion reports the grant (or the
+// failure) as usual.
 func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktable.Completion {
 	fence, held, closed := c.takeFence(ent, key)
 	if closed {
@@ -914,6 +986,11 @@ func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktab
 // connection the wire's FIFO already orders the release ahead of the
 // instance's next operation, which is why the pipelined tier keeps the
 // receipt-free ReleaseAsync. Release is this call joined at once.
+//
+// Like ReleaseAsync, it ships token 0 while the entity's acquire is in
+// flight. Its receipt then waits for that acquire to resolve, which
+// may take as long as any lock wait, so the join is bounded by ctx and
+// the connection's life rather than by await's self-fence.
 func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) locktable.Completion {
 	fence, held, closed := c.takeFence(ent, key)
 	if closed {
@@ -922,7 +999,7 @@ func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) lo
 	if !held {
 		return locktable.ResolvedCompletion(nil)
 	}
-	reqID, ch := c.register()
+	reqID, ch := c.register(nil)
 	if err := c.send(func(e *enc) {
 		e.u8(opRelease)
 		e.u64(reqID)
@@ -932,6 +1009,16 @@ func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) lo
 	}); err != nil {
 		c.unregister(reqID)
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
+	}
+	if fence == 0 {
+		return locktable.CompletionFunc(func(ctx context.Context) error {
+			select {
+			case res := <-ch:
+				return c.finishRelease(res, nil)
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		})
 	}
 	return locktable.CompletionFunc(func(context.Context) error {
 		return c.finishRelease(c.await(ch))
@@ -943,7 +1030,9 @@ func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) lo
 // Stale entries are skipped server-side — they are no longer this
 // session's to free — and reported back as one ErrStaleFence-wrapping
 // error counting every skipped release, so no failure is silently
-// dropped.
+// dropped. The frame executes inline, outside the instance's chain, so
+// in-flight marks are left for their acquires' joins to settle (callers
+// resolve their acquires first, as Session.Abort does).
 func (c *Client) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
 	type rel struct {
 		ent   model.EntityID
@@ -957,9 +1046,9 @@ func (c *Client) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error 
 	rels := make([]rel, 0, len(ents))
 	for _, ent := range ents {
 		ref := fenceRef{ent: ent, key: key}
-		if fence, ok := c.fences[ref]; ok {
+		if a, ok := c.fences[ref]; ok && a.fence != 0 {
 			delete(c.fences, ref)
-			rels = append(rels, rel{ent: ent, fence: fence})
+			rels = append(rels, rel{ent: ent, fence: a.fence})
 		}
 	}
 	c.mu.Unlock()
@@ -991,11 +1080,12 @@ func (c *Client) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error 
 // Withdraw implements locktable.Table. The session has no pending request
 // it did not park an Acquire on (the contract forbids racing one's own
 // Acquire), so Withdraw is the granted-lock cleanup path: it reports
-// whether a recorded grant was released.
+// whether a recorded grant was released (an in-flight mark is not one).
 func (c *Client) Withdraw(ent model.EntityID, key locktable.InstKey) bool {
 	c.mu.Lock()
 	ref := fenceRef{ent: ent, key: key}
-	_, held := c.fences[ref]
+	a, held := c.fences[ref]
+	held = held && a.fence != 0
 	if held {
 		delete(c.fences, ref)
 	}

@@ -73,8 +73,11 @@ func acquire(t *testing.T, c *Client, id int, ent model.EntityID) {
 func fenceOf(c *Client, ent model.EntityID, id int) (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f, ok := c.fences[fenceRef{ent: ent, key: locktable.InstKey{ID: id}}]
-	return f, ok
+	a, ok := c.fences[fenceRef{ent: ent, key: locktable.InstKey{ID: id}}]
+	if !ok {
+		return 0, false
+	}
+	return a.fence, true
 }
 
 // TestKilledConnMidAcquire: a connection dying while its acquire is
@@ -380,50 +383,55 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition never became true")
 }
 
-// TestHandshakeRejectsStaleProtocolVersion: a v1 dialer (an exclusive-
-// only build that neither sends the opAcquire mode byte nor expects one
-// in grant-log events) must be rejected at the handshake with a message
-// naming both versions — never half-parsed into silently-exclusive
-// semantics.
+// TestHandshakeRejectsStaleProtocolVersion: every earlier protocol
+// version must be rejected at the handshake with a message naming both
+// versions. A v1 dialer (exclusive-only: no opAcquire mode byte, none
+// expected in grant-log events) would be half-parsed into silently-
+// exclusive semantics; v2 peers disagree on token-0 releases (a v2 server
+// would reject a v3 client's token-0 release of a held entity as stale
+// and leave the lock held).
 func TestHandshakeRejectsStaleProtocolVersion(t *testing.T) {
 	ddb, _ := testDDB(t, 2)
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
 
-	nc, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	hash := DDBHash(ddb)
-	var e enc
-	e.u8(opHello)
-	e.u64(1)                   // reqID
-	e.u32(protocolVersion - 1) // the previous (exclusive-only) protocol
-	e.boolean(false)           // woundWait
-	e.boolean(false)           // trace
-	e.raw(hash[:])
-	nc.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeFrame(nc, e.b); err != nil {
-		t.Fatal(err)
-	}
-	body, err := readFrame(nc)
-	if err != nil {
-		t.Fatalf("no handshake reply: %v", err)
-	}
-	d := dec{b: body}
-	if op := d.u8(); op != opResult {
-		t.Fatalf("reply opcode %#x, want opResult", op)
-	}
-	d.u64() // reqID
-	if status := d.u8(); status != stErr {
-		t.Fatalf("stale-version hello status %#x, want stErr", status)
-	}
-	msg := d.str()
-	if d.err != nil || !strings.Contains(msg, "protocol version") {
-		t.Fatalf("rejection message %q does not name the protocol version", msg)
-	}
-	// The server hung up: the next read is EOF, not a session.
-	if _, err := readFrame(nc); err == nil {
-		t.Fatal("server kept a stale-version connection open")
+	for _, version := range []uint32{1, 2} {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		hash := DDBHash(ddb)
+		var e enc
+		e.u8(opHello)
+		e.u64(1) // reqID
+		e.u32(version)
+		e.boolean(false) // woundWait
+		e.boolean(false) // trace
+		e.raw(hash[:])
+		nc.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writeFrame(nc, e.b); err != nil {
+			t.Fatal(err)
+		}
+		body, err := readFrame(nc)
+		if err != nil {
+			t.Fatalf("v%d: no handshake reply: %v", version, err)
+		}
+		d := dec{b: body}
+		if op := d.u8(); op != opResult {
+			t.Fatalf("v%d: reply opcode %#x, want opResult", version, op)
+		}
+		d.u64() // reqID
+		if status := d.u8(); status != stErr {
+			t.Fatalf("v%d hello status %#x, want stErr", version, status)
+		}
+		msg := d.str()
+		want := fmt.Sprintf("protocol version %d, server speaks %d", version, protocolVersion)
+		if d.err != nil || !strings.Contains(msg, want) {
+			t.Fatalf("rejection message %q does not name both versions (%q)", msg, want)
+		}
+		// The server hung up: the next read is EOF, not a session.
+		if _, err := readFrame(nc); err == nil {
+			t.Fatalf("server kept a v%d connection open", version)
+		}
 	}
 }

@@ -304,3 +304,163 @@ func TestPipelinedChainHappyPath(t *testing.T) {
 		acquire(t, probe, 4, e)
 	}
 }
+
+// Token-0 releases: a pipelined release may ship before its own acquire's
+// ack, naming "the grant my acquire records" instead of a fencing token.
+// These tests pin how the server resolves one and what the client books.
+
+// noRecord reports whether the client holds neither a grant record nor an
+// in-flight mark for (ent, id) (white-box).
+func noRecord(c *Client, ent model.EntityID, id int) bool {
+	_, ok := fenceOf(c, ent, id)
+	return !ok
+}
+
+// TestTokenZeroReleaseBehindParkedAcquire: an acquire parked behind a
+// foreign holder with its release submitted at once frees the entity the
+// moment it is granted. Both completions join clean, nobody's books show
+// the lock held, no fence is rejected, and the client keeps no record.
+func TestTokenZeroReleaseBehindParkedAcquire(t *testing.T) {
+	ddb, ents := testDDB(t, 1)
+	x := ents[0]
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
+	holder := dial(t, srv, locktable.Config{}, DialOptions{})
+	c := dial(t, srv, locktable.Config{}, DialOptions{})
+
+	acquire(t, holder, 1, x)
+	inst := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
+	acq := c.AcquireAsync(inst, x, locktable.Exclusive)
+	waitFor(t, func() bool { return len(holder.Snapshot()) == 1 }) // parked
+	rel := c.ReleaseAsync(x, inst.Key)                             // token 0, chained behind it
+	if err := holder.Release(x, locktable.InstKey{ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := acq.Wait(ctx); err != nil {
+		t.Fatalf("parked acquire = %v", err)
+	}
+	if err := rel.Wait(ctx); err != nil {
+		t.Fatalf("token-0 release = %v", err)
+	}
+
+	acquire(t, holder, 3, x) // grantable again
+	if err := holder.Release(x, locktable.InstKey{ID: 3}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return srv.TableMetrics().Snapshot().Held == 0 })
+	m := c.TableMetrics().Snapshot()
+	if m.Held != 0 || m.Grants != 1 {
+		t.Fatalf("client books grants=%d held=%d, want 1 and 0", m.Grants, m.Held)
+	}
+	if n := srv.Metrics().FenceRejections.Load() + c.Metrics().FenceRejections.Load(); n != 0 {
+		t.Fatalf("%d fence rejections for a token-0 release of a live grant", n)
+	}
+	if !noRecord(c, x, 2) {
+		t.Fatal("client kept a record for a grant its token-0 release freed")
+	}
+}
+
+// TestTokenZeroReleaseAfterLeaseRevokeIsStale: a lease revoked between a
+// grant and its token-0 release leaves a tombstone, so the release is
+// rejected as stale — acked or fire-and-forget — instead of passing for
+// the no-op of a failed acquire. Without it, a lease lost mid-transaction
+// would commit clean. Every tombstone is consumed by the first release or
+// withdraw naming its grant, so none outlives the transaction.
+func TestTokenZeroReleaseAfterLeaseRevokeIsStale(t *testing.T) {
+	ddb, ents := testDDB(t, 3)
+	x, y, z := ents[0], ents[1], ents[2]
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: 150 * time.Millisecond})
+	c := dial(t, srv, locktable.Config{}, DialOptions{NoHeartbeat: true})
+
+	ix := locktable.Instance{Key: locktable.InstKey{ID: 1}, Prio: 1}
+	iy := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
+	acquire(t, c, 3, z) // joined before the revoke: a recorded grant
+	ax := c.AcquireAsync(ix, x, locktable.Exclusive)
+	ay := c.AcquireAsync(iy, y, locktable.Exclusive)
+	waitFor(t, func() bool { return srv.TableMetrics().Snapshot().Grants == 3 }) // all granted
+	waitFor(t, func() bool { return srv.Metrics().LeaseExpiries.Load() >= 1 })   // and revoked
+	if c.Withdraw(z, locktable.InstKey{ID: 3}) {
+		t.Fatal("withdraw of a revoked grant reported it held")
+	}
+	rx := c.ReleaseAsyncAcked(x, ix.Key)
+	ry := c.ReleaseAsync(y, iy.Key)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := rx.Wait(ctx); !errors.Is(err, ErrStaleFence) {
+		t.Fatalf("acked token-0 release after revoke = %v, want ErrStaleFence", err)
+	}
+	waitFor(t, func() bool { return c.Metrics().FenceRejections.Load() == 2 }) // the push landed
+	if err := ry.Wait(ctx); !errors.Is(err, ErrStaleFence) {
+		t.Fatalf("fire-and-forget token-0 release after revoke = %v, want ErrStaleFence", err)
+	}
+	for _, a := range []locktable.Completion{ax, ay} {
+		if err := a.Wait(ctx); err != nil {
+			t.Fatalf("acquire granted before the revoke = %v", err)
+		}
+	}
+	if n := srv.Metrics().FenceRejections.Load(); n != 2 {
+		t.Fatalf("server counted %d fence rejections, want 2", n)
+	}
+	if held := c.TableMetrics().Snapshot().Held; held != 0 {
+		t.Fatalf("client books %d held", held)
+	}
+	if !noRecord(c, x, 1) || !noRecord(c, y, 2) || !noRecord(c, z, 3) {
+		t.Fatal("client kept records after the releases")
+	}
+	srv.connsMu.RLock()
+	defer srv.connsMu.RUnlock()
+	for _, sc := range srv.conns {
+		sc.mu.Lock()
+		n := len(sc.tombs)
+		sc.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("server kept %d tombstones after every revoked grant was released or withdrawn", n)
+		}
+	}
+}
+
+// TestCancelledAcquireWithChainedTokenZeroRelease: withdrawing a parked
+// acquire whose token-0 release is already chained behind it leaves the
+// release the silent no-op — no fence rejection on either side — and the
+// client with no mark, while the foreign holder keeps its lock.
+func TestCancelledAcquireWithChainedTokenZeroRelease(t *testing.T) {
+	ddb, ents := testDDB(t, 1)
+	x := ents[0]
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
+	holder := dial(t, srv, locktable.Config{}, DialOptions{})
+	c := dial(t, srv, locktable.Config{}, DialOptions{})
+
+	acquire(t, holder, 1, x)
+	inst := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
+	acq := c.AcquireAsync(inst, x, locktable.Exclusive)
+	waitFor(t, func() bool { return len(holder.Snapshot()) == 1 }) // parked
+	rel := c.ReleaseAsyncAcked(x, inst.Key)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := acq.Wait(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled acquire = %v, want context.Canceled", err)
+	}
+	ctx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+	defer stop()
+	if err := rel.Wait(ctx); err != nil {
+		t.Fatalf("token-0 release behind a withdrawn acquire = %v, want the no-op", err)
+	}
+	if n := srv.Metrics().FenceRejections.Load() + c.Metrics().FenceRejections.Load(); n != 0 {
+		t.Fatalf("%d fence rejections for a withdrawn acquire's release", n)
+	}
+	if !noRecord(c, x, 2) {
+		t.Fatal("cancelled acquire left an in-flight mark")
+	}
+	if held := c.TableMetrics().Snapshot().Held; held != 0 {
+		t.Fatalf("client books %d held", held)
+	}
+	// The holder was never disturbed: the entity is still its own.
+	probeCtx, probeCancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer probeCancel()
+	err := c.Acquire(probeCtx, locktable.Instance{Key: locktable.InstKey{ID: 3}, Prio: 3}, x, locktable.Exclusive)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("probe acquired a lock the holder still has (err=%v)", err)
+	}
+}

@@ -27,7 +27,16 @@
 //     therefore carries a fencing token from a per-entity counter bumped on
 //     each grant, releases must present the token they were granted, and a
 //     stale token is rejected (ErrStaleFence) — a lease-expired holder's
-//     late release can never free a re-granted lock.
+//     late release can never free a re-granted lock. A pipelined release
+//     may ship before its own acquire's ack, carrying token 0: "the grant
+//     this instance's earlier acquire of this entity recorded on this
+//     connection". The server resolves it in the instance's wire order,
+//     so the acquire has resolved by then: a recorded grant is released,
+//     no record is the no-op of an acquire that failed or was withdrawn.
+//     A lease expiry leaves a tombstone per revoked grant, and the first
+//     release naming that (entity, instance) — token 0 or not — consumes
+//     it as ErrStaleFence, so a lease lost mid-transaction still fails
+//     the instance's commit.
 //
 //   - Server-push wound delivery. Under wound-wait the grant path decides
 //     to wound a holder that may live in another process: the server pushes
@@ -62,7 +71,12 @@ import (
 //	    grant-log events carry the granted mode. A v1 peer would silently
 //	    treat every lock as exclusive (or mis-parse the extra byte), so
 //	    the handshake rejects the mismatch instead.
-const protocolVersion = 2
+//	3 — token-0 releases: a release may name "the grant this instance's
+//	    earlier acquire recorded" instead of a fencing token, and lease
+//	    expiry leaves tombstones that fail the next release. A v2 server
+//	    would treat a token-0 release of a held entity as stale and leave
+//	    the lock held, so the handshake rejects the mismatch.
+const protocolVersion = 3
 
 // maxFrame bounds a frame body; larger frames indicate a corrupt stream.
 const maxFrame = 16 << 20
@@ -73,7 +87,7 @@ const (
 	opHello      = 0x01 // version, woundWait, trace, ddb hash
 	opAcquire    = 0x02 // reqID, inst key, prio, entity, mode
 	opCancel     = 0x03 // reqID of the in-flight acquire to withdraw
-	opRelease    = 0x04 // reqID, entity, inst key, fencing token
+	opRelease    = 0x04 // reqID, entity, inst key, fencing token (0: the instance's own in-flight grant)
 	opReleaseAll = 0x05 // reqID, inst key, n × (entity, fencing token)
 	opWithdraw   = 0x06 // reqID, entity, inst key
 	opWound      = 0x07 // reqID, inst key

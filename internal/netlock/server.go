@@ -147,7 +147,8 @@ type srvConn struct {
 	mu        sync.Mutex // guards the fields below; never held around table calls
 	acquires  map[uint64]*pendingAcq
 	chains    map[locktable.InstKey]*acqChain
-	grants    map[grantRef]uint64 // recorded grant -> fencing token
+	grants    map[grantRef]uint64   // recorded grant -> fencing token
+	tombs     map[grantRef]struct{} // grants a lease expiry revoked, until a release, withdraw or re-grant (see revoke)
 	closed    bool
 	leaseLost bool
 
@@ -363,7 +364,10 @@ func (s *Server) sweeper() {
 // revoke withdraws a connection's pending acquires and releases its
 // recorded grants — the lease-expiry and disconnect path. With
 // disconnect=false the connection survives (lease-lost until the next
-// heartbeat); with disconnect=true it is being torn down.
+// heartbeat) and every grant taken leaves a tombstone: the first release
+// naming it is rejected as stale whatever its token, and a new grant of
+// the same ref clears it (see releaseComposed, recordGrant). With
+// disconnect=true it is being torn down, and nobody is left to release.
 func (s *Server) revoke(c *srvConn, disconnect bool) {
 	c.mu.Lock()
 	if c.leaseLost && !disconnect {
@@ -381,6 +385,12 @@ func (s *Server) revoke(c *srvConn, disconnect bool) {
 	grants := make([]grantRef, 0, len(c.grants))
 	for ref := range c.grants {
 		grants = append(grants, ref)
+		if !disconnect {
+			if c.tombs == nil {
+				c.tombs = map[grantRef]struct{}{}
+			}
+			c.tombs[ref] = struct{}{}
+		}
 	}
 	c.grants = map[grantRef]uint64{}
 	c.mu.Unlock()
@@ -588,8 +598,8 @@ func (c *srvConn) result(reqID uint64, status byte, payload func(*enc)) {
 // resultSpan is result for a sampled grant: the reply grows a 24-byte
 // trailer — chain-start, grant, and reply-enqueue offsets as ns deltas
 // from server receipt — which the client re-anchors into its own timeline
-// (deltas, never wall clocks, so host skew is irrelevant). Legal on the v2
-// protocol because the grant decoder ignores leftover bytes.
+// (deltas, never wall clocks, so host skew is irrelevant). It needed no
+// version bump because the grant decoder ignores leftover bytes.
 func (c *srvConn) resultSpan(reqID uint64, status byte, sp *obs.Span, payload func(*enc)) {
 	if sp == nil {
 		c.result(reqID, status, payload)
@@ -817,9 +827,10 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 		if ch := c.chains[composed]; ch != nil {
 			// The instance still has acquires in flight: the release takes
 			// its place in the chain behind them, so it executes in program
-			// order (see chainItem). The no-chain case below is ordered by
-			// the wire itself — an empty chain means every earlier acquire
-			// of this instance already resolved.
+			// order (see chainItem) — and a token-0 release finds the grant
+			// its own acquire recorded. The no-chain case below is ordered
+			// by the wire itself — an empty chain means every earlier
+			// acquire of this instance already resolved.
 			ch.q = append(ch.q, &chainItem{reqID: reqID, key: composed, ent: ent, fence: fence, rel: true})
 			c.mu.Unlock()
 			return nil
@@ -831,8 +842,9 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 	case opReleaseAll:
 		key := d.key()
 		n := int(d.u32())
-		if d.err != nil || n > maxFrame/16 {
-			// The count comes off the wire: reject before allocating.
+		if d.err != nil || n > len(d.b)/16 {
+			// The count comes off the wire: reject a count the frame cannot
+			// hold (16 bytes per entry) before allocating for it.
 			return fmt.Errorf("netlock: malformed release-all frame")
 		}
 		type rel struct {
@@ -870,6 +882,9 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 		if held {
 			delete(c.grants, ref)
 		}
+		// A withdraw of a revoked grant consumes its tombstone: composed
+		// keys are never reused, so nothing else would.
+		delete(c.tombs, ref)
 		c.mu.Unlock()
 		if held {
 			s.tab.Release(ent, composed)
@@ -937,9 +952,14 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 }
 
 // release validates the fencing token and frees the entity. The recorded
-// grant is the authority: no record means the session does not hold the
-// entity *now* — either it never did (the in-process no-op case, reported
-// stOK) or its lease was revoked (stStaleFence, reported so a late release
+// grant is the authority: a release frees it when it presents the grant's
+// token, or token 0 — "whatever my earlier acquire of this entity
+// recorded", sent by a pipelined client before that acquire's ack
+// returned, and resolved here in the instance's wire order. No record
+// means the session does not hold the entity *now*: a token-0 release
+// then names an acquire that failed or was withdrawn (the silent no-op,
+// stOK), while a real token, or a lease-expiry tombstone for the ref,
+// means the grant was revoked (stStaleFence, reported so a late release
 // can see it did not free anything).
 func (s *Server) release(c *srvConn, ent model.EntityID, key locktable.InstKey, fence uint64) byte {
 	return s.releaseComposed(c, ent, composeKey(c.id, key), fence)
@@ -949,18 +969,48 @@ func (s *Server) releaseComposed(c *srvConn, ent model.EntityID, composed lockta
 	ref := grantRef{ent: ent, key: composed}
 	c.mu.Lock()
 	cur, held := c.grants[ref]
-	if held && cur == fence {
+	if held && (fence == 0 || cur == fence) {
 		delete(c.grants, ref)
 		c.mu.Unlock()
 		s.tab.Release(ent, composed)
 		return stOK
 	}
+	_, tomb := c.tombs[ref]
+	if tomb {
+		delete(c.tombs, ref)
+	}
 	c.mu.Unlock()
-	if fence == 0 && !held {
-		return stOK // release of nothing: the in-process no-op
+	if fence == 0 && !held && !tomb {
+		return stOK
 	}
 	s.wm.FenceRejections.Inc()
 	return stStaleFence
+}
+
+// recordGrant records a granted acquire under c.mu: it mints the fencing
+// token, clears a lease-expiry tombstone left for the same ref, and logs
+// the grant. A duplicate acquire by the current holder keeps its token —
+// the inner table granted nothing new, so nothing is minted or logged.
+// Logging inside the critical section that records the grant keeps
+// per-entity trace order equal to grant order: every release path
+// happens-after the append (a real token needs the grant reply, a token-0
+// release runs behind its acquire in wire order, and revocation reads
+// c.grants under this mutex).
+func (s *Server) recordGrant(c *srvConn, ref grantRef, mode locktable.Mode) uint64 {
+	if fence, dup := c.grants[ref]; dup {
+		return fence
+	}
+	fence := s.nextFence(ref.ent)
+	c.grants[ref] = fence
+	if len(c.tombs) > 0 {
+		delete(c.tombs, ref)
+	}
+	if s.cfg.Trace {
+		s.traceMu.Lock()
+		s.trace = append(s.trace, locktable.GrantEvent{Entity: ref.ent, Inst: ref.key.ID, Epoch: ref.key.Epoch, Mode: mode})
+		s.traceMu.Unlock()
+	}
+	return fence
 }
 
 // execRelease frees the entity and replies under the release reply
@@ -1051,17 +1101,7 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, p
 					}
 					return
 				}
-				ref := grantRef{ent: ent, key: composed}
-				fence, dup := c.grants[ref]
-				if !dup {
-					fence = s.nextFence(ent)
-					c.grants[ref] = fence
-					if s.cfg.Trace {
-						s.traceMu.Lock()
-						s.trace = append(s.trace, locktable.GrantEvent{Entity: ent, Inst: composed.ID, Epoch: composed.Epoch, Mode: mode})
-						s.traceMu.Unlock()
-					}
-				}
+				fence := s.recordGrant(c, grantRef{ent: ent, key: composed}, mode)
 				c.mu.Unlock()
 				c.resultSpan(reqID, stOK, sp, func(e *enc) { e.u64(fence) })
 				return
@@ -1185,26 +1225,7 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	cancelled, wounded, revoked, dead := acq.cancelled, acq.wounded, acq.revoked, c.closed
 	var fence uint64
 	if err == nil && !cancelled && !wounded && !revoked && !dead {
-		ref := grantRef{ent: ent, key: composed}
-		if old, dup := c.grants[ref]; dup {
-			// A duplicate acquire by the current holder: the inner table
-			// returned nil without granting anything new, so the lease
-			// bookkeeping must not mint a new token or log a new grant.
-			fence = old
-		} else {
-			fence = s.nextFence(ent)
-			c.grants[ref] = fence
-			if s.cfg.Trace {
-				// Logged inside the same critical section that records
-				// the grant: any release path (client release needs this
-				// goroutine's reply first; revocation reads c.grants under
-				// this mutex) happens-after the append, so per-entity
-				// trace order is grant order.
-				s.traceMu.Lock()
-				s.trace = append(s.trace, locktable.GrantEvent{Entity: ent, Inst: composed.ID, Epoch: composed.Epoch, Mode: it.mode})
-				s.traceMu.Unlock()
-			}
-		}
+		fence = s.recordGrant(c, grantRef{ent: ent, key: composed}, it.mode)
 	}
 	c.mu.Unlock()
 	if err == nil && fence == 0 {

@@ -31,12 +31,14 @@ const (
 	// BackendRemote: the cross-process backend — a netlock client speaking
 	// the wire protocol to a dlserver-hosted table (internal/netlock).
 	// Requires EngineOptions.RemoteAddr; never chosen by BackendDefault.
+	// Rejects StrategyDetect: the lock space is shared with other
+	// processes, and no server-side detector sees their waits.
 	BackendRemote
 	// BackendCluster: the partitioned lock space — each entity hash-routed
 	// to one of N dlservers (internal/cluster), so independent servers
 	// jointly serve one lock space with no cross-server coordination on
 	// the certified tier. Requires EngineOptions.RemoteAddrs; never chosen
-	// by BackendDefault.
+	// by BackendDefault. Rejects StrategyDetect, as BackendRemote does.
 	BackendCluster
 )
 
@@ -96,19 +98,20 @@ type EngineOptions struct {
 	// backend: sessions of a StrategyNone engine keep up to this many
 	// unacknowledged acquires in flight (shipping the next lock request
 	// before the previous ack returns) and fire receipt-free releases,
-	// surfacing their errors at Commit. Zero (the default) keeps every
-	// Lock synchronous; Unlock on a wire backend returns at submission
-	// either way, its receipt joined by Commit (see Session.Unlock). The
-	// knob only takes effect when the strategy is StrategyNone AND the
-	// backend implements locktable.AsyncTable (remote, cluster): static
+	// even before the released entity's own acquire is acked, surfacing
+	// their errors at Commit. Zero (the default) keeps every Lock
+	// synchronous; Unlock on a wire backend returns at submission either
+	// way, its receipt joined by Commit (see Session.Unlock). The knob
+	// only takes effect when the strategy is StrategyNone AND the backend
+	// implements locktable.AsyncTable (remote, cluster): static
 	// certification is the proof that the pipelined chain cannot
-	// deadlock, so the wound-wait and detection tiers — whose mixes carry
-	// no such proof — always Lock synchronously. A pipelined session
-	// trades mid-chain error locality for throughput: a failed acquire
-	// (wound, lease expiry) surfaces at the next session operation rather
-	// than at the Lock that shipped it, and a context cancellation inside
-	// a chain aborts the whole attempt instead of leaving the session
-	// resumable.
+	// deadlock, so the wound-wait tier — whose mix carries no such proof
+	// — always Locks synchronously. A pipelined session trades mid-chain
+	// error locality for throughput: a failed acquire (wound, lease
+	// expiry) surfaces at a later Lock that joins it, or at Commit at the
+	// latest, rather than at the Lock that shipped it, and a context
+	// cancellation inside a chain aborts the whole attempt instead of
+	// leaving the session resumable.
 	PipelineDepth int
 	// MeasureLockWait arms the engine's lock-wait histogram (see
 	// Engine.LockWait): two clock reads per granted Lock. MeasureHoldTime
@@ -214,6 +217,13 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 	}
 	if opts.DetectEvery <= 0 {
 		opts.DetectEvery = 2 * time.Millisecond
+	}
+	if b := opts.Backend.resolve(); opts.Strategy == StrategyDetect && (b == BackendRemote || b == BackendCluster) {
+		// The detector snapshots this engine's view of the table, but a wire
+		// lock space is shared with other processes whose waits it cannot
+		// see, and no server-side detector covers them: a cross-process
+		// cycle would hang. Refuse rather than run uncovered.
+		return nil, fmt.Errorf("runtime: %v strategy is not supported on the %v backend (no server-side deadlock detector)", opts.Strategy, b)
 	}
 	cfg := opts.Table
 	if cfg.Metrics == nil {

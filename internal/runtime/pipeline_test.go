@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -463,5 +464,94 @@ func waitUntil(t *testing.T, cond func() bool) {
 			t.Fatal("condition never became true")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestPipelinedUnlockDoesNotWaitForOwnAcquire: on a depth-8 engine, Lock(x)
+// and Unlock(x) both return at submission although a foreign client holds
+// x — the release names "whatever my acquire records" and waits its turn
+// server-side — and Commit, which joins the acquire, returns only after
+// the foreign holder lets go.
+func TestPipelinedUnlockDoesNotWaitForOwnAcquire(t *testing.T) {
+	e, d, srvs := pipelineFixture(t, 8, 1)
+	x := ent(t, d, "x")
+	blocker, err := netlock.Dial(srvs[0].Addr(), d, locktable.Config{}, netlock.DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blocker.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := blocker.Acquire(ctx, locktable.Instance{Key: locktable.InstKey{ID: 999}, Prio: 999}, x, locktable.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := e.Begin(buildChain(d, "A", "Lx Ux"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan error, 1)
+	go func() {
+		if err := s.Lock(ctx, x, model.Exclusive); err != nil {
+			ran <- err
+			return
+		}
+		ran <- s.Unlock(x)
+	}()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatalf("Lock/Unlock = %v", err)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("pipelined Lock(x); Unlock(x) waited for the foreign holder of x")
+	}
+
+	committed := make(chan error, 1)
+	go func() { committed <- s.Commit() }()
+	select {
+	case err := <-committed:
+		t.Fatalf("Commit returned (%v) before x was ever granted", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := blocker.Release(x, locktable.InstKey{ID: 999}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-committed:
+		if err != nil {
+			t.Fatalf("Commit = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Commit still blocked after the foreign holder released x")
+	}
+	// The release ran right behind the grant: x is free and nobody holds it.
+	waitUntil(t, func() bool { return srvs[0].TableMetrics().Snapshot().Held == 0 })
+	if err := blocker.Acquire(ctx, locktable.Instance{Key: locktable.InstKey{ID: 1000}, Prio: 1000}, x, locktable.Exclusive); err != nil {
+		t.Fatalf("x not grantable after Commit: %v", err)
+	}
+	if c := e.Counters(); c.Commits != 1 || c.PipelinedOps != 1 {
+		t.Fatalf("counters = %+v, want one pipelined commit", c)
+	}
+}
+
+// TestDetectRejectedOnWireBackends: the detector only sees this engine's
+// waits, so NewEngine refuses StrategyDetect on a shared wire lock space
+// instead of running it uncovered — before dialing anything.
+func TestDetectRejectedOnWireBackends(t *testing.T) {
+	d := model.NewDDB()
+	d.MustEntity("x", "s1")
+	for _, opts := range []EngineOptions{
+		{Strategy: StrategyDetect, Backend: BackendRemote, RemoteAddr: "127.0.0.1:1"},
+		{Strategy: StrategyDetect, Backend: BackendCluster, RemoteAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}},
+	} {
+		e, err := NewEngine(d, opts)
+		if err == nil {
+			e.Close()
+			t.Fatalf("%v on %v: NewEngine succeeded", opts.Strategy, opts.Backend)
+		}
+		if !strings.Contains(err.Error(), "detection strategy is not supported") {
+			t.Fatalf("%v on %v: error %q does not name the refused combination", opts.Strategy, opts.Backend, err)
+		}
 	}
 }

@@ -44,6 +44,8 @@ const (
 	StrategyNone Strategy = iota
 	// StrategyDetect: a global detector periodically snapshots the
 	// wait-for graph and aborts the youngest transaction on each cycle.
+	// In-process tables only: NewEngine rejects it on BackendRemote and
+	// BackendCluster, whose shared lock space no detector covers.
 	StrategyDetect
 	// StrategyWoundWait: sites wound (abort) a younger lock holder when an
 	// older transaction requests the entity.

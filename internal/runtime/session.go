@@ -55,8 +55,9 @@ type Session struct {
 	doomed   bool
 
 	// In-flight state. pendAcq holds in-flight acquires by entity, pendQ
-	// their submission order (the join-oldest window) — both pipelined
-	// engines only (see EngineOptions.PipelineDepth); rels the completions
+	// their submission order (the join-oldest window, and Commit's join
+	// order) — both pipelined engines only (see
+	// EngineOptions.PipelineDepth); rels the completions
 	// of releases Unlock shipped without waiting (every wire backend),
 	// joined by Commit; pipeErr poisons the session once any joined
 	// completion failed — every later operation reports it, and Abort
@@ -417,9 +418,10 @@ func (s *Session) joinAcquire(ctx context.Context, ent model.EntityID) error {
 // Unlock releases a held entity. On the in-process table it completes as
 // soon as the table processes the release (granting the entity to its
 // next waiter). On a wire backend it returns once the release is queued
-// for the wire, and Commit joins its completion — so a release's error (a
-// revoked lease's stale fence, a dead server) surfaces at this session's
-// Commit instead of here.
+// for the wire — on a pipelined engine even while the entity's own
+// acquire is still in flight — and Commit joins its completion, so a
+// release's error (a revoked lease's stale fence, a dead server)
+// surfaces at this session's Commit instead of here.
 func (s *Session) Unlock(ent model.EntityID) error {
 	nid, ok := s.tmpl.UnlockNode(ent)
 	if !ok {
@@ -468,22 +470,19 @@ func (s *Session) Unlock(ent model.EntityID) error {
 // their Commit reports exactly their own releases' outcomes; pipelined
 // ones keep the receipt-free release (see EngineOptions.PipelineDepth).
 //
-// The one wait Unlock may pay is a pipelined entity's own acquire ack, if
-// it is still in flight: the release needs the fencing token that ack
-// carries, and on an uncontended chain the ack has usually streamed back
-// by unlock time, overlapped with the operations in between. The session
-// does NOT wait for its other in-flight acquires — ordering the release
-// behind them is the table's job, not the session's: the netlock server
-// queues a release behind the instance's still-chained acquires (program
-// order on each server's slice), and the cluster backend fences partition
+// A pipelined session does not wait for any in-flight acquire either, not
+// even the one of the entity it unlocks: the release then names "the grant
+// my acquire records" instead of a fencing token (netlock's token 0), and
+// ordering it behind that acquire — and behind the instance's other
+// in-flight ones — is the table's job, not the session's: the netlock
+// server runs the instance's operations in wire order (program order on
+// each server's slice), and the cluster backend fences partition
 // switches, so the executed schedule stays inside the certified system
-// while this goroutine runs ahead.
+// while this goroutine runs ahead. The acquire's completion stays pending
+// and Commit joins it.
 func (s *Session) unlockAsync(ent model.EntityID, nid model.NodeID) error {
 	if s.pipeErr != nil {
 		return s.mapTableErr(s.pipeErr)
-	}
-	if err := s.joinAcquire(context.Background(), ent); err != nil {
-		return s.mapTableErr(err)
 	}
 	if s.rels == nil {
 		s.rels = make([]locktable.Completion, 0, s.tmpl.N()/2) // one per Unlock node
@@ -497,12 +496,16 @@ func (s *Session) unlockAsync(ent model.EntityID, nid model.NodeID) error {
 
 // Commit closes the session after a complete run of the class program:
 // every template operation must have executed (which implies every lock
-// was released). On a wire backend it first joins every release Unlock
-// shipped without waiting: a failed one fails the commit — ErrClosed if
-// the table stopped, the release's error (netlock.ErrStaleFence, ...)
-// wrapped otherwise — and the caller must Abort, exactly as after a
-// failed synchronous Unlock. A pending deadlock-handling signal does not
-// block a commit — the transaction finished, so the wound is moot.
+// was released). On a wire backend it first joins what the session
+// shipped without waiting — a pipelined session's in-flight acquires, in
+// submission order, then every release Unlock queued — so on a pipelined
+// engine Commit returns only once every lock was granted. A failed join
+// fails the commit (the first error wins) — ErrClosed if the table
+// stopped, the operation's error (netlock.ErrStaleFence,
+// netlock.ErrLeaseExpired, ...) wrapped otherwise — and the caller must
+// Abort, exactly as after a failed synchronous Lock or Unlock. A pending
+// deadlock-handling signal does not block a commit — the transaction
+// finished, so the wound is moot.
 func (s *Session) Commit() error {
 	if s.done {
 		return ErrSessionDone
@@ -514,6 +517,12 @@ func (s *Session) Commit() error {
 	if len(s.held) > 0 {
 		return fmt.Errorf("runtime: %s: commit while holding %d locks", s.tmpl.Name(), len(s.held))
 	}
+	// The acquires Unlock did not wait for settle first, in submission
+	// order; joinAcquire records the first failure in pipeErr.
+	for _, ent := range s.pendQ {
+		s.joinAcquire(context.Background(), ent)
+	}
+	s.pendQ = nil
 	if len(s.rels) > 0 {
 		// The releases Unlock did not wait for settle here: this is where
 		// their errors (a stale fence after lease expiry, a dead server)

@@ -142,9 +142,10 @@ func WithRemoteCluster(addrs ...string) ServiceOption {
 // WithPipelineDepth lets certified-tier sessions on a wire backend
 // (WithRemoteTable, WithRemoteCluster) keep up to depth unacknowledged
 // lock acquisitions in flight: Lock ships the request and returns
-// immediately, Unlock fires a receipt-free release, and any error a
-// pipelined operation hits surfaces at the next session call (ultimately
-// at Commit). Static certification is what makes this sound — a certified
+// immediately, Unlock fires a receipt-free release without waiting even
+// for that lock's own ack, and any error a pipelined operation hits
+// surfaces at a later session call (at Commit at the latest, which
+// returns only once every lock was granted). Static certification is what makes this sound — a certified
 // chain cannot deadlock, so shipping lock k+1 before lock k's ack returns
 // changes only latency, never the set of reachable lock-table states (the
 // server applies one session's acquires strictly in submission order).
