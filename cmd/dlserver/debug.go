@@ -25,8 +25,8 @@ func startDebug(addr string, srv *netlock.Server) (string, error) {
 	}
 
 	// Publish the same snapshots through expvar. expvar.Publish is a
-	// process-global registry, so this must run once — fine here, main
-	// calls startDebug at most once.
+	// process-global registry, so this must run once per process — fine
+	// here, main calls run once and run calls startDebug at most once.
 	expvar.Publish("distlock.table", expvar.Func(func() any { return srv.TableMetrics().Snapshot() }))
 	expvar.Publish("distlock.wire", expvar.Func(func() any { return srv.Metrics().Snapshot() }))
 

@@ -20,8 +20,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -33,20 +36,37 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is main with its arguments, output streams and shutdown signal
+// injected, so the command's test can drive it: it serves until ctx is
+// done and returns the process exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dlserver", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", "127.0.0.1:9911", "TCP listen address (host:0 picks a free port)")
-		sites     = flag.Int("sites", 8, "number of database sites (must match the clients' generator)")
-		perSite   = flag.Int("entities-per-site", 8, "entities per site (must match the clients' generator)")
-		shards    = flag.Int("shards", 0, "sharded backend stripe count (0 = default)")
-		woundWait = flag.Bool("wound-wait", false, "host a wound-wait table (for a fallback tier); dialers must agree")
-		lease     = flag.Duration("lease", netlock.DefaultLease, "connection lease: a client silent this long is revoked")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty disables)")
+		addr      = fs.String("addr", "127.0.0.1:9911", "TCP listen address (host:0 picks a free port)")
+		sites     = fs.Int("sites", 8, "number of database sites (must match the clients' generator)")
+		perSite   = fs.Int("entities-per-site", 8, "entities per site (must match the clients' generator)")
+		shards    = fs.Int("shards", 0, "sharded backend stripe count (0 = default)")
+		woundWait = fs.Bool("wound-wait", false, "host a wound-wait table (for a fallback tier); dialers must agree")
+		lease     = fs.Duration("lease", netlock.DefaultLease, "connection lease: a client silent this long is revoked")
+		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty disables)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *sites < 1 || *perSite < 1 {
-		fmt.Fprintln(os.Stderr, "dlserver: need at least one site and one entity per site")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "dlserver: need at least one site and one entity per site")
+		return 2
 	}
 	ddb := workload.NewDDB(workload.Config{Sites: *sites, EntitiesPerSite: *perSite})
 
@@ -55,28 +75,28 @@ func main() {
 		Shards:    *shards,
 	}, netlock.ServerOptions{Lease: *lease})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dlserver:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dlserver:", err)
+		return 1
 	}
 	if err := srv.Listen(*addr); err != nil {
-		fmt.Fprintln(os.Stderr, "dlserver:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dlserver:", err)
+		srv.Close()
+		return 1
 	}
-	fmt.Printf("dlserver: serving %d entities across %d sites on %s (sharded table, wound-wait=%v, lease %v)\n",
+	fmt.Fprintf(stdout, "dlserver: serving %d entities across %d sites on %s (sharded table, wound-wait=%v, lease %v)\n",
 		ddb.NumEntities(), ddb.NumSites(), srv.Addr(), *woundWait, *lease)
 	if *debugAddr != "" {
 		dbg, err := startDebug(*debugAddr, srv)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dlserver:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "dlserver:", err)
+			srv.Close()
+			return 1
 		}
-		fmt.Printf("dlserver: debug endpoints on http://%s (/metrics, /debug/vars, /debug/pprof)\n", dbg)
+		fmt.Fprintf(stdout, "dlserver: debug endpoints on http://%s (/metrics, /debug/vars, /debug/pprof)\n", dbg)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("dlserver: shutting down")
+	<-ctx.Done()
+	fmt.Fprintln(stdout, "dlserver: shutting down")
 	done := make(chan struct{})
 	go func() {
 		srv.Close()
@@ -84,8 +104,9 @@ func main() {
 	}()
 	select {
 	case <-done:
+		return 0
 	case <-time.After(10 * time.Second):
-		fmt.Fprintln(os.Stderr, "dlserver: shutdown timed out")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dlserver: shutdown timed out")
+		return 1
 	}
 }

@@ -9,11 +9,12 @@
 // authority for its partition.
 //
 // Cross-partition concerns live here. The async tier (certified-chain
-// pipelining) re-establishes an instance's program order at partition
-// switches — per-server wire FIFO orders nothing between servers, and
-// unfenced cross-partition pipelining reaches states the certification
-// never admitted (see the partition-fencing comment at AcquireAsync).
-// Snapshot and GrantLog merge the
+// pipelining) orders an instance's operations behind its acquires on
+// other partitions — per-server wire FIFO orders nothing between servers,
+// and unfenced cross-partition pipelining reaches states the
+// certification never admitted. Releases are never ordered against each
+// other: a delayed release only lengthens a hold (see the
+// partition-fencing comment at AcquireAsync). Snapshot and GrantLog merge the
 // per-server views under one coherent instance namespace (this cluster's
 // own sessions keep their local IDs on every partition; foreign sessions'
 // composed IDs are additionally namespaced by partition, since connection
@@ -220,27 +221,27 @@ func (t *Table) Acquire(ctx context.Context, inst locktable.Instance, ent model.
 // a state no synchronous interleaving reaches, and the mix deadlocks
 // with no handler armed (this was observed, not hypothesized).
 //
-// The cluster therefore re-establishes program order at every partition
-// switch, and only there:
+// The cluster therefore keeps exactly the two orderings certification
+// needs, both against the instance's acquires on OTHER partitions:
 //
-//   - An acquire for partition p first joins the instance's youngest
-//     still-unacked acquire on every OTHER partition. Within one
+//   - (R1) An acquire for partition p first joins the instance's youngest
+//     still-unacked acquire on every other partition. Within one
 //     partition the server chain already executes acquires in submission
 //     order, so acking the youngest proves all its predecessors resolved
 //     — one completion per partition is all the fence must hold.
-//   - A release for partition p joins the instance's unacked acquires
-//     AND releases on other partitions. Releases must carry execution
-//     receipts for this (ReleaseAsyncAcked): ordering across servers is
-//     a statement about when the release *ran*, which a fire-and-forget
-//     completion cannot witness. The released entity's own acquire lives
-//     on p and is not joined: while it is unacked the partition client
-//     ships a token-0 release, which p's chain runs right after it, so
-//     the receipt also proves that acquire resolved. An acquire, by
-//     contrast, never waits on
-//     other partitions' releases: a release frame is executed inline by
-//     its read loop as soon as it arrives, unconditionally, so an
-//     acquire overtaking one can only lengthen a hold — it delays other
-//     waiters but can neither grant early nor close a waits-for cycle.
+//   - (R2) A release for partition p joins the same acquires. Its own
+//     entity's acquire lives on p and is not joined: while it is unacked
+//     the partition client ships a token-0 release, run right behind it.
+//
+// Nothing else is ordered, so releases carry no execution receipt. A
+// release delayed past a later release of its instance moves back to its
+// program position past only steps that do not conflict with it (the
+// instance holds the entity throughout), so every executed schedule is
+// conflict-equivalent to a legal schedule of the certified templates. A
+// release never waits on a foreign holder, so it is on no waits-for
+// cycle; its one wait, a token-0 release behind its own acquire, is the
+// synchronous run's. An acquire never waits on other partitions'
+// releases either: overtaking one only lengthens a hold.
 //
 // Uncontended chains still pipeline: the fence joins are memoized
 // completions whose acks usually streamed back long before the next
@@ -248,10 +249,10 @@ func (t *Table) Acquire(ctx context.Context, inst locktable.Instance, ent model.
 // read. What the fence costs is exactly the cross-partition reordering
 // that was unsound.
 
-// memoCompletion lets two joiners share one completion. The session owns
-// every completion the async API returns and joins each exactly once;
-// the fence must ALSO join it at the next partition switch. Both run on
-// the instance's session goroutine, so Once is never contended — it just
+// memoCompletion lets two joiners share one acquire completion. The
+// session owns every completion the async API returns and joins each
+// exactly once; the fence must ALSO join it at the next partition switch.
+// Both run on the session goroutine, so Once is never contended — it just
 // turns the second Wait into a replay of the first result.
 type memoCompletion struct {
 	inner locktable.Completion
@@ -269,15 +270,13 @@ func (m *memoCompletion) Wait(ctx context.Context) error {
 }
 
 // instFence is one instance's in-flight frontier: per partition, the
-// youngest unjoined acquire and release. Slots are only touched by the
-// instance's own session goroutine (the session API is serial per
-// instance) — fmu exists for the sweep, which inspects other instances'
-// slots.
+// youngest unjoined acquire. Slots are only touched by the instance's own
+// session goroutine (the session API is serial per instance) — fmu exists
+// for the sweep, which inspects other instances' slots.
 type instFence struct {
 	epoch int
-	busy  bool // a fence/submit is between begin and end; sweep must skip
+	busy  bool // an acquire is between fenceBegin and fenceEnd; sweep must skip
 	acq   []*memoCompletion
-	rel   []*memoCompletion
 }
 
 // fenceSweepAt bounds the fence map: instance IDs are allocated
@@ -295,22 +294,28 @@ func (st *instFence) settled() bool {
 			return false
 		}
 	}
-	for _, c := range st.rel {
-		if c != nil && !c.done.Load() {
-			return false
-		}
-	}
 	return true
 }
 
-// fenceBegin collects the completions the next operation on partition p
-// must join first, clearing their slots, and marks the instance busy so
-// the sweep leaves it alone until fenceEnd. A new epoch resets the
-// frontier: the session joined the old epoch's acquires before it ended,
-// and its releases need no ordering against a different transaction —
-// in-flight releases always execute (read loops never block on them), so
-// a stale hold can delay a later grant but never deadlock it.
-func (t *Table) fenceBegin(key locktable.InstKey, p int, forRelease bool) (*instFence, []*memoCompletion) {
+// take clears and returns the acquires an operation on partition p must
+// join first: the youngest unacked one on every other partition (wire
+// FIFO and the server chain order the home partition). Called under fmu.
+func (st *instFence) take(p int) []*memoCompletion {
+	var join []*memoCompletion
+	for q, c := range st.acq {
+		if q != p && c != nil {
+			join = append(join, c)
+			st.acq[q] = nil
+		}
+	}
+	return join
+}
+
+// fenceBegin collects the completions an acquire on partition p must join
+// first (R1) and marks the instance busy so the sweep leaves it alone
+// until fenceEnd records the acquire. A new epoch resets the frontier:
+// the session joined the old epoch's acquires before it ended.
+func (t *Table) fenceBegin(key locktable.InstKey, p int) (*instFence, []*memoCompletion) {
 	t.fmu.Lock()
 	defer t.fmu.Unlock()
 	st := t.fences[key.ID]
@@ -322,43 +327,22 @@ func (t *Table) fenceBegin(key locktable.InstKey, p int, forRelease bool) (*inst
 				}
 			}
 		}
-		st = &instFence{epoch: key.Epoch, acq: make([]*memoCompletion, len(t.parts)), rel: make([]*memoCompletion, len(t.parts))}
+		st = &instFence{epoch: key.Epoch, acq: make([]*memoCompletion, len(t.parts))}
 		t.fences[key.ID] = st
 	} else if st.epoch != key.Epoch {
 		st.epoch = key.Epoch
 		clear(st.acq)
-		clear(st.rel)
 	}
 	st.busy = true
-	var join []*memoCompletion
-	for q := range t.parts {
-		if q == p {
-			continue // wire FIFO + the server chain order the home partition
-		}
-		if c := st.acq[q]; c != nil {
-			join = append(join, c)
-			st.acq[q] = nil
-		}
-		if forRelease {
-			if c := st.rel[q]; c != nil {
-				join = append(join, c)
-				st.rel[q] = nil
-			}
-		}
-	}
-	return st, join
+	return st, st.take(p)
 }
 
-// fenceEnd records the newly submitted completion (nil if the operation
-// was never submitted) and lifts the sweep guard.
-func (t *Table) fenceEnd(st *instFence, p int, forRelease bool, c *memoCompletion) {
+// fenceEnd records the newly submitted acquire (nil if it was never
+// submitted) and lifts the sweep guard.
+func (t *Table) fenceEnd(st *instFence, p int, c *memoCompletion) {
 	t.fmu.Lock()
 	if c != nil {
-		if forRelease {
-			st.rel[p] = c
-		} else {
-			st.acq[p] = c
-		}
+		st.acq[p] = c
 	}
 	st.busy = false
 	t.fmu.Unlock()
@@ -397,11 +381,11 @@ func (t *Table) AcquireSpan(ctx context.Context, inst locktable.Instance, ent mo
 func (t *Table) acquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode, sp *obs.Span) locktable.Completion {
 	p := t.Partition(ent)
 	sp.SetPartition(p)
-	st, join := t.fenceBegin(inst.Key, p, false)
+	st, join := t.fenceBegin(inst.Key, p)
 	t.fenceJoins.Add(int64(len(join)))
 	for _, c := range join {
 		if err := t.mapErr(c.Wait(context.Background())); err != nil {
-			t.fenceEnd(st, p, false, nil)
+			t.fenceEnd(st, p, nil)
 			return locktable.ResolvedCompletion(err)
 		}
 	}
@@ -412,32 +396,46 @@ func (t *Table) acquireAsync(inst locktable.Instance, ent model.EntityID, mode l
 		inner = t.parts[p].AcquireAsync(inst, ent, mode)
 	}
 	w := &memoCompletion{inner: t.wrap(p, inner)}
-	t.fenceEnd(st, p, false, w)
+	t.fenceEnd(st, p, w)
 	return w
 }
 
-// ReleaseAsync implements locktable.AsyncTable: the release is submitted
-// with an execution receipt (ReleaseAsyncAcked) after fencing against
-// the instance's unacked operations on every other partition. Fence-join
-// errors are not propagated here: the session owns each joined
-// completion and surfaces its failure at commit, and a release is always
-// safe to submit regardless — freeing a lock cannot invalidate order,
-// and a failed predecessor acquire left nothing held for this release to
-// free (the partition client resolves it as the held-nothing no-op, or,
-// if the entity's own acquire is still unacked, ships a token-0 release
-// its server resolves the same way once that acquire failed).
-// Synchronous sessions release through it too: the receipt is what their
-// Commit joins, so each reports exactly its own releases' outcomes.
+// ReleaseAsync implements locktable.AsyncTable: after the release fence
+// (R2) the release goes to the owning partition's fire-and-forget
+// ReleaseAsync — token 0 while the entity's own acquire is in flight — so
+// a pipelined Commit joins acquire acks only, as on one server.
 func (t *Table) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktable.Completion {
+	p := t.releaseFence(ent, key)
+	return t.wrap(p, t.parts[p].ReleaseAsync(ent, key))
+}
+
+// ReleaseAsyncAcked is ReleaseAsync with an execution receipt (netlock's
+// ReleaseAsyncAcked behind the same fence), for synchronous sessions:
+// their Unlock returns at submission and Commit joins the receipt, so
+// each Commit reports exactly its own releases' outcomes.
+func (t *Table) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) locktable.Completion {
+	p := t.releaseFence(ent, key)
+	return t.wrap(p, t.parts[p].ReleaseAsyncAcked(ent, key))
+}
+
+// releaseFence joins the instance's unacked acquires on every partition
+// but the entity's own (R2) and returns that partition. It only looks the
+// instance up: no entry, or one from an earlier epoch, means nothing to
+// join. Join errors are the session's to surface at commit; a failed
+// predecessor acquire left nothing held for this release to free.
+func (t *Table) releaseFence(ent model.EntityID, key locktable.InstKey) int {
 	p := t.Partition(ent)
-	st, join := t.fenceBegin(key, p, true)
+	var join []*memoCompletion
+	t.fmu.Lock()
+	if st := t.fences[key.ID]; st != nil && st.epoch == key.Epoch {
+		join = st.take(p)
+	}
+	t.fmu.Unlock()
 	t.fenceJoins.Add(int64(len(join)))
 	for _, c := range join {
 		c.Wait(context.Background())
 	}
-	w := &memoCompletion{inner: t.wrap(p, t.parts[p].ReleaseAsyncAcked(ent, key))}
-	t.fenceEnd(st, p, true, w)
-	return w
+	return p
 }
 
 // wrap applies the cluster's partition-loss translation (and the per-

@@ -18,7 +18,8 @@ import (
 // startCluster brings up n loopback dlservers over one generated database
 // and a cluster table routing across them. Callers own srvs (kill one to
 // stage a partition loss); cleanup closes everything in either order.
-func startCluster(t *testing.T, n int, cfg locktable.Config) (*cluster.Table, []*netlock.Server, *model.DDB) {
+// Server i hosts the table hosts[i] builds, if given (else the default).
+func startCluster(t *testing.T, n int, cfg locktable.Config, hosts ...func(*model.DDB, locktable.Config) locktable.Table) (*cluster.Table, []*netlock.Server, *model.DDB) {
 	t.Helper()
 	ddb := workload.NewDDB(workload.Config{Sites: 3, EntitiesPerSite: 8})
 	srvCfg := cfg
@@ -26,7 +27,11 @@ func startCluster(t *testing.T, n int, cfg locktable.Config) (*cluster.Table, []
 	var srvs []*netlock.Server
 	var addrs []string
 	for i := 0; i < n; i++ {
-		srv, err := netlock.NewServer(ddb, srvCfg, netlock.ServerOptions{Lease: 10 * time.Second})
+		opts := netlock.ServerOptions{Lease: 10 * time.Second}
+		if i < len(hosts) {
+			opts.New = hosts[i]
+		}
+		srv, err := netlock.NewServer(ddb, srvCfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -550,5 +555,162 @@ func TestClusterPipelinedChainsNoCrossPartitionDeadlock(t *testing.T) {
 		case <-timeout:
 			t.Fatal("pipelined chains wedged: cross-partition program order not restored by the fence")
 		}
+	}
+}
+
+// gatedTable is a hosted table whose next Release, once armed, parks on
+// gate — holding the server's read loop, which executes releases inline.
+type gatedTable struct {
+	locktable.Table
+	armed   atomic.Bool
+	entered chan struct{}
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func newGatedTable() *gatedTable {
+	return &gatedTable{entered: make(chan struct{}), gate: make(chan struct{})}
+}
+
+func (g *gatedTable) Release(ent model.EntityID, key locktable.InstKey) error {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.gate
+	}
+	return g.Table.Release(ent, key)
+}
+
+func (g *gatedTable) open() { g.once.Do(func() { close(g.gate) }) }
+
+// host hands a server g, backed by the default sharded table.
+func (g *gatedTable) host(d *model.DDB, cfg locktable.Config) locktable.Table {
+	g.Table = locktable.NewSharded(d, cfg)
+	return g
+}
+
+// TestClusterReleaseDoesNotWaitForOtherPartitionsRelease: releases are not
+// ordered against each other. With partition 0's server parked inside
+// the release of e0, the instance's release of e1 on partition 1 returns
+// at once, and e1 is free for a third instance before e0's release runs.
+func TestClusterReleaseDoesNotWaitForOtherPartitionsRelease(t *testing.T) {
+	g := newGatedTable()
+	tab, _, ddb := startCluster(t, 2, locktable.Config{}, g.host)
+	t.Cleanup(g.open) // runs before the servers close: the parked read loop must exit
+	e0, e1 := entOn(t, tab, ddb, 0), entOn(t, tab, ddb, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	key := locktable.InstKey{ID: 1}
+	for _, c := range []locktable.Completion{tab.AcquireAsync(inst(1), e0, locktable.Exclusive), tab.AcquireAsync(inst(1), e1, locktable.Exclusive)} {
+		if err := c.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.armed.Store(true)
+	r0 := tab.ReleaseAsync(e0, key)
+	select {
+	case <-g.entered:
+	case <-ctx.Done():
+		t.Fatal("the release of e0 never reached partition 0's table")
+	}
+	released := make(chan locktable.Completion, 1)
+	go func() { released <- tab.ReleaseAsync(e1, key) }()
+	var r1 locktable.Completion
+	select {
+	case r1 = <-released:
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("ReleaseAsync(e1) waited for the instance's release on another partition")
+	}
+	if err := tab.Acquire(ctx, inst(3), e1, locktable.Exclusive); err != nil {
+		t.Fatalf("e1 not grantable while e0's release is held back: %v", err)
+	}
+	if err := tab.Release(e1, locktable.InstKey{ID: 3}); err != nil {
+		t.Fatal(err)
+	}
+	g.open()
+	for _, r := range []locktable.Completion{r0, r1} {
+		if err := r.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestClusterReleaseFencesOtherPartitionsAcquire pins R2: a release waits
+// for the instance's unacked acquires on other partitions. Instance 1
+// holds e1 and has an acquire of e0 parked behind holder 9; its release
+// of e1 must not run — e1 stays held — until e0 is granted.
+func TestClusterReleaseFencesOtherPartitionsAcquire(t *testing.T) {
+	tab, _, ddb := startCluster(t, 2, locktable.Config{})
+	e0, e1 := entOn(t, tab, ddb, 0), entOn(t, tab, ddb, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	if err := tab.Acquire(ctx, inst(9), e0, locktable.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	key := locktable.InstKey{ID: 1}
+	if err := tab.AcquireAsync(inst(1), e1, locktable.Exclusive).Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c0 := tab.AcquireAsync(inst(1), e0, locktable.Exclusive) // parks behind 9
+	released := make(chan locktable.Completion, 1)
+	go func() { released <- tab.ReleaseAsync(e1, key) }()
+	select {
+	case <-released:
+		t.Fatal("ReleaseAsync(e1) returned while the instance's earlier acquire of e0 was still queued")
+	case <-time.After(200 * time.Millisecond):
+	}
+	probe, probeCancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	err := tab.Acquire(probe, inst(3), e1, locktable.Exclusive)
+	probeCancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("probe acquire of e1 = %v; want it still held by instance 1", err)
+	}
+
+	if err := tab.Release(e0, locktable.InstKey{ID: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c0.Wait(ctx); err != nil {
+		t.Fatalf("instance 1's e0 acquire: %v", err)
+	}
+	select {
+	case r1 := <-released:
+		if err := r1.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	case <-ctx.Done():
+		t.Fatal("ReleaseAsync(e1) never unblocked after e0 was granted")
+	}
+	if err := tab.Acquire(ctx, inst(3), e1, locktable.Exclusive); err != nil {
+		t.Fatalf("e1 not released: %v", err)
+	}
+	if err := tab.ReleaseAll([]model.EntityID{e0}, key); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterFenceJoinsCountAcquiresOnly: the chain L e0, L e1, U e0, U e1
+// joins twice — L e1 behind L e0 (R1), U e0 behind L e1 (R2) — and U e1
+// joins nothing: releases are never fenced on releases.
+func TestClusterFenceJoinsCountAcquiresOnly(t *testing.T) {
+	tab, _, ddb := startCluster(t, 2, locktable.Config{})
+	e0, e1 := entOn(t, tab, ddb, 0), entOn(t, tab, ddb, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	key := locktable.InstKey{ID: 1}
+	comps := []locktable.Completion{
+		tab.AcquireAsync(inst(1), e0, locktable.Exclusive),
+		tab.AcquireAsync(inst(1), e1, locktable.Exclusive),
+		tab.ReleaseAsync(e0, key),
+		tab.ReleaseAsync(e1, key),
+	}
+	for _, c := range comps {
+		if err := c.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tab.FenceJoins(); n != 2 {
+		t.Fatalf("FenceJoins = %d, want 2", n)
 	}
 }

@@ -111,12 +111,16 @@ func names(txns []*model.Transaction, cycle []int) string {
 // TestCheckCycleAgreesWithReference is the differential test of the
 // shape-based check against the map-based one it replaced.
 func TestCheckCycleAgreesWithReference(t *testing.T) {
+	seeds, minCompared := int64(25), 10000
+	if raceEnabled {
+		seeds, minCompared = 8, 3000
+	}
 	var d cycleDiff
 	for _, pol := range []workload.Policy{
 		workload.PolicyRandom, workload.PolicyOrdered, workload.PolicyChurn, workload.PolicyZipf,
 	} {
 		for _, rf := range []float64{0, 0.3} {
-			for seed := int64(0); seed < 25; seed++ {
+			for seed := int64(0); seed < seeds; seed++ {
 				d.run(t, workload.MustGenerate(workload.Config{
 					Sites: 3, EntitiesPerSite: 3, NumTxns: 6, EntitiesPerTxn: 3,
 					Policy: pol, CrossArcProb: 0.3, ReadFraction: rf, Seed: seed,
@@ -134,7 +138,7 @@ func TestCheckCycleAgreesWithReference(t *testing.T) {
 	}
 	t.Logf("compared %d cycles: %d violations, %d through two copies of a class, %d with multi-word bitsets",
 		d.compared, d.violations, d.copied, d.multi)
-	if d.compared < 10000 || d.violations == 0 || d.copied == 0 || d.multi == 0 {
+	if d.compared < minCompared || d.violations == 0 || d.copied == 0 || d.multi == 0 {
 		t.Fatalf("degenerate corpus: %d cycles, %d violations, %d copied, %d multi-word",
 			d.compared, d.violations, d.copied, d.multi)
 	}

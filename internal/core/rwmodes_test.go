@@ -32,9 +32,13 @@ func TestPairSafeDFModesAgainstBrute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("brute-force sweep")
 	}
+	seeds := 500
+	if raceEnabled {
+		seeds = 150
+	}
 	checked, unsafeCount := 0, 0
 	for _, rf := range []float64{0.25, 0.5, 0.75, 1.0} {
-		for seed := int64(0); seed < 500; seed++ {
+		for seed := int64(0); seed < int64(seeds); seed++ {
 			sys := rwPair(seed, rf)
 			t1, t2 := sys.Txns[0], sys.Txns[1]
 			want, _, err := IsSafeAndDeadlockFreeBrute(sys, BruteOptions{})
@@ -56,7 +60,7 @@ func TestPairSafeDFModesAgainstBrute(t *testing.T) {
 			}
 		}
 	}
-	if checked < 2000 {
+	if checked < 4*seeds {
 		t.Fatalf("only %d systems checked", checked)
 	}
 	if unsafeCount == 0 || unsafeCount == checked {

@@ -39,12 +39,12 @@ type Completion interface {
 // Releases are different: an in-flight release can only lengthen a hold,
 // never grant early or close a waits-for cycle, so the runtime ships every
 // wire-backend release without waiting, certified or not — synchronous
-// sessions through the backend's receipt-carrying release (netlock's
-// ReleaseAsyncAcked; the cluster's ReleaseAsync), pipelined ones through
-// ReleaseAsync — and joins the completions at commit. A release is bound
-// by the same submission order as the acquires: it may be submitted while
-// the instance's own AcquireAsync of the entity is still in flight, and
-// the implementation must apply it after that acquire resolved (netlock
+// sessions through the backend's receipt-carrying ReleaseAsyncAcked,
+// pipelined ones through ReleaseAsync — and joins the completions at
+// commit. A release is ordered behind the instance's earlier acquires,
+// never behind its other releases: it may be submitted while the
+// instance's own AcquireAsync of the entity is still in flight, and the
+// implementation must apply it after that acquire resolved (netlock
 // resolves such a release server-side, in the instance's wire order, to
 // whatever grant the acquire recorded), so the pipelined caller joins its
 // acquires at commit rather than before each release.

@@ -978,14 +978,12 @@ func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktab
 // request ID, so the completion resolves only when the server has
 // actually executed it (the read loop applies releases inline, so the
 // ack proves the lock is free) and reports exactly this release's
-// outcome. Two callers need that. The cluster backend orders releases
-// across partitions, which is a statement about *when* a release ran —
-// something a fire-and-forget completion cannot witness. And a
-// synchronous session's Unlock returns at submission, so its Commit must
-// see its own releases' errors, never a racing push. On a single
-// connection the wire's FIFO already orders the release ahead of the
-// instance's next operation, which is why the pipelined tier keeps the
-// receipt-free ReleaseAsync. Release is this call joined at once.
+// outcome. A synchronous session needs that: its Unlock returns at
+// submission, so its Commit must see its own releases' errors, never a
+// racing push (the cluster backend's ReleaseAsyncAcked forwards here for
+// the same reason). The wire's FIFO already orders the release ahead of
+// the instance's next operation, which is why the pipelined tier keeps
+// the receipt-free ReleaseAsync. Release is this call joined at once.
 //
 // Like ReleaseAsync, it ships token 0 while the entity's acquire is in
 // flight. Its receipt then waits for that acquire to resolve, which

@@ -1,13 +1,16 @@
 package netlock
 
 import (
+	"context"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"distlock/internal/locktable"
 	"distlock/internal/model"
+	"distlock/internal/obs"
 )
 
 // fuzzHeartbeatID is the request ID of the heartbeat each fuzz input is
@@ -172,6 +175,159 @@ func FuzzHandleFrame(f *testing.F) {
 			e.u64(reqID)
 		}); err != nil {
 			t.Fatalf("frame %x on one connection broke another: %v", body, err)
+		}
+	})
+}
+
+// fuzzAcquireID is the request ID of the one acquire a fresh client sends
+// after its handshake (which uses 1): the seed replies address it.
+const fuzzAcquireID = 2
+
+// replyInput is one fuzz input for the client's read loop: two reply
+// bodies, each sent as a well-formed frame, then raw bytes for the frame
+// reader itself.
+type replyInput struct{ first, second, tail []byte }
+
+// replySeeds cover grants with and without a span trailer, every acquire
+// status, failure pushes naming an instance, a wound push, and the
+// framings the reader must reject.
+func replySeeds() []replyInput {
+	result := func(reqID uint64, status byte, payload func(*enc)) []byte {
+		return frameOf(func(e *enc) {
+			e.u8(opResult)
+			e.u64(reqID)
+			e.u8(status)
+			if payload != nil {
+				payload(e)
+			}
+		})
+	}
+	grant := func(trailer ...uint64) []byte {
+		return result(fuzzAcquireID, stOK, func(e *enc) {
+			e.u64(1) // fencing token
+			for _, v := range trailer {
+				e.u64(v)
+			}
+		})
+	}
+	push := func(status byte) []byte {
+		return result(0, status, func(e *enc) { e.key(locktable.InstKey{ID: 1}) })
+	}
+	return []replyInput{
+		{first: grant()},
+		{first: grant(100, 200, 300)}, // span trailer: chain start, grant, reply enqueue
+		{first: grant(7)},             // a trailer too short to read
+		{first: result(fuzzAcquireID, stOK, nil)},
+		{first: push(stStaleFence), second: grant()},
+		{first: push(stLeaseExpired), second: push(0x77)},
+		{first: result(0, stStaleFence, nil)}, // a push naming no instance
+		{first: frameOf(func(e *enc) { e.u8(opWoundPush); e.i64(1) }), second: result(fuzzAcquireID, stWounded, nil)},
+		{first: result(fuzzAcquireID, stErr, func(e *enc) { e.str("boom") })},
+		{first: result(fuzzAcquireID, stCancelled, nil)},
+		{first: result(fuzzAcquireID, stLeaseExpired, nil)},
+		{first: result(fuzzAcquireID, 0x42, nil)},
+		{first: result(99, stOK, nil), second: grant()}, // a reply to no request
+		{first: grant(), second: grant()},               // a duplicate reply
+		{first: frameOf(func(e *enc) { e.u8(0x33) })},
+		{tail: []byte{0xff, 0xff, 0xff, 0xff}},
+		{tail: []byte{0, 0, 0, 100, opResult, 0}},
+		{},
+	}
+}
+
+// fakeHandshake plays the server's side of the handshake on conn.
+func fakeHandshake(conn net.Conn) error {
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := readFrame(conn); err != nil {
+		return err
+	}
+	return writeFrame(conn, frameOf(func(e *enc) {
+		e.u8(opResult)
+		e.u64(1)
+		e.u8(stOK)
+		e.u32(1)                                // connection id
+		e.u64(uint64(time.Hour.Milliseconds())) // lease: no heartbeat fires mid-input
+	}))
+}
+
+// FuzzClientReplies feeds arbitrary replies to the client's read loop. A
+// test-owned listener plays the server: it completes the handshake, reads
+// the client's one pending (sampled) acquire, writes the fuzzed frames
+// and raw tail, and hangs up. Whatever the bytes, the client must not
+// panic, the pending Wait must return within 10 s with an outcome of the
+// Table vocabulary, and the client's books must never show a negative
+// Held. Fuzz actively with
+// `go test -run '^$' -fuzz FuzzClientReplies -fuzztime 10s ./internal/netlock`.
+func FuzzClientReplies(f *testing.F) {
+	ddb := model.NewDDB()
+	x := ddb.MustEntity("x", "s1")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { ln.Close() })
+	ring := obs.NewSpanRing(16)
+	for _, in := range replySeeds() {
+		f.Add(in.first, in.second, in.tail)
+	}
+
+	f.Fuzz(func(t *testing.T, first, second, tail []byte) {
+		stream := append(appendFrame(appendFrame(nil, first), second), tail...)
+		accepted := make(chan net.Conn, 1)
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				accepted <- nil
+				return
+			}
+			if fakeHandshake(conn) != nil {
+				conn.Close()
+				conn = nil
+			}
+			accepted <- conn
+		}()
+		c, err := Dial(ln.Addr().String(), ddb, locktable.Config{}, DialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conn := <-accepted
+		if conn == nil {
+			t.Fatal("fake server: handshake failed")
+		}
+		defer conn.Close()
+
+		inst := locktable.Instance{Key: locktable.InstKey{ID: 1}, Prio: 1}
+		sp := ring.Start(obs.SpanAcquire, int32(x))
+		comp := c.AcquireAsyncSpan(inst, x, locktable.Exclusive, sp)
+		req, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("fake server: reading the acquire: %v", err)
+		}
+		if d := (dec{b: req}); d.u8() != opAcquire || d.u64() != fuzzAcquireID {
+			t.Fatalf("fake server: first request %x is not acquire #%d", req, fuzzAcquireID)
+		}
+		conn.Write(stream) // fails only once the client dropped the connection
+		conn.Close()
+
+		done := make(chan error, 1)
+		go func() { done <- comp.Wait(context.Background()) }()
+		select {
+		case err := <-done:
+			switch {
+			case err == nil:
+				sp.Commit() // what a session does with a granted op's span: re-anchor the server deltas
+			case errors.Is(err, locktable.ErrStopped), errors.Is(err, locktable.ErrWounded),
+				errors.Is(err, ErrLeaseExpired), strings.HasPrefix(err.Error(), "netlock: "):
+			default:
+				t.Fatalf("pending acquire returned %v, outside the Table vocabulary, after stream %x", err, stream)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("pending acquire never returned after stream %x", stream)
+		}
+		c.Close()
+		if held := c.TableMetrics().Snapshot().Held; held < 0 {
+			t.Fatalf("client books Held = %d after stream %x", held, stream)
 		}
 	})
 }

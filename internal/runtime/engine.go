@@ -159,10 +159,11 @@ type Engine struct {
 	pipeline int
 
 	// releaseAsync is how Unlock ships a release on a wire backend
-	// without waiting for the server: the AsyncTable's ReleaseAsync on a
-	// pipelined engine, a release with an execution receipt otherwise.
-	// Nil on the in-process table, whose Release is synchronous. Picked
-	// once in NewEngine.
+	// without waiting for the server: the AsyncTable's fire-and-forget
+	// ReleaseAsync on a pipelined engine, the backend's ReleaseAsyncAcked
+	// (a release with an execution receipt) otherwise — remote and cluster
+	// alike. Nil on the in-process table, whose Release is synchronous.
+	// Picked once in NewEngine.
 	releaseAsync func(model.EntityID, locktable.InstKey) locktable.Completion
 
 	stop     chan struct{}
@@ -277,7 +278,7 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 			return nil, fmt.Errorf("runtime: cluster lock table: %w", err)
 		}
 		e.table = tab
-		e.releaseAsync = tab.ReleaseAsync // already carries a receipt
+		e.releaseAsync = tab.ReleaseAsyncAcked
 	default:
 		return nil, fmt.Errorf("runtime: unknown lock-table backend %v", opts.Backend)
 	}

@@ -263,35 +263,48 @@ func (g *gatedTable) Release(ent model.EntityID, key locktable.InstKey) error {
 
 func (g *gatedTable) open() { g.once.Do(func() { close(g.gate) }) }
 
-// gatedFixture: a synchronous certified engine on one loopback server
-// hosting a gatedTable.
-func gatedFixture(t *testing.T) (*Engine, *model.DDB, *netlock.Server, *gatedTable) {
+// gatedFixture: a synchronous certified engine on loopback servers, the
+// first hosting a gatedTable — one server behind BackendRemote, several
+// behind BackendCluster.
+func gatedFixture(t *testing.T, servers int) (*Engine, *model.DDB, []*netlock.Server, *gatedTable) {
 	t.Helper()
 	d := model.NewDDB()
 	d.MustEntity("x", "s1")
+	d.MustEntity("y", "s2")
 	gt := &gatedTable{entered: make(chan struct{}), gate: make(chan struct{})}
-	srv, err := netlock.NewServer(d, locktable.Config{}, netlock.ServerOptions{
-		Lease: time.Minute,
-		New: func(d *model.DDB, cfg locktable.Config) locktable.Table {
-			gt.Table = locktable.NewSharded(d, cfg)
-			return gt
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var srvs []*netlock.Server
+	var addrs []string
+	for i := 0; i < servers; i++ {
+		opts := netlock.ServerOptions{Lease: time.Minute}
+		if i == 0 {
+			opts.New = func(d *model.DDB, cfg locktable.Config) locktable.Table {
+				gt.Table = locktable.NewSharded(d, cfg)
+				return gt
+			}
+		}
+		srv, err := netlock.NewServer(d, locktable.Config{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Listen("127.0.0.1:0"); err != nil {
+			srv.Close()
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		srvs = append(srvs, srv)
+		addrs = append(addrs, srv.Addr())
 	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		srv.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
 	t.Cleanup(gt.open) // before srv.Close: the parked read loop must exit
-	e, err := NewEngine(d, EngineOptions{Strategy: StrategyNone, Backend: BackendRemote, RemoteAddr: srv.Addr()})
+	opts := EngineOptions{Strategy: StrategyNone, Backend: BackendRemote, RemoteAddr: addrs[0]}
+	if servers > 1 {
+		opts.Backend, opts.RemoteAddrs = BackendCluster, addrs
+	}
+	e, err := NewEngine(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Close)
-	return e, d, srv, gt
+	return e, d, srvs, gt
 }
 
 // lockThenHeldUnlock locks x, arms the gate, and unlocks x: the Unlock
@@ -330,7 +343,8 @@ func lockThenHeldUnlock(t *testing.T, e *Engine, d *model.DDB, gt *gatedTable) *
 // TestSyncUnlockReturnsBeforeRelease: Unlock returns while the server's
 // Release is held back, and Commit returns only after it runs.
 func TestSyncUnlockReturnsBeforeRelease(t *testing.T) {
-	e, d, srv, gt := gatedFixture(t)
+	e, d, srvs, gt := gatedFixture(t, 1)
+	srv := srvs[0]
 	s := lockThenHeldUnlock(t, e, d, gt)
 
 	committed := make(chan error, 1)
@@ -362,7 +376,7 @@ func TestSyncUnlockReturnsBeforeRelease(t *testing.T) {
 // synchronous Unlock returned on a stopped table before Unlock stopped
 // waiting — and the session's Abort is a discard.
 func TestCommitOnStoppedTableUnderPendingReceipt(t *testing.T) {
-	e, d, _, gt := gatedFixture(t)
+	e, d, _, gt := gatedFixture(t, 1)
 	s := lockThenHeldUnlock(t, e, d, gt)
 
 	committed := make(chan error, 1)
@@ -381,6 +395,70 @@ func TestCommitOnStoppedTableUnderPendingReceipt(t *testing.T) {
 	}
 	if c := e.Counters(); c.Commits != 0 || c.Aborts != 0 || c.Discarded != 1 {
 		t.Fatalf("counters = %+v, want exactly one discard", c)
+	}
+}
+
+// TestClusterSyncUnlockSkipsOtherPartitionsRelease: on a depth-0 cluster
+// engine, Unlock(y) returns while the release of x is held back in the
+// other partition's server — cluster releases are not ordered against
+// each other — and Commit returns only after that release ran.
+func TestClusterSyncUnlockSkipsOtherPartitionsRelease(t *testing.T) {
+	e, d, srvs, gt := gatedFixture(t, 2)
+	x, y := ent(t, d, "x"), ent(t, d, "y")
+	if tab := e.table.(*cluster.Table); tab.Partition(x) != 0 || tab.Partition(y) != 1 {
+		t.Fatalf("fixture layout: partitions x=%d y=%d, want 0 and 1", tab.Partition(x), tab.Partition(y))
+	}
+	s, err := e.Begin(buildChain(d, "A", "Lx Ly Ux Uy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, eid := range []model.EntityID{x, y} {
+		if err := s.Lock(ctx, eid, model.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gt.armed.Store(true)
+	if err := s.Unlock(x); err != nil {
+		t.Fatalf("Unlock(x) = %v", err)
+	}
+	select {
+	case <-gt.entered:
+	case <-ctx.Done():
+		t.Fatal("the release of x never reached its server")
+	}
+	unlocked := make(chan error, 1)
+	go func() { unlocked <- s.Unlock(y) }()
+	select {
+	case err := <-unlocked:
+		if err != nil {
+			t.Fatalf("Unlock(y) = %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Unlock(y) waited for the release of x on the other partition")
+	}
+
+	committed := make(chan error, 1)
+	go func() { committed <- s.Commit() }()
+	select {
+	case err := <-committed:
+		t.Fatalf("Commit returned (%v) while the release of x was held back", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	gt.open()
+	select {
+	case err := <-committed:
+		if err != nil {
+			t.Fatalf("Commit = %v", err)
+		}
+	case <-ctx.Done():
+		t.Fatal("Commit still blocked after the release of x ran")
+	}
+	for i, srv := range srvs {
+		if held := srv.TableMetrics().Snapshot().Held; held != 0 {
+			t.Fatalf("server %d holds %d records after Commit", i, held)
+		}
 	}
 }
 
