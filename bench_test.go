@@ -465,6 +465,29 @@ func BenchmarkAdmission(b *testing.B) {
 			}
 		}
 	})
+
+	b.Run("churn-m2", func(b *testing.B) {
+		// One churn trace replayed at multiplicity 2 under a cycle budget:
+		// the class-walk cycle phase, as the admit-churn workload drives it.
+		ddb, trace, err := workload.ChurnTrace(workload.Config{
+			Sites: 8, EntitiesPerSite: 8, EntitiesPerTxn: 3,
+			Policy: workload.PolicyChurn, Seed: 1,
+		}, 100, 0.25)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			svc := admission.New(ddb, admission.Options{Multiplicity: 2, CycleBudget: 32, Workers: 1})
+			for _, ev := range trace {
+				if !ev.Arrive {
+					svc.Evict(ev.Txn.Name())
+				} else if _, err := svc.Admit(context.Background(), ev.Txn); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkE11EarlyUnlock measures the Theorem-4-guarded early-unlock

@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		readFrac = fs.Float64("read-fraction", 0, "probability each generated lock is SHARED (0 = all exclusive; 0.9 = read-heavy)")
 		batch    = fs.Int("batch", 4, "register arrivals in batches of this size")
 		workers  = fs.Int("workers", 0, "pair-check worker pool (0 = GOMAXPROCS)")
-		budget   = fs.Int64("cycle-budget", 4096, "max Theorem 4 cycle checks per registration (0 = unlimited)")
+		budget   = fs.Int64("cycle-budget", 4096, "max Theorem 4 cycles certified per registration (0 = unlimited)")
 		seed     = fs.Int64("seed", 1, "generator seed")
 		run      = fs.Bool("run", false, "serve live session traffic for the final mix")
 		backend  = fs.String("backend", "default", "certified-tier lock table: default|remote|cluster (-run)")

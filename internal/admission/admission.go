@@ -17,8 +17,8 @@
 //     so re-admission after churn costs no pairwise work;
 //   - uncached pair checks fan out across a bounded worker pool;
 //   - after the pair phase, only interaction-graph cycles through the newly
-//     added vertex are enumerated (SimpleCyclesThrough) — cycles avoiding
-//     it were certified benign when their own members were admitted;
+//     added vertex are enumerated — cycles avoiding it were certified benign
+//     when their own members were admitted;
 //   - eviction only removes pairs and cycles, so it never needs re-checking.
 //
 // Because an engine runs many concurrent instances of each class — and two
@@ -26,7 +26,9 @@
 // distinct pair is certified — Options.Multiplicity certifies each class as
 // m copy-vertices (Corollary 3 for the self-pair, expanded-graph cycles for
 // the rest), so the certified set is exactly what an engine running up to m
-// concurrent instances per class executes.
+// concurrent instances per class executes. The expanded graph is never
+// built: its cycles are enumerated as walks over classes, one CheckCycle
+// per cyclic sequence of classes, and counted by arithmetic.
 //
 // Admitted classes are safe to run on internal/runtime's engine under
 // StrategyNone (the paper's payoff) with at most Multiplicity concurrent
@@ -43,7 +45,6 @@ import (
 	"sync"
 
 	"distlock/internal/core"
-	"distlock/internal/graph"
 	"distlock/internal/model"
 	"distlock/internal/runtime"
 )
@@ -101,9 +102,12 @@ type Options struct {
 	// Defaults to GOMAXPROCS.
 	Workers int
 	// CycleBudget bounds the interaction-graph cycles enumerated for a
-	// single admission (0 = unlimited). It counts every cycle through the
-	// candidate that the enumeration reaches, including those whose verdict
-	// the admission already holds from a cycle of the same shape.
+	// single admission (0 = unlimited). It counts cycles of the expanded
+	// graph (Multiplicity copy-vertices per class) through the candidate,
+	// computed per shape: one cyclic sequence of classes is checked once and
+	// counts as every expanded cycle that runs through its classes in that
+	// order. An admission whose next shape would take the count past the
+	// budget stops there.
 	// Theorem 4's cost is inherently proportional to the cycle count, which
 	// explodes on dense mixes; a service with a budget stays responsive by
 	// conservatively REJECTING any class whose certification would exceed
@@ -133,7 +137,7 @@ type Stats struct {
 	PairChecks    int64 `json:"pair_checks"`    // PairSafeDF evaluations actually performed
 	CacheHits     int64 `json:"cache_hits"`     // pair verdicts answered from the fingerprint cache
 	CacheMisses   int64 `json:"cache_misses"`   // pair verdicts that had to be dispatched for evaluation
-	CyclesChecked int64 `json:"cycles_checked"` // cycles enumerated for Theorem 4 (all through a new vertex), same-shape repeats included
+	CyclesChecked int64 `json:"cycles_checked"` // expanded-graph cycles through a new vertex certified for Theorem 4, counted per shape (see Options.CycleBudget)
 	// BudgetExhausted counts classes rejected conservatively because
 	// certifying them would exceed Options.CycleBudget — the admission
 	// latency/admission rate trade made visible.
@@ -152,7 +156,10 @@ type Result struct {
 	// Reason explains a rejection.
 	Reason string
 	// Violation is the Theorem 4 witness when the rejection came from a
-	// cycle check (nil for pair-level rejections).
+	// cycle check (nil for pair-level rejections). Its Cycle indexes the
+	// expanded system: the live classes in admission order, then the
+	// candidate, each listed Multiplicity times, so copy k of class i is
+	// i*Multiplicity+k.
 	Violation *core.MultiViolation
 }
 
@@ -198,6 +205,7 @@ type Service struct {
 	byName  map[string]*class
 	cache   map[pairKey]core.PairReport
 	cycles  core.CycleChecker
+	walk    cycleWalk
 	stats   Stats
 }
 
@@ -421,189 +429,34 @@ func (s *Service) admitOne(ctx context.Context, c *candidate, batch []candidate)
 	}
 
 	// Phase 2 (Theorem 4) on the EXPANDED system: every class — live and
-	// candidate — contributes Multiplicity copy-vertices, because a cycle
-	// through two copies of one class deadlocks the engine just as surely
-	// as one through distinct classes. The candidate's copies join one at a
-	// time and only cycles through each newly joined vertex are enumerated,
-	// so no cycle is ever enumerated twice: cycles within the live expansion
-	// were certified when their own classes were admitted (a cycle's
-	// verdict depends only on the transactions on it).
+	// candidate — stands for Multiplicity copy-vertices, because a cycle
+	// through two copies of one class deadlocks the engine just as surely as
+	// one through distinct classes. Only cycles through a candidate copy are
+	// new: cycles within the live expansion were certified when their own
+	// classes were admitted (a cycle's verdict depends only on the
+	// transactions on it). cycleWalk enumerates them one shape at a time.
 	//
 	// A candidate with no live neighbours adds no cycles beyond its own
 	// copy-clique, and that clique is covered by the self-pair check
-	// (Theorem 5: m copies are safe-and-deadlock-free iff two are); skip
-	// the expanded graph build entirely.
+	// (Theorem 5: m copies are safe-and-deadlock-free iff two are).
 	if len(nbrs) == 0 {
 		return s.join(c, nbrs), nil
 	}
-	m := s.mult
-	n := len(s.classes)
-	// Vertex v is copy v%m of class v/m, the candidate being class n.
-	txns := make([]*model.Transaction, 0, (n+1)*m)
-	for _, l := range s.classes {
-		for k := 0; k < m; k++ {
-			txns = append(txns, l.txn)
-		}
-	}
-	for k := 0; k < m; k++ {
-		txns = append(txns, t)
-	}
-	g := graph.NewUgraph((n + 1) * m)
-	span := func(i int) (int, int) { return i * m, i*m + m }
-	classEdges := func(i, j int) {
-		ilo, ihi := span(i)
-		jlo, jhi := span(j)
-		for a := ilo; a < ihi; a++ {
-			for b := jlo; b < jhi; b++ {
-				g.AddEdge(a, b) // ignores a == b and duplicates
-			}
-		}
-	}
-	for i, l := range s.classes {
-		for _, o := range l.nbrs {
-			if o.pos > i {
-				classEdges(i, o.pos)
-			}
-		}
-		if l.self {
-			classEdges(i, i) // copies of one class interact with each other
-		}
-	}
-
-	// A cycle's verdict reads only the syntax of the transactions on it, in
-	// cyclic order, so within this admission each distinct shape is checked
-	// once: the cycles that differ from it only in which copy of a class
-	// they run through (2^(k-1) of them at multiplicity 2) find it benign
-	// already. Every enumerated cycle still counts against the budget, so
-	// the decision does not depend on which cycles share a shape. The memo
-	// dies with the admission: every key carries the candidate.
-	shapes := shapeIDs(s.classes, fp)
-	var benign map[string]struct{}
-	var key []byte
-
-	var viol *core.MultiViolation
-	var checked int64
-	overBudget := false
-	cancelled := false
-	for k := 0; k < m && viol == nil && !overBudget && !cancelled; k++ {
-		v := n*m + k
-		for _, o := range nbrs {
-			lo, hi := span(o.pos)
-			for a := lo; a < hi; a++ {
-				g.AddEdge(a, v)
-			}
-		}
-		if c.self {
-			for a := n * m; a < v; a++ {
-				g.AddEdge(a, v) // earlier candidate copies
-			}
-		}
-		g.SimpleCyclesThrough(v, 0, func(cycle []int) bool {
-			if checked%64 == 0 && ctx.Err() != nil {
-				cancelled = true
-				return false
-			}
-			if s.budget > 0 && checked >= s.budget {
-				overBudget = true
-				return false
-			}
-			checked++
-			s.stats.CyclesChecked++
-			key = cycleKey(key[:0], cycle, m, shapes)
-			if _, ok := benign[string(key)]; ok {
-				return true
-			}
-			if vl := s.cycles.CheckCycle(txns, cycle); vl != nil {
-				viol = vl
-				return false
-			}
-			if benign == nil {
-				benign = map[string]struct{}{}
-			}
-			benign[string(key)] = struct{}{}
-			return true
-		})
-	}
-	if cancelled {
+	w := &s.walk
+	w.run(ctx, s, c, nbrs)
+	switch {
+	case w.cancelled:
 		return Result{}, ctx.Err()
-	}
-	if viol != nil {
+	case w.viol != nil:
 		return reject(fmt.Sprintf("admitting %s would create a Theorem 4 violation: %s",
-			t.Name(), viol), viol), nil
-	}
-	if overBudget {
+			t.Name(), w.viol), w.viol), nil
+	case w.over:
 		s.stats.BudgetExhausted++
 		return reject(fmt.Sprintf(
-			"certifying %s needs more than %d cycle checks (CycleBudget); rejected conservatively",
+			"certifying %s needs more than %d cycles (CycleBudget); rejected conservatively",
 			t.Name(), s.budget), nil), nil
 	}
 	return s.join(c, nbrs), nil
-}
-
-// shapeIDs numbers the live classes and the candidate (last) by syntax:
-// two get the same number iff their fingerprints are equal.
-func shapeIDs(live []*class, cand Fingerprint) []uint32 {
-	ids := make([]uint32, len(live)+1)
-	fpOf := func(i int) Fingerprint {
-		if i < len(live) {
-			return live[i].fp
-		}
-		return cand
-	}
-	for i := range ids {
-		ids[i] = uint32(i)
-		for j := 0; j < i; j++ {
-			if fpOf(j) == fpOf(i) {
-				ids[i] = ids[j]
-				break
-			}
-		}
-	}
-	return ids
-}
-
-// cycleKey appends to buf the canonical form of a cycle of the expanded
-// graph (vertex v standing for class v/m) as a sequence of shape numbers:
-// the least, in lexicographic order, of the 2k sequences read off the cycle
-// from every starting vertex in both directions. Two cycles get the same
-// key iff one's sequence of shapes is a rotation or reflection of the
-// other's — exactly when core's CheckCycle is asked the same question.
-func cycleKey(buf []byte, cycle []int, m int, shapes []uint32) []byte {
-	k := len(cycle)
-	// at reads the i-th shape of the traversal starting at position r.
-	at := func(r int, backward bool, i int) uint32 {
-		if backward {
-			i = k - i
-		}
-		return shapes[cycle[(r+i)%k]/m]
-	}
-	lo := at(0, false, 0)
-	for i := 1; i < k; i++ {
-		lo = min(lo, at(0, false, i))
-	}
-	bestR, bestBack := -1, false
-	for r := 0; r < k; r++ {
-		if at(r, false, 0) != lo {
-			continue // the least sequence starts with the least shape
-		}
-		for _, backward := range []bool{false, true} {
-			less := bestR < 0
-			for i := 1; i < k && !less; i++ {
-				a, b := at(r, backward, i), at(bestR, bestBack, i)
-				if a != b {
-					less = a < b
-					break
-				}
-			}
-			if less {
-				bestR, bestBack = r, backward
-			}
-		}
-	}
-	for i := 0; i < k; i++ {
-		buf = binary.LittleEndian.AppendUint32(buf, at(bestR, bestBack, i))
-	}
-	return buf
 }
 
 // join adds a certified class to the live set. The caller holds s.mu.

@@ -1,16 +1,22 @@
 package admission
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"distlock/internal/core"
 	"distlock/internal/model"
+	"distlock/internal/parse"
+	"distlock/internal/schedule"
 	"distlock/internal/workload"
 )
 
 // TestReplayIsDeterministic replays event sequences on fresh services and
 // requires every counter to repeat — the cycle counts included, which
-// depend on the order the expanded graph is built and its cycles
-// enumerated in.
+// depend on the order the class walk visits neighbours in, and so on where
+// it meets a violation or the budget.
 func TestReplayIsDeterministic(t *testing.T) {
 	replay20 := func(t *testing.T, ddb *model.DDB, opts Options, events []workload.ChurnEvent) Stats {
 		t.Helper()
@@ -75,57 +81,232 @@ func TestReplayIsDeterministic(t *testing.T) {
 	})
 }
 
-func TestCycleKey(t *testing.T) {
-	key := func(cycle []int, m int, shapes []uint32) string {
-		return string(cycleKey(nil, cycle, m, shapes))
-	}
-	distinct := []uint32{0, 1, 2, 3, 4, 5, 6}
-
-	// All 2k traversals of one cycle share a key.
-	cycle := []int{3, 0, 5, 1, 6}
-	want := key(cycle, 1, distinct)
-	k := len(cycle)
-	for r := 0; r < k; r++ {
-		fwd, back := make([]int, k), make([]int, k)
-		for i := range cycle {
-			fwd[i] = cycle[(r+i)%k]
-			back[i] = cycle[(r+k-i)%k]
-		}
-		if key(fwd, 1, distinct) != want || key(back, 1, distinct) != want {
-			t.Fatalf("rotation %d of %v: keys differ (%v, %v)", r, cycle, fwd, back)
+// expanded lists each class m times: the system an engine running m
+// instances per class executes, whose index i*m+k is copy k of class i.
+func expanded(classes []*model.Transaction, m int) []*model.Transaction {
+	var txns []*model.Transaction
+	for _, c := range classes {
+		for range m {
+			txns = append(txns, c)
 		}
 	}
+	return txns
+}
 
-	// Two cyclic orders of one set of classes are different questions.
-	if key([]int{0, 1, 2, 3}, 1, distinct) == key([]int{0, 2, 1, 3}, 1, distinct) {
-		t.Fatal("orders 0-1-2-3 and 0-2-1-3 collide")
-	}
-	if key([]int{0, 1, 2}, 1, distinct) == key([]int{0, 1, 2, 3}, 1, distinct) {
-		t.Fatal("a 3-cycle and a 4-cycle collide")
-	}
+// expandedCycles counts, by brute force, the simple cycles of the expanded
+// interaction graph of classes at multiplicity m.
+func expandedCycles(d *model.DDB, classes []*model.Transaction, m int) int64 {
+	return int64(model.MustSystem(d, expanded(classes, m)...).InteractionGraph().CountSimpleCycles())
+}
 
-	// At multiplicity 2 vertex v is a copy of class v/2: a cycle through
-	// other copies of the same classes is the same question, one through a
-	// class twice is not.
-	if key([]int{0, 2, 4}, 2, distinct) != key([]int{1, 3, 5}, 2, distinct) {
-		t.Fatal("copy-renamed cycle misses")
-	}
-	if key([]int{0, 2, 4, 6}, 2, distinct) == key([]int{0, 2, 1, 6}, 2, distinct) {
-		t.Fatal("a cycle through both copies of class 0 collides with one through class 2")
-	}
+// newCycles is what admitting cand to live adds to the expanded graph.
+func newCycles(d *model.DDB, live []*model.Transaction, cand *model.Transaction, m int) int64 {
+	return expandedCycles(d, append(append([]*model.Transaction{}, live...), cand), m) -
+		expandedCycles(d, live, m)
+}
 
-	// Classes with one fingerprint share a shape number, so cycles through
-	// either are one question.
+// TestWalkWeightsCountExpandedCycles replays churn at multiplicities 1–3
+// with no budget and holds every admission's CyclesChecked delta to the
+// cycles its candidate adds to the expanded graph, counted by brute force:
+// the class walk checks each shape once but must count it as every cycle it
+// stands for. Candidates with no live neighbour are skipped: Theorem 5
+// covers their copy-clique, which is never enumerated. A trace stops where
+// the expanded graph would pass nine vertices: beyond that, both counts
+// take seconds.
+func TestWalkWeightsCountExpandedCycles(t *testing.T) {
+	for m := 1; m <= 3; m++ {
+		compared := 0
+		for seed := int64(1); seed <= 40; seed++ {
+			cfg := workload.Config{
+				Sites: 8, EntitiesPerSite: 3, EntitiesPerTxn: 3,
+				Policy: workload.PolicyChurn, Seed: seed * 131,
+			}
+			ddb, trace, err := workload.ChurnTrace(cfg, 16, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc := New(ddb, Options{Multiplicity: m})
+			var live []*model.Transaction
+			for _, ev := range trace {
+				if !ev.Arrive {
+					svc.Evict(ev.Txn.Name())
+					live = removeTxn(live, ev.Txn)
+					continue
+				}
+				if (len(live)+1)*m > 9 {
+					break
+				}
+				before := svc.Stats().CyclesChecked
+				res, err := svc.Admit(ctx, ev.Txn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := svc.Stats().CyclesChecked - before
+				if (res.Admitted || res.Violation != nil) &&
+					slices.ContainsFunc(live, func(l *model.Transaction) bool { return model.Interacts(ev.Txn, l) }) {
+					want := newCycles(ddb, live, ev.Txn, m)
+					switch {
+					case res.Admitted && got != want:
+						t.Fatalf("m=%d seed %d: admitting %s counted %d cycles, the expanded graph gained %d",
+							m, seed, ev.Txn.Name(), got, want)
+					case !res.Admitted && got > want:
+						t.Fatalf("m=%d seed %d: rejecting %s counted %d cycles, more than the %d it would add",
+							m, seed, ev.Txn.Name(), got, want)
+					}
+					if res.Admitted && got > 0 {
+						compared++
+					}
+				}
+				if res.Admitted {
+					live = append(live, ev.Txn)
+				}
+			}
+		}
+		if compared < 10 {
+			t.Fatalf("m=%d: only %d admissions with cycles compared", m, compared)
+		}
+	}
+}
+
+// TestWalkWeightWithStabiliser: candidate C and live X interact and each
+// interacts with its own copy, so at multiplicity 2 the expanded graph is
+// K4 on C0, C1, X0, X1 — 7 cycles, all new. The class walk sees four shapes:
+// C-C-X and C-X-X (2 triangles each), C-C-X-X (2 squares) and C-X-C-X,
+// which rotation by two and both reflections map to itself, so its 4
+// copy-labellings are a single square.
+func TestWalkWeightWithStabiliser(t *testing.T) {
 	d := xyzDDB()
-	a := chainTxn(d, "A", "Lx", "Ly", "Ux", "Uy")
-	b := chainTxn(d, "B", "Ly", "Lz", "Uy", "Uz")
-	a2 := chainTxn(d, "A2", "Lx", "Ly", "Ux", "Uy")
-	live := []*class{{fp: FingerprintOf(a)}, {fp: FingerprintOf(b)}, {fp: FingerprintOf(a2)}}
-	shapes := shapeIDs(live, FingerprintOf(b))
-	if shapes[0] != shapes[2] || shapes[1] != shapes[3] || shapes[0] == shapes[1] {
-		t.Fatalf("shape numbers %v, want A=A2, B=candidate, A≠B", shapes)
+	x := chainTxn(d, "X", "Lx", "Ly", "Ux", "Uy")
+	c := chainTxn(d, "C", "Lx", "Ly", "Uy", "Ux")
+	svc := New(d, Options{Multiplicity: 2})
+	for _, txn := range []*model.Transaction{x, c} {
+		if res, err := svc.Admit(ctx, txn); err != nil || !res.Admitted {
+			t.Fatalf("Admit(%s) = %+v, %v", txn.Name(), res, err)
+		}
 	}
-	if key([]int{0, 1, 3}, 1, shapes) != key([]int{2, 3, 1}, 1, shapes) {
-		t.Fatal("cycles through syntactically equal classes get different keys")
+	if got, want := svc.Stats().CyclesChecked, newCycles(d, []*model.Transaction{x}, c, 2); got != 7 || want != 7 {
+		t.Fatalf("CyclesChecked = %d, brute count %d, want 7", got, want)
+	}
+
+	// C-X-C-X directly: X is class 0, the candidate class 1.
+	w := cycleWalk{n: 1, m: 2, ids: []int{2, 0, 3, 1}, ranks: []int{0, 1, 0, 1}}
+	if stab := w.stabiliser(); stab != 4 || w.weight(stab) != 1 {
+		t.Fatalf("C-X-C-X: stabiliser %d, weight %d; want 4 and 1", stab, w.weight(stab))
+	}
+	// X-C-X-C is the same shape read from X: not the canonical walk.
+	w.ids, w.ranks = []int{0, 2, 1, 3}, []int{1, 0, 1, 0}
+	if stab := w.stabiliser(); stab != 0 {
+		t.Fatalf("X-C-X-C reported canonical with stabiliser %d", stab)
+	}
+}
+
+// TestCycleBudgetBoundary admits a candidate whose certification counts
+// exactly B expanded cycles under CycleBudget B, and rejects it as
+// budget-exhausted under B-1.
+func TestCycleBudgetBoundary(t *testing.T) {
+	d := xyzDDB()
+	txns := orderedTxns(d)
+	b := newCycles(d, txns[:2], txns[2], 2)
+	admit := func(budget int64) (Result, Stats) {
+		svc := New(d, Options{Multiplicity: 2, CycleBudget: budget})
+		for _, txn := range txns[:2] {
+			if res, err := svc.Admit(ctx, txn); err != nil || !res.Admitted {
+				t.Fatalf("budget %d: Admit(%s) = %+v, %v", budget, txn.Name(), res, err)
+			}
+		}
+		before := svc.Stats()
+		res, err := svc.Admit(ctx, txns[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := svc.Stats()
+		after.CyclesChecked -= before.CyclesChecked
+		return res, after
+	}
+	if res, st := admit(b); !res.Admitted || st.CyclesChecked != b || st.BudgetExhausted != 0 {
+		t.Fatalf("budget %d (exact): admitted=%v (%s), counted %d", b, res.Admitted, res.Reason, st.CyclesChecked)
+	}
+	if res, st := admit(b - 1); res.Admitted || st.BudgetExhausted != 1 || st.CyclesChecked > b-1 {
+		t.Fatalf("budget %d: admitted=%v (%s), counted %d, exhausted %d",
+			b-1, res.Admitted, res.Reason, st.CyclesChecked, st.BudgetExhausted)
+	}
+}
+
+// twoCopyWitness is a system whose classes each pass Corollary 3 and
+// whose pair passes Theorem 3, yet two instances of T1 and one of T2 admit
+// a non-serializable schedule: the multiplicity-2 witness needs both
+// copies of T1.
+const twoCopyWitness = `
+site s0: e0 e2
+site s1: e1 e3
+
+txn T1 {
+  n0: lock e0 shared
+  n1: unlock e0
+  n2: lock e1 shared
+  n3: lock e3
+  n4: unlock e3
+  n5: unlock e1
+  n1 -> n4
+  n2 -> n3
+  n4 -> n5
+}
+
+txn T2 {
+  n0: lock e0
+  n1: lock e2
+  n2: unlock e0
+  n3: unlock e2
+  n4: lock e1 shared
+  n5: unlock e1
+  n0 -> n1
+  n1 -> n2
+  n2 -> n3
+}
+`
+
+// TestTwoCopyWitnessReplays: a multiplicity-2 rejection whose violation
+// runs through both copies of one class indexes the expanded system (copy
+// k of class i at i*m+k), and its schedule replays legally there with a
+// cyclic D.
+func TestTwoCopyWitnessReplays(t *testing.T) {
+	sys, err := parse.System(strings.NewReader(twoCopyWitness))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m = 2
+	svc := New(sys.DDB, Options{Multiplicity: m})
+	if res, err := svc.Admit(ctx, sys.Txns[0]); err != nil || !res.Admitted {
+		t.Fatalf("Admit(T1) = %+v, %v", res, err)
+	}
+	res, err := svc.Admit(ctx, sys.Txns[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := res.Violation
+	if res.Admitted || v == nil {
+		t.Fatalf("Admit(T2) = %+v, want a Theorem 4 rejection", res)
+	}
+	copies := map[int]int{}
+	for _, id := range v.Cycle {
+		copies[id/m]++
+	}
+	if copies[0] != m {
+		t.Fatalf("violation cycle %v does not run through both copies of T1", v.Cycle)
+	}
+
+	ex := model.MustSystem(sys.DDB, expanded(sys.Txns, m)...)
+	exec, err := schedule.Replay(ex, v.BuildSchedule())
+	if err != nil {
+		t.Fatalf("witness schedule does not replay over the expanded system: %v", err)
+	}
+	if schedule.DigraphD(exec).IsAcyclic() {
+		t.Fatal("witness schedule leaves D acyclic")
+	}
+	if ok, _, err := core.IsSafeAndDeadlockFreeBrute(ex, core.BruteOptions{}); err != nil || ok {
+		t.Fatalf("brute oracle on the expanded system: safe=%v, %v", ok, err)
+	}
+	if !strings.Contains(res.Reason, fmt.Sprint(v.Cycle)) {
+		t.Fatalf("reason %q does not name the cycle %v", res.Reason, v.Cycle)
 	}
 }

@@ -163,6 +163,54 @@ func TestPropertyMultiplicityAgreesWithExpandedScratch(t *testing.T) {
 	}
 }
 
+// TestPropertyMultiplicity3AgreesWithExpandedScratch is the same check at
+// multiplicity 3, where a cycle can run through three copies of one class
+// and the class walk's copy-labelling counts first differ from 2^k.
+func TestPropertyMultiplicity3AgreesWithExpandedScratch(t *testing.T) {
+	expand := func(ddb *model.DDB, classes []*model.Transaction) *model.System {
+		var txns []*model.Transaction
+		for _, c := range classes {
+			txns = append(txns, model.MustCopies(c, 3).Txns...)
+		}
+		return model.MustSystem(ddb, txns...)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := workload.Config{
+			Sites: 4, EntitiesPerSite: 3, EntitiesPerTxn: 3,
+			Policy: workload.PolicyChurn, CrossArcProb: 0.4, Seed: seed * 677,
+		}
+		ddb, trace, err := workload.ChurnTrace(cfg, 10, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := New(ddb, Options{Multiplicity: 3})
+		var live []*model.Transaction
+		for _, ev := range trace {
+			if !ev.Arrive {
+				svc.Evict(ev.Txn.Name())
+				live = removeTxn(live, ev.Txn)
+				continue
+			}
+			res, err := svc.Admit(ctx, ev.Txn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cand := append(append([]*model.Transaction{}, live...), ev.Txn)
+			want, _ := core.SystemSafeDF(expand(ddb, cand))
+			if res.Admitted != want {
+				t.Fatalf("seed %d: Admit(%s) at multiplicity 3 = %v (%s), expanded SystemSafeDF = %v",
+					seed, ev.Txn.Name(), res.Admitted, res.Reason, want)
+			}
+			if res.Admitted {
+				live = append(live, ev.Txn)
+			}
+		}
+		if ok, _ := core.SystemSafeDF(expand(ddb, live)); !ok {
+			t.Fatalf("seed %d: expanded live set not certified", seed)
+		}
+	}
+}
+
 // TestPropertyBatchAgreesWithSequential replays each churn trace through
 // two services — one admitting arrivals one at a time, one in batches — and
 // checks they make identical decisions and converge to the same certified

@@ -111,58 +111,6 @@ func (g *Ugraph) SimpleCycles(limit int, fn func(cycle []int) bool) {
 	}
 }
 
-// SimpleCyclesThrough enumerates every simple cycle of length >= 3 that
-// passes through node v, calling fn with the cycle's node sequence starting
-// at v (with the second node smaller than the last, so each undirected cycle
-// is reported exactly once, in one canonical direction). If fn returns
-// false, enumeration stops early. The limit parameter bounds the number of
-// cycles reported (<=0 means unlimited).
-//
-// This is the incremental counterpart of SimpleCycles: after adding vertex v
-// to a graph whose other cycles are already known (or known to be benign),
-// only the cycles through v are new. Cost is proportional to the number of
-// simple paths explored from v.
-func (g *Ugraph) SimpleCyclesThrough(v, limit int, fn func(cycle []int) bool) {
-	if v < 0 || v >= g.n {
-		return
-	}
-	emitted := 0
-	inPath := make([]bool, g.n)
-	var path []int
-
-	var dfs func(u int) bool
-	dfs = func(u int) bool {
-		path = append(path, u)
-		inPath[u] = true
-		defer func() {
-			path = path[:len(path)-1]
-			inPath[u] = false
-		}()
-		for _, w := range g.adj[u] {
-			if w == v && len(path) >= 3 {
-				// Canonical direction: second node < last node.
-				if path[1] < path[len(path)-1] {
-					cycle := append([]int(nil), path...)
-					emitted++
-					if !fn(cycle) || (limit > 0 && emitted >= limit) {
-						return false
-					}
-				}
-				continue
-			}
-			if w == v || inPath[w] {
-				continue
-			}
-			if !dfs(w) {
-				return false
-			}
-		}
-		return true
-	}
-
-	dfs(v)
-}
-
 // CountSimpleCycles returns the number of simple cycles of length >= 3 (each
 // undirected cycle counted once).
 func (g *Ugraph) CountSimpleCycles() int {

@@ -73,11 +73,11 @@ func WithWorkers(n int) ServiceOption {
 	return func(c *serviceConfig) { c.workers = n }
 }
 
-// WithCycleBudget bounds the Theorem 4 cycle checks spent on a single
-// Register (0 = unlimited): a class whose certification would exceed the
-// budget is rejected conservatively to the fallback tier, so the budget
-// trades admission rate for bounded registration latency, never
-// correctness.
+// WithCycleBudget bounds the Theorem 4 cycles certified for a single
+// Register (0 = unlimited), counted over the multiplicity's copies of each
+// class: a class whose certification would exceed the budget is rejected
+// conservatively to the fallback tier, so the budget trades admission rate
+// for bounded registration latency, never correctness.
 func WithCycleBudget(n int64) ServiceOption {
 	return func(c *serviceConfig) { c.cycleBudget = n }
 }
