@@ -7,8 +7,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"distlock"
 	"distlock/internal/admission"
 	"distlock/internal/baseline"
 	"distlock/internal/core"
@@ -488,6 +490,82 @@ func BenchmarkAdmission(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSessionCycle measures certified transactions through the public
+// facade on the in-process table, shaped like the local-rw benchmark
+// workload: a Zipf read-mostly class set, two goroutines, each the only
+// driver of its half of the classes (client c runs classes c, c+2, ...).
+// One op is one transaction: Begin, the class program's Locks and Unlocks
+// in template order, Commit.
+func BenchmarkSessionCycle(b *testing.B) {
+	const clients = 2
+	sys, err := distlock.GenerateWorkload(distlock.WorkloadConfig{
+		Sites: 4, EntitiesPerSite: 8, NumTxns: 8, EntitiesPerTxn: 3,
+		Policy: distlock.PolicyZipf, ZipfS: 1.2, ReadFraction: 0.8, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := distlock.Open(sys.DDB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	rs, err := svc.RegisterBatch(ctx, sys.Txns)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type step struct {
+		lock   bool
+		entity string
+		mode   distlock.Mode
+	}
+	progs := make([][]step, len(sys.Txns))
+	for i, t := range sys.Txns {
+		if !rs[i].Admitted {
+			b.Fatalf("class %s not certified: %s", t.Name(), rs[i].Reason)
+		}
+		for _, nid := range t.Order() {
+			nd := t.Node(nid)
+			progs[i] = append(progs[i], step{nd.Kind == model.LockOp, sys.DDB.EntityName(nd.Entity), nd.Mode})
+		}
+	}
+	perClient := len(sys.Txns) / clients
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := 0; seq*clients+c < b.N; seq++ {
+				cls := c + clients*(seq%perClient)
+				sess, err := svc.Begin(ctx, sys.Txns[cls].Name())
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				for _, st := range progs[cls] {
+					if st.lock {
+						err = sess.Lock(ctx, st.entity, st.mode)
+					} else {
+						err = sess.Unlock(st.entity)
+					}
+					if err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				if err := sess.Commit(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkE11EarlyUnlock measures the Theorem-4-guarded early-unlock

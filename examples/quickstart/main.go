@@ -11,13 +11,23 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"distlock"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example with its output stream injected, so the
+// example's test can drive it.
+func run(w io.Writer) error {
 	ctx := context.Background()
 
 	// A two-site database: x at site1, y at site2.
@@ -55,19 +65,19 @@ func main() {
 	// the interaction-graph cycles — incremental, never from scratch.
 	svc, err := distlock.Open(db)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer svc.Close()
 
 	for _, t := range []*distlock.Transaction{t1, t2, t3, r} {
 		res, err := svc.Register(ctx, t)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if res.Admitted {
-			fmt.Printf("%s: certified — runs with NO deadlock handling\n", t.Name())
+			fmt.Fprintf(w, "%s: certified — runs with NO deadlock handling\n", t.Name())
 		} else {
-			fmt.Printf("%s: fallback (%s) — %s\n", t.Name(), res.Strategy, res.Reason)
+			fmt.Fprintf(w, "%s: fallback (%s) — %s\n", t.Name(), res.Strategy, res.Reason)
 		}
 	}
 
@@ -75,7 +85,7 @@ func main() {
 	// order, each Lock blocks until the owning site grants the entity.
 	sess, err := svc.Begin(ctx, "T1")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	steps := []struct {
 		op     string
@@ -88,34 +98,39 @@ func main() {
 			err = sess.Unlock(s.entity)
 		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if err := sess.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("T1 session committed")
+	fmt.Fprintln(w, "T1 session committed")
 
 	// Cancellation propagates into lock waits: hold x with a T1 session,
 	// then watch a T2 session's Lock("x") return when its context expires.
 	holder, err := svc.Begin(ctx, "T1")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := holder.LockExclusive(ctx, "x"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	waiter, err := svc.Begin(ctx, "T2")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancel()
 	if err := waiter.Lock(short, "x", distlock.Exclusive); err != nil {
-		fmt.Printf("T2 blocked on x, cancelled: %v\n", err)
+		fmt.Fprintf(w, "T2 blocked on x, cancelled: %v\n", err)
 	}
-	waiter.Abort()
-	holder.Abort()
+	if err := waiter.Abort(); err != nil {
+		return err
+	}
+	if err := holder.Abort(); err != nil {
+		return err
+	}
 
-	fmt.Printf("stats: %+v\n", svc.Stats().Admission)
+	fmt.Fprintf(w, "stats: %+v\n", svc.Stats().Admission)
+	return nil
 }

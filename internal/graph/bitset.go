@@ -18,7 +18,7 @@ import (
 const wordBits = 64
 
 // Bitset is a fixed-capacity dense bitset. The zero value is unusable; use
-// NewBitset. Capacity is fixed at creation.
+// NewBitset or BitsetOver. Capacity is fixed at creation.
 type Bitset struct {
 	words []uint64
 	n     int
@@ -26,10 +26,27 @@ type Bitset struct {
 
 // NewBitset returns a bitset able to hold bits [0, n).
 func NewBitset(n int) *Bitset {
+	return &Bitset{words: make([]uint64, WordsFor(n)), n: n}
+}
+
+// WordsFor returns the number of 64-bit words a bitset of n bits occupies.
+func WordsFor(n int) int {
 	if n < 0 {
 		panic("graph: negative bitset size")
 	}
-	return &Bitset{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+	return (n + wordBits - 1) / wordBits
+}
+
+// BitsetOver returns a bitset over bits [0, n) stored in the caller's
+// words — typically an array inline in a larger struct, so the bitset
+// allocates nothing of its own. words must hold at least WordsFor(n)
+// words; their current bits are the bitset's contents, not cleared.
+func BitsetOver(words []uint64, n int) Bitset {
+	k := WordsFor(n)
+	if len(words) < k {
+		panic("graph: too few words for the bitset size") // a constant, so the call inlines
+	}
+	return Bitset{words: words[:k:k], n: n}
 }
 
 // Len returns the capacity of the bitset.

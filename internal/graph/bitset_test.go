@@ -32,6 +32,29 @@ func TestBitsetBasic(t *testing.T) {
 	}
 }
 
+// TestBitsetOver: two bitsets carved from one backing array each own
+// exactly their words, and a too-short backing is refused.
+func TestBitsetOver(t *testing.T) {
+	var words [4]uint64
+	a := BitsetOver(words[0:2], 100)
+	b := BitsetOver(words[2:], 100)
+	a.Set(99)
+	b.Set(0)
+	if words[1] != 1<<35 || words[2] != 1 || a.Count() != 1 || b.Count() != 1 {
+		t.Fatalf("words = %x, a = %v, b = %v", words, &a, &b)
+	}
+	a.Reset()
+	if !b.Has(0) || words[1] != 0 {
+		t.Fatal("Reset of one bitset reached the other's words")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a backing too short for n bits")
+		}
+	}()
+	BitsetOver(words[:1], 65)
+}
+
 func TestBitsetOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

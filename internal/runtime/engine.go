@@ -171,7 +171,11 @@ type Engine struct {
 	wg       sync.WaitGroup
 	holds    holdTimer // high-resolution Config.HoldTime delays (lazy)
 
-	progress atomic.Int64 // bumped on every grant/commit
+	// Cumulative tallies, bumped per session or per deadlock-handling
+	// event, never per lock operation: unless a latency histogram or
+	// tracing is armed, a lock operation writes nothing engine-global.
+	// commits is also half of Run's stall watchdog (the table's grant
+	// counter is the other half).
 	commits  atomic.Int64
 	aborts   atomic.Int64
 	discards atomic.Int64
@@ -204,8 +208,10 @@ type Engine struct {
 	spanTable locktable.SpannedTable
 	asyncSpan locktable.SpannedAsyncTable
 
+	// mu guards the two maps below, so a StrategyNone engine without
+	// Trace never takes it.
 	mu       sync.Mutex
-	abortChs map[int]chan struct{} // instance id -> abort signal
+	abortChs map[int]chan struct{} // instance id -> abort signal (not StrategyNone)
 	commitEp map[int]int           // instance id -> commit epoch (Trace only)
 }
 

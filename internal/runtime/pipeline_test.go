@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -235,6 +236,69 @@ func pipelinedAbortConservation(t *testing.T, e *Engine, d *model.DDB, srvs []*n
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// releaseAllRecorder wraps an engine's table to record the entities each
+// ReleaseAll — Abort's release wave — names.
+type releaseAllRecorder struct {
+	locktable.Table
+	named [][]model.EntityID
+}
+
+func (r *releaseAllRecorder) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
+	r.named = append(r.named, slices.Clone(ents))
+	return r.Table.ReleaseAll(ents, key)
+}
+
+// TestPipelinedFailedJoinClearsHeld: a join that fails rolls back its
+// entity's optimistic hold, so Held stops listing it and Abort's release
+// wave does not name it. At depth 1, Lock(z) joins the acquire of y, which
+// is parked behind a foreign holder until Lock's context expires.
+func TestPipelinedFailedJoinClearsHeld(t *testing.T) {
+	e, d, srvs := pipelineFixture(t, 1, 1)
+	x, y, z := ent(t, d, "x"), ent(t, d, "y"), ent(t, d, "z")
+	rec := &releaseAllRecorder{Table: e.table}
+	e.table = rec
+
+	blocker, err := netlock.Dial(srvs[0].Addr(), d, locktable.Config{}, netlock.DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blocker.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	foreign := locktable.InstKey{ID: 999}
+	if err := blocker.Acquire(ctx, locktable.Instance{Key: foreign, Prio: 999}, y, locktable.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := e.Begin(buildChain(d, "A", "Lx Ly Lz Ux Uy Uz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eid := range []model.EntityID{x, y} {
+		if err := s.Lock(ctx, eid, model.Exclusive); err != nil {
+			t.Fatalf("Lock(%v) = %v", eid, err)
+		}
+	}
+	short, stop := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer stop()
+	if err := s.Lock(short, z, model.Exclusive); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Lock(z) joining the parked acquire of y = %v, want deadline exceeded", err)
+	}
+	if got, want := s.Held(), []model.EntityID{x, z}; !slices.Equal(got, want) {
+		t.Fatalf("Held after the failed join = %v, want %v", got, want)
+	}
+	if err := s.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.named) != 1 || !slices.Equal(rec.named[0], []model.EntityID{x, z}) {
+		t.Fatalf("Abort released %v, want one wave naming [x z]", rec.named)
+	}
+	if err := blocker.Release(y, foreign); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, func() bool { return srvs[0].TableMetrics().Snapshot().Held == 0 })
 }
 
 // Receipt-joined releases: on a wire backend a synchronous session's

@@ -178,20 +178,24 @@ func Run(cfg Config) (*Metrics, error) {
 		close(done)
 	}()
 
-	// Stall watchdog.
+	// Stall watchdog. Progress is a lock grant or a commit: the table's
+	// grant counter plus the engine's commit counter, both kept anyway, so
+	// the op path pays for no watchdog of its own. (A Table.Metrics bundle
+	// shared with other tables counts their grants too.)
 	stalled := false
 	tick := cfg.StallTimeout / 8
 	if tick <= 0 {
 		tick = time.Millisecond
 	}
-	last, lastChange := e.progress.Load(), time.Now()
+	progress := func() int64 { return e.metrics.Snapshot().Grants + e.commits.Load() }
+	last, lastChange := progress(), time.Now()
 watch:
 	for {
 		select {
 		case <-done:
 			break watch
 		case <-time.After(tick):
-			if p := e.progress.Load(); p != last {
+			if p := progress(); p != last {
 				last, lastChange = p, time.Now()
 			} else if time.Since(lastChange) > cfg.StallTimeout {
 				stalled = true
@@ -260,7 +264,7 @@ func (e *Engine) runInstance(id int, tmpl *model.Transaction, rng *rand.Rand, ho
 // deadlock handling and the caller should retry.
 func (e *Engine) driveOnce(s *Session, rng *rand.Rand, hold time.Duration) (bool, bool) {
 	for {
-		ready := s.tmpl.MinimalNodes(s.executed)
+		ready := s.tmpl.MinimalNodes(&s.executed)
 		if len(ready) == 0 {
 			if err := s.Commit(); err != nil {
 				s.Abort() // a discard if the commit failed with ErrClosed

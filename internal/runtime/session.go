@@ -48,9 +48,13 @@ type Session struct {
 	key  instKey
 	prio int64
 
-	executed *graph.Bitset
-	held     map[model.EntityID]bool
-	abortCh  chan struct{}
+	// executed marks the template nodes run so far; held marks the Lock
+	// node of every entity the session holds. Their words live in inline
+	// for templates of up to 64 nodes, in one heap array beyond.
+	executed graph.Bitset
+	held     graph.Bitset
+	inline   [2]uint64
+	abortCh  chan struct{} // nil on StrategyNone (see beginInstance)
 	done     bool
 	doomed   bool
 
@@ -136,25 +140,39 @@ func (e *Engine) Retry(prev *Session) (*Session, error) {
 // beginInstance opens a session with explicit instance identity: the batch
 // driver reuses an instance id across retry epochs so the wound-wait age
 // priority of a wounded transaction survives its retries.
+//
+// Only an engine with deadlock handling gives the session an abort signal
+// and registers it: on StrategyNone nothing can ever fire one — the table
+// runs without wound-wait, no detector runs, and a wire server must match
+// the engine's wound-wait setting at the handshake — so a certified
+// session takes no engine lock at all.
 func (e *Engine) beginInstance(tmpl *model.Transaction, id, epoch int, prio int64) *Session {
 	s := &Session{
-		e:        e,
-		tmpl:     tmpl,
-		key:      instKey{ID: id, Epoch: epoch},
-		prio:     prio,
-		executed: graph.NewBitset(tmpl.N()),
-		held:     map[model.EntityID]bool{},
-		abortCh:  make(chan struct{}, 1),
+		e:    e,
+		tmpl: tmpl,
+		key:  instKey{ID: id, Epoch: epoch},
+		prio: prio,
 	}
+	n := tmpl.N()
+	words := s.inline[:]
+	if k := graph.WordsFor(n); k > 1 {
+		words = make([]uint64, 2*k)
+	}
+	half := len(words) / 2
+	s.executed = graph.BitsetOver(words[:half], n)
+	s.held = graph.BitsetOver(words[half:], n)
 	if e.spans != nil {
 		// Stagger sessions across the sampling period: sessions run a
 		// handful of ops each, so without the seed most would never reach
 		// the 1-in-N threshold and hot classes would go unsampled.
 		s.spanTick = (id * 7) % e.spanEvery
 	}
-	e.mu.Lock()
-	e.abortChs[id] = s.abortCh
-	e.mu.Unlock()
+	if e.strategy != StrategyNone {
+		s.abortCh = make(chan struct{}, 1)
+		e.mu.Lock()
+		e.abortChs[id] = s.abortCh
+		e.mu.Unlock()
+	}
 	return s
 }
 
@@ -178,43 +196,62 @@ func (s *Session) Template() *model.Transaction { return s.tmpl }
 
 // Held returns the entities the session currently holds, sorted by id.
 func (s *Session) Held() []model.EntityID {
-	out := make([]model.EntityID, 0, len(s.held))
-	for e := range s.held {
-		out = append(out, e)
-	}
+	out := make([]model.EntityID, 0, s.held.Count())
+	s.held.ForEach(func(nid int) bool {
+		out = append(out, s.tmpl.Node(model.NodeID(nid)).Entity)
+		return true
+	})
 	slices.Sort(out)
 	return out
 }
 
 // Doomed exposes the abort signal: it is readable once the engine's
 // deadlock handling has picked this transaction as a victim. Drivers
-// sleeping between operations select on it to notice wounds promptly.
+// sleeping between operations select on it to notice wounds promptly. On
+// a StrategyNone engine it is nil — a channel that never fires — because
+// nothing can pick a certified session as a victim.
 func (s *Session) Doomed() <-chan struct{} { return s.abortCh }
 
 // ready validates that the template node may execute now: the session is
 // open, not a deadlock-handling victim, the node not yet executed, and
 // every predecessor in the class's partial order executed.
-func (s *Session) ready(nid model.NodeID, label string) error {
+func (s *Session) ready(nid model.NodeID) error {
 	if s.done {
 		return ErrSessionDone
 	}
 	if s.doomed {
 		return ErrAborted
 	}
-	select {
-	case <-s.abortCh:
-		s.doomed = true
-		return ErrAborted
-	default:
+	if s.abortCh != nil {
+		select {
+		case <-s.abortCh:
+			s.doomed = true
+			return ErrAborted
+		default:
+		}
 	}
 	if s.executed.Has(int(nid)) {
-		return fmt.Errorf("runtime: %s: %s already executed", s.tmpl.Name(), label)
+		return fmt.Errorf("runtime: %s: %s already executed", s.tmpl.Name(), s.label(nid))
 	}
 	if !s.executed.ContainsAll(s.tmpl.Preds(nid)) {
 		return fmt.Errorf("runtime: %s: %s violates the class's partial order (unexecuted predecessor)",
-			s.tmpl.Name(), label)
+			s.tmpl.Name(), s.label(nid))
 	}
 	return nil
+}
+
+// label names a template node the way error messages spell it: "Lx" or
+// "Ux", whatever the lock's mode. Built only on an error path.
+func (s *Session) label(nid model.NodeID) string {
+	nd := s.tmpl.Node(nid)
+	return nd.Kind.String() + s.e.ddb.EntityName(nd.Entity)
+}
+
+// lockNode is the template's Lock node of ent: the bit that marks ent
+// held. Every caller has already matched ent to one of its template nodes.
+func (s *Session) lockNode(ent model.EntityID) int {
+	nid, _ := s.tmpl.LockNode(ent)
+	return int(nid)
 }
 
 // Lock acquires the entity in the given mode, blocking until the lock
@@ -237,7 +274,7 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 		return fmt.Errorf("runtime: %s locks %s in mode %s, not %s (the certification covers the template's modes only)",
 			s.tmpl.Name(), s.e.ddb.EntityName(ent), want, mode)
 	}
-	if err := s.ready(nid, "L"+s.e.ddb.EntityName(ent)); err != nil {
+	if err := s.ready(nid); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
@@ -283,9 +320,8 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 		}
 		s.nsync++
 		s.noteGranted(ent, lockStart)
-		s.held[ent] = true
+		s.held.Set(int(nid))
 		s.executed.Set(int(nid))
-		s.e.progress.Add(1)
 		return nil
 	case errors.Is(err, locktable.ErrWounded):
 		s.doomed = true
@@ -376,9 +412,8 @@ func (s *Session) lockPipelined(ctx context.Context, inst locktable.Instance, en
 		s.pendAcq[ent] = s.e.async.AcquireAsync(inst, ent, mode)
 	}
 	s.pendQ = append(s.pendQ, ent)
-	s.held[ent] = true
+	s.held.Set(int(nid))
 	s.executed.Set(int(nid))
-	s.e.progress.Add(1)
 	for len(s.pendQ) > s.e.pipeline {
 		oldest := s.pendQ[0]
 		s.pendQ = s.pendQ[1:]
@@ -403,7 +438,7 @@ func (s *Session) joinAcquire(ctx context.Context, ent model.EntityID) error {
 		delete(s.pendSpans, ent)
 	}
 	if err := comp.Wait(ctx); err != nil {
-		delete(s.held, ent)
+		s.held.Clear(s.lockNode(ent))
 		if s.pipeErr == nil {
 			s.pipeErr = err
 		}
@@ -427,14 +462,15 @@ func (s *Session) Unlock(ent model.EntityID) error {
 	if !ok {
 		return fmt.Errorf("runtime: %s has no Unlock(%s) operation", s.tmpl.Name(), s.e.ddb.EntityName(ent))
 	}
-	if err := s.ready(nid, "U"+s.e.ddb.EntityName(ent)); err != nil {
+	if err := s.ready(nid); err != nil {
 		return err
 	}
-	if !s.held[ent] {
+	lnid := s.lockNode(ent)
+	if !s.held.Has(lnid) {
 		return fmt.Errorf("runtime: %s: Unlock(%s) without holding the lock", s.tmpl.Name(), s.e.ddb.EntityName(ent))
 	}
 	if s.e.releaseAsync != nil {
-		return s.unlockAsync(ent, nid)
+		return s.unlockAsync(ent, lnid, nid)
 	}
 	// In-process releases are traced session-level only (submit + wakeup):
 	// the interesting decomposition is the acquire's, and wire releases
@@ -455,7 +491,7 @@ func (s *Session) Unlock(ent model.EntityID) error {
 		s.e.recordSpan(sp)
 	}
 	s.noteReleased(ent)
-	delete(s.held, ent)
+	s.held.Clear(lnid)
 	s.executed.Set(int(nid))
 	return nil
 }
@@ -480,7 +516,7 @@ func (s *Session) Unlock(ent model.EntityID) error {
 // switches, so the executed schedule stays inside the certified system
 // while this goroutine runs ahead. The acquire's completion stays pending
 // and Commit joins it.
-func (s *Session) unlockAsync(ent model.EntityID, nid model.NodeID) error {
+func (s *Session) unlockAsync(ent model.EntityID, lnid int, nid model.NodeID) error {
 	if s.pipeErr != nil {
 		return s.mapTableErr(s.pipeErr)
 	}
@@ -489,7 +525,7 @@ func (s *Session) unlockAsync(ent model.EntityID, nid model.NodeID) error {
 	}
 	s.rels = append(s.rels, s.e.releaseAsync(ent, s.key))
 	s.noteReleased(ent)
-	delete(s.held, ent)
+	s.held.Clear(lnid)
 	s.executed.Set(int(nid))
 	return nil
 }
@@ -514,8 +550,8 @@ func (s *Session) Commit() error {
 		return fmt.Errorf("runtime: %s: commit with %d of %d operations executed",
 			s.tmpl.Name(), got, s.tmpl.N())
 	}
-	if len(s.held) > 0 {
-		return fmt.Errorf("runtime: %s: commit while holding %d locks", s.tmpl.Name(), len(s.held))
+	if n := s.held.Count(); n > 0 {
+		return fmt.Errorf("runtime: %s: commit while holding %d locks", s.tmpl.Name(), n)
 	}
 	// The acquires Unlock did not wait for settle first, in submission
 	// order; joinAcquire records the first failure in pipeErr.
@@ -543,14 +579,13 @@ func (s *Session) Commit() error {
 	}
 	s.done = true
 	s.flushOps()
-	s.e.mu.Lock()
-	delete(s.e.abortChs, s.key.ID)
 	if s.e.trace {
+		s.e.mu.Lock()
 		s.e.commitEp[s.key.ID] = s.key.Epoch
+		s.e.mu.Unlock()
 	}
-	s.e.mu.Unlock()
+	s.dropAbortCh()
 	s.e.commits.Add(1)
-	s.e.progress.Add(1)
 	return nil
 }
 
@@ -614,17 +649,11 @@ func (s *Session) Abort() error {
 		s.pendQ = nil
 		s.pendSpans = nil // aborted ops' spans are dropped, never committed
 	}
-	ents := make([]model.EntityID, 0, len(s.held))
-	for ent := range s.held {
-		ents = append(ents, ent)
-	}
 	// One pipelined release wave; a mid-abort shutdown leaves the rest to
 	// die with the table.
-	s.e.table.ReleaseAll(ents, s.key)
-	s.held = map[model.EntityID]bool{}
-	s.e.mu.Lock()
-	delete(s.e.abortChs, s.key.ID)
-	s.e.mu.Unlock()
+	s.e.table.ReleaseAll(s.Held(), s.key)
+	s.held.Reset()
+	s.dropAbortCh()
 	s.e.aborts.Add(1)
 	return nil
 }
@@ -639,8 +668,17 @@ func (s *Session) discard() {
 	}
 	s.done = true
 	s.flushOps()
+	s.dropAbortCh()
+	s.e.discards.Add(1)
+}
+
+// dropAbortCh deregisters the session's abort signal from the engine. A
+// session without one (StrategyNone) takes no engine lock.
+func (s *Session) dropAbortCh() {
+	if s.abortCh == nil {
+		return
+	}
 	s.e.mu.Lock()
 	delete(s.e.abortChs, s.key.ID)
 	s.e.mu.Unlock()
-	s.e.discards.Add(1)
 }

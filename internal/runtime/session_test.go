@@ -3,6 +3,9 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -350,6 +353,122 @@ func TestBeginRejectsForeignTemplate(t *testing.T) {
 	other.MustEntity("z", "s9")
 	if _, err := e.Begin(buildChain(other, "Z", "Lz Uz")); err == nil {
 		t.Fatal("foreign-DDB template accepted")
+	}
+}
+
+// TestCertifiedSessionHasNoAbortSignal: a StrategyNone session carries no
+// abort signal — Doomed is nil and nothing is registered with the engine —
+// while a wound-wait session registers one for the length of its life.
+func TestCertifiedSessionHasNoAbortSignal(t *testing.T) {
+	for _, strat := range []Strategy{StrategyNone, StrategyWoundWait} {
+		e, d := sessionFixture(t, strat, BackendDefault)
+		x := ent(t, d, "x")
+		s, err := e.Begin(buildChain(d, "A", "Lx Ux"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		registered := func() int {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			return len(e.abortChs)
+		}
+		if err := s.Lock(context.Background(), x, model.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		certified := strat == StrategyNone
+		if (s.Doomed() == nil) != certified || (registered() == 0) != certified {
+			t.Fatalf("%v: Doomed nil = %v, %d abort signals registered", strat, s.Doomed() == nil, registered())
+		}
+		if err := s.Unlock(x); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if n := registered(); n != 0 {
+			t.Fatalf("%v: %d abort signals left after Commit", strat, n)
+		}
+	}
+}
+
+// TestSessionLargeTemplate: a template of more than 64 nodes keeps its
+// executed and held marks in heap words instead of the session's inline
+// ones. Held, the partial-order errors and Abort's release wave must read
+// exactly as on a small template.
+func TestSessionLargeTemplate(t *testing.T) {
+	const k = 40 // 80 nodes
+	d := model.NewDDB()
+	ents := make([]model.EntityID, k)
+	var locks, unlocks []string
+	for i := range ents {
+		name := fmt.Sprintf("e%d", i)
+		ents[i] = d.MustEntity(name, fmt.Sprintf("s%d", i%4))
+		locks = append(locks, "L"+name)
+		unlocks = append(unlocks, "U"+name)
+	}
+	tmpl := buildChain(d, "BIG", strings.Join(append(locks, unlocks...), " "))
+	e, err := NewEngine(d, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	ctx := context.Background()
+	held := func() int64 { return e.TableMetrics().Snapshot().Held }
+
+	s, err := e.Begin(tmpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ents[:k/2] {
+		if err := s.Lock(ctx, id, model.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Held(); !slices.Equal(got, ents[:k/2]) {
+		t.Fatalf("Held mid-run = %v, want %v", got, ents[:k/2])
+	}
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{s.Lock(ctx, ents[3], model.Exclusive), "runtime: BIG: Le3 already executed"},
+		{s.Unlock(ents[5]), "runtime: BIG: Ue5 violates the class's partial order (unexecuted predecessor)"},
+		{s.Lock(ctx, ents[k-1], model.Exclusive), "runtime: BIG: Le39 violates the class's partial order (unexecuted predecessor)"},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Fatalf("error = %v, want %q", c.err, c.want)
+		}
+	}
+	if got := held(); got != k/2 {
+		t.Fatalf("table holds %d records, want %d", got, k/2)
+	}
+	if err := s.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := held(); got != 0 || len(s.Held()) != 0 {
+		t.Fatalf("after Abort: table holds %d records, session %v", got, s.Held())
+	}
+
+	// A full run of the same template commits.
+	s, err = e.Begin(tmpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ents {
+		if err := s.Lock(ctx, id, model.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ents {
+		if err := s.Unlock(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if c := e.Counters(); c.Commits != 1 || c.Aborts != 1 || held() != 0 {
+		t.Fatalf("counters = %+v, table holds %d", c, held())
 	}
 }
 

@@ -473,7 +473,6 @@ func (s *LockService) Begin(ctx context.Context, class string) (*Session, error)
 // and opens the engine session — fresh, or a retry of prev preserving its
 // instance identity.
 func (s *LockService) beginOn(ctx context.Context, c *svcClass, prev *runtime.Session) (*Session, error) {
-	release := func() {}
 	engine := s.fallback
 	if c.certified {
 		engine = s.certified
@@ -498,22 +497,6 @@ func (s *LockService) beginOn(ctx context.Context, c *svcClass, prev *runtime.Se
 		}
 		c.live++
 		s.mu.Unlock()
-		var once sync.Once
-		release = func() {
-			once.Do(func() {
-				<-c.slots
-				s.mu.Lock()
-				c.live--
-				evict := c.departed && c.live == 0 && !c.evicted
-				if evict {
-					c.evicted = true
-				}
-				s.mu.Unlock()
-				if evict {
-					s.adm.Evict(c.txn.Name())
-				}
-			})
-		}
 	}
 	var inner *runtime.Session
 	var err error
@@ -523,11 +506,30 @@ func (s *LockService) beginOn(ctx context.Context, c *svcClass, prev *runtime.Se
 		inner, err = engine.Begin(c.txn)
 	}
 	if err != nil {
-		release()
+		if c.certified {
+			s.releaseSlot(c)
+		}
 		return nil, err
 	}
 	s.begun.Add(1)
-	return &Session{svc: s, class: c, inner: inner, release: release}, nil
+	return &Session{svc: s, class: c, inner: inner}, nil
+}
+
+// releaseSlot returns one of the class's certified-tier multiplicity
+// slots and, if the class was deregistered while this was its last live
+// session, evicts it from the admission set.
+func (s *LockService) releaseSlot(c *svcClass) {
+	<-c.slots
+	s.mu.Lock()
+	c.live--
+	evict := c.departed && c.live == 0 && !c.evicted
+	if evict {
+		c.evicted = true
+	}
+	s.mu.Unlock()
+	if evict {
+		s.adm.Evict(c.txn.Name())
+	}
 }
 
 // BeginRetry opens a fresh session for the same transaction instance as a
@@ -659,10 +661,22 @@ func (s *LockService) Close() error {
 // partial order and must end in exactly one Commit or Abort. A Session is
 // driven by one goroutine at a time.
 type Session struct {
-	svc     *LockService
-	class   *svcClass
-	inner   *runtime.Session
-	release func()
+	svc   *LockService
+	class *svcClass
+	inner *runtime.Session
+	// released records that the session gave back its multiplicity slot.
+	// A plain bool: a session is driven by one goroutine at a time.
+	released bool
+}
+
+// release gives back the session's certified-tier multiplicity slot, once
+// (fallback sessions hold none).
+func (s *Session) release() {
+	if s.released || !s.class.certified {
+		return
+	}
+	s.released = true
+	s.svc.releaseSlot(s.class)
 }
 
 // Class returns the name of the class the session instantiates.

@@ -400,6 +400,46 @@ func TestLockServicePartialOrderEnforced(t *testing.T) {
 	}
 }
 
+// TestCertifiedSessionAllocs: a certified in-process transaction pays only
+// for its two session handles (the facade's and the engine's) — no abort
+// signal, no held-set map, no per-operation label, no release closure.
+func TestCertifiedSessionAllocs(t *testing.T) {
+	db := xyzDB()
+	svc, err := distlock.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	res, err := svc.Register(ctx, chain(db, "A", "Lx", "Ly", "Lz", "Ux", "Uy", "Uz"))
+	if err != nil || !res.Admitted {
+		t.Fatalf("class not certified: %+v, %v", res, err)
+	}
+	ents := []string{"x", "y", "z"}
+	allocs := testing.AllocsPerRun(200, func() {
+		sess, err := svc.Begin(ctx, "A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if err := sess.LockExclusive(ctx, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range ents {
+			if err := sess.Unlock(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("certified session cycle = %v allocs, want <= 2", allocs)
+	}
+}
+
 // TestStatsConcurrentWithClose: Stats is documented safe on a live
 // service, concurrently with Close, and after Close. Drive real traffic
 // (with latency histograms enabled, so every metrics source is live),
