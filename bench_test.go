@@ -402,7 +402,7 @@ func BenchmarkAdmission(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			svc := admission.New(ddb, admission.Options{Workers: 1})
+			svc := admission.New(ddb, admission.Options{})
 			for _, t := range classes {
 				if r, err := svc.Admit(context.Background(), t); err != nil || !r.Admitted {
 					b.Fatalf("ordered class rejected: %+v %v", r, err)
@@ -415,7 +415,7 @@ func BenchmarkAdmission(b *testing.B) {
 		// One long-lived service: the first admissions fill the cache, then
 		// each iteration churns every class out and back in. Re-admission
 		// must cost zero PairSafeDF evaluations.
-		svc := admission.New(ddb, admission.Options{Workers: 1})
+		svc := admission.New(ddb, admission.Options{})
 		for _, t := range classes {
 			if r, err := svc.Admit(context.Background(), t); err != nil || !r.Admitted {
 				b.Fatalf("ordered class rejected: %+v %v", r, err)
@@ -468,25 +468,46 @@ func BenchmarkAdmission(b *testing.B) {
 		}
 	})
 
+	// One churn trace replayed at multiplicity 2 under a cycle budget, as
+	// the admit-churn workload drives it: straight into the admission
+	// service, and through the facade with its default options.
+	churnDDB, trace, err := workload.ChurnTrace(workload.Config{
+		Sites: 8, EntitiesPerSite: 8, EntitiesPerTxn: 3,
+		Policy: workload.PolicyChurn, Seed: 1,
+	}, 100, 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("churn-m2", func(b *testing.B) {
-		// One churn trace replayed at multiplicity 2 under a cycle budget:
-		// the class-walk cycle phase, as the admit-churn workload drives it.
-		ddb, trace, err := workload.ChurnTrace(workload.Config{
-			Sites: 8, EntitiesPerSite: 8, EntitiesPerTxn: 3,
-			Policy: workload.PolicyChurn, Seed: 1,
-		}, 100, 0.25)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			svc := admission.New(ddb, admission.Options{Multiplicity: 2, CycleBudget: 32, Workers: 1})
+			svc := admission.New(churnDDB, admission.Options{Multiplicity: 2, CycleBudget: 32})
 			for _, ev := range trace {
 				if !ev.Arrive {
 					svc.Evict(ev.Txn.Name())
 				} else if _, err := svc.Admit(context.Background(), ev.Txn); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}
+	})
+
+	b.Run("churn-m2-facade", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			svc, err := distlock.Open(churnDDB, distlock.WithCycleBudget(32), distlock.WithMultiplicity(2))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, ev := range trace {
+				if !ev.Arrive {
+					svc.Deregister(ev.Txn.Name())
+				} else if _, err := svc.Register(context.Background(), ev.Txn); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := svc.Close(); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

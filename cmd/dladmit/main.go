@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		policy   = fs.String("policy", "churn", "generation policy: random|two-phase|ordered|churn|zipf")
 		readFrac = fs.Float64("read-fraction", 0, "probability each generated lock is SHARED (0 = all exclusive; 0.9 = read-heavy)")
 		batch    = fs.Int("batch", 4, "register arrivals in batches of this size")
-		workers  = fs.Int("workers", 0, "pair-check worker pool (0 = GOMAXPROCS)")
 		budget   = fs.Int64("cycle-budget", 4096, "max Theorem 4 cycles certified per registration (0 = unlimited)")
 		seed     = fs.Int64("seed", 1, "generator seed")
 		run      = fs.Bool("run", false, "serve live session traffic for the final mix")
@@ -105,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "certifying for %d concurrent sessions per class\n", mult)
 	}
 	opts := []distlock.ServiceOption{
-		distlock.WithWorkers(*workers),
 		distlock.WithCycleBudget(*budget),
 		distlock.WithMultiplicity(mult),
 		distlock.WithShards(*shards),

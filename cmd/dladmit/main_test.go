@@ -11,7 +11,8 @@ import (
 // clean certified tier — StrategyNone over a certified mix may not abort —
 // and no "BUG:" line from the conservation / from-scratch re-certification
 // checks; a backend value the command does not accept, or a cluster with
-// no addresses, is a usage error (exit 2) that names what it wants.
+// no addresses, is a usage error (exit 2) that names what it wants, and so
+// is the deleted -workers flag.
 func TestRun(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -24,6 +25,7 @@ func TestRun(t *testing.T) {
 		{name: "backend actor", args: []string{"-backend", "actor"}, code: 2, wantStderr: "default|remote|cluster"},
 		{name: "backend sharded", args: []string{"-backend", "sharded"}, code: 2, wantStderr: "default|remote|cluster"},
 		{name: "cluster without addrs", args: []string{"-backend", "cluster"}, code: 2, wantStderr: "-addrs"},
+		{name: "workers is gone", args: []string{"-workers", "2"}, code: 2, wantStderr: "flag provided but not defined: -workers"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -222,8 +222,8 @@ type (
 	// a certified safe-and-deadlock-free transaction mix and decides
 	// online, by incremental Theorem 3/4 checks, whether new classes join.
 	Admission = admission.Service
-	// AdmissionOptions parameterizes the service (worker pool, cycle
-	// budget).
+	// AdmissionOptions parameterizes the service (cycle budget,
+	// multiplicity).
 	AdmissionOptions = admission.Options
 	// AdmissionStats are the service's cumulative work counters.
 	AdmissionStats = admission.Stats

@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"distlock"
 	"distlock/internal/model"
@@ -32,6 +34,14 @@ func transfer(db *distlock.DDB, name, from, to string) *distlock.Transaction {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example with its output stream injected, so the
+// example's test can drive it.
+func run(w io.Writer) error {
 	db := distlock.NewDDB()
 	// Three branches, two accounts each.
 	for _, acc := range []struct{ name, branch string }{
@@ -69,12 +79,12 @@ func main() {
 	} {
 		sys, err := distlock.NewSystem(db, mix.templates...)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		certified, viol := distlock.SystemSafeDF(sys)
-		fmt.Printf("mix %-14s certified safe+deadlock-free (Theorem 4): %v\n", mix.name, certified)
+		fmt.Fprintf(w, "mix %-14s certified safe+deadlock-free (Theorem 4): %v\n", mix.name, certified)
 		if !certified {
-			fmt.Printf("  violation: %s\n", viol)
+			fmt.Fprintf(w, "  violation: %s\n", viol)
 		}
 
 		// Run on the simulated cluster. The certified mix runs with no
@@ -88,25 +98,24 @@ func main() {
 			Strategy: strategy, Seed: 99,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  ran under %-14s committed=%d aborts=%d makespan=%d ticks stalled=%v\n\n",
+		fmt.Fprintf(w, "  ran under %-14s committed=%d aborts=%d makespan=%d ticks stalled=%v\n\n",
 			strategy, m.Committed, m.Aborts, m.Makespan, m.Stalled)
 	}
 
 	// The punchline: run the UNdisciplined mix with no handling.
-	sys, _ := distlock.NewSystem(db, undisciplined...)
-	_ = sys
 	m, err := sim.Run(sim.Config{
 		Templates: toModel(undisciplined), Clients: 8, TxnsPerClient: 50,
 		Strategy: sim.StrategyNone, Seed: 99,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("undisciplined mix with NO deadlock handling: committed=%d of %d, stalled=%v\n",
+	fmt.Fprintf(w, "undisciplined mix with NO deadlock handling: committed=%d of %d, stalled=%v\n",
 		m.Committed, 8*50, m.Stalled)
-	fmt.Println("(this is why the static certification matters: prevention costs nothing at runtime)")
+	fmt.Fprintln(w, "(this is why the static certification matters: prevention costs nothing at runtime)")
+	return nil
 }
 
 func toModel(ts []*distlock.Transaction) []*model.Transaction { return ts }

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"distlock"
 	"distlock/internal/figures"
@@ -16,62 +18,88 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example with its output stream injected, so the
+// example's test can drive it. It stops at the first figure whose claim
+// fails to verify.
+func run(w io.Writer) error {
 	// Fig 1: show the system, the prefix, and the cycle.
 	sys, prefixes := figures.Fig1()
-	fmt.Println("Figure 1 — three transactions over two sites:")
+	fmt.Fprintln(w, "Figure 1 — three transactions over two sites:")
 	for _, t := range sys.Txns {
-		fmt.Printf("  %v\n", t)
+		fmt.Fprintf(w, "  %v\n", t)
 	}
 	rg, err := distlock.NewReductionGraph(sys, prefixes)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  prefix {L1y, L2x, L3z} is a deadlock prefix; R(A') cycle: %s\n",
+	fmt.Fprintf(w, "  prefix {L1y, L2x, L3z} is a deadlock prefix; R(A') cycle: %s\n",
 		schedule.FormatCycle(sys, rg.Cycle()))
-	must("Fig1", figures.VerifyFig1())
+	if err := verified(w, "Fig1", figures.VerifyFig1()); err != nil {
+		return err
+	}
 
 	// Fig 2.
 	t2 := figures.Fig2()
-	fmt.Printf("\nFigure 2 — the transaction that defeats Tirri's algorithm:\n  %v\n", t2)
-	pair, _ := distlock.Copies(t2, 2)
-	fmt.Printf("  Tirri's test says deadlock-free: %v\n",
-		distlock.TirriDeadlockFree(pair.Txns[0], pair.Txns[1]))
-	w, err := distlock.FindDeadlockPrefix(pair, distlock.BruteOptions{})
+	fmt.Fprintf(w, "\nFigure 2 — the transaction that defeats Tirri's algorithm:\n  %v\n", t2)
+	pair, err := distlock.Copies(t2, 2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  exhaustive search finds the 4-entity deadlock cycle: %s\n",
-		schedule.FormatCycle(pair, w.Cycle))
-	must("Fig2", figures.VerifyFig2())
+	fmt.Fprintf(w, "  Tirri's test says deadlock-free: %v\n",
+		distlock.TirriDeadlockFree(pair.Txns[0], pair.Txns[1]))
+	dl, err := distlock.FindDeadlockPrefix(pair, distlock.BruteOptions{})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  exhaustive search finds the 4-entity deadlock cycle: %s\n",
+		schedule.FormatCycle(pair, dl.Cycle))
+	if err := verified(w, "Fig2", figures.VerifyFig2()); err != nil {
+		return err
+	}
 
 	// Fig 3.
 	t3 := figures.Fig3()
-	fmt.Printf("\nFigure 3 — DF does not reduce to linear extensions:\n  %v\n", t3)
-	fmt.Println("  two copies: deadlock-free; extensions LxLyUxUy vs LyLxUyUx: deadlock")
-	must("Fig3", figures.VerifyFig3())
+	fmt.Fprintf(w, "\nFigure 3 — DF does not reduce to linear extensions:\n  %v\n", t3)
+	fmt.Fprintln(w, "  two copies: deadlock-free; extensions LxLyUxUy vs LyLxUyUx: deadlock")
+	if err := verified(w, "Fig3", figures.VerifyFig3()); err != nil {
+		return err
+	}
 
 	// Figs 4–5.
 	g, err := figures.Figs4And5()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nFigures 4-5 — Theorem 2 gadget for %v:\n", g.Formula)
-	fmt.Printf("  %d entities (c_i, c'_i, x_j, x'_j, x''_j), one site each; %d ops per transaction\n",
+	fmt.Fprintf(w, "\nFigures 4-5 — Theorem 2 gadget for %v:\n", g.Formula)
+	fmt.Fprintf(w, "  %d entities (c_i, c'_i, x_j, x'_j, x''_j), one site each; %d ops per transaction\n",
 		g.Sys.DDB.NumEntities(), g.Sys.Txns[0].N())
-	must("Figs4-5", figures.VerifyFigs4And5())
+	if err := verified(w, "Figs4-5", figures.VerifyFigs4And5()); err != nil {
+		return err
+	}
 
 	// Fig 6.
 	t6 := figures.Fig6()
-	fmt.Printf("\nFigure 6 — Theorem 5 fails for deadlock-freedom alone:\n  %v\n", t6)
-	fmt.Println("  2 copies deadlock-free, 3 copies deadlock")
-	must("Fig6", figures.VerifyFig6())
+	fmt.Fprintf(w, "\nFigure 6 — Theorem 5 fails for deadlock-freedom alone:\n  %v\n", t6)
+	fmt.Fprintln(w, "  2 copies deadlock-free, 3 copies deadlock")
+	if err := verified(w, "Fig6", figures.VerifyFig6()); err != nil {
+		return err
+	}
 
-	fmt.Println("\nall figure claims verified ✓")
+	fmt.Fprintln(w, "\nall figure claims verified ✓")
+	return nil
 }
 
-func must(name string, err error) {
+// verified reports the outcome of one figure's verification: a line on w
+// if it passed, else an error naming the figure.
+func verified(w io.Writer, name string, err error) error {
 	if err != nil {
-		log.Fatalf("%s verification FAILED: %v", name, err)
+		return fmt.Errorf("%s verification FAILED: %w", name, err)
 	}
-	fmt.Printf("  -> %s claim verified\n", name)
+	fmt.Fprintf(w, "  -> %s claim verified\n", name)
+	return nil
 }

@@ -9,8 +9,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"distlock"
 	"distlock/internal/reduction"
@@ -19,42 +22,52 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example with its output stream injected, so the
+// example's test can drive it.
+func run(w io.Writer) error {
 	// The paper's own example (Figure 5): (x1 + x2)(x1 + !x2)(!x1 + x2).
 	formula := &sat.Formula{NumVars: 2, Clauses: []sat.Clause{
 		{{Var: 0}, {Var: 1}},
 		{{Var: 0}, {Var: 1, Neg: true}},
 		{{Var: 0, Neg: true}, {Var: 1}},
 	}}
-	decide(formula)
+	if err := decide(w, formula); err != nil {
+		return err
+	}
 
 	// And the smallest unsatisfiable 3SAT' instance: (x)(x)(!x).
 	unsat := &sat.Formula{NumVars: 1, Clauses: []sat.Clause{
 		{{Var: 0}}, {{Var: 0}}, {{Var: 0, Neg: true}},
 	}}
-	decide(unsat)
+	return decide(w, unsat)
 }
 
-func decide(f *sat.Formula) {
-	fmt.Printf("formula: %v\n", f)
+func decide(w io.Writer, f *sat.Formula) error {
+	fmt.Fprintf(w, "formula: %v\n", f)
 
 	g, err := distlock.BuildGadget(f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("gadget: 2 transactions, %d entities across %d sites, %d ops each\n",
+	fmt.Fprintf(w, "gadget: 2 transactions, %d entities across %d sites, %d ops each\n",
 		g.Sys.DDB.NumEntities(), g.Sys.DDB.NumSites(), g.Sys.Txns[0].N())
 
 	// Decide satisfiability via deadlock-prefix existence (complete for
 	// the gadget's lock-arc-only shape).
 	hasDeadlock, err := reduction.HasLockOnlyDeadlockPrefix(g.Sys)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dpll := distlock.SolveSAT(f)
-	fmt.Printf("deadlock prefix exists: %v  |  DPLL says satisfiable: %v  |  agree: %v\n",
+	fmt.Fprintf(w, "deadlock prefix exists: %v  |  DPLL says satisfiable: %v  |  agree: %v\n",
 		hasDeadlock, dpll != nil, hasDeadlock == (dpll != nil))
 	if hasDeadlock != (dpll != nil) {
-		log.Fatal("Theorem 2 equivalence violated!")
+		return errors.New("Theorem 2 equivalence violated")
 	}
 
 	if dpll != nil {
@@ -62,20 +75,21 @@ func decide(f *sat.Formula) {
 		// graph is cyclic, built straight from the satisfying assignment.
 		prefixes, err := g.WitnessPrefix(dpll)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rg, err := distlock.NewReductionGraph(g.Sys, prefixes)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cyc := rg.Cycle()
-		fmt.Printf("assignment %v -> deadlock prefix T1'=%d locks, T2'=%d locks\n",
+		fmt.Fprintf(w, "assignment %v -> deadlock prefix T1'=%d locks, T2'=%d locks\n",
 			dpll, prefixes[0].Size(), prefixes[1].Size())
-		fmt.Printf("reduction-graph cycle: %s\n", schedule.FormatCycle(g.Sys, cyc))
+		fmt.Fprintf(w, "reduction-graph cycle: %s\n", schedule.FormatCycle(g.Sys, cyc))
 
 		// And decode the cycle back into an assignment.
 		decoded := g.DecodeAssignment(cyc)
-		fmt.Printf("decoded back from the cycle: %v (satisfies: %v)\n", decoded, f.Eval(decoded))
+		fmt.Fprintf(w, "decoded back from the cycle: %v (satisfies: %v)\n", decoded, f.Eval(decoded))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }

@@ -13,9 +13,9 @@
 // incrementally:
 //
 //   - PairSafeDF verdicts are cached across the service's lifetime, keyed
-//     by the (order-normalized) structural fingerprints of the two classes,
-//     so re-admission after churn costs no pairwise work;
-//   - uncached pair checks fan out across a bounded worker pool;
+//     by the unordered pair of the two classes' structural fingerprints
+//     (each interned once to a dense id), so re-admission after churn costs
+//     no pairwise work;
 //   - after the pair phase, only interaction-graph cycles through the newly
 //     added vertex are enumerated — cycles avoiding it were certified benign
 //     when their own members were admitted;
@@ -40,7 +40,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	goruntime "runtime"
 	"slices"
 	"sync"
 
@@ -50,57 +49,43 @@ import (
 )
 
 // Fingerprint is a structural hash of a transaction class: its node list
-// (kind, entity) in node order plus its direct arc set. Two transactions
+// (kind, mode, entity) in node order plus its direct arc set. Two transactions
 // over the same DDB with equal fingerprints behave identically under every
 // static test, so fingerprints key the service's pair-verdict cache.
 type Fingerprint [sha256.Size]byte
 
-// FingerprintOf computes the structural fingerprint of a transaction.
+// FingerprintOf computes the structural fingerprint of a transaction: the
+// SHA-256 of its node count, each node's kind, mode and entity, and each
+// direct arc's two ends, every value as a little-endian uint64.
 func FingerprintOf(t *model.Transaction) Fingerprint {
-	h := sha256.New()
-	var buf [8]byte
-	put := func(x int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		h.Write(buf[:])
-	}
-	put(t.N())
-	for id := 0; id < t.N(); id++ {
+	var stack [512]byte // a typical class's stream fits; a larger one grows on the heap
+	b := binary.LittleEndian.AppendUint64(stack[:0], uint64(t.N()))
+	for id := range t.N() {
 		nd := t.Node(model.NodeID(id))
-		put(int(nd.Kind))
-		put(int(nd.Mode)) // shared vs exclusive changes every verdict
-		put(int(nd.Entity))
+		b = binary.LittleEndian.AppendUint64(b, uint64(nd.Kind))
+		b = binary.LittleEndian.AppendUint64(b, uint64(nd.Mode)) // shared vs exclusive changes every verdict
+		b = binary.LittleEndian.AppendUint64(b, uint64(nd.Entity))
 	}
-	for u := 0; u < t.N(); u++ {
+	for u := range t.N() {
 		for _, v := range t.Out(model.NodeID(u)) {
-			put(u)
-			put(v)
+			b = binary.LittleEndian.AppendUint64(b, uint64(u))
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
 		}
 	}
-	var fp Fingerprint
-	h.Sum(fp[:0])
-	return fp
+	return sha256.Sum256(b)
 }
 
-// pairKey identifies an unordered pair of classes by fingerprint.
-type pairKey [2]Fingerprint
-
-func keyOf(a, b Fingerprint) pairKey {
-	for i := range a {
-		if a[i] < b[i] {
-			return pairKey{a, b}
-		}
-		if a[i] > b[i] {
-			return pairKey{b, a}
-		}
+// pairKey identifies an unordered pair of classes by their interned
+// fingerprint ids.
+func pairKey(a, b uint32) uint64 {
+	if a > b {
+		a, b = b, a
 	}
-	return pairKey{a, b}
+	return uint64(a)<<32 | uint64(b)
 }
 
 // Options parameterizes a Service.
 type Options struct {
-	// Workers bounds the pool evaluating uncached PairSafeDF checks.
-	// Defaults to GOMAXPROCS.
-	Workers int
 	// CycleBudget bounds the interaction-graph cycles enumerated for a
 	// single admission (0 = unlimited). It counts cycles of the expanded
 	// graph (Multiplicity copy-vertices per class) through the candidate,
@@ -136,7 +121,7 @@ type Stats struct {
 	Evicted       int64 `json:"evicted"`
 	PairChecks    int64 `json:"pair_checks"`    // PairSafeDF evaluations actually performed
 	CacheHits     int64 `json:"cache_hits"`     // pair verdicts answered from the fingerprint cache
-	CacheMisses   int64 `json:"cache_misses"`   // pair verdicts that had to be dispatched for evaluation
+	CacheMisses   int64 `json:"cache_misses"`   // pair verdicts missing from the cache, each evaluated unless the context was cancelled first
 	CyclesChecked int64 `json:"cycles_checked"` // expanded-graph cycles through a new vertex certified for Theorem 4, counted per shape (see Options.CycleBudget)
 	// BudgetExhausted counts classes rejected conservatively because
 	// certifying them would exceed Options.CycleBudget — the admission
@@ -166,7 +151,7 @@ type Result struct {
 // class is one admitted transaction class.
 type class struct {
 	txn  *model.Transaction
-	fp   Fingerprint
+	id   uint32   // interned fingerprint
 	pos  int      // index in Service.classes
 	self bool     // two copies of the class interact: it locks something exclusively
 	nbrs []*class // interaction-graph neighbours within the live set, in admission order
@@ -177,33 +162,27 @@ type class struct {
 type candidate struct {
 	txn    *model.Transaction
 	fp     Fingerprint
+	id     uint32   // fp interned, once the service's mutex is held
 	self   bool     // as class.self
 	nbrs   []*class // live classes it interacts with, in admission order
 	peers  []int    // earlier members of its batch it interacts with
 	joined *class   // the class it became, once admitted
 }
 
-// pairJob is one uncached pair verdict of a wave.
-type pairJob struct {
-	key    pairKey
-	t1, t2 *model.Transaction
-	rep    core.PairReport
-	done   bool
-}
-
 // Service is the admission-control service. All methods are safe for
 // concurrent use; admission decisions are serialized so the certified set
 // evolves through a single total order of Admit/Evict events.
 type Service struct {
-	ddb     *model.DDB
-	workers int
-	budget  int64
-	mult    int
+	ddb    *model.DDB
+	budget int64
+	mult   int
 
 	mu      sync.Mutex
 	classes []*class
 	byName  map[string]*class
-	cache   map[pairKey]core.PairReport
+	ids     map[Fingerprint]uint32     // every fingerprint submitted, interned to a dense id
+	cache   map[uint64]core.PairReport // pair verdicts by pairKey, kept for the service's lifetime
+	seen    map[uint64]struct{}        // the pairKeys the current wave has resolved
 	cycles  core.CycleChecker
 	walk    cycleWalk
 	stats   Stats
@@ -212,21 +191,18 @@ type Service struct {
 // New creates a service over one distributed database. Every submitted
 // class must be built over the same DDB.
 func New(ddb *model.DDB, opts Options) *Service {
-	w := opts.Workers
-	if w <= 0 {
-		w = goruntime.GOMAXPROCS(0)
-	}
 	m := opts.Multiplicity
 	if m <= 0 {
 		m = 1
 	}
 	return &Service{
-		ddb:     ddb,
-		workers: w,
-		budget:  opts.CycleBudget,
-		mult:    m,
-		byName:  map[string]*class{},
-		cache:   map[pairKey]core.PairReport{},
+		ddb:    ddb,
+		budget: opts.CycleBudget,
+		mult:   m,
+		byName: map[string]*class{},
+		ids:    map[Fingerprint]uint32{},
+		cache:  map[uint64]core.PairReport{},
+		seen:   map[uint64]struct{}{},
 	}
 }
 
@@ -243,8 +219,8 @@ func (s *Service) Admit(ctx context.Context, t *model.Transaction) (Result, erro
 
 // AdmitBatch admits k classes at once: all candidate pair verdicts (new
 // against live, and new against earlier batch members) are resolved in a
-// single wave over the worker pool, then the classes are admitted greedily
-// in order — each joins iff it keeps the set-so-far certified. One rejected
+// single wave, on the caller, then the classes are admitted greedily in
+// order — each joins iff it keeps the set-so-far certified. One rejected
 // class never blocks the rest of its batch.
 //
 // Cancelling the context stops the pair wave and the cycle enumeration and
@@ -271,40 +247,28 @@ func (s *Service) AdmitBatch(ctx context.Context, ts []*model.Transaction) ([]Re
 
 	// Wave: find every class each batch member interacts with and resolve
 	// every pair verdict it might need.
-	var jobs []pairJob
-	seen := map[pairKey]bool{}
-	add := func(k pairKey, a, b *model.Transaction) {
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		if _, ok := s.cache[k]; ok {
-			s.stats.CacheHits++
-			return
-		}
-		s.stats.CacheMisses++
-		jobs = append(jobs, pairJob{key: k, t1: a, t2: b})
-	}
+	clear(s.seen)
 	for i := range cands {
 		c := &cands[i]
+		c.id = s.intern(c.fp)
 		if s.mult > 1 && c.self {
 			// Corollary 3 via Theorem 3: the class against its own copy.
-			add(keyOf(c.fp, c.fp), c.txn, c.txn)
+			s.resolve(ctx, c.txn, c.txn, c.id, c.id)
 		}
 		for _, l := range s.classes {
 			if model.Interacts(c.txn, l.txn) {
 				c.nbrs = append(c.nbrs, l)
-				add(keyOf(c.fp, l.fp), c.txn, l.txn)
+				s.resolve(ctx, c.txn, l.txn, c.id, l.id)
 			}
 		}
 		for j := range cands[:i] {
 			if model.Interacts(c.txn, cands[j].txn) {
 				c.peers = append(c.peers, j)
-				add(keyOf(c.fp, cands[j].fp), c.txn, cands[j].txn)
+				s.resolve(ctx, c.txn, cands[j].txn, c.id, cands[j].id)
 			}
 		}
 	}
-	if err := s.evaluate(ctx, jobs); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
@@ -325,57 +289,38 @@ func (s *Service) AdmitBatch(ctx context.Context, ts []*model.Transaction) ([]Re
 	return results, nil
 }
 
-// evaluate runs the pair checks of one wave and caches whatever was
-// computed — the verdicts are valid regardless of how the admission itself
-// ends. The checks fan out over the worker pool unless there is nothing to
-// overlap: a single job (the common case for one arrival) or a single
-// worker runs on the caller, since a goroutine and a channel cost more than
-// the ~1 µs check they would carry. A cancelled context stops the wave and
-// is returned.
-func (s *Service) evaluate(ctx context.Context, jobs []pairJob) error {
-	workers := min(s.workers, len(jobs))
-	if workers <= 1 {
-		for i := range jobs {
-			if ctx.Err() != nil {
-				break
-			}
-			jobs[i].rep = core.PairSafeDF(jobs[i].t1, jobs[i].t2)
-			jobs[i].done = true
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if ctx.Err() != nil {
-						continue // drain without evaluating
-					}
-					jobs[i].rep = core.PairSafeDF(jobs[i].t1, jobs[i].t2)
-					jobs[i].done = true
-				}
-			}()
-		}
-	dispatch:
-		for i := range jobs {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(next)
-		wg.Wait()
+// intern returns the dense id of a fingerprint, assigning the next one to a
+// fingerprint never submitted before. The caller holds s.mu.
+func (s *Service) intern(fp Fingerprint) uint32 {
+	id, ok := s.ids[fp]
+	if !ok {
+		id = uint32(len(s.ids))
+		s.ids[fp] = id
 	}
-	for _, j := range jobs {
-		if j.done {
-			s.cache[j.key] = j.rep
-			s.stats.PairChecks++
-		}
+	return id
+}
+
+// resolve makes sure the cache holds the verdict of the pair of t1 and t2,
+// whose interned ids are a and b, counting a pair once per wave. A missing
+// verdict is evaluated on the caller — a sub-microsecond check costs less
+// than a goroutine hand-off — and cached whatever becomes of the admission; a
+// cancelled context skips the evaluation. The caller holds s.mu.
+func (s *Service) resolve(ctx context.Context, t1, t2 *model.Transaction, a, b uint32) {
+	k := pairKey(a, b)
+	if _, dup := s.seen[k]; dup {
+		return
 	}
-	return ctx.Err()
+	s.seen[k] = struct{}{}
+	if _, ok := s.cache[k]; ok {
+		s.stats.CacheHits++
+		return
+	}
+	s.stats.CacheMisses++
+	if ctx.Err() != nil {
+		return
+	}
+	s.cache[k] = core.PairSafeDF(t1, t2)
+	s.stats.PairChecks++
 }
 
 // admitOne decides one class against the current live set. The caller holds
@@ -383,7 +328,7 @@ func (s *Service) evaluate(ctx context.Context, jobs []pairJob) error {
 // context cancellation during the cycle phase aborts the decision (the
 // class does not join) and surfaces as the returned error.
 func (s *Service) admitOne(ctx context.Context, c *candidate, batch []candidate) (Result, error) {
-	t, fp := c.txn, c.fp
+	t := c.txn
 	reject := func(reason string, v *core.MultiViolation) Result {
 		s.stats.Rejected++
 		return Result{Class: t.Name(), Strategy: runtime.StrategyWoundWait,
@@ -396,19 +341,20 @@ func (s *Service) admitOne(ctx context.Context, c *candidate, batch []candidate)
 	// Phase 1 (Theorem 3): every interacting pair with the live set, plus —
 	// for Multiplicity > 1 — the class against its own copy (Corollary 3;
 	// by Theorem 5 the two-copy verdict covers every higher copy count).
-	lookup := func(a, b *model.Transaction, ka, kb Fingerprint) core.PairReport {
-		rep, ok := s.cache[keyOf(ka, kb)]
+	lookup := func(o *model.Transaction, id uint32) core.PairReport {
+		k := pairKey(c.id, id)
+		rep, ok := s.cache[k]
 		if !ok {
 			// Unreachable from AdmitBatch; keep the slow path for safety.
-			rep = core.PairSafeDF(a, b)
-			s.cache[keyOf(ka, kb)] = rep
+			rep = core.PairSafeDF(t, o)
+			s.cache[k] = rep
 			s.stats.CacheMisses++
 			s.stats.PairChecks++
 		}
 		return rep
 	}
 	if s.mult > 1 && c.self {
-		if rep := lookup(t, t, fp, fp); !rep.SafeDF {
+		if rep := lookup(t, c.id); !rep.SafeDF {
 			return reject(fmt.Sprintf("two copies of %s fail Corollary 3: %s",
 				t.Name(), rep.Reason), nil), nil
 		}
@@ -422,7 +368,7 @@ func (s *Service) admitOne(ctx context.Context, c *candidate, batch []candidate)
 		}
 	}
 	for _, o := range nbrs {
-		if rep := lookup(t, o.txn, fp, o.fp); !rep.SafeDF {
+		if rep := lookup(o.txn, o.id); !rep.SafeDF {
 			return reject(fmt.Sprintf("pair (%s, %s) fails Theorem 3: %s",
 				t.Name(), o.txn.Name(), rep.Reason), nil), nil
 		}
@@ -461,7 +407,7 @@ func (s *Service) admitOne(ctx context.Context, c *candidate, batch []candidate)
 
 // join adds a certified class to the live set. The caller holds s.mu.
 func (s *Service) join(c *candidate, nbrs []*class) Result {
-	nc := &class{txn: c.txn, fp: c.fp, pos: len(s.classes), self: c.self, nbrs: nbrs}
+	nc := &class{txn: c.txn, id: c.id, pos: len(s.classes), self: c.self, nbrs: nbrs}
 	for _, o := range nbrs {
 		o.nbrs = append(o.nbrs, nc)
 	}

@@ -2,6 +2,8 @@ package admission
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"distlock/internal/figures"
 	"distlock/internal/model"
 	"distlock/internal/runtime"
+	"distlock/internal/workload"
 )
 
 // ctx is the never-cancelled context shared by the package's tests.
@@ -355,5 +358,61 @@ func TestMultiplicityAgreesWithCopiesSafeDF(t *testing.T) {
 					c.name, m, res.Admitted, want, res.Reason)
 			}
 		}
+	}
+}
+
+// streamFingerprint is FingerprintOf written against a streaming hash, one
+// 8-byte word per Write: the digest the buffered version must reproduce.
+func streamFingerprint(t *model.Transaction) Fingerprint {
+	h := sha256.New()
+	put := func(x int) {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], uint64(x))
+		h.Write(buf[:])
+	}
+	put(t.N())
+	for id := 0; id < t.N(); id++ {
+		nd := t.Node(model.NodeID(id))
+		put(int(nd.Kind))
+		put(int(nd.Mode))
+		put(int(nd.Entity))
+	}
+	for u := 0; u < t.N(); u++ {
+		for _, v := range t.Out(model.NodeID(u)) {
+			put(u)
+			put(v)
+		}
+	}
+	var fp Fingerprint
+	h.Sum(fp[:0])
+	return fp
+}
+
+// TestFingerprintMatchesStreamingDigest: FingerprintOf hashes one buffered
+// byte stream and must give the streaming digest, on classes small enough
+// for its stack buffer and on classes that outgrow it.
+func TestFingerprintMatchesStreamingDigest(t *testing.T) {
+	var corpus []*model.Transaction
+	for seed := int64(0); seed < 10; seed++ {
+		for _, cfg := range []workload.Config{
+			{Sites: 4, EntitiesPerSite: 3, NumTxns: 6, EntitiesPerTxn: 3, Policy: workload.PolicyChurn, CrossArcProb: 0.4, ReadFraction: 0.3},
+			{Sites: 4, EntitiesPerSite: 40, NumTxns: 2, EntitiesPerTxn: 70, Policy: workload.PolicyRandom, ReadFraction: 0.5},
+		} {
+			cfg.Seed = seed
+			corpus = append(corpus, workload.MustGenerate(cfg).Txns...)
+		}
+	}
+	corpus = append(corpus, figures.Fig6(), chainTxn(xyzDDB(), "empty"))
+	big := 0
+	for _, tx := range corpus {
+		if got, want := FingerprintOf(tx), streamFingerprint(tx); got != want {
+			t.Fatalf("%v: FingerprintOf = %x, streaming digest %x", tx, got, want)
+		}
+		if 8*(1+3*tx.N()) > 512 { // the node words alone outgrow the stack buffer
+			big++
+		}
+	}
+	if big == 0 {
+		t.Fatal("no class outgrows the stack buffer")
 	}
 }

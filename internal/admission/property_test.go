@@ -226,7 +226,7 @@ func TestPropertyBatchAgreesWithSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		seq := New(ddb, Options{})
-		bat := New(ddb, Options{Workers: 4})
+		bat := New(ddb, Options{})
 		seqDecisions := map[string]bool{}
 		batDecisions := map[string]bool{}
 

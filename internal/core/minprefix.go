@@ -42,6 +42,34 @@ func PairSafeDFMinimalPrefix(t1, t2 *model.Transaction) bool {
 	return true
 }
 
+// firstCommonLock returns the entity x of Theorem 3 condition (1): x ∈ R
+// such that for every other y ∈ R, Lx precedes Ly in both transactions.
+// Such an x is unique when it exists. It reads the transactions' node
+// order, not their shapes, so PairSafeDFMinimalPrefix shares no code with
+// PairSafeDF's condition (1).
+func firstCommonLock(t1, t2 *model.Transaction, common []model.EntityID) (model.EntityID, bool) {
+	for _, x := range common {
+		lx1, _ := t1.LockNode(x)
+		lx2, _ := t2.LockNode(x)
+		ok := true
+		for _, y := range common {
+			if y == x {
+				continue
+			}
+			ly1, _ := t1.LockNode(y)
+			ly2, _ := t2.LockNode(y)
+			if !t1.Precedes(lx1, ly1) || !t2.Precedes(lx2, ly2) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return x, true
+		}
+	}
+	return 0, false
+}
+
 // violatingExtensionExists reports whether there are linear extensions
 // t1 ∈ T1, t2 ∈ T2 with L_t1(Ly) ∩ R_t2(Ly) = ∅, using the minimal-prefix
 // algorithm. The adversarial t2 is fixed to the extension that executes

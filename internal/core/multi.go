@@ -139,15 +139,18 @@ type CycleChecker struct {
 	// conf is k×k entity bitsets: row p*k+q holds the entities on which the
 	// transactions at positions p and q conflict.
 	conf []uint64
+	// far is k entity bitsets: row p holds the entities on which position p
+	// conflicts with a position other than itself and its two cycle
+	// neighbours — what every traversal's prefix at p avoids.
+	far []uint64
 	// xs[p] is the first-locked conflicting common entity of edge p, and
 	// lxLo[p], lxHi[p] its Lock node in the transactions at p and p+1.
 	xs         []model.EntityID
 	lxLo, lxHi []model.NodeID
 
-	common  []model.EntityID // conflicting entities of one edge
-	ord     []int            // the traversal being tried: positions in order T1..Tk
-	avoid   []uint64         // entity bitset: what the prefix under construction avoids
-	removed []uint64         // k node bitsets: row i holds the nodes outside Ti*
+	ord     []int    // the traversal being tried: positions in order T1..Tk
+	avoid   []uint64 // entity bitset: what the prefix under construction avoids
+	removed []uint64 // k node bitsets: row i holds the nodes outside Ti*
 }
 
 // CheckCycle runs Theorem 4's phase-2 test on one undirected interaction-
@@ -179,9 +182,10 @@ func (c *CycleChecker) CheckCycle(txns []*model.Transaction, cycle []int) *Multi
 }
 
 // load computes what all 2k traversals of the cycle share: the conflict
-// masks of every two positions and each edge's first common lock. It
-// reports false if some edge has none — impossible once the edge's pair
-// passed Theorem 3's condition (1), but kept defensive.
+// masks of every two positions, what each position conflicts with beyond
+// its neighbours, and each edge's first common lock. It reports false if
+// some edge has none — impossible once the edge's pair passed Theorem 3's
+// condition (1), but kept defensive.
 func (c *CycleChecker) load(txns []*model.Transaction, cycle []int) bool {
 	k := len(cycle)
 	c.shapes = c.shapes[:0]
@@ -193,6 +197,7 @@ func (c *CycleChecker) load(txns []*model.Transaction, cycle []int) bool {
 		c.nw = max(c.nw, sh.NodeWords)
 	}
 	c.conf = grow(c.conf, k*k*c.ew)
+	c.far = grow(c.far, k*c.ew)
 	c.avoid = grow(c.avoid, c.ew)
 	c.removed = grow(c.removed, k*c.nw)
 	c.xs = grow(c.xs, k)
@@ -211,22 +216,28 @@ func (c *CycleChecker) load(txns []*model.Transaction, cycle []int) bool {
 		}
 	}
 
-	for p := 0; p < k; p++ {
-		q := (p + 1) % k
-		c.common = c.common[:0]
-		for _, e := range c.shapes[p].Entities {
-			if hasBit(c.conflicts(p, q), int(e)) {
-				c.common = append(c.common, e)
+	for p := range k {
+		far := c.farRow(p)
+		clear(far)
+		for q := range k {
+			if q == p || q == (p+1)%k || q == (p+k-1)%k {
+				continue
+			}
+			for w, m := range c.conflicts(p, q) {
+				far[w] |= m
 			}
 		}
-		tp, tq := txns[cycle[p]], txns[cycle[q]]
-		x, ok := firstCommonLock(tp, tq, c.common)
-		if !ok {
+	}
+
+	for p, a := range c.shapes {
+		b := c.shapes[(p+1)%k]
+		x := firstLock(a, b)
+		if x < 0 {
 			return false
 		}
 		c.xs[p] = x
-		c.lxLo[p], _ = tp.LockNode(x)
-		c.lxHi[p], _ = tq.LockNode(x)
+		c.lxLo[p] = a.Lock[a.Index(x)]
+		c.lxHi[p] = b.Lock[b.Index(x)]
 	}
 	return true
 }
@@ -235,6 +246,12 @@ func (c *CycleChecker) load(txns []*model.Transaction, cycle []int) bool {
 func (c *CycleChecker) conflicts(p, q int) []uint64 {
 	row := p*len(c.shapes) + q
 	return c.conf[row*c.ew : (row+1)*c.ew]
+}
+
+// farRow returns the entities on which position p conflicts with a
+// position other than itself and its two cycle neighbours.
+func (c *CycleChecker) farRow(p int) []uint64 {
+	return c.far[p*c.ew : (p+1)*c.ew]
 }
 
 // prefixComplement returns the nodes outside the i-th prefix of the
@@ -265,43 +282,37 @@ func (c *CycleChecker) try(backward bool) bool {
 	k := len(c.ord)
 	for i, p := range c.ord {
 		sh := c.shapes[p]
-		next, prev := c.ord[(i+1)%k], -1
-		if i > 0 {
-			prev = c.ord[i-1]
-		}
+		next := c.ord[(i+1)%k]
 
 		// Ti must avoid exactly those of its entities whose access CONFLICTS
-		// with a transaction of the cycle other than its neighbours. An
-		// entity two transactions both merely read neither blocks the serial
-		// replay nor adds a D-arc, so the prefixes may keep it — leaving it
-		// out of the avoid set is what makes the construction complete on
-		// R/W systems (treating shared access as interaction would shrink
-		// the prefixes below maximal and miss violations that need the
-		// shared steps executed).
-		//
-		// T1 has no predecessor to skip: it avoids ALL of Tk's conflicting
-		// entities, which is load-bearing. It is what keeps the serial
-		// replay T1*;...;Tk* legal around the wrap (Tk* may use entities of
-		// T1 freely because T1* never touched a conflicting one) and what
-		// forces the closing D-arc Tk -> T1 (T1 needs x_k only beyond its
-		// prefix).
+		// with a transaction of the cycle other than its neighbours (c.far,
+		// the same for every traversal). An entity two transactions both
+		// merely read neither blocks the serial replay nor adds a D-arc, so
+		// the prefixes may keep it — leaving it out of the avoid set is what
+		// makes the construction complete on R/W systems (treating shared
+		// access as interaction would shrink the prefixes below maximal and
+		// miss violations that need the shared steps executed).
 		avoid := c.avoid
-		clear(avoid)
-		for q := range c.shapes {
-			if q == p || q == next || q == prev {
-				continue
-			}
-			for w, m := range c.conflicts(p, q) {
+		copy(avoid, c.farRow(p))
+		if i == 0 {
+			// T1 has no predecessor to skip: it avoids ALL of Tk's
+			// conflicting entities, which is load-bearing. It is what keeps
+			// the serial replay T1*;...;Tk* legal around the wrap (Tk* may
+			// use entities of T1 freely because T1* never touched a
+			// conflicting one) and what forces the closing D-arc Tk -> T1
+			// (T1 needs x_k only beyond its prefix).
+			for w, m := range c.conflicts(p, c.ord[k-1]) {
 				avoid[w] |= m
 			}
-		}
-		// Ti for i = 2..k also avoids what its predecessor's prefix still
-		// HOLDS in a conflicting mode — Y(T*_{i-1}) filtered to conflicts.
-		// Entities the predecessor's prefix has already released are fair
-		// game: the serial replay stays legal and their reuse only adds
-		// D-arcs in the cycle's own direction (T_{i-1} used x before Ti —
-		// the unsafe-but-deadlock-free violations live exactly here).
-		if i > 0 {
+		} else {
+			// Ti for i = 2..k also avoids what its predecessor's prefix still
+			// HOLDS in a conflicting mode — Y(T*_{i-1}) filtered to
+			// conflicts. Entities the predecessor's prefix has already
+			// released are fair game: the serial replay stays legal and their
+			// reuse only adds D-arcs in the cycle's own direction (T_{i-1}
+			// used x before Ti — the unsafe-but-deadlock-free violations live
+			// exactly here).
+			prev := c.ord[i-1]
 			ps, outside, cf := c.shapes[prev], c.prefixComplement(i-1), c.conflicts(prev, p)
 			for l, y := range ps.Entities {
 				if hasBit(cf, int(y)) && hasBit(outside, int(ps.Unlock[l])) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"distlock/internal/model"
 )
@@ -17,45 +18,41 @@ type PairReport struct {
 	Reason string
 }
 
-// firstCommonLock returns the entity x of Theorem 3 condition (1): x ∈ R
-// such that for every other y ∈ R, Lx precedes Ly in both transactions.
-// Such an x is unique when it exists. (The conflict-aware test passes the
-// CONFLICTING common entities as R; the paper's exclusive-only test passes
-// all common entities, which is the same thing when every mode is X.)
-func firstCommonLock(t1, t2 *model.Transaction, common []model.EntityID) (model.EntityID, bool) {
-	for _, x := range common {
-		lx1, _ := t1.LockNode(x)
-		lx2, _ := t2.LockNode(x)
-		ok := true
-		for _, y := range common {
-			if y == x {
-				continue
+// firstLock returns the entity x of Theorem 3 condition (1) for the
+// transactions with shapes a and b: the conflicting common entity whose
+// Lock precedes the Lock of every other conflicting common entity in both
+// transactions, or -1 if there is none (no conflicting common entity
+// included). Such an x is unique when it exists.
+func firstLock(a, b *model.Shape) model.EntityID {
+	ew := min(len(a.Acc), len(b.Acc))
+	for w := range ew {
+		for m := a.ConflictWord(b, w); m != 0; m &= m - 1 {
+			x := model.EntityID(w*64 + bits.TrailingZeros64(m))
+			ra, rb := a.After(a.Index(x)), b.After(b.Index(x))
+			first := true
+			for v := range ew {
+				rest := a.ConflictWord(b, v) &^ (ra[v] & rb[v])
+				if v == w {
+					rest &^= m & -m // x itself
+				}
+				if rest != 0 {
+					first = false
+					break
+				}
 			}
-			ly1, _ := t1.LockNode(y)
-			ly2, _ := t2.LockNode(y)
-			if !t1.Precedes(lx1, ly1) || !t2.Precedes(lx2, ly2) {
-				ok = false
-				break
+			if first {
+				return x
 			}
-		}
-		if ok {
-			return x, true
 		}
 	}
-	return 0, false
+	return -1
 }
 
-// intersectsIn reports whether a and b share an element that the filter
-// set admits (nil filter admits everything).
-func intersectsIn(a, b []model.EntityID, filter map[model.EntityID]bool) bool {
-	set := make(map[model.EntityID]bool, len(a))
-	for _, e := range a {
-		if filter == nil || filter[e] {
-			set[e] = true
-		}
-	}
-	for _, e := range b {
-		if set[e] {
+// meets reports whether the entity sets p and q share an entity on which
+// the transactions with shapes a and b conflict.
+func meets(p, q []uint64, a, b *model.Shape) bool {
+	for w := range min(len(p), len(q)) {
+		if p[w]&q[w]&a.ConflictWord(b, w) != 0 {
 			return true
 		}
 	}
@@ -81,39 +78,43 @@ func intersectsIn(a, b []model.EntityID, filter map[model.EntityID]bool) bool {
 // condition (1) nor as a serialization funnel in condition (2). Validated
 // against the exhaustive Lemma-1 oracle on random R/W systems in tests.
 //
-// Runs in O(n²) for transactions given in transitively closed form.
+// It reads only the two shapes (model.Shape), whose per-entity After, RT
+// and LT rows make each condition a few word operations per entity of C:
+// O(|C|² / 64) words, and no allocation unless the pair fails.
 func PairSafeDF(t1, t2 *model.Transaction) PairReport {
 	pairEvals.Add(1)
-	conflicting := model.ConflictingEntities(t1, t2)
-	if len(conflicting) == 0 {
+	if !model.Interacts(t1, t2) {
 		return PairReport{SafeDF: true, FirstLock: -1,
 			Reason: "no conflicting common entities"}
 	}
-	conflictSet := make(map[model.EntityID]bool, len(conflicting))
-	for _, e := range conflicting {
-		conflictSet[e] = true
-	}
-	x, ok := firstCommonLock(t1, t2, conflicting)
-	if !ok {
+	a, b := t1.Shape(), t2.Shape()
+	x := firstLock(a, b)
+	if x < 0 {
 		return PairReport{SafeDF: false, FirstLock: -1,
 			Reason: "condition (1) fails: no conflicting common entity is locked first in both transactions"}
 	}
-	for _, y := range conflicting {
-		if y == x {
-			continue
-		}
-		ly1, _ := t1.LockNode(y)
-		ly2, _ := t2.LockNode(y)
-		if !intersectsIn(t1.LT(ly1), t2.RT(ly2), conflictSet) {
-			return PairReport{SafeDF: false, FirstLock: x, Reason: fmt.Sprintf(
-				"condition (2) fails at %s: L_T1(L%s) ∩ R_T2(L%s) has no conflicting entity",
-				t1.DDB().EntityName(y), t1.DDB().EntityName(y), t1.DDB().EntityName(y))}
-		}
-		if !intersectsIn(t2.LT(ly2), t1.RT(ly1), conflictSet) {
-			return PairReport{SafeDF: false, FirstLock: x, Reason: fmt.Sprintf(
-				"condition (2) fails at %s: L_T2(L%s) ∩ R_T1(L%s) has no conflicting entity",
-				t1.DDB().EntityName(y), t1.DDB().EntityName(y), t1.DDB().EntityName(y))}
+	for w := range min(len(a.Acc), len(b.Acc)) {
+		for m := a.ConflictWord(b, w); m != 0; m &= m - 1 {
+			y := model.EntityID(w*64 + bits.TrailingZeros64(m))
+			if y == x {
+				continue
+			}
+			i, j := a.Index(y), b.Index(y)
+			if !meets(a.LT(i), b.RT(j), a, b) {
+				return condition2Failure(t1, x, y, "T1", "T2")
+			}
+			if !meets(b.LT(j), a.RT(i), a, b) {
+				return condition2Failure(t1, x, y, "T2", "T1")
+			}
 		}
 	}
 	return PairReport{SafeDF: true, FirstLock: x}
+}
+
+// condition2Failure reports condition (2) failing at y: L_l(Ly) ∩ R_r(Ly)
+// has no conflicting entity.
+func condition2Failure(t1 *model.Transaction, x, y model.EntityID, l, r string) PairReport {
+	n := t1.DDB().EntityName(y)
+	return PairReport{SafeDF: false, FirstLock: x, Reason: fmt.Sprintf(
+		"condition (2) fails at %s: L_%s(L%s) ∩ R_%s(L%s) has no conflicting entity", n, l, n, r, n)}
 }

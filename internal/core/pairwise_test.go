@@ -135,3 +135,79 @@ func TestFirstCommonLockUnique(t *testing.T) {
 		t.Fatalf("first common lock = %v", x)
 	}
 }
+
+// TestPairSafeDFAgreesWithReference is the differential test of the
+// shape-based Theorem 3 against the map-based one it replaced, on every
+// ordered pair and self-pair of the systems TestCheckCycleAgreesWithReference
+// draws its cycles from: the whole report — verdict, first lock and reason
+// text — must be equal.
+func TestPairSafeDFAgreesWithReference(t *testing.T) {
+	seeds := int64(25)
+	if raceEnabled {
+		seeds = 8
+	}
+	var pairs, pass, cond1, cond2, wide int
+	compare := func(sys *model.System) {
+		for _, a := range sys.Txns {
+			for _, b := range sys.Txns {
+				got, want := PairSafeDF(a, b), refPairSafeDF(a, b)
+				if got != want {
+					t.Fatalf("PairSafeDF = %+v, reference %+v\nT1=%v\nT2=%v", got, want, a, b)
+				}
+				pairs++
+				switch {
+				case got.SafeDF:
+					pass++
+				case got.FirstLock < 0:
+					cond1++
+				default:
+					cond2++
+				}
+				if c := model.ConflictingEntities(a, b); len(c) > 0 && c[len(c)-1] >= 64 {
+					wide++
+				}
+			}
+		}
+	}
+	for _, pol := range []workload.Policy{
+		workload.PolicyRandom, workload.PolicyOrdered, workload.PolicyChurn, workload.PolicyZipf,
+	} {
+		for _, rf := range []float64{0, 0.3} {
+			for seed := int64(0); seed < seeds; seed++ {
+				compare(workload.MustGenerate(workload.Config{
+					Sites: 3, EntitiesPerSite: 3, NumTxns: 6, EntitiesPerTxn: 3,
+					Policy: pol, CrossArcProb: 0.3, ReadFraction: rf, Seed: seed,
+				}))
+			}
+			for seed := int64(0); seed < 2; seed++ {
+				compare(workload.MustGenerate(workload.Config{
+					Sites: 4, EntitiesPerSite: 40, NumTxns: 4, EntitiesPerTxn: 70,
+					Policy: pol, ReadFraction: rf, Seed: seed,
+				}))
+			}
+		}
+	}
+	t.Logf("compared %d pairs: %d pass, %d fail condition (1), %d fail condition (2), %d conflict past entity 63",
+		pairs, pass, cond1, cond2, wide)
+	if pass == 0 || cond1 == 0 || cond2 == 0 || wide == 0 {
+		t.Fatalf("degenerate corpus: %d pass, %d condition (1), %d condition (2), %d wide", pass, cond1, cond2, wide)
+	}
+}
+
+// TestPairSafeDFNoAllocs pins the shape-based test at zero allocations on a
+// passing pair and on a condition-(1) failure, whose reason is a constant.
+func TestPairSafeDFNoAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sys  *model.System
+		safe bool
+	}{{"ordered", orderedSystem(), true}, {"cross-lock", crossLockSystem(), false}} {
+		t1, t2 := c.sys.Txns[0], c.sys.Txns[1]
+		if got := PairSafeDF(t1, t2).SafeDF; got != c.safe {
+			t.Fatalf("%s: SafeDF = %v, want %v", c.name, got, c.safe)
+		}
+		if n := testing.AllocsPerRun(100, func() { PairSafeDF(t1, t2) }); n != 0 {
+			t.Fatalf("%s: PairSafeDF allocates %v times, want 0", c.name, n)
+		}
+	}
+}

@@ -51,11 +51,42 @@ func TestShapeMatchesTransaction(t *testing.T) {
 			t.Fatalf("Exc(%d) = %v, want %v", e, got, want)
 		}
 	}
+	for _, e := range []EntityID{0, 31, 99, 130} {
+		if got := sh.Index(e); got != -1 {
+			t.Fatalf("Index(%d) of an entity the transaction does not access = %d, want -1", e, got)
+		}
+	}
 	for l, e := range sh.Entities {
 		lock, _ := tx.LockNode(e)
 		unlock, _ := tx.UnlockNode(e)
 		if sh.Lock[l] != lock || sh.Unlock[l] != unlock {
 			t.Fatalf("entity %d: shape nodes (%d, %d), transaction (%d, %d)", e, sh.Lock[l], sh.Unlock[l], lock, unlock)
+		}
+		if got := sh.Index(e); got != l {
+			t.Fatalf("Index(%d) = %d, want its sorted position %d", e, got, l)
+		}
+		// The After, RT and LT rows are Precedes, RT and LT at Lx.
+		rt, lt := map[EntityID]bool{}, map[EntityID]bool{}
+		for _, z := range tx.RT(lock) {
+			rt[z] = true
+		}
+		for _, z := range tx.LT(lock) {
+			lt[z] = true
+		}
+		for _, z := range sh.Entities {
+			lz, _ := tx.LockNode(z)
+			if got, want := has(sh.After(l), int(z)), tx.Precedes(lock, lz); got != want {
+				t.Fatalf("After(%d) has %d = %v, Precedes = %v", e, z, got, want)
+			}
+			if got := has(sh.RT(l), int(z)); got != rt[z] {
+				t.Fatalf("RT(%d) has %d = %v, Transaction.RT = %v", e, z, got, rt[z])
+			}
+			if got := has(sh.LT(l), int(z)); got != lt[z] {
+				t.Fatalf("LT(%d) has %d = %v, Transaction.LT = %v", e, z, got, lt[z])
+			}
+		}
+		if len(rt) == 0 && len(lt) == 0 && l > 0 {
+			t.Fatalf("entity %d: empty RT and LT on a chain", e)
 		}
 		// Removal(l) is the complement of the maximal prefix avoiding e.
 		p := MaximalPrefixAvoiding(tx, func(x EntityID) bool { return x == e })

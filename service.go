@@ -55,7 +55,6 @@ const (
 type ServiceOption func(*serviceConfig)
 
 type serviceConfig struct {
-	workers      int
 	cycleBudget  int64
 	multiplicity int
 	certBackend  LockBackend
@@ -65,12 +64,6 @@ type serviceConfig struct {
 	pipeline     int
 	latency      bool
 	traceSample  int
-}
-
-// WithWorkers bounds the worker pool evaluating uncached Theorem 3 pair
-// checks during Register. Default: GOMAXPROCS.
-func WithWorkers(n int) ServiceOption {
-	return func(c *serviceConfig) { c.workers = n }
 }
 
 // WithCycleBudget bounds the Theorem 4 cycles certified for a single
@@ -298,7 +291,6 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 	return &LockService{
 		ddb: ddb,
 		adm: admission.New(ddb, admission.Options{
-			Workers:      cfg.workers,
 			CycleBudget:  cfg.cycleBudget,
 			Multiplicity: mult,
 		}),
@@ -325,8 +317,8 @@ func (s *LockService) Register(ctx context.Context, t *Transaction) (RegisterRes
 }
 
 // RegisterBatch registers k classes at once: the admission service
-// resolves every uncached pair verdict the batch needs in a single wave
-// over its worker pool, then decides the classes in order — one rejected
+// resolves every uncached pair verdict the batch needs in a single wave,
+// on the calling goroutine, then decides the classes in order — one rejected
 // class never blocks the rest (it is pinned to the fallback tier like any
 // rejected class). Batch decisions are identical to one-at-a-time
 // decisions; batching only reduces registration latency.
