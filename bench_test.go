@@ -468,9 +468,10 @@ func BenchmarkAdmission(b *testing.B) {
 		}
 	})
 
-	// One churn trace replayed at multiplicity 2 under a cycle budget, as
-	// the admit-churn workload drives it: straight into the admission
-	// service, and through the facade with its default options.
+	// One churn trace replayed under a cycle budget: at multiplicity 2, as
+	// the admit-churn workload drives it, straight into the admission
+	// service and through the facade with its default options; and at
+	// multiplicity 3, where the walk's shapes are longer.
 	churnDDB, trace, err := workload.ChurnTrace(workload.Config{
 		Sites: 8, EntitiesPerSite: 8, EntitiesPerTxn: 3,
 		Policy: workload.PolicyChurn, Seed: 1,
@@ -478,19 +479,21 @@ func BenchmarkAdmission(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("churn-m2", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			svc := admission.New(churnDDB, admission.Options{Multiplicity: 2, CycleBudget: 32})
-			for _, ev := range trace {
-				if !ev.Arrive {
-					svc.Evict(ev.Txn.Name())
-				} else if _, err := svc.Admit(context.Background(), ev.Txn); err != nil {
-					b.Fatal(err)
+	for _, m := range []int{2, 3} {
+		b.Run(fmt.Sprintf("churn-m%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				svc := admission.New(churnDDB, admission.Options{Multiplicity: m, CycleBudget: 32})
+				for _, ev := range trace {
+					if !ev.Arrive {
+						svc.Evict(ev.Txn.Name())
+					} else if _, err := svc.Admit(context.Background(), ev.Txn); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 
 	b.Run("churn-m2-facade", func(b *testing.B) {
 		b.ReportAllocs()

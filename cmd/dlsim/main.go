@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"distlock/internal/core"
@@ -22,29 +24,31 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "ordered", "built-in workload: ordered, crosslock, ring")
-	file := flag.String("file", "", "run the transactions from this file instead of a built-in workload")
-	strategy := flag.String("strategy", "none", "none, detect, woundwait, waitdie, timeout, probe")
-	clients := flag.Int("clients", 8, "concurrent clients")
-	txns := flag.Int("txns", 50, "transactions per client")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	latency := flag.Int64("latency", 5, "one-way network latency (ticks)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var templates []*model.Transaction
-	if *file != "" {
-		f, err := os.Open(*file)
-		if err != nil {
-			fatal(err)
+// run is main with its arguments and output streams injected, so the
+// command's test can drive it; it returns the process exit code: 0 when the
+// run completes, 1 when it stalls or fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dlsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "ordered", "built-in workload: ordered, crosslock, ring")
+	file := fs.String("file", "", "run the transactions from this file instead of a built-in workload")
+	strategy := fs.String("strategy", "none", "none, detect, woundwait, waitdie, timeout, probe")
+	clients := fs.Int("clients", 8, "concurrent clients")
+	txns := fs.Int("txns", 50, "transactions per client")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	latency := fs.Int64("latency", 5, "one-way network latency (ticks)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		sys, err := parse.System(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		templates = sys.Txns
-	} else {
-		templates = builtin(*workload)
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "dlsim:", err)
+		return code
 	}
 
 	strat, ok := map[string]sim.Strategy{
@@ -53,16 +57,34 @@ func main() {
 		"timeout": sim.StrategyTimeout, "probe": sim.StrategyProbe,
 	}[*strategy]
 	if !ok {
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+		return fail(2, fmt.Errorf("unknown strategy %q", *strategy))
+	}
+	var templates []*model.Transaction
+	if *file != "" {
+		f, err := os.Open(*file)
+		if err != nil {
+			return fail(1, err)
+		}
+		sys, err := parse.System(f)
+		f.Close()
+		if err != nil {
+			return fail(1, err)
+		}
+		if sys.N() == 0 {
+			return fail(1, fmt.Errorf("%s declares no transactions", *file))
+		}
+		templates = sys.Txns
+	} else if templates = builtin(*workload); templates == nil {
+		return fail(2, fmt.Errorf("unknown workload %q (want ordered, crosslock, ring)", *workload))
 	}
 
 	// Static certification report first.
 	sys := model.MustSystem(templates[0].DDB(), templates...)
 	certified, _ := core.SystemSafeDF(sys)
-	fmt.Printf("workload: %d templates; statically safe+deadlock-free (Thm 4): %v\n",
+	fmt.Fprintf(stdout, "workload: %d templates; statically safe+deadlock-free (Thm 4): %v\n",
 		len(templates), certified)
 	if !certified && strat == sim.StrategyNone {
-		fmt.Println("warning: uncertified mix with no deadlock handling — expect a stall")
+		fmt.Fprintln(stdout, "warning: uncertified mix with no deadlock handling — expect a stall")
 	}
 
 	m, err := sim.Run(sim.Config{
@@ -70,18 +92,20 @@ func main() {
 		Strategy: strat, NetLatency: *latency, Seed: *seed,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
-	fmt.Printf("\nstrategy %-15s committed %5d  aborts %4d  wounds %4d  detectorKills %3d  timeouts %3d\n",
+	fmt.Fprintf(stdout, "\nstrategy %-15s committed %5d  aborts %4d  wounds %4d  detectorKills %3d  timeouts %3d\n",
 		strat, m.Committed, m.Aborts, m.Wounds, m.DetectorKills, m.TimeoutKills)
-	fmt.Printf("ticks %8d  makespan %8d  mean latency %8.1f  throughput %6.2f commits/kTick  stalled=%v\n",
+	fmt.Fprintf(stdout, "ticks %8d  makespan %8d  mean latency %8.1f  throughput %6.2f commits/kTick  stalled=%v\n",
 		m.Ticks, m.Makespan, m.MeanLatency(), m.Throughput(), m.Stalled)
 	if m.Stalled {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// builtin returns a named workload over a small multi-site database.
+// builtin returns a named workload over a small multi-site database, or nil
+// for a name it does not know.
 func builtin(name string) []*model.Transaction {
 	d := model.NewDDB()
 	d.MustEntity("x", "s1")
@@ -123,12 +147,6 @@ func builtin(name string) []*model.Transaction {
 			chain("C", "Lz", "Lx", "Uz", "Ux"),
 		}
 	default:
-		fatal(fmt.Errorf("unknown workload %q (want ordered, crosslock, ring)", name))
 		return nil
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dlsim:", err)
-	os.Exit(1)
 }

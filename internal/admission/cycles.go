@@ -20,7 +20,9 @@ import (
 // class) / |stabiliser| cycles it stands for (DESIGN.md, "Cycle budget").
 // The walk starts at the candidate and emits a closed walk only when it is
 // the least of its 2L rotations and reflections, the candidate ranking
-// lowest, so each shape is emitted once.
+// lowest, so each shape is emitted once. An emitted shape whose walk
+// certificate (walkCert) proves both directions dead still counts against
+// the budget but skips CheckCycle.
 //
 // A cycleWalk lives on its Service, so its scratch survives between
 // admissions, and is used only under the Service's mutex.
@@ -38,6 +40,7 @@ type cycleWalk struct {
 	// classes in canonical order: the candidate 0, live class i i+1.
 	ids, ranks []int
 	txns       []*model.Transaction
+	cert       walkCert // the walk's shapes, and what they prove dead
 
 	checked   int64 // expanded cycles the emitted shapes stand for
 	viol      *core.MultiViolation
@@ -54,7 +57,8 @@ func (w *cycleWalk) run(ctx context.Context, s *Service, c *candidate, nbrs []*c
 	clear(toCand)
 	clear(uses)
 	*w = cycleWalk{svc: s, ctx: ctx, n: n, m: m, cnbrs: nbrs, cself: c.self,
-		toCand: toCand, uses: uses, ids: w.ids[:0], ranks: w.ranks[:0], txns: w.txns[:0]}
+		toCand: toCand, uses: uses, ids: w.ids[:0], ranks: w.ranks[:0], txns: w.txns[:0],
+		cert: w.cert}
 	for _, o := range nbrs {
 		w.toCand[o.pos] = true
 	}
@@ -69,6 +73,7 @@ func (w *cycleWalk) run(ctx context.Context, s *Service, c *candidate, nbrs []*c
 	w.step(n)
 	w.ctx = nil
 	clear(w.txns) // hold no evicted class past its admission
+	w.cert.release()
 }
 
 // step appends the next occurrence of class v to the walk, unless all m
@@ -82,7 +87,9 @@ func (w *cycleWalk) step(v int) bool {
 	w.uses[v]++
 	w.ids = append(w.ids, v*w.m+k)
 	w.ranks = append(w.ranks, (v+1)%(w.n+1))
+	w.cert.push(w.txns[v*w.m].Shape())
 	ok := w.extend(v)
+	w.cert.pop()
 	w.ids = w.ids[:len(w.ids)-1]
 	w.ranks = w.ranks[:len(w.ranks)-1]
 	w.uses[v]--
@@ -114,8 +121,9 @@ func (w *cycleWalk) extend(u int) bool {
 	return true
 }
 
-// emit checks the closed walk's shape, if this walk is its canonical one.
-// It reports false to stop the enumeration.
+// emit checks the closed walk's shape, if this walk is its canonical one,
+// unless its walk certificate proves it benign. It reports false to stop
+// the enumeration.
 func (w *cycleWalk) emit() bool {
 	stab := w.stabiliser()
 	if stab == 0 {
@@ -132,6 +140,9 @@ func (w *cycleWalk) emit() bool {
 	}
 	w.checked += weight
 	w.svc.stats.CyclesChecked += weight
+	if w.cert.benign() {
+		return true
+	}
 	w.viol = w.svc.cycles.CheckCycle(w.txns, w.ids)
 	return w.viol == nil
 }
@@ -180,4 +191,79 @@ func (w *cycleWalk) weight(stab int) int64 {
 		a *= f
 	}
 	return a / int64(stab)
+}
+
+// walkCert proves closed walks benign before CheckCycle sees them, from
+// the walk as it grows. An interior position j (0 < j < top) keeps its
+// neighbours j±1 in every closed walk that extends the walk, and every
+// position q with |q−j| ≥ 2 is a non-neighbour of j there, so what j
+// conflicts on with q lies in far(j) of each such cycle. If avoiding it
+// already removes j's forward (backward) Lx step — core.FarKills — then
+// CheckCycle's far rows kill every forward (backward) traversal of each of
+// those cycles. A direction, once dead, stays dead as the walk grows. Both
+// dead means CheckCycle would return nil.
+//
+// The flags are settled lazily, only for walks that close, so a branch of
+// the walk that never closes pays nothing.
+type walkCert struct {
+	pos     []certPos
+	settled int // pos[:settled] have their flags
+}
+
+// certPos is one position of the walk.
+type certPos struct {
+	sh *model.Shape
+	// xf and xb, once the position is interior, are the first common locks
+	// of its edges to the next and the previous position.
+	xf, xb model.EntityID
+	// fwd and bwd are the directions proved dead for every closed walk that
+	// extends the walk up to this position.
+	fwd, bwd bool
+}
+
+// push appends a position to the walk.
+func (c *walkCert) push(sh *model.Shape) {
+	c.pos = append(c.pos, certPos{sh: sh, xf: -1, xb: -1})
+}
+
+// pop removes the walk's last position.
+func (c *walkCert) pop() {
+	c.pos = c.pos[:len(c.pos)-1]
+	c.settled = min(c.settled, len(c.pos))
+}
+
+// release drops the shapes the scratch still points at, keeping its
+// capacity.
+func (c *walkCert) release() {
+	clear(c.pos[:cap(c.pos)])
+	c.pos, c.settled = c.pos[:0], 0
+}
+
+// benign reports whether the walk, closed back to its start, has both
+// directions proved dead: CheckCycle on it returns nil.
+func (c *walkCert) benign() bool {
+	p := c.pos
+	for t := c.settled; t < len(p); t++ {
+		f, b := false, false
+		if t > 0 {
+			f, b = p[t-1].fwd, p[t-1].bwd
+		}
+		// j = t−1 has just become interior: pair it with the positions
+		// before its predecessor, and the new position t with the interior
+		// positions before t−1.
+		if j := t - 1; j > 0 && !(f && b) {
+			p[j].xf, p[j].xb = core.FirstLock(p[j].sh, p[t].sh), core.FirstLock(p[j].sh, p[j-1].sh)
+			for q := 0; q < j-1 && !(f && b); q++ {
+				f = f || core.FarKills(p[j].sh, p[q].sh, p[j].xf)
+				b = b || core.FarKills(p[j].sh, p[q].sh, p[j].xb)
+			}
+		}
+		for j := 1; j < t-1 && !(f && b); j++ {
+			f = f || core.FarKills(p[j].sh, p[t].sh, p[j].xf)
+			b = b || core.FarKills(p[j].sh, p[t].sh, p[j].xb)
+		}
+		p[t].fwd, p[t].bwd = f, b
+	}
+	c.settled = len(p)
+	return p[len(p)-1].fwd && p[len(p)-1].bwd
 }

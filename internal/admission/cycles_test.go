@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"distlock/internal/core"
+	"distlock/internal/graph"
 	"distlock/internal/model"
 	"distlock/internal/parse"
 	"distlock/internal/schedule"
@@ -308,5 +309,134 @@ func TestTwoCopyWitnessReplays(t *testing.T) {
 	}
 	if !strings.Contains(res.Reason, fmt.Sprint(v.Cycle)) {
 		t.Fatalf("reason %q does not name the cycle %v", res.Reason, v.Cycle)
+	}
+}
+
+// certCorpus feeds walkCert every orientation of up to limit cycles of the
+// expanded interaction graph of classes at multiplicity m (edges join the
+// interacting pairs that pass Theorem 3, CheckCycle's precondition), one
+// position at a time as the class walk does, and holds each walk the
+// certificate calls benign where it closes to CheckCycle.
+type certCorpus struct {
+	cc                                  core.CycleChecker
+	cert                                walkCert
+	walk                                []int
+	cycles, violations, flagged, closes int
+}
+
+func (d *certCorpus) run(t *testing.T, classes []*model.Transaction, m, limit int) {
+	t.Helper()
+	txns := expanded(classes, m)
+	g := graph.NewUgraph(len(txns))
+	for u := range txns {
+		for v := u + 1; v < len(txns); v++ {
+			if model.Interacts(txns[u], txns[v]) && core.PairSafeDF(txns[u], txns[v]).SafeDF {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	g.SimpleCycles(limit, func(cycle []int) bool {
+		d.cycles++
+		if d.cc.CheckCycle(txns, cycle) != nil {
+			d.violations++
+		}
+		k := len(cycle)
+		for _, dir := range [2]int{1, k - 1} {
+			for r := range k {
+				d.walk = d.walk[:0]
+				for i := range k {
+					d.walk = append(d.walk, cycle[(r+i*dir)%k])
+				}
+				d.feed(t, txns, g)
+			}
+		}
+		return true
+	})
+}
+
+// feed pushes d.walk onto a fresh certificate. Every prefix of three or
+// more positions is settled, as emit would settle it; one that closes into
+// a cycle of g and is called benign must pass CheckCycle.
+func (d *certCorpus) feed(t *testing.T, txns []*model.Transaction, g *graph.Ugraph) {
+	t.Helper()
+	d.cert.release()
+	for i, v := range d.walk {
+		d.cert.push(txns[v].Shape())
+		if i < 2 || !d.cert.benign() {
+			continue
+		}
+		prefix := d.walk[:i+1]
+		if i == len(d.walk)-1 {
+			d.flagged++
+		} else if !g.HasEdge(v, d.walk[0]) {
+			continue
+		}
+		d.closes++
+		if viol := d.cc.CheckCycle(txns, prefix); viol != nil {
+			t.Fatalf("walk %v certified benign, but CheckCycle finds %v%s", prefix, viol, names(txns, prefix))
+		}
+	}
+}
+
+func names(txns []*model.Transaction, walk []int) string {
+	var sb strings.Builder
+	for _, v := range walk {
+		fmt.Fprintf(&sb, "\n  %v", txns[v])
+	}
+	return sb.String()
+}
+
+// TestWalkCertificateSound: whenever the class walk's certificate proves
+// both directions of a closed walk dead, CheckCycle finds no violation on
+// it. The corpus is the expanded graphs of short churn traces (m = 1–3)
+// and of the systems TestCheckCycleAgreesWithReference in internal/core
+// draws its cycles from (m = 1, 2, as there), every cycle fed in all 2k
+// orientations.
+func TestWalkCertificateSound(t *testing.T) {
+	var d certCorpus
+	// Each churn arrival with the classes live before it, while the expanded
+	// graph stays within ten vertices.
+	for m := 1; m <= 3; m++ {
+		for seed := int64(1); seed <= 20; seed++ {
+			_, trace, err := workload.ChurnTrace(workload.Config{
+				Sites: 8, EntitiesPerSite: 3, EntitiesPerTxn: 3,
+				Policy: workload.PolicyChurn, Seed: seed * 131,
+			}, 16, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var live []*model.Transaction
+			for _, ev := range trace {
+				if !ev.Arrive {
+					live = removeTxn(live, ev.Txn)
+					continue
+				}
+				if (len(live)+1)*m > 10 {
+					break
+				}
+				live = append(live, ev.Txn)
+				d.run(t, live, m, 200)
+			}
+		}
+	}
+	for _, pol := range []workload.Policy{
+		workload.PolicyRandom, workload.PolicyOrdered, workload.PolicyChurn, workload.PolicyZipf,
+	} {
+		for _, rf := range []float64{0, 0.3} {
+			for seed := int64(0); seed < 25; seed++ {
+				sys := workload.MustGenerate(workload.Config{
+					Sites: 3, EntitiesPerSite: 3, NumTxns: 6, EntitiesPerTxn: 3,
+					Policy: pol, CrossArcProb: 0.3, ReadFraction: rf, Seed: seed,
+				})
+				for m := 1; m <= 2; m++ {
+					d.run(t, sys.Txns, m, 40)
+				}
+			}
+		}
+	}
+	t.Logf("%d cycles (%d violate), %d orientations certified benign, %d closing walks checked",
+		d.cycles, d.violations, d.flagged, d.closes)
+	if d.violations == 0 || d.flagged == 0 {
+		t.Fatalf("degenerate corpus: %d violations, %d certified orientations", d.violations, d.flagged)
 	}
 }

@@ -19,6 +19,9 @@ import (
 type cycleDiff struct {
 	cc                                  CycleChecker
 	compared, violations, copied, multi int
+	// skipped counts the directions CheckCycle's far rows proved dead;
+	// halfDead the violations found on a cycle whose other direction was.
+	skipped, halfDead int
 }
 
 // run compares up to limit cycles of sys and as many of its two-copy
@@ -61,6 +64,12 @@ func (d *cycleDiff) compare(t *testing.T, exp *model.System, cycle []int) {
 	got := d.cc.CheckCycle(txns, cycle)
 	want := refCheckCycle(exp, cycle)
 	d.compared++
+	deadFwd, deadBwd := d.cc.dead(false), d.cc.dead(true)
+	for _, dead := range []bool{deadFwd, deadBwd} {
+		if dead {
+			d.skipped++
+		}
+	}
 	classes := map[*model.Transaction]bool{}
 	wide := false
 	for _, v := range cycle {
@@ -81,6 +90,13 @@ func (d *cycleDiff) compare(t *testing.T, exp *model.System, cycle []int) {
 		return
 	}
 	d.violations++
+	k := len(cycle)
+	if backward := d.cc.ord[1] != (d.cc.ord[0]+1)%k; backward && deadBwd || !backward && deadFwd {
+		t.Fatalf("cycle %v: violation found in a direction the far rows skip", cycle)
+	}
+	if deadFwd || deadBwd {
+		d.halfDead++
+	}
 	// The same traversal order gives the same witness, not just the same
 	// verdict.
 	if !slices.Equal(got.Cycle, want.Cycle) || !slices.Equal(got.Xs, want.Xs) {
@@ -142,6 +158,12 @@ func TestCheckCycleAgreesWithReference(t *testing.T) {
 		t.Fatalf("degenerate corpus: %d cycles, %d violations, %d copied, %d multi-word",
 			d.compared, d.violations, d.copied, d.multi)
 	}
+	t.Logf("far rows skipped %d of %d directions; %d violations on a cycle with one dead direction",
+		d.skipped, 2*d.compared, d.halfDead)
+	if d.skipped == 0 || d.halfDead == 0 {
+		t.Fatalf("the direction filter is not exercised: %d directions skipped, %d violations beside a dead direction",
+			d.skipped, d.halfDead)
+	}
 }
 
 // paddedRing is ringSystem(k) with every transaction first running through
@@ -192,30 +214,58 @@ func TestCheckCycleWideViolation(t *testing.T) {
 }
 
 // TestCheckCycleNoAllocs pins the no-violation path at zero allocations
-// once the checker's scratch has grown to the cycle's size.
+// once the checker's scratch has grown to the cycle's size: on a cycle
+// every traversal is tried on, on a triangle, and on a cycle whose far rows
+// kill both directions before any traversal runs.
 func TestCheckCycleNoAllocs(t *testing.T) {
-	// An 8-ring whose last transaction locks in the global order: a cycle
-	// of the interaction graph that no traversal can close.
-	d := model.NewDDB()
-	const k = 8
-	for i := 0; i < k; i++ {
-		d.MustEntity(fmt.Sprintf("e%d", i), fmt.Sprintf("s%d", i))
-	}
-	txns := make([]*model.Transaction, k)
-	cycle := make([]int, k)
-	for i := range txns {
-		a, b := i, (i+1)%k
-		if a > b {
-			a, b = b, a
+	// A k-ring whose last transaction locks in the global order: a cycle of
+	// the interaction graph that no traversal can close. With hub set,
+	// every transaction first locks h, which each conflicts on with its
+	// non-neighbours, and h is every edge's first common lock.
+	ring := func(k int, hub bool) []*model.Transaction {
+		d := model.NewDDB()
+		d.MustEntity("h", "sh")
+		for i := 0; i < k; i++ {
+			d.MustEntity(fmt.Sprintf("e%d", i), fmt.Sprintf("s%d", i))
 		}
-		txns[i] = buildChain(d, fmt.Sprintf("T%d", i), fmt.Sprintf("Le%d Le%d Ue%d Ue%d", a, b, a, b))
-		cycle[i] = i
+		txns := make([]*model.Transaction, k)
+		for i := range txns {
+			a, b := i, (i+1)%k
+			if a > b {
+				a, b = b, a
+			}
+			spec := fmt.Sprintf("Le%d Le%d Ue%d Ue%d", a, b, a, b)
+			if hub {
+				spec = "Lh " + spec + " Uh"
+			}
+			txns[i] = buildChain(d, fmt.Sprintf("T%d", i), spec)
+		}
+		return txns
 	}
-	var cc CycleChecker
-	if v := cc.CheckCycle(txns, cycle); v != nil {
-		t.Fatalf("ordered 8-ring violates: %v", v)
-	}
-	if n := testing.AllocsPerRun(100, func() { cc.CheckCycle(txns, cycle) }); n != 0 {
-		t.Fatalf("CheckCycle on a non-violating 8-cycle allocates %v times, want 0", n)
+	for _, tc := range []struct {
+		name string
+		txns []*model.Transaction
+		dead bool
+	}{
+		{"ordered 8-ring", ring(8, false), false},
+		{"ordered triangle", ring(3, false), false},
+		{"hub-first 5-ring", ring(5, true), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cycle := make([]int, len(tc.txns))
+			for i := range cycle {
+				cycle[i] = i
+			}
+			var cc CycleChecker
+			if v := cc.CheckCycle(tc.txns, cycle); v != nil {
+				t.Fatalf("violates: %v", v)
+			}
+			if dead := cc.dead(false) && cc.dead(true); dead != tc.dead {
+				t.Fatalf("both directions dead = %v, want %v", dead, tc.dead)
+			}
+			if n := testing.AllocsPerRun(100, func() { cc.CheckCycle(tc.txns, cycle) }); n != 0 {
+				t.Fatalf("CheckCycle allocates %v times, want 0", n)
+			}
+		})
 	}
 }

@@ -123,33 +123,41 @@ func SystemSafeDF(sys *model.System) (bool, *MultiViolation) {
 }
 
 // CycleChecker runs Theorem 4's phase-2 test on interaction-graph cycles,
-// one at a time. It owns the scratch the conflict masks and prefixes of a
-// cycle are built in, so a caller checking many cycles (SystemSafeDF, the
+// one at a time. It owns the scratch the edge rows and prefixes of a cycle
+// are built in, so a caller checking many cycles (SystemSafeDF, the
 // admission service) allocates nothing for a cycle that does not violate.
 // The zero value is ready to use; a CycleChecker must not be used by two
 // goroutines at once.
 //
 // The test reads only the shapes (model.Shape) of the transactions on the
 // cycle. Positions 0..k-1 below index the cycle as given; edge p joins
-// positions p and p+1 (mod k).
+// positions p and p+1 (mod k). A traversal reads conflicts only across
+// edges. What position p conflicts on with its non-neighbours, far(p), is
+// avoided by p's prefix in every traversal, so its removals form a base
+// row built once per cycle; a direction in which some position's base row
+// already holds that position's Lx step is dead, and none of its k
+// traversals is tried.
 type CycleChecker struct {
 	shapes []*model.Shape
 	ew, nw int // words in an entity bitset and a node bitset, the widest on the cycle
 
-	// conf is k×k entity bitsets: row p*k+q holds the entities on which the
-	// transactions at positions p and q conflict.
-	conf []uint64
-	// far is k entity bitsets: row p holds the entities on which position p
-	// conflicts with a position other than itself and its two cycle
-	// neighbours — what every traversal's prefix at p avoids.
-	far []uint64
+	// edge is k entity bitsets: row p holds the entities on which the
+	// transactions at positions p and p+1 conflict.
+	edge []uint64
+	// base is k node bitsets: row p holds the nodes the maximal prefix at p
+	// avoiding far(p) lacks, a subset of what every traversal's prefix at p
+	// lacks.
+	base []uint64
+	// acc and exc are entity bitsets: the union of Acc and of Exc over the
+	// non-neighbours of the position whose base row is being built.
+	acc, exc []uint64
 	// xs[p] is the first-locked conflicting common entity of edge p, and
 	// lxLo[p], lxHi[p] its Lock node in the transactions at p and p+1.
 	xs         []model.EntityID
 	lxLo, lxHi []model.NodeID
 
 	ord     []int    // the traversal being tried: positions in order T1..Tk
-	avoid   []uint64 // entity bitset: what the prefix under construction avoids
+	avoid   []uint64 // entity bitset: what the prefix under construction avoids beyond far(p)
 	removed []uint64 // k node bitsets: row i holds the nodes outside Ti*
 }
 
@@ -160,7 +168,9 @@ type CycleChecker struct {
 // directions, every choice of last transaction) and returns a violation if
 // one admits prefixes satisfying properties (1)–(3), else nil. The verdict
 // depends only on the syntax of the transactions on the cycle, in cyclic
-// order.
+// order. Traversals are tried forward before backward, each direction by
+// rotation, and the first that violates is the witness; a dead direction
+// is skipped, which cannot change that traversal.
 //
 // Every transaction on the cycle must already pass Theorem 3 against its
 // cycle neighbours (SystemSafeDF's phase 1); callers maintaining a certified
@@ -171,6 +181,9 @@ func (c *CycleChecker) CheckCycle(txns []*model.Transaction, cycle []int) *Multi
 	}
 	k := len(cycle)
 	for _, backward := range []bool{false, true} {
+		if c.dead(backward) {
+			continue
+		}
 		for r := 0; r < k; r++ {
 			c.orient(k, r, backward)
 			if c.try(backward) {
@@ -181,11 +194,10 @@ func (c *CycleChecker) CheckCycle(txns []*model.Transaction, cycle []int) *Multi
 	return nil
 }
 
-// load computes what all 2k traversals of the cycle share: the conflict
-// masks of every two positions, what each position conflicts with beyond
-// its neighbours, and each edge's first common lock. It reports false if
-// some edge has none — impossible once the edge's pair passed Theorem 3's
-// condition (1), but kept defensive.
+// load computes what all 2k traversals of the cycle share: each edge's
+// conflict row and first common lock, and each position's base row. It
+// reports false if some edge has no first common lock — impossible once
+// the edge's pair passed Theorem 3's condition (1), but kept defensive.
 func (c *CycleChecker) load(txns []*model.Transaction, cycle []int) bool {
 	k := len(cycle)
 	c.shapes = c.shapes[:0]
@@ -196,8 +208,10 @@ func (c *CycleChecker) load(txns []*model.Transaction, cycle []int) bool {
 		c.ew = max(c.ew, len(sh.Acc))
 		c.nw = max(c.nw, sh.NodeWords)
 	}
-	c.conf = grow(c.conf, k*k*c.ew)
-	c.far = grow(c.far, k*c.ew)
+	c.edge = grow(c.edge, k*c.ew)
+	c.base = grow(c.base, k*c.nw)
+	c.acc = grow(c.acc, c.ew)
+	c.exc = grow(c.exc, c.ew)
 	c.avoid = grow(c.avoid, c.ew)
 	c.removed = grow(c.removed, k*c.nw)
 	c.xs = grow(c.xs, k)
@@ -206,52 +220,102 @@ func (c *CycleChecker) load(txns []*model.Transaction, cycle []int) bool {
 	c.ord = grow(c.ord, k)
 
 	for p, a := range c.shapes {
-		for q := p; q < k; q++ {
-			b := c.shapes[q]
-			pq, qp := c.conflicts(p, q), c.conflicts(q, p)
-			for w := range pq {
-				m := a.ConflictWord(b, w)
-				pq[w], qp[w] = m, m
-			}
-		}
-	}
-
-	for p := range k {
-		far := c.farRow(p)
-		clear(far)
-		for q := range k {
-			if q == p || q == (p+1)%k || q == (p+k-1)%k {
-				continue
-			}
-			for w, m := range c.conflicts(p, q) {
-				far[w] |= m
-			}
-		}
-	}
-
-	for p, a := range c.shapes {
 		b := c.shapes[(p+1)%k]
-		x := firstLock(a, b)
+		x := FirstLock(a, b)
 		if x < 0 {
 			return false
 		}
 		c.xs[p] = x
 		c.lxLo[p] = a.Lock[a.Index(x)]
 		c.lxHi[p] = b.Lock[b.Index(x)]
+		row := c.edgeRow(p)
+		for w := range row {
+			row[w] = a.ConflictWord(b, w)
+		}
+	}
+
+	for p, a := range c.shapes {
+		// far(p) = Acc_p ∩ ⋃Exc_q ∪ Exc_p ∩ ⋃Acc_q over the non-neighbours
+		// q: ∩ distributes over ∪, so this is the union of p's conflicts
+		// with each of them. A triangle has none.
+		clear(c.acc)
+		clear(c.exc)
+		for d := 2; d < k-1; d++ {
+			q := c.shapes[(p+d)%k]
+			for w, m := range q.Acc {
+				c.acc[w] |= m
+				c.exc[w] |= q.Exc[w]
+			}
+		}
+		base := c.baseRow(p)
+		clear(base)
+		for l, e := range a.Entities {
+			if hasBit(c.exc, int(e)) || hasBit(a.Exc, int(e)) && hasBit(c.acc, int(e)) {
+				for w, m := range a.Removal(l) {
+					base[w] |= m
+				}
+			}
+		}
 	}
 	return true
 }
 
-// conflicts returns the entities on which positions p and q conflict.
-func (c *CycleChecker) conflicts(p, q int) []uint64 {
-	row := p*len(c.shapes) + q
-	return c.conf[row*c.ew : (row+1)*c.ew]
+// dead reports whether every traversal in the given direction fails: some
+// position's base row already removes the Lx step property (3) needs of
+// it, and its prefix lacks that node in every traversal.
+func (c *CycleChecker) dead(backward bool) bool {
+	k := len(c.shapes)
+	for p := range k {
+		lx := c.lxLo[p]
+		if backward {
+			lx = c.lxHi[(p+k-1)%k]
+		}
+		if hasBit(c.baseRow(p), int(lx)) {
+			return true
+		}
+	}
+	return false
 }
 
-// farRow returns the entities on which position p conflicts with a
-// position other than itself and its two cycle neighbours.
-func (c *CycleChecker) farRow(p int) []uint64 {
-	return c.far[p*c.ew : (p+1)*c.ew]
+// FarKills reports whether the transaction with shape a loses its Lock
+// step on entity x once its prefix avoids what it conflicts on with the
+// transaction with shape b: whether one of those entities is x or is
+// locked before x in a. With b a non-neighbour of a on a cycle and x the
+// first common lock of a's edge on one side, that kills every traversal
+// of the cycle in that direction: dead's test, one non-neighbour at a
+// time, so it applies to a cycle known only in part. A negative x kills
+// nothing.
+func FarKills(a, b *model.Shape, x model.EntityID) bool {
+	if x < 0 {
+		return false
+	}
+	l := a.Index(x)
+	if l < 0 {
+		return false
+	}
+	before := a.RT(l)
+	xw := int(x) / 64
+	for w := range min(len(a.Acc), len(b.Acc)) {
+		m := before[w]
+		if w == xw {
+			m |= 1 << (uint(x) % 64)
+		}
+		if a.ConflictWord(b, w)&m != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// edgeRow returns the entities on which positions p and p+1 conflict.
+func (c *CycleChecker) edgeRow(p int) []uint64 {
+	return c.edge[p*c.ew : (p+1)*c.ew]
+}
+
+// baseRow returns the nodes the prefix at position p lacks in every
+// traversal: the removals of far(p).
+func (c *CycleChecker) baseRow(p int) []uint64 {
+	return c.base[p*c.nw : (p+1)*c.nw]
 }
 
 // prefixComplement returns the nodes outside the i-th prefix of the
@@ -282,40 +346,42 @@ func (c *CycleChecker) try(backward bool) bool {
 	k := len(c.ord)
 	for i, p := range c.ord {
 		sh := c.shapes[p]
-		next := c.ord[(i+1)%k]
+		// The edge to p's predecessor in the traversal: Tk for T1, T(i-1)
+		// for Ti.
+		in := c.edgeRow((p + k - 1) % k)
+		if backward {
+			in = c.edgeRow(p)
+		}
 
 		// Ti must avoid exactly those of its entities whose access CONFLICTS
-		// with a transaction of the cycle other than its neighbours (c.far,
-		// the same for every traversal). An entity two transactions both
-		// merely read neither blocks the serial replay nor adds a D-arc, so
-		// the prefixes may keep it — leaving it out of the avoid set is what
-		// makes the construction complete on R/W systems (treating shared
-		// access as interaction would shrink the prefixes below maximal and
-		// miss violations that need the shared steps executed).
-		avoid := c.avoid
-		copy(avoid, c.farRow(p))
-		if i == 0 {
-			// T1 has no predecessor to skip: it avoids ALL of Tk's
-			// conflicting entities, which is load-bearing. It is what keeps
-			// the serial replay T1*;...;Tk* legal around the wrap (Tk* may
-			// use entities of T1 freely because T1* never touched a
-			// conflicting one) and what forces the closing D-arc Tk -> T1
-			// (T1 needs x_k only beyond its prefix).
-			for w, m := range c.conflicts(p, c.ord[k-1]) {
-				avoid[w] |= m
-			}
-		} else {
-			// Ti for i = 2..k also avoids what its predecessor's prefix still
+		// with a transaction of the cycle other than its neighbours (far(p),
+		// the same for every traversal, whose removals are p's base row). An
+		// entity two transactions both merely read neither blocks the serial
+		// replay nor adds a D-arc, so the prefixes may keep it — leaving it
+		// out of the avoid set is what makes the construction complete on
+		// R/W systems (treating shared access as interaction would shrink
+		// the prefixes below maximal and miss violations that need the
+		// shared steps executed).
+		//
+		// T1 has no predecessor to skip: it avoids ALL of Tk's conflicting
+		// entities, which is load-bearing. It is what keeps the serial replay
+		// T1*;...;Tk* legal around the wrap (Tk* may use entities of T1
+		// freely because T1* never touched a conflicting one) and what forces
+		// the closing D-arc Tk -> T1 (T1 needs x_k only beyond its prefix).
+		avoid := in
+		if i > 0 {
+			// Ti for i = 2..k avoids only what its predecessor's prefix still
 			// HOLDS in a conflicting mode — Y(T*_{i-1}) filtered to
 			// conflicts. Entities the predecessor's prefix has already
 			// released are fair game: the serial replay stays legal and their
 			// reuse only adds D-arcs in the cycle's own direction (T_{i-1}
 			// used x before Ti — the unsafe-but-deadlock-free violations live
 			// exactly here).
-			prev := c.ord[i-1]
-			ps, outside, cf := c.shapes[prev], c.prefixComplement(i-1), c.conflicts(prev, p)
+			avoid = c.avoid
+			clear(avoid)
+			ps, outside := c.shapes[c.ord[i-1]], c.prefixComplement(i-1)
 			for l, y := range ps.Entities {
-				if hasBit(cf, int(y)) && hasBit(outside, int(ps.Unlock[l])) {
+				if hasBit(in, int(y)) && hasBit(outside, int(ps.Unlock[l])) {
 					avoid[y/64] |= 1 << (uint(y) % 64)
 				}
 			}
@@ -323,7 +389,7 @@ func (c *CycleChecker) try(backward bool) bool {
 
 		// Ti*: the maximal prefix avoiding them.
 		outside := c.prefixComplement(i)
-		clear(outside)
+		copy(outside, c.baseRow(p))
 		for l, e := range sh.Entities {
 			if hasBit(avoid, int(e)) {
 				for w, m := range sh.Removal(l) {
@@ -336,7 +402,7 @@ func (c *CycleChecker) try(backward bool) bool {
 		// arc Ti -> Ti+1.
 		lx := c.lxLo[p]
 		if backward {
-			lx = c.lxHi[next]
+			lx = c.lxHi[c.ord[(i+1)%k]]
 		}
 		if hasBit(outside, int(lx)) {
 			return false

@@ -18,12 +18,12 @@ type PairReport struct {
 	Reason string
 }
 
-// firstLock returns the entity x of Theorem 3 condition (1) for the
+// FirstLock returns the entity x of Theorem 3 condition (1) for the
 // transactions with shapes a and b: the conflicting common entity whose
 // Lock precedes the Lock of every other conflicting common entity in both
 // transactions, or -1 if there is none (no conflicting common entity
 // included). Such an x is unique when it exists.
-func firstLock(a, b *model.Shape) model.EntityID {
+func FirstLock(a, b *model.Shape) model.EntityID {
 	ew := min(len(a.Acc), len(b.Acc))
 	for w := range ew {
 		for m := a.ConflictWord(b, w); m != 0; m &= m - 1 {
@@ -88,7 +88,7 @@ func PairSafeDF(t1, t2 *model.Transaction) PairReport {
 			Reason: "no conflicting common entities"}
 	}
 	a, b := t1.Shape(), t2.Shape()
-	x := firstLock(a, b)
+	x := FirstLock(a, b)
 	if x < 0 {
 		return PairReport{SafeDF: false, FirstLock: -1,
 			Reason: "condition (1) fails: no conflicting common entity is locked first in both transactions"}
