@@ -234,7 +234,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 //     fingerprint-keyed pair-verdict cache, cycles_checked (Theorem 4),
 //     and budget_exhausted (classes rejected for exceeding -cycle-budget).
 //   - certified / fallback: one block per engine tier — commits, aborts,
-//     wounds, detected deadlocks, the pipelined_ops/sync_ops split, the
+//     wounds, the pipelined_ops/sync_ops split, the
 //     tier's lock-table counters (grants, shared_grants split into
 //     fast_path_hits + slow_shared_grants, releases, held = grants −
 //     releases, wounds, stripe_splits, queue_depth histogram), and the

@@ -57,7 +57,7 @@ type Options struct {
 
 // Table routes a locktable.Table over N netlock servers. Build with New;
 // it satisfies the same contract as the in-process backends, so the
-// conformance suite, the engine, and the detector drive it unchanged.
+// conformance suite and the engine drive it unchanged.
 type Table struct {
 	parts []*netlock.Client
 
@@ -545,8 +545,8 @@ func renameKey(p int, k locktable.InstKey) locktable.InstKey {
 // Snapshot implements locktable.Table: the per-partition wait graphs are
 // concatenated under the merged namespace (see renameID). Entities are
 // disjoint across partitions, so no edge is ever duplicated; the result
-// is one coherent table view (the runtime still runs no detector on it:
-// other client processes' waits are missing from this client's view).
+// is one coherent table view, though not a global one: other client
+// processes' waits are missing from this client's view.
 func (t *Table) Snapshot() []locktable.WaitEdge {
 	var out []locktable.WaitEdge
 	for p, c := range t.parts {

@@ -91,7 +91,8 @@ func TestClusterRoutingCoversPartitions(t *testing.T) {
 // TestClusterSnapshotMergesPartitions: one session holds entities on both
 // partitions, two others park behind it, one per partition. The merged
 // snapshot must show both wait edges under the session's single local ID —
-// the coherent-namespace property the deadlock detector depends on.
+// the coherent-namespace property a wait-for cycle check over the merged
+// view depends on.
 func TestClusterSnapshotMergesPartitions(t *testing.T) {
 	tab, _, ddb := startCluster(t, 2, locktable.Config{})
 	ea, eb := entOn(t, tab, ddb, 0), entOn(t, tab, ddb, 1)

@@ -34,7 +34,7 @@ type Completion interface {
 // certified mix deadlock-free when its acks are still in flight. Callers
 // that were NOT certified must stay on the synchronous path: pipelining
 // an uncertified chain reorders conflicting waits and can deadlock a mix
-// that wound-wait or detection would otherwise have handled cleanly.
+// that wound-wait would otherwise have handled cleanly.
 //
 // Releases are different: an in-flight release can only lengthen a hold,
 // never grant early or close a waits-for cycle, so the runtime ships every

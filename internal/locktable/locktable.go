@@ -33,6 +33,12 @@
 // before Acquire returns (a grant racing the withdrawal is released,
 // never leaked), wounds surfaced as ErrWounded, and ErrStopped after
 // Close.
+//
+// Observation: every backend counts its operations into an
+// obs.TableMetrics bundle (Config.Metrics, always on). Config.Trace adds
+// the exact per-entity grant log (GrantLog) that serializability checks
+// read; it needs identified holders, so it disables the sharded CAS
+// shared fast path.
 package locktable
 
 import (
@@ -156,10 +162,8 @@ type Config struct {
 	// recording their identity, which is invisible to in-process sessions
 	// — they only release what they hold — but wrong for embedders that
 	// attribute holders themselves: the netlock server composes
-	// per-connection identities into snapshot edges, and a deadlock
-	// detector walking Snapshot needs shared holders named to close
-	// cycles through them. Such callers set this; WoundWait and Trace
-	// disable the fast path implicitly.
+	// per-connection identities into snapshot edges, so it sets this.
+	// WoundWait and Trace disable the fast path implicitly.
 	DisableSharedFastPath bool
 	// Metrics receives the backend's operation counters (grants by path,
 	// releases, wounds, stripe splits, queue-depth samples). Counting is
@@ -170,15 +174,6 @@ type Config struct {
 	// the traffic this table object generated, and the server keeps its
 	// own authoritative bundle across all its clients.
 	Metrics *obs.TableMetrics
-	// Tracer, when non-nil, receives grant/wound events into a lossy
-	// ring buffer. Unlike Trace — whose grant log needs identified
-	// holders and therefore disables the sharded backend's CAS shared
-	// fast path — the tracer is fed from the fast path itself (the
-	// requesting instance's identity is in hand at the CAS site even
-	// though the table records the grant anonymously), so observing a
-	// reader crowd does not change its behavior. Lossy by contract: a
-	// full ring overwrites its oldest events.
-	Tracer *obs.Ring
 }
 
 // Table is a shared/exclusive lock table over the entities of one
@@ -237,10 +232,10 @@ type Table interface {
 	Wound(key InstKey)
 	// Snapshot returns the current wait-for edges (one per queued waiter,
 	// against the entity's holder). Edges from different stripes or servers
-	// are collected sequentially, not atomically — the same consistency a
-	// periodic deadlock detector already tolerates. Waiters blocked on
+	// are collected sequentially, not atomically: a point-in-time view
+	// for probes and debugging, not a consistent cut. Waiters blocked on
 	// anonymous fast-path readers are attributed to AnonReaderKey, which
-	// never waits and so never closes a cycle; detectors that must name
+	// never waits and so never closes a cycle; callers that must name
 	// shared holders set Config.DisableSharedFastPath.
 	Snapshot() []WaitEdge
 	// GrantLog returns the recorded grant events (Config.Trace only).

@@ -93,87 +93,3 @@ func TestConformanceMetricsConservation(t *testing.T) {
 		}
 	})
 }
-
-// TestShardedTracerKeepsFastPath is the regression gate for the ring
-// tracer's core design point: unlike Config.Trace (whose grant log needs
-// identified holders and therefore disables the CAS shared fast path),
-// Config.Tracer observes the reader crowd WITHOUT changing its behavior.
-// A pure reader crowd must both appear in the ring as grant events and
-// keep taking the fast path (FastHits > 0, and the stripe slow-path ops
-// stay untouched by the crowd).
-func TestShardedTracerKeepsFastPath(t *testing.T) {
-	ring := obs.NewRing(1024)
-	m := obs.NewTableMetrics()
-	ddb := model.NewDDB()
-	e := ddb.MustEntity("hot", "s0")
-	tab := NewSharded(ddb, Config{Metrics: m, Tracer: ring})
-	defer tab.Close()
-
-	const readers = 8
-	const iters = 50
-	var wg sync.WaitGroup
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			in := inst(g + 1)
-			for i := 0; i < iters; i++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				if err := tab.Acquire(ctx, in, e, Shared); err != nil {
-					cancel()
-					t.Errorf("reader %d: %v", g, err)
-					return
-				}
-				cancel()
-				if err := tab.Release(e, in.Key); err != nil {
-					t.Errorf("reader %d: release: %v", g, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	s := m.Snapshot()
-	const total = readers * iters
-	if s.Grants != total {
-		t.Fatalf("grants = %d, want %d", s.Grants, total)
-	}
-	if s.FastPathHits == 0 {
-		t.Fatal("tracer disarmed the CAS shared fast path: zero fast-path hits under a pure reader crowd")
-	}
-	if s.FastPathHits+s.SlowSharedGrants != total {
-		t.Fatalf("shared split leaks: fast %d + slow %d != %d",
-			s.FastPathHits, s.SlowSharedGrants, total)
-	}
-	// The ring recorded every grant (1024 slots > 400 events: nothing was
-	// overwritten), each tagged as a grant of the hot entity.
-	if got := ring.Recorded(); got != total {
-		t.Fatalf("ring recorded %d events, want %d", got, total)
-	}
-	for _, ev := range ring.Events() {
-		if ev.Kind != obs.EvGrant {
-			t.Fatalf("unexpected event kind %v in a grant-only run: %+v", ev.Kind, ev)
-		}
-		if ev.Entity != int32(e) {
-			t.Fatalf("grant event for wrong entity: %+v", ev)
-		}
-	}
-	// StripeStats cross-check: the slow-path op tally the split probe
-	// samples saw at most the non-fast-path residue, not the crowd.
-	st, ok := SampleStripes(tab)
-	if !ok {
-		t.Fatal("SampleStripes on the sharded backend reported false")
-	}
-	var slowOps int64
-	for _, n := range st.Ops {
-		slowOps += n
-	}
-	if slowOps > 2*s.SlowSharedGrants+total/10 {
-		t.Fatalf("stripe slow-path ops = %d with only %d slow shared grants: reader crowd left the fast path",
-			slowOps, s.SlowSharedGrants)
-	}
-}

@@ -64,11 +64,10 @@ type shardedTable struct {
 	cfg Config
 
 	// m counts grants/releases/wounds (always on; normalized from
-	// Config.Metrics) and tr is the optional lossy event tracer. Both are
-	// hot-path safe: striped padded atomics and a mutex-free ring, so
-	// neither disables the CAS fast path the way Config.Trace does.
-	m  *obs.TableMetrics
-	tr *obs.Ring
+	// Config.Metrics). Striped padded atomics are hot-path safe, so
+	// counting does not disable the CAS fast path the way Config.Trace
+	// does.
+	m *obs.TableMetrics
 
 	// fast holds the per-entity packed reader state (fastSlot), indexed by
 	// the dense EntityID. Nil when the fast path is disabled (wound-wait,
@@ -234,7 +233,6 @@ func NewSharded(ddb *model.DDB, cfg Config) Table {
 	t := &shardedTable{
 		cfg:       cfg,
 		m:         cfg.Metrics,
-		tr:        cfg.Tracer,
 		maxShards: maxShards,
 		stop:      make(chan struct{}),
 	}
@@ -369,7 +367,6 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 				// One striped inc, not two: FastHits implies a grant and
 				// Snapshot folds it into the grant total.
 				t.m.FastHits.Inc(uint64(inst.Key.ID))
-				t.tr.Record(obs.EvGrant, int(ent), inst.Key.ID, inst.Key.Epoch, uint8(mode))
 				return nil
 			}
 		}
@@ -452,7 +449,6 @@ func (t *shardedTable) TryAcquire(inst Instance, ent model.EntityID, mode Mode) 
 				// One striped inc, not two: FastHits implies a grant and
 				// Snapshot folds it into the grant total.
 				t.m.FastHits.Inc(uint64(inst.Key.ID))
-				t.tr.Record(obs.EvGrant, int(ent), inst.Key.ID, inst.Key.Epoch, uint8(mode))
 				return true, nil
 			}
 		}
@@ -646,7 +642,6 @@ func (t *shardedTable) grantLocked(ent model.EntityID, l *slock, key InstKey, pr
 	if mode == Shared {
 		t.m.SlowShared.Inc(hint)
 	}
-	t.tr.Record(obs.EvGrant, int(ent), key.ID, key.Epoch, uint8(mode))
 	if t.cfg.Trace {
 		// Trace disables the fast path, so every grant lands here with its
 		// identity. Lock order: stripe mutex (held), then traceMu.
@@ -714,7 +709,6 @@ func (t *shardedTable) Wound(key InstKey) {
 				l.queue = append(l.queue[:i], l.queue[i+1:]...)
 				w.ch <- ErrWounded
 				t.m.Wounds.Inc()
-				t.tr.Record(obs.EvWound, int(ent), w.key.ID, w.key.Epoch, uint8(w.mode))
 				removed = true
 			}
 			if removed {
@@ -755,7 +749,7 @@ func (t *shardedTable) Snapshot() []WaitEdge {
 				if anon > 0 {
 					// Anonymous fast readers: one edge against the sentinel
 					// holder. The sentinel never waits, so it cannot close a
-					// cycle — detectors that must attribute shared holders
+					// cycle — callers that must attribute shared holders
 					// disable the fast path instead (see Config).
 					edges = append(edges, WaitEdge{
 						Waiter: w.key, Holder: AnonReaderKey,

@@ -97,10 +97,9 @@ type Client struct {
 
 	// Observability. m is the client-side view of the hosted table's
 	// traffic (the server keeps its own authoritative bundle); wm covers
-	// this connection's wire behavior; tr is the optional lossy event ring.
+	// this connection's wire behavior.
 	m  *obs.TableMetrics
 	wm *obs.WireMetrics
-	tr *obs.Ring
 
 	mu      sync.Mutex
 	pending map[uint64]chan result
@@ -184,7 +183,6 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 		stop:    make(chan struct{}),
 		m:       cfg.Metrics,
 		wm:      obs.NewWireMetrics(),
-		tr:      cfg.Tracer,
 	}
 	if c.m == nil {
 		c.m = obs.NewTableMetrics()
@@ -472,7 +470,6 @@ func (c *Client) readLoop() {
 			// Same contract as the in-process backends: the callback only
 			// signals the victim and must not call back into the table.
 			c.m.Wounds.Inc()
-			c.tr.Record(obs.EvWound, 0, int(victim), 0, 0)
 			if c.cfg.OnWound != nil {
 				c.cfg.OnWound(int(victim))
 			}
@@ -753,7 +750,7 @@ func (c *Client) Acquire(ctx context.Context, inst locktable.Instance, ent model
 // release right after the grant, and the grant is counted with its
 // release.
 func (c *Client) finishAcquire(a *acquireCompletion, res result, sp *obs.Span) error {
-	key, ent, mode := a.key, a.ent, a.mode
+	key, mode := a.key, a.mode
 	if res.status != stOK {
 		c.unmark(a)
 	}
@@ -784,7 +781,6 @@ func (c *Client) finishAcquire(a *acquireCompletion, res result, sp *obs.Span) e
 		if mode == locktable.Shared {
 			c.m.SlowShared.Inc(hint)
 		}
-		c.tr.Record(obs.EvGrant, int(ent), key.ID, key.Epoch, uint8(mode))
 		return nil
 	case stWounded:
 		return locktable.ErrWounded
@@ -792,7 +788,6 @@ func (c *Client) finishAcquire(a *acquireCompletion, res result, sp *obs.Span) e
 		return locktable.ErrStopped
 	case stLeaseExpired:
 		c.wm.LeaseExpiries.Inc()
-		c.tr.Record(obs.EvExpiry, int(ent), key.ID, key.Epoch, uint8(mode))
 		return ErrLeaseExpired
 	case stCancelled:
 		// The server withdrew the request without us asking — only possible

@@ -65,13 +65,11 @@ type Server struct {
 
 	// Observability. tm is the hosted table's bundle (the inner table
 	// counts into it); wm aggregates the reply side of every connection;
-	// tr is the optional lossy event ring (lease expiries land here);
 	// spans holds the server-side waterfalls of client-sampled ops (idle
 	// cost zero — a span starts only when a request carries the sampled
 	// marker byte).
 	tm    *obs.TableMetrics
 	wm    *obs.WireMetrics
-	tr    *obs.Ring
 	spans *obs.SpanRing
 }
 
@@ -194,7 +192,6 @@ func NewServer(ddb *model.DDB, cfg locktable.Config, opts ServerOptions) (*Serve
 		fences:   map[model.EntityID]uint64{},
 		tm:       cfg.Metrics,
 		wm:       obs.NewWireMetrics(),
-		tr:       cfg.Tracer,
 		spans:    obs.NewSpanRing(256),
 	}
 	if s.tm == nil {
@@ -400,9 +397,6 @@ func (s *Server) revoke(c *srvConn, disconnect bool) {
 	// Table calls outside every server lock (the grant path's OnWound takes
 	// locks of its own).
 	for _, ref := range grants {
-		if expired {
-			s.tr.Record(obs.EvExpiry, int(ref.ent), ref.key.ID, ref.key.Epoch, 0)
-		}
 		s.tab.Release(ref.ent, ref.key)
 	}
 }

@@ -1,15 +1,15 @@
 // Package obs is the engine's allocation-free observability core: padded
 // atomic counters (plain and write-striped), fixed-bucket log-scale
-// latency histograms, and a lossy ring-buffer event tracer.
+// latency histograms, and sampled op spans (span.go).
 //
 // Everything here is priced for the lock-grant hot paths it instruments:
 //
-//   - No locks anywhere. Every write is a single atomic RMW (or, for the
-//     ring, a handful of atomic stores); every read is a sum over atomics.
-//     Readers and writers never wait on each other, so Stats-style
-//     snapshots are safe concurrent with traffic and after shutdown.
+//   - No locks anywhere. Every write is a single atomic RMW; every read
+//     is a sum over atomics. Readers and writers never wait on each
+//     other, so Stats-style snapshots are safe concurrent with traffic
+//     and after shutdown.
 //   - No allocation after construction. Counters and histograms are flat
-//     arrays; the ring reuses its slots forever.
+//     arrays.
 //   - No time.Now of its own. Histograms record values the caller already
 //     has (a duration it measured for its own purposes, a queue length, a
 //     batch width); the package never introduces a clock read onto a path
@@ -19,14 +19,6 @@
 //     table's padded per-entity slots exist to avoid, so the hot-path
 //     counters (StripedCounter) spread writers over padded cells by a
 //     caller-supplied hint and sum on read.
-//
-// The ring tracer is deliberately LOSSY and anonymous-friendly: it
-// overwrites the oldest events instead of blocking or growing, and its
-// slots are packed into atomic words so concurrent Record/Events are
-// race-free without a mutex. Unlike the lock table's Config.Trace grant
-// log — which needs identified holders and therefore disables the CAS
-// shared fast path — the ring can be fed from the fast path itself: a
-// reader-crowd grant stays one CAS plus a few uncontended atomic stores.
 package obs
 
 import (
@@ -249,137 +241,4 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		P95:   h.Quantile(0.95),
 		P99:   h.Quantile(0.99),
 	}
-}
-
-// EventKind tags a ring-tracer event.
-type EventKind uint8
-
-const (
-	// EvGrant: a lock grant (fast-path CAS grants included — the tracer
-	// does not disable the fast path, unlike the Config.Trace grant log).
-	EvGrant EventKind = iota + 1
-	// EvWound: a parked request removed by a wound.
-	EvWound
-	// EvExpiry: a lease expired server-side and its grants were revoked.
-	EvExpiry
-)
-
-// String names the kind for dumps.
-func (k EventKind) String() string {
-	switch k {
-	case EvGrant:
-		return "grant"
-	case EvWound:
-		return "wound"
-	case EvExpiry:
-		return "expiry"
-	default:
-		return "unknown"
-	}
-}
-
-// Event is one decoded tracer event. Seq is the global record order (1
-// is the first event ever recorded); in a full ring only the most recent
-// Cap events survive.
-type Event struct {
-	Seq    uint64
-	Kind   EventKind
-	Entity int32
-	Inst   int32
-	Epoch  uint32
-	Mode   uint8
-}
-
-// ringSlot packs one event into three atomic words so concurrent
-// Record/Events need no mutex and no torn reads: the writer zeroes seq,
-// stores the payload, then publishes seq; a reader re-checks seq after
-// copying the payload and discards the slot on any change.
-type ringSlot struct {
-	seq atomic.Uint64
-	a   atomic.Uint64 // entity<<32 | inst
-	b   atomic.Uint64 // kind<<40 | mode<<32 | epoch
-}
-
-// Ring is the lossy event tracer: a fixed power-of-two ring of packed
-// slots with a single atomic cursor. Record claims a sequence number and
-// overwrites the oldest slot; it never blocks, never allocates, and
-// never slows when no one is reading. Two writers racing into the same
-// slot (the cursor lapped the ring within one write) resolve to one of
-// them — lossiness is the contract.
-type Ring struct {
-	mask  uint64
-	cur   atomic.Uint64
-	slots []ringSlot
-}
-
-// NewRing builds a tracer holding the most recent `size` events (rounded
-// up to a power of two, minimum 8).
-func NewRing(size int) *Ring {
-	n := 8
-	for n < size {
-		n <<= 1
-	}
-	return &Ring{mask: uint64(n - 1), slots: make([]ringSlot, n)}
-}
-
-// Cap returns the ring's capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
-
-// Recorded returns the total number of events ever recorded (recorded,
-// not retained: a full ring keeps only the last Cap of them).
-func (r *Ring) Recorded() uint64 { return r.cur.Load() }
-
-// Record appends an event, overwriting the oldest when full. Nil-safe:
-// recording into a nil ring is a no-op. The wrapper is small enough to
-// inline, so untraced call sites pay one predicted branch, not a call.
-func (r *Ring) Record(kind EventKind, entity, inst, epoch int, mode uint8) {
-	if r == nil {
-		return
-	}
-	r.record(kind, entity, inst, epoch, mode)
-}
-
-func (r *Ring) record(kind EventKind, entity, inst, epoch int, mode uint8) {
-	seq := r.cur.Add(1)
-	s := &r.slots[(seq-1)&r.mask]
-	s.seq.Store(0)
-	s.a.Store(uint64(uint32(entity))<<32 | uint64(uint32(inst)))
-	s.b.Store(uint64(kind)<<40 | uint64(mode)<<32 | uint64(uint32(epoch)))
-	s.seq.Store(seq)
-}
-
-// Events returns the currently retained events in record order. Slots
-// being overwritten mid-read are skipped, never torn.
-func (r *Ring) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	out := make([]Event, 0, len(r.slots))
-	for i := range r.slots {
-		s := &r.slots[i]
-		seq := s.seq.Load()
-		if seq == 0 {
-			continue
-		}
-		a, b := s.a.Load(), s.b.Load()
-		if s.seq.Load() != seq {
-			continue // overwritten while copying
-		}
-		out = append(out, Event{
-			Seq:    seq,
-			Kind:   EventKind(b >> 40),
-			Entity: int32(a >> 32),
-			Inst:   int32(a & 0xFFFFFFFF),
-			Epoch:  uint32(b & 0xFFFFFFFF),
-			Mode:   uint8((b >> 32) & 0xFF),
-		})
-	}
-	// Insertion sort by Seq: the slice is nearly sorted already (ring
-	// order is record order except across the wrap point).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Seq > out[j].Seq; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
 }

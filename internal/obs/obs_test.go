@@ -128,107 +128,6 @@ func TestStripedCounterExactSum(t *testing.T) {
 	}
 }
 
-// TestRingRetainsMostRecent: a ring overwrites oldest-first and Events
-// returns the retained suffix in record order.
-func TestRingRetainsMostRecent(t *testing.T) {
-	r := NewRing(8)
-	if r.Cap() != 8 {
-		t.Fatalf("Cap = %d, want 8", r.Cap())
-	}
-	for i := 1; i <= 20; i++ {
-		r.Record(EvGrant, i, i*10, i, 1)
-	}
-	if got := r.Recorded(); got != 20 {
-		t.Fatalf("Recorded = %d, want 20", got)
-	}
-	evs := r.Events()
-	if len(evs) != 8 {
-		t.Fatalf("retained %d events, want 8", len(evs))
-	}
-	for i, ev := range evs {
-		want := uint64(13 + i) // events 13..20 survive
-		if ev.Seq != want {
-			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, want)
-		}
-		if ev.Kind != EvGrant || ev.Entity != int32(want) || ev.Inst != int32(want*10) ||
-			ev.Epoch != uint32(want) || ev.Mode != 1 {
-			t.Fatalf("event %d decoded wrong: %+v", i, ev)
-		}
-	}
-}
-
-// TestRingFieldPacking: every field round-trips through the packed slot
-// words, including kind/mode/epoch sharing one word.
-func TestRingFieldPacking(t *testing.T) {
-	r := NewRing(8)
-	r.Record(EvExpiry, 0x7FFFFFFF, 42, 0x7FFFFFFF, 0xAB)
-	evs := r.Events()
-	if len(evs) != 1 {
-		t.Fatalf("retained %d events, want 1", len(evs))
-	}
-	ev := evs[0]
-	if ev.Kind != EvExpiry || ev.Entity != 0x7FFFFFFF || ev.Inst != 42 ||
-		ev.Epoch != 0x7FFFFFFF || ev.Mode != 0xAB {
-		t.Fatalf("decoded %+v", ev)
-	}
-}
-
-// TestRingNil: recording into and reading from a nil ring are no-ops.
-func TestRingNil(t *testing.T) {
-	var r *Ring
-	r.Record(EvGrant, 1, 2, 3, 0)
-	if evs := r.Events(); evs != nil {
-		t.Fatalf("nil ring events = %v", evs)
-	}
-}
-
-// TestRingConcurrent is the -race workhorse: writers hammer the ring
-// while readers decode it; decoded events must never be torn (each
-// event's fields were written together, so Entity == Inst must hold).
-func TestRingConcurrent(t *testing.T) {
-	r := NewRing(64)
-	const writers = 8
-	const iters = 5_000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				v := w*iters + i
-				r.Record(EvGrant, v, v, v, uint8(v))
-			}
-		}(w)
-	}
-	var readers sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for _, ev := range r.Events() {
-					if ev.Entity != ev.Inst {
-						t.Errorf("torn event: %+v", ev)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	readers.Wait()
-	if got := r.Recorded(); got != writers*iters {
-		t.Fatalf("Recorded = %d, want %d", got, writers*iters)
-	}
-}
-
 // TestTableMetricsSnapshot: the snapshot's derived fields follow the
 // conservation identities, and nil bundles snapshot to zeros.
 func TestTableMetricsSnapshot(t *testing.T) {

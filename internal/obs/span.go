@@ -5,9 +5,8 @@ package obs
 // A Span is a carrier for one sampled op's stage timestamps: the session
 // stamps submit, the netlock client stamps enqueue/flush, the server sends
 // its stages back as deltas on the reply frame, and the session commits the
-// finished span into a SpanRing — the same lossy seq-stamped slot design as
-// the event Ring, so readers never block writers and torn reads are
-// discarded at decode.
+// finished span into a SpanRing — a lossy ring of seq-stamped slots, so
+// readers never block writers and torn reads are discarded at decode.
 //
 // Two deliberate deviations from the rest of this package:
 //
@@ -247,8 +246,8 @@ type spanSlot struct {
 	st   [NumStages]atomic.Int64
 }
 
-// SpanRing is a lossy ring of committed spans, same slot protocol as Ring:
-// writers stamp a slot with seq 0, store the payload, then publish the seq;
+// SpanRing is a lossy ring of committed spans. Its slot protocol: writers
+// stamp a slot with seq 0, store the payload, then publish the seq;
 // readers re-check the seq after copying and discard torn slots.
 type SpanRing struct {
 	mask  uint64

@@ -1,0 +1,119 @@
+package runtime
+
+import (
+	"context"
+	"errors"
+	"math/rand/v2"
+	gort "runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"distlock/internal/locktable"
+	"distlock/internal/model"
+)
+
+// mixRun is the template driver the engine tests share: clients
+// goroutines each run perClient instances of templates[client %
+// len(templates)] to commit through Begin/Lock/Unlock/Commit, retrying a
+// wounded attempt with Retry (same identity and age priority).
+type mixRun struct {
+	templates          []*model.Transaction
+	clients, perClient int
+	hold               time.Duration // yield-spin after each grant: a wider conflict window, no timer
+	// stall bounds every Lock: one still waiting after it is the stall of
+	// an unhandled deadlock, and ends the run. Default 250ms.
+	stall time.Duration
+	seed  uint64
+}
+
+// mixResult is what a mixRun leaves behind once the engine is closed.
+type mixResult struct {
+	Counters
+	stalled     bool
+	elapsed     time.Duration
+	GrantLog    map[model.EntityID][]locktable.GrantEvent // Table.Trace only
+	CommitEpoch map[int]int                               // instance id -> committed epoch
+}
+
+// run drives the mix on e, closes e, and reports.
+func (m mixRun) run(t *testing.T, e *Engine) mixResult {
+	t.Helper()
+	if m.stall <= 0 {
+		m.stall = 250 * time.Millisecond
+	}
+	var (
+		mu      sync.Mutex
+		epochs  = map[int]int{}
+		stalled atomic.Bool
+		wg      sync.WaitGroup
+	)
+	start := time.Now()
+	for c := 0; c < m.clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(m.seed, uint64(c)*7919+1))
+			tmpl := m.templates[c%len(m.templates)]
+			for i := 0; i < m.perClient && !stalled.Load(); i++ {
+				s, err := e.Begin(tmpl)
+				for err == nil {
+					if err = m.attempt(s, rng); err == nil {
+						mu.Lock()
+						epochs[s.key.ID] = s.key.Epoch
+						mu.Unlock()
+						break
+					}
+					s.Abort()
+					if errors.Is(err, ErrAborted) {
+						s, err = e.Retry(s)
+					}
+				}
+				if errors.Is(err, context.DeadlineExceeded) {
+					stalled.Store(true)
+					return
+				}
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	e.Close()
+	res := mixResult{Counters: e.Counters(), stalled: stalled.Load(), elapsed: time.Since(start),
+		GrantLog: map[model.EntityID][]locktable.GrantEvent{}, CommitEpoch: epochs}
+	for _, ev := range e.table.GrantLog() {
+		res.GrantLog[ev.Entity] = append(res.GrantLog[ev.Entity], ev)
+	}
+	return res
+}
+
+// attempt runs one session to commit, executing a random minimal
+// unexecuted template operation at each step.
+func (m mixRun) attempt(s *Session, rng *rand.Rand) error {
+	for {
+		ready := s.tmpl.MinimalNodes(&s.executed)
+		if len(ready) == 0 {
+			return s.Commit()
+		}
+		nd := s.tmpl.Node(ready[rng.IntN(len(ready))])
+		if nd.Kind == model.UnlockOp {
+			if err := s.Unlock(nd.Entity); err != nil {
+				return err
+			}
+			continue
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), m.stall)
+		err := s.Lock(ctx, nd.Entity, nd.Mode)
+		cancel()
+		if err != nil {
+			return err
+		}
+		for end := time.Now().Add(m.hold); time.Now().Before(end); {
+			gort.Gosched()
+		}
+	}
+}

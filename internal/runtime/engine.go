@@ -2,13 +2,10 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"distlock/internal/cluster"
-	"distlock/internal/graph"
 	"distlock/internal/locktable"
 	"distlock/internal/model"
 	"distlock/internal/netlock"
@@ -20,9 +17,7 @@ import (
 type Backend int
 
 const (
-	// BackendDefault is BackendSharded, for every strategy. (Under
-	// StrategyDetect the engine forces DisableSharedFastPath, so the
-	// detector sees every shared holder named in Snapshot.)
+	// BackendDefault is BackendSharded, for every strategy.
 	BackendDefault Backend = iota
 	// BackendSharded: hash-striped mutexes with per-entity shared/
 	// exclusive lock states and FIFO wait queues; uncontended grants take
@@ -31,14 +26,12 @@ const (
 	// BackendRemote: the cross-process backend — a netlock client speaking
 	// the wire protocol to a dlserver-hosted table (internal/netlock).
 	// Requires EngineOptions.RemoteAddr; never chosen by BackendDefault.
-	// Rejects StrategyDetect: the lock space is shared with other
-	// processes, and no server-side detector sees their waits.
 	BackendRemote
 	// BackendCluster: the partitioned lock space — each entity hash-routed
 	// to one of N dlservers (internal/cluster), so independent servers
 	// jointly serve one lock space with no cross-server coordination on
 	// the certified tier. Requires EngineOptions.RemoteAddrs; never chosen
-	// by BackendDefault. Rejects StrategyDetect, as BackendRemote does.
+	// by BackendDefault.
 	BackendCluster
 )
 
@@ -71,8 +64,6 @@ func (b Backend) resolve() Backend {
 type EngineOptions struct {
 	// Strategy selects the engine's deadlock handling.
 	Strategy Strategy
-	// DetectEvery is the detector period (StrategyDetect only). Default 2ms.
-	DetectEvery time.Duration
 	// Backend selects the lock-table implementation. BackendDefault is
 	// the in-process sharded table.
 	Backend Backend
@@ -89,10 +80,9 @@ type EngineOptions struct {
 	RemoteAddrs []string
 	// Table is the lock-table configuration, handed to the backend by
 	// value: stripe tuning, the exact grant log (Trace — only
-	// safe to read after Close), the counter bundle (Metrics — nil
-	// allocates a private one) and the lossy event ring (Tracer). See
-	// locktable.Config for each knob. The engine owns WoundWait, OnWound
-	// and DisableSharedFastPath and overwrites them from Strategy.
+	// safe to read after Close) and the counter bundle (Metrics — nil
+	// allocates a private one). See locktable.Config for each knob. The
+	// engine owns WoundWait and OnWound and overwrites them from Strategy.
 	Table locktable.Config
 	// PipelineDepth enables certified-chain pipelining over a wire
 	// backend: sessions of a StrategyNone engine keep up to this many
@@ -138,19 +128,15 @@ type EngineOptions struct {
 // sparse enough that the clock reads vanish in the op cost.
 const DefaultTraceSample = 64
 
-// Engine is a long-lived lock-service core: a pluggable lock table
+// Engine is a long-lived lock-service core over a pluggable lock table
 // (internal/locktable — hash-striped mutexes in process, or a wire
-// client), plus an optional global deadlock detector. Transactions are
-// driven through it as Sessions (Begin / Lock / Unlock / Commit / Abort);
-// the batch entry point Run replays templates over the same session layer.
-// Create with NewEngine, shut down with Close.
+// client). Transactions are driven through it as Sessions (Begin / Lock /
+// Unlock / Commit / Abort). Create with NewEngine, shut down with Close.
 type Engine struct {
-	strategy    Strategy
-	backend     Backend
-	ddb         *model.DDB
-	table       locktable.Table
-	detectEvery time.Duration
-	trace       bool
+	strategy Strategy
+	backend  Backend
+	ddb      *model.DDB
+	table    locktable.Table
 
 	// async/pipeline: certified-chain pipelining (EngineOptions.
 	// PipelineDepth), armed only when the strategy is StrategyNone and
@@ -168,29 +154,23 @@ type Engine struct {
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup
-	holds    holdTimer // high-resolution Config.HoldTime delays (lazy)
 
-	// Cumulative tallies, bumped per session or per deadlock-handling
-	// event, never per lock operation: unless a latency histogram or
-	// tracing is armed, a lock operation writes nothing engine-global.
-	// commits is also half of Run's stall watchdog (the table's grant
-	// counter is the other half).
+	// Cumulative tallies, bumped per session or per wound, never per lock
+	// operation: unless a latency histogram or tracing is armed, a lock
+	// operation writes nothing engine-global.
 	commits  atomic.Int64
 	aborts   atomic.Int64
 	discards atomic.Int64
 	wounds   atomic.Int64
-	detects  atomic.Int64
 	nextID   atomic.Int64
 
 	// Observability (see internal/obs). metrics is the backend's counter
-	// bundle; tracer the optional event ring; pipelinedOps/syncOps split
-	// lock operations by path — certified-chain pipelined submission vs
-	// the synchronous fallback every other configuration takes. lockWait
-	// and holdTime are non-nil only with EngineOptions.MeasureLockWait /
-	// MeasureHoldTime respectively.
+	// bundle; pipelinedOps/syncOps split lock operations by path —
+	// certified-chain pipelined submission vs the synchronous fallback
+	// every other configuration takes. lockWait and holdTime are non-nil
+	// only with EngineOptions.MeasureLockWait / MeasureHoldTime
+	// respectively.
 	metrics      *obs.TableMetrics
-	tracer       *obs.Ring
 	pipelinedOps obs.StripedCounter
 	syncOps      obs.StripedCounter
 	lockWait     *obs.Histogram
@@ -208,45 +188,28 @@ type Engine struct {
 	spanTable locktable.SpannedTable
 	asyncSpan locktable.SpannedAsyncTable
 
-	// mu guards the two maps below, so a StrategyNone engine without
-	// Trace never takes it.
+	// mu guards abortChs, so a StrategyNone engine never takes it.
 	mu       sync.Mutex
 	abortChs map[int]chan struct{} // instance id -> abort signal (not StrategyNone)
-	commitEp map[int]int           // instance id -> commit epoch (Trace only)
 }
 
-// NewEngine builds an engine over the database and starts its lock table
-// (and the detector, under StrategyDetect). The engine serves sessions
-// until Close.
+// NewEngine builds an engine over the database and starts its lock table.
+// The engine serves sessions until Close.
 func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 	if ddb == nil {
 		return nil, fmt.Errorf("runtime: nil database")
-	}
-	if opts.DetectEvery <= 0 {
-		opts.DetectEvery = 2 * time.Millisecond
-	}
-	if b := opts.Backend.resolve(); opts.Strategy == StrategyDetect && (b == BackendRemote || b == BackendCluster) {
-		// The detector snapshots this engine's view of the table, but a wire
-		// lock space is shared with other processes whose waits it cannot
-		// see, and no server-side detector covers them: a cross-process
-		// cycle would hang. Refuse rather than run uncovered.
-		return nil, fmt.Errorf("runtime: %v strategy is not supported on the %v backend (no server-side deadlock detector)", opts.Strategy, b)
 	}
 	cfg := opts.Table
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewTableMetrics()
 	}
 	e := &Engine{
-		strategy:    opts.Strategy,
-		backend:     opts.Backend.resolve(),
-		ddb:         ddb,
-		detectEvery: opts.DetectEvery,
-		trace:       cfg.Trace,
-		stop:        make(chan struct{}),
-		abortChs:    map[int]chan struct{}{},
-		commitEp:    map[int]int{},
-		metrics:     cfg.Metrics,
-		tracer:      cfg.Tracer,
+		strategy: opts.Strategy,
+		backend:  opts.Backend.resolve(),
+		ddb:      ddb,
+		stop:     make(chan struct{}),
+		abortChs: map[int]chan struct{}{},
+		metrics:  cfg.Metrics,
 	}
 	if opts.MeasureLockWait {
 		e.lockWait = new(obs.Histogram)
@@ -254,16 +217,11 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 	if opts.MeasureHoldTime {
 		e.holdTime = new(obs.Histogram)
 	}
-	e.holds.stop = e.stop
 	cfg.WoundWait = opts.Strategy == StrategyWoundWait
 	cfg.OnWound = func(holderID int) {
 		e.wounds.Add(1)
 		e.signalAbort(holderID)
 	}
-	// The detector closes wait-for cycles through shared holders, so they
-	// must be named in Snapshot: anonymous fast-path readers would hide
-	// the edges and cycles would go undetected.
-	cfg.DisableSharedFastPath = opts.Strategy == StrategyDetect
 	switch e.backend {
 	case BackendSharded:
 		e.table = locktable.NewSharded(ddb, cfg)
@@ -310,13 +268,6 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 			e.releaseAsync = at.ReleaseAsync
 		}
 	}
-	if e.strategy == StrategyDetect {
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			e.detector()
-		}()
-	}
 	return e, nil
 }
 
@@ -341,12 +292,11 @@ type Counters struct {
 	Commits int64 `json:"commits"`
 	Aborts  int64 `json:"aborts"`
 	// Discarded counts sessions ended by engine shutdown rather than by
-	// their own Commit or Abort: an Abort (or the batch driver's discard)
-	// on a closed engine releases nothing and is not a transaction abort.
-	// Every session ends in exactly one of Commits, Aborts and Discarded.
+	// their own Commit or Abort: an Abort on a closed engine releases
+	// nothing and is not a transaction abort. Every session ends in
+	// exactly one of Commits, Aborts and Discarded.
 	Discarded int64 `json:"discarded"`
 	Wounds    int64 `json:"wounds"`
-	Detected  int64 `json:"detected"`
 	// PipelinedOps counts lock operations submitted through the
 	// certified-chain async path; SyncOps those that took the synchronous
 	// fallback (in-process backends, or strategies without the
@@ -365,7 +315,6 @@ func (e *Engine) Counters() Counters {
 		Aborts:       e.aborts.Load(),
 		Discarded:    e.discards.Load(),
 		Wounds:       e.wounds.Load(),
-		Detected:     e.detects.Load(),
 		PipelinedOps: e.pipelinedOps.Load(),
 		SyncOps:      e.syncOps.Load(),
 	}
@@ -375,10 +324,6 @@ func (e *Engine) Counters() Counters {
 // (EngineOptions.Table.Metrics, or the private one). Safe to read concurrently
 // with traffic and after Close.
 func (e *Engine) TableMetrics() *obs.TableMetrics { return e.metrics }
-
-// Tracer returns the engine's event ring (nil unless EngineOptions.Table.Tracer
-// was set).
-func (e *Engine) Tracer() *obs.Ring { return e.tracer }
 
 // LockWait summarizes the engine's lock-wait histogram: the wall time of
 // every granted Session.Lock, in nanoseconds. Zeros unless
@@ -410,13 +355,12 @@ func (e *Engine) recordSpan(sp *obs.Span) {
 	e.stageHist.Record(sp.Commit())
 }
 
-// Close stops the lock table (and detector) and waits for them to exit.
-// Session operations blocked in the engine return ErrClosed; locks still
-// held by open sessions die with the lock table. Close is idempotent.
+// Close stops the lock table. Session operations blocked in the engine
+// return ErrClosed; locks still held by open sessions die with the lock
+// table. Close is idempotent.
 func (e *Engine) Close() {
 	e.stopOnce.Do(func() { close(e.stop) })
 	e.table.Close()
-	e.wg.Wait()
 }
 
 // signalAbort notifies a session to abort (non-blocking; coalesced).
@@ -430,68 +374,5 @@ func (e *Engine) signalAbort(id int) {
 	select {
 	case ch <- struct{}{}:
 	default:
-	}
-}
-
-// detector periodically snapshots the global wait-for graph through the
-// lock table and aborts the youngest transaction on each cycle.
-func (e *Engine) detector() {
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-time.After(e.detectEvery):
-		}
-		edges := e.table.Snapshot()
-		if len(edges) == 0 {
-			continue
-		}
-		// Build an id-level graph, remembering each id's current attempt
-		// key so the victim can be wounded epoch-exactly.
-		ids := map[int]int{}
-		var prio []int64
-		var order []int
-		keyOf := map[int]locktable.InstKey{}
-		idx := func(key locktable.InstKey, p int64) int {
-			keyOf[key.ID] = key
-			if i, ok := ids[key.ID]; ok {
-				return i
-			}
-			ids[key.ID] = len(order)
-			order = append(order, key.ID)
-			prio = append(prio, p)
-			return len(order) - 1
-		}
-		// Deterministic edge order.
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].Waiter.ID != edges[j].Waiter.ID {
-				return edges[i].Waiter.ID < edges[j].Waiter.ID
-			}
-			return edges[i].Holder.ID < edges[j].Holder.ID
-		})
-		g := graph.NewDigraph(2 * len(edges))
-		for _, ed := range edges {
-			g.AddArc(idx(ed.Waiter, ed.WaiterPrio), idx(ed.Holder, ed.HolderPrio))
-		}
-		if cyc := g.FindCycle(); cyc != nil {
-			victim := cyc[0]
-			for _, v := range cyc[1:] {
-				if prio[v] > prio[victim] {
-					victim = v
-				}
-			}
-			e.detects.Add(1)
-			e.signalAbort(order[victim])
-			// Prompt delivery: also wake the victim's parked Acquires
-			// through the table. The abort channel covers sessions that
-			// are between operations (and the request-not-yet-queued
-			// race); Wound covers the common case — the victim is parked
-			// in a lock wait that is part of the cycle. The wound targets
-			// the attempt key from the snapshot, so if it lands after the
-			// victim already aborted and retried at the next epoch it is
-			// a no-op, never a spurious wound of the healthy retry. Safe
-			// here: the detector goroutine holds no table locks.
-			e.table.Wound(keyOf[order[victim]])
-		}
 	}
 }

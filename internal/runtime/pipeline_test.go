@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -674,26 +673,5 @@ func TestPipelinedUnlockDoesNotWaitForOwnAcquire(t *testing.T) {
 	}
 	if c := e.Counters(); c.Commits != 1 || c.PipelinedOps != 1 {
 		t.Fatalf("counters = %+v, want one pipelined commit", c)
-	}
-}
-
-// TestDetectRejectedOnWireBackends: the detector only sees this engine's
-// waits, so NewEngine refuses StrategyDetect on a shared wire lock space
-// instead of running it uncovered — before dialing anything.
-func TestDetectRejectedOnWireBackends(t *testing.T) {
-	d := model.NewDDB()
-	d.MustEntity("x", "s1")
-	for _, opts := range []EngineOptions{
-		{Strategy: StrategyDetect, Backend: BackendRemote, RemoteAddr: "127.0.0.1:1"},
-		{Strategy: StrategyDetect, Backend: BackendCluster, RemoteAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}},
-	} {
-		e, err := NewEngine(d, opts)
-		if err == nil {
-			e.Close()
-			t.Fatalf("%v on %v: NewEngine succeeded", opts.Strategy, opts.Backend)
-		}
-		if !strings.Contains(err.Error(), "detection strategy is not supported") {
-			t.Fatalf("%v on %v: error %q does not name the refused combination", opts.Strategy, opts.Backend, err)
-		}
 	}
 }

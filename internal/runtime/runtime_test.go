@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -49,20 +48,30 @@ func deadlockTemplates() []*model.Transaction {
 	}
 }
 
+// newEngine builds an engine over d for a test; mixRun.run closes it.
+func newEngine(t *testing.T, d *model.DDB, opts EngineOptions) *Engine {
+	t.Helper()
+	e, err := NewEngine(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	return e
+}
+
 func TestCertifiedMixNoHandling(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
-		m, err := Run(Config{
-			Templates: orderedTemplates(), Clients: 6, TxnsPerClient: 20,
-			EngineOptions: EngineOptions{Strategy: StrategyNone, Backend: b}, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
+		tmpls := orderedTemplates()
+		e := newEngine(t, tmpls[0].DDB(), EngineOptions{Strategy: StrategyNone, Backend: b})
+		r := mixRun{templates: tmpls, clients: 6, perClient: 20, seed: 1}.run(t, e)
+		if r.stalled {
+			t.Fatal("certified mix stalled")
 		}
-		if m.Committed != 120 {
-			t.Fatalf("committed = %d, want 120", m.Committed)
+		if r.Commits != 120 {
+			t.Fatalf("committed = %d, want 120", r.Commits)
 		}
-		if m.Aborts != 0 {
-			t.Fatalf("aborts = %d, want 0 on certified mix", m.Aborts)
+		if r.Aborts != 0 {
+			t.Fatalf("aborts = %d, want 0 on certified mix", r.Aborts)
 		}
 	})
 }
@@ -72,49 +81,30 @@ func TestCertifiedMixNoHandling(t *testing.T) {
 // not paper over the missing handling.
 func TestDeadlockMixStallsWithoutHandling(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
-		m, err := Run(Config{
-			Templates: deadlockTemplates(), Clients: 8, TxnsPerClient: 30,
-			EngineOptions: EngineOptions{Strategy: StrategyNone, Backend: b}, StallTimeout: 150 * time.Millisecond,
-			HoldTime: 300 * time.Microsecond, Seed: 2,
-		})
-		if !errors.Is(err, ErrStalled) {
-			t.Fatalf("want ErrStalled, got err=%v metrics=%+v", err, m)
+		tmpls := deadlockTemplates()
+		e := newEngine(t, tmpls[0].DDB(), EngineOptions{Strategy: StrategyNone, Backend: b})
+		r := mixRun{templates: tmpls, clients: 8, perClient: 30,
+			hold: 300 * time.Microsecond, stall: 150 * time.Millisecond, seed: 2}.run(t, e)
+		if !r.stalled {
+			t.Fatalf("want a stall, got %+v", r.Counters)
 		}
-		if m.Committed >= 8*30 {
+		if r.Commits >= 8*30 {
 			t.Fatal("stalled run committed everything")
 		}
 	})
 }
 
-func TestDetectionCompletesDeadlockMix(t *testing.T) {
-	m, err := Run(Config{
-		Templates: deadlockTemplates(), Clients: 8, TxnsPerClient: 20,
-		EngineOptions: EngineOptions{Strategy: StrategyDetect, DetectEvery: time.Millisecond},
-		HoldTime:      200 * time.Microsecond, Seed: 3,
-	})
-	if err != nil {
-		t.Fatalf("err=%v metrics=%+v", err, m)
-	}
-	if m.Committed != 160 {
-		t.Fatalf("committed = %d, want 160", m.Committed)
-	}
-	if m.Detected == 0 {
-		t.Fatal("detector never found a cycle under a deadlock-prone mix")
-	}
-}
-
 func TestWoundWaitCompletesDeadlockMix(t *testing.T) {
-	m, err := Run(Config{
-		Templates: deadlockTemplates(), Clients: 8, TxnsPerClient: 20,
-		EngineOptions: EngineOptions{Strategy: StrategyWoundWait}, HoldTime: 200 * time.Microsecond, Seed: 4,
-	})
-	if err != nil {
-		t.Fatalf("err=%v metrics=%+v", err, m)
+	tmpls := deadlockTemplates()
+	e := newEngine(t, tmpls[0].DDB(), EngineOptions{Strategy: StrategyWoundWait})
+	r := mixRun{templates: tmpls, clients: 8, perClient: 20, hold: 200 * time.Microsecond, seed: 4}.run(t, e)
+	if r.stalled {
+		t.Fatalf("stalled: %+v", r.Counters)
 	}
-	if m.Committed != 160 {
-		t.Fatalf("committed = %d, want 160", m.Committed)
+	if r.Commits != 160 {
+		t.Fatalf("committed = %d, want 160", r.Commits)
 	}
-	if m.Wounds == 0 {
+	if r.Wounds == 0 {
 		t.Fatal("wound-wait never wounded under heavy conflict")
 	}
 }
@@ -130,57 +120,83 @@ func TestDistributedParallelTemplates(t *testing.T) {
 	b.LockUnlock("y")
 	b.LockUnlock("z")
 	tmpl := b.MustFreeze()
-	m, err := Run(Config{
-		Templates: []*model.Transaction{tmpl}, Clients: 8, TxnsPerClient: 15,
-		EngineOptions: EngineOptions{Strategy: StrategyDetect}, Seed: 5,
-	})
-	if err != nil {
-		t.Fatalf("err=%v metrics=%+v", err, m)
+	e := newEngine(t, d, EngineOptions{Strategy: StrategyWoundWait})
+	r := mixRun{templates: []*model.Transaction{tmpl}, clients: 8, perClient: 15, seed: 5}.run(t, e)
+	if r.stalled {
+		t.Fatalf("stalled: %+v", r.Counters)
 	}
-	if m.Committed != 120 {
-		t.Fatalf("committed = %d", m.Committed)
+	if r.Commits != 120 {
+		t.Fatalf("committed = %d", r.Commits)
 	}
 }
 
 // TestSerializableCommitOrder checks the end-to-end correctness property:
 // for two-phase templates, the conflict graph over committed instances
 // (built from each entity's lock-grant order, final epochs only) is
-// acyclic — every run is serializable.
+// acyclic — every run is serializable. The grant log is the table's own
+// (Table.Trace): in process, or fetched from the dlservers of the remote
+// and cluster backends, with and without certified pipelining.
 func TestSerializableCommitOrder(t *testing.T) {
-	for _, strat := range []Strategy{StrategyNone, StrategyDetect, StrategyWoundWait} {
-		for _, b := range backends {
-			m, err := Run(Config{
-				Templates: orderedTemplates(), Clients: 6, TxnsPerClient: 15,
-				EngineOptions: EngineOptions{Strategy: strat, Backend: b, Table: locktable.Config{Trace: true}},
-				HoldTime:      100 * time.Microsecond, Seed: 11,
-			})
-			if err != nil {
-				t.Fatalf("%v/%v: err=%v", strat, b, err)
-			}
-			if !checkSerializable(t, m) {
-				t.Fatalf("%v/%v: commit order not serializable", strat, b)
-			}
-		}
-		if strat == StrategyNone {
-			continue
-		}
-		m, err := Run(Config{
-			Templates: deadlockTemplates(), Clients: 6, TxnsPerClient: 15,
-			EngineOptions: EngineOptions{Strategy: strat, Table: locktable.Config{Trace: true}},
-			HoldTime:      100 * time.Microsecond, Seed: 11,
-		})
-		if err != nil {
-			t.Fatalf("%v: err=%v", strat, err)
-		}
-		if !checkSerializable(t, m) {
-			t.Fatalf("%v: commit order not serializable", strat)
-		}
+	type row struct {
+		name     string
+		strat    Strategy
+		servers  int // 0 = in-process sharded table
+		depth    int
+		deadlock bool // the uncertified mix (wound-wait rows only)
 	}
+	rows := []row{
+		{"sharded/none", StrategyNone, 0, 0, false},
+		{"sharded/woundwait", StrategyWoundWait, 0, 0, false},
+		{"sharded/woundwait-deadlock-mix", StrategyWoundWait, 0, 0, true},
+	}
+	for _, w := range []struct {
+		name    string
+		servers int
+	}{{"remote", 1}, {"cluster2", 2}} {
+		rows = append(rows,
+			row{w.name + "/none", StrategyNone, w.servers, 0, false},
+			row{w.name + "/woundwait", StrategyWoundWait, w.servers, 0, false},
+			row{w.name + "/none-depth8", StrategyNone, w.servers, 8, false})
+	}
+	for _, rw := range rows {
+		t.Run(rw.name, func(t *testing.T) {
+			tmpls := orderedTemplates()
+			if rw.deadlock {
+				tmpls = deadlockTemplates()
+			}
+			d := tmpls[0].DDB()
+			opts := EngineOptions{}
+			if rw.servers > 0 {
+				opts = listenServers(t, d, rw.servers,
+					locktable.Config{Trace: true, WoundWait: rw.strat == StrategyWoundWait})
+			}
+			opts.Strategy, opts.Table, opts.PipelineDepth = rw.strat, locktable.Config{Trace: true}, rw.depth
+			r := mixRun{templates: tmpls, clients: 6, perClient: 15, hold: 100 * time.Microsecond, seed: 11}.run(t, newEngine(t, d, opts))
+			if r.stalled || r.Commits != 90 {
+				t.Fatalf("committed %d of 90 (stalled %v)", r.Commits, r.stalled)
+			}
+			if !checkSerializable(t, r) {
+				t.Fatal("commit order not serializable")
+			}
+			if n := grants(r); rw.strat == StrategyNone && n != 2*90 {
+				t.Fatalf("grant log holds %d events for 90 two-lock commits", n)
+			}
+		})
+	}
+}
+
+// grants counts the grant events of a run's log.
+func grants(r mixResult) int {
+	n := 0
+	for _, log := range r.GrantLog {
+		n += len(log)
+	}
+	return n
 }
 
 // checkSerializable builds the committed-instances conflict graph from the
 // grant log and reports acyclicity.
-func checkSerializable(t *testing.T, m *Metrics) bool {
+func checkSerializable(t *testing.T, m mixResult) bool {
 	t.Helper()
 	ids := map[int]int{}
 	var n int
@@ -212,18 +228,9 @@ func checkSerializable(t *testing.T, m *Metrics) bool {
 	return g.IsAcyclic()
 }
 
-func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
-		t.Fatal("accepted empty config")
-	}
-	if _, err := Run(Config{Templates: orderedTemplates()}); err == nil {
-		t.Fatal("accepted zero clients")
-	}
-}
-
 func TestStrategyStrings(t *testing.T) {
 	for s, want := range map[Strategy]string{
-		StrategyNone: "certified-none", StrategyDetect: "detection", StrategyWoundWait: "wound-wait",
+		StrategyNone: "certified-none", StrategyWoundWait: "wound-wait",
 	} {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q", s, s.String())

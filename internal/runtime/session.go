@@ -15,9 +15,9 @@ import (
 )
 
 // ErrAborted is returned by session operations after the engine's deadlock
-// handling (a wound-wait wound or a detector victim pick) aborted the
-// transaction. The caller must call Abort to release what the session
-// still holds, and may then retry with a fresh session.
+// handling (a wound-wait wound) aborted the transaction. The caller must
+// call Abort to release what the session still holds, and may then retry
+// with a fresh session.
 var ErrAborted = errors.New("runtime: transaction aborted by deadlock handling")
 
 // ErrClosed is returned by session operations once the engine has been
@@ -137,15 +137,15 @@ func (e *Engine) Retry(prev *Session) (*Session, error) {
 	return e.beginInstance(prev.tmpl, prev.key.ID, prev.key.Epoch+1, prev.prio), nil
 }
 
-// beginInstance opens a session with explicit instance identity: the batch
-// driver reuses an instance id across retry epochs so the wound-wait age
-// priority of a wounded transaction survives its retries.
+// beginInstance opens a session with explicit instance identity: Retry
+// reuses an instance id across epochs so the wound-wait age priority of a
+// wounded transaction survives its retries.
 //
-// Only an engine with deadlock handling gives the session an abort signal
-// and registers it: on StrategyNone nothing can ever fire one — the table
-// runs without wound-wait, no detector runs, and a wire server must match
-// the engine's wound-wait setting at the handshake — so a certified
-// session takes no engine lock at all.
+// Only a wound-wait engine gives the session an abort signal and
+// registers it: on StrategyNone nothing can ever fire one — the table
+// runs without wound-wait, and a wire server must match the engine's
+// wound-wait setting at the handshake — so a certified session takes no
+// engine lock at all.
 func (e *Engine) beginInstance(tmpl *model.Transaction, id, epoch int, prio int64) *Session {
 	s := &Session{
 		e:    e,
@@ -337,11 +337,9 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 // No-op unless a latency histogram is armed — the counters are
 // unconditional, but the latency instruments are the one piece that
 // would add time.Now calls to a path that has no timestamp. With only
-// lock-wait armed (EngineOptions.MeasureLockWait, the runtime.Run
-// configuration) the grant pays exactly the two clock reads the
-// pre-histogram slice collection paid; hold-time tracking
-// (EngineOptions.MeasureHoldTime) adds the grant-stamp bookkeeping and
-// a third read at release.
+// lock-wait armed (EngineOptions.MeasureLockWait) the grant pays two
+// clock reads; hold-time tracking (EngineOptions.MeasureHoldTime) adds
+// the grant-stamp bookkeeping and a third read at release.
 func (s *Session) noteGranted(ent model.EntityID, start time.Time) {
 	if s.e.lockWait == nil && s.e.holdTime == nil {
 		return
@@ -579,11 +577,6 @@ func (s *Session) Commit() error {
 	}
 	s.done = true
 	s.flushOps()
-	if s.e.trace {
-		s.e.mu.Lock()
-		s.e.commitEp[s.key.ID] = s.key.Epoch
-		s.e.mu.Unlock()
-	}
 	s.dropAbortCh()
 	s.e.commits.Add(1)
 	return nil

@@ -475,7 +475,7 @@ func TestSessionLargeTemplate(t *testing.T) {
 // TestBackendResolution: BackendDefault is the sharded table for every
 // strategy.
 func TestBackendResolution(t *testing.T) {
-	for _, strat := range []Strategy{StrategyNone, StrategyDetect, StrategyWoundWait} {
+	for _, strat := range []Strategy{StrategyNone, StrategyWoundWait} {
 		e, _ := sessionFixture(t, strat, BackendDefault)
 		if got := e.Backend(); got != BackendSharded {
 			t.Fatalf("%v default backend = %v, want %v", strat, got, BackendSharded)

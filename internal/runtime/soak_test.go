@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"distlock/internal/locktable"
+	"distlock/internal/model"
 	"distlock/internal/netlock"
 	"distlock/internal/workload"
 )
@@ -15,8 +16,9 @@ import (
 // lock traffic onto a few entities, high per-class concurrency, and hold
 // times wide enough that nearly every grant decision races a wound —
 // table-driven over every backend that
-// implements wounding (sharded at several stripe counts, and the
-// cross-process netlock backend, whose wounds ride the server-push path).
+// implements wounding (sharded at several stripe counts, the cross-process
+// netlock backend, whose wounds ride the server-push path, and two such
+// servers behind the cluster router).
 //
 // The assertions are the wound-wait correctness envelope:
 //   - the run finishes (no stall: wounding must keep breaking every cycle),
@@ -52,56 +54,66 @@ func TestWoundStormSoak(t *testing.T) {
 		EntitiesPerTxn: perTxn, Policy: workload.PolicyTwoPhase, Seed: 4,
 	})
 
-	type backendCase struct {
-		name   string
-		cfg    Config
-		remote bool
-	}
-	cases := []backendCase{
-		{name: "sharded", cfg: Config{EngineOptions: EngineOptions{Backend: BackendSharded}}},
-		{name: "sharded-1stripe", cfg: Config{EngineOptions: EngineOptions{Backend: BackendSharded, Table: locktable.Config{Shards: 1}}}},
-		{name: "sharded-overstriped", cfg: Config{EngineOptions: EngineOptions{Backend: BackendSharded, Table: locktable.Config{Shards: 256}}}},
-		{name: "remote", remote: true},
+	cases := []struct {
+		name    string
+		opts    EngineOptions
+		servers int // > 0: wound-wait dlservers behind the remote or cluster backend
+	}{
+		{name: "sharded", opts: EngineOptions{Backend: BackendSharded}},
+		{name: "sharded-1stripe", opts: EngineOptions{Backend: BackendSharded, Table: locktable.Config{Shards: 1}}},
+		{name: "sharded-overstriped", opts: EngineOptions{Backend: BackendSharded, Table: locktable.Config{Shards: 256}}},
+		{name: "remote", servers: 1},
+		{name: "cluster2", servers: 2},
 	}
 	for _, bc := range cases {
 		t.Run(bc.name, func(t *testing.T) {
-			cfg := bc.cfg
-			if bc.remote {
-				// The netlock server hosts a wound-wait table; the engine's
-				// wound decisions travel: requester → server grant path →
-				// wound push → client OnWound → session abort signal.
-				srv, err := netlock.NewServer(sys.DDB, locktable.Config{WoundWait: true}, netlock.ServerOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := srv.Listen("127.0.0.1:0"); err != nil {
-					srv.Close()
-					t.Fatal(err)
-				}
-				defer srv.Close()
-				cfg = Config{EngineOptions: EngineOptions{Backend: BackendRemote, RemoteAddr: srv.Addr()}}
+			opts := bc.opts
+			if bc.servers > 0 {
+				// The dlservers host wound-wait tables; the engine's wound
+				// decisions travel: requester → server grant path → wound
+				// push → client OnWound → session abort signal. Behind the
+				// cluster router each entity's wounds come from its owner.
+				opts = listenServers(t, sys.DDB, bc.servers, locktable.Config{WoundWait: true})
 			}
-			cfg.Templates = sys.Txns
-			cfg.Clients = clients
-			cfg.TxnsPerClient = txnsPerClient
-			cfg.Strategy = StrategyWoundWait
-			cfg.HoldTime = hold
-			cfg.StallTimeout = 10 * time.Second
-			cfg.Seed = 4
-
-			m, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("soak stalled or failed: %v (metrics %+v)", err, m)
+			opts.Strategy = StrategyWoundWait
+			m := mixRun{templates: sys.Txns, clients: clients, perClient: txnsPerClient,
+				hold: hold, stall: 10 * time.Second, seed: 4}.run(t, newEngine(t, sys.DDB, opts))
+			if m.stalled {
+				t.Fatalf("soak stalled (counters %+v)", m.Counters)
 			}
 			want := clients * txnsPerClient
-			if m.Committed != want {
-				t.Fatalf("committed %d of %d instances", m.Committed, want)
+			if int(m.Commits) != want {
+				t.Fatalf("committed %d of %d instances", m.Commits, want)
 			}
 			if m.Wounds == 0 {
 				t.Fatalf("no wounds under a storm-shaped load — the gate tested nothing")
 			}
 			t.Logf("%s: %d commits, %d wounds, %d aborts in %v",
-				bc.name, m.Committed, m.Wounds, m.Aborts, m.Elapsed)
+				bc.name, m.Commits, m.Wounds, m.Aborts, m.elapsed)
 		})
 	}
+}
+
+// listenServers starts n loopback netlock servers hosting cfg and returns
+// engine options that dial them: BackendRemote for one, BackendCluster for
+// several.
+func listenServers(t *testing.T, d *model.DDB, n int, cfg locktable.Config) EngineOptions {
+	t.Helper()
+	var addrs []string
+	for i := 0; i < n; i++ {
+		srv, err := netlock.NewServer(d, cfg, netlock.ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Listen("127.0.0.1:0"); err != nil {
+			srv.Close()
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		addrs = append(addrs, srv.Addr())
+	}
+	if n == 1 {
+		return EngineOptions{Backend: BackendRemote, RemoteAddr: addrs[0]}
+	}
+	return EngineOptions{Backend: BackendCluster, RemoteAddrs: addrs}
 }

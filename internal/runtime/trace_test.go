@@ -186,12 +186,11 @@ func TestTraceSpanIntegrity(t *testing.T) {
 	}
 }
 
-// TestTraceSamplingKeepsFastPath is the PR's fast-path regression gate,
-// the sampling analogue of locktable's TestShardedTracerKeepsFastPath:
-// an 8-reader crowd hammering one hot entity on a default-rate sampled
-// certified engine must keep taking the CAS shared fast path
-// (FastPathHits > 0) — arming the sampler must not flip the table into
-// holder-tracking mode.
+// TestTraceSamplingKeepsFastPath is the fast-path regression gate for
+// observation: an 8-reader crowd hammering one hot entity on a
+// default-rate sampled certified engine must keep taking the CAS shared
+// fast path (FastPathHits > 0) — arming the sampler must not flip the
+// table into holder-tracking mode.
 func TestTraceSamplingKeepsFastPath(t *testing.T) {
 	d := model.NewDDB()
 	d.MustEntity("h", "s0")
@@ -253,6 +252,19 @@ func TestTraceSamplingKeepsFastPath(t *testing.T) {
 	}
 	if s.Grants != readers*iters {
 		t.Fatalf("grants = %d, want %d", s.Grants, readers*iters)
+	}
+	// The stripes saw at most the non-fast-path residue, not the crowd.
+	st, ok := locktable.SampleStripes(e.table)
+	if !ok {
+		t.Fatal("SampleStripes on the sharded backend reported false")
+	}
+	var slowOps int64
+	for _, n := range st.Ops {
+		slowOps += n
+	}
+	if slowOps > 2*s.SlowSharedGrants+readers*iters/10 {
+		t.Fatalf("stripe slow-path ops = %d with only %d slow shared grants: reader crowd left the fast path",
+			slowOps, s.SlowSharedGrants)
 	}
 	// The deterministic session-id seeding must have sampled some of the
 	// 400 one-lock sessions at the aggregate 1-in-64 rate.

@@ -163,11 +163,14 @@ func WithLatencyMetrics() ServiceOption {
 }
 
 // WithTraceSampling turns on sampled end-to-end operation tracing on
-// both tiers: roughly one in every lock acquisition is stamped through
-// the full waterfall — session submit, client-queue enqueue, wire flush,
-// server pickup, chain start, table grant, reply enqueue/flush, and
-// completion wakeup — into a fixed lossy ring plus per-stage histograms,
-// all readable through Stats (TierStats.TraceStages) and SlowestSpans.
+// both tiers: each session samples one in every `every` of its Lock
+// calls (and of its Unlock calls on the in-process table), starting at a
+// staggered offset so short sessions still sample at that aggregate
+// rate. A sampled acquisition is stamped through the full waterfall —
+// session submit, client-queue enqueue, wire flush, server pickup, chain
+// start, table grant, reply enqueue/flush, and completion wakeup — into
+// a fixed lossy ring plus per-stage histograms, all readable through
+// Stats (TierStats.TraceStages) and SlowestSpans.
 // On in-process backends only the submit/grant/wakeup stages exist; on
 // wire backends the server stages travel back as clock-skew-free
 // durations piggybacked on the grant reply. every <= 0 selects the
@@ -200,10 +203,13 @@ func WithTraceSampling(every int) ServiceOption {
 // tier: certified classes run on an engine with NO deadlock handling
 // (StrategyNone — the static certification guarantees they cannot
 // deadlock), rejected classes on a separate wound-wait engine. The two
-// tiers use separate lock tables: the certification covers the certified
-// set only against itself, so fallback traffic must not contend for the
-// same locks (in a deployment the fallback tier runs against its own
-// partition).
+// tiers run separate lock tables over the same entities, and nothing
+// partitions the entities between them: locks exclude each other within
+// a tier only, so a certified session and a fallback session can both
+// hold one entity at the same time. Where the tiers must exclude each
+// other, keep fallback classes off the certified classes' entities.
+// Running both tiers on one table, with only fallback instances ever
+// wounded, is the planned fix.
 //
 // Sessions enforce their class's partial order: each Lock/Unlock must
 // correspond to a template operation whose predecessors have executed.
@@ -688,6 +694,8 @@ func (s *Session) ID() int { return s.inner.ID() }
 func (s *Session) Certified() bool { return s.class.certified }
 
 // Held returns the names of the entities the session currently holds.
+// Under WithPipelineDepth it also lists certified entities whose acquire
+// is still in flight: Lock counted them held when it shipped them.
 func (s *Session) Held() []string {
 	ids := s.inner.Held()
 	out := make([]string, len(ids))
@@ -709,6 +717,13 @@ func (s *Session) Held() []string {
 // transaction (fallback tier only; certified classes are never aborted),
 // and with ErrServiceClosed after Close. After a cancellation the session
 // remains usable and the Lock may be retried.
+//
+// Under WithPipelineDepth a certified session's Lock on a wire backend
+// ships the request and returns before the server grants it: nil means
+// submitted, not held. The grant is confirmed only when a later Lock
+// joins it or at Commit, so caller code between Lock and Unlock runs
+// with no lock known to be held, and a failed grant surfaces at a later
+// call (at Commit at the latest), after which the session must Abort.
 func (s *Session) Lock(ctx context.Context, entity string, mode Mode) error {
 	id, ok := s.svc.ddb.Entity(entity)
 	if !ok {
@@ -733,7 +748,9 @@ func (s *Session) LockShared(ctx context.Context, entity string) error {
 // wire backend (WithRemoteTable, WithRemoteCluster) Unlock returns once
 // the release is on its way to the server, and Commit waits for it: a
 // release that fails (a revoked lease, a lost server) fails this
-// session's Commit rather than this call.
+// session's Commit rather than this call. Under WithPipelineDepth the
+// release may ship before the entity's own acquire has been granted; the
+// server runs it after that grant.
 func (s *Session) Unlock(entity string) error {
 	id, ok := s.svc.ddb.Entity(entity)
 	if !ok {
@@ -747,7 +764,9 @@ func (s *Session) Unlock(entity string) error {
 // backend it first waits for the session's releases to be executed; if
 // one failed, Commit returns its error (ErrServiceClosed once the service
 // is closed or a WithRemoteTable server is gone) and the session stays
-// open — call Abort.
+// open — call Abort. Under WithPipelineDepth Commit also waits for every
+// in-flight acquire: a nil Commit is the first point at which a
+// pipelined session knows each of its locks was granted.
 func (s *Session) Commit() error {
 	if err := s.inner.Commit(); err != nil {
 		return err
