@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		backend  = fs.String("backend", "default", "certified-tier lock table: default|remote|cluster (-run)")
 		addr     = fs.String("addr", "127.0.0.1:9911", "dlserver address for -backend remote (its -sites/-entities-per-site must match)")
 		addrs    = fs.String("addrs", "", "comma-separated dlserver addresses for -backend cluster (same list, same order, on every client)")
-		shards   = fs.Int("shards", 0, "sharded backend stripe count (0 = default) (-run)")
 		clients  = fs.Int("clients", 2, "client goroutines per class (-run)")
 		txns     = fs.Int("txns", 10, "transactions per client (-run)")
 		holdUsec = fs.Int("hold", 100, "per-lock hold time in microseconds (-run)")
@@ -106,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := []distlock.ServiceOption{
 		distlock.WithCycleBudget(*budget),
 		distlock.WithMultiplicity(mult),
-		distlock.WithShards(*shards),
 	}
 	if *pipeline > 0 {
 		opts = append(opts, distlock.WithPipelineDepth(*pipeline))
@@ -237,8 +235,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 //     wounds, the pipelined_ops/sync_ops split, the
 //     tier's lock-table counters (grants, shared_grants split into
 //     fast_path_hits + slow_shared_grants, releases, held = grants −
-//     releases, wounds, stripe_splits, queue_depth histogram), and the
-//     lock_wait_ns/hold_time_ns histograms (all-zero unless the service
+//     releases, wounds, stripe_splits (always 0), queue_depth histogram),
+//     and the lock_wait_ns/hold_time_ns histograms (all-zero unless the service
 //     measures latency; dladmit does not enable it).
 //   - begun: sessions opened. Conservation: after all sessions close,
 //     begun == certified.commits+aborts + fallback.commits+aborts.

@@ -12,7 +12,7 @@ import (
 // and no "BUG:" line from the conservation / from-scratch re-certification
 // checks; a backend value the command does not accept, or a cluster with
 // no addresses, is a usage error (exit 2) that names what it wants, and so
-// is the deleted -workers flag.
+// are the deleted -workers and -shards flags.
 func TestRun(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -26,6 +26,7 @@ func TestRun(t *testing.T) {
 		{name: "backend sharded", args: []string{"-backend", "sharded"}, code: 2, wantStderr: "default|remote|cluster"},
 		{name: "cluster without addrs", args: []string{"-backend", "cluster"}, code: 2, wantStderr: "-addrs"},
 		{name: "workers is gone", args: []string{"-workers", "2"}, code: 2, wantStderr: "flag provided but not defined: -workers"},
+		{name: "shards is gone", args: []string{"-shards", "4"}, code: 2, wantStderr: "flag provided but not defined: -shards"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -101,7 +101,6 @@ func writeMetrics(w http.ResponseWriter, t obs.TableCounters, wire obs.WireCount
 	counter("distlock_table_releases_total", "lock releases (actual un-holds)", t.Releases)
 	gauge("distlock_table_held", "lock records currently held (grants minus releases)", t.Held)
 	counter("distlock_table_wounds_total", "parked requests removed by wound delivery", t.Wounds)
-	counter("distlock_table_stripe_splits_total", "adaptive stripe splits", t.StripeSplits)
 	summary("distlock_table_queue_depth", "wait-queue length observed at park time", t.QueueDepth)
 
 	counter("distlock_wire_frames_total", "protocol frames written", wire.Frames)

@@ -52,7 +52,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addr      = fs.String("addr", "127.0.0.1:9911", "TCP listen address (host:0 picks a free port)")
 		sites     = fs.Int("sites", 8, "number of database sites (must match the clients' generator)")
 		perSite   = fs.Int("entities-per-site", 8, "entities per site (must match the clients' generator)")
-		shards    = fs.Int("shards", 0, "sharded backend stripe count (0 = default)")
 		woundWait = fs.Bool("wound-wait", false, "host a wound-wait table (for a fallback tier); dialers must agree")
 		lease     = fs.Duration("lease", netlock.DefaultLease, "connection lease: a client silent this long is revoked")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty disables)")
@@ -72,7 +71,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	srv, err := netlock.NewServer(ddb, locktable.Config{
 		WoundWait: *woundWait,
-		Shards:    *shards,
 	}, netlock.ServerOptions{Lease: *lease})
 	if err != nil {
 		fmt.Fprintln(stderr, "dlserver:", err)

@@ -35,7 +35,7 @@ func (s *syncBuffer) String() string {
 // with no entities, is a usage error (exit 2) reported before anything
 // listens.
 func TestRunUsageErrors(t *testing.T) {
-	for _, args := range [][]string{{"-no-such-flag"}, {"-sites", "0"}} {
+	for _, args := range [][]string{{"-no-such-flag"}, {"-sites", "0"}, {"-shards", "4"}} {
 		var stdout, stderr bytes.Buffer
 		if code := run(context.Background(), args, &stdout, &stderr); code != 2 {
 			t.Errorf("run %q = %d, want 2\nstderr:\n%s", args, code, stderr.String())

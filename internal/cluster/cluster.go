@@ -84,10 +84,8 @@ type Table struct {
 }
 
 var (
-	_ locktable.Table             = (*Table)(nil)
-	_ locktable.AsyncTable        = (*Table)(nil)
-	_ locktable.SpannedTable      = (*Table)(nil)
-	_ locktable.SpannedAsyncTable = (*Table)(nil)
+	_ locktable.Table      = (*Table)(nil)
+	_ locktable.AsyncTable = (*Table)(nil)
 )
 
 // New dials one client per address and returns the routing table. Every
@@ -204,6 +202,7 @@ func (t *Table) mapErrAt(p int, err error) error {
 // owning partition, whose grant queue alone decides order.
 func (t *Table) Acquire(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode locktable.Mode) error {
 	p := t.Partition(ent)
+	inst.Span.SetPartition(p)
 	return t.mapErrAt(p, t.parts[p].Acquire(ctx, inst, ent, mode))
 }
 
@@ -358,29 +357,14 @@ func (t *Table) fenceEnd(st *instFence, p int, c *memoCompletion) {
 // failed: the chain is over, so the request is not submitted and the
 // failure is returned for the session to observe (it re-observes the
 // same error, memoized, when it joins the predecessor itself).
+//
+// A sampled acquire's span is tagged with the owning partition, then
+// rides the partition client's submit. Fence joins happen before the
+// submit, so a cross-partition switch's join latency shows up —
+// correctly — in the sampled op's submit→enqueue gap.
 func (t *Table) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) locktable.Completion {
-	return t.acquireAsync(inst, ent, mode, nil)
-}
-
-// AcquireAsyncSpan implements locktable.SpannedAsyncTable: the span is
-// tagged with the owning partition, then rides the partition client's
-// traced submit. Fence joins happen before the submit, so a cross-
-// partition switch's join latency shows up — correctly — in the sampled
-// op's submit→enqueue gap.
-func (t *Table) AcquireAsyncSpan(inst locktable.Instance, ent model.EntityID, mode locktable.Mode, sp *obs.Span) locktable.Completion {
-	return t.acquireAsync(inst, ent, mode, sp)
-}
-
-// AcquireSpan implements locktable.SpannedTable.
-func (t *Table) AcquireSpan(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode locktable.Mode, sp *obs.Span) error {
 	p := t.Partition(ent)
-	sp.SetPartition(p)
-	return t.mapErrAt(p, t.parts[p].AcquireSpan(ctx, inst, ent, mode, sp))
-}
-
-func (t *Table) acquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode, sp *obs.Span) locktable.Completion {
-	p := t.Partition(ent)
-	sp.SetPartition(p)
+	inst.Span.SetPartition(p)
 	st, join := t.fenceBegin(inst.Key, p)
 	t.fenceJoins.Add(int64(len(join)))
 	for _, c := range join {
@@ -389,13 +373,7 @@ func (t *Table) acquireAsync(inst locktable.Instance, ent model.EntityID, mode l
 			return locktable.ResolvedCompletion(err)
 		}
 	}
-	var inner locktable.Completion
-	if sp != nil {
-		inner = t.parts[p].AcquireAsyncSpan(inst, ent, mode, sp)
-	} else {
-		inner = t.parts[p].AcquireAsync(inst, ent, mode)
-	}
-	w := &memoCompletion{inner: t.wrap(p, inner)}
+	w := &memoCompletion{inner: t.wrap(p, t.parts[p].AcquireAsync(inst, ent, mode))}
 	t.fenceEnd(st, p, w)
 	return w
 }
@@ -520,16 +498,17 @@ const foreignPartitionShift = 48
 // renameID keeps merged cross-partition views coherent. This cluster's
 // own instance IDs come back from every partition client already
 // stripped to local numbering, so the same session appears under the
-// same ID everywhere — which is what lets a detector close a wait cycle
-// that spans servers. A FOREIGN session's ID stays composed (connection
-// ID in the high bits), and connection IDs are only unique per server:
-// server 0's conn 7 and server 1's conn 7 are different engines. The
-// partition tag keeps foreign identities distinct across partitions —
-// a false merge could invent a cross-server cycle that does not exist
-// and wound an innocent victim. (A foreign engine dialing several
-// partitions holds a different connection ID on each, so its
+// same ID everywhere — which is what lets the merged Snapshot (read by
+// the conformance queue probe and when debugging) show one session's
+// waits on several servers as one instance. A FOREIGN session's ID stays
+// composed (connection ID in the high bits), and connection IDs are only
+// unique per server: server 0's conn 7 and server 1's conn 7 are
+// different engines. The partition tag keeps foreign identities distinct
+// across partitions, so the merged view never fuses two engines into one
+// and shows a wait chain that does not exist. (A foreign engine dialing
+// several partitions holds a different connection ID on each, so its
 // cross-partition identity is inherently unmergeable from here; staying
-// distinct is the sound direction for cycle detection.)
+// distinct is the sound direction.)
 func renameID(p, id int) int {
 	if id == locktable.AnonReaderID || uint64(id)>>32 == 0 {
 		return id // ours (stripped to local), or the anonymous-reader sentinel

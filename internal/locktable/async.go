@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"distlock/internal/model"
-	"distlock/internal/obs"
 )
 
 // Completion is the join handle of an asynchronous table operation: the
@@ -54,7 +53,8 @@ type Completion interface {
 type AsyncTable interface {
 	Table
 	// AcquireAsync submits the acquire and returns its completion. The
-	// instance's Doomed channel is honored by Wait, like Acquire's.
+	// instance's Doomed channel is honored by Wait, like Acquire's, and a
+	// sampled Span is stamped through StageWakeup by a successful Wait.
 	AcquireAsync(inst Instance, ent model.EntityID, mode Mode) Completion
 	// ReleaseAsync submits the release and returns its completion, whose
 	// error (ErrStaleFence, a dead server) surfaces when the caller joins,
@@ -81,27 +81,6 @@ type TryAcquirer interface {
 	// non-nil only for table-level failures (ErrStopped), never for
 	// contention.
 	TryAcquire(inst Instance, ent model.EntityID, mode Mode) (bool, error)
-}
-
-// SpannedTable is the optional tracing capability of a synchronous remote
-// table: AcquireSpan behaves exactly like Acquire but threads a sampled
-// op span through the transport, stamping the client-side stages and
-// carrying the server-side ones back on the reply. The span is stamped up
-// to StageWakeup on success; on failure the span is left incomplete and
-// the caller drops it (failed ops are never committed as spans).
-//
-// In-process tables do not implement this: their whole acquire is one
-// stage, which the session stamps itself — keeping the sharded table's CAS
-// shared fast path entirely ignorant of tracing.
-type SpannedTable interface {
-	AcquireSpan(ctx context.Context, inst Instance, ent model.EntityID, mode Mode, sp *obs.Span) error
-}
-
-// SpannedAsyncTable is the pipelined counterpart: AcquireAsyncSpan is
-// AcquireAsync with a span riding along. The completion's Wait stamps
-// StageWakeup on success; committing the span stays the caller's job.
-type SpannedAsyncTable interface {
-	AcquireAsyncSpan(inst Instance, ent model.EntityID, mode Mode, sp *obs.Span) Completion
 }
 
 // CompletionFunc adapts a function to the Completion interface.

@@ -43,15 +43,6 @@ func conformanceBackends() []backendCase {
 			cfg.DisableSharedFastPath = true
 			return NewSharded(ddb, cfg)
 		}},
-		{"sharded-adaptive", func(ddb *model.DDB, cfg Config) Table {
-			// A tiny initial layout with an aggressive probe, so stripe
-			// resizes land in the middle of the suite's traffic: the
-			// lockStripe re-check and the re-homing swap run under -race.
-			cfg.Shards = 2
-			cfg.MaxShards = 64
-			cfg.StripeProbe = time.Millisecond
-			return NewSharded(ddb, cfg)
-		}},
 	}, extraBackends...)
 }
 

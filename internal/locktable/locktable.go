@@ -7,9 +7,9 @@
 // Two implementations exist:
 //
 //   - NewSharded: the one in-process table, for every tier — the fast
-//     path the paper's program pays for. Entities are split across a
-//     GOMAXPROCS-resolved (and contention-adaptive) number of stripes,
-//     each a sync.Mutex guarding its entities' lock states; shared
+//     path the paper's program pays for. Entities are hashed across a
+//     fixed, GOMAXPROCS-resolved number of stripes, each a cache-line
+//     padded sync.Mutex guarding its entities' lock states; shared
 //     Acquire/Release ride a per-entity atomic fast path that never takes
 //     the stripe mutex until a writer appears, an uncontended exclusive
 //     Acquire is grant-and-return under one mutex — zero channel hops, no
@@ -43,7 +43,6 @@ package locktable
 
 import (
 	"context"
-	"time"
 
 	"distlock/internal/model"
 	"distlock/internal/obs"
@@ -89,6 +88,15 @@ type Instance struct {
 	// withdrawn), even if the wound decision happened on another entity's
 	// grant path. Nil means the caller has no doom signal.
 	Doomed <-chan struct{}
+	// Span is the sampled op span of this acquire; nil means unsampled.
+	// Wire backends thread it through the transport, stamping the
+	// client-side stages and carrying the server-side ones back on the
+	// reply: on success it is stamped up to StageWakeup (by Acquire, or by
+	// the AcquireAsync completion's Wait), on failure it is left incomplete
+	// and the caller drops it. In-process tables ignore it — their whole
+	// acquire is one stage, which the session stamps itself, so the sharded
+	// CAS shared fast path never sees a span.
+	Span *obs.Span
 }
 
 // WaitEdge is one wait-for edge of a Snapshot: waiter blocks on the entity
@@ -137,25 +145,13 @@ type Config struct {
 	// Trace records per-entity lock-grant order, readable via GrantLog
 	// after Close.
 	Trace bool
-	// Shards is the sharded backend's INITIAL stripe count. Zero resolves
-	// from GOMAXPROCS (4x, power-of-two, clamped to [DefaultShards, 512])
-	// and enables adaptive splitting by default; an explicit positive
-	// count pins the table to exactly that many stripes unless MaxShards
-	// raises the cap. 1 degenerates to a single global mutex, and counts
-	// beyond the entity count leave some stripes empty — both are legal.
+	// Shards is the sharded backend's stripe count, fixed for the table's
+	// lifetime. Zero resolves from GOMAXPROCS (4x, power-of-two, clamped to
+	// [DefaultShards, 512]); a positive count pins exactly that many
+	// stripes. 1 degenerates to a single global mutex, and counts beyond
+	// the entity count leave some stripes empty — both are legal, and the
+	// conformance and soak suites run both.
 	Shards int
-	// MaxShards caps adaptive stripe splitting: when the contention probe
-	// sees one stripe absorbing a disproportionate share of the traffic,
-	// the sharded backend doubles its stripe set up to this many stripes.
-	// Zero means 8x the resolved initial count (capped at 2048) when
-	// Shards is unset, or no growth at all when Shards pins the count.
-	MaxShards int
-	// StripeProbe is the sampling period of the sharded backend's
-	// contention probe (the background tick that reads the per-stripe
-	// counters and decides splits). Zero means a 15ms default; negative
-	// disables the probe (the layout stays static and StripeStats still
-	// reports the counters).
-	StripeProbe time.Duration
 	// DisableSharedFastPath forces every shared Acquire/Release of the
 	// sharded backend through the stripe mutexes. The fast path counts
 	// shared holders anonymously (a padded per-entity atomic) instead of
@@ -166,7 +162,7 @@ type Config struct {
 	// WoundWait and Trace disable the fast path implicitly.
 	DisableSharedFastPath bool
 	// Metrics receives the backend's operation counters (grants by path,
-	// releases, wounds, stripe splits, queue-depth samples). Counting is
+	// releases, wounds, queue-depth samples). Counting is
 	// always on — a nil Metrics is normalized to a private bundle — and
 	// allocation-free; supplying a shared bundle lets an embedder (the
 	// engine, the cluster router) aggregate several backends into one

@@ -6,15 +6,14 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"distlock/internal/model"
 	"distlock/internal/obs"
 )
 
-// shardedTable is the contention-adaptive striped backend: entities are
-// split across stripes, each a mutex guarding its entities' lock states,
-// and the stripe set itself adapts to the observed load.
+// shardedTable is the striped backend: entities are hashed across a fixed
+// set of stripes, each a mutex guarding its entities' lock states, sized
+// once at construction (resolveShards) and never resized.
 //
 // Two mechanisms keep the hot path off the mutexes:
 //
@@ -40,14 +39,10 @@ import (
 //     netlock server that attribute holders themselves). Snapshot
 //     attributes waiters blocked on fast readers to AnonReaderKey.
 //
-//  2. Contention-adaptive striping. The stripe count resolves from
-//     GOMAXPROCS by default (Config.Shards > 0 pins it), each stripe
-//     counts its slow-path operations in a padded atomic, and a cheap
-//     background probe samples the counters every Config.StripeProbe:
-//     when one stripe absorbs a disproportionate share of the traffic
-//     the set is doubled (up to the MaxShards cap) by an atomic
-//     stripe-set swap that re-homes the lock states while holding every
-//     old stripe mutex. StripeStats reports the observed layout.
+//  2. Striping. The stripe count resolves from GOMAXPROCS by default
+//     (Config.Shards > 0 pins it), and each stripe sits on its own cache
+//     line, so independent entities grant under independent mutexes
+//     without false sharing.
 //
 // This is the backend the paper's program cashes in with — the one
 // in-process table, for every tier. A mix that static certification
@@ -74,30 +69,19 @@ type shardedTable struct {
 	// trace, explicit opt-out, or an oversized/absent database).
 	fast []fastSlot
 
-	// set is the current stripe set. Readers load it, lock the target
-	// stripe, and re-check the pointer (a resize may have swapped the set
-	// between the load and the lock); resizes install a doubled set while
-	// holding every old stripe mutex.
-	set       atomic.Pointer[stripeSet]
-	maxShards int
-	splits    atomic.Int64
-
-	// resizeMu serializes resizes against each other and against the
-	// whole-table walks (Wound, Snapshot), which need a stable set without
-	// per-stripe retries. Lock order: resizeMu, then stripe mutexes.
-	resizeMu sync.Mutex
+	// stripes is the fixed stripe slice; stripeIndex homes each entity.
+	stripes []stripe
 
 	// traceLog is the table-level grant log (Config.Trace only — which
-	// disables the fast path, so every grant passes through here). It is
-	// table-level rather than per-stripe so it survives resizes; per-entity
-	// order is preserved because same-entity grants serialize under the
-	// entity's stripe mutex. Lock order: stripe mutex, then traceMu.
+	// disables the fast path, so every grant passes through here).
+	// Per-entity order is preserved because same-entity grants serialize
+	// under the entity's stripe mutex. Lock order: stripe mutex, then
+	// traceMu.
 	traceMu  sync.Mutex
 	traceLog []GrantEvent
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
 // fastSlot is one entity's packed atomic reader state, padded to a cache
@@ -132,27 +116,13 @@ const AnonReaderID = -1
 // AnonReaderKey is the InstKey form of AnonReaderID.
 var AnonReaderKey = InstKey{ID: AnonReaderID, Epoch: 0}
 
-type stripeSet struct {
-	stripes []*stripe
-}
-
+// stripe is one mutex and the lock states it guards, padded to a cache
+// line (8 B mutex + 8 B map pointer + 48 B) like fastSlot, so neighbouring
+// stripes' mutexes never false-share.
 type stripe struct {
 	mu    sync.Mutex
 	locks map[model.EntityID]*slock
-
-	// retired marks a stripe replaced by a resize. Written by grow while
-	// holding mu (it holds every old stripe mutex across the swap), read
-	// by lockStripe after locking mu — so a plain bool, no atomics on the
-	// hot path.
-	retired bool
-
-	// ops counts slow-path operations against this stripe — the
-	// contention signal the split probe samples. Guarded by mu (a plain
-	// increment rides the mutex the operation already holds; the probe
-	// briefly locks each stripe to sample). lastOps is the probe
-	// goroutine's previous sample (touched only by it).
-	ops     int64
-	lastOps int64
+	_     [48]byte
 }
 
 type slock struct {
@@ -196,7 +166,7 @@ type waiter struct {
 	ch   chan error
 }
 
-// resolveShards maps a Config.Shards value to an initial stripe count:
+// resolveShards maps a Config.Shards value to the table's stripe count:
 // an explicit positive count is honored; otherwise the count resolves
 // from GOMAXPROCS (4x, rounded up to a power of two, clamped to
 // [DefaultShards, 512]) so the table scales with the machine instead of
@@ -214,50 +184,25 @@ func resolveShards(n int) int {
 }
 
 // NewSharded builds the striped backend over the database. The table
-// serves until Close.
+// serves until Close; it starts no goroutine.
 func NewSharded(ddb *model.DDB, cfg Config) Table {
-	initial := resolveShards(cfg.Shards)
-	maxShards := initial
-	switch {
-	case cfg.MaxShards > initial:
-		maxShards = cfg.MaxShards
-	case cfg.Shards <= 0 && cfg.MaxShards == 0:
-		// Adaptive by default: a GOMAXPROCS-resolved table may split up
-		// to 8x when the probe sees a hot stripe. An explicit Shards pin
-		// stays static unless MaxShards asks otherwise.
-		maxShards = min(initial*8, 2048)
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewTableMetrics()
 	}
 	t := &shardedTable{
-		cfg:       cfg,
-		m:         cfg.Metrics,
-		maxShards: maxShards,
-		stop:      make(chan struct{}),
+		cfg:     cfg,
+		m:       cfg.Metrics,
+		stripes: make([]stripe, resolveShards(cfg.Shards)),
+		stop:    make(chan struct{}),
+	}
+	for i := range t.stripes {
+		t.stripes[i].locks = map[model.EntityID]*slock{}
 	}
 	if !cfg.WoundWait && !cfg.Trace && !cfg.DisableSharedFastPath &&
 		ddb != nil && ddb.NumEntities() > 0 && ddb.NumEntities() <= maxFastPathEntities {
 		t.fast = make([]fastSlot, ddb.NumEntities())
 	}
-	t.set.Store(newStripeSet(initial))
-	probeEvery := cfg.StripeProbe
-	if probeEvery == 0 {
-		probeEvery = 15 * time.Millisecond
-	}
-	if maxShards > initial && probeEvery > 0 {
-		t.wg.Add(1)
-		go t.probe(probeEvery)
-	}
 	return t
-}
-
-func newStripeSet(n int) *stripeSet {
-	set := &stripeSet{stripes: make([]*stripe, n)}
-	for i := range set.stripes {
-		set.stripes[i] = &stripe{locks: map[model.EntityID]*slock{}}
-	}
-	return set
 }
 
 // stripeIndex hashes an entity to a stripe. Entity IDs are dense small
@@ -269,22 +214,11 @@ func stripeIndex(ent model.EntityID, n int) int {
 	return int((h >> 32) % uint64(n))
 }
 
-// lockStripe resolves the entity's stripe under the CURRENT stripe set
-// and returns it locked, bumping its contention counter. The retired
-// re-check covers a resize racing the lookup: the stripe that was locked
-// may have been retired, in which case the entity's state has moved and
-// the lookup restarts against the new set.
+// lockStripe returns the entity's stripe, locked.
 func (t *shardedTable) lockStripe(ent model.EntityID) *stripe {
-	for {
-		set := t.set.Load()
-		s := set.stripes[stripeIndex(ent, len(set.stripes))]
-		s.mu.Lock()
-		if !s.retired {
-			s.ops++
-			return s
-		}
-		s.mu.Unlock()
-	}
+	s := &t.stripes[stripeIndex(ent, len(t.stripes))]
+	s.mu.Lock()
+	return s
 }
 
 func (s *stripe) lockState(e model.EntityID) *slock {
@@ -473,8 +407,7 @@ func (t *shardedTable) TryAcquire(inst Instance, ent model.EntityID, mode Mode) 
 
 // cancelWait removes a parked request, or releases its grant when a grant
 // raced the cancellation: whichever way the race went, the instance holds
-// nothing on return. The stripe is re-resolved — the one the request was
-// parked under may have been retired by a resize.
+// nothing on return.
 func (t *shardedTable) cancelWait(ent model.EntityID, w *waiter) {
 	s := t.lockStripe(ent)
 	defer s.mu.Unlock()
@@ -692,11 +625,8 @@ func (t *shardedTable) ReleaseAll(ents []model.EntityID, key InstKey) error {
 }
 
 func (t *shardedTable) Wound(key InstKey) {
-	// resizeMu pins the stripe set for the whole walk (lock order:
-	// resizeMu, then stripe mutexes — same as a resize).
-	t.resizeMu.Lock()
-	defer t.resizeMu.Unlock()
-	for _, s := range t.set.Load().stripes {
+	for i := range t.stripes {
+		s := &t.stripes[i]
 		s.mu.Lock()
 		for ent, l := range s.locks {
 			removed := false
@@ -723,10 +653,9 @@ func (t *shardedTable) Wound(key InstKey) {
 }
 
 func (t *shardedTable) Snapshot() []WaitEdge {
-	t.resizeMu.Lock()
-	defer t.resizeMu.Unlock()
 	var edges []WaitEdge
-	for _, s := range t.set.Load().stripes {
+	for i := range t.stripes {
+		s := &t.stripes[i]
 		s.mu.Lock()
 		for ent, l := range s.locks {
 			anon := t.fastCount(ent)
@@ -773,126 +702,4 @@ func (t *shardedTable) GrantLog() []GrantEvent {
 
 func (t *shardedTable) Close() {
 	t.stopOnce.Do(func() { close(t.stop) })
-	t.wg.Wait()
-}
-
-// probe is the adaptive-striping background tick: it samples the
-// per-stripe contention counters and doubles the stripe set when one
-// stripe absorbs a disproportionate share of meaningful traffic.
-func (t *shardedTable) probe(every time.Duration) {
-	defer t.wg.Done()
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-ticker.C:
-		}
-		t.maybeSplit()
-	}
-}
-
-const (
-	// probeMinOps is the minimum per-tick slow-path traffic before a
-	// split is considered: idle or trickle tables never resize.
-	probeMinOps = 512
-	// A stripe is hot when its per-tick ops exceed 1.5x the mean
-	// (max*splitSkewDen > mean*splitSkewNum). The mild threshold matters:
-	// at 2 stripes the worst possible max/mean ratio is only 2.
-	splitSkewNum = 3
-	splitSkewDen = 2
-)
-
-// maybeSplit samples the stripe counters and grows the set on observed
-// skew.
-func (t *shardedTable) maybeSplit() {
-	set := t.set.Load()
-	var total, maxDelta int64
-	for _, s := range set.stripes {
-		s.mu.Lock()
-		cur := s.ops
-		s.mu.Unlock()
-		d := cur - s.lastOps
-		s.lastOps = cur
-		total += d
-		if d > maxDelta {
-			maxDelta = d
-		}
-	}
-	if len(set.stripes) >= t.maxShards || total < probeMinOps {
-		return
-	}
-	mean := total / int64(len(set.stripes))
-	if mean < 1 {
-		mean = 1
-	}
-	if maxDelta*splitSkewDen <= mean*splitSkewNum {
-		return
-	}
-	t.grow(set)
-}
-
-// grow installs a doubled stripe set: every old stripe mutex is held
-// across the swap, so no slow-path operation can observe an entity in
-// two homes, and in-flight lockStripe calls re-check the set pointer
-// after locking (see lockStripe).
-func (t *shardedTable) grow(old *stripeSet) {
-	t.resizeMu.Lock()
-	defer t.resizeMu.Unlock()
-	if t.set.Load() != old {
-		return // a concurrent grow won
-	}
-	n := min(len(old.stripes)*2, t.maxShards)
-	if n <= len(old.stripes) {
-		return
-	}
-	for _, s := range old.stripes {
-		s.mu.Lock()
-	}
-	next := newStripeSet(n)
-	for _, s := range old.stripes {
-		for ent, l := range s.locks {
-			next.stripes[stripeIndex(ent, n)].locks[ent] = l
-		}
-	}
-	t.set.Store(next)
-	t.splits.Add(1)
-	t.m.Splits.Inc()
-	for _, s := range old.stripes {
-		s.retired = true
-		s.mu.Unlock()
-	}
-}
-
-// StripeStats describes the sharded backend's observed stripe layout:
-// the current stripe count, how many adaptive splits have happened, and
-// the cumulative slow-path operation count per stripe (the contention
-// signal the split probe samples) — the "report hot stripes" half of the
-// adaptive story, for operators and tests.
-type StripeStats struct {
-	Stripes int
-	Splits  int64
-	Ops     []int64
-}
-
-// SampleStripes reports the table's StripeStats, or false if the table
-// is not the sharded backend. Safe on a running table.
-func SampleStripes(tab Table) (StripeStats, bool) {
-	t, ok := tab.(*shardedTable)
-	if !ok {
-		return StripeStats{}, false
-	}
-	set := t.set.Load()
-	st := StripeStats{
-		Stripes: len(set.stripes),
-		Splits:  t.splits.Load(),
-		Ops:     make([]int64, len(set.stripes)),
-	}
-	for i, s := range set.stripes {
-		s.mu.Lock()
-		st.Ops[i] = s.ops
-		s.mu.Unlock()
-	}
-	return st, true
 }

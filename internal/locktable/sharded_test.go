@@ -157,79 +157,6 @@ func TestStripeIndexBalance(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStripeSplit: the contention probe must detect a hot stripe
-// and grow the stripe set. All traffic is aimed at entities homed (under
-// the initial 2-stripe layout) on stripe 0, the most lopsided skew
-// possible; with a fast probe the split must land well within the
-// deadline.
-func TestAdaptiveStripeSplit(t *testing.T) {
-	ddb := model.NewDDB()
-	var hot []model.EntityID
-	for i := 0; len(hot) < 64; i++ {
-		e := ddb.MustEntity(fmt.Sprintf("e%d", i), "s0")
-		if stripeIndex(e, 2) == 0 {
-			hot = append(hot, e)
-		}
-	}
-	tab := NewSharded(ddb, Config{Shards: 2, MaxShards: 16, StripeProbe: 2 * time.Millisecond})
-	defer tab.Close()
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	const workers = 4
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			in := inst(g + 1)
-			// Each worker owns a disjoint slice of the hot set, so every
-			// exclusive Acquire is uncontended (pure slow-path traffic, no
-			// parked waiters to clean up at shutdown).
-			mine := hot[g*len(hot)/workers : (g+1)*len(hot)/workers]
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				e := mine[i%len(mine)]
-				if tab.Acquire(context.Background(), in, e, Exclusive) != nil {
-					return
-				}
-				tab.Release(e, in.Key)
-			}
-		}(g)
-	}
-	defer wg.Wait()
-	defer close(stop)
-
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		st, ok := SampleStripes(tab)
-		if !ok {
-			t.Fatal("SampleStripes does not recognize the sharded backend")
-		}
-		if st.Splits > 0 {
-			if st.Stripes <= 2 {
-				t.Fatalf("split recorded but stripe count still %d", st.Stripes)
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	st, _ := SampleStripes(tab)
-	t.Fatalf("probe never split a maximally skewed layout (stats: %+v)", st)
-}
-
-// TestSampleStripesNonSharded: the stats probe must refuse politely on
-// other backends.
-func TestSampleStripesNonSharded(t *testing.T) {
-	type stubTable struct{ Table }
-	if _, ok := SampleStripes(stubTable{}); ok {
-		t.Fatal("SampleStripes claimed a stub table is sharded")
-	}
-}
-
 // TestReaderCrowdFastPathBeatsSlowPath is the CI guard for the hot-entity
 // convoy: a crowd of readers on one hot entity must run at least as fast
 // on the default table (atomic fast path) as on the same table with

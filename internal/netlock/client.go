@@ -130,10 +130,8 @@ type Client struct {
 }
 
 var (
-	_ locktable.Table             = (*Client)(nil)
-	_ locktable.AsyncTable        = (*Client)(nil)
-	_ locktable.SpannedTable      = (*Client)(nil)
-	_ locktable.SpannedAsyncTable = (*Client)(nil)
+	_ locktable.Table      = (*Client)(nil)
+	_ locktable.AsyncTable = (*Client)(nil)
 )
 
 // Dial connects to a netlock server and completes the handshake. The
@@ -141,8 +139,8 @@ var (
 // and cfg's WoundWait/Trace must match the server's table — the grant
 // discipline is decided server-side, so a mismatched client is rejected
 // instead of running with semantics it did not ask for. cfg.OnWound is
-// invoked locally for server-pushed wounds; Shards and the other stripe
-// knobs are server-side tuning and ignored here.
+// invoked locally for server-pushed wounds; Shards is server-side tuning
+// and ignored here.
 func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (*Client, error) {
 	if ddb == nil {
 		return nil, fmt.Errorf("netlock: nil database")
@@ -255,11 +253,14 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 
 // enqueue appends one frame body to the writer's pending buffer
 // (heartbeat frames go to the priority buffer). The body is copied, so
-// the caller may reuse it immediately. Returns ErrStopped once the
-// client is shutting down — set under qmu before the transport closes,
-// so a racing op gets an honest answer instead of a write on a closed
-// conn.
-func (c *Client) enqueue(frame []byte, heartbeat bool) error {
+// the caller may reuse it immediately. A sampled request's span (nil
+// otherwise) joins flushSpans in the same critical section as its frame,
+// so the writer stamps StageFlush on exactly the spans whose frames its
+// cycle carries. Returns ErrStopped once the client is shutting down —
+// set under qmu before the transport closes, so a racing op gets an
+// honest answer instead of a write on a closed conn.
+func (c *Client) enqueue(frame []byte, heartbeat bool, sp *obs.Span) error {
+	sp.Stamp(obs.StageEnqueue)
 	c.qmu.Lock()
 	if c.qclosed {
 		c.qmu.Unlock()
@@ -272,30 +273,9 @@ func (c *Client) enqueue(frame []byte, heartbeat bool) error {
 		c.sendb = appendFrame(c.sendb, frame)
 		c.sendn++
 	}
-	c.qmu.Unlock()
-	select {
-	case c.qwake <- struct{}{}:
-	default:
+	if sp != nil {
+		c.flushSpans = append(c.flushSpans, sp)
 	}
-	return nil
-}
-
-// enqueueSpan is enqueue for a sampled request frame: the span joins
-// flushSpans in the same critical section as its frame, so the writer
-// stamps StageFlush on exactly the spans whose frames its cycle carries.
-func (c *Client) enqueueSpan(frame []byte, sp *obs.Span) error {
-	if sp == nil {
-		return c.enqueue(frame, false)
-	}
-	sp.Stamp(obs.StageEnqueue)
-	c.qmu.Lock()
-	if c.qclosed {
-		c.qmu.Unlock()
-		return locktable.ErrStopped
-	}
-	c.sendb = appendFrame(c.sendb, frame)
-	c.sendn++
-	c.flushSpans = append(c.flushSpans, sp)
 	c.qmu.Unlock()
 	select {
 	case c.qwake <- struct{}{}:
@@ -495,7 +475,7 @@ func (c *Client) heartbeats(every time.Duration) {
 			var e enc
 			e.u8(opHeartbeat)
 			e.u64(reqID)
-			if c.enqueue(e.b, true) != nil {
+			if c.enqueue(e.b, true, nil) != nil {
 				c.unregister(reqID)
 				return
 			}
@@ -561,25 +541,16 @@ func (c *Client) unregister(reqID uint64) {
 	}
 }
 
-// send builds one frame and queues it for the flush loop. The encoder
+// send builds one frame and queues it for the flush loop, with the
+// request's sampled span riding along (nil when unsampled). The encoder
 // comes from the shared pool — enqueue copies the body into the pending
 // buffer, so the scratch space recycles immediately. This is the per-op
 // hot path.
-func (c *Client) send(build func(*enc)) error {
+func (c *Client) send(build func(*enc), sp *obs.Span) error {
 	e := encPool.Get().(*enc)
 	e.b = e.b[:0]
 	build(e)
-	err := c.enqueue(e.b, false)
-	encPool.Put(e)
-	return err
-}
-
-// sendSpan is send with a sampled span riding the frame.
-func (c *Client) sendSpan(build func(*enc), sp *obs.Span) error {
-	e := encPool.Get().(*enc)
-	e.b = e.b[:0]
-	build(e)
-	err := c.enqueueSpan(e.b, sp)
+	err := c.enqueue(e.b, false, sp)
 	encPool.Put(e)
 	return err
 }
@@ -588,7 +559,7 @@ func (c *Client) sendSpan(build func(*enc), sp *obs.Span) error {
 // Acquire and Release.
 func (c *Client) call(build func(reqID uint64, e *enc)) (result, error) {
 	reqID, ch := c.register(nil)
-	if err := c.send(func(e *enc) { build(reqID, e) }); err != nil {
+	if err := c.send(func(e *enc) { build(reqID, e) }, nil); err != nil {
 		c.unregister(reqID)
 		return result{}, err
 	}
@@ -692,30 +663,17 @@ func (c *Client) unmark(a *acquireCompletion) {
 // template ship its next lock request before the previous ack returns.
 // The (entity, instance) is marked in flight until the completion
 // resolves, so a release may follow at once (see ReleaseAsync).
-func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) locktable.Completion {
-	return c.acquireAsync(inst, ent, mode, nil)
-}
-
-// AcquireAsyncSpan implements locktable.SpannedAsyncTable: AcquireAsync
-// with a sampled span riding along. The frame grows one trailing marker
-// byte — the acquire decoder ignores leftover bytes, so this needed no
+//
+// A sampled acquire (inst.Span set) grows one trailing marker byte on its
+// frame — the acquire decoder ignores leftover bytes, so this needed no
 // version bump — which tells the server to time its stages and send them
 // back as deltas on the grant reply.
-func (c *Client) AcquireAsyncSpan(inst locktable.Instance, ent model.EntityID, mode locktable.Mode, sp *obs.Span) locktable.Completion {
-	return c.acquireAsync(inst, ent, mode, sp)
-}
-
-// AcquireSpan implements locktable.SpannedTable: the traced synchronous
-// acquire.
-func (c *Client) AcquireSpan(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode locktable.Mode, sp *obs.Span) error {
-	return c.acquireAsync(inst, ent, mode, sp).Wait(ctx)
-}
-
-func (c *Client) acquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode, sp *obs.Span) locktable.Completion {
+func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) locktable.Completion {
+	sp := inst.Span
 	a := &acquireCompletion{c: c, key: inst.Key, ent: ent, mode: mode, doomed: inst.Doomed, sp: sp}
 	reqID, ch := c.register(a)
 	a.reqID, a.ch = reqID, ch
-	if err := c.sendSpan(func(e *enc) {
+	if err := c.send(func(e *enc) {
 		e.u8(opAcquire)
 		e.u64(reqID)
 		e.key(inst.Key)
@@ -738,7 +696,7 @@ func (c *Client) acquireAsync(inst locktable.Instance, ent model.EntityID, mode 
 // cancellation and doom map to a cancel message that withdraws it there,
 // and a grant that races the cancellation is released before returning.
 func (c *Client) Acquire(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode locktable.Mode) error {
-	return c.acquireAsync(inst, ent, mode, nil).Wait(ctx)
+	return c.AcquireAsync(inst, ent, mode).Wait(ctx)
 }
 
 // finishAcquire maps an acquire result onto the Table contract, recording
@@ -811,7 +769,7 @@ func (c *Client) cancelAcquire(a *acquireCompletion, cause error) error {
 	if err := c.send(func(e *enc) {
 		e.u8(opCancel)
 		e.u64(a.reqID)
-	}); err != nil {
+	}, nil); err != nil {
 		// Connection gone: the request dies with the session server-side
 		// (release-on-disconnect); nothing is held.
 		return cause
@@ -954,7 +912,7 @@ func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktab
 		e.i64(int64(ent))
 		e.key(key)
 		e.u64(fence)
-	}); err != nil {
+	}, nil); err != nil {
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
 	return locktable.CompletionFunc(func(context.Context) error {
@@ -999,7 +957,7 @@ func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) lo
 		e.i64(int64(ent))
 		e.key(key)
 		e.u64(fence)
-	}); err != nil {
+	}, nil); err != nil {
 		c.unregister(reqID)
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
@@ -1119,8 +1077,9 @@ func (c *Client) Wound(key locktable.InstKey) {
 // Snapshot implements locktable.Table: the server's current wait-for
 // edges, with this session's instance IDs translated back to local
 // numbering. Edges of other sessions keep their composed server-side IDs —
-// still distinct from every local ID, so a detector can reason about them
-// without colliding.
+// still distinct from every local ID, so the conformance queue probe, the
+// cluster's merged view and a debugging reader can tell them apart from
+// this session's own.
 func (c *Client) Snapshot() []locktable.WaitEdge {
 	if c.isClosed() {
 		return nil

@@ -297,9 +297,9 @@ func FuzzClientReplies(f *testing.F) {
 		}
 		defer conn.Close()
 
-		inst := locktable.Instance{Key: locktable.InstKey{ID: 1}, Prio: 1}
 		sp := ring.Start(obs.SpanAcquire, int32(x))
-		comp := c.AcquireAsyncSpan(inst, x, locktable.Exclusive, sp)
+		inst := locktable.Instance{Key: locktable.InstKey{ID: 1}, Prio: 1, Span: sp}
+		comp := c.AcquireAsync(inst, x, locktable.Exclusive)
 		req, err := readFrame(conn)
 		if err != nil {
 			t.Fatalf("fake server: reading the acquire: %v", err)

@@ -462,33 +462,24 @@ func (s *Server) woundWriter(c *srvConn) {
 			var e enc
 			e.u8(opWoundPush)
 			e.i64(id)
-			c.write(e.b)
+			c.write(e.b, nil)
 		}
 	}
 }
 
-// write queues one frame for the connection's reply writer. Errors are
-// dropped: a failing connection is torn down by its read loop, and frames
-// queued after the writer exits die with the connection.
-func (c *srvConn) write(body []byte) {
+// write queues one frame for the connection's reply writer. A sampled
+// grant reply's span (nil otherwise) joins outSpans in the same critical
+// section as its frame, so the reply writer stamps and commits exactly the
+// spans whose replies its cycle carries. Errors are dropped: a failing
+// connection is torn down by its read loop, and frames queued after the
+// writer exits die with the connection.
+func (c *srvConn) write(body []byte, sp *obs.Span) {
 	c.outMu.Lock()
 	c.outb = appendFrame(c.outb, body)
 	c.outn++
-	c.outMu.Unlock()
-	select {
-	case c.outWake <- struct{}{}:
-	default:
+	if sp != nil {
+		c.outSpans = append(c.outSpans, sp)
 	}
-}
-
-// writeSpan is write for a sampled grant reply: the span joins outSpans in
-// the same critical section as its frame, so the reply writer stamps and
-// commits exactly the spans whose replies its cycle carries.
-func (c *srvConn) writeSpan(body []byte, sp *obs.Span) {
-	c.outMu.Lock()
-	c.outb = appendFrame(c.outb, body)
-	c.outn++
-	c.outSpans = append(c.outSpans, sp)
 	c.outMu.Unlock()
 	select {
 	case c.outWake <- struct{}{}:
@@ -576,7 +567,13 @@ func (s *Server) replyWriter(c *srvConn) {
 // write copies the body into the connection's pending buffer, so the
 // scratch space recycles immediately. This is the per-op hot path;
 // variable payloads (snapshot, grant log) grow the scratch normally.
-func (c *srvConn) result(reqID uint64, status byte, payload func(*enc)) {
+//
+// A sampled grant (sp non-nil) grows the reply by a 24-byte trailer —
+// chain-start, grant, and reply-enqueue offsets as ns deltas from server
+// receipt — which the client re-anchors into its own timeline (deltas,
+// never wall clocks, so host skew is irrelevant). It needed no version
+// bump because the grant decoder ignores leftover bytes.
+func (c *srvConn) result(reqID uint64, status byte, sp *obs.Span, payload func(*enc)) {
 	e := encPool.Get().(*enc)
 	e.b = e.b[:0]
 	e.u8(opResult)
@@ -585,33 +582,13 @@ func (c *srvConn) result(reqID uint64, status byte, payload func(*enc)) {
 	if payload != nil {
 		payload(e)
 	}
-	c.write(e.b)
-	encPool.Put(e)
-}
-
-// resultSpan is result for a sampled grant: the reply grows a 24-byte
-// trailer — chain-start, grant, and reply-enqueue offsets as ns deltas
-// from server receipt — which the client re-anchors into its own timeline
-// (deltas, never wall clocks, so host skew is irrelevant). It needed no
-// version bump because the grant decoder ignores leftover bytes.
-func (c *srvConn) resultSpan(reqID uint64, status byte, sp *obs.Span, payload func(*enc)) {
-	if sp == nil {
-		c.result(reqID, status, payload)
-		return
+	if sp != nil {
+		sp.Stamp(obs.StageReplyEnqueue)
+		e.u64(uint64(nonNeg(sp.Offset(obs.StageChainStart))))
+		e.u64(uint64(nonNeg(sp.Offset(obs.StageGrant))))
+		e.u64(uint64(nonNeg(sp.Offset(obs.StageReplyEnqueue))))
 	}
-	e := encPool.Get().(*enc)
-	e.b = e.b[:0]
-	e.u8(opResult)
-	e.u64(reqID)
-	e.u8(status)
-	if payload != nil {
-		payload(e)
-	}
-	sp.Stamp(obs.StageReplyEnqueue)
-	e.u64(uint64(nonNeg(sp.Offset(obs.StageChainStart))))
-	e.u64(uint64(nonNeg(sp.Offset(obs.StageGrant))))
-	e.u64(uint64(nonNeg(sp.Offset(obs.StageReplyEnqueue))))
-	c.writeSpan(e.b, sp)
+	c.write(e.b, sp)
 	encPool.Put(e)
 }
 
@@ -747,7 +724,7 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader) (*srvConn, error) {
 	}
 	s.conns[c.id] = c
 	s.connsMu.Unlock()
-	c.result(reqID, stOK, func(e *enc) {
+	c.result(reqID, stOK, nil, func(e *enc) {
 		e.u32(c.id)
 		e.u64(uint64(s.lease / time.Millisecond))
 	})
@@ -772,7 +749,7 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 		c.mu.Lock()
 		c.leaseLost = false // a fresh lease; prior grants are gone regardless
 		c.mu.Unlock()
-		c.result(reqID, stOK, nil)
+		c.result(reqID, stOK, nil, nil)
 		return nil
 
 	case opAcquire:
@@ -860,7 +837,7 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 				stale++
 			}
 		}
-		c.result(reqID, stOK, func(e *enc) { e.u32(stale) })
+		c.result(reqID, stOK, nil, func(e *enc) { e.u32(stale) })
 		return nil
 
 	case opWithdraw:
@@ -883,7 +860,7 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 		if held {
 			s.tab.Release(ent, composed)
 		}
-		c.result(reqID, stOK, func(e *enc) { e.boolean(held) })
+		c.result(reqID, stOK, nil, func(e *enc) { e.boolean(held) })
 		return nil
 
 	case opWound:
@@ -911,7 +888,7 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 		}
 		c.mu.Unlock()
 		s.tab.Wound(composed)
-		c.result(reqID, stOK, nil)
+		c.result(reqID, stOK, nil, nil)
 		return nil
 
 	case opSnapshot:
@@ -923,7 +900,7 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 			edges[i].Waiter.ID, _ = stripID(c.id, edges[i].Waiter.ID)
 			edges[i].Holder.ID, _ = stripID(c.id, edges[i].Holder.ID)
 		}
-		c.result(reqID, stOK, func(e *enc) { e.edges(edges) })
+		c.result(reqID, stOK, nil, func(e *enc) { e.edges(edges) })
 		return nil
 
 	case opGrantLog:
@@ -937,7 +914,7 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 		for i := range evs {
 			evs[i].Inst, _ = stripID(c.id, evs[i].Inst)
 		}
-		c.result(reqID, stOK, func(e *enc) { e.events(evs) })
+		c.result(reqID, stOK, nil, func(e *enc) { e.events(evs) })
 		return nil
 
 	default:
@@ -1017,10 +994,10 @@ func (s *Server) recordGrant(c *srvConn, ref grantRef, mode locktable.Mode) uint
 func (s *Server) execRelease(c *srvConn, reqID uint64, composed locktable.InstKey, ent model.EntityID, fence uint64) {
 	st := s.releaseComposed(c, ent, composed, fence)
 	if reqID != 0 {
-		c.result(reqID, st, nil)
+		c.result(reqID, st, nil, nil)
 	} else if st != stOK {
 		local, _ := stripID(c.id, composed.ID)
-		c.result(0, st, func(e *enc) { e.key(locktable.InstKey{ID: local, Epoch: composed.Epoch}) })
+		c.result(0, st, nil, func(e *enc) { e.key(locktable.InstKey{ID: local, Epoch: composed.Epoch}) })
 	}
 }
 
@@ -1041,14 +1018,14 @@ func (s *Server) execRelease(c *srvConn, reqID uint64, composed locktable.InstKe
 // discipline.
 func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, prio int64, ent model.EntityID, mode locktable.Mode, sp *obs.Span) {
 	if int(ent) < 0 || int(ent) >= s.ddb.NumEntities() {
-		c.result(reqID, stErr, func(e *enc) { e.str(fmt.Sprintf("netlock: entity %d outside the database", ent)) })
+		c.result(reqID, stErr, nil, func(e *enc) { e.str(fmt.Sprintf("netlock: entity %d outside the database", ent)) })
 		return
 	}
 	if key.ID < 0 || key.ID > math.MaxUint32 {
 		// Session identity composes the client ID into the low 32 bits of
 		// the server-side key; an ID outside that range would silently
 		// alias another instance, so reject it loudly instead.
-		c.result(reqID, stErr, func(e *enc) {
+		c.result(reqID, stErr, nil, func(e *enc) {
 			e.str(fmt.Sprintf("netlock: instance id %d outside the 32-bit session namespace", key.ID))
 		})
 		return
@@ -1070,14 +1047,14 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, p
 		lost := c.leaseLost
 		c.mu.Unlock()
 		if lost {
-			c.result(reqID, stLeaseExpired, nil)
+			c.result(reqID, stLeaseExpired, nil, nil)
 			return
 		}
 		if !chained {
 			sp.Stamp(obs.StageChainStart) // inline path: "chain start" is the try itself
 			granted, err := s.tryTab.TryAcquire(locktable.Instance{Key: composed, Prio: prio}, ent, mode)
 			if err != nil {
-				c.result(reqID, stStopped, nil)
+				c.result(reqID, stStopped, nil, nil)
 				return
 			}
 			if granted {
@@ -1091,13 +1068,13 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, p
 					c.mu.Unlock()
 					s.tab.Release(ent, composed)
 					if !dead {
-						c.result(reqID, stLeaseExpired, nil)
+						c.result(reqID, stLeaseExpired, nil, nil)
 					}
 					return
 				}
 				fence := s.recordGrant(c, grantRef{ent: ent, key: composed}, mode)
 				c.mu.Unlock()
-				c.resultSpan(reqID, stOK, sp, func(e *enc) { e.u64(fence) })
+				c.result(reqID, stOK, sp, func(e *enc) { e.u64(fence) })
 				return
 			}
 		}
@@ -1111,7 +1088,7 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, p
 		// locks again (its earlier grants are already gone).
 		c.mu.Unlock()
 		actx.cancelFn()
-		c.result(reqID, stLeaseExpired, nil)
+		c.result(reqID, stLeaseExpired, nil, nil)
 		return
 	}
 	// Registered before it runs: opCancel, opWound, and revocation must
@@ -1196,11 +1173,11 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 		}
 		switch {
 		case cancelled:
-			c.result(reqID, stCancelled, nil)
+			c.result(reqID, stCancelled, nil, nil)
 		case wounded:
-			c.result(reqID, stWounded, nil)
+			c.result(reqID, stWounded, nil, nil)
 		default: // revoked
-			c.result(reqID, stLeaseExpired, nil)
+			c.result(reqID, stLeaseExpired, nil, nil)
 		}
 		return
 	}
@@ -1232,24 +1209,24 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	}
 	switch {
 	case err == nil && fence != 0:
-		c.resultSpan(reqID, stOK, it.sp, func(e *enc) { e.u64(fence) })
+		c.result(reqID, stOK, it.sp, func(e *enc) { e.u64(fence) })
 	case err == nil && cancelled:
-		c.result(reqID, stCancelled, nil)
+		c.result(reqID, stCancelled, nil, nil)
 	case err == nil && wounded:
-		c.result(reqID, stWounded, nil)
+		c.result(reqID, stWounded, nil, nil)
 	case err == nil: // revoked
-		c.result(reqID, stLeaseExpired, nil)
+		c.result(reqID, stLeaseExpired, nil, nil)
 	case errors.Is(err, locktable.ErrWounded):
-		c.result(reqID, stWounded, nil)
+		c.result(reqID, stWounded, nil, nil)
 	case errors.Is(err, locktable.ErrStopped):
-		c.result(reqID, stStopped, nil)
+		c.result(reqID, stStopped, nil, nil)
 	case cancelled:
-		c.result(reqID, stCancelled, nil)
+		c.result(reqID, stCancelled, nil, nil)
 	case wounded:
-		c.result(reqID, stWounded, nil)
+		c.result(reqID, stWounded, nil, nil)
 	case revoked:
-		c.result(reqID, stLeaseExpired, nil)
+		c.result(reqID, stLeaseExpired, nil, nil)
 	default:
-		c.result(reqID, stErr, func(e *enc) { e.str(err.Error()) })
+		c.result(reqID, stErr, nil, func(e *enc) { e.str(err.Error()) })
 	}
 }

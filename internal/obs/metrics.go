@@ -32,8 +32,6 @@ type TableMetrics struct {
 	Releases StripedCounter
 	// Wounds counts parked requests removed by wound delivery.
 	Wounds Counter
-	// Splits counts adaptive stripe splits (sharded backend only).
-	Splits Counter
 	// QueueDepth samples the wait-queue length observed by each request
 	// at park time — the contention a slow-path faller actually met.
 	QueueDepth Histogram
@@ -45,15 +43,18 @@ func NewTableMetrics() *TableMetrics { return &TableMetrics{} }
 
 // TableCounters is the plain-value snapshot of a TableMetrics.
 type TableCounters struct {
-	Grants           int64             `json:"grants"`
-	SharedGrants     int64             `json:"shared_grants"`
-	FastPathHits     int64             `json:"fast_path_hits"`
-	SlowSharedGrants int64             `json:"slow_shared_grants"`
-	Releases         int64             `json:"releases"`
-	Held             int64             `json:"held"`
-	Wounds           int64             `json:"wounds"`
-	StripeSplits     int64             `json:"stripe_splits"`
-	QueueDepth       HistogramSnapshot `json:"queue_depth"`
+	Grants           int64 `json:"grants"`
+	SharedGrants     int64 `json:"shared_grants"`
+	FastPathHits     int64 `json:"fast_path_hits"`
+	SlowSharedGrants int64 `json:"slow_shared_grants"`
+	Releases         int64 `json:"releases"`
+	Held             int64 `json:"held"`
+	Wounds           int64 `json:"wounds"`
+	// StripeSplits is always 0: the sharded table's stripe layout is fixed
+	// at construction. The field stays only because the benchmark reads it
+	// by name; the next change to the benchmark drops that read.
+	StripeSplits int64             `json:"stripe_splits"`
+	QueueDepth   HistogramSnapshot `json:"queue_depth"`
 }
 
 // Snapshot summarizes the bundle. Nil-safe (zeros), and safe concurrent
@@ -77,7 +78,6 @@ func (m *TableMetrics) Snapshot() TableCounters {
 		Releases:         releases,
 		Held:             grants - releases,
 		Wounds:           m.Wounds.Load(),
-		StripeSplits:     m.Splits.Load(),
 		QueueDepth:       m.QueueDepth.Snapshot(),
 	}
 }

@@ -79,7 +79,7 @@ type EngineOptions struct {
 	// wound-wait/trace configuration.
 	RemoteAddrs []string
 	// Table is the lock-table configuration, handed to the backend by
-	// value: stripe tuning, the exact grant log (Trace — only
+	// value: the stripe count (Shards), the exact grant log (Trace — only
 	// safe to read after Close) and the counter bundle (Metrics — nil
 	// allocates a private one). See locktable.Config for each knob. The
 	// engine owns WoundWait and OnWound and overwrites them from Strategy.
@@ -103,15 +103,13 @@ type EngineOptions struct {
 	// cancellation inside a chain aborts the whole attempt instead of
 	// leaving the session resumable.
 	PipelineDepth int
-	// MeasureLockWait arms the engine's lock-wait histogram (see
-	// Engine.LockWait): two clock reads per granted Lock. MeasureHoldTime
-	// arms the hold-time histogram (Engine.HoldTime): grant-stamp
-	// bookkeeping per lock plus a third clock read at release. Both off by
-	// default: they are the instruments that add time.Now calls to the
-	// per-operation path, so they stay opt-in while the counters are
-	// unconditional.
-	MeasureLockWait bool
-	MeasureHoldTime bool
+	// MeasureLatency arms the engine's lock-wait histogram (see
+	// Engine.LockWait: two clock reads per granted Lock) and its hold-time
+	// histogram (Engine.HoldTime: grant-stamp bookkeeping per lock plus a
+	// third clock read at release). Off by default: these are the
+	// instruments that add time.Now calls to the per-operation path, so
+	// they stay opt-in while the counters are unconditional.
+	MeasureLatency bool
 	// TraceSampleEvery arms end-to-end op tracing: roughly one in this
 	// many lock operations is sampled into a span recording its full stage
 	// waterfall (submit → enqueue → flush → server → grant → reply →
@@ -168,8 +166,7 @@ type Engine struct {
 	// bundle; pipelinedOps/syncOps split lock operations by path —
 	// certified-chain pipelined submission vs the synchronous fallback
 	// every other configuration takes. lockWait and holdTime are non-nil
-	// only with EngineOptions.MeasureLockWait / MeasureHoldTime
-	// respectively.
+	// only with EngineOptions.MeasureLatency.
 	metrics      *obs.TableMetrics
 	pipelinedOps obs.StripedCounter
 	syncOps      obs.StripedCounter
@@ -178,15 +175,12 @@ type Engine struct {
 
 	// Op tracing (EngineOptions.TraceSampleEvery): spans holds the sampled
 	// waterfalls, stageHist their per-stage gap distributions, spanEvery
-	// the sampling period. spanTable/asyncSpan are the backend's traced
-	// acquire capabilities, nil for in-process backends (whose single
-	// "grant" stage the session stamps itself — the table, and in
-	// particular the sharded CAS fast path, never sees a span).
+	// the sampling period. A sampled acquire's span rides
+	// locktable.Instance; the sharded backend ignores it, so the session
+	// stamps that backend's single "grant" stage itself.
 	spans     *obs.SpanRing
 	stageHist *obs.StageHistograms
 	spanEvery int
-	spanTable locktable.SpannedTable
-	asyncSpan locktable.SpannedAsyncTable
 
 	// mu guards abortChs, so a StrategyNone engine never takes it.
 	mu       sync.Mutex
@@ -211,10 +205,8 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 		abortChs: map[int]chan struct{}{},
 		metrics:  cfg.Metrics,
 	}
-	if opts.MeasureLockWait {
+	if opts.MeasureLatency {
 		e.lockWait = new(obs.Histogram)
-	}
-	if opts.MeasureHoldTime {
 		e.holdTime = new(obs.Histogram)
 	}
 	cfg.WoundWait = opts.Strategy == StrategyWoundWait
@@ -253,8 +245,6 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 		}
 		e.spans = obs.NewSpanRing(1024)
 		e.stageHist = new(obs.StageHistograms)
-		e.spanTable, _ = e.table.(locktable.SpannedTable)
-		e.asyncSpan, _ = e.table.(locktable.SpannedAsyncTable)
 	}
 	if opts.PipelineDepth > 0 && opts.Strategy == StrategyNone {
 		// Pipelining is gated on the paper's thesis: only a statically
@@ -327,12 +317,12 @@ func (e *Engine) TableMetrics() *obs.TableMetrics { return e.metrics }
 
 // LockWait summarizes the engine's lock-wait histogram: the wall time of
 // every granted Session.Lock, in nanoseconds. Zeros unless
-// EngineOptions.MeasureLockWait armed it.
+// EngineOptions.MeasureLatency armed it.
 func (e *Engine) LockWait() obs.HistogramSnapshot { return e.lockWait.Snapshot() }
 
 // HoldTime summarizes the engine's hold-time histogram: grant-to-release
 // wall time of every cleanly unlocked lock, in nanoseconds. Zeros unless
-// EngineOptions.MeasureHoldTime armed it.
+// EngineOptions.MeasureLatency armed it.
 func (e *Engine) HoldTime() obs.HistogramSnapshot { return e.holdTime.Snapshot() }
 
 // Spans returns the engine's sampled-span ring (nil unless

@@ -73,7 +73,7 @@ type Session struct {
 
 	// lockedAt records held entities' grant times in unix nanos, for the
 	// engine's hold-time histogram. Empty unless
-	// EngineOptions.MeasureHoldTime armed it. A linear-scanned slice, not
+	// EngineOptions.MeasureLatency armed it. A linear-scanned slice, not
 	// a map: sessions hold a handful of entities and the bookkeeping runs
 	// once per lock on the measured path.
 	lockedAt []grantStamp
@@ -282,16 +282,16 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 	}
 	inst := locktable.Instance{Key: s.key, Prio: s.prio, Doomed: s.abortCh}
 	var lockStart time.Time
-	if s.e.lockWait != nil || s.e.holdTime != nil {
+	if s.e.lockWait != nil {
 		lockStart = time.Now()
 	}
-	var sp *obs.Span
 	if s.e.spans != nil && s.spanDue() {
-		sp = s.e.spans.Start(obs.SpanAcquire, int32(ent))
-		sp.Stamp(obs.StageSubmit)
+		inst.Span = s.e.spans.Start(obs.SpanAcquire, int32(ent))
+		inst.Span.Stamp(obs.StageSubmit)
 	}
+	sp := inst.Span
 	if s.e.async != nil {
-		err := s.lockPipelined(ctx, inst, ent, mode, nid, sp)
+		err := s.lockPipelined(ctx, inst, ent, mode, nid)
 		if err == nil {
 			// Counted as pipelined at submission: the optimistic hold is
 			// the path's defining move, whether or not a join parked.
@@ -300,16 +300,11 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 		}
 		return err
 	}
-	var err error
-	if sp != nil && s.e.spanTable != nil {
-		err = s.e.spanTable.AcquireSpan(ctx, inst, ent, mode, sp)
-	} else {
-		err = s.e.table.Acquire(ctx, inst, ent, mode)
-	}
+	err := s.e.table.Acquire(ctx, inst, ent, mode)
 	switch {
 	case err == nil:
 		if sp != nil {
-			if s.e.spanTable == nil {
+			if s.e.backend == BackendSharded {
 				// In-process backend: the whole acquire is one grant stage,
 				// stamped here so the table — in particular the sharded
 				// CAS shared fast path — never sees a span.
@@ -334,23 +329,18 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 }
 
 // noteGranted records one granted lock's wait sample and grant time.
-// No-op unless a latency histogram is armed — the counters are
-// unconditional, but the latency instruments are the one piece that
-// would add time.Now calls to a path that has no timestamp. With only
-// lock-wait armed (EngineOptions.MeasureLockWait) the grant pays two
-// clock reads; hold-time tracking (EngineOptions.MeasureHoldTime) adds
-// the grant-stamp bookkeeping and a third read at release.
+// No-op unless EngineOptions.MeasureLatency armed the histograms — the
+// counters are unconditional, but the latency instruments are the one
+// piece that would add time.Now calls to a path that has no timestamp:
+// two clock reads per grant, the grant-stamp bookkeeping, and a third
+// read at release.
 func (s *Session) noteGranted(ent model.EntityID, start time.Time) {
-	if s.e.lockWait == nil && s.e.holdTime == nil {
+	if s.e.lockWait == nil {
 		return
 	}
 	now := time.Now()
-	if s.e.lockWait != nil {
-		s.e.lockWait.Record(now.Sub(start).Nanoseconds())
-	}
-	if s.e.holdTime != nil {
-		s.lockedAt = append(s.lockedAt, grantStamp{ent: ent, at: now.UnixNano()})
-	}
+	s.e.lockWait.Record(now.Sub(start).Nanoseconds())
+	s.lockedAt = append(s.lockedAt, grantStamp{ent: ent, at: now.UnixNano()})
 }
 
 // noteReleased records one cleanly released lock's hold-time sample.
@@ -393,21 +383,19 @@ func (s *Session) mapTableErr(err error) error {
 // grants were a bet on the acks, and once one fails the attempt is over —
 // the caller aborts, which resolves everything still in flight before
 // releasing.
-func (s *Session) lockPipelined(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode model.Mode, nid model.NodeID, sp *obs.Span) error {
+func (s *Session) lockPipelined(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode model.Mode, nid model.NodeID) error {
 	if s.pipeErr != nil {
 		return s.mapTableErr(s.pipeErr)
 	}
 	if s.pendAcq == nil {
 		s.pendAcq = map[model.EntityID]locktable.Completion{}
 	}
-	if sp != nil && s.e.asyncSpan != nil {
-		s.pendAcq[ent] = s.e.asyncSpan.AcquireAsyncSpan(inst, ent, mode, sp)
+	s.pendAcq[ent] = s.e.async.AcquireAsync(inst, ent, mode)
+	if inst.Span != nil {
 		if s.pendSpans == nil {
 			s.pendSpans = map[model.EntityID]*obs.Span{}
 		}
-		s.pendSpans[ent] = sp
-	} else {
-		s.pendAcq[ent] = s.e.async.AcquireAsync(inst, ent, mode)
+		s.pendSpans[ent] = inst.Span
 	}
 	s.pendQ = append(s.pendQ, ent)
 	s.held.Set(int(nid))

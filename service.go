@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"distlock/internal/admission"
-	"distlock/internal/locktable"
 	"distlock/internal/model"
 	"distlock/internal/obs"
 	"distlock/internal/runtime"
@@ -58,7 +57,6 @@ type serviceConfig struct {
 	cycleBudget  int64
 	multiplicity int
 	certBackend  LockBackend
-	table        locktable.Config
 	remoteAddr   string
 	remoteAddrs  []string
 	pipeline     int
@@ -83,16 +81,6 @@ func WithCycleBudget(n int64) ServiceOption {
 // parallel traffic per class.
 func WithMultiplicity(m int) ServiceOption {
 	return func(c *serviceConfig) { c.multiplicity = m }
-}
-
-// WithShards pins the sharded lock-table backend to exactly n stripes.
-// The default (0) resolves the count from GOMAXPROCS and lets the
-// backend's contention probe split hot stripes adaptively; an explicit
-// count freezes the layout. More stripes admit more concurrent grant
-// decisions; a stripe costs one mutex and one map, so over-provisioning is
-// cheap.
-func WithShards(n int) ServiceOption {
-	return func(c *serviceConfig) { c.table.Shards = n }
 }
 
 // WithRemoteTable puts the certified tier on a cross-process lock table: a
@@ -273,10 +261,8 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 		Backend:          cfg.certBackend, // default (sharded) unless WithRemoteTable/WithRemoteCluster
 		RemoteAddr:       cfg.remoteAddr,
 		RemoteAddrs:      cfg.remoteAddrs,
-		Table:            cfg.table,
 		PipelineDepth:    cfg.pipeline,
-		MeasureLockWait:  cfg.latency,
-		MeasureHoldTime:  cfg.latency,
+		MeasureLatency:   cfg.latency,
 		TraceSampleEvery: cfg.traceSample,
 	})
 	if err != nil {
@@ -285,9 +271,7 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 	fallback, err := runtime.NewEngine(ddb, runtime.EngineOptions{
 		Strategy:         runtime.StrategyWoundWait,
 		Backend:          runtime.BackendDefault,
-		Table:            cfg.table,
-		MeasureLockWait:  cfg.latency,
-		MeasureHoldTime:  cfg.latency,
+		MeasureLatency:   cfg.latency,
 		TraceSampleEvery: cfg.traceSample,
 	})
 	if err != nil {
