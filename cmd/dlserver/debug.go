@@ -100,7 +100,7 @@ func writeMetrics(w http.ResponseWriter, t obs.TableCounters, wire obs.WireCount
 	counter("distlock_table_slow_shared_grants_total", "shared grants through the slow path", t.SlowSharedGrants)
 	counter("distlock_table_releases_total", "lock releases (actual un-holds)", t.Releases)
 	gauge("distlock_table_held", "lock records currently held (grants minus releases)", t.Held)
-	counter("distlock_table_wounds_total", "parked requests removed by wound delivery", t.Wounds)
+	counter("distlock_table_wounds_total", "wound decisions made by the hosted table's wound-wait grant path", t.Wounds)
 	summary("distlock_table_queue_depth", "wait-queue length observed at park time", t.QueueDepth)
 
 	counter("distlock_wire_frames_total", "protocol frames written", wire.Frames)
@@ -109,7 +109,7 @@ func writeMetrics(w http.ResponseWriter, t obs.TableCounters, wire obs.WireCount
 	summary("distlock_wire_batch_width", "frames coalesced per flush", wire.BatchWidth)
 	counter("distlock_wire_heartbeats_recv_total", "lease renewals received", wire.HeartbeatsRecv)
 	counter("distlock_wire_lease_expiries_total", "leases revoked for missed heartbeats", wire.LeaseExpiries)
-	counter("distlock_wire_fence_rejections_total", "releases rejected for a stale fencing token", wire.FenceRejections)
+	counter("distlock_wire_fence_rejections_total", "releases rejected as stale (their grant was revoked by a lease expiry)", wire.FenceRejections)
 	gauge("distlock_wire_in_flight", "unacknowledged requests outstanding", wire.InFlight)
 	summary("distlock_wire_pipeline_depth", "pipeline depth sampled at each submission", wire.PipelineDepth)
 }

@@ -2,11 +2,11 @@
 // cross-process half of the paper's distributed sites. It serves the
 // netlock wire protocol (internal/netlock) over TCP, fronting an
 // in-process sharded lock table with per-connection session identity,
-// heartbeat-renewed leases, fencing tokens on every grant, and
-// release-on-disconnect — so several engine processes (dladmit -backend
-// remote, or any distlock.LockService opened WithRemoteTable) can contend
-// for one shared lock space and a crashed client's locks are revoked,
-// never leaked.
+// heartbeat-renewed leases, releases that name their owner and fail as
+// stale once a lease expiry revoked their grant, and release-on-disconnect
+// — so several engine processes (dladmit -backend remote, or any
+// distlock.LockService opened WithRemoteTable) can contend for one shared
+// lock space and a crashed client's locks are revoked, never leaked.
 //
 // The database is reconstructed from the same deterministic generator the
 // clients use: -sites and -entities-per-site must match the client's

@@ -19,12 +19,10 @@
 // own sessions keep their local IDs on every partition; foreign sessions'
 // composed IDs are additionally namespaced by partition, since connection
 // IDs are only unique per server). ReleaseAll fans out to the partitions
-// that own the entities and aggregates failures with errors.Join. Wound
-// routes to every partition, because an instance may hold on one server
-// while parked on another. A lost partition degrades to ErrLeaseExpired
-// on only its slice of the entity space — the server's lease machinery
-// has already revoked that slice's grants — while every other partition
-// keeps granting.
+// that own the entities and aggregates failures with errors.Join. A lost
+// partition degrades to ErrLeaseExpired on only its slice of the entity
+// space — the server's lease machinery has already revoked that slice's
+// grants — while every other partition keeps granting.
 package cluster
 
 import (
@@ -230,7 +228,7 @@ func (t *Table) Acquire(ctx context.Context, inst locktable.Instance, ent model.
 //     — one completion per partition is all the fence must hold.
 //   - (R2) A release for partition p joins the same acquires. Its own
 //     entity's acquire lives on p and is not joined: while it is unacked
-//     the partition client ships a token-0 release, run right behind it.
+//     the partition's server runs the release right behind it.
 //
 // Nothing else is ordered, so releases carry no execution receipt. A
 // release delayed past a later release of its instance moves back to its
@@ -238,8 +236,8 @@ func (t *Table) Acquire(ctx context.Context, inst locktable.Instance, ent model.
 // instance holds the entity throughout), so every executed schedule is
 // conflict-equivalent to a legal schedule of the certified templates. A
 // release never waits on a foreign holder, so it is on no waits-for
-// cycle; its one wait, a token-0 release behind its own acquire, is the
-// synchronous run's. An acquire never waits on other partitions'
+// cycle; its one wait, behind its own acquire, is the synchronous
+// run's. An acquire never waits on other partitions'
 // releases either: overtaking one only lengthens a hold.
 //
 // Uncontended chains still pipeline: the fence joins are memoized
@@ -380,8 +378,9 @@ func (t *Table) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode l
 
 // ReleaseAsync implements locktable.AsyncTable: after the release fence
 // (R2) the release goes to the owning partition's fire-and-forget
-// ReleaseAsync — token 0 while the entity's own acquire is in flight — so
-// a pipelined Commit joins acquire acks only, as on one server.
+// ReleaseAsync — shipped even while the entity's own acquire is in
+// flight — so a pipelined Commit joins acquire acks only, as on one
+// server.
 func (t *Table) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktable.Completion {
 	p := t.releaseFence(ent, key)
 	return t.wrap(p, t.parts[p].ReleaseAsync(ent, key))
@@ -465,27 +464,6 @@ func (t *Table) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// Withdraw implements locktable.Table.
-func (t *Table) Withdraw(ent model.EntityID, key locktable.InstKey) bool {
-	return t.part(ent).Withdraw(ent, key)
-}
-
-// Wound implements locktable.Table: the withdrawal is broadcast to every
-// partition. The cluster does not track which servers an instance is
-// parked on, and a wound must reach them all — the instance may be
-// waiting on one entity while holding others, partitions apart.
-func (t *Table) Wound(key locktable.InstKey) {
-	var wg sync.WaitGroup
-	for _, c := range t.parts {
-		wg.Add(1)
-		go func(c *netlock.Client) {
-			defer wg.Done()
-			c.Wound(key)
-		}(c)
-	}
-	wg.Wait()
 }
 
 // foreignPartitionShift places a partition tag above netlock's composed

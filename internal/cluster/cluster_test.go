@@ -268,44 +268,6 @@ func TestClusterGrantLogMerge(t *testing.T) {
 	}
 }
 
-// TestClusterWoundCrossPartition: Wound is a broadcast — the victim here
-// is parked on partition 1, and the wound must find it there.
-func TestClusterWoundCrossPartition(t *testing.T) {
-	tab, _, ddb := startCluster(t, 2, locktable.Config{})
-	eb := entOn(t, tab, ddb, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	holder := inst(1)
-	if err := tab.Acquire(ctx, holder, eb, locktable.Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- tab.Acquire(ctx, inst(2), eb, locktable.Exclusive)
-	}()
-	// Wait for the victim to park, then wound it.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(tab.Snapshot()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("victim never parked")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	tab.Wound(locktable.InstKey{ID: 2})
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, locktable.ErrWounded) {
-			t.Fatalf("wounded waiter got %v; want ErrWounded", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("wound never reached the victim's partition")
-	}
-	if err := tab.Release(eb, holder.Key); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestClusterReleaseAllPartialFailure: with one partition dead,
 // ReleaseAll must still release the live partition's entities and report
 // the dead slice as a lease expiry in the joined error.

@@ -284,60 +284,6 @@ func TestConformanceWithdrawGrantRace(t *testing.T) {
 	})
 }
 
-// TestConformanceWithdrawGranted: Withdraw of a granted lock reports true
-// and releases it.
-func TestConformanceWithdrawGranted(t *testing.T) {
-	forEachTable(t, Config{}, func(t *testing.T, tab Table, ents []model.EntityID) {
-		a, b := inst(1), inst(2)
-		mustAcquire(t, tab, a, ents[0])
-		if !tab.Withdraw(ents[0], a.Key) {
-			t.Fatal("Withdraw of a granted lock reported false")
-		}
-		mustAcquire(t, tab, b, ents[0]) // released: immediately grantable
-		if tab.Withdraw(ents[1], a.Key) {
-			t.Fatal("Withdraw of nothing reported a grant")
-		}
-		if err := tab.Release(ents[0], b.Key); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestConformanceWound: Wound removes the victim's pending requests and
-// wakes the parked Acquire with ErrWounded; grants are untouched.
-func TestConformanceWound(t *testing.T) {
-	forEachTable(t, Config{}, func(t *testing.T, tab Table, ents []model.EntityID) {
-		e := ents[0]
-		holder, victim := inst(1), inst(7)
-		mustAcquire(t, tab, holder, e)
-		got := make(chan error, 1)
-		go func() { got <- tab.Acquire(context.Background(), victim, e, Exclusive) }()
-		waitForQueue(t, tab, 1)
-		// A stale wound for a dead epoch must not touch the live request.
-		tab.Wound(InstKey{ID: victim.Key.ID, Epoch: victim.Key.Epoch - 1})
-		time.Sleep(2 * time.Millisecond)
-		if edges := tab.Snapshot(); len(edges) != 1 {
-			t.Fatalf("stale-epoch wound removed a live request: %v", edges)
-		}
-		tab.Wound(victim.Key)
-		select {
-		case err := <-got:
-			if !errors.Is(err, ErrWounded) {
-				t.Fatalf("wounded Acquire = %v, want ErrWounded", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("Wound did not wake the parked Acquire")
-		}
-		if edges := tab.Snapshot(); len(edges) != 0 {
-			t.Fatalf("wounded request still queued: %v", edges)
-		}
-		// The holder's grant survived its own non-wound.
-		if err := tab.Release(e, holder.Key); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // TestConformanceDoomed: a doom signal interrupts a parked Acquire with
 // ErrWounded, with the request withdrawn.
 func TestConformanceDoomed(t *testing.T) {
@@ -790,8 +736,8 @@ func TestConformanceCancelWhileShared(t *testing.T) {
 // TestConformanceWoundWhileShared: under wound-wait an older writer
 // arriving at younger shared holders wounds EVERY conflicting holder; an
 // older reader arriving at a shared crowd wounds nobody (R/R does not
-// conflict); and Wound on a parked shared waiter wakes it with
-// ErrWounded while re-running the grant wave for whoever it unblocked.
+// conflict); and dooming a parked shared waiter wakes it with ErrWounded
+// and leaves nothing queued.
 func TestConformanceWoundWhileShared(t *testing.T) {
 	var wounded sync.Map // holder id -> true
 	cfg := Config{WoundWait: true, OnWound: func(id int) { wounded.Store(id, true) }}
@@ -841,66 +787,26 @@ func TestConformanceWoundWhileShared(t *testing.T) {
 		if err := <-got; err != nil {
 			t.Fatal(err)
 		}
-		// Wound a parked SHARED waiter: it wakes with ErrWounded and is
+		// Doom a parked SHARED waiter: it wakes with ErrWounded and is
 		// gone from the queue.
-		victim := Instance{Key: InstKey{ID: 9}, Prio: 9}
+		doom := make(chan struct{}, 1)
+		victim := Instance{Key: InstKey{ID: 9}, Prio: 9, Doomed: doom}
 		vGot := make(chan error, 1)
 		go func() { vGot <- tab.Acquire(context.Background(), victim, e, Shared) }()
 		waitForQueue(t, tab, 1)
-		tab.Wound(victim.Key)
+		doom <- struct{}{}
 		select {
 		case err := <-vGot:
 			if !errors.Is(err, ErrWounded) {
 				t.Fatalf("wounded shared waiter = %v, want ErrWounded", err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("Wound did not wake the parked shared waiter")
+			t.Fatal("doom signal did not wake the parked shared waiter")
 		}
 		if edges := tab.Snapshot(); len(edges) != 0 {
 			t.Fatalf("wounded shared request still queued: %v", edges)
 		}
 		if err := tab.Release(e, old.Key); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestConformanceWoundedWriterUnblocksReaders: Wound removing a queued
-// writer re-runs the grant wave, so the readers that were parked behind
-// it join the current shared holders immediately.
-func TestConformanceWoundedWriterUnblocksReaders(t *testing.T) {
-	forEachTable(t, Config{}, func(t *testing.T, tab Table, ents []model.EntityID) {
-		e := ents[0]
-		holder := inst(1)
-		mustAcquireMode(t, tab, holder, e, Shared)
-		writer := Instance{Key: InstKey{ID: 5}, Prio: 5}
-		wGot := make(chan error, 1)
-		go func() { wGot <- tab.Acquire(context.Background(), writer, e, Exclusive) }()
-		waitForQueue(t, tab, 1)
-		rGot := make(chan error, 1)
-		go func() { rGot <- tab.Acquire(context.Background(), inst(6), e, Shared) }()
-		waitForQueue(t, tab, 2)
-		tab.Wound(writer.Key)
-		select {
-		case err := <-wGot:
-			if !errors.Is(err, ErrWounded) {
-				t.Fatalf("wounded writer = %v", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("Wound did not wake the parked writer")
-		}
-		select {
-		case err := <-rGot:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("reader not granted after the blocking writer was wounded")
-		}
-		if err := tab.Release(e, holder.Key); err != nil {
-			t.Fatal(err)
-		}
-		if err := tab.Release(e, InstKey{ID: 6}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,8 +1,8 @@
 // Package locktable is the engine's pluggable lock-grant layer: a Table
 // maps entities to shared/exclusive locks with per-entity wait queues, and
 // the runtime engine drives it through a narrow interface (Acquire /
-// Release / Withdraw / Wound / Snapshot) so the grant machinery can be
-// swapped without touching session semantics.
+// Release / ReleaseAll / Snapshot) so the grant machinery can be swapped
+// without touching session semantics.
 //
 // Two implementations exist:
 //
@@ -22,7 +22,7 @@
 //   - netlock.Dial (internal/netlock): the cross-process backend — a
 //     client speaking the netlock wire protocol to a server hosting an
 //     in-process table for many engine processes, with leases and
-//     fencing tokens covering the failure modes a network adds.
+//     stale-release fencing covering the failure modes a network adds.
 //     internal/cluster routes one lock space over several such servers.
 //
 // All backends implement identical blocking semantics, verified by a
@@ -31,8 +31,8 @@
 // FIFO grant order per entity (a waiting writer blocks later-arriving
 // readers; oldest-first under wound-wait), cancelled waits withdrawn
 // before Acquire returns (a grant racing the withdrawal is released,
-// never leaked), wounds surfaced as ErrWounded, and ErrStopped after
-// Close.
+// never leaked), a fired doom signal surfaced as ErrWounded, and
+// ErrStopped after Close.
 //
 // Observation: every backend counts its operations into an
 // obs.TableMetrics bundle (Config.Metrics, always on). Config.Trace adds
@@ -134,13 +134,13 @@ type Config struct {
 	// older than its conflicting waiters).
 	WoundWait bool
 	// OnWound is called with the holder's instance ID when WoundWait is on
-	// and an older requester queues behind a conflicting younger holder.
-	// The callback runs inside the backend's grant-path serialization
-	// domain (the sharded backend's stripe critical section) so the victim
+	// and an older requester queues behind a conflicting younger holder;
+	// each call is one wound decision, counted in Metrics.Wounds. The
+	// callback runs inside the backend's grant-path serialization domain
+	// (the sharded backend's stripe critical section) so the victim
 	// provably still holds the entity, and it must therefore not call back
-	// into the table; it should only signal the victim (whose parked
-	// Acquires then return ErrWounded via their Doomed channels, or via
-	// Wound).
+	// into the table; it should only signal the victim, whose parked
+	// Acquires then return ErrWounded via their Doomed channels.
 	OnWound func(holderID int)
 	// Trace records per-entity lock-grant order, readable via GrantLog
 	// after Close.
@@ -162,7 +162,7 @@ type Config struct {
 	// WoundWait and Trace disable the fast path implicitly.
 	DisableSharedFastPath bool
 	// Metrics receives the backend's operation counters (grants by path,
-	// releases, wounds, queue-depth samples). Counting is
+	// releases, wound decisions, queue-depth samples). Counting is
 	// always on — a nil Metrics is normalized to a private bundle — and
 	// allocation-free; supplying a shared bundle lets an embedder (the
 	// engine, the cluster router) aggregate several backends into one
@@ -186,8 +186,9 @@ type Table interface {
 	// ctx.Err() if the context is cancelled while waiting (the request is
 	// withdrawn — or, if a grant raced the cancellation, released —
 	// before returning, so the instance holds nothing on a non-nil
-	// return); ErrWounded if the instance's Doomed channel fires or Wound
-	// removes the request; and ErrStopped once the table is closed. A
+	// return); ErrWounded if the instance's Doomed channel fires (the
+	// request is withdrawn likewise); and ErrStopped once the table is
+	// closed. A
 	// duplicate Acquire by a current holder returns nil immediately
 	// regardless of mode (mode upgrades are not supported; sessions issue
 	// at most one Lock per entity). With the sharded backend's anonymous
@@ -207,25 +208,6 @@ type Table interface {
 	// abort path. Every failed release surfaces in the returned error
 	// (errors.Join), not just the last one.
 	ReleaseAll(ents []model.EntityID, key InstKey) error
-	// Withdraw removes the instance's pending request on the entity, if
-	// any. It reports whether the request had already been granted, in
-	// which case the grant is released instead — either way the instance
-	// holds nothing on return. Withdraw is the request owner's cleanup
-	// path: it must not race the instance's own parked Acquire on the
-	// same entity (removal does not wake the waiter — Acquire withdraws
-	// its own request when its context or doom arm fires). To interrupt
-	// another goroutine's parked Acquire, use Wound.
-	Withdraw(ent model.EntityID, key InstKey) bool
-	// Wound removes every pending (not yet granted) request of the exact
-	// instance attempt — ID and Epoch both match — waking the parked
-	// Acquires with ErrWounded. Granted locks are untouched: the victim
-	// releases them itself (via Release) when it aborts. Epoch exactness
-	// matters because wound delivery can race the victim's retry: a stale
-	// wound aimed at a dead epoch must not remove the retry's healthy
-	// requests. Victims blocked in Acquire are also woken through their
-	// Doomed channels, so Wound is a prompt-delivery complement, not the
-	// only wake-up path.
-	Wound(key InstKey)
 	// Snapshot returns the current wait-for edges (one per queued waiter,
 	// against the entity's holder). Edges from different stripes or servers
 	// are collected sequentially, not atomically: a point-in-time view

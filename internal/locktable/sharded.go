@@ -58,7 +58,7 @@ import (
 type shardedTable struct {
 	cfg Config
 
-	// m counts grants/releases/wounds (always on; normalized from
+	// m counts grants/releases/wound decisions (always on; normalized from
 	// Config.Metrics). Striped padded atomics are hot-path safe, so
 	// counting does not disable the CAS fast path the way Config.Trace
 	// does.
@@ -157,13 +157,13 @@ func (l *slock) grantable(mode Mode) bool {
 }
 
 // waiter is one parked request. The channel is buffered and receives at
-// most one send — nil for a grant, ErrWounded for a wound — because both
-// senders first remove the waiter from the queue under the stripe mutex.
+// most one send, the grant, because the grant wave first removes the
+// waiter from the queue under the stripe mutex.
 type waiter struct {
 	key  InstKey
 	prio int64
 	mode Mode
-	ch   chan error
+	ch   chan struct{}
 }
 
 // resolveShards maps a Config.Shards value to the table's stripe count:
@@ -326,7 +326,7 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 		return nil
 	}
 	t.m.QueueDepth.Record(int64(len(l.queue)))
-	w := &waiter{key: inst.Key, prio: inst.Prio, mode: mode, ch: make(chan error, 1)}
+	w := &waiter{key: inst.Key, prio: inst.Prio, mode: mode, ch: make(chan struct{}, 1)}
 	l.queue = append(l.queue, w)
 	if t.cfg.WoundWait && t.cfg.OnWound != nil {
 		// An older requester wounds every CONFLICTING younger holder.
@@ -335,13 +335,16 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 		// otherwise make the wound spurious. OnWound must not call back
 		// into the table (see Config), so holding the stripe is safe.
 		// (Wound-wait disables the fast path, so every shared holder is
-		// identified here.)
+		// identified here.) Each call is one wound decision and is counted
+		// here, where it is made.
 		if l.xheld && inst.Prio < l.xprio {
+			t.m.Wounds.Inc()
 			t.cfg.OnWound(l.xholder.ID)
 		}
 		if mode == Exclusive {
 			for hk, hp := range l.sholders {
 				if inst.Prio < hp {
+					t.m.Wounds.Inc()
 					t.cfg.OnWound(hk.ID)
 				}
 			}
@@ -349,8 +352,8 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 	}
 	s.mu.Unlock()
 	select {
-	case err := <-w.ch:
-		return err // nil: granted; ErrWounded: withdrawn by Wound
+	case <-w.ch:
+		return nil
 	case <-ctx.Done():
 		t.cancelWait(ent, w)
 		return ctx.Err()
@@ -422,22 +425,11 @@ func (t *shardedTable) cancelWait(ent model.EntityID, w *waiter) {
 			return
 		}
 	}
-	// Not queued: a grant or a wound raced the cancellation. The waiter's
-	// buffered channel already holds the outcome (both senders deliver it
-	// before unqueueing, under this stripe's mutex), so consult it: a
-	// grant is released — for an anonymous shared grant releaseLocked
-	// decrements the fast-reader count it incremented — and a wound left
-	// nothing held. Keying the release off the outcome (not just the
-	// instance key) matters precisely because fast grants are anonymous:
-	// a wounded waiter must not decrement some innocent reader's count.
-	select {
-	case err := <-w.ch:
-		if err == nil {
-			t.releaseLocked(ent, l, w.key)
-		}
-	default:
-		// Unreachable: removal and delivery are atomic under the mutex.
-	}
+	// Not queued: a grant raced the cancellation (the grant wave delivers
+	// it and unqueues the waiter atomically under this stripe's mutex), so
+	// release it — for an anonymous shared grant releaseLocked decrements
+	// the fast-reader count it incremented.
+	t.releaseLocked(ent, l, w.key)
 }
 
 func (t *shardedTable) Release(ent model.EntityID, key InstKey) error {
@@ -519,7 +511,7 @@ func (t *shardedTable) grantWaveLocked(ent model.EntityID, l *slock) {
 		}
 		l.queue = append(l.queue[:pick], l.queue[pick+1:]...)
 		t.grantLocked(ent, l, w.key, w.prio, w.mode)
-		w.ch <- nil
+		w.ch <- struct{}{}
 	}
 }
 
@@ -584,32 +576,6 @@ func (t *shardedTable) grantLocked(ent model.EntityID, l *slock, key InstKey, pr
 	}
 }
 
-// Withdraw removes the instance's pending request or identified grant.
-// Anonymous fast-path shared grants are not attributable to a key, so
-// they are invisible to Withdraw — their owners release through Release,
-// which is the only caller contract the session layer uses.
-func (t *shardedTable) Withdraw(ent model.EntityID, key InstKey) bool {
-	s := t.lockStripe(ent)
-	defer s.mu.Unlock()
-	l := s.lockState(ent)
-	if l.holds(key) {
-		t.releaseLocked(ent, l, key)
-		return true
-	}
-	for i, q := range l.queue {
-		if q.key == key {
-			l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			// Leave the parked Acquire (if any) to its own select arms; a
-			// direct Withdraw caller owns the request lifecycle. The queue
-			// changed, so later compatible waiters may now be grantable.
-			t.grantWaveLocked(ent, l)
-			t.clearSlowModeIfIdleLocked(ent, l)
-			break
-		}
-	}
-	return false
-}
-
 // ReleaseAll releases the listed entities. Stripe operations are plain
 // mutex sections, so there is nothing to pipeline — the loop is already
 // round-trip free. Every failed release surfaces in the joined error,
@@ -622,34 +588,6 @@ func (t *shardedTable) ReleaseAll(ents []model.EntityID, key InstKey) error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-func (t *shardedTable) Wound(key InstKey) {
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.Lock()
-		for ent, l := range s.locks {
-			removed := false
-			for i := 0; i < len(l.queue); {
-				if l.queue[i].key != key {
-					i++
-					continue
-				}
-				w := l.queue[i]
-				l.queue = append(l.queue[:i], l.queue[i+1:]...)
-				w.ch <- ErrWounded
-				t.m.Wounds.Inc()
-				removed = true
-			}
-			if removed {
-				// A withdrawn writer may have been the only thing blocking
-				// the readers queued behind it.
-				t.grantWaveLocked(ent, l)
-				t.clearSlowModeIfIdleLocked(ent, l)
-			}
-		}
-		s.mu.Unlock()
-	}
 }
 
 func (t *shardedTable) Snapshot() []WaitEdge {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"distlock/internal/model"
+	"distlock/internal/obs"
 )
 
 // TestConformanceContention is the contention conformance case: a reader
@@ -118,6 +119,40 @@ func TestReleaseAllAggregatesErrors(t *testing.T) {
 				t.Fatalf("ReleaseAll surfaced %d errors, want both failing releases (2): %v", n, err)
 			}
 		})
+	}
+}
+
+// TestWoundsCountedWhereDecided: under wound-wait the sharded table
+// counts every OnWound call it makes into Metrics.Wounds — an older
+// writer queuing behind two younger shared holders is two wound
+// decisions, and the fallback tier's table counters (and dlserver's
+// distlock_table_wounds_total) must show both.
+func TestWoundsCountedWhereDecided(t *testing.T) {
+	ddb := model.NewDDB()
+	e := ddb.MustEntity("e", "s0")
+	var calls atomic.Int64
+	m := obs.NewTableMetrics()
+	tab := NewSharded(ddb, Config{WoundWait: true, Metrics: m, OnWound: func(int) { calls.Add(1) }})
+	defer tab.Close()
+	young1, young2, old := inst(7), inst(8), inst(3)
+	mustAcquireMode(t, tab, young1, e, Shared)
+	mustAcquireMode(t, tab, young2, e, Shared)
+	got := make(chan error, 1)
+	go func() { got <- tab.Acquire(context.Background(), old, e, Exclusive) }()
+	waitForQueue(t, tab, 1)
+	for _, h := range []Instance{young1, young2} {
+		if err := tab.Release(e, h.Key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("OnWound called %d times, want 2 (one per younger shared holder)", n)
+	}
+	if w := m.Snapshot().Wounds; w != calls.Load() {
+		t.Fatalf("Metrics.Wounds = %d, want %d (one per OnWound call)", w, calls.Load())
 	}
 }
 

@@ -24,9 +24,6 @@ type DialOptions struct {
 	// expires unless the caller generates heartbeats itself. Crash and
 	// lease tests use it to stage a stalled holder.
 	NoHeartbeat bool
-	// DialTimeout bounds each TCP connect attempt + the handshake
-	// (default 5s).
-	DialTimeout time.Duration
 	// DialRetries is the number of additional connect attempts after a
 	// failed TCP dial (default 0: fail on the first error). Only the
 	// transport connect is retried — `connection refused` from a server
@@ -41,16 +38,13 @@ type DialOptions struct {
 	RetryBackoff time.Duration
 }
 
+// dialTimeout bounds each TCP connect attempt and the handshake.
+const dialTimeout = 5 * time.Second
+
 // result is one response routed to its requester.
 type result struct {
 	status  byte
 	payload []byte
-}
-
-// fenceRef identifies one client-side grant record.
-type fenceRef struct {
-	ent model.EntityID
-	key locktable.InstKey
 }
 
 // Client is the wire-protocol lock table: a locktable.Table whose state
@@ -103,15 +97,13 @@ type Client struct {
 
 	mu      sync.Mutex
 	pending map[uint64]chan result
-	// fences maps each granted (entity, instance) to the acquire that
-	// granted it, whose fence field holds the fencing token. Every acquire
-	// is entered at submission, with token 0 —
-	// never minted, counters start at 1 — until its grant arrives: that
-	// entry is the in-flight mark. A release submitted before the ack
-	// consumes the mark and ships token 0, and the grant that then
-	// arrives is counted as granted and released at once, so Grants −
-	// Releases stays the records held.
-	fences map[fenceRef]*acquireCompletion
+	// grants maps each granted (entity, instance) to the acquire that
+	// granted it. Every acquire is entered at submission, with granted
+	// unset until its grant arrives: that entry is the in-flight mark. A
+	// release submitted before the ack consumes the mark, and the grant
+	// that then arrives is counted as granted and released at once, so
+	// Grants − Releases stays the records held.
+	grants map[grantRef]*acquireCompletion
 	closed bool
 	// ffErrs holds the failures pushed back for fire-and-forget releases,
 	// by instance: only that instance's completion joins report one (and
@@ -145,9 +137,6 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 	if ddb == nil {
 		return nil, fmt.Errorf("netlock: nil database")
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
 	backoff := opts.RetryBackoff
 	if backoff <= 0 {
 		backoff = 25 * time.Millisecond
@@ -155,7 +144,7 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 	var nc net.Conn
 	var err error
 	for attempt := 0; ; attempt++ {
-		nc, err = net.DialTimeout("tcp", addr, opts.DialTimeout)
+		nc, err = (&net.Dialer{Timeout: dialTimeout}).Dial("tcp", addr)
 		if err == nil {
 			break
 		}
@@ -175,7 +164,7 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 		cfg:     cfg,
 		conn:    nc,
 		pending: map[uint64]chan result{},
-		fences:  map[fenceRef]*acquireCompletion{},
+		grants:  map[grantRef]*acquireCompletion{},
 		ffErrs:  map[locktable.InstKey]error{},
 		qwake:   make(chan struct{}, 1),
 		stop:    make(chan struct{}),
@@ -193,7 +182,7 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 	e.boolean(cfg.WoundWait)
 	e.boolean(cfg.Trace)
 	e.raw(hash[:])
-	nc.SetDeadline(time.Now().Add(opts.DialTimeout))
+	nc.SetDeadline(time.Now().Add(dialTimeout))
 	if err := writeFrame(nc, e.b); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("netlock: handshake: %w", err)
@@ -386,8 +375,9 @@ func (c *Client) readLoop() {
 	defer c.shutdown()
 	br := bufio.NewReaderSize(c.conn, 64<<10)
 	// One reusable frame buffer: a routed result's payload is copied out
-	// (most replies — release and heartbeat acks — have none, and a grant
-	// carries 8 bytes of fence), so the common reply costs no allocation.
+	// (most replies — grants, release and heartbeat acks — have none; a
+	// sampled grant carries its 24-byte span trailer), so the common reply
+	// costs no allocation.
 	var rbuf []byte
 	for {
 		body, err := readFrameInto(br, &rbuf)
@@ -509,7 +499,7 @@ func (c *Client) shutdown() {
 }
 
 // register allocates a request ID and its response channel. A non-nil
-// mark (an acquire) is entered in fences as its in-flight mark, in the
+// mark (an acquire) is entered in grants as its in-flight mark, in the
 // same critical section.
 func (c *Client) register(mark *acquireCompletion) (uint64, chan result) {
 	reqID := c.nextReq.Add(1)
@@ -522,7 +512,7 @@ func (c *Client) register(mark *acquireCompletion) (uint64, chan result) {
 	}
 	c.pending[reqID] = ch
 	if mark != nil {
-		c.fences[fenceRef{ent: mark.ent, key: mark.key}] = mark
+		c.grants[grantRef{ent: mark.ent, key: mark.key}] = mark
 	}
 	depth := int64(len(c.pending))
 	c.mu.Unlock()
@@ -599,8 +589,8 @@ func (c *Client) await(ch chan result) (result, error) {
 }
 
 // acquireCompletion is one acquire: submitted, then joined, then — once
-// granted — the grant record fences keeps until the release. It is in
-// fences from submission on, as the in-flight mark.
+// granted — the grant record grants keeps until the release. It is in
+// grants from submission on, as the in-flight mark.
 type acquireCompletion struct {
 	c      *Client
 	reqID  uint64
@@ -611,13 +601,11 @@ type acquireCompletion struct {
 	sp     *obs.Span // non-nil iff the op is sampled
 	mode   locktable.Mode
 
-	// Guarded by c.mu. fence is the grant's fencing token (0 until the
-	// grant is processed); released is set when a release consumed the
-	// in-flight mark and shipped token 0 before that. (released packs
-	// into the padding after mode, which keeps the record in the 80-byte
-	// size class every acquire allocates.)
+	// Guarded by c.mu. granted is set once the grant is processed;
+	// released is set when a release consumed the in-flight mark before
+	// that. (Both pack into the padding after mode.)
 	released bool
-	fence    uint64
+	granted  bool
 }
 
 // Wait implements locktable.Completion: the parked tail of Acquire. The
@@ -644,13 +632,13 @@ func (a *acquireCompletion) Wait(ctx context.Context) error {
 }
 
 // unmark clears an acquire's in-flight mark once it resolved without a
-// grant. A grant turned the mark into a record, and a token-0 release
+// grant. A grant turned the mark into a record, and an early release
 // already consumed it; both are left alone.
 func (c *Client) unmark(a *acquireCompletion) {
-	ref := fenceRef{ent: a.ent, key: a.key}
+	ref := grantRef{ent: a.ent, key: a.key}
 	c.mu.Lock()
-	if c.fences[ref] == a && a.fence == 0 {
-		delete(c.fences, ref)
+	if c.grants[ref] == a && !a.granted {
+		delete(c.grants, ref)
 	}
 	c.mu.Unlock()
 }
@@ -699,14 +687,13 @@ func (c *Client) Acquire(ctx context.Context, inst locktable.Instance, ent model
 	return c.AcquireAsync(inst, ent, mode).Wait(ctx)
 }
 
-// finishAcquire maps an acquire result onto the Table contract, recording
-// the fencing token on a grant. Grants are counted here — client-side, so
-// this connection's table bundle covers exactly the traffic it generated
-// (the server keeps its own authoritative bundle for the hosted table).
-// The acquire is already in fences as its mark, so the token is all it
-// records; if a token-0 release consumed the mark, the server ran that
-// release right after the grant, and the grant is counted with its
-// release.
+// finishAcquire maps an acquire result onto the Table contract, turning
+// the mark into a grant record on a grant. Grants are counted here —
+// client-side, so this connection's table bundle covers exactly the
+// traffic it generated (the server keeps its own authoritative bundle for
+// the hosted table). If an early release consumed the mark, the server
+// ran that release right after the grant, and the grant is counted with
+// its release.
 func (c *Client) finishAcquire(a *acquireCompletion, res result, sp *obs.Span) error {
 	key, mode := a.key, a.mode
 	if res.status != stOK {
@@ -714,21 +701,16 @@ func (c *Client) finishAcquire(a *acquireCompletion, res result, sp *obs.Span) e
 	}
 	switch res.status {
 	case stOK:
-		d := dec{b: res.payload}
-		fence := d.u64()
-		if d.err != nil {
-			c.unmark(a)
-			return fmt.Errorf("netlock: malformed grant: %w", d.err)
-		}
-		if sp != nil && len(d.b) >= 24 {
+		if sp != nil && len(res.payload) >= 24 {
 			// Server stage trailer: chain-start, grant and reply-enqueue as
 			// ns deltas from server receipt — never wall clocks, so host
 			// skew cannot corrupt the waterfall.
+			d := dec{b: res.payload}
 			sp.ServerDeltas(int64(d.u64()), int64(d.u64()), int64(d.u64()))
 		}
 		sp.Stamp(obs.StageWakeup)
 		c.mu.Lock()
-		a.fence = fence
+		a.granted = true
 		released := a.released
 		c.mu.Unlock()
 		hint := uint64(key.ID)
@@ -740,8 +722,6 @@ func (c *Client) finishAcquire(a *acquireCompletion, res result, sp *obs.Span) e
 			c.m.SlowShared.Inc(hint)
 		}
 		return nil
-	case stWounded:
-		return locktable.ErrWounded
 	case stStopped:
 		return locktable.ErrStopped
 	case stLeaseExpired:
@@ -789,7 +769,7 @@ func (c *Client) cancelAcquire(a *acquireCompletion, cause error) error {
 	case res := <-a.ch:
 		if res.status == stOK {
 			// The grant raced the cancel: record it, then give it back (a
-			// no-op when a token-0 release chained behind it already did).
+			// no-op when an early release chained behind it already did).
 			if c.finishAcquire(a, res, nil) == nil {
 				c.Release(a.ent, a.key)
 			}
@@ -803,23 +783,24 @@ func (c *Client) cancelAcquire(a *acquireCompletion, cause error) error {
 	}
 }
 
-// takeFence consumes the client-side grant record for (ent, key),
-// reporting the fencing token and whether a record existed. The shared
-// front half of the single-entity release paths. An in-flight mark is
-// consumed too and reports token 0: the release then names the grant its
-// acquire will record, and finishAcquire counts both when it arrives.
-func (c *Client) takeFence(ent model.EntityID, key locktable.InstKey) (fence uint64, held, closed bool) {
+// takeGrant consumes the client-side grant record for (ent, key),
+// reporting whether the acquire was granted and whether a record existed.
+// The shared front half of the single-entity release paths. An in-flight
+// mark is consumed too and reports not granted: the release then names
+// the grant its acquire will record, and finishAcquire counts both when
+// it arrives.
+func (c *Client) takeGrant(ent model.EntityID, key locktable.InstKey) (granted, held, closed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return 0, false, true
+		return false, false, true
 	}
-	ref := fenceRef{ent: ent, key: key}
-	a, held := c.fences[ref]
+	ref := grantRef{ent: ent, key: key}
+	a, held := c.grants[ref]
 	if held {
-		delete(c.fences, ref)
-		fence = a.fence
-		if fence == 0 {
+		delete(c.grants, ref)
+		granted = a.granted
+		if !granted {
 			a.released = true
 		} else {
 			// The client-side un-hold: the grant record is consumed here,
@@ -829,7 +810,7 @@ func (c *Client) takeFence(ent model.EntityID, key locktable.InstKey) (fence uin
 			c.m.Releases.Inc(uint64(key.ID))
 		}
 	}
-	return fence, held, false
+	return granted, held, false
 }
 
 // finishRelease maps a release result onto the Table contract.
@@ -849,10 +830,10 @@ func (c *Client) finishRelease(res result, err error) error {
 
 // Release implements locktable.Table: the acked release, joined at once.
 // A release of an entity the instance holds no record for is the
-// in-process no-op; a recorded grant is released with its fencing token,
-// and a stale token (the lease expired and the server revoked the grant)
-// reports ErrStaleFence — the lock was not freed, and whoever holds it now
-// keeps it.
+// in-process no-op; a recorded grant is released by name, and a revoked
+// one (the lease expired and the server took the grant back) reports
+// ErrStaleFence — the lock was not freed, and whoever holds it now keeps
+// it.
 func (c *Client) Release(ent model.EntityID, key locktable.InstKey) error {
 	return c.ReleaseAsyncAcked(ent, key).Wait(context.Background())
 }
@@ -887,19 +868,18 @@ const ffErrCap = 256
 // already expired, a condition the lease machinery also surfaces on every
 // acquire until the lease is renewed. That race is why synchronous
 // sessions, whose errors must surface at their own commit, use
-// ReleaseAsyncAcked instead. The fence record is consumed at submission,
+// ReleaseAsyncAcked instead. The grant record is consumed at submission,
 // so a later ReleaseAll of the same entity is the usual no-op rather than
 // a double release.
 //
 // The release need not wait for its own acquire's ack: while an acquire
-// of the entity is in flight it ships token 0, which the
-// server resolves in the instance's wire order to whatever that acquire
-// recorded — the grant is released right after it is made, and a failed
-// or withdrawn acquire makes the release the silent no-op. The caller
-// still joins the acquire, whose completion reports the grant (or the
-// failure) as usual.
+// of the entity is in flight, the server resolves the release in the
+// instance's wire order to whatever that acquire recorded — the grant is
+// released right after it is made, and a failed or withdrawn acquire
+// makes the release the silent no-op. The caller still joins the
+// acquire, whose completion reports the grant (or the failure) as usual.
 func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktable.Completion {
-	fence, held, closed := c.takeFence(ent, key)
+	_, held, closed := c.takeGrant(ent, key)
 	if closed {
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
@@ -911,7 +891,6 @@ func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktab
 		e.u64(0) // fire-and-forget: no reply expected on success
 		e.i64(int64(ent))
 		e.key(key)
-		e.u64(fence)
 	}, nil); err != nil {
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
@@ -938,12 +917,12 @@ func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktab
 // the instance's next operation, which is why the pipelined tier keeps
 // the receipt-free ReleaseAsync. Release is this call joined at once.
 //
-// Like ReleaseAsync, it ships token 0 while the entity's acquire is in
+// Like ReleaseAsync, it may ship while the entity's acquire is in
 // flight. Its receipt then waits for that acquire to resolve, which
 // may take as long as any lock wait, so the join is bounded by ctx and
 // the connection's life rather than by await's self-fence.
 func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) locktable.Completion {
-	fence, held, closed := c.takeFence(ent, key)
+	granted, held, closed := c.takeGrant(ent, key)
 	if closed {
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
@@ -956,12 +935,11 @@ func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) lo
 		e.u64(reqID)
 		e.i64(int64(ent))
 		e.key(key)
-		e.u64(fence)
 	}, nil); err != nil {
 		c.unregister(reqID)
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
-	if fence == 0 {
+	if !granted {
 		return locktable.CompletionFunc(func(ctx context.Context) error {
 			select {
 			case res := <-ch:
@@ -985,21 +963,17 @@ func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) lo
 // in-flight marks are left for their acquires' joins to settle (callers
 // resolve their acquires first, as Session.Abort does).
 func (c *Client) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
-	type rel struct {
-		ent   model.EntityID
-		fence uint64
-	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return locktable.ErrStopped
 	}
-	rels := make([]rel, 0, len(ents))
+	rels := make([]model.EntityID, 0, len(ents))
 	for _, ent := range ents {
-		ref := fenceRef{ent: ent, key: key}
-		if a, ok := c.fences[ref]; ok && a.fence != 0 {
-			delete(c.fences, ref)
-			rels = append(rels, rel{ent: ent, fence: a.fence})
+		ref := grantRef{ent: ent, key: key}
+		if a, ok := c.grants[ref]; ok && a.granted {
+			delete(c.grants, ref)
+			rels = append(rels, ent)
 		}
 	}
 	c.mu.Unlock()
@@ -1012,9 +986,8 @@ func (c *Client) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error 
 		e.u64(reqID)
 		e.key(key)
 		e.u32(uint32(len(rels)))
-		for _, r := range rels {
-			e.i64(int64(r.ent))
-			e.u64(r.fence)
+		for _, ent := range rels {
+			e.i64(int64(ent))
 		}
 	})
 	if err != nil {
@@ -1026,52 +999,6 @@ func (c *Client) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error 
 			stale, ErrStaleFence)
 	}
 	return nil
-}
-
-// Withdraw implements locktable.Table. The session has no pending request
-// it did not park an Acquire on (the contract forbids racing one's own
-// Acquire), so Withdraw is the granted-lock cleanup path: it reports
-// whether a recorded grant was released (an in-flight mark is not one).
-func (c *Client) Withdraw(ent model.EntityID, key locktable.InstKey) bool {
-	c.mu.Lock()
-	ref := fenceRef{ent: ent, key: key}
-	a, held := c.fences[ref]
-	held = held && a.fence != 0
-	if held {
-		delete(c.fences, ref)
-	}
-	closed := c.closed
-	c.mu.Unlock()
-	if closed || !held {
-		return false
-	}
-	c.m.Releases.Inc(uint64(key.ID))
-	res, err := c.call(func(reqID uint64, e *enc) {
-		e.u8(opWithdraw)
-		e.u64(reqID)
-		e.i64(int64(ent))
-		e.key(key)
-	})
-	if err != nil || res.status != stOK {
-		return false
-	}
-	d := dec{b: res.payload}
-	return d.boolean() && d.err == nil
-}
-
-// Wound implements locktable.Table: pending requests of the exact attempt
-// are withdrawn server-side — both those parked in the hosted table and
-// those still queued in the attempt's pipeline chain — waking their
-// parked Acquires (local or in other processes) with ErrWounded.
-func (c *Client) Wound(key locktable.InstKey) {
-	if c.isClosed() {
-		return
-	}
-	c.call(func(reqID uint64, e *enc) {
-		e.u8(opWound)
-		e.u64(reqID)
-		e.key(key)
-	})
 }
 
 // Snapshot implements locktable.Table: the server's current wait-for

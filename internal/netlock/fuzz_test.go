@@ -24,10 +24,12 @@ func frameOf(build func(*enc)) []byte {
 	return e.b
 }
 
-// fuzzSeeds is one frame per request opcode, plus the shapes the decoder
-// must reject or treat specially: a sampled acquire, token-0 releases
+// fuzzSeeds is one v4 frame per request opcode, plus the shapes the
+// decoder must reject or treat specially: a sampled acquire, releases
 // (acked and fire-and-forget), a truncated acquire, a release-all whose
-// count overstates its entries, and opcodes a client never sends.
+// count overstates its entries, opcodes a client never sends, and v3
+// frames (a release with a fencing token, the retired withdraw and wound
+// requests) a v4 server must not mistake for valid ones.
 func fuzzSeeds(ents []model.EntityID) [][]byte {
 	key := locktable.InstKey{ID: 1}
 	acq := func(e *enc) {
@@ -38,13 +40,12 @@ func fuzzSeeds(ents []model.EntityID) [][]byte {
 		e.i64(int64(ents[0]))
 		e.mode(locktable.Exclusive)
 	}
-	rel := func(reqID, fence uint64) []byte {
+	rel := func(reqID uint64) []byte {
 		return frameOf(func(e *enc) {
 			e.u8(opRelease)
 			e.u64(reqID)
 			e.i64(int64(ents[0]))
 			e.key(key)
-			e.u64(fence)
 		})
 	}
 	truncated := frameOf(acq)
@@ -53,22 +54,26 @@ func fuzzSeeds(ents []model.EntityID) [][]byte {
 		frameOf(acq),
 		frameOf(func(e *enc) { acq(e); e.u8(1) }), // sampled marker
 		frameOf(func(e *enc) { e.u8(opCancel); e.u64(2) }),
-		rel(3, 7),
-		rel(3, 0), // token 0: the instance's own in-flight grant
-		rel(0, 0), // fire-and-forget token 0
+		rel(3),
+		rel(0), // fire-and-forget
+		frameOf(func(e *enc) { // v3 release: a fencing token after the key
+			e.u8(opRelease)
+			e.u64(3)
+			e.i64(int64(ents[0]))
+			e.key(key)
+			e.u64(7)
+		}),
 		frameOf(func(e *enc) {
 			e.u8(opReleaseAll)
 			e.u64(4)
 			e.key(key)
 			e.u32(2)
 			e.i64(int64(ents[0]))
-			e.u64(1)
 			e.i64(int64(ents[1]))
-			e.u64(0)
 		}),
 		frameOf(func(e *enc) { e.u8(opReleaseAll); e.u64(4); e.key(key); e.u32(1 << 20) }),
-		frameOf(func(e *enc) { e.u8(opWithdraw); e.u64(5); e.i64(int64(ents[1])); e.key(key) }),
-		frameOf(func(e *enc) { e.u8(opWound); e.u64(6); e.key(key) }),
+		frameOf(func(e *enc) { e.u8(0x06); e.u64(5); e.i64(int64(ents[1])); e.key(key) }), // v3 withdraw, retired
+		frameOf(func(e *enc) { e.u8(0x07); e.u64(6); e.key(key) }),                        // v3 wound, retired
 		frameOf(func(e *enc) { e.u8(opSnapshot); e.u64(7) }),
 		frameOf(func(e *enc) { e.u8(opGrantLog); e.u64(8) }),
 		truncated[:len(truncated)-3],
@@ -188,9 +193,10 @@ const fuzzAcquireID = 2
 // reader itself.
 type replyInput struct{ first, second, tail []byte }
 
-// replySeeds cover grants with and without a span trailer, every acquire
-// status, failure pushes naming an instance, a wound push, and the
-// framings the reader must reject.
+// replySeeds cover v4 grants with and without a span trailer, a v3 grant
+// whose fencing token shifts the trailer, every acquire status, failure
+// pushes naming an instance, a wound push, and the framings the reader
+// must reject.
 func replySeeds() []replyInput {
 	result := func(reqID uint64, status byte, payload func(*enc)) []byte {
 		return frameOf(func(e *enc) {
@@ -204,7 +210,6 @@ func replySeeds() []replyInput {
 	}
 	grant := func(trailer ...uint64) []byte {
 		return result(fuzzAcquireID, stOK, func(e *enc) {
-			e.u64(1) // fencing token
 			for _, v := range trailer {
 				e.u64(v)
 			}
@@ -215,13 +220,13 @@ func replySeeds() []replyInput {
 	}
 	return []replyInput{
 		{first: grant()},
-		{first: grant(100, 200, 300)}, // span trailer: chain start, grant, reply enqueue
-		{first: grant(7)},             // a trailer too short to read
-		{first: result(fuzzAcquireID, stOK, nil)},
+		{first: grant(100, 200, 300)},    // span trailer: chain start, grant, reply enqueue
+		{first: grant(7)},                // a trailer too short to read
+		{first: grant(1, 100, 200, 300)}, // v3: fencing token ahead of the span trailer
 		{first: push(stStaleFence), second: grant()},
 		{first: push(stLeaseExpired), second: push(0x77)},
 		{first: result(0, stStaleFence, nil)}, // a push naming no instance
-		{first: frameOf(func(e *enc) { e.u8(opWoundPush); e.i64(1) }), second: result(fuzzAcquireID, stWounded, nil)},
+		{first: frameOf(func(e *enc) { e.u8(opWoundPush); e.i64(1) }), second: result(fuzzAcquireID, 0x01, nil)}, // v3's wounded status, unknown to v4
 		{first: result(fuzzAcquireID, stErr, func(e *enc) { e.str("boom") })},
 		{first: result(fuzzAcquireID, stCancelled, nil)},
 		{first: result(fuzzAcquireID, stLeaseExpired, nil)},

@@ -18,7 +18,7 @@ import (
 // registered from its external test package) covers the blocking
 // semantics shared with the in-process backends. The tests here cover
 // what only the networked backend has: sessions that die, leases that
-// expire, fencing tokens that go stale, and wounds that cross processes.
+// expire, releases that go stale, and wounds that cross processes.
 
 func testDDB(t *testing.T, n int) (*model.DDB, []model.EntityID) {
 	t.Helper()
@@ -69,15 +69,17 @@ func acquire(t *testing.T, c *Client, id int, ent model.EntityID) {
 	}
 }
 
-// fenceOf reads the client's recorded fencing token (white-box).
-func fenceOf(c *Client, ent model.EntityID, id int) (uint64, bool) {
+// fenceOf reads the client's grant record for (ent, id) (white-box):
+// whether the acquire was granted, and whether a record or in-flight mark
+// exists at all.
+func fenceOf(c *Client, ent model.EntityID, id int) (granted, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a, ok := c.fences[fenceRef{ent: ent, key: locktable.InstKey{ID: id}}]
+	a, ok := c.grants[grantRef{ent: ent, key: locktable.InstKey{ID: id}}]
 	if !ok {
-		return 0, false
+		return false, false
 	}
-	return a.fence, true
+	return a.granted, true
 }
 
 // TestKilledConnMidAcquire: a connection dying while its acquire is
@@ -143,6 +145,8 @@ func TestLeaseExpiryWhileHolding(t *testing.T) {
 
 // TestStaleFenceRejected is the fencing acceptance test: a lease-expired
 // holder's late release must not free a lock the server has re-granted.
+// The release names its owner, and the revoke's tombstone for that name
+// rejects it.
 func TestStaleFenceRejected(t *testing.T) {
 	ddb, ents := testDDB(t, 1)
 	e := ents[0]
@@ -151,21 +155,16 @@ func TestStaleFenceRejected(t *testing.T) {
 	next := dial(t, srv, locktable.Config{}, DialOptions{})
 
 	acquire(t, stalled, 1, e)
-	f1, ok := fenceOf(stalled, e, 1)
-	if !ok || f1 == 0 {
-		t.Fatalf("no fencing token recorded for the grant (got %d, %v)", f1, ok)
+	if granted, ok := fenceOf(stalled, e, 1); !ok || !granted {
+		t.Fatalf("no grant recorded for the acquire (granted %v, record %v)", granted, ok)
 	}
 
-	// The lease expires; the lock is re-granted to the next session with a
-	// fresh token.
+	// The lease expires; the lock is re-granted to the next session.
 	acquire(t, next, 2, e)
-	f2, _ := fenceOf(next, e, 2)
-	if f2 <= f1 {
-		t.Fatalf("re-grant fence %d not newer than revoked fence %d", f2, f1)
-	}
 
-	// The stalled holder un-stalls and sends its release — stale token,
-	// rejected, and the re-granted lock stays held.
+	// The stalled holder un-stalls and sends its release — its grant was
+	// revoked, so the release is rejected, and the re-granted lock stays
+	// held.
 	if err := stalled.Release(e, locktable.InstKey{ID: 1}); !errors.Is(err, ErrStaleFence) {
 		t.Fatalf("late release after lease expiry = %v, want ErrStaleFence", err)
 	}
@@ -178,7 +177,7 @@ func TestStaleFenceRejected(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("probe acquired a lock the stale release should not have freed (err=%v)", err)
 	}
-	// The rightful holder's release, with the current token, works.
+	// The rightful holder's release works.
 	if err := next.Release(e, locktable.InstKey{ID: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -304,31 +303,6 @@ func TestHandshakeRejects(t *testing.T) {
 	}
 }
 
-// TestFencingTokensMonotonic: every grant of an entity mints a strictly
-// newer token, across sessions and releases.
-func TestFencingTokensMonotonic(t *testing.T) {
-	ddb, ents := testDDB(t, 1)
-	e := ents[0]
-	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
-	a := dial(t, srv, locktable.Config{}, DialOptions{})
-	b := dial(t, srv, locktable.Config{}, DialOptions{})
-
-	var last uint64
-	for i := 0; i < 3; i++ {
-		for id, c := range map[int]*Client{1: a, 2: b} {
-			acquire(t, c, id, e)
-			f, ok := fenceOf(c, e, id)
-			if !ok || f <= last {
-				t.Fatalf("grant %d/%d fence %d not newer than %d", i, id, f, last)
-			}
-			last = f
-			if err := c.Release(e, locktable.InstKey{ID: id}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
 // TestLeaseRecoveryAfterExpiry: a session that resumes heartbeating after
 // an expiry gets a fresh lease — new acquires work, the old grants stay
 // gone.
@@ -389,12 +363,13 @@ func waitFor(t *testing.T, cond func() bool) {
 // expected in grant-log events) would be half-parsed into silently-
 // exclusive semantics; v2 peers disagree on token-0 releases (a v2 server
 // would reject a v3 client's token-0 release of a held entity as stale
-// and leave the lock held).
+// and leave the lock held); v3 peers frame a fencing token into every
+// grant reply and release that v4 dropped.
 func TestHandshakeRejectsStaleProtocolVersion(t *testing.T) {
 	ddb, _ := testDDB(t, 2)
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
 
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		nc, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)

@@ -145,66 +145,7 @@ func TestCloseFailsRacingOpsDeterministically(t *testing.T) {
 	}
 }
 
-// TestWoundMidChainNoOrphanGrants: a wound that lands while an instance's
-// pipelined chain is mid-flight — one acquire parked in the table, a
-// successor still chain-queued on the server — must fail BOTH joinable
-// completions with ErrWounded and must not let the queued successor slip
-// into the table afterwards. Conservation: nothing the wounded chain
-// touched stays granted, so a fresh instance acquires every entity.
-func TestWoundMidChainNoOrphanGrants(t *testing.T) {
-	ddb, ents := testDDB(t, 3)
-	x, y, z := ents[0], ents[1], ents[2]
-	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
-	blocker := dial(t, srv, locktable.Config{}, DialOptions{})
-	victim := dial(t, srv, locktable.Config{}, DialOptions{})
-
-	acquire(t, blocker, 1, x)
-
-	// The victim's chain: Y is granted, X parks behind the blocker, Z
-	// queues server-side behind X (same instance ⇒ same chain).
-	vi := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
-	cy := victim.AcquireAsync(vi, y, locktable.Exclusive)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := cy.Wait(ctx); err != nil {
-		t.Fatalf("chain head acquire(Y) = %v", err)
-	}
-	cx := victim.AcquireAsync(vi, x, locktable.Exclusive)
-	cz := victim.AcquireAsync(vi, z, locktable.Exclusive)
-	// Wait until the X request is parked in the table (the wait edge is
-	// visible), so the wound provably lands mid-chain: X in the table, Z
-	// still chain-queued behind it.
-	waitFor(t, func() bool { return len(victim.Snapshot()) == 1 })
-
-	victim.Wound(locktable.InstKey{ID: 2})
-
-	if err := cx.Wait(ctx); !errors.Is(err, locktable.ErrWounded) {
-		t.Fatalf("parked acquire(X) after wound = %v, want ErrWounded", err)
-	}
-	if err := cz.Wait(ctx); !errors.Is(err, locktable.ErrWounded) {
-		t.Fatalf("chain-queued acquire(Z) after wound = %v, want ErrWounded", err)
-	}
-	// The wounded session aborts: release what it still holds (Y; the
-	// wound withdrew X and Z before any grant).
-	if err := victim.Release(y, locktable.InstKey{ID: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := blocker.Release(x, locktable.InstKey{ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Conservation: no orphan grants anywhere — a fresh instance takes
-	// all three entities immediately.
-	probe := dial(t, srv, locktable.Config{}, DialOptions{})
-	for _, e := range []model.EntityID{x, y, z} {
-		acquire(t, probe, 9, e)
-	}
-	if edges := probe.Snapshot(); len(edges) != 0 {
-		t.Fatalf("wait edges left behind a wounded chain: %v", edges)
-	}
-}
-
-// TestFireAndForgetFailureScopedToInstance: a stale-fence push for one
+// TestFireAndForgetFailureScopedToInstance: a stale-release push for one
 // instance's fire-and-forget release fails that instance's join only. Once
 // the lease is renewed, another instance's release on the same client
 // joins clean — the failure is not a connection-wide latch — and the
@@ -266,9 +207,9 @@ func TestFireAndForgetFailureScopedToInstance(t *testing.T) {
 }
 
 // TestPipelinedChainHappyPath: a depth-K pipelined chain over one
-// connection resolves every completion in submission order with the
-// right fencing behavior — joins after the fact see the grants, and the
-// piped releases leave the table empty.
+// connection resolves every completion in submission order — joins after
+// the fact see the grants recorded, and the piped releases leave the
+// table empty.
 func TestPipelinedChainHappyPath(t *testing.T) {
 	ddb, ents := testDDB(t, 6)
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
@@ -285,8 +226,8 @@ func TestPipelinedChainHappyPath(t *testing.T) {
 		if err := comp.Wait(ctx); err != nil {
 			t.Fatalf("pipelined acquire %d = %v", i, err)
 		}
-		if f, ok := fenceOf(c, ents[i], 3); !ok || f == 0 {
-			t.Fatalf("no fencing token after joined acquire %d", i)
+		if granted, ok := fenceOf(c, ents[i], 3); !ok || !granted {
+			t.Fatalf("no grant recorded after joined acquire %d", i)
 		}
 	}
 	rels := make([]locktable.Completion, len(ents))
@@ -305,9 +246,10 @@ func TestPipelinedChainHappyPath(t *testing.T) {
 	}
 }
 
-// Token-0 releases: a pipelined release may ship before its own acquire's
-// ack, naming "the grant my acquire records" instead of a fencing token.
-// These tests pin how the server resolves one and what the client books.
+// Token-0 releases (the name predates protocol v4, when such a release
+// carried fencing token 0): a release shipped before its own acquire's
+// ack, naming "the grant my acquire records". These tests pin how the
+// server resolves one and what the client books.
 
 // noRecord reports whether the client holds neither a grant record nor an
 // in-flight mark for (ent, id) (white-box).
@@ -331,7 +273,7 @@ func TestTokenZeroReleaseBehindParkedAcquire(t *testing.T) {
 	inst := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
 	acq := c.AcquireAsync(inst, x, locktable.Exclusive)
 	waitFor(t, func() bool { return len(holder.Snapshot()) == 1 }) // parked
-	rel := c.ReleaseAsync(x, inst.Key)                             // token 0, chained behind it
+	rel := c.ReleaseAsync(x, inst.Key)                             // shipped early, chained behind it
 	if err := holder.Release(x, locktable.InstKey{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -362,11 +304,12 @@ func TestTokenZeroReleaseBehindParkedAcquire(t *testing.T) {
 }
 
 // TestTokenZeroReleaseAfterLeaseRevokeIsStale: a lease revoked between a
-// grant and its token-0 release leaves a tombstone, so the release is
-// rejected as stale — acked or fire-and-forget — instead of passing for
-// the no-op of a failed acquire. Without it, a lease lost mid-transaction
-// would commit clean. Every tombstone is consumed by the first release or
-// withdraw naming its grant, so none outlives the transaction.
+// grant and its release leaves a tombstone, so the release is rejected as
+// stale — joined before the revoke or shipped early, acked or
+// fire-and-forget — instead of passing for the no-op of a failed acquire.
+// Without it, a lease lost mid-transaction would commit clean. Every
+// tombstone is consumed by the first release naming its grant, so none
+// outlives the transaction.
 func TestTokenZeroReleaseAfterLeaseRevokeIsStale(t *testing.T) {
 	ddb, ents := testDDB(t, 3)
 	x, y, z := ents[0], ents[1], ents[2]
@@ -380,8 +323,8 @@ func TestTokenZeroReleaseAfterLeaseRevokeIsStale(t *testing.T) {
 	ay := c.AcquireAsync(iy, y, locktable.Exclusive)
 	waitFor(t, func() bool { return srv.TableMetrics().Snapshot().Grants == 3 }) // all granted
 	waitFor(t, func() bool { return srv.Metrics().LeaseExpiries.Load() >= 1 })   // and revoked
-	if c.Withdraw(z, locktable.InstKey{ID: 3}) {
-		t.Fatal("withdraw of a revoked grant reported it held")
+	if err := c.Release(z, locktable.InstKey{ID: 3}); !errors.Is(err, ErrStaleFence) {
+		t.Fatalf("release of a revoked joined grant = %v, want ErrStaleFence", err)
 	}
 	rx := c.ReleaseAsyncAcked(x, ix.Key)
 	ry := c.ReleaseAsync(y, iy.Key)
@@ -391,7 +334,7 @@ func TestTokenZeroReleaseAfterLeaseRevokeIsStale(t *testing.T) {
 	if err := rx.Wait(ctx); !errors.Is(err, ErrStaleFence) {
 		t.Fatalf("acked token-0 release after revoke = %v, want ErrStaleFence", err)
 	}
-	waitFor(t, func() bool { return c.Metrics().FenceRejections.Load() == 2 }) // the push landed
+	waitFor(t, func() bool { return c.Metrics().FenceRejections.Load() == 3 }) // the push landed
 	if err := ry.Wait(ctx); !errors.Is(err, ErrStaleFence) {
 		t.Fatalf("fire-and-forget token-0 release after revoke = %v, want ErrStaleFence", err)
 	}
@@ -400,8 +343,8 @@ func TestTokenZeroReleaseAfterLeaseRevokeIsStale(t *testing.T) {
 			t.Fatalf("acquire granted before the revoke = %v", err)
 		}
 	}
-	if n := srv.Metrics().FenceRejections.Load(); n != 2 {
-		t.Fatalf("server counted %d fence rejections, want 2", n)
+	if n := srv.Metrics().FenceRejections.Load(); n != 3 {
+		t.Fatalf("server counted %d fence rejections, want 3", n)
 	}
 	if held := c.TableMetrics().Snapshot().Held; held != 0 {
 		t.Fatalf("client books %d held", held)
@@ -416,13 +359,13 @@ func TestTokenZeroReleaseAfterLeaseRevokeIsStale(t *testing.T) {
 		n := len(sc.tombs)
 		sc.mu.Unlock()
 		if n != 0 {
-			t.Fatalf("server kept %d tombstones after every revoked grant was released or withdrawn", n)
+			t.Fatalf("server kept %d tombstones after every revoked grant was released", n)
 		}
 	}
 }
 
 // TestCancelledAcquireWithChainedTokenZeroRelease: withdrawing a parked
-// acquire whose token-0 release is already chained behind it leaves the
+// acquire whose early release is already chained behind it leaves the
 // release the silent no-op — no fence rejection on either side — and the
 // client with no mark, while the foreign holder keeps its lock.
 func TestCancelledAcquireWithChainedTokenZeroRelease(t *testing.T) {

@@ -22,21 +22,19 @@
 //     granted locks are released to their next waiters.
 //
 //   - Fencing. Revocation alone is not enough: a revoked holder's release,
-//     already in flight (or sent after the holder un-stalls), could free a
-//     lock the server has since re-granted to someone else. Every grant
-//     therefore carries a fencing token from a per-entity counter bumped on
-//     each grant, releases must present the token they were granted, and a
-//     stale token is rejected (ErrStaleFence) — a lease-expired holder's
-//     late release can never free a re-granted lock. A pipelined release
-//     may ship before its own acquire's ack, carrying token 0: "the grant
-//     this instance's earlier acquire of this entity recorded on this
-//     connection". The server resolves it in the instance's wire order,
-//     so the acquire has resolved by then: a recorded grant is released,
-//     no record is the no-op of an acquire that failed or was withdrawn.
-//     A lease expiry leaves a tombstone per revoked grant, and the first
-//     release naming that (entity, instance) — token 0 or not — consumes
-//     it as ErrStaleFence, so a lease lost mid-transaction still fails
-//     the instance's commit.
+//     already in flight (or sent after the holder un-stalls), must not
+//     free a lock the server has since re-granted to someone else. A
+//     release names its owner — (connection, entity, instance key), no
+//     grant number — and the server frees the grant record that name
+//     has: composed keys are never reused and a template locks each
+//     entity once per epoch, so one name has at most one record, and the
+//     release runs behind the instance's earlier acquires in wire order
+//     (chained while one is in flight), so the record it meets is its
+//     own acquire's. No record is the no-op of an acquire that failed or
+//     was withdrawn. A lease expiry leaves a tombstone per revoked grant,
+//     and the first release naming that grant consumes it as
+//     ErrStaleFence, so a lost lease fails the instance's commit and a
+//     late release frees nothing. DESIGN.md "Fencing" has the argument.
 //
 //   - Server-push wound delivery. Under wound-wait the grant path decides
 //     to wound a holder that may live in another process: the server pushes
@@ -76,7 +74,12 @@ import (
 //	    expiry leaves tombstones that fail the next release. A v2 server
 //	    would treat a token-0 release of a held entity as stale and leave
 //	    the lock held, so the handshake rejects the mismatch.
-const protocolVersion = 3
+//	4 — no fencing token: a release names its owner only, and an
+//	    unsampled grant reply has no payload. The withdraw (0x06) and
+//	    wound (0x07) requests and the wounded status (0x01) are gone,
+//	    their values not reused. A v3 peer would mis-frame every release
+//	    and grant, so the handshake rejects it.
+const protocolVersion = 4
 
 // maxFrame bounds a frame body; larger frames indicate a corrupt stream.
 const maxFrame = 16 << 20
@@ -87,10 +90,8 @@ const (
 	opHello      = 0x01 // version, woundWait, trace, ddb hash
 	opAcquire    = 0x02 // reqID, inst key, prio, entity, mode
 	opCancel     = 0x03 // reqID of the in-flight acquire to withdraw
-	opRelease    = 0x04 // reqID, entity, inst key, fencing token (0: the instance's own in-flight grant)
-	opReleaseAll = 0x05 // reqID, inst key, n × (entity, fencing token)
-	opWithdraw   = 0x06 // reqID, entity, inst key
-	opWound      = 0x07 // reqID, inst key
+	opRelease    = 0x04 // reqID, entity, inst key
+	opReleaseAll = 0x05 // reqID, inst key, n × entity
 	opSnapshot   = 0x08 // reqID
 	opGrantLog   = 0x09 // reqID
 	opHeartbeat  = 0x0a // reqID (renews the lease)
@@ -102,19 +103,19 @@ const (
 // Result statuses.
 const (
 	stOK           = 0x00
-	stWounded      = 0x01 // acquire: withdrawn by a wound
 	stStopped      = 0x02 // server shutting down
 	stCancelled    = 0x03 // acquire: withdrawn by the client's cancel
-	stStaleFence   = 0x04 // release: fencing token no longer current
+	stStaleFence   = 0x04 // release: its grant was revoked by a lease expiry
 	stLeaseExpired = 0x05 // acquire/release: the connection's lease was revoked
 	stErr          = 0x06 // payload: error string
 )
 
-// ErrStaleFence is returned by Release when the presented fencing token is
-// no longer the entity's current grant: the holder's lease expired and the
-// lock was revoked (and possibly re-granted) in the meantime. The release
-// did not free anything.
-var ErrStaleFence = errors.New("netlock: stale fencing token (lease expired; lock revoked)")
+// ErrStaleFence is returned by a release whose grant is no longer the
+// session's: the holder's lease expired and the lock was revoked (and
+// possibly re-granted) in the meantime. The release did not free anything.
+// (The name predates protocol v4, when releases still carried a fencing
+// token.)
+var ErrStaleFence = errors.New("netlock: stale release (lease expired; lock revoked)")
 
 // ErrLeaseExpired is returned by a blocked Acquire when the server revoked
 // the connection's lease while the request waited: the request was

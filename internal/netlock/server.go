@@ -37,7 +37,8 @@ type ServerOptions struct {
 
 // Server hosts one in-process lock table for remote clients. Each accepted
 // connection is a session: its instance keys are namespaced by connection,
-// its grants carry fencing tokens, and its lease is renewed by heartbeats.
+// its releases name the grant records they free, and its lease is renewed
+// by heartbeats.
 // Create with NewServer, serve with Serve, stop with Close.
 type Server struct {
 	ddb    *model.DDB
@@ -57,9 +58,6 @@ type Server struct {
 	conns    map[uint32]*srvConn
 	preConns map[net.Conn]struct{} // accepted, not yet past the handshake
 
-	fenceMu sync.Mutex
-	fences  map[model.EntityID]uint64 // per-entity fencing counter
-
 	traceMu sync.Mutex
 	trace   []locktable.GrantEvent // composed IDs; translated per querying conn
 
@@ -73,21 +71,22 @@ type Server struct {
 	spans *obs.SpanRing
 }
 
-// grantRef identifies one recorded grant of a connection.
+// grantRef names one grant record: (entity, instance key). The server
+// keys a connection's records by the composed instance key, the client
+// keys its own by client numbering.
 type grantRef struct {
 	ent model.EntityID
-	key locktable.InstKey // composed
+	key locktable.InstKey
 }
 
 // pendingAcq is one in-flight acquire of a connection: either blocked in
 // the inner table's Acquire or still queued in its instance's pipeline
-// chain, plus the flags the cancel, wound, and revoke paths set under the
+// chain, plus the flags the cancel and revoke paths set under the
 // connection mutex.
 type pendingAcq struct {
 	cancel    context.CancelFunc
 	cancelled bool // client sent opCancel
 	revoked   bool // lease expiry withdrew the request
-	wounded   bool // opWound swept the request while chain-queued
 }
 
 // chainItem is one operation waiting its turn in an instance's pipeline
@@ -100,8 +99,8 @@ type pendingAcq struct {
 // granted — a schedule the certificate never admitted. Release items
 // carry no pendingAcq and no context: they cannot block (the hosted
 // table's Release never waits) and are executed unconditionally — even
-// after a wound or revoke sweep, when freeing the entity (or learning
-// the fence went stale) is exactly what must still happen.
+// after a revoke sweep, when learning the grant went stale is exactly
+// what must still happen.
 type chainItem struct {
 	reqID uint64
 	acq   *pendingAcq
@@ -111,7 +110,6 @@ type chainItem struct {
 	ent   model.EntityID
 	mode  locktable.Mode
 	rel   bool
-	fence uint64    // release items only
 	sp    *obs.Span // non-nil iff the client sampled this acquire
 }
 
@@ -145,8 +143,8 @@ type srvConn struct {
 	mu        sync.Mutex // guards the fields below; never held around table calls
 	acquires  map[uint64]*pendingAcq
 	chains    map[locktable.InstKey]*acqChain
-	grants    map[grantRef]uint64   // recorded grant -> fencing token
-	tombs     map[grantRef]struct{} // grants a lease expiry revoked, until a release, withdraw or re-grant (see revoke)
+	grants    map[grantRef]struct{} // recorded grants
+	tombs     map[grantRef]struct{} // grants a lease expiry revoked, until a release or re-grant (see revoke)
 	closed    bool
 	leaseLost bool
 
@@ -189,7 +187,6 @@ func NewServer(ddb *model.DDB, cfg locktable.Config, opts ServerOptions) (*Serve
 		stop:     make(chan struct{}),
 		conns:    map[uint32]*srvConn{},
 		preConns: map[net.Conn]struct{}{},
-		fences:   map[model.EntityID]uint64{},
 		tm:       cfg.Metrics,
 		wm:       obs.NewWireMetrics(),
 		spans:    obs.NewSpanRing(256),
@@ -319,16 +316,6 @@ func (s *Server) handshakeTimeout() time.Duration {
 	return 5 * time.Second
 }
 
-// nextFence bumps and returns the entity's fencing counter. Called at
-// grant-record time, which is the serialization point release validity is
-// checked against.
-func (s *Server) nextFence(ent model.EntityID) uint64 {
-	s.fenceMu.Lock()
-	defer s.fenceMu.Unlock()
-	s.fences[ent]++
-	return s.fences[ent]
-}
-
 // sweeper revokes the lease of every connection silent past the lease
 // window. The connection itself stays open — a later heartbeat starts a
 // fresh lease — but its grants and pending acquires do not survive.
@@ -362,9 +349,9 @@ func (s *Server) sweeper() {
 // recorded grants — the lease-expiry and disconnect path. With
 // disconnect=false the connection survives (lease-lost until the next
 // heartbeat) and every grant taken leaves a tombstone: the first release
-// naming it is rejected as stale whatever its token, and a new grant of
-// the same ref clears it (see releaseComposed, recordGrant). With
-// disconnect=true it is being torn down, and nobody is left to release.
+// naming it is rejected as stale, and a new grant of the same ref clears
+// it (see releaseComposed, recordGrant). With disconnect=true it is being
+// torn down, and nobody is left to release.
 func (s *Server) revoke(c *srvConn, disconnect bool) {
 	c.mu.Lock()
 	if c.leaseLost && !disconnect {
@@ -389,7 +376,7 @@ func (s *Server) revoke(c *srvConn, disconnect bool) {
 			c.tombs[ref] = struct{}{}
 		}
 	}
-	c.grants = map[grantRef]uint64{}
+	c.grants = map[grantRef]struct{}{}
 	c.mu.Unlock()
 	if expired {
 		s.wm.LeaseExpiries.Inc()
@@ -568,11 +555,11 @@ func (s *Server) replyWriter(c *srvConn) {
 // scratch space recycles immediately. This is the per-op hot path;
 // variable payloads (snapshot, grant log) grow the scratch normally.
 //
-// A sampled grant (sp non-nil) grows the reply by a 24-byte trailer —
-// chain-start, grant, and reply-enqueue offsets as ns deltas from server
-// receipt — which the client re-anchors into its own timeline (deltas,
-// never wall clocks, so host skew is irrelevant). It needed no version
-// bump because the grant decoder ignores leftover bytes.
+// An unsampled grant reply has no payload. A sampled one (sp non-nil)
+// carries a 24-byte trailer — chain-start, grant, and reply-enqueue
+// offsets as ns deltas from server receipt — which the client re-anchors
+// into its own timeline (deltas, never wall clocks, so host skew is
+// irrelevant).
 func (c *srvConn) result(reqID uint64, status byte, sp *obs.Span, payload func(*enc)) {
 	e := encPool.Get().(*enc)
 	e.b = e.b[:0]
@@ -707,7 +694,7 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader) (*srvConn, error) {
 		net:         nc,
 		acquires:    map[uint64]*pendingAcq{},
 		chains:      map[locktable.InstKey]*acqChain{},
-		grants:      map[grantRef]uint64{},
+		grants:      map[grantRef]struct{}{},
 		ctx:         ctx,
 		cancel:      cancel,
 		outWake:     make(chan struct{}, 1),
@@ -789,7 +776,6 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 	case opRelease:
 		ent := model.EntityID(d.i64())
 		key := d.key()
-		fence := d.u64()
 		if d.err != nil {
 			return d.err
 		}
@@ -798,97 +784,37 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 		if ch := c.chains[composed]; ch != nil {
 			// The instance still has acquires in flight: the release takes
 			// its place in the chain behind them, so it executes in program
-			// order (see chainItem) — and a token-0 release finds the grant
-			// its own acquire recorded. The no-chain case below is ordered
-			// by the wire itself — an empty chain means every earlier
-			// acquire of this instance already resolved.
-			ch.q = append(ch.q, &chainItem{reqID: reqID, key: composed, ent: ent, fence: fence, rel: true})
+			// order (see chainItem) — and a release shipped before its
+			// acquire's ack finds the grant that acquire recorded. The
+			// no-chain case below is ordered by the wire itself — an empty
+			// chain means every earlier acquire of this instance already
+			// resolved.
+			ch.q = append(ch.q, &chainItem{reqID: reqID, key: composed, ent: ent, rel: true})
 			c.mu.Unlock()
 			return nil
 		}
 		c.mu.Unlock()
-		s.execRelease(c, reqID, composed, ent, fence)
+		s.execRelease(c, reqID, composed, ent)
 		return nil
 
 	case opReleaseAll:
 		key := d.key()
 		n := int(d.u32())
-		if d.err != nil || n > len(d.b)/16 {
+		if d.err != nil || n > len(d.b)/8 {
 			// The count comes off the wire: reject a count the frame cannot
-			// hold (16 bytes per entry) before allocating for it.
+			// hold (8 bytes per entity) before acting on any entry.
 			return fmt.Errorf("netlock: malformed release-all frame")
 		}
-		type rel struct {
-			ent   model.EntityID
-			fence uint64
-		}
-		rels := make([]rel, 0, n)
-		for i := 0; i < n; i++ {
-			rels = append(rels, rel{model.EntityID(d.i64()), d.u64()})
-		}
-		if d.err != nil {
-			return d.err
-		}
+		composed := composeKey(c.id, key)
 		stale := uint32(0)
-		for _, r := range rels {
+		for i := 0; i < n; i++ {
 			// Stale entries are not ours to free, but the client is told
 			// how many were skipped so the abort path can surface them.
-			if s.release(c, r.ent, key, r.fence) != stOK {
+			if s.releaseComposed(c, model.EntityID(d.i64()), composed) != stOK {
 				stale++
 			}
 		}
 		c.result(reqID, stOK, nil, func(e *enc) { e.u32(stale) })
-		return nil
-
-	case opWithdraw:
-		ent := model.EntityID(d.i64())
-		key := d.key()
-		if d.err != nil {
-			return d.err
-		}
-		composed := composeKey(c.id, key)
-		ref := grantRef{ent: ent, key: composed}
-		c.mu.Lock()
-		_, held := c.grants[ref]
-		if held {
-			delete(c.grants, ref)
-		}
-		// A withdraw of a revoked grant consumes its tombstone: composed
-		// keys are never reused, so nothing else would.
-		delete(c.tombs, ref)
-		c.mu.Unlock()
-		if held {
-			s.tab.Release(ent, composed)
-		}
-		c.result(reqID, stOK, nil, func(e *enc) { e.boolean(held) })
-		return nil
-
-	case opWound:
-		key := d.key()
-		if d.err != nil {
-			return d.err
-		}
-		composed := composeKey(c.id, key)
-		// A wound must fail the attempt's chain-queued acquires too: the
-		// inner table's Wound only sees requests that have entered it, but
-		// a pipelined chain may still be holding its successors back here.
-		// Swept items answer stWounded without ever touching the table, so
-		// a wound mid-chain can never leak a post-wound grant.
-		c.mu.Lock()
-		if ch := c.chains[composed]; ch != nil {
-			for _, it := range ch.q {
-				if it.rel {
-					continue // releases still execute; only acquires are swept
-				}
-				if !it.acq.cancelled && !it.acq.revoked {
-					it.acq.wounded = true
-				}
-				it.acq.cancel()
-			}
-		}
-		c.mu.Unlock()
-		s.tab.Wound(composed)
-		c.result(reqID, stOK, nil, nil)
 		return nil
 
 	case opSnapshot:
@@ -922,57 +848,46 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 	}
 }
 
-// release validates the fencing token and frees the entity. The recorded
-// grant is the authority: a release frees it when it presents the grant's
-// token, or token 0 — "whatever my earlier acquire of this entity
-// recorded", sent by a pipelined client before that acquire's ack
-// returned, and resolved here in the instance's wire order. No record
-// means the session does not hold the entity *now*: a token-0 release
-// then names an acquire that failed or was withdrawn (the silent no-op,
-// stOK), while a real token, or a lease-expiry tombstone for the ref,
+// releaseComposed frees the grant record the release names — the record
+// its own acquire left, since the release runs behind that acquire in the
+// instance's wire order (DESIGN.md "Fencing"). No record means the session
+// does not hold the entity *now*: a lease-expiry tombstone for the name
 // means the grant was revoked (stStaleFence, reported so a late release
-// can see it did not free anything).
-func (s *Server) release(c *srvConn, ent model.EntityID, key locktable.InstKey, fence uint64) byte {
-	return s.releaseComposed(c, ent, composeKey(c.id, key), fence)
-}
-
-func (s *Server) releaseComposed(c *srvConn, ent model.EntityID, composed locktable.InstKey, fence uint64) byte {
+// can see it did not free anything, and consumed), and otherwise the
+// release names an acquire that failed or was withdrawn (the silent
+// no-op, stOK).
+func (s *Server) releaseComposed(c *srvConn, ent model.EntityID, composed locktable.InstKey) byte {
 	ref := grantRef{ent: ent, key: composed}
 	c.mu.Lock()
-	cur, held := c.grants[ref]
-	if held && (fence == 0 || cur == fence) {
+	if _, held := c.grants[ref]; held {
 		delete(c.grants, ref)
 		c.mu.Unlock()
 		s.tab.Release(ent, composed)
 		return stOK
 	}
 	_, tomb := c.tombs[ref]
-	if tomb {
-		delete(c.tombs, ref)
-	}
+	delete(c.tombs, ref)
 	c.mu.Unlock()
-	if fence == 0 && !held && !tomb {
+	if !tomb {
 		return stOK
 	}
 	s.wm.FenceRejections.Inc()
 	return stStaleFence
 }
 
-// recordGrant records a granted acquire under c.mu: it mints the fencing
-// token, clears a lease-expiry tombstone left for the same ref, and logs
-// the grant. A duplicate acquire by the current holder keeps its token —
-// the inner table granted nothing new, so nothing is minted or logged.
-// Logging inside the critical section that records the grant keeps
-// per-entity trace order equal to grant order: every release path
-// happens-after the append (a real token needs the grant reply, a token-0
-// release runs behind its acquire in wire order, and revocation reads
-// c.grants under this mutex).
-func (s *Server) recordGrant(c *srvConn, ref grantRef, mode locktable.Mode) uint64 {
-	if fence, dup := c.grants[ref]; dup {
-		return fence
+// recordGrant records a granted acquire under c.mu: it clears a
+// lease-expiry tombstone left for the same ref and logs the grant. A
+// duplicate acquire by the current holder records and logs nothing — the
+// inner table granted nothing new. Logging inside the critical section
+// that records the grant keeps per-entity trace order equal to grant
+// order: every release path happens-after the append (a release runs
+// behind its acquire in wire order, and revocation reads c.grants under
+// this mutex).
+func (s *Server) recordGrant(c *srvConn, ref grantRef, mode locktable.Mode) {
+	if _, dup := c.grants[ref]; dup {
+		return
 	}
-	fence := s.nextFence(ref.ent)
-	c.grants[ref] = fence
+	c.grants[ref] = struct{}{}
 	if len(c.tombs) > 0 {
 		delete(c.tombs, ref)
 	}
@@ -981,7 +896,6 @@ func (s *Server) recordGrant(c *srvConn, ref grantRef, mode locktable.Mode) uint
 		s.trace = append(s.trace, locktable.GrantEvent{Entity: ref.ent, Inst: ref.key.ID, Epoch: ref.key.Epoch, Mode: mode})
 		s.traceMu.Unlock()
 	}
-	return fence
 }
 
 // execRelease frees the entity and replies under the release reply
@@ -991,8 +905,8 @@ func (s *Server) recordGrant(c *srvConn, ref grantRef, mode locktable.Mode) uint
 // the instance (client numbering) in trailing bytes — the client records
 // it for that instance's commit alone. Shared by the inline path and the
 // chain worker.
-func (s *Server) execRelease(c *srvConn, reqID uint64, composed locktable.InstKey, ent model.EntityID, fence uint64) {
-	st := s.releaseComposed(c, ent, composed, fence)
+func (s *Server) execRelease(c *srvConn, reqID uint64, composed locktable.InstKey, ent model.EntityID) {
+	st := s.releaseComposed(c, ent, composed)
 	if reqID != 0 {
 		c.result(reqID, st, nil, nil)
 	} else if st != stOK {
@@ -1011,7 +925,7 @@ func (s *Server) execRelease(c *srvConn, reqID uint64, composed locktable.InstKe
 // (which assumed program order) still rules out deadlock. Distinct
 // instances' chains run fully concurrently, each as one server-side
 // worker goroutine blocked in the inner table with a per-request context
-// the cancel, wound, and revoke paths fire. The mode travels to the inner
+// the cancel and revoke paths fire. The mode travels to the inner
 // table untouched: grant compatibility (concurrent readers, writer
 // exclusion, queue fairness) is entirely the hosted table's decision, so
 // remote and in-process sessions blocking on one entity obey one
@@ -1072,9 +986,9 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, p
 					}
 					return
 				}
-				fence := s.recordGrant(c, grantRef{ent: ent, key: composed}, mode)
+				s.recordGrant(c, grantRef{ent: ent, key: composed}, mode)
 				c.mu.Unlock()
-				c.result(reqID, stOK, sp, func(e *enc) { e.u64(fence) })
+				c.result(reqID, stOK, sp, nil)
 				return
 			}
 		}
@@ -1091,8 +1005,8 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, p
 		c.result(reqID, stLeaseExpired, nil, nil)
 		return
 	}
-	// Registered before it runs: opCancel, opWound, and revocation must
-	// reach an acquire that is still waiting its turn in the chain.
+	// Registered before it runs: opCancel and revocation must reach an
+	// acquire that is still waiting its turn in the chain.
 	c.acquires[reqID] = acq
 	if ch, running := c.chains[composed]; running {
 		ch.q = append(ch.q, it)
@@ -1139,7 +1053,7 @@ func (a *acqCtx) Err() error {
 func (s *Server) runChain(c *srvConn, composed locktable.InstKey, it *chainItem) {
 	for {
 		if it.rel {
-			s.execRelease(c, it.reqID, it.key, it.ent, it.fence)
+			s.execRelease(c, it.reqID, it.key, it.ent)
 		} else {
 			s.execAcquire(c, it)
 		}
@@ -1157,25 +1071,23 @@ func (s *Server) runChain(c *srvConn, composed locktable.InstKey, it *chainItem)
 }
 
 // execAcquire runs one chain item to its reply. An item that was
-// cancelled, wounded, or revoked while queued answers without entering
-// the inner table — the request never existed as far as the lock space is
-// concerned, so a wound mid-chain cannot leak a post-wound grant.
+// cancelled or revoked while queued answers without entering the inner
+// table — the request never existed as far as the lock space is
+// concerned. The hosted table gets no Doomed channel, so it never answers
+// ErrWounded: a wound reaches a parked remote acquire as the client's
+// cancel.
 func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	reqID, acq, composed, ent := it.reqID, it.acq, it.key, it.ent
 	defer acq.cancel()
 	c.mu.Lock()
-	if acq.cancelled || acq.wounded || acq.revoked || c.closed {
+	if acq.cancelled || acq.revoked || c.closed {
 		delete(c.acquires, reqID)
-		cancelled, wounded, dead := acq.cancelled, acq.wounded, c.closed
+		cancelled, dead := acq.cancelled, c.closed
 		c.mu.Unlock()
-		if dead {
-			return
-		}
 		switch {
+		case dead:
 		case cancelled:
 			c.result(reqID, stCancelled, nil, nil)
-		case wounded:
-			c.result(reqID, stWounded, nil, nil)
 		default: // revoked
 			c.result(reqID, stLeaseExpired, nil, nil)
 		}
@@ -1193,37 +1105,25 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	// releases it) — never a gap.
 	c.mu.Lock()
 	delete(c.acquires, reqID)
-	cancelled, wounded, revoked, dead := acq.cancelled, acq.wounded, acq.revoked, c.closed
-	var fence uint64
-	if err == nil && !cancelled && !wounded && !revoked && !dead {
-		fence = s.recordGrant(c, grantRef{ent: ent, key: composed}, it.mode)
+	cancelled, revoked, dead := acq.cancelled, acq.revoked, c.closed
+	recorded := err == nil && !cancelled && !revoked && !dead
+	if recorded {
+		s.recordGrant(c, grantRef{ent: ent, key: composed}, it.mode)
 	}
 	c.mu.Unlock()
-	if err == nil && fence == 0 {
-		// A grant raced a cancel, a wound, a revoke, or the teardown: give
-		// it back before answering.
+	if err == nil && !recorded {
+		// A grant raced a cancel, a revoke, or the teardown: give it back
+		// before answering.
 		s.tab.Release(ent, composed)
 	}
-	if dead {
-		return
-	}
 	switch {
-	case err == nil && fence != 0:
-		c.result(reqID, stOK, it.sp, func(e *enc) { e.u64(fence) })
-	case err == nil && cancelled:
-		c.result(reqID, stCancelled, nil, nil)
-	case err == nil && wounded:
-		c.result(reqID, stWounded, nil, nil)
-	case err == nil: // revoked
-		c.result(reqID, stLeaseExpired, nil, nil)
-	case errors.Is(err, locktable.ErrWounded):
-		c.result(reqID, stWounded, nil, nil)
+	case dead:
+	case recorded:
+		c.result(reqID, stOK, it.sp, nil)
 	case errors.Is(err, locktable.ErrStopped):
 		c.result(reqID, stStopped, nil, nil)
 	case cancelled:
 		c.result(reqID, stCancelled, nil, nil)
-	case wounded:
-		c.result(reqID, stWounded, nil, nil)
 	case revoked:
 		c.result(reqID, stLeaseExpired, nil, nil)
 	default:

@@ -30,7 +30,9 @@ type TableMetrics struct {
 	// Releases counts every actual un-hold (releases of nothing are
 	// no-ops and not counted). Grants − Releases = locks currently held.
 	Releases StripedCounter
-	// Wounds counts parked requests removed by wound delivery.
+	// Wounds counts wound decisions: each OnWound call the table's
+	// wound-wait grant path makes (a netlock client counts each wound the
+	// server pushed to it).
 	Wounds Counter
 	// QueueDepth samples the wait-queue length observed by each request
 	// at park time — the contention a slow-path faller actually met.
@@ -103,7 +105,9 @@ type WireMetrics struct {
 	// heartbeats (server side), or expiries surfaced to callers (client
 	// and cluster side).
 	LeaseExpiries Counter
-	// FenceRejections counts releases rejected for a stale fencing token.
+	// FenceRejections counts releases rejected as stale: their grant was
+	// revoked by a lease expiry. (The name predates netlock protocol v4,
+	// when releases still carried a fencing token.)
 	FenceRejections Counter
 	// InFlight is the current number of unacknowledged requests (the
 	// pipeline depth); PipelineDepth samples it at each submission.
