@@ -493,8 +493,8 @@ func (s *Session) Unlock(ent model.EntityID) error {
 // ones keep the receipt-free release (see EngineOptions.PipelineDepth).
 //
 // A pipelined session does not wait for any in-flight acquire either, not
-// even the one of the entity it unlocks: the release then names "the grant
-// my acquire records" instead of a fencing token (netlock's token 0), and
+// even the one of the entity it unlocks: the release names its owner
+// (instance and entity) and frees the grant that acquire records, so
 // ordering it behind that acquire — and behind the instance's other
 // in-flight ones — is the table's job, not the session's: the netlock
 // server runs the instance's operations in wire order (program order on

@@ -215,8 +215,8 @@ type LockService struct {
 	// regMu serializes Register/RegisterBatch end to end (validate, admit,
 	// pin) so concurrent registrations of one name cannot race past the
 	// duplicate check. Admission itself is serialized by the admission
-	// service; this adds no contention to the session path, which only
-	// takes mu.
+	// service; this adds no contention to the session path, which takes
+	// only mu, and only to look a class up.
 	regMu sync.Mutex
 
 	mu      sync.Mutex
@@ -225,22 +225,18 @@ type LockService struct {
 	done    chan struct{}
 }
 
-// svcClass is one registered class pinned to its tier.
+// svcClass is one registered class pinned to its tier. On the certified
+// tier, slots is the multiplicity semaphore and state one atomic word: the
+// live-session count, plus the departed bit once Deregister has removed
+// the class. Begin's slot step, Commit and Abort take no service mu.
 type svcClass struct {
 	txn       *model.Transaction
 	certified bool
-	slots     chan struct{} // multiplicity semaphore (certified tier only)
-
-	// Certified-tier draining state, guarded by the service's mu. A
-	// deregistered class must stay in the admission interference set while
-	// it still has live sessions: those sessions hold locks on the
-	// no-deadlock-handling engine, so later Register decisions must still
-	// be checked against the class. Eviction happens when the last live
-	// session closes.
-	live     int
-	departed bool
-	evicted  bool
+	slots     chan struct{}
+	state     atomic.Int64
 }
+
+const departed = int64(1) << 62 // the svcClass.state bit Deregister sets
 
 // Open starts a lock service over the database: an admission service plus
 // the two engine tiers, all long-lived until Close.
@@ -403,30 +399,25 @@ func (s *LockService) Classes() []string {
 // engine, so later Register decisions must still be checked against it —
 // the class's name stays occupied there until the last session closes).
 // It reports whether the class was registered.
+//
+// Eviction happens exactly once. Only the Deregister that removed the
+// class from the map sets departed, and from then on no Begin raises the
+// live count (join CASes count+1 only on a word without departed), so the
+// count falls monotonically to zero. If it was zero when departed was set,
+// Deregister evicts and no release can return the bare departed bit;
+// otherwise exactly one release takes the count from 1 to 0, gets back
+// the bare departed bit, and evicts.
 func (s *LockService) Deregister(name string) bool {
-	// Serialize with Register/RegisterBatch: the classes-map delete and the
-	// admission eviction must be one atomic step from a registrant's point
-	// of view, or a concurrent Register of the same name sees the name free
-	// here but still occupied in the admission service and gets a stale
-	// "already admitted" rejection.
+	// Serialize with Register/RegisterBatch, or a concurrent Register of
+	// the same name could see it free here but still occupied in the
+	// admission service, and get a stale "already admitted" rejection.
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	s.mu.Lock()
 	c, ok := s.classes[name]
-	if ok {
-		delete(s.classes, name)
-	}
-	evictNow := false
-	if ok && c.certified {
-		if c.live > 0 {
-			c.departed = true
-		} else {
-			c.evicted = true
-			evictNow = true
-		}
-	}
+	delete(s.classes, name)
 	s.mu.Unlock()
-	if evictNow {
+	if ok && c.certified && c.state.Or(departed) == 0 {
 		s.adm.Evict(name)
 	}
 	return ok
@@ -458,27 +449,26 @@ func (s *LockService) beginOn(ctx context.Context, c *svcClass, prev *runtime.Se
 	engine := s.fallback
 	if c.certified {
 		engine = s.certified
+		// A free slot is taken without the three-way select, which locks
+		// every channel it names: s.done is shared by every client.
 		select {
 		case c.slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-s.done:
-			return nil, ErrServiceClosed
+		default:
+			select {
+			case c.slots <- struct{}{}:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-s.done:
+				return nil, ErrServiceClosed
+			}
 		}
-		// Recheck registration under the same lock Deregister takes, in the
-		// same critical section as the live increment: a Deregister that
-		// interleaved with the lookup or the slot wait either sees live > 0
-		// here (and defers its eviction) or already removed the class (and
-		// this session must not start — its class may already be out of the
-		// admission interference set).
-		s.mu.Lock()
-		if s.classes[c.txn.Name()] != c {
-			s.mu.Unlock()
+		// A Deregister after Begin's lookup either finds this session
+		// counted and defers its eviction, or has set departed: then the
+		// class may already be evicted, so this session must not start.
+		if !c.join() {
 			<-c.slots
 			return nil, fmt.Errorf("distlock: class %q no longer registered", c.txn.Name())
 		}
-		c.live++
-		s.mu.Unlock()
 	}
 	var inner *runtime.Session
 	var err error
@@ -497,21 +487,22 @@ func (s *LockService) beginOn(ctx context.Context, c *svcClass, prev *runtime.Se
 	return &Session{svc: s, class: c, inner: inner}, nil
 }
 
-// releaseSlot returns one of the class's certified-tier multiplicity
-// slots and, if the class was deregistered while this was its last live
-// session, evicts it from the admission set.
-func (s *LockService) releaseSlot(c *svcClass) {
-	<-c.slots
-	s.mu.Lock()
-	c.live--
-	evict := c.departed && c.live == 0 && !c.evicted
-	if evict {
-		c.evicted = true
+// join counts one more live session unless the class has departed.
+func (c *svcClass) join() bool {
+	old := c.state.Load()
+	for old&departed == 0 && !c.state.CompareAndSwap(old, old+1) {
+		old = c.state.Load()
 	}
-	s.mu.Unlock()
-	if evict {
+	return old&departed == 0
+}
+
+// releaseSlot ends one certified session of c, evicting c from the
+// admission set if it departed and this was its last live session.
+func (s *LockService) releaseSlot(c *svcClass) {
+	if c.state.Add(-1) == departed {
 		s.adm.Evict(c.txn.Name())
 	}
+	<-c.slots
 }
 
 // BeginRetry opens a fresh session for the same transaction instance as a

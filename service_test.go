@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -360,6 +362,211 @@ func TestDeregisterDefersEvictionUntilDrained(t *testing.T) {
 	res, err = svc.Register(ctx, chain(db, "B2", "Ly", "Lx", "Uy", "Ux"))
 	if err != nil || !res.Admitted {
 		t.Fatalf("registration after the class drained: %+v, %v", res, err)
+	}
+}
+
+// TestBeginDeregisterRace: Begin and Commit race a Deregister of their
+// certified class without the service mutex. Concurrent live sessions never
+// exceed the multiplicity, every Begin that starts after Deregister returns
+// fails, the class stays in the admission interference set while a session
+// lives, and it is evicted exactly once when the last one closes.
+func TestBeginDeregisterRace(t *testing.T) {
+	const m, workers = 2, 4
+	db := xyzDB()
+	svc, err := distlock.Open(db, distlock.WithMultiplicity(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if res, err := svc.Register(ctx, chain(db, "A", "Lx", "Ly", "Ux", "Uy")); err != nil || !res.Admitted {
+		t.Fatalf("class not certified: %+v, %v", res, err)
+	}
+	evicted := svc.Stats().Admission.Evicted
+	var live, maxLive, commits atomic.Int64
+	var deregistered atomic.Bool
+	enter := func() {
+		n := live.Add(1)
+		for old := maxLive.Load(); n > old && !maxLive.CompareAndSwap(old, n); old = maxLive.Load() {
+		}
+	}
+	run := func(sess *distlock.Session) error {
+		for _, step := range []func() error{
+			func() error { return sess.LockExclusive(ctx, "x") },
+			func() error { return sess.LockExclusive(ctx, "y") },
+			func() error { return sess.Unlock("x") },
+			func() error { return sess.Unlock("y") },
+		} {
+			if err := step(); err != nil {
+				return err
+			}
+		}
+		live.Add(-1)
+		return sess.Commit()
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				after := deregistered.Load()
+				sess, err := svc.Begin(ctx, "A")
+				if err != nil {
+					if !strings.Contains(err.Error(), "registered") {
+						t.Errorf("Begin failed for another reason: %v", err)
+					}
+					return
+				}
+				if after {
+					t.Error("Begin that started after Deregister returned succeeded")
+				}
+				enter()
+				if err := run(sess); err != nil {
+					t.Error(err)
+					sess.Abort()
+					return
+				}
+				commits.Add(1)
+			}
+		}()
+	}
+	waitCommits := func(n int64) {
+		for commits.Load() < n && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitCommits(50)
+	// A pinned session keeps the class live across the Deregister.
+	pin, err := svc.Begin(ctx, "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	enter()
+	waitCommits(commits.Load() + 50)
+	done := make(chan bool)
+	go func() {
+		ok := svc.Deregister("A")
+		deregistered.Store(true)
+		done <- ok
+	}()
+	if !<-done {
+		t.Fatal("Deregister(A) = false")
+	}
+	wg.Wait()
+	if got := maxLive.Load(); got > m {
+		t.Fatalf("%d concurrent live sessions, multiplicity %d", got, m)
+	}
+	res, err := svc.Register(ctx, chain(db, "B", "Ly", "Lx", "Uy", "Ux"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Admitted {
+		t.Fatal("opposite-order class certified while the departed class had a live session")
+	}
+	if got := svc.Stats().Admission.Evicted; got != evicted {
+		t.Fatalf("evicted %d times before the class drained", got-evicted)
+	}
+	if err := run(pin); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Stats().Admission.Evicted; got != evicted+1 {
+		t.Fatalf("evicted %d times once the class drained, want 1", got-evicted)
+	}
+	res, err = svc.Register(ctx, chain(db, "B2", "Ly", "Lx", "Uy", "Ux"))
+	if err != nil || !res.Admitted {
+		t.Fatalf("opposite-order class after the class drained: %+v, %v", res, err)
+	}
+	if got := svc.Stats().Admission.Evicted; got != evicted+1 {
+		t.Fatalf("evicted %d times after the drain, want 1", got-evicted)
+	}
+
+	// A Begin parked on a full class when Deregister runs fails once a
+	// slot frees, even though it found the class registered.
+	if res, err := svc.Register(ctx, chain(db, "C", "Lz", "Uz")); err != nil || !res.Admitted {
+		t.Fatalf("class C not certified: %+v, %v", res, err)
+	}
+	var full []*distlock.Session
+	for range m {
+		sess, err := svc.Begin(ctx, "C")
+		if err != nil {
+			t.Fatal(err)
+		}
+		full = append(full, sess)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		sess, err := svc.Begin(ctx, "C")
+		if err == nil {
+			sess.Abort()
+		}
+		parked <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	svc.Deregister("C")
+	for _, sess := range full {
+		if err := sess.Drive(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-parked; err == nil || !strings.Contains(err.Error(), "registered") {
+		t.Fatalf("parked Begin after Deregister = %v, want a not-registered error", err)
+	}
+	if got := svc.Stats().Admission.Evicted; got != evicted+2 {
+		t.Fatalf("%d evictions for two deregistered classes", got-evicted)
+	}
+}
+
+// TestSessionEntityNames: Lock and Unlock resolve names by value, and
+// keep their errors for a name the database lacks and for a database
+// entity outside the class template.
+func TestSessionEntityNames(t *testing.T) {
+	db := xyzDB()
+	svc, err := distlock.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	if _, err := svc.Register(ctx, chain(db, "A", "Lx", "Ly", "Ux", "Uy")); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := svc.Begin(ctx, "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Abort()
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{sess.LockExclusive(ctx, "w"), `distlock: unknown entity "w"`},
+		{sess.Unlock("w"), `distlock: unknown entity "w"`},
+		{sess.LockExclusive(ctx, "z"), "runtime: A has no Lock(z) operation"},
+		{sess.Unlock("z"), "runtime: A has no Unlock(z) operation"},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("got %v, want %q", c.err, c.want)
+		}
+	}
+	// Names built fresh, not the database's own strings.
+	x, y := strings.Clone("x"), strings.Clone("y")
+	if err := sess.LockExclusive(ctx, x); err != nil {
+		t.Fatal(err)
+	}
+	if held := sess.Held(); len(held) != 1 || held[0] != "x" {
+		t.Fatalf("Held after Lock(clone of x) = %v", held)
+	}
+	for _, step := range []func() error{
+		func() error { return sess.LockExclusive(ctx, y) },
+		func() error { return sess.Unlock(x) },
+		func() error { return sess.Unlock(y) },
+		sess.Commit,
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
