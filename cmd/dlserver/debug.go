@@ -7,9 +7,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync"
+	"sync/atomic"
 
 	"distlock/internal/netlock"
 	"distlock/internal/obs"
+)
+
+var (
+	debugSrv    atomic.Pointer[netlock.Server]
+	publishVars sync.Once
 )
 
 // startDebug serves the operator endpoints on their own listener, away
@@ -24,11 +31,15 @@ func startDebug(addr string, srv *netlock.Server) (string, error) {
 		return "", err
 	}
 
-	// Publish the same snapshots through expvar. expvar.Publish is a
-	// process-global registry, so this must run once per process — fine
-	// here, main calls run once and run calls startDebug at most once.
-	expvar.Publish("distlock.table", expvar.Func(func() any { return srv.TableMetrics().Snapshot() }))
-	expvar.Publish("distlock.wire", expvar.Func(func() any { return srv.Metrics().Snapshot() }))
+	// Publish the same snapshots through expvar. Its registry is
+	// process-global and panics on a reused name, so the vars are published
+	// once and read the server startDebug last served (a repeated test run
+	// starts a second one in the same process).
+	debugSrv.Store(srv)
+	publishVars.Do(func() {
+		expvar.Publish("distlock.table", expvar.Func(func() any { return debugSrv.Load().TableMetrics().Snapshot() }))
+		expvar.Publish("distlock.wire", expvar.Func(func() any { return debugSrv.Load().Metrics().Snapshot() }))
+	})
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -100,6 +111,7 @@ func writeMetrics(w http.ResponseWriter, t obs.TableCounters, wire obs.WireCount
 	counter("distlock_table_slow_shared_grants_total", "shared grants through the slow path", t.SlowSharedGrants)
 	counter("distlock_table_releases_total", "lock releases (actual un-holds)", t.Releases)
 	gauge("distlock_table_held", "lock records currently held (grants minus releases)", t.Held)
+	gauge("distlock_table_waiting", "requests parked in wait queues right now", t.Waiting)
 	counter("distlock_table_wounds_total", "wound decisions made by the hosted table's wound-wait grant path", t.Wounds)
 	summary("distlock_table_queue_depth", "wait-queue length observed at park time", t.QueueDepth)
 

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -47,21 +49,27 @@ func TestRunUsageErrors(t *testing.T) {
 }
 
 // TestRunServes: a server on 127.0.0.1:0 grants and releases for a
-// netlock client with the same generator flags, rejects a client whose
-// -sites differ at the handshake, and exits 0 once its context ends.
+// netlock client with the same generator flags, shows a parked request on
+// its /metrics page while it waits, rejects a client whose -sites differ
+// at the handshake, and exits 0 once its context ends.
 func TestRunServes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var stdout, stderr syncBuffer
 	exited := make(chan int, 1)
 	go func() {
-		exited <- run(ctx, []string{"-addr", "127.0.0.1:0", "-sites", "2", "-entities-per-site", "3"}, &stdout, &stderr)
+		exited <- run(ctx, []string{"-addr", "127.0.0.1:0", "-sites", "2", "-entities-per-site", "3",
+			"-debug-addr", "127.0.0.1:0"}, &stdout, &stderr)
 	}()
 
-	var addr string
+	var addr, debugAddr string
 	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if _, rest, ok := strings.Cut(stdout.String(), " on "); ok {
+	for debugAddr == "" {
+		// The serving line comes first, then the debug endpoints line.
+		out := stdout.String()
+		if _, rest, ok := strings.Cut(out, "debug endpoints on http://"); ok {
+			debugAddr, _, _ = strings.Cut(rest, " ")
+			_, rest, _ = strings.Cut(out, " on ")
 			addr, _, _ = strings.Cut(rest, " ")
 			break
 		}
@@ -88,7 +96,25 @@ func TestRunServes(t *testing.T) {
 	if err := c.Acquire(actx, inst, 0, locktable.Exclusive); err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
+	// A second client's exclusive acquire parks behind the held lock, and
+	// the scrape shows it until the release grants it.
+	waiter, err := netlock.Dial(addr, ddb, locktable.Config{}, netlock.DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer waiter.Close()
+	inst2 := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
+	parked := make(chan error, 1)
+	go func() { parked <- waiter.Acquire(actx, inst2, 0, locktable.Exclusive) }()
+	waitMetric(t, debugAddr, "distlock_table_waiting 1")
 	if err := c.Release(0, inst.Key); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	if err := <-parked; err != nil {
+		t.Fatalf("parked acquire: %v", err)
+	}
+	waitMetric(t, debugAddr, "distlock_table_waiting 0")
+	if err := waiter.Release(0, inst2.Key); err != nil {
 		t.Fatalf("release: %v", err)
 	}
 
@@ -113,4 +139,28 @@ func TestRunServes(t *testing.T) {
 	if !strings.Contains(stdout.String(), "shutting down") {
 		t.Errorf("stdout %q has no shutdown line", stdout.String())
 	}
+}
+
+// waitMetric scrapes the /metrics page at addr until it has the sample
+// line, failing the test after 5s.
+func waitMetric(t *testing.T, addr, line string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	var page string
+	for time.Now().Before(deadline) {
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if page = string(body); strings.Contains(page, "\n"+line+"\n") {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("/metrics never showed %q; last scrape:\n%s", line, page)
 }

@@ -14,8 +14,8 @@
 // and unfenced cross-partition pipelining reaches states the
 // certification never admitted. Releases are never ordered against each
 // other: a delayed release only lengthens a hold (see the
-// partition-fencing comment at AcquireAsync). Snapshot and GrantLog merge the
-// per-server views under one coherent instance namespace (this cluster's
+// partition-fencing comment at AcquireAsync). GrantLog merges the
+// per-server logs under one coherent instance namespace (this cluster's
 // own sessions keep their local IDs on every partition; foreign sessions'
 // composed IDs are additionally namespaced by partition, since connection
 // IDs are only unique per server). ReleaseAll fans out to the partitions
@@ -473,54 +473,29 @@ func (t *Table) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
 // this experiment tier runs (IDs are sequential per server process).
 const foreignPartitionShift = 48
 
-// renameID keeps merged cross-partition views coherent. This cluster's
-// own instance IDs come back from every partition client already
-// stripped to local numbering, so the same session appears under the
-// same ID everywhere — which is what lets the merged Snapshot (read by
-// the conformance queue probe and when debugging) show one session's
-// waits on several servers as one instance. A FOREIGN session's ID stays
-// composed (connection ID in the high bits), and connection IDs are only
-// unique per server: server 0's conn 7 and server 1's conn 7 are
-// different engines. The partition tag keeps foreign identities distinct
-// across partitions, so the merged view never fuses two engines into one
-// and shows a wait chain that does not exist. (A foreign engine dialing
-// several partitions holds a different connection ID on each, so its
+// renameID keeps the merged grant log coherent. This cluster's own
+// instance IDs come back from every partition client already stripped to
+// local numbering, so the same session appears under the same ID
+// everywhere. A FOREIGN session's ID stays composed (connection ID in the
+// high bits), and connection IDs are only unique per server: server 0's
+// conn 7 and server 1's conn 7 are different engines. The partition tag
+// keeps foreign identities distinct across partitions, so the merged log
+// never fuses two engines into one. (A foreign engine dialing several
+// partitions holds a different connection ID on each, so its
 // cross-partition identity is inherently unmergeable from here; staying
 // distinct is the sound direction.)
 func renameID(p, id int) int {
-	if id == locktable.AnonReaderID || uint64(id)>>32 == 0 {
-		return id // ours (stripped to local), or the anonymous-reader sentinel
+	if uint64(id)>>32 == 0 {
+		return id // ours, stripped to local numbering
 	}
 	return id | (p+1)<<foreignPartitionShift
-}
-
-func renameKey(p int, k locktable.InstKey) locktable.InstKey {
-	k.ID = renameID(p, k.ID)
-	return k
-}
-
-// Snapshot implements locktable.Table: the per-partition wait graphs are
-// concatenated under the merged namespace (see renameID). Entities are
-// disjoint across partitions, so no edge is ever duplicated; the result
-// is one coherent table view, though not a global one: other client
-// processes' waits are missing from this client's view.
-func (t *Table) Snapshot() []locktable.WaitEdge {
-	var out []locktable.WaitEdge
-	for p, c := range t.parts {
-		for _, ed := range c.Snapshot() {
-			ed.Waiter = renameKey(p, ed.Waiter)
-			ed.Holder = renameKey(p, ed.Holder)
-			out = append(out, ed)
-		}
-	}
-	return out
 }
 
 // GrantLog implements locktable.Table (Config.Trace only; call after
 // Close, like every backend). Each entity lives on exactly one partition,
 // so concatenating the per-server logs preserves every per-entity grant
 // order — the only order the contract and the serializability checker
-// rely on. Foreign instance IDs are renamed exactly as in Snapshot.
+// rely on. Foreign instance IDs are renamed by renameID.
 func (t *Table) GrantLog() []locktable.GrantEvent {
 	var out []locktable.GrantEvent
 	for p, c := range t.parts {

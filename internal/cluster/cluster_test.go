@@ -88,77 +88,14 @@ func TestClusterRoutingCoversPartitions(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotMergesPartitions: one session holds entities on both
-// partitions, two others park behind it, one per partition. The merged
-// snapshot must show both wait edges under the session's single local ID —
-// the coherent-namespace property a wait-for cycle check over the merged
-// view depends on.
-func TestClusterSnapshotMergesPartitions(t *testing.T) {
-	tab, _, ddb := startCluster(t, 2, locktable.Config{})
-	ea, eb := entOn(t, tab, ddb, 0), entOn(t, tab, ddb, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	holder := inst(1)
-	if err := tab.Acquire(ctx, holder, ea, locktable.Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Acquire(ctx, holder, eb, locktable.Exclusive); err != nil {
-		t.Fatal(err)
-	}
-
-	wctx, wcancel := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	for i, ent := range []model.EntityID{ea, eb} {
-		wg.Add(1)
-		go func(id int, ent model.EntityID) {
-			defer wg.Done()
-			err := tab.Acquire(wctx, inst(id), ent, locktable.Exclusive)
-			if err != nil && !errors.Is(err, context.Canceled) {
-				t.Errorf("waiter %d: %v", id, err)
-			}
-			if err == nil {
-				tab.Release(ent, locktable.InstKey{ID: id})
-			}
-		}(i+2, ent)
-	}
-
-	want := map[[2]int]bool{{2, 1}: true, {3, 1}: true}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		snap := tab.Snapshot()
-		got := map[[2]int]bool{}
-		for _, ed := range snap {
-			got[[2]int{ed.Waiter.ID, ed.Holder.ID}] = true
-		}
-		ok := len(got) == len(want)
-		for k := range want {
-			if !got[k] {
-				ok = false
-			}
-		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("merged snapshot never showed both cross-partition edges; got %v want %v", got, want)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	wcancel()
-	wg.Wait()
-	if err := tab.ReleaseAll([]model.EntityID{ea, eb}, holder.Key); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestClusterSnapshotForeignNamespacing: a second engine (its own cluster
 // table over the same servers) reuses instance ID 1. The first engine's
-// merged snapshot must keep the foreigner distinct from its own session 1
+// merged grant log must keep the foreigner distinct from its own session 1
 // AND distinct across partitions — connection IDs are only unique per
-// server, so a false merge here could invent a cross-server cycle.
+// server, so without the partition tag two engines could fuse into one.
 func TestClusterSnapshotForeignNamespacing(t *testing.T) {
-	tab, srvs, ddb := startCluster(t, 2, locktable.Config{})
+	cfg := locktable.Config{Trace: true}
+	tab, srvs, ddb := startCluster(t, 2, cfg)
 	ea, eb := entOn(t, tab, ddb, 0), entOn(t, tab, ddb, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -167,7 +104,7 @@ func TestClusterSnapshotForeignNamespacing(t *testing.T) {
 	for _, s := range srvs {
 		addrs = append(addrs, s.Addr())
 	}
-	foreign, err := cluster.New(ddb, locktable.Config{}, addrs, cluster.Options{
+	foreign, err := cluster.New(ddb, cfg, addrs, cluster.Options{
 		Dial: netlock.DialOptions{HeartbeatEvery: 100 * time.Millisecond},
 	})
 	if err != nil {
@@ -175,62 +112,38 @@ func TestClusterSnapshotForeignNamespacing(t *testing.T) {
 	}
 	defer foreign.Close()
 
-	holder := inst(1)
-	if err := tab.Acquire(ctx, holder, ea, locktable.Exclusive); err != nil {
-		t.Fatal(err)
+	// Our session 1, then the foreign engine's OWN session 1.
+	for _, tb := range []*cluster.Table{tab, foreign} {
+		in := inst(1)
+		for _, ent := range []model.EntityID{ea, eb} {
+			if err := tb.Acquire(ctx, in, ent, locktable.Exclusive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tb.ReleaseAll([]model.EntityID{ea, eb}, in.Key); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := tab.Acquire(ctx, holder, eb, locktable.Exclusive); err != nil {
-		t.Fatal(err)
-	}
-
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	var wg sync.WaitGroup
+	tab.Close()
+	log := tab.GrantLog()
+	var foreignIDs []int
 	for _, ent := range []model.EntityID{ea, eb} {
-		wg.Add(1)
-		go func(ent model.EntityID) {
-			defer wg.Done()
-			// The foreign engine's OWN session 1 — same local ID as ours.
-			err := foreign.Acquire(wctx, inst(1), ent, locktable.Exclusive)
-			if err != nil && !errors.Is(err, context.Canceled) {
-				t.Errorf("foreign waiter: %v", err)
+		var order []int
+		for _, ev := range log {
+			if ev.Entity == ent {
+				order = append(order, ev.Inst)
 			}
-			if err == nil {
-				foreign.Release(ent, locktable.InstKey{ID: 1})
-			}
-		}(ent)
-	}
-
-	var waiters []int
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		waiters = waiters[:0]
-		for _, ed := range tab.Snapshot() {
-			if ed.Holder.ID != 1 {
-				t.Fatalf("edge holder %d; want our local session 1", ed.Holder.ID)
-			}
-			waiters = append(waiters, ed.Waiter.ID)
 		}
-		if len(waiters) == 2 {
-			break
+		if len(order) != 2 || order[0] != 1 {
+			t.Fatalf("entity %d grant order %v; want [1 foreign] (full log %v)", ent, order, log)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("snapshot never showed both foreign waiters; got %v", waiters)
+		if id := order[1]; uint64(id)>>32 == 0 {
+			t.Fatalf("foreign session %d collides with the local ID namespace", id)
 		}
-		time.Sleep(2 * time.Millisecond)
+		foreignIDs = append(foreignIDs, order[1])
 	}
-	for _, id := range waiters {
-		if uint64(id)>>32 == 0 {
-			t.Fatalf("foreign waiter %d collides with the local ID namespace", id)
-		}
-	}
-	if waiters[0] == waiters[1] {
-		t.Fatalf("foreign session appears as one merged ID %d across partitions; identities must stay distinct", waiters[0])
-	}
-	wcancel()
-	wg.Wait()
-	if err := tab.ReleaseAll([]model.EntityID{ea, eb}, holder.Key); err != nil {
-		t.Fatal(err)
+	if foreignIDs[0] == foreignIDs[1] {
+		t.Fatalf("foreign session appears as one merged ID %d across partitions; identities must stay distinct", foreignIDs[0])
 	}
 }
 

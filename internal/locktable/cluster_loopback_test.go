@@ -2,9 +2,8 @@ package locktable_test
 
 // Registers the partitioned cluster table as a conformance backend: every
 // semantics test of the suite runs against a cluster.Table routing over
-// TWO loopback dlservers, so the cross-partition merge logic (Snapshot,
-// GrantLog, ReleaseAll fan-out, Wound broadcast) is held to exactly the
-// in-process contract. The suite's four entities split across both
+// TWO loopback dlservers, so the cross-partition logic (GrantLog merge,
+// ReleaseAll fan-out) is held to exactly the in-process contract. The suite's four entities split across both
 // partitions under the routing hash, so multi-entity tests genuinely
 // cross servers. (External test package for the same reason as the
 // netlock registration: cluster imports locktable.)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"distlock/internal/model"
+	"distlock/internal/obs"
 )
 
 // The conformance suite: every Table semantics test runs against every
@@ -38,8 +39,9 @@ func conformanceBackends() []backendCase {
 			return NewSharded(ddb, cfg)
 		}},
 		{"sharded-slowpath", func(ddb *model.DDB, cfg Config) Table {
-			// The mutex-only shared path embedders opt into (netlock server,
-			// deadlock detectors): semantics must match the CAS fast path.
+			// The mutex-only shared path the netlock server opts into (its
+			// wire callers may repeat a shared acquire): semantics must
+			// match the CAS fast path.
 			cfg.DisableSharedFastPath = true
 			return NewSharded(ddb, cfg)
 		}},
@@ -47,6 +49,8 @@ func conformanceBackends() []backendCase {
 }
 
 // forEachTable runs f once per backend over a fresh 4-entity, 2-site DDB.
+// Every backend counts into cfg.Metrics, or into a fresh bundle per
+// backend when cfg has none, so parked can read its queue.
 func forEachTable(t *testing.T, cfg Config, f func(t *testing.T, tab Table, ents []model.EntityID)) {
 	t.Helper()
 	for _, bc := range conformanceBackends() {
@@ -56,11 +60,31 @@ func forEachTable(t *testing.T, cfg Config, f func(t *testing.T, tab Table, ents
 			for i := 0; i < 4; i++ {
 				ents = append(ents, ddb.MustEntity(fmt.Sprintf("e%d", i), fmt.Sprintf("s%d", i%2)))
 			}
+			cfg := cfg
+			if cfg.Metrics == nil {
+				cfg.Metrics = obs.NewTableMetrics()
+			}
 			tab := bc.make(ddb, cfg)
-			t.Cleanup(tab.Close)
+			suiteMetrics.Store(tab, cfg.Metrics)
+			t.Cleanup(func() {
+				tab.Close()
+				suiteMetrics.Delete(tab)
+			})
 			f(t, tab, ents)
 		})
 	}
+}
+
+// suiteMetrics maps each suite table to the bundle it counts into. The
+// wire backends' hosting servers share that bundle (their registrations
+// pass the same Config on), so a request parked on a server moves the
+// same Waiting gauge as one parked in process.
+var suiteMetrics sync.Map // Table -> *obs.TableMetrics
+
+// parked returns how many requests wait in a suite table's queues.
+func parked(tab Table) int64 {
+	m, _ := suiteMetrics.Load(tab)
+	return m.(*obs.TableMetrics).Waiting.Load()
 }
 
 func inst(id int) Instance {
@@ -78,17 +102,17 @@ func mustAcquire(t *testing.T, tab Table, in Instance, e model.EntityID) {
 	}
 }
 
-// waitForQueue blocks until the table's snapshot shows n wait edges.
+// waitForQueue blocks until n requests are parked on a suite table.
 func waitForQueue(t *testing.T, tab Table, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(tab.Snapshot()) >= n {
+		if parked(tab) >= int64(n) {
 			return
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	t.Fatalf("queue never reached %d waiters (snapshot: %v)", n, tab.Snapshot())
+	t.Fatalf("queue never reached %d waiters (waiting: %d)", n, parked(tab))
 }
 
 func TestConformanceGrantRelease(t *testing.T) {
@@ -226,8 +250,8 @@ func TestConformanceWithdrawPending(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("cancelled Acquire did not return")
 		}
-		if edges := tab.Snapshot(); len(edges) != 0 {
-			t.Fatalf("withdrawn request still queued: %v", edges)
+		if n := parked(tab); n != 0 {
+			t.Fatalf("withdrawn request still queued: %d waiting", n)
 		}
 		grant := make(chan error, 1)
 		go func() { grant <- tab.Acquire(context.Background(), third, e, Exclusive) }()
@@ -305,8 +329,8 @@ func TestConformanceDoomed(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("doom signal did not wake the parked Acquire")
 		}
-		if edges := tab.Snapshot(); len(edges) != 0 {
-			t.Fatalf("doomed request still queued: %v", edges)
+		if n := parked(tab); n != 0 {
+			t.Fatalf("doomed request still queued: %d waiting", n)
 		}
 	})
 }
@@ -360,36 +384,40 @@ func TestConformanceWoundCallback(t *testing.T) {
 	})
 }
 
-// TestConformanceSnapshot: wait edges carry the right identities and
-// priorities.
-func TestConformanceSnapshot(t *testing.T) {
+// TestConformanceWaitingGauge: the Waiting gauge counts a parked request
+// and drops back to zero when it leaves the queue, withdrawn by a cancel
+// or granted by a release.
+func TestConformanceWaitingGauge(t *testing.T) {
 	forEachTable(t, Config{}, func(t *testing.T, tab Table, ents []model.EntityID) {
 		e := ents[0]
 		holder := inst(1)
 		mustAcquire(t, tab, holder, e)
-		for _, id := range []int{5, 6} {
-			id := id
-			go func() { tab.Acquire(context.Background(), inst(id), e, Exclusive) }()
+		ctx, cancel := context.WithCancel(context.Background())
+		got := make(chan error, 1)
+		go func() { got <- tab.Acquire(ctx, inst(2), e, Exclusive) }()
+		waitForQueue(t, tab, 1)
+		if n := parked(tab); n != 1 {
+			t.Fatalf("one parked writer: %d waiting", n)
 		}
-		waitForQueue(t, tab, 2)
-		edges := tab.Snapshot()
-		if len(edges) != 2 {
-			t.Fatalf("snapshot = %v, want 2 edges", edges)
+		cancel()
+		if err := <-got; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled Acquire = %v", err)
 		}
-		seen := map[int]bool{}
-		for _, ed := range edges {
-			if ed.Holder != holder.Key || ed.HolderPrio != holder.Prio {
-				t.Fatalf("edge holder = %+v", ed)
-			}
-			if ed.WaiterPrio != int64(ed.Waiter.ID) {
-				t.Fatalf("edge waiter prio mismatch: %+v", ed)
-			}
-			seen[ed.Waiter.ID] = true
+		if n := parked(tab); n != 0 {
+			t.Fatalf("after the cancel: %d waiting", n)
 		}
-		if !seen[5] || !seen[6] {
-			t.Fatalf("waiters lost: %v", edges)
-		}
+		go func() { got <- tab.Acquire(context.Background(), inst(3), e, Exclusive) }()
+		waitForQueue(t, tab, 1)
 		if err := tab.Release(e, holder.Key); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-got; err != nil {
+			t.Fatal(err)
+		}
+		if n := parked(tab); n != 0 {
+			t.Fatalf("after the grant: %d waiting", n)
+		}
+		if err := tab.Release(e, InstKey{ID: 3}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -803,8 +831,8 @@ func TestConformanceWoundWhileShared(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("doom signal did not wake the parked shared waiter")
 		}
-		if edges := tab.Snapshot(); len(edges) != 0 {
-			t.Fatalf("wounded shared request still queued: %v", edges)
+		if n := parked(tab); n != 0 {
+			t.Fatalf("wounded shared request still queued: %d waiting", n)
 		}
 		if err := tab.Release(e, old.Key); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package locktable is the engine's pluggable lock-grant layer: a Table
 // maps entities to shared/exclusive locks with per-entity wait queues, and
 // the runtime engine drives it through a narrow interface (Acquire /
-// Release / ReleaseAll / Snapshot) so the grant machinery can be swapped
-// without touching session semantics.
+// Release / ReleaseAll) so the grant machinery can be swapped without
+// touching session semantics.
 //
 // Two implementations exist:
 //
@@ -99,18 +99,6 @@ type Instance struct {
 	Span *obs.Span
 }
 
-// WaitEdge is one wait-for edge of a Snapshot: waiter blocks on the entity
-// holder currently holds. A shared-held entity emits one edge per
-// identified shared holder for each waiter, plus one edge against
-// AnonReaderKey when anonymous fast-path readers hold it (a queued reader
-// also waits on the current holders, never directly on the writer queued
-// ahead of it — the writer's own edges to those holders close any cycle
-// just as well).
-type WaitEdge struct {
-	Waiter, Holder         InstKey
-	WaiterPrio, HolderPrio int64
-}
-
 // GrantEvent records that a transaction instance (at a given attempt epoch)
 // was granted the lock on an entity in the given mode. Per-entity order in
 // GrantLog is the grant order at the owning stripe or server (concurrent
@@ -155,11 +143,14 @@ type Config struct {
 	// DisableSharedFastPath forces every shared Acquire/Release of the
 	// sharded backend through the stripe mutexes. The fast path counts
 	// shared holders anonymously (a padded per-entity atomic) instead of
-	// recording their identity, which is invisible to in-process sessions
-	// — they only release what they hold — but wrong for embedders that
-	// attribute holders themselves: the netlock server composes
-	// per-connection identities into snapshot edges, so it sets this.
-	// WoundWait and Trace disable the fast path implicitly.
+	// recording their identity, so a duplicate shared Acquire by a holder
+	// adds a second reader where the mutex path returns the holder's
+	// grant. In-process sessions never issue one (they lock each entity
+	// once), but the netlock server serves outside input: it records one
+	// grant per (connection, instance, entity) and frees one lock per
+	// release, so a duplicate counted twice would strand a reader that
+	// no release can free. The server therefore sets this. WoundWait and
+	// Trace disable the fast path implicitly.
 	DisableSharedFastPath bool
 	// Metrics receives the backend's operation counters (grants by path,
 	// releases, wound decisions, queue-depth samples). Counting is
@@ -208,14 +199,6 @@ type Table interface {
 	// abort path. Every failed release surfaces in the returned error
 	// (errors.Join), not just the last one.
 	ReleaseAll(ents []model.EntityID, key InstKey) error
-	// Snapshot returns the current wait-for edges (one per queued waiter,
-	// against the entity's holder). Edges from different stripes or servers
-	// are collected sequentially, not atomically: a point-in-time view
-	// for probes and debugging, not a consistent cut. Waiters blocked on
-	// anonymous fast-path readers are attributed to AnonReaderKey, which
-	// never waits and so never closes a cycle; callers that must name
-	// shared holders set Config.DisableSharedFastPath.
-	Snapshot() []WaitEdge
 	// GrantLog returns the recorded grant events (Config.Trace only).
 	// Per-entity subsequences are in grant order. Only safe to call after
 	// Close.

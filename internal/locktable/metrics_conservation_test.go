@@ -18,7 +18,9 @@ import (
 // registrations share the same bundle with the hosting server's table),
 // so the assertions are factor-aware: whatever the per-operation factor,
 // grants must balance releases exactly and the shared-grant split must
-// account for every shared acquire.
+// account for every shared acquire. The Waiting gauge needs no factor:
+// only a sharded table parks requests (in process, or on the hosting
+// server), so it moves once per park on every backend.
 
 // TestConformanceMetricsConservation drives concurrent mixed-mode
 // traffic through each backend under -race and asserts, from snapshot
@@ -26,6 +28,7 @@ import (
 //
 //	grants − releases = 0 once everything is released (no leaked holds)
 //	fast-path hits + slow shared grants = all shared acquires performed
+//	waiting returns to where it started (every parked request left)
 func TestConformanceMetricsConservation(t *testing.T) {
 	m := obs.NewTableMetrics()
 	forEachTable(t, Config{Metrics: m}, func(t *testing.T, tab Table, ents []model.EntityID) {
@@ -90,6 +93,9 @@ func TestConformanceMetricsConservation(t *testing.T) {
 		slow := after.SlowSharedGrants - before.SlowSharedGrants
 		if fast+slow != shared {
 			t.Fatalf("shared split leaks: fast %d + slow %d != shared %d", fast, slow, shared)
+		}
+		if waiting := after.Waiting - before.Waiting; waiting != 0 {
+			t.Fatalf("waiting moved by %d at quiescence (a parked request never left its queue)", waiting)
 		}
 	})
 }

@@ -36,8 +36,8 @@ import (
 //     identity: it is off under WoundWait (wound decisions compare
 //     holder priorities), under Trace (the grant log records identity),
 //     and under Config.DisableSharedFastPath (for embedders like the
-//     netlock server that attribute holders themselves). Snapshot
-//     attributes waiters blocked on fast readers to AnonReaderKey.
+//     netlock server, whose callers may repeat a shared acquire that a
+//     count cannot tell from a new reader).
 //
 //  2. Striping. The stripe count resolves from GOMAXPROCS by default
 //     (Config.Shards > 0 pins it), and each stripe sits on its own cache
@@ -106,15 +106,6 @@ const (
 	// beyond it the table falls back to mutex-only operation.
 	maxFastPathEntities = 1 << 18
 )
-
-// AnonReaderID is the instance ID Snapshot reports as the holder of an
-// entity held by anonymous fast-path readers (see Config
-// DisableSharedFastPath). The sentinel never issues requests of its own,
-// so it cannot appear as a waiter and cannot close a wait-for cycle.
-const AnonReaderID = -1
-
-// AnonReaderKey is the InstKey form of AnonReaderID.
-var AnonReaderKey = InstKey{ID: AnonReaderID, Epoch: 0}
 
 // stripe is one mutex and the lock states it guards, padded to a cache
 // line (8 B mutex + 8 B map pointer + 48 B) like fastSlot, so neighbouring
@@ -328,6 +319,7 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 	t.m.QueueDepth.Record(int64(len(l.queue)))
 	w := &waiter{key: inst.Key, prio: inst.Prio, mode: mode, ch: make(chan struct{}, 1)}
 	l.queue = append(l.queue, w)
+	t.m.Waiting.Add(1)
 	if t.cfg.WoundWait && t.cfg.OnWound != nil {
 		// An older requester wounds every CONFLICTING younger holder.
 		// Delivered inside the critical section so the victims provably
@@ -418,6 +410,7 @@ func (t *shardedTable) cancelWait(ent model.EntityID, w *waiter) {
 	for i, q := range l.queue {
 		if q == w {
 			l.queue = append(l.queue[:i], l.queue[i+1:]...)
+			t.m.Waiting.Add(-1)
 			// Removing a queued writer can unblock the readers parked
 			// behind it (and vice versa): run the grant wave.
 			t.grantWaveLocked(ent, l)
@@ -510,6 +503,7 @@ func (t *shardedTable) grantWaveLocked(ent model.EntityID, l *slock) {
 			return
 		}
 		l.queue = append(l.queue[:pick], l.queue[pick+1:]...)
+		t.m.Waiting.Add(-1)
 		t.grantLocked(ent, l, w.key, w.prio, w.mode)
 		w.ch <- struct{}{}
 	}
@@ -588,46 +582,6 @@ func (t *shardedTable) ReleaseAll(ents []model.EntityID, key InstKey) error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-func (t *shardedTable) Snapshot() []WaitEdge {
-	var edges []WaitEdge
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.Lock()
-		for ent, l := range s.locks {
-			anon := t.fastCount(ent)
-			if !l.xheld && len(l.sholders) == 0 && anon == 0 {
-				continue
-			}
-			for _, w := range l.queue {
-				if l.xheld {
-					edges = append(edges, WaitEdge{
-						Waiter: w.key, Holder: l.xholder,
-						WaiterPrio: w.prio, HolderPrio: l.xprio,
-					})
-				}
-				for hk, hp := range l.sholders {
-					edges = append(edges, WaitEdge{
-						Waiter: w.key, Holder: hk,
-						WaiterPrio: w.prio, HolderPrio: hp,
-					})
-				}
-				if anon > 0 {
-					// Anonymous fast readers: one edge against the sentinel
-					// holder. The sentinel never waits, so it cannot close a
-					// cycle — callers that must attribute shared holders
-					// disable the fast path instead (see Config).
-					edges = append(edges, WaitEdge{
-						Waiter: w.key, Holder: AnonReaderKey,
-						WaiterPrio: w.prio,
-					})
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-	return edges
 }
 
 func (t *shardedTable) GrantLog() []GrantEvent {

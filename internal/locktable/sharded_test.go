@@ -134,6 +134,8 @@ func TestWoundsCountedWhereDecided(t *testing.T) {
 	m := obs.NewTableMetrics()
 	tab := NewSharded(ddb, Config{WoundWait: true, Metrics: m, OnWound: func(int) { calls.Add(1) }})
 	defer tab.Close()
+	suiteMetrics.Store(tab, m)
+	defer suiteMetrics.Delete(tab)
 	young1, young2, old := inst(7), inst(8), inst(3)
 	mustAcquireMode(t, tab, young1, e, Shared)
 	mustAcquireMode(t, tab, young2, e, Shared)

@@ -1001,31 +1001,6 @@ func (c *Client) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error 
 	return nil
 }
 
-// Snapshot implements locktable.Table: the server's current wait-for
-// edges, with this session's instance IDs translated back to local
-// numbering. Edges of other sessions keep their composed server-side IDs —
-// still distinct from every local ID, so the conformance queue probe, the
-// cluster's merged view and a debugging reader can tell them apart from
-// this session's own.
-func (c *Client) Snapshot() []locktable.WaitEdge {
-	if c.isClosed() {
-		return nil
-	}
-	res, err := c.call(func(reqID uint64, e *enc) {
-		e.u8(opSnapshot)
-		e.u64(reqID)
-	})
-	if err != nil || res.status != stOK {
-		return nil
-	}
-	d := dec{b: res.payload}
-	edges := d.edges()
-	if d.err != nil {
-		return nil
-	}
-	return edges
-}
-
 // GrantLog implements locktable.Table (Config.Trace only). The log is the
 // server's, with this session's instance IDs translated back; it is
 // fetched once at Close so the contract's "call after Close" works even

@@ -74,7 +74,7 @@ func fuzzSeeds(ents []model.EntityID) [][]byte {
 		frameOf(func(e *enc) { e.u8(opReleaseAll); e.u64(4); e.key(key); e.u32(1 << 20) }),
 		frameOf(func(e *enc) { e.u8(0x06); e.u64(5); e.i64(int64(ents[1])); e.key(key) }), // v3 withdraw, retired
 		frameOf(func(e *enc) { e.u8(0x07); e.u64(6); e.key(key) }),                        // v3 wound, retired
-		frameOf(func(e *enc) { e.u8(opSnapshot); e.u64(7) }),
+		frameOf(func(e *enc) { e.u8(0x08); e.u64(7) }),                                    // v4 snapshot, retired
 		frameOf(func(e *enc) { e.u8(opGrantLog); e.u64(8) }),
 		truncated[:len(truncated)-3],
 		frameOf(func(e *enc) { e.u8(opHello); e.u64(9); e.u32(protocolVersion) }),

@@ -272,8 +272,8 @@ func TestTokenZeroReleaseBehindParkedAcquire(t *testing.T) {
 	acquire(t, holder, 1, x)
 	inst := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
 	acq := c.AcquireAsync(inst, x, locktable.Exclusive)
-	waitFor(t, func() bool { return len(holder.Snapshot()) == 1 }) // parked
-	rel := c.ReleaseAsync(x, inst.Key)                             // shipped early, chained behind it
+	waitFor(t, func() bool { return srv.TableMetrics().Waiting.Load() == 1 }) // parked
+	rel := c.ReleaseAsync(x, inst.Key)                                        // shipped early, chained behind it
 	if err := holder.Release(x, locktable.InstKey{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestCancelledAcquireWithChainedTokenZeroRelease(t *testing.T) {
 	acquire(t, holder, 1, x)
 	inst := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
 	acq := c.AcquireAsync(inst, x, locktable.Exclusive)
-	waitFor(t, func() bool { return len(holder.Snapshot()) == 1 }) // parked
+	waitFor(t, func() bool { return srv.TableMetrics().Waiting.Load() == 1 }) // parked
 	rel := c.ReleaseAsyncAcked(x, inst.Key)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()

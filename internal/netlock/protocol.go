@@ -79,7 +79,11 @@ import (
 //	    wound (0x07) requests and the wounded status (0x01) are gone,
 //	    their values not reused. A v3 peer would mis-frame every release
 //	    and grant, so the handshake rejects it.
-const protocolVersion = 4
+//	5 — no wait-for snapshot: the snapshot request (0x08) is gone, its
+//	    value not reused. A v4 client would send it and lose the
+//	    connection to the v5 server's unknown-opcode error, so the
+//	    handshake rejects it.
+const protocolVersion = 5
 
 // maxFrame bounds a frame body; larger frames indicate a corrupt stream.
 const maxFrame = 16 << 20
@@ -92,7 +96,6 @@ const (
 	opCancel     = 0x03 // reqID of the in-flight acquire to withdraw
 	opRelease    = 0x04 // reqID, entity, inst key
 	opReleaseAll = 0x05 // reqID, inst key, n × entity
-	opSnapshot   = 0x08 // reqID
 	opGrantLog   = 0x09 // reqID
 	opHeartbeat  = 0x0a // reqID (renews the lease)
 
@@ -353,35 +356,6 @@ func (d *dec) key() locktable.InstKey {
 	id := d.i64()
 	ep := d.i64()
 	return locktable.InstKey{ID: int(id), Epoch: int(ep)}
-}
-
-// edges encodes a snapshot result.
-func (e *enc) edges(es []locktable.WaitEdge) {
-	e.u32(uint32(len(es)))
-	for _, ed := range es {
-		e.key(ed.Waiter)
-		e.i64(ed.WaiterPrio)
-		e.key(ed.Holder)
-		e.i64(ed.HolderPrio)
-	}
-}
-
-func (d *dec) edges() []locktable.WaitEdge {
-	n := int(d.u32())
-	if d.err != nil || n > maxFrame/16 {
-		d.fail()
-		return nil
-	}
-	out := make([]locktable.WaitEdge, 0, n)
-	for i := 0; i < n; i++ {
-		var ed locktable.WaitEdge
-		ed.Waiter = d.key()
-		ed.WaiterPrio = d.i64()
-		ed.Holder = d.key()
-		ed.HolderPrio = d.i64()
-		out = append(out, ed)
-	}
-	return out
 }
 
 // events encodes a grant-log result.

@@ -197,11 +197,13 @@ func NewServer(ddb *model.DDB, cfg locktable.Config, opts ServerOptions) (*Serve
 	inner := cfg
 	inner.Metrics = s.tm // the hosted table counts into the server's bundle
 	inner.Trace = false  // the server records grants itself, with session identity
-	// The sharded backend's anonymous shared fast path is wrong here: the
-	// server composes per-connection identities into snapshot edges and
-	// grant records, and an unattributable reader count cannot be stripped
-	// back to a connection. The wire round trip dwarfs a stripe mutex
-	// anyway, so this costs nothing observable.
+	// The sharded backend's anonymous shared fast path is wrong here: a
+	// wire client is outside input, and recordGrant keeps one grant record
+	// per (connection, instance, entity), so a repeated shared acquire is a
+	// no-op to the server's books — but on the CAS path it would add a
+	// second anonymous reader that the one record's release never frees.
+	// The wire round trip dwarfs a stripe mutex anyway, so this costs
+	// nothing observable.
 	inner.DisableSharedFastPath = true
 	if cfg.WoundWait {
 		inner.OnWound = s.pushWound
@@ -553,7 +555,7 @@ func (s *Server) replyWriter(c *srvConn) {
 // result replies to a request. The encoder comes from the shared pool —
 // write copies the body into the connection's pending buffer, so the
 // scratch space recycles immediately. This is the per-op hot path;
-// variable payloads (snapshot, grant log) grow the scratch normally.
+// variable payloads (the grant log) grow the scratch normally.
 //
 // An unsampled grant reply has no payload. A sampled one (sp non-nil)
 // carries a 24-byte trailer — chain-start, grant, and reply-enqueue
@@ -815,18 +817,6 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 			}
 		}
 		c.result(reqID, stOK, nil, func(e *enc) { e.u32(stale) })
-		return nil
-
-	case opSnapshot:
-		if d.err != nil {
-			return d.err
-		}
-		edges := s.tab.Snapshot()
-		for i := range edges {
-			edges[i].Waiter.ID, _ = stripID(c.id, edges[i].Waiter.ID)
-			edges[i].Holder.ID, _ = stripID(c.id, edges[i].Holder.ID)
-		}
-		c.result(reqID, stOK, nil, func(e *enc) { e.edges(edges) })
 		return nil
 
 	case opGrantLog:

@@ -37,6 +37,12 @@ type TableMetrics struct {
 	// QueueDepth samples the wait-queue length observed by each request
 	// at park time — the contention a slow-path faller actually met.
 	QueueDepth Histogram
+	// Waiting is the number of requests parked in wait queues right now:
+	// raised when a request joins a queue, lowered when it leaves by a
+	// grant or a withdrawal (cancel, doom). Sharded backend only — a wire
+	// backend's client never parks a request itself, so its bundle stays
+	// 0 and the hosting server's bundle carries the queue.
+	Waiting Gauge
 }
 
 // NewTableMetrics returns a fresh bundle. Backends normalize a nil
@@ -52,6 +58,7 @@ type TableCounters struct {
 	Releases         int64 `json:"releases"`
 	Held             int64 `json:"held"`
 	Wounds           int64 `json:"wounds"`
+	Waiting          int64 `json:"waiting"`
 	// StripeSplits is always 0: the sharded table's stripe layout is fixed
 	// at construction. The field stays only because the benchmark reads it
 	// by name; the next change to the benchmark drops that read.
@@ -80,6 +87,7 @@ func (m *TableMetrics) Snapshot() TableCounters {
 		Releases:         releases,
 		Held:             grants - releases,
 		Wounds:           m.Wounds.Load(),
+		Waiting:          m.Waiting.Load(),
 		QueueDepth:       m.QueueDepth.Snapshot(),
 	}
 }

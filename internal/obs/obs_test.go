@@ -150,9 +150,14 @@ func TestTableMetricsSnapshot(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		m.Releases.Inc(uint64(i))
 	}
+	m.Waiting.Add(3)
+	m.Waiting.Add(-1)
 	s := m.Snapshot()
 	if s.Grants != 14 || s.Releases != 7 || s.Held != 7 {
 		t.Fatalf("held identity broken: %+v", s)
+	}
+	if s.Waiting != 2 {
+		t.Fatalf("waiting = %d, want 2 (3 parked, 1 left)", s.Waiting)
 	}
 	if s.FastPathHits != 4 || s.SlowSharedGrants != 2 || s.SharedGrants != 6 {
 		t.Fatalf("shared identity broken: %+v", s)

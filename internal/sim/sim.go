@@ -623,7 +623,7 @@ func (s *Sim) detect() {
 			// One edge per holder: a queued reader also waits on the shared
 			// holders (never directly on a writer queued ahead of it — the
 			// writer's own edges to those holders close any cycle just as
-			// well), matching the runtime lock tables' Snapshot.
+			// well).
 			for _, h := range holders {
 				if h.done {
 					continue
