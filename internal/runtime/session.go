@@ -42,6 +42,11 @@ type instKey = locktable.InstKey
 // A Session is a transaction handle in the style of database transactions:
 // it must be driven by one goroutine at a time. Distinct sessions are
 // fully concurrent.
+//
+// A Session must not be copied once Begin, Retry, BeginAt or RetryAt has
+// initialised it: for templates of up to 64 nodes its executed and held
+// bitsets alias the session's own inline words, so a copy would share —
+// and corrupt — the original's operation state.
 type Session struct {
 	e    *Engine
 	tmpl *model.Transaction
@@ -54,10 +59,25 @@ type Session struct {
 	executed graph.Bitset
 	held     graph.Bitset
 	inline   [2]uint64
-	abortCh  chan struct{} // nil on StrategyNone (see beginInstance)
+	abortCh  chan struct{} // nil on StrategyNone (see initInstance)
 	done     bool
 	doomed   bool
 
+	// nsync tallies this session's synchronous lock operations, flushed
+	// to the engine's counters once at session end — a plain increment
+	// per Lock instead of a striped atomic on the hot path.
+	nsync int64
+
+	// x holds the state only wire, pipelined, traced or latency-measuring
+	// engines touch. It is nil on a plain in-process engine, which keeps
+	// the hot session small (see initInstance).
+	x *sessionExtra
+}
+
+// sessionExtra is the part of a Session the plain in-process path never
+// reads: allocated by initInstance only when the engine pipelines, ships
+// releases without waiting, samples spans or measures latency.
+type sessionExtra struct {
 	// In-flight state. pendAcq holds in-flight acquires by entity, pendQ
 	// their submission order (the join-oldest window, and Commit's join
 	// order) — both pipelined engines only (see
@@ -78,10 +98,8 @@ type Session struct {
 	// once per lock on the measured path.
 	lockedAt []grantStamp
 
-	// nsync/npipe tally this session's lock operations by path, flushed
-	// to the engine's counters once at session end — a plain increment
-	// per Lock instead of a striped atomic on the hot path.
-	nsync, npipe int64
+	// npipe is nsync's pipelined twin.
+	npipe int64
 
 	// Op-trace sampling (engines with TraceSampleEvery armed). spanTick is
 	// the session's plain-int sampling counter — no atomics on the op path
@@ -102,19 +120,32 @@ type grantStamp struct {
 // instance's age priority (for wound-wait) is its begin order on this
 // engine.
 func (e *Engine) Begin(tmpl *model.Transaction) (*Session, error) {
+	s := new(Session)
+	if err := e.BeginAt(s, tmpl); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// BeginAt is Begin into caller-provided memory: it initialises *s, which
+// must be zero, as a fresh session. It lets a caller embed the Session in
+// its own handle and pay one allocation for both. *s must not be copied
+// afterwards (see Session).
+func (e *Engine) BeginAt(s *Session, tmpl *model.Transaction) error {
 	if tmpl == nil {
-		return nil, fmt.Errorf("runtime: nil template")
+		return fmt.Errorf("runtime: nil template")
 	}
 	if tmpl.DDB() != e.ddb {
-		return nil, fmt.Errorf("runtime: template %s built over a different database", tmpl.Name())
+		return fmt.Errorf("runtime: template %s built over a different database", tmpl.Name())
 	}
 	select {
 	case <-e.stop:
-		return nil, ErrClosed
+		return ErrClosed
 	default:
 	}
 	id := int(e.nextID.Add(1))
-	return e.beginInstance(tmpl, id, 0, int64(id)), nil
+	e.initInstance(s, tmpl, id, 0, int64(id))
+	return nil
 }
 
 // Retry opens a fresh session for the same transaction instance as a
@@ -123,36 +154,45 @@ func (e *Engine) Begin(tmpl *model.Transaction) (*Session, error) {
 // wounded forever by younger traffic (no starvation). The previous session
 // must have ended.
 func (e *Engine) Retry(prev *Session) (*Session, error) {
+	s := new(Session)
+	if err := e.RetryAt(s, prev); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// RetryAt is Retry into caller-provided memory, as BeginAt is Begin. The
+// new session copies prev's identity and keeps no pointer into it.
+func (e *Engine) RetryAt(s, prev *Session) error {
 	if prev == nil || prev.e != e {
-		return nil, fmt.Errorf("runtime: Retry of a session from a different engine")
+		return fmt.Errorf("runtime: Retry of a session from a different engine")
 	}
 	if !prev.done {
-		return nil, fmt.Errorf("runtime: Retry of a session that has not ended")
+		return fmt.Errorf("runtime: Retry of a session that has not ended")
 	}
 	select {
 	case <-e.stop:
-		return nil, ErrClosed
+		return ErrClosed
 	default:
 	}
-	return e.beginInstance(prev.tmpl, prev.key.ID, prev.key.Epoch+1, prev.prio), nil
+	e.initInstance(s, prev.tmpl, prev.key.ID, prev.key.Epoch+1, prev.prio)
+	return nil
 }
 
-// beginInstance opens a session with explicit instance identity: Retry
-// reuses an instance id across epochs so the wound-wait age priority of a
-// wounded transaction survives its retries.
+// initInstance initialises *s as a session with explicit instance
+// identity: Retry reuses an instance id across epochs so the wound-wait
+// age priority of a wounded transaction survives its retries.
 //
 // Only a wound-wait engine gives the session an abort signal and
 // registers it: on StrategyNone nothing can ever fire one — the table
 // runs without wound-wait, and a wire server must match the engine's
 // wound-wait setting at the handshake — so a certified session takes no
 // engine lock at all.
-func (e *Engine) beginInstance(tmpl *model.Transaction, id, epoch int, prio int64) *Session {
-	s := &Session{
-		e:    e,
-		tmpl: tmpl,
-		key:  instKey{ID: id, Epoch: epoch},
-		prio: prio,
-	}
+func (e *Engine) initInstance(s *Session, tmpl *model.Transaction, id, epoch int, prio int64) {
+	s.e = e
+	s.tmpl = tmpl
+	s.key = instKey{ID: id, Epoch: epoch}
+	s.prio = prio
 	n := tmpl.N()
 	words := s.inline[:]
 	if k := graph.WordsFor(n); k > 1 {
@@ -161,11 +201,14 @@ func (e *Engine) beginInstance(tmpl *model.Transaction, id, epoch int, prio int6
 	half := len(words) / 2
 	s.executed = graph.BitsetOver(words[:half], n)
 	s.held = graph.BitsetOver(words[half:], n)
+	if e.async != nil || e.releaseAsync != nil || e.spans != nil || e.lockWait != nil {
+		s.x = new(sessionExtra)
+	}
 	if e.spans != nil {
 		// Stagger sessions across the sampling period: sessions run a
 		// handful of ops each, so without the seed most would never reach
 		// the 1-in-N threshold and hot classes would go unsampled.
-		s.spanTick = (id * 7) % e.spanEvery
+		s.x.spanTick = (id * 7) % e.spanEvery
 	}
 	if e.strategy != StrategyNone {
 		s.abortCh = make(chan struct{}, 1)
@@ -173,16 +216,15 @@ func (e *Engine) beginInstance(tmpl *model.Transaction, id, epoch int, prio int6
 		e.abortChs[id] = s.abortCh
 		e.mu.Unlock()
 	}
-	return s
 }
 
 // spanDue ticks the session's sampling counter and reports whether this op
 // is the one-in-spanEvery that gets a span. Only called when tracing is
 // armed.
 func (s *Session) spanDue() bool {
-	s.spanTick++
-	if s.spanTick >= s.e.spanEvery {
-		s.spanTick = 0
+	s.x.spanTick++
+	if s.x.spanTick >= s.e.spanEvery {
+		s.x.spanTick = 0
 		return true
 	}
 	return false
@@ -295,7 +337,7 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 		if err == nil {
 			// Counted as pipelined at submission: the optimistic hold is
 			// the path's defining move, whether or not a join parked.
-			s.npipe++
+			s.x.npipe++
 			s.noteGranted(ent, lockStart)
 		}
 		return err
@@ -340,7 +382,7 @@ func (s *Session) noteGranted(ent model.EntityID, start time.Time) {
 	}
 	now := time.Now()
 	s.e.lockWait.Record(now.Sub(start).Nanoseconds())
-	s.lockedAt = append(s.lockedAt, grantStamp{ent: ent, at: now.UnixNano()})
+	s.x.lockedAt = append(s.x.lockedAt, grantStamp{ent: ent, at: now.UnixNano()})
 }
 
 // noteReleased records one cleanly released lock's hold-time sample.
@@ -348,12 +390,13 @@ func (s *Session) noteReleased(ent model.EntityID) {
 	if s.e.holdTime == nil {
 		return
 	}
-	for i := range s.lockedAt {
-		if s.lockedAt[i].ent == ent {
-			at := s.lockedAt[i].at
-			last := len(s.lockedAt) - 1
-			s.lockedAt[i] = s.lockedAt[last]
-			s.lockedAt = s.lockedAt[:last]
+	x := s.x
+	for i := range x.lockedAt {
+		if x.lockedAt[i].ent == ent {
+			at := x.lockedAt[i].at
+			last := len(x.lockedAt) - 1
+			x.lockedAt[i] = x.lockedAt[last]
+			x.lockedAt = x.lockedAt[:last]
 			s.e.holdTime.Record(time.Now().UnixNano() - at)
 			return
 		}
@@ -384,25 +427,25 @@ func (s *Session) mapTableErr(err error) error {
 // the caller aborts, which resolves everything still in flight before
 // releasing.
 func (s *Session) lockPipelined(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode model.Mode, nid model.NodeID) error {
-	if s.pipeErr != nil {
-		return s.mapTableErr(s.pipeErr)
+	if s.x.pipeErr != nil {
+		return s.mapTableErr(s.x.pipeErr)
 	}
-	if s.pendAcq == nil {
-		s.pendAcq = map[model.EntityID]locktable.Completion{}
+	if s.x.pendAcq == nil {
+		s.x.pendAcq = map[model.EntityID]locktable.Completion{}
 	}
-	s.pendAcq[ent] = s.e.async.AcquireAsync(inst, ent, mode)
+	s.x.pendAcq[ent] = s.e.async.AcquireAsync(inst, ent, mode)
 	if inst.Span != nil {
-		if s.pendSpans == nil {
-			s.pendSpans = map[model.EntityID]*obs.Span{}
+		if s.x.pendSpans == nil {
+			s.x.pendSpans = map[model.EntityID]*obs.Span{}
 		}
-		s.pendSpans[ent] = inst.Span
+		s.x.pendSpans[ent] = inst.Span
 	}
-	s.pendQ = append(s.pendQ, ent)
+	s.x.pendQ = append(s.x.pendQ, ent)
 	s.held.Set(int(nid))
 	s.executed.Set(int(nid))
-	for len(s.pendQ) > s.e.pipeline {
-		oldest := s.pendQ[0]
-		s.pendQ = s.pendQ[1:]
+	for len(s.x.pendQ) > s.e.pipeline {
+		oldest := s.x.pendQ[0]
+		s.x.pendQ = s.x.pendQ[1:]
 		if err := s.joinAcquire(ctx, oldest); err != nil {
 			return s.mapTableErr(err)
 		}
@@ -414,19 +457,19 @@ func (s *Session) lockPipelined(ctx context.Context, inst locktable.Instance, en
 // the optimistic hold is rolled back (the completion's Wait guarantees
 // nothing is held on a non-nil return) and the session is poisoned.
 func (s *Session) joinAcquire(ctx context.Context, ent model.EntityID) error {
-	comp := s.pendAcq[ent]
+	comp := s.x.pendAcq[ent]
 	if comp == nil {
 		return nil
 	}
-	delete(s.pendAcq, ent)
-	sp := s.pendSpans[ent] // nil map and absent entity both yield nil
+	delete(s.x.pendAcq, ent)
+	sp := s.x.pendSpans[ent] // nil map and absent entity both yield nil
 	if sp != nil {
-		delete(s.pendSpans, ent)
+		delete(s.x.pendSpans, ent)
 	}
 	if err := comp.Wait(ctx); err != nil {
 		s.held.Clear(s.lockNode(ent))
-		if s.pipeErr == nil {
-			s.pipeErr = err
+		if s.x.pipeErr == nil {
+			s.x.pipeErr = err
 		}
 		return err // failed op: the span is dropped, never committed
 	}
@@ -503,13 +546,13 @@ func (s *Session) Unlock(ent model.EntityID) error {
 // while this goroutine runs ahead. The acquire's completion stays pending
 // and Commit joins it.
 func (s *Session) unlockAsync(ent model.EntityID, lnid int, nid model.NodeID) error {
-	if s.pipeErr != nil {
-		return s.mapTableErr(s.pipeErr)
+	if s.x.pipeErr != nil {
+		return s.mapTableErr(s.x.pipeErr)
 	}
-	if s.rels == nil {
-		s.rels = make([]locktable.Completion, 0, s.tmpl.N()/2) // one per Unlock node
+	if s.x.rels == nil {
+		s.x.rels = make([]locktable.Completion, 0, s.tmpl.N()/2) // one per Unlock node
 	}
-	s.rels = append(s.rels, s.e.releaseAsync(ent, s.key))
+	s.x.rels = append(s.x.rels, s.e.releaseAsync(ent, s.key))
 	s.noteReleased(ent)
 	s.held.Clear(lnid)
 	s.executed.Set(int(nid))
@@ -539,34 +582,48 @@ func (s *Session) Commit() error {
 	if n := s.held.Count(); n > 0 {
 		return fmt.Errorf("runtime: %s: commit while holding %d locks", s.tmpl.Name(), n)
 	}
-	// The acquires Unlock did not wait for settle first, in submission
-	// order; joinAcquire records the first failure in pipeErr.
-	for _, ent := range s.pendQ {
-		s.joinAcquire(context.Background(), ent)
-	}
-	s.pendQ = nil
-	if len(s.rels) > 0 {
-		// The releases Unlock did not wait for settle here: this is where
-		// their errors (a stale fence after lease expiry, a dead server)
-		// surface. A failed release means the attempt did not cleanly
-		// return its locks.
-		for _, rc := range s.rels {
-			if err := rc.Wait(context.Background()); err != nil && s.pipeErr == nil {
-				s.pipeErr = err
-			}
+	// A plain in-process session shipped nothing it did not wait for.
+	if s.x != nil {
+		if err := s.joinShipped(); err != nil {
+			return err
 		}
-		s.rels = nil
-	}
-	if s.pipeErr != nil {
-		if errors.Is(s.pipeErr, locktable.ErrStopped) {
-			return ErrClosed
-		}
-		return fmt.Errorf("runtime: %s: commit: in-flight operation failed: %w", s.tmpl.Name(), s.pipeErr)
 	}
 	s.done = true
 	s.flushOps()
 	s.dropAbortCh()
 	s.e.commits.Add(1)
+	return nil
+}
+
+// joinShipped is Commit's join of what the session shipped without
+// waiting: the acquires Unlock did not wait for settle first, in
+// submission order (joinAcquire records the first failure in pipeErr),
+// then the queued releases. It reports the first failure the way Commit
+// does.
+func (s *Session) joinShipped() error {
+	x := s.x
+	for _, ent := range x.pendQ {
+		s.joinAcquire(context.Background(), ent)
+	}
+	x.pendQ = nil
+	if len(x.rels) > 0 {
+		// The releases Unlock did not wait for settle here: this is where
+		// their errors (a stale fence after lease expiry, a dead server)
+		// surface. A failed release means the attempt did not cleanly
+		// return its locks.
+		for _, rc := range x.rels {
+			if err := rc.Wait(context.Background()); err != nil && x.pipeErr == nil {
+				x.pipeErr = err
+			}
+		}
+		x.rels = nil
+	}
+	if x.pipeErr != nil {
+		if errors.Is(x.pipeErr, locktable.ErrStopped) {
+			return ErrClosed
+		}
+		return fmt.Errorf("runtime: %s: commit: in-flight operation failed: %w", s.tmpl.Name(), x.pipeErr)
+	}
 	return nil
 }
 
@@ -579,9 +636,9 @@ func (s *Session) flushOps() {
 		s.e.syncOps.Add(uint64(s.key.ID), s.nsync)
 		s.nsync = 0
 	}
-	if s.npipe != 0 {
-		s.e.pipelinedOps.Add(uint64(s.key.ID), s.npipe)
-		s.npipe = 0
+	if s.x != nil && s.x.npipe != 0 {
+		s.e.pipelinedOps.Add(uint64(s.key.ID), s.x.npipe)
+		s.x.npipe = 0
 	}
 }
 
@@ -602,7 +659,7 @@ func (s *Session) Abort() error {
 	}
 	s.done = true
 	s.flushOps()
-	if len(s.pendAcq) > 0 {
+	if s.x != nil && len(s.x.pendAcq) > 0 {
 		// Resolve every in-flight acquire with an already-cancelled
 		// context before the release wave: each Wait withdraws its request
 		// — or releases the grant that raced the withdrawal — so nothing
@@ -618,7 +675,7 @@ func (s *Session) Abort() error {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		var wg sync.WaitGroup
-		for _, comp := range s.pendAcq {
+		for _, comp := range s.x.pendAcq {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -626,9 +683,9 @@ func (s *Session) Abort() error {
 			}()
 		}
 		wg.Wait()
-		s.pendAcq = nil
-		s.pendQ = nil
-		s.pendSpans = nil // aborted ops' spans are dropped, never committed
+		s.x.pendAcq = nil
+		s.x.pendQ = nil
+		s.x.pendSpans = nil // aborted ops' spans are dropped, never committed
 	}
 	// One pipelined release wave; a mid-abort shutdown leaves the rest to
 	// die with the table.

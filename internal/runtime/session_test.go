@@ -248,8 +248,13 @@ func TestSessionWoundReturnsErrAborted(t *testing.T) {
 
 		// Explicit instance identities: the holder is younger (higher age
 		// priority value) than the requester, so the request wounds it.
-		holder := e.beginInstance(buildChain(d, "H", "Lx Ux"), 100, 0, 100)
-		requester := e.beginInstance(buildChain(d, "R", "Lx Ux"), 50, 0, 50)
+		instance := func(name string, id int) *Session {
+			s := new(Session)
+			e.initInstance(s, buildChain(d, name, "Lx Ux"), id, 0, int64(id))
+			return s
+		}
+		holder := instance("H", 100)
+		requester := instance("R", 50)
 		if err := holder.Lock(bg, x, model.Exclusive); err != nil {
 			t.Fatal(err)
 		}
@@ -388,6 +393,42 @@ func TestCertifiedSessionHasNoAbortSignal(t *testing.T) {
 		if n := registered(); n != 0 {
 			t.Fatalf("%v: %d abort signals left after Commit", strat, n)
 		}
+	}
+}
+
+// TestEngineSessionAllocs: on a plain in-process StrategyNone engine — no
+// pipelining, wire releases, tracing or latency histograms — a whole
+// Begin…Commit cycle is one allocation, the Session itself: it carries no
+// sessionExtra.
+func TestEngineSessionAllocs(t *testing.T) {
+	e, d := sessionFixture(t, StrategyNone, BackendSharded)
+	tmpl := buildChain(d, "A", "Lx Ly Ux Uy")
+	x, y := ent(t, d, "x"), ent(t, d, "y")
+	bg := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		s, err := e.Begin(tmpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.x != nil {
+			t.Fatal("plain in-process session carries a sessionExtra")
+		}
+		for _, id := range []model.EntityID{x, y} {
+			if err := s.Lock(bg, id, model.Exclusive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range []model.EntityID{x, y} {
+			if err := s.Unlock(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("engine session cycle = %v allocs, want <= 1", allocs)
 	}
 }
 

@@ -470,12 +470,12 @@ func (s *LockService) beginOn(ctx context.Context, c *svcClass, prev *runtime.Se
 			return nil, fmt.Errorf("distlock: class %q no longer registered", c.txn.Name())
 		}
 	}
-	var inner *runtime.Session
+	sess := &Session{svc: s, class: c}
 	var err error
 	if prev != nil {
-		inner, err = engine.Retry(prev)
+		err = engine.RetryAt(&sess.inner, prev)
 	} else {
-		inner, err = engine.Begin(c.txn)
+		err = engine.BeginAt(&sess.inner, c.txn)
 	}
 	if err != nil {
 		if c.certified {
@@ -484,7 +484,7 @@ func (s *LockService) beginOn(ctx context.Context, c *svcClass, prev *runtime.Se
 		return nil, err
 	}
 	s.begun.Add(1)
-	return &Session{svc: s, class: c, inner: inner}, nil
+	return sess, nil
 }
 
 // join counts one more live session unless the class has departed.
@@ -525,7 +525,7 @@ func (s *LockService) BeginRetry(ctx context.Context, prev *Session) (*Session, 
 	if !registered {
 		return nil, fmt.Errorf("distlock: class %q no longer registered", prev.class.txn.Name())
 	}
-	return s.beginOn(ctx, prev.class, prev.inner)
+	return s.beginOn(ctx, prev.class, &prev.inner)
 }
 
 // Snapshot returns the current certified set as an immutable transaction
@@ -633,13 +633,17 @@ func (s *LockService) Close() error {
 // tiers; create with LockService.Begin. It enforces the registered class's
 // partial order and must end in exactly one Commit or Abort. A Session is
 // driven by one goroutine at a time.
+//
+// A Session is only ever handled by pointer: it embeds its engine session
+// by value, so that a transaction costs one allocation, and that engine
+// session must not be copied (see runtime.Session).
 type Session struct {
 	svc   *LockService
 	class *svcClass
-	inner *runtime.Session
 	// released records that the session gave back its multiplicity slot.
 	// A plain bool: a session is driven by one goroutine at a time.
 	released bool
+	inner    runtime.Session
 }
 
 // release gives back the session's certified-tier multiplicity slot, once

@@ -190,3 +190,56 @@ func TestLockServiceRemoteDialFailure(t *testing.T) {
 		t.Fatalf("unexpected error shape: %v", err)
 	}
 }
+
+// TestLatencyMetricsCountEveryGrant: under WithLatencyMetrics every granted
+// certified Lock records one lock-wait sample and every clean Unlock one
+// hold-time sample, on the in-process table and over the wire, synchronous
+// and pipelined: N transactions of k locks give N·k of each.
+func TestLatencyMetricsCountEveryGrant(t *testing.T) {
+	const n, k = 20, 3
+	for _, tc := range []struct {
+		name   string
+		remote bool
+		depth  int
+	}{{"sharded", false, 0}, {"remote", true, 0}, {"remote-pipelined", true, 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := xyzDB()
+			opts := []distlock.ServiceOption{distlock.WithLatencyMetrics()}
+			if tc.remote {
+				srv, err := netlock.NewServer(db, locktable.Config{}, netlock.ServerOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.Listen("127.0.0.1:0"); err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+				opts = append(opts, distlock.WithRemoteTable(srv.Addr()), distlock.WithPipelineDepth(tc.depth))
+			}
+			svc, err := distlock.Open(db, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			ctx := context.Background()
+			res, err := svc.Register(ctx, chain(db, "A", "Lx", "Ly", "Lz", "Ux", "Uy", "Uz"))
+			if err != nil || !res.Admitted {
+				t.Fatalf("class not certified: %+v, %v", res, err)
+			}
+			for range n {
+				sess, err := svc.Begin(ctx, "A")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sess.Drive(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := svc.Stats().Certified
+			if st.LockWait.Count != n*k || st.HoldTime.Count != n*k {
+				t.Fatalf("lock-wait count %d, hold-time count %d, want %d each",
+					st.LockWait.Count, st.HoldTime.Count, n*k)
+			}
+		})
+	}
+}
