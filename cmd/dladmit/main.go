@@ -236,8 +236,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 //     tier's lock-table counters (grants, shared_grants split into
 //     fast_path_hits + slow_shared_grants, releases, held = grants −
 //     releases, wounds, stripe_splits (always 0), queue_depth histogram),
-//     and the lock_wait_ns/hold_time_ns histograms (all-zero unless the service
-//     measures latency; dladmit does not enable it).
+//     and, under -trace-sample, trace_stages: nanosecond histograms of
+//     the sampled Lock calls, "total" first (sampled Lock latency on
+//     every backend), then each stamped stage.
 //   - begun: sessions opened. Conservation: after all sessions close,
 //     begun == certified.commits+aborts + fallback.commits+aborts.
 func dumpStats(stdout io.Writer, svc *distlock.LockService) error {

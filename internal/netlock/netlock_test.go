@@ -313,6 +313,46 @@ func TestWoundPushCrossConn(t *testing.T) {
 	}
 }
 
+// TestWoundPushCountsEveryDecision: one victim wounded by two older
+// requesters on two entities gets one push per decision, so the victim
+// connection's Wounds counter equals the server's — pushes are not
+// coalesced per victim.
+func TestWoundPushCountsEveryDecision(t *testing.T) {
+	ddb, ents := testDDB(t, 2)
+	srv := startServer(t, ddb, locktable.Config{WoundWait: true}, ServerOptions{Lease: time.Minute})
+
+	var pushed atomic.Int64
+	victim := dial(t, srv, locktable.Config{WoundWait: true, OnWound: func(int) { pushed.Add(1) }}, DialOptions{})
+	acquire(t, victim, 9, ents[0])
+	acquire(t, victim, 9, ents[1])
+
+	got := make(chan error, 2)
+	for i, e := range ents[:2] {
+		older := dial(t, srv, locktable.Config{WoundWait: true}, DialOptions{})
+		id := 2 + i
+		go func() {
+			got <- older.Acquire(context.Background(),
+				locktable.Instance{Key: locktable.InstKey{ID: id}, Prio: int64(id)}, e, locktable.Exclusive)
+		}()
+	}
+	waitFor(t, func() bool { return srv.TableMetrics().Wounds.Load() == 2 })
+	waitFor(t, func() bool { return pushed.Load() == 2 })
+	if n, want := victim.TableMetrics().Wounds.Load(), srv.TableMetrics().Wounds.Load(); n != want {
+		t.Fatalf("victim connection counted %d wounds, server decided %d", n, want)
+	}
+	// The wounded holder aborts: its releases let both requesters in.
+	for _, e := range ents[:2] {
+		if err := victim.Release(e, locktable.InstKey{ID: 9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		if err := <-got; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestHandshakeRejects: a client over the wrong database, or with a
 // mismatched discipline, is told so instead of corrupting the table.
 func TestHandshakeRejects(t *testing.T) {

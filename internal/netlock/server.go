@@ -152,13 +152,6 @@ type srvConn struct {
 
 	ctx    context.Context // conn lifetime: cancelled on disconnect/server stop
 	cancel context.CancelFunc
-
-	// Wound push: OnWound runs inside the inner table's grant-path critical
-	// section, so it must not block on conn I/O or take mu — it drops the
-	// victim into a coalescing set a dedicated writer goroutine drains.
-	woundMu     sync.Mutex
-	woundSet    map[int64]struct{}
-	woundNotify chan struct{}
 }
 
 // NewServer builds a server hosting a fresh table over the database. The
@@ -408,52 +401,28 @@ func (s *Server) dropConn(c *srvConn) {
 	s.connsMu.Unlock()
 }
 
-// pushWound is the inner table's OnWound: it runs inside the grant-path
-// critical section, so it only records the victim for the owning
-// connection's wound writer. Unknown owners (a session that vanished
-// between decision and push) are dropped — their locks are on their way
-// out anyway.
+// pushWound is the inner table's OnWound: it queues an opWoundPush frame
+// for the victim's connection on that connection's reply writer. It runs
+// inside the grant-path critical section, which is safe because write
+// only takes outMu, never blocks and never calls into the table, and
+// nothing holds outMu while it takes a stripe lock. Every decision is
+// pushed, so the client's Wounds counter matches the server's. Unknown
+// owners (a session that vanished between decision and push) are dropped
+// — their locks are on their way out anyway.
 func (s *Server) pushWound(composedID int) {
 	connID := uint32(uint64(composedID) >> 32)
-	clientID := int64(uint32(composedID))
 	s.connsMu.RLock()
 	c := s.conns[connID]
 	s.connsMu.RUnlock()
 	if c == nil {
 		return
 	}
-	c.woundMu.Lock()
-	if c.woundSet == nil {
-		c.woundSet = map[int64]struct{}{}
-	}
-	c.woundSet[clientID] = struct{}{}
-	c.woundMu.Unlock()
-	select {
-	case c.woundNotify <- struct{}{}:
-	default:
-	}
-}
-
-// woundWriter drains the connection's coalescing wound set into
-// opWoundPush frames.
-func (s *Server) woundWriter(c *srvConn) {
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-c.woundNotify:
-		}
-		c.woundMu.Lock()
-		victims := c.woundSet
-		c.woundSet = nil
-		c.woundMu.Unlock()
-		for id := range victims {
-			var e enc
-			e.u8(opWoundPush)
-			e.i64(id)
-			c.write(e.b, nil)
-		}
-	}
+	e := encPool.Get().(*enc)
+	e.b = e.b[:0]
+	e.u8(opWoundPush)
+	e.i64(int64(uint32(composedID)))
+	c.write(e.b, nil)
+	encPool.Put(e)
 }
 
 // write queues one frame for the connection's reply writer. A sampled
@@ -624,11 +593,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		return
 	}
 	nc.SetReadDeadline(time.Time{})
-	s.wg.Add(2)
-	go func() {
-		defer s.wg.Done()
-		s.woundWriter(c)
-	}()
+	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		s.replyWriter(c)
@@ -692,15 +657,14 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader) (*srvConn, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &srvConn{
-		id:          s.nextConn.Add(1),
-		net:         nc,
-		acquires:    map[uint64]*pendingAcq{},
-		chains:      map[locktable.InstKey]*acqChain{},
-		grants:      map[grantRef]struct{}{},
-		ctx:         ctx,
-		cancel:      cancel,
-		outWake:     make(chan struct{}, 1),
-		woundNotify: make(chan struct{}, 1),
+		id:       s.nextConn.Add(1),
+		net:      nc,
+		acquires: map[uint64]*pendingAcq{},
+		chains:   map[locktable.InstKey]*acqChain{},
+		grants:   map[grantRef]struct{}{},
+		ctx:      ctx,
+		cancel:   cancel,
+		outWake:  make(chan struct{}, 1),
 	}
 	c.lastRenew.Store(time.Now().UnixNano())
 	s.connsMu.Lock()

@@ -31,8 +31,9 @@ type TableMetrics struct {
 	// no-ops and not counted). Grants − Releases = locks currently held.
 	Releases StripedCounter
 	// Wounds counts wound decisions: each OnWound call the table's
-	// wound-wait grant path makes (a netlock client counts each wound the
-	// server pushed to it).
+	// wound-wait grant path makes. A netlock client counts each wound the
+	// server pushed to it; the server pushes every decision, so its
+	// owners' counts sum to the server's.
 	Wounds Counter
 	// QueueDepth samples the wait-queue length observed by each request
 	// at park time — the contention a slow-path faller actually met.

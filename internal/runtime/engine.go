@@ -103,13 +103,6 @@ type EngineOptions struct {
 	// cancellation inside a chain aborts the whole attempt instead of
 	// leaving the session resumable.
 	PipelineDepth int
-	// MeasureLatency arms the engine's lock-wait histogram (see
-	// Engine.LockWait: two clock reads per granted Lock) and its hold-time
-	// histogram (Engine.HoldTime: grant-stamp bookkeeping per lock plus a
-	// third clock read at release). Off by default: these are the
-	// instruments that add time.Now calls to the per-operation path, so
-	// they stay opt-in while the counters are unconditional.
-	MeasureLatency bool
 	// TraceSampleEvery arms end-to-end op tracing: roughly one in this
 	// many lock operations is sampled into a span recording its full stage
 	// waterfall (submit → enqueue → flush → server → grant → reply →
@@ -154,8 +147,8 @@ type Engine struct {
 	stopOnce sync.Once
 
 	// Cumulative tallies, bumped per session or per wound, never per lock
-	// operation: unless a latency histogram or tracing is armed, a lock
-	// operation writes nothing engine-global.
+	// operation: unless tracing is armed, a lock operation writes nothing
+	// engine-global.
 	commits  atomic.Int64
 	aborts   atomic.Int64
 	discards atomic.Int64
@@ -165,13 +158,10 @@ type Engine struct {
 	// Observability (see internal/obs). metrics is the backend's counter
 	// bundle; pipelinedOps/syncOps split lock operations by path —
 	// certified-chain pipelined submission vs the synchronous fallback
-	// every other configuration takes. lockWait and holdTime are non-nil
-	// only with EngineOptions.MeasureLatency.
+	// every other configuration takes.
 	metrics      *obs.TableMetrics
 	pipelinedOps obs.StripedCounter
 	syncOps      obs.StripedCounter
-	lockWait     *obs.Histogram
-	holdTime     *obs.Histogram
 
 	// Op tracing (EngineOptions.TraceSampleEvery): spans holds the sampled
 	// waterfalls, stageHist their per-stage gap distributions, spanEvery
@@ -204,10 +194,6 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 		stop:     make(chan struct{}),
 		abortChs: map[int]chan struct{}{},
 		metrics:  cfg.Metrics,
-	}
-	if opts.MeasureLatency {
-		e.lockWait = new(obs.Histogram)
-		e.holdTime = new(obs.Histogram)
 	}
 	cfg.WoundWait = opts.Strategy == StrategyWoundWait
 	cfg.OnWound = func(holderID int) {
@@ -315,28 +301,19 @@ func (e *Engine) Counters() Counters {
 // with traffic and after Close.
 func (e *Engine) TableMetrics() *obs.TableMetrics { return e.metrics }
 
-// LockWait summarizes the engine's lock-wait histogram: the wall time of
-// every granted Session.Lock, in nanoseconds. Zeros unless
-// EngineOptions.MeasureLatency armed it.
-func (e *Engine) LockWait() obs.HistogramSnapshot { return e.lockWait.Snapshot() }
-
-// HoldTime summarizes the engine's hold-time histogram: grant-to-release
-// wall time of every cleanly unlocked lock, in nanoseconds. Zeros unless
-// EngineOptions.MeasureLatency armed it.
-func (e *Engine) HoldTime() obs.HistogramSnapshot { return e.holdTime.Snapshot() }
-
 // Spans returns the engine's sampled-span ring (nil unless
 // EngineOptions.TraceSampleEvery armed tracing). Safe to read concurrently
 // with traffic.
 func (e *Engine) Spans() *obs.SpanRing { return e.spans }
 
-// StageLatency summarizes the per-stage gap distributions of every span
-// / the engine committed: where a sampled op's latency went, stage by stage.
-// Nil unless tracing is armed.
+// StageLatency summarizes the per-stage gap distributions of every sampled
+// acquire: where a sampled Lock's latency went, stage by stage, so its
+// "total" row is sampled Lock latency on every backend. Release spans reach
+// the span ring only. Nil unless tracing is armed.
 func (e *Engine) StageLatency() []obs.StageLatency { return e.stageHist.Snapshot() }
 
-// recordSpan commits a completed span and folds it into the per-stage
-// distributions. The caller must be the span's last holder (see
+// recordSpan commits a completed acquire span and folds it into the
+// per-stage distributions. The caller must be the span's last holder (see
 // obs.Span.Commit).
 func (e *Engine) recordSpan(sp *obs.Span) {
 	if sp == nil {

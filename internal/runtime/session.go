@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"distlock/internal/graph"
 	"distlock/internal/locktable"
@@ -68,15 +67,15 @@ type Session struct {
 	// per Lock instead of a striped atomic on the hot path.
 	nsync int64
 
-	// x holds the state only wire, pipelined, traced or latency-measuring
-	// engines touch. It is nil on a plain in-process engine, which keeps
-	// the hot session small (see initInstance).
+	// x holds the state only wire, pipelined or traced engines touch. It
+	// is nil on a plain in-process engine, which keeps the hot session
+	// small (see initInstance).
 	x *sessionExtra
 }
 
 // sessionExtra is the part of a Session the plain in-process path never
 // reads: allocated by initInstance only when the engine pipelines, ships
-// releases without waiting, samples spans or measures latency.
+// releases without waiting or samples spans.
 type sessionExtra struct {
 	// In-flight state. pendAcq holds in-flight acquires by entity, pendQ
 	// their submission order (the join-oldest window, and Commit's join
@@ -91,13 +90,6 @@ type sessionExtra struct {
 	rels    []locktable.Completion
 	pipeErr error
 
-	// lockedAt records held entities' grant times in unix nanos, for the
-	// engine's hold-time histogram. Empty unless
-	// EngineOptions.MeasureLatency armed it. A linear-scanned slice, not
-	// a map: sessions hold a handful of entities and the bookkeeping runs
-	// once per lock on the measured path.
-	lockedAt []grantStamp
-
 	// npipe is nsync's pipelined twin.
 	npipe int64
 
@@ -108,12 +100,6 @@ type sessionExtra struct {
 	// in-flight pipelined acquires by entity, committed at join.
 	spanTick  int
 	pendSpans map[model.EntityID]*obs.Span
-}
-
-// grantStamp is one held entity's grant time (unix nanos).
-type grantStamp struct {
-	ent model.EntityID
-	at  int64
 }
 
 // Begin opens a session for one instance of the template transaction. The
@@ -201,7 +187,7 @@ func (e *Engine) initInstance(s *Session, tmpl *model.Transaction, id, epoch int
 	half := len(words) / 2
 	s.executed = graph.BitsetOver(words[:half], n)
 	s.held = graph.BitsetOver(words[half:], n)
-	if e.async != nil || e.releaseAsync != nil || e.spans != nil || e.lockWait != nil {
+	if e.async != nil || e.releaseAsync != nil || e.spans != nil {
 		s.x = new(sessionExtra)
 	}
 	if e.spans != nil {
@@ -323,10 +309,6 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 		return err
 	}
 	inst := locktable.Instance{Key: s.key, Prio: s.prio, Doomed: s.abortCh}
-	var lockStart time.Time
-	if s.e.lockWait != nil {
-		lockStart = time.Now()
-	}
 	if s.e.spans != nil && s.spanDue() {
 		inst.Span = s.e.spans.Start(obs.SpanAcquire, int32(ent))
 		inst.Span.Stamp(obs.StageSubmit)
@@ -338,7 +320,6 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 			// Counted as pipelined at submission: the optimistic hold is
 			// the path's defining move, whether or not a join parked.
 			s.x.npipe++
-			s.noteGranted(ent, lockStart)
 		}
 		return err
 	}
@@ -356,7 +337,6 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 			s.e.recordSpan(sp)
 		}
 		s.nsync++
-		s.noteGranted(ent, lockStart)
 		s.held.Set(int(nid))
 		s.executed.Set(int(nid))
 		return nil
@@ -367,39 +347,6 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 		return ErrClosed
 	default:
 		return err // context cancellation: the table withdrew the request
-	}
-}
-
-// noteGranted records one granted lock's wait sample and grant time.
-// No-op unless EngineOptions.MeasureLatency armed the histograms — the
-// counters are unconditional, but the latency instruments are the one
-// piece that would add time.Now calls to a path that has no timestamp:
-// two clock reads per grant, the grant-stamp bookkeeping, and a third
-// read at release.
-func (s *Session) noteGranted(ent model.EntityID, start time.Time) {
-	if s.e.lockWait == nil {
-		return
-	}
-	now := time.Now()
-	s.e.lockWait.Record(now.Sub(start).Nanoseconds())
-	s.x.lockedAt = append(s.x.lockedAt, grantStamp{ent: ent, at: now.UnixNano()})
-}
-
-// noteReleased records one cleanly released lock's hold-time sample.
-func (s *Session) noteReleased(ent model.EntityID) {
-	if s.e.holdTime == nil {
-		return
-	}
-	x := s.x
-	for i := range x.lockedAt {
-		if x.lockedAt[i].ent == ent {
-			at := x.lockedAt[i].at
-			last := len(x.lockedAt) - 1
-			x.lockedAt[i] = x.lockedAt[last]
-			x.lockedAt = x.lockedAt[:last]
-			s.e.holdTime.Record(time.Now().UnixNano() - at)
-			return
-		}
 	}
 }
 
@@ -501,8 +448,9 @@ func (s *Session) Unlock(ent model.EntityID) error {
 	if s.e.releaseAsync != nil {
 		return s.unlockAsync(ent, lnid, nid)
 	}
-	// In-process releases are traced session-level only (submit + wakeup):
-	// the interesting decomposition is the acquire's, and wire releases
+	// In-process releases are traced session-level only (submit + wakeup)
+	// and reach the span ring, not the stage histograms, so StageLatency's
+	// "total" is sampled Lock latency here as over the wire. Wire releases
 	// are joined at Commit — there is no wakeup to stamp.
 	var sp *obs.Span
 	if s.e.spans != nil && s.spanDue() {
@@ -517,9 +465,8 @@ func (s *Session) Unlock(ent model.EntityID) error {
 	}
 	if sp != nil {
 		sp.Stamp(obs.StageWakeup)
-		s.e.recordSpan(sp)
+		sp.Commit()
 	}
-	s.noteReleased(ent)
 	s.held.Clear(lnid)
 	s.executed.Set(int(nid))
 	return nil
@@ -553,7 +500,6 @@ func (s *Session) unlockAsync(ent model.EntityID, lnid int, nid model.NodeID) er
 		s.x.rels = make([]locktable.Completion, 0, s.tmpl.N()/2) // one per Unlock node
 	}
 	s.x.rels = append(s.x.rels, s.e.releaseAsync(ent, s.key))
-	s.noteReleased(ent)
 	s.held.Clear(lnid)
 	s.executed.Set(int(nid))
 	return nil

@@ -397,9 +397,8 @@ func TestCertifiedSessionHasNoAbortSignal(t *testing.T) {
 }
 
 // TestEngineSessionAllocs: on a plain in-process StrategyNone engine — no
-// pipelining, wire releases, tracing or latency histograms — a whole
-// Begin…Commit cycle is one allocation, the Session itself: it carries no
-// sessionExtra.
+// pipelining, wire releases or tracing — a whole Begin…Commit cycle is one
+// allocation, the Session itself: it carries no sessionExtra.
 func TestEngineSessionAllocs(t *testing.T) {
 	e, d := sessionFixture(t, StrategyNone, BackendSharded)
 	tmpl := buildChain(d, "A", "Lx Ly Ux Uy")

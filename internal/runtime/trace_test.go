@@ -92,7 +92,10 @@ func traceFixture(t *testing.T, servers, depth int) (*Engine, *model.DDB) {
 // number of session ops, (b) every decoded span monotone with
 // non-negative present stages, and (c) on wire transports, at least one
 // acquire span complete from submit through wakeup — the full waterfall
-// including the server stages carried back on the reply.
+// including the server stages carried back on the reply, and (d) the
+// stage histograms' "total" row counting the sampled acquires only. On
+// the in-process table sampled releases reach the ring too, but never
+// the histograms.
 func TestTraceSpanIntegrity(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -144,8 +147,13 @@ func TestTraceSpanIntegrity(t *testing.T) {
 			}
 
 			spans := e.spans.Spans()
-			fullAcquires := 0
+			fullAcquires, acquires, releases := 0, int64(0), 0
 			for _, r := range spans {
+				if r.Kind == obs.SpanAcquire {
+					acquires++
+				} else {
+					releases++
+				}
 				prev := int64(0)
 				for s := 0; s < obs.NumStages; s++ {
 					v := r.Stages[s]
@@ -180,8 +188,15 @@ func TestTraceSpanIntegrity(t *testing.T) {
 			if tc.full && fullAcquires == 0 {
 				t.Fatal("no acquire span completed the full submit→wakeup waterfall over the wire")
 			}
-			if e.StageLatency() == nil {
-				t.Fatal("stage histograms empty after a traced run")
+			stages := e.StageLatency()
+			if len(stages) == 0 || stages[0].Stage != "total" {
+				t.Fatalf("stage histograms %+v, want a leading total row", stages)
+			}
+			if stages[0].Count != acquires {
+				t.Fatalf("total row counts %d samples, want the %d sampled acquires only", stages[0].Count, acquires)
+			}
+			if tc.servers == 0 && releases == 0 {
+				t.Fatal("no in-process release span reached the ring")
 			}
 		})
 	}

@@ -60,7 +60,6 @@ type serviceConfig struct {
 	remoteAddr   string
 	remoteAddrs  []string
 	pipeline     int
-	latency      bool
 	traceSample  int
 }
 
@@ -139,17 +138,6 @@ func WithPipelineDepth(depth int) ServiceOption {
 	return func(c *serviceConfig) { c.pipeline = depth }
 }
 
-// WithLatencyMetrics turns on the per-tier lock-wait and hold-time
-// histograms reported by Stats (TierStats.LockWait / TierStats.HoldTime).
-// Counter metrics (grants, releases, fast-path hits, wounds) are always
-// on — they are single atomic adds on state the grant path already owns —
-// but the latency histograms price two time.Now calls per lock on paths
-// that otherwise read no clock, so they are opt-in. Off (the default) the
-// snapshots read all-zero.
-func WithLatencyMetrics() ServiceOption {
-	return func(c *serviceConfig) { c.latency = true }
-}
-
 // WithTraceSampling turns on sampled end-to-end operation tracing on
 // both tiers: each session samples one in every `every` of its Lock
 // calls (and of its Unlock calls on the in-process table), starting at a
@@ -158,7 +146,10 @@ func WithLatencyMetrics() ServiceOption {
 // session submit, client-queue enqueue, wire flush, server pickup, chain
 // start, table grant, reply enqueue/flush, and completion wakeup — into
 // a fixed lossy ring plus per-stage histograms, all readable through
-// Stats (TierStats.TraceStages) and SlowestSpans.
+// Stats (TierStats.TraceStages) and SlowestSpans. The histograms hold
+// acquisitions only, so their "total" row is sampled Lock latency on every
+// backend; a sampled in-process Unlock reaches the ring (SlowestSpans)
+// only.
 // On in-process backends only the submit/grant/wakeup stages exist; on
 // wire backends the server stages travel back as clock-skew-free
 // durations piggybacked on the grant reply. every <= 0 selects the
@@ -258,7 +249,6 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 		RemoteAddr:       cfg.remoteAddr,
 		RemoteAddrs:      cfg.remoteAddrs,
 		PipelineDepth:    cfg.pipeline,
-		MeasureLatency:   cfg.latency,
 		TraceSampleEvery: cfg.traceSample,
 	})
 	if err != nil {
@@ -267,7 +257,6 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 	fallback, err := runtime.NewEngine(ddb, runtime.EngineOptions{
 		Strategy:         runtime.StrategyWoundWait,
 		Backend:          runtime.BackendDefault,
-		MeasureLatency:   cfg.latency,
 		TraceSampleEvery: cfg.traceSample,
 	})
 	if err != nil {
@@ -544,21 +533,20 @@ func (s *LockService) CertifiedBackend() LockBackend { return s.certified.Backen
 // TierStats are one engine tier's cumulative counters: the session-level
 // tallies (commits, aborts, wounds, certified-pipelined vs synchronous
 // operations) plus the tier's lock-table counter bundle and — when the
-// service was opened WithLatencyMetrics — lock-wait and hold-time
-// histogram snapshots in nanoseconds.
+// service was opened WithTraceSampling — the sampled Lock latency,
+// stage by stage.
 type TierStats struct {
 	runtime.Counters
 	// Table is the tier's lock-table counter bundle. Grants−Releases is
 	// the number of lock records currently held through this tier;
 	// FastHits+SlowShared equals the shared grants.
 	Table obs.TableCounters `json:"table"`
-	// LockWait and HoldTime are nanosecond histograms of time-to-grant
-	// and grant-to-release; all-zero unless WithLatencyMetrics was set.
-	LockWait obs.HistogramSnapshot `json:"lock_wait_ns"`
-	HoldTime obs.HistogramSnapshot `json:"hold_time_ns"`
-	// TraceStages are the per-stage latency histograms of the tier's
-	// sampled operation traces ("total" first, then each stamped stage);
-	// nil unless the service was opened WithTraceSampling.
+	// TraceStages are the per-stage latency histograms, in nanoseconds,
+	// of the tier's sampled Lock calls: "total" first, then each stamped
+	// stage. It is the service's one lock-latency instrument, and "total"
+	// is sampled Lock latency on every backend (sampled in-process Unlock
+	// spans reach SlowestSpans only). Nil unless the service was opened
+	// WithTraceSampling.
 	TraceStages []obs.StageLatency `json:"trace_stages,omitempty"`
 }
 
@@ -579,8 +567,6 @@ func tierStats(e *runtime.Engine) TierStats {
 	return TierStats{
 		Counters:    e.Counters(),
 		Table:       e.TableMetrics().Snapshot(),
-		LockWait:    e.LockWait(),
-		HoldTime:    e.HoldTime(),
 		TraceStages: e.StageLatency(),
 	}
 }

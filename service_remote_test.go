@@ -191,11 +191,12 @@ func TestLockServiceRemoteDialFailure(t *testing.T) {
 	}
 }
 
-// TestLatencyMetricsCountEveryGrant: under WithLatencyMetrics every granted
-// certified Lock records one lock-wait sample and every clean Unlock one
-// hold-time sample, on the in-process table and over the wire, synchronous
-// and pipelined: N transactions of k locks give N·k of each.
-func TestLatencyMetricsCountEveryGrant(t *testing.T) {
+// TestTraceStagesTotalIsLockLatency: under WithTraceSampling(1) the
+// "total" stage row counts exactly the sampled certified Locks, on the
+// in-process table and over the wire, synchronous and pipelined: N
+// transactions of k locks give N·k samples. Sampled in-process Unlocks
+// reach the span ring but must not be folded into the row.
+func TestTraceStagesTotalIsLockLatency(t *testing.T) {
 	const n, k = 20, 3
 	for _, tc := range []struct {
 		name   string
@@ -204,7 +205,7 @@ func TestLatencyMetricsCountEveryGrant(t *testing.T) {
 	}{{"sharded", false, 0}, {"remote", true, 0}, {"remote-pipelined", true, 8}} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := xyzDB()
-			opts := []distlock.ServiceOption{distlock.WithLatencyMetrics()}
+			opts := []distlock.ServiceOption{distlock.WithTraceSampling(1)}
 			if tc.remote {
 				srv, err := netlock.NewServer(db, locktable.Config{}, netlock.ServerOptions{})
 				if err != nil {
@@ -235,10 +236,12 @@ func TestLatencyMetricsCountEveryGrant(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			st := svc.Stats().Certified
-			if st.LockWait.Count != n*k || st.HoldTime.Count != n*k {
-				t.Fatalf("lock-wait count %d, hold-time count %d, want %d each",
-					st.LockWait.Count, st.HoldTime.Count, n*k)
+			stages := svc.Stats().Certified.TraceStages
+			if len(stages) == 0 || stages[0].Stage != "total" {
+				t.Fatalf("trace stages %+v, want a leading total row", stages)
+			}
+			if got := stages[0].Count; got != n*k {
+				t.Fatalf("total row counts %d samples, want %d sampled Locks", got, n*k)
 			}
 		})
 	}

@@ -650,12 +650,12 @@ func TestCertifiedSessionAllocs(t *testing.T) {
 
 // TestStatsConcurrentWithClose: Stats is documented safe on a live
 // service, concurrently with Close, and after Close. Drive real traffic
-// (with latency histograms enabled, so every metrics source is live),
+// (with trace sampling on every op, so every metrics source is live),
 // hammer Stats from readers while Close races the last sessions, and
 // check the conservation identities on the post-Close snapshot.
 func TestStatsConcurrentWithClose(t *testing.T) {
 	db := xyzDB()
-	svc, err := distlock.Open(db, distlock.WithMultiplicity(2), distlock.WithLatencyMetrics())
+	svc, err := distlock.Open(db, distlock.WithMultiplicity(2), distlock.WithTraceSampling(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -731,8 +731,8 @@ func TestStatsConcurrentWithClose(t *testing.T) {
 		if tab.Grants == 0 {
 			t.Fatal("committed sessions granted no locks")
 		}
-		if st.Certified.LockWait.Count == 0 {
-			t.Fatal("latency metrics enabled but lock-wait histogram is empty")
+		if len(st.Certified.TraceStages) == 0 {
+			t.Fatal("trace sampling enabled but the stage histograms are empty")
 		}
 	}
 }
