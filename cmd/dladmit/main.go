@@ -8,7 +8,7 @@
 // re-certification of the final mix, and can finish by serving live
 // traffic: concurrent client goroutines driving sessions step-by-step
 // (Begin / Lock / Unlock / Commit), certified classes with NO deadlock
-// handling and rejected classes under wound-wait.
+// handling and rejected classes as two-phase sessions.
 //
 // Usage:
 //
@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"os"
 	"strings"
 	"sync"
@@ -157,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if r.Admitted {
 				fmt.Fprintf(stdout, "register %-6s -> certified (runs with no deadlock handling)\n", r.Class)
 			} else {
-				fmt.Fprintf(stdout, "register %-6s -> fallback (%s): %s\n", r.Class, r.Strategy, r.Reason)
+				fmt.Fprintf(stdout, "register %-6s -> fallback (two-phase): %s\n", r.Class, r.Reason)
 			}
 		}
 		pending = pending[:0]
@@ -232,10 +231,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 //     fingerprint-keyed pair-verdict cache, cycles_checked (Theorem 4),
 //     and budget_exhausted (classes rejected for exceeding -cycle-budget).
 //   - certified / fallback: one block per engine tier — commits, aborts,
-//     wounds, the pipelined_ops/sync_ops split, the
+//     wounds (always 0), the pipelined_ops/sync_ops split, the
 //     tier's lock-table counters (grants, shared_grants split into
 //     fast_path_hits + slow_shared_grants, releases, held = grants −
-//     releases, wounds, stripe_splits (always 0), queue_depth histogram),
+//     releases, wounds and stripe_splits (both always 0), queue_depth
+//     histogram),
 //     and, under -trace-sample, trace_stages: nanosecond histograms of
 //     the sampled Lock calls, "total" first (sampled Lock latency on
 //     every backend), then each stamped stage.
@@ -279,10 +279,11 @@ func printSlowest(stdout io.Writer, svc *distlock.LockService) {
 
 // serve drives live traffic through the service: per registered class,
 // `clients` goroutines each carry `txns` transaction instances end to end
-// through the session API, retrying instances the fallback tier's
-// wound-wait aborts. The timeout is the stall watchdog: a certified mix
-// cannot deadlock, so clients still blocked when it expires mean the
-// certification was falsified — the cancellation propagates into every
+// through the session API. No tier aborts a session: certified classes
+// cannot deadlock, and fallback sessions take their whole entity set
+// without waiting while they hold. The timeout is the stall watchdog:
+// clients still blocked when it expires mean the certification was
+// falsified — the cancellation propagates into every
 // blocked Lock and serve returns a non-zero exit code.
 func serve(ctx context.Context, svc *distlock.LockService, stdout, stderr io.Writer, clients, txns int, hold, timeout time.Duration) int {
 	classes := svc.Classes()
@@ -299,7 +300,11 @@ func serve(ctx context.Context, svc *distlock.LockService, stdout, stderr io.Wri
 			go func(class string) {
 				defer wg.Done()
 				for i := 0; i < txns; i++ {
-					if err := commitOne(sctx, svc, class, hold); err != nil {
+					sess, err := svc.Begin(sctx, class)
+					if err == nil {
+						err = sess.DriveHold(sctx, hold)
+					}
+					if err != nil {
 						errCh <- fmt.Errorf("class %s: %w", class, err)
 						return
 					}
@@ -322,10 +327,8 @@ func serve(ctx context.Context, svc *distlock.LockService, stdout, stderr io.Wri
 	}
 
 	st := svc.Stats()
-	fmt.Fprintf(stdout, "certified tier: committed=%d aborts=%d wounds=%d\n",
-		st.Certified.Commits, st.Certified.Aborts, st.Certified.Wounds)
-	fmt.Fprintf(stdout, "fallback  tier: committed=%d aborts=%d wounds=%d\n",
-		st.Fallback.Commits, st.Fallback.Aborts, st.Fallback.Wounds)
+	fmt.Fprintf(stdout, "certified tier: committed=%d aborts=%d\n", st.Certified.Commits, st.Certified.Aborts)
+	fmt.Fprintf(stdout, "fallback  tier: committed=%d aborts=%d\n", st.Fallback.Commits, st.Fallback.Aborts)
 	fmt.Fprintf(stdout, "served %d sessions in %v\n", st.Begun, time.Since(start).Round(time.Millisecond))
 	if got := st.Certified.Commits + st.Certified.Aborts + st.Certified.Discarded +
 		st.Fallback.Commits + st.Fallback.Aborts + st.Fallback.Discarded; got != st.Begun {
@@ -336,36 +339,6 @@ func serve(ctx context.Context, svc *distlock.LockService, stdout, stderr io.Wri
 		return 1
 	}
 	return 0
-}
-
-// commitOne runs one transaction instance to commit through the session
-// API, retrying after each wound-wait abort with BeginRetry so the
-// instance keeps its age priority (no starvation); a brief randomized
-// backoff between attempts keeps a wounded instance from immediately
-// re-colliding with the holder that wounded it.
-func commitOne(ctx context.Context, svc *distlock.LockService, class string, hold time.Duration) error {
-	var prev *distlock.Session
-	for {
-		var sess *distlock.Session
-		var err error
-		if prev == nil {
-			sess, err = svc.Begin(ctx, class)
-		} else {
-			sess, err = svc.BeginRetry(ctx, prev)
-		}
-		if err != nil {
-			return err
-		}
-		err = sess.DriveHold(ctx, hold)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, distlock.ErrTxnAborted) {
-			return err
-		}
-		prev = sess
-		time.Sleep(time.Duration(50+rand.IntN(200)) * time.Microsecond)
-	}
 }
 
 func fail(stderr io.Writer, err error) int {

@@ -112,7 +112,6 @@ func writeMetrics(w http.ResponseWriter, t obs.TableCounters, wire obs.WireCount
 	counter("distlock_table_releases_total", "lock releases (actual un-holds)", t.Releases)
 	gauge("distlock_table_held", "lock records currently held (grants minus releases)", t.Held)
 	gauge("distlock_table_waiting", "requests parked in wait queues right now", t.Waiting)
-	counter("distlock_table_wounds_total", "wound decisions made by the hosted table's wound-wait grant path", t.Wounds)
 	summary("distlock_table_queue_depth", "wait-queue length observed at park time", t.QueueDepth)
 
 	counter("distlock_wire_frames_total", "protocol frames written", wire.Frames)

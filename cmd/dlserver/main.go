@@ -16,7 +16,6 @@
 // Usage:
 //
 //	dlserver -addr :9911 -sites 8 -entities-per-site 8
-//	dlserver -addr :9911 -sites 8 -entities-per-site 8 -wound-wait
 package main
 
 import (
@@ -52,7 +51,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addr      = fs.String("addr", "127.0.0.1:9911", "TCP listen address (host:0 picks a free port)")
 		sites     = fs.Int("sites", 8, "number of database sites (must match the clients' generator)")
 		perSite   = fs.Int("entities-per-site", 8, "entities per site (must match the clients' generator)")
-		woundWait = fs.Bool("wound-wait", false, "host a wound-wait table (for a fallback tier); dialers must agree")
 		lease     = fs.Duration("lease", netlock.DefaultLease, "connection lease: a client silent this long is revoked")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty disables)")
 	)
@@ -69,9 +67,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	ddb := workload.NewDDB(workload.Config{Sites: *sites, EntitiesPerSite: *perSite})
 
-	srv, err := netlock.NewServer(ddb, locktable.Config{
-		WoundWait: *woundWait,
-	}, netlock.ServerOptions{Lease: *lease})
+	srv, err := netlock.NewServer(ddb, locktable.Config{}, netlock.ServerOptions{Lease: *lease})
 	if err != nil {
 		fmt.Fprintln(stderr, "dlserver:", err)
 		return 1
@@ -81,8 +77,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		srv.Close()
 		return 1
 	}
-	fmt.Fprintf(stdout, "dlserver: serving %d entities across %d sites on %s (sharded table, wound-wait=%v, lease %v)\n",
-		ddb.NumEntities(), ddb.NumSites(), srv.Addr(), *woundWait, *lease)
+	fmt.Fprintf(stdout, "dlserver: serving %d entities across %d sites on %s (sharded table, lease %v)\n",
+		ddb.NumEntities(), ddb.NumSites(), srv.Addr(), *lease)
 	if *debugAddr != "" {
 		dbg, err := startDebug(*debugAddr, srv)
 		if err != nil {

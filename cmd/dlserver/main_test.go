@@ -92,7 +92,7 @@ func TestRunServes(t *testing.T) {
 	defer c.Close()
 	actx, acancel := context.WithTimeout(ctx, 5*time.Second)
 	defer acancel()
-	inst := locktable.Instance{Key: locktable.InstKey{ID: 1}, Prio: 1}
+	inst := locktable.Instance{Key: locktable.InstKey{ID: 1}}
 	if err := c.Acquire(actx, inst, 0, locktable.Exclusive); err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestRunServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer waiter.Close()
-	inst2 := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
+	inst2 := locktable.Instance{Key: locktable.InstKey{ID: 2}}
 	parked := make(chan error, 1)
 	go func() { parked <- waiter.Acquire(actx, inst2, 0, locktable.Exclusive) }()
 	waitMetric(t, debugAddr, "distlock_table_waiting 1")

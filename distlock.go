@@ -16,7 +16,7 @@
 // The centre of the public API is the long-lived LockService: clients
 // register transaction classes (Register runs the incremental Theorem 3/4
 // admission and pins each class to the certified no-deadlock-handling tier
-// or the wound-wait fallback tier) and then drive their own transactions
+// or the two-phase fallback tier) and then drive their own transactions
 // step-by-step through Sessions, with context cancellation propagated into
 // every blocking lock wait. The static tests (PairSafeDF, SystemSafeDF,
 // ...) remain available directly for offline certification.
@@ -59,7 +59,6 @@ import (
 	"distlock/internal/model"
 	"distlock/internal/optimize"
 	"distlock/internal/reduction"
-	"distlock/internal/runtime"
 	"distlock/internal/sat"
 	"distlock/internal/schedule"
 	"distlock/internal/sim"
@@ -239,17 +238,6 @@ var (
 	NewAdmission = admission.New
 	// FingerprintClass computes a transaction's structural fingerprint.
 	FingerprintClass = admission.FingerprintOf
-)
-
-// EngineStrategy is a tier's deadlock handling (RegisterResult.Strategy).
-type EngineStrategy = runtime.Strategy
-
-const (
-	// StrategyNone runs with no deadlock handling — safe for certified
-	// mixes only.
-	StrategyNone = runtime.StrategyNone
-	// StrategyWoundWait wounds younger lock holders on conflict.
-	StrategyWoundWait = runtime.StrategyWoundWait
 )
 
 // Workload generation.

@@ -1,7 +1,7 @@
 // Quickstart: run the paper's program as a live lock service. Build
 // distributed transaction classes, Register them (the service certifies
 // the mix with the polynomial Theorem 3/4 tests and pins each class to
-// the certified no-deadlock-handling tier or the wound-wait fallback
+// the certified no-deadlock-handling tier or the two-phase fallback
 // tier), then drive transactions step-by-step through Sessions — with a
 // context-cancelled lock wait at the end.
 //
@@ -77,7 +77,7 @@ func run(w io.Writer) error {
 		if res.Admitted {
 			fmt.Fprintf(w, "%s: certified — runs with NO deadlock handling\n", t.Name())
 		} else {
-			fmt.Fprintf(w, "%s: fallback (%s) — %s\n", t.Name(), res.Strategy, res.Reason)
+			fmt.Fprintf(w, "%s: fallback (two-phase) — %s\n", t.Name(), res.Reason)
 		}
 	}
 

@@ -17,7 +17,7 @@ func TestQuickstart(t *testing.T) {
 	for _, want := range []string{
 		"T1: certified — runs with NO deadlock handling\n",
 		"T2: certified — runs with NO deadlock handling\n",
-		"T3: fallback (wound-wait) — ",
+		"T3: fallback (two-phase) — ",
 		"R: certified — runs with NO deadlock handling\n",
 		"T1 session committed\n",
 		"T2 blocked on x, cancelled: context deadline exceeded\n",

@@ -30,9 +30,10 @@
 // built: its cycles are enumerated as walks over classes, one CheckCycle
 // per cyclic sequence of classes, and counted by arithmetic.
 //
-// Admitted classes are safe to run on internal/runtime's engine under
-// StrategyNone (the paper's payoff) with at most Multiplicity concurrent
-// instances per class; rejected classes fall back to StrategyWoundWait.
+// Admitted classes are safe to run on internal/runtime's engine with no
+// deadlock handling (the paper's payoff) and at most Multiplicity
+// concurrent instances per class; rejected classes fall back to two-phase
+// sessions, which need none either.
 package admission
 
 import (
@@ -45,7 +46,6 @@ import (
 
 	"distlock/internal/core"
 	"distlock/internal/model"
-	"distlock/internal/runtime"
 )
 
 // Fingerprint is a structural hash of a transaction class: its node list
@@ -135,9 +135,6 @@ type Result struct {
 	Class string
 	// Admitted reports whether the class joined the certified set.
 	Admitted bool
-	// Strategy is the deadlock handling the class requires: StrategyNone
-	// when admitted (the mix is certified), StrategyWoundWait otherwise.
-	Strategy runtime.Strategy
 	// Reason explains a rejection.
 	Reason string
 	// Violation is the Theorem 4 witness when the rejection came from a
@@ -331,8 +328,7 @@ func (s *Service) admitOne(ctx context.Context, c *candidate, batch []candidate)
 	t := c.txn
 	reject := func(reason string, v *core.MultiViolation) Result {
 		s.stats.Rejected++
-		return Result{Class: t.Name(), Strategy: runtime.StrategyWoundWait,
-			Reason: reason, Violation: v}
+		return Result{Class: t.Name(), Reason: reason, Violation: v}
 	}
 	if _, dup := s.byName[t.Name()]; dup {
 		return reject(fmt.Sprintf("class %s already admitted", t.Name()), nil), nil
@@ -415,7 +411,7 @@ func (s *Service) join(c *candidate, nbrs []*class) Result {
 	s.classes = append(s.classes, nc)
 	s.byName[c.txn.Name()] = nc
 	s.stats.Admitted++
-	return Result{Class: c.txn.Name(), Admitted: true, Strategy: runtime.StrategyNone}
+	return Result{Class: c.txn.Name(), Admitted: true}
 }
 
 // Evict removes the named class from the certified set. Removing a vertex

@@ -11,7 +11,6 @@ import (
 	"distlock/internal/core"
 	"distlock/internal/figures"
 	"distlock/internal/model"
-	"distlock/internal/runtime"
 	"distlock/internal/workload"
 )
 
@@ -114,13 +113,6 @@ func TestAdmitSequential(t *testing.T) {
 				}
 				if res.Admitted != c.want[i] {
 					t.Fatalf("Admit(%s) = %v (%s), want %v", txn.Name(), res.Admitted, res.Reason, c.want[i])
-				}
-				wantStrat := runtime.StrategyNone
-				if !res.Admitted {
-					wantStrat = runtime.StrategyWoundWait
-				}
-				if res.Strategy != wantStrat {
-					t.Fatalf("Admit(%s) strategy = %v, want %v", txn.Name(), res.Strategy, wantStrat)
 				}
 				checkBrute(t, d, live, txn, res.Admitted)
 				if res.Admitted {

@@ -88,7 +88,7 @@ var (
 
 // New dials one client per address and returns the routing table. Every
 // server must host the same database (each handshake verifies the
-// fingerprint) with matching WoundWait/Trace; the address list ORDER is
+// fingerprint) with matching Trace; the address list ORDER is
 // part of the cluster identity — every client process must pass the same
 // addresses in the same order to agree on entity ownership. On any dial
 // failure the already-connected partitions are closed and the error names
@@ -271,9 +271,8 @@ func (m *memoCompletion) Wait(ctx context.Context) error {
 // session goroutine (the session API is serial per instance) — fmu exists
 // for the sweep, which inspects other instances' slots.
 type instFence struct {
-	epoch int
-	busy  bool // an acquire is between fenceBegin and fenceEnd; sweep must skip
-	acq   []*memoCompletion
+	busy bool // an acquire is between fenceBegin and fenceEnd; sweep must skip
+	acq  []*memoCompletion
 }
 
 // fenceSweepAt bounds the fence map: instance IDs are allocated
@@ -310,8 +309,7 @@ func (st *instFence) take(p int) []*memoCompletion {
 
 // fenceBegin collects the completions an acquire on partition p must join
 // first (R1) and marks the instance busy so the sweep leaves it alone
-// until fenceEnd records the acquire. A new epoch resets the frontier:
-// the session joined the old epoch's acquires before it ended.
+// until fenceEnd records the acquire.
 func (t *Table) fenceBegin(key locktable.InstKey, p int) (*instFence, []*memoCompletion) {
 	t.fmu.Lock()
 	defer t.fmu.Unlock()
@@ -324,11 +322,8 @@ func (t *Table) fenceBegin(key locktable.InstKey, p int) (*instFence, []*memoCom
 				}
 			}
 		}
-		st = &instFence{epoch: key.Epoch, acq: make([]*memoCompletion, len(t.parts))}
+		st = &instFence{acq: make([]*memoCompletion, len(t.parts))}
 		t.fences[key.ID] = st
-	} else if st.epoch != key.Epoch {
-		st.epoch = key.Epoch
-		clear(st.acq)
 	}
 	st.busy = true
 	return st, st.take(p)
@@ -397,14 +392,14 @@ func (t *Table) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) loc
 
 // releaseFence joins the instance's unacked acquires on every partition
 // but the entity's own (R2) and returns that partition. It only looks the
-// instance up: no entry, or one from an earlier epoch, means nothing to
-// join. Join errors are the session's to surface at commit; a failed
-// predecessor acquire left nothing held for this release to free.
+// instance up: no entry means nothing to join. Join errors are the
+// session's to surface at commit; a failed predecessor acquire left
+// nothing held for this release to free.
 func (t *Table) releaseFence(ent model.EntityID, key locktable.InstKey) int {
 	p := t.Partition(ent)
 	var join []*memoCompletion
 	t.fmu.Lock()
-	if st := t.fences[key.ID]; st != nil && st.epoch == key.Epoch {
+	if st := t.fences[key.ID]; st != nil {
 		join = st.take(p)
 	}
 	t.fmu.Unlock()

@@ -22,8 +22,6 @@ import (
 func startCluster(t *testing.T, n int, cfg locktable.Config, hosts ...func(*model.DDB, locktable.Config) locktable.Table) (*cluster.Table, []*netlock.Server, *model.DDB) {
 	t.Helper()
 	ddb := workload.NewDDB(workload.Config{Sites: 3, EntitiesPerSite: 8})
-	srvCfg := cfg
-	srvCfg.OnWound = nil
 	var srvs []*netlock.Server
 	var addrs []string
 	for i := 0; i < n; i++ {
@@ -31,7 +29,7 @@ func startCluster(t *testing.T, n int, cfg locktable.Config, hosts ...func(*mode
 		if i < len(hosts) {
 			opts.New = hosts[i]
 		}
-		srv, err := netlock.NewServer(ddb, srvCfg, opts)
+		srv, err := netlock.NewServer(ddb, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +63,7 @@ func entOn(t *testing.T, tab *cluster.Table, ddb *model.DDB, p int) model.Entity
 }
 
 func inst(id int) locktable.Instance {
-	return locktable.Instance{Key: locktable.InstKey{ID: id}, Prio: int64(id)}
+	return locktable.Instance{Key: locktable.InstKey{ID: id}}
 }
 
 // TestClusterRoutingCoversPartitions pins that the routing hash actually
@@ -394,7 +392,7 @@ func TestClusterPipelinedChainsNoCrossPartitionDeadlock(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func(id int) { // one session goroutine per instance
 			key := locktable.InstKey{ID: 100 + id}
-			in := locktable.Instance{Key: key, Prio: int64(id)}
+			in := locktable.Instance{Key: key}
 			ctx := context.Background()
 			for i := 0; i < iters; i++ {
 				ca := tab.AcquireAsync(in, a, locktable.Exclusive)

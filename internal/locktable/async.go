@@ -12,11 +12,10 @@ import (
 // exactly once, by one goroutine.
 type Completion interface {
 	// Wait blocks until the operation resolves and returns what the
-	// synchronous call would have. For an acquire, cancelling ctx (or the
-	// instance's doom firing) abandons the wait exactly as it would abort
-	// a blocking Acquire: the request is withdrawn — or, if a grant raced
-	// the cancellation, released — before Wait returns, so the instance
-	// holds nothing on a non-nil return.
+	// synchronous call would have. For an acquire, cancelling ctx abandons
+	// the wait exactly as it would abort a blocking Acquire: the request is
+	// withdrawn — or, if a grant raced the cancellation, released — before
+	// Wait returns, so the instance holds nothing on a non-nil return.
 	Wait(ctx context.Context) error
 }
 
@@ -31,9 +30,8 @@ type Completion interface {
 // remote backend chains them server-side), so the reachable lock-table
 // states are exactly those of the synchronous run — which is what keeps a
 // certified mix deadlock-free when its acks are still in flight. Callers
-// that were NOT certified must stay on the synchronous path: pipelining
-// an uncertified chain reorders conflicting waits and can deadlock a mix
-// that wound-wait would otherwise have handled cleanly.
+// that were NOT certified never pipeline: they run two-phase on an
+// in-process table, which has no async form.
 //
 // Releases are different: an in-flight release can only lengthen a hold,
 // never grant early or close a waits-for cycle, so the runtime ships every
@@ -52,8 +50,7 @@ type Completion interface {
 // sub-microsecond, and a completion object would cost more than the call.
 type AsyncTable interface {
 	Table
-	// AcquireAsync submits the acquire and returns its completion. The
-	// instance's Doomed channel is honored by Wait, like Acquire's, and a
+	// AcquireAsync submits the acquire and returns its completion. A
 	// sampled Span is stamped through StageWakeup by a successful Wait.
 	AcquireAsync(inst Instance, ent model.EntityID, mode Mode) Completion
 	// ReleaseAsync submits the release and returns its completion, whose
@@ -70,12 +67,12 @@ type AsyncTable interface {
 // queueing anything. A false return leaves the table exactly as it was;
 // the caller falls back to the blocking Acquire.
 //
-// The remote server uses this as its read-loop fast path: an acquire for
-// an instance with no pending chain is tried inline, and only a
-// contended try pays for a per-instance chain goroutine and its parked
-// request. Because a failed try queues nothing, wound-wait semantics are
-// untouched: wounding happens at queue time, inside the Acquire the
-// caller falls back to.
+// Only the sharded table implements it. The runtime's two-phase sessions
+// (the fallback tier) need it: they try their whole entity set and, on
+// the first miss, release what they got before they block. The remote
+// server uses it as its read-loop fast path: an acquire for an instance
+// with no pending chain is tried inline, and only a contended try pays
+// for a per-instance chain goroutine and its parked request.
 type TryAcquirer interface {
 	// TryAcquire reports whether the lock was granted. The error is
 	// non-nil only for table-level failures (ErrStopped), never for

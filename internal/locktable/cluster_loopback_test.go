@@ -33,12 +33,10 @@ func (c *clusterLoopback) Close() {
 
 func init() {
 	locktable.RegisterConformanceBackend("cluster", func(ddb *model.DDB, cfg locktable.Config) locktable.Table {
-		srvCfg := cfg
-		srvCfg.OnWound = nil // wounds are pushed to the owning connection
 		var srvs []*netlock.Server
 		var addrs []string
 		for i := 0; i < 2; i++ {
-			srv, err := netlock.NewServer(ddb, srvCfg, netlock.ServerOptions{Lease: 10 * time.Second})
+			srv, err := netlock.NewServer(ddb, cfg, netlock.ServerOptions{Lease: 10 * time.Second})
 			if err != nil {
 				panic(err)
 			}

@@ -19,7 +19,7 @@ import (
 // entities leaves stripes empty), plus the registered wire backends. A
 // backend passes iff its blocking semantics are indistinguishable from
 // the others' through the interface — shared grants, writer exclusion,
-// FIFO fairness, wound-while-shared and cancel-while-shared included, and
+// FIFO fairness and cancel-while-shared included, and
 // under the race detector (CI's whole-tree race step).
 
 type backendCase struct {
@@ -88,7 +88,7 @@ func parked(tab Table) int64 {
 }
 
 func inst(id int) Instance {
-	return Instance{Key: InstKey{ID: id}, Prio: int64(id)}
+	return Instance{Key: InstKey{ID: id}}
 }
 
 // mustAcquire acquires with a safety timeout so a broken backend fails the
@@ -201,8 +201,8 @@ func grantOrder(t *testing.T, tab Table, e model.EntityID, holder Instance, ids 
 	return order
 }
 
-// TestConformanceFIFO: per-entity grant order is arrival order when
-// wound-wait is off, even when younger instances arrive first.
+// TestConformanceFIFO: per-entity grant order is arrival order, even when
+// instances with higher IDs arrive first.
 func TestConformanceFIFO(t *testing.T) {
 	forEachTable(t, Config{}, func(t *testing.T, tab Table, ents []model.EntityID) {
 		order := grantOrder(t, tab, ents[0], inst(1), []int{9, 7, 8, 5, 6})
@@ -210,21 +210,6 @@ func TestConformanceFIFO(t *testing.T) {
 		for i := range want {
 			if order[i] != want[i] {
 				t.Fatalf("grant order %v, want FIFO %v", order, want)
-			}
-		}
-	})
-}
-
-// TestConformanceOldestFirst: under wound-wait a released entity goes to
-// the oldest waiter, preserving holder-older-than-waiters.
-func TestConformanceOldestFirst(t *testing.T) {
-	forEachTable(t, Config{WoundWait: true}, func(t *testing.T, tab Table, ents []model.EntityID) {
-		// Holder 1 is oldest, so no waiter wounds it; OnWound is nil anyway.
-		order := grantOrder(t, tab, ents[0], inst(1), []int{9, 7, 8, 5, 6})
-		want := []int{5, 6, 7, 8, 9}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("grant order %v, want oldest-first %v", order, want)
 			}
 		}
 	})
@@ -304,82 +289,6 @@ func TestConformanceWithdrawGrantRace(t *testing.T) {
 			if err := tab.Release(e, probe.Key); err != nil {
 				t.Fatal(err)
 			}
-		}
-	})
-}
-
-// TestConformanceDoomed: a doom signal interrupts a parked Acquire with
-// ErrWounded, with the request withdrawn.
-func TestConformanceDoomed(t *testing.T) {
-	forEachTable(t, Config{}, func(t *testing.T, tab Table, ents []model.EntityID) {
-		e := ents[0]
-		holder := inst(1)
-		mustAcquire(t, tab, holder, e)
-		doom := make(chan struct{}, 1)
-		victim := Instance{Key: InstKey{ID: 7}, Prio: 7, Doomed: doom}
-		got := make(chan error, 1)
-		go func() { got <- tab.Acquire(context.Background(), victim, e, Exclusive) }()
-		waitForQueue(t, tab, 1)
-		doom <- struct{}{}
-		select {
-		case err := <-got:
-			if !errors.Is(err, ErrWounded) {
-				t.Fatalf("doomed Acquire = %v, want ErrWounded", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("doom signal did not wake the parked Acquire")
-		}
-		if n := parked(tab); n != 0 {
-			t.Fatalf("doomed request still queued: %d waiting", n)
-		}
-	})
-}
-
-// TestConformanceWoundCallback: under wound-wait, an older requester
-// queuing behind a younger holder fires OnWound with the holder's id.
-func TestConformanceWoundCallback(t *testing.T) {
-	var wounded atomic.Int64
-	cfg := Config{WoundWait: true, OnWound: func(id int) { wounded.Store(int64(id)) }}
-	forEachTable(t, cfg, func(t *testing.T, tab Table, ents []model.EntityID) {
-		wounded.Store(-1)
-		e := ents[0]
-		young, old := inst(9), inst(2)
-		mustAcquire(t, tab, young, e)
-		got := make(chan error, 1)
-		go func() { got <- tab.Acquire(context.Background(), old, e, Exclusive) }()
-		waitForQueue(t, tab, 1)
-		deadline := time.Now().Add(5 * time.Second)
-		for wounded.Load() != int64(young.Key.ID) && time.Now().Before(deadline) {
-			time.Sleep(200 * time.Microsecond)
-		}
-		if got := wounded.Load(); got != int64(young.Key.ID) {
-			t.Fatalf("OnWound got holder %d, want %d", got, young.Key.ID)
-		}
-		// The wounded holder releases (as its abort would), the old
-		// requester gets the entity.
-		if err := tab.Release(e, young.Key); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-got; err != nil {
-			t.Fatal(err)
-		}
-		if err := tab.Release(e, old.Key); err != nil {
-			t.Fatal(err)
-		}
-		// A younger requester behind an older holder must NOT wound.
-		wounded.Store(-1)
-		mustAcquire(t, tab, old, e)
-		go func() { got <- tab.Acquire(context.Background(), young, e, Exclusive) }()
-		waitForQueue(t, tab, 1)
-		time.Sleep(5 * time.Millisecond)
-		if got := wounded.Load(); got != -1 {
-			t.Fatalf("younger requester wounded older holder %d", got)
-		}
-		if err := tab.Release(e, old.Key); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-got; err != nil {
-			t.Fatal(err)
 		}
 	})
 }
@@ -756,85 +665,6 @@ func TestConformanceCancelWhileShared(t *testing.T) {
 			t.Fatal("writer not granted after the readers left")
 		}
 		if err := tab.Release(e, w2.Key); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestConformanceWoundWhileShared: under wound-wait an older writer
-// arriving at younger shared holders wounds EVERY conflicting holder; an
-// older reader arriving at a shared crowd wounds nobody (R/R does not
-// conflict); and dooming a parked shared waiter wakes it with ErrWounded
-// and leaves nothing queued.
-func TestConformanceWoundWhileShared(t *testing.T) {
-	var wounded sync.Map // holder id -> true
-	cfg := Config{WoundWait: true, OnWound: func(id int) { wounded.Store(id, true) }}
-	forEachTable(t, cfg, func(t *testing.T, tab Table, ents []model.EntityID) {
-		wounded.Clear() // fresh slate per backend subtest
-		e := ents[0]
-		r1, r2 := inst(7), inst(8)
-		mustAcquireMode(t, tab, r1, e, Shared)
-		mustAcquireMode(t, tab, r2, e, Shared)
-		// An older READER joining the crowd wounds nobody: it is granted
-		// outright (no queue, compatible) and conflicts with no one.
-		mustAcquireMode(t, tab, inst(2), e, Shared)
-		if _, ok := wounded.Load(7); ok {
-			t.Fatal("older reader wounded a reader")
-		}
-		if err := tab.Release(e, InstKey{ID: 2}); err != nil {
-			t.Fatal(err)
-		}
-		// An older WRITER queuing behind the crowd wounds both readers.
-		old := inst(3)
-		got := make(chan error, 1)
-		go func() { got <- tab.Acquire(context.Background(), old, e, Exclusive) }()
-		waitForQueue(t, tab, 1)
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			_, w7 := wounded.Load(7)
-			_, w8 := wounded.Load(8)
-			if w7 && w8 {
-				break
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		if _, ok := wounded.Load(7); !ok {
-			t.Fatal("older writer did not wound shared holder 7")
-		}
-		if _, ok := wounded.Load(8); !ok {
-			t.Fatal("older writer did not wound shared holder 8")
-		}
-		// The wounded readers release (as their aborts would); the writer
-		// gets the entity.
-		if err := tab.Release(e, r1.Key); err != nil {
-			t.Fatal(err)
-		}
-		if err := tab.Release(e, r2.Key); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-got; err != nil {
-			t.Fatal(err)
-		}
-		// Doom a parked SHARED waiter: it wakes with ErrWounded and is
-		// gone from the queue.
-		doom := make(chan struct{}, 1)
-		victim := Instance{Key: InstKey{ID: 9}, Prio: 9, Doomed: doom}
-		vGot := make(chan error, 1)
-		go func() { vGot <- tab.Acquire(context.Background(), victim, e, Shared) }()
-		waitForQueue(t, tab, 1)
-		doom <- struct{}{}
-		select {
-		case err := <-vGot:
-			if !errors.Is(err, ErrWounded) {
-				t.Fatalf("wounded shared waiter = %v, want ErrWounded", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("doom signal did not wake the parked shared waiter")
-		}
-		if n := parked(tab); n != 0 {
-			t.Fatalf("wounded shared request still queued: %d waiting", n)
-		}
-		if err := tab.Release(e, old.Key); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -29,10 +29,10 @@
 // shared conformance suite: shared grants overlap and a writer excludes
 // everyone (any number of shared holders, at most one exclusive holder),
 // FIFO grant order per entity (a waiting writer blocks later-arriving
-// readers; oldest-first under wound-wait), cancelled waits withdrawn
-// before Acquire returns (a grant racing the withdrawal is released,
-// never leaked), a fired doom signal surfaced as ErrWounded, and
-// ErrStopped after Close.
+// readers), cancelled waits withdrawn before Acquire returns (a grant
+// racing the withdrawal is released, never leaked), and ErrStopped after
+// Close. No table picks victims: a certified mix needs no deadlock
+// handling, and the fallback tier never waits while it holds a lock.
 //
 // Observation: every backend counts its operations into an
 // obs.TableMetrics bundle (Config.Metrics, always on). Config.Trace adds
@@ -68,26 +68,19 @@ const (
 	Shared = model.Shared
 )
 
-// InstKey identifies one attempt (epoch) of one transaction instance.
-// Instances keep their ID across retry epochs so age priority survives a
-// wound; the epoch distinguishes a retry's requests from its dead
-// predecessor's.
+// InstKey identifies one transaction instance. An instance ID is never
+// reused, so the key names one session's requests.
 type InstKey struct {
-	ID    int
-	Epoch int
+	ID int
 }
 
-// Instance is the requesting transaction instance of one Acquire: its
-// identity, its age priority (smaller is older), and its doom signal.
+// Instance is the requesting transaction instance of one Acquire.
 type Instance struct {
-	Key  InstKey
+	Key InstKey
+	// Prio is ignored by every table: no backend orders or wounds by age.
+	// The field stays only because the benchmark sets it by name; the next
+	// change to the benchmark drops that write.
 	Prio int64
-	// Doomed is readable once the engine's deadlock handling has picked the
-	// instance as a victim. A parked Acquire selects on it so a wound
-	// interrupts the wait promptly (returning ErrWounded with the request
-	// withdrawn), even if the wound decision happened on another entity's
-	// grant path. Nil means the caller has no doom signal.
-	Doomed <-chan struct{}
 	// Span is the sampled op span of this acquire; nil means unsampled.
 	// Wire backends thread it through the transport, stamping the
 	// client-side stages and carrying the server-side ones back on the
@@ -99,37 +92,19 @@ type Instance struct {
 	Span *obs.Span
 }
 
-// GrantEvent records that a transaction instance (at a given attempt epoch)
-// was granted the lock on an entity in the given mode. Per-entity order in
-// GrantLog is the grant order at the owning stripe or server (concurrent
-// shared grants appear in the order the backend recorded them).
+// GrantEvent records that a transaction instance was granted the lock on
+// an entity in the given mode. Per-entity order in GrantLog is the grant
+// order at the owning stripe or server (concurrent shared grants appear in
+// the order the backend recorded them).
 type GrantEvent struct {
 	Entity model.EntityID
 	Inst   int
-	Epoch  int
 	Mode   Mode
 }
 
 // Config parameterizes a backend. The zero value is a usable FIFO table
 // with default tuning.
 type Config struct {
-	// WoundWait enables the wound-wait priority discipline: an older
-	// requester arriving at a CONFLICTING younger holder triggers OnWound
-	// (once per conflicting younger holder — an exclusive requester wounds
-	// every younger shared holder, a shared requester only a younger
-	// exclusive holder), and a released entity is handed to its oldest
-	// waiter instead of FIFO (preserving the invariant that a holder is
-	// older than its conflicting waiters).
-	WoundWait bool
-	// OnWound is called with the holder's instance ID when WoundWait is on
-	// and an older requester queues behind a conflicting younger holder;
-	// each call is one wound decision, counted in Metrics.Wounds. The
-	// callback runs inside the backend's grant-path serialization domain
-	// (the sharded backend's stripe critical section) so the victim
-	// provably still holds the entity, and it must therefore not call back
-	// into the table; it should only signal the victim, whose parked
-	// Acquires then return ErrWounded via their Doomed channels.
-	OnWound func(holderID int)
 	// Trace records per-entity lock-grant order, readable via GrantLog
 	// after Close.
 	Trace bool
@@ -149,11 +124,11 @@ type Config struct {
 	// once), but the netlock server serves outside input: it records one
 	// grant per (connection, instance, entity) and frees one lock per
 	// release, so a duplicate counted twice would strand a reader that
-	// no release can free. The server therefore sets this. WoundWait and
-	// Trace disable the fast path implicitly.
+	// no release can free. The server therefore sets this. Trace disables
+	// the fast path implicitly.
 	DisableSharedFastPath bool
 	// Metrics receives the backend's operation counters (grants by path,
-	// releases, wound decisions, queue-depth samples). Counting is
+	// releases, queue-depth samples). Counting is
 	// always on — a nil Metrics is normalized to a private bundle — and
 	// allocation-free; supplying a shared bundle lets an embedder (the
 	// engine, the cluster router) aggregate several backends into one
@@ -172,23 +147,20 @@ type Table interface {
 	// requested mode: an exclusive grant requires no other holder of any
 	// mode, a shared grant requires no exclusive holder AND no earlier
 	// waiter (FIFO fairness: a reader arriving behind a queued writer
-	// parks behind it rather than starving it; under wound-wait the
-	// queue drains oldest-first instead). It returns nil on grant;
+	// parks behind it rather than starving it). It returns nil on grant;
 	// ctx.Err() if the context is cancelled while waiting (the request is
 	// withdrawn — or, if a grant raced the cancellation, released —
 	// before returning, so the instance holds nothing on a non-nil
-	// return); ErrWounded if the instance's Doomed channel fires (the
-	// request is withdrawn likewise); and ErrStopped once the table is
-	// closed. A
-	// duplicate Acquire by a current holder returns nil immediately
-	// regardless of mode (mode upgrades are not supported; sessions issue
-	// at most one Lock per entity). With the sharded backend's anonymous
+	// return); and ErrStopped once the table is closed. A duplicate
+	// Acquire by a current holder returns nil immediately regardless of
+	// mode (mode upgrades are not supported; sessions issue at most one
+	// Lock per entity). With the sharded backend's anonymous
 	// shared fast path enabled, a duplicate SHARED Acquire is
 	// indistinguishable from a new reader and must not be issued — the
 	// session layer guarantees it never is.
 	Acquire(ctx context.Context, inst Instance, ent model.EntityID, mode Mode) error
 	// Release frees the entity if the instance holds it, granting it to the
-	// next waiter (FIFO, or oldest-first under wound-wait). Releasing an
+	// next waiter in FIFO order. Releasing an
 	// entity the instance does not hold is a no-op — except that with the
 	// sharded backend's anonymous shared fast path, a release while fast
 	// readers hold the entity is credited to one of them (callers must

@@ -29,9 +29,7 @@ func (l *loopbackTable) Close() {
 
 func init() {
 	locktable.RegisterConformanceBackend("netlock", func(ddb *model.DDB, cfg locktable.Config) locktable.Table {
-		srvCfg := cfg
-		srvCfg.OnWound = nil // wounds are pushed to the owning connection
-		srv, err := netlock.NewServer(ddb, srvCfg, netlock.ServerOptions{Lease: 10 * time.Second})
+		srv, err := netlock.NewServer(ddb, cfg, netlock.ServerOptions{Lease: 10 * time.Second})
 		if err != nil {
 			panic(err)
 		}

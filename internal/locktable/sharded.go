@@ -33,8 +33,7 @@ import (
 //
 //     Fast shared grants are ANONYMOUS — a count, not a holder set — so
 //     the fast path is only enabled when nothing needs per-holder
-//     identity: it is off under WoundWait (wound decisions compare
-//     holder priorities), under Trace (the grant log records identity),
+//     identity: it is off under Trace (the grant log records identity)
 //     and under Config.DisableSharedFastPath (for embedders like the
 //     netlock server, whose callers may repeat a shared acquire that a
 //     count cannot tell from a new reader).
@@ -54,19 +53,19 @@ import (
 // Lock modes: each entity is held by at most one exclusive holder or any
 // number of shared holders. Grant order is FIFO per entity (a waiting
 // writer blocks later readers; consecutive readers at the queue head are
-// granted as one wave) or oldest-first under wound-wait.
+// granted as one wave).
 type shardedTable struct {
 	cfg Config
 
-	// m counts grants/releases/wound decisions (always on; normalized from
+	// m counts grants/releases/queue samples (always on; normalized from
 	// Config.Metrics). Striped padded atomics are hot-path safe, so
 	// counting does not disable the CAS fast path the way Config.Trace
 	// does.
 	m *obs.TableMetrics
 
 	// fast holds the per-entity packed reader state (fastSlot), indexed by
-	// the dense EntityID. Nil when the fast path is disabled (wound-wait,
-	// trace, explicit opt-out, or an oversized/absent database).
+	// the dense EntityID. Nil when the fast path is disabled (trace,
+	// explicit opt-out, or an oversized/absent database).
 	fast []fastSlot
 
 	// stripes is the fixed stripe slice; stripeIndex homes each entity.
@@ -119,9 +118,8 @@ type stripe struct {
 type slock struct {
 	xheld    bool
 	xholder  InstKey
-	xprio    int64
-	sholders map[InstKey]int64 // identified shared holders -> prio; nil when none ever
-	queue    []*waiter         // FIFO arrival order
+	sholders map[InstKey]struct{} // identified shared holders; nil when none ever
+	queue    []*waiter            // FIFO arrival order
 }
 
 // holds reports whether key currently holds the entity in an identified
@@ -152,7 +150,6 @@ func (l *slock) grantable(mode Mode) bool {
 // waiter from the queue under the stripe mutex.
 type waiter struct {
 	key  InstKey
-	prio int64
 	mode Mode
 	ch   chan struct{}
 }
@@ -189,7 +186,7 @@ func NewSharded(ddb *model.DDB, cfg Config) Table {
 	for i := range t.stripes {
 		t.stripes[i].locks = map[model.EntityID]*slock{}
 	}
-	if !cfg.WoundWait && !cfg.Trace && !cfg.DisableSharedFastPath &&
+	if !cfg.Trace && !cfg.DisableSharedFastPath &&
 		ddb != nil && ddb.NumEntities() > 0 && ddb.NumEntities() <= maxFastPathEntities {
 		t.fast = make([]fastSlot, ddb.NumEntities())
 	}
@@ -311,37 +308,15 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 		// Grant inline, no goroutine handoff. The queue must be empty — a
 		// reader arriving behind a waiting writer parks behind it (FIFO
 		// fairness), it does not slip past on compatibility.
-		t.grantLocked(ent, l, inst.Key, inst.Prio, mode)
+		t.grantLocked(ent, l, inst.Key, mode)
 		t.clearSlowModeIfIdleLocked(ent, l)
 		s.mu.Unlock()
 		return nil
 	}
 	t.m.QueueDepth.Record(int64(len(l.queue)))
-	w := &waiter{key: inst.Key, prio: inst.Prio, mode: mode, ch: make(chan struct{}, 1)}
+	w := &waiter{key: inst.Key, mode: mode, ch: make(chan struct{}, 1)}
 	l.queue = append(l.queue, w)
 	t.m.Waiting.Add(1)
-	if t.cfg.WoundWait && t.cfg.OnWound != nil {
-		// An older requester wounds every CONFLICTING younger holder.
-		// Delivered inside the critical section so the victims provably
-		// still hold the entity — a Release racing the decision would
-		// otherwise make the wound spurious. OnWound must not call back
-		// into the table (see Config), so holding the stripe is safe.
-		// (Wound-wait disables the fast path, so every shared holder is
-		// identified here.) Each call is one wound decision and is counted
-		// here, where it is made.
-		if l.xheld && inst.Prio < l.xprio {
-			t.m.Wounds.Inc()
-			t.cfg.OnWound(l.xholder.ID)
-		}
-		if mode == Exclusive {
-			for hk, hp := range l.sholders {
-				if inst.Prio < hp {
-					t.m.Wounds.Inc()
-					t.cfg.OnWound(hk.ID)
-				}
-			}
-		}
-	}
 	s.mu.Unlock()
 	select {
 	case <-w.ch:
@@ -349,9 +324,6 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 	case <-ctx.Done():
 		t.cancelWait(ent, w)
 		return ctx.Err()
-	case <-inst.Doomed:
-		t.cancelWait(ent, w)
-		return ErrWounded
 	case <-t.stop:
 		return ErrStopped
 	}
@@ -390,7 +362,7 @@ func (t *shardedTable) TryAcquire(inst Instance, ent model.EntityID, mode Mode) 
 	}
 	t.setSlowMode(ent)
 	if len(l.queue) == 0 && t.grantableLocked(ent, l, mode) {
-		t.grantLocked(ent, l, inst.Key, inst.Prio, mode)
+		t.grantLocked(ent, l, inst.Key, mode)
 		t.clearSlowModeIfIdleLocked(ent, l)
 		s.mu.Unlock()
 		return true, nil
@@ -489,41 +461,22 @@ func (t *shardedTable) releaseLocked(ent model.EntityID, l *slock, key InstKey) 
 	}
 }
 
-// grantWaveLocked drains the wait queue as far as compatibility allows:
-// repeatedly pick the next waiter (FIFO, or oldest-first under
-// wound-wait) and grant it if compatible with the current holders — so
-// consecutive readers are granted as one wave, and a writer is granted
-// exactly when the last incompatible holder left. Caller holds the
-// stripe mutex.
+// grantWaveLocked drains the wait queue in FIFO order as far as
+// compatibility allows: the head waiter is granted if compatible with the
+// current holders, then the next — so consecutive readers are granted as
+// one wave, and a writer is granted exactly when the last incompatible
+// holder left. Caller holds the stripe mutex.
 func (t *shardedTable) grantWaveLocked(ent model.EntityID, l *slock) {
 	for len(l.queue) > 0 {
-		pick := pickNext(l.queue, t.cfg.WoundWait)
-		w := l.queue[pick]
+		w := l.queue[0]
 		if !t.grantableLocked(ent, l, w.mode) {
 			return
 		}
-		l.queue = append(l.queue[:pick], l.queue[pick+1:]...)
+		l.queue = append(l.queue[:0], l.queue[1:]...)
 		t.m.Waiting.Add(-1)
-		t.grantLocked(ent, l, w.key, w.prio, w.mode)
+		t.grantLocked(ent, l, w.key, w.mode)
 		w.ch <- struct{}{}
 	}
-}
-
-// pickNext is the grant-order policy: the index of the waiter a released
-// entity goes to. Oldest-first (minimum priority, earliest-queued on
-// ties) under wound-wait — preserving the invariant that a holder is
-// older than its waiters — and FIFO otherwise.
-func pickNext(queue []*waiter, woundWait bool) int {
-	if !woundWait {
-		return 0
-	}
-	pick := 0
-	for i := range queue {
-		if queue[i].prio < queue[pick].prio {
-			pick = i
-		}
-	}
-	return pick
 }
 
 // grantableLocked folds the anonymous fast readers into the slock's
@@ -542,19 +495,18 @@ func (t *shardedTable) grantableLocked(ent model.EntityID, l *slock, mode Mode) 
 // joins the anonymous reader count (so a reader wave granted past a
 // departing writer re-arms the CAS path as soon as the queue empties)
 // rather than the identified holder map. Caller holds the stripe mutex.
-func (t *shardedTable) grantLocked(ent model.EntityID, l *slock, key InstKey, prio int64, mode Mode) {
+func (t *shardedTable) grantLocked(ent model.EntityID, l *slock, key InstKey, mode Mode) {
 	switch {
 	case mode == Shared && t.fast != nil && int(ent) < len(t.fast):
 		t.fast[ent].state.Add(1)
 	case mode == Shared:
 		if l.sholders == nil {
-			l.sholders = map[InstKey]int64{}
+			l.sholders = map[InstKey]struct{}{}
 		}
-		l.sholders[key] = prio
+		l.sholders[key] = struct{}{}
 	default:
 		l.xheld = true
 		l.xholder = key
-		l.xprio = prio
 	}
 	hint := uint64(key.ID)
 	t.m.Grants.Inc(hint)
@@ -565,7 +517,7 @@ func (t *shardedTable) grantLocked(ent model.EntityID, l *slock, key InstKey, pr
 		// Trace disables the fast path, so every grant lands here with its
 		// identity. Lock order: stripe mutex (held), then traceMu.
 		t.traceMu.Lock()
-		t.traceLog = append(t.traceLog, GrantEvent{Entity: ent, Inst: key.ID, Epoch: key.Epoch, Mode: mode})
+		t.traceLog = append(t.traceLog, GrantEvent{Entity: ent, Inst: key.ID, Mode: mode})
 		t.traceMu.Unlock()
 	}
 }

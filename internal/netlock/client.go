@@ -29,8 +29,8 @@ type DialOptions struct {
 	// transport connect is retried — `connection refused` from a server
 	// that has not bound its listener yet is the transient this exists
 	// for (a cluster client racing an N-server startup). A server that
-	// answers and then rejects the handshake (version, fingerprint,
-	// wound-wait or trace mismatch) is a configuration error and fails
+	// answers and then rejects the handshake (version, fingerprint or
+	// trace mismatch) is a configuration error and fails
 	// immediately, retries remaining or not.
 	DialRetries int
 	// RetryBackoff is the delay before the first retry; it doubles per
@@ -128,11 +128,10 @@ var (
 
 // Dial connects to a netlock server and completes the handshake. The
 // database must be the same one the server hosts (checked by fingerprint),
-// and cfg's WoundWait/Trace must match the server's table — the grant
-// discipline is decided server-side, so a mismatched client is rejected
-// instead of running with semantics it did not ask for. cfg.OnWound is
-// invoked locally for server-pushed wounds; Shards is server-side tuning
-// and ignored here.
+// and cfg's Trace must match the server's table — the grant log is kept
+// server-side, so a mismatched client is rejected instead of running with
+// semantics it did not ask for. Shards is server-side tuning and ignored
+// here.
 func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (*Client, error) {
 	if ddb == nil {
 		return nil, fmt.Errorf("netlock: nil database")
@@ -179,7 +178,6 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 	e.u8(opHello)
 	e.u64(c.nextReq.Add(1))
 	e.u32(protocolVersion)
-	e.boolean(cfg.WoundWait)
 	e.boolean(cfg.Trace)
 	e.raw(hash[:])
 	nc.SetDeadline(time.Now().Add(dialTimeout))
@@ -368,9 +366,8 @@ func (c *Client) writeLoop() {
 	}
 }
 
-// readLoop routes responses to their requesters and delivers wound pushes.
-// Any read error (server gone, Close) fails every outstanding request with
-// ErrStopped.
+// readLoop routes responses to their requesters. Any read error (server
+// gone, Close) fails every outstanding request with ErrStopped.
 func (c *Client) readLoop() {
 	defer c.shutdown()
 	br := bufio.NewReaderSize(c.conn, 64<<10)
@@ -431,17 +428,6 @@ func (c *Client) readLoop() {
 			if ch != nil {
 				c.wm.InFlight.Add(-1)
 				ch <- result{status: status, payload: payload}
-			}
-		case opWoundPush:
-			victim := d.i64()
-			if d.err != nil {
-				return
-			}
-			// Same contract as the in-process backends: the callback only
-			// signals the victim and must not call back into the table.
-			c.m.Wounds.Inc()
-			if c.cfg.OnWound != nil {
-				c.cfg.OnWound(int(victim))
 			}
 		default:
 			return
@@ -592,14 +578,13 @@ func (c *Client) await(ch chan result) (result, error) {
 // granted — the grant record grants keeps until the release. It is in
 // grants from submission on, as the in-flight mark.
 type acquireCompletion struct {
-	c      *Client
-	reqID  uint64
-	ch     chan result
-	key    locktable.InstKey
-	ent    model.EntityID
-	doomed <-chan struct{}
-	sp     *obs.Span // non-nil iff the op is sampled
-	mode   locktable.Mode
+	c     *Client
+	reqID uint64
+	ch    chan result
+	key   locktable.InstKey
+	ent   model.EntityID
+	sp    *obs.Span // non-nil iff the op is sampled
+	mode  locktable.Mode
 
 	// Guarded by c.mu. granted is set once the grant is processed;
 	// released is set when a release consumed the in-flight mark before
@@ -623,8 +608,6 @@ func (a *acquireCompletion) Wait(ctx context.Context) error {
 		return a.c.finishAcquire(a, res, a.sp)
 	case <-ctx.Done():
 		return a.c.cancelAcquire(a, ctx.Err())
-	case <-a.doomed:
-		return a.c.cancelAcquire(a, locktable.ErrWounded)
 	case <-a.c.stop:
 		a.c.unmark(a)
 		return locktable.ErrStopped
@@ -658,14 +641,13 @@ func (c *Client) unmark(a *acquireCompletion) {
 // back as deltas on the grant reply.
 func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) locktable.Completion {
 	sp := inst.Span
-	a := &acquireCompletion{c: c, key: inst.Key, ent: ent, mode: mode, doomed: inst.Doomed, sp: sp}
+	a := &acquireCompletion{c: c, key: inst.Key, ent: ent, mode: mode, sp: sp}
 	reqID, ch := c.register(a)
 	a.reqID, a.ch = reqID, ch
 	if err := c.send(func(e *enc) {
 		e.u8(opAcquire)
 		e.u64(reqID)
 		e.key(inst.Key)
-		e.i64(inst.Prio)
 		e.i64(int64(ent))
 		e.mode(mode)
 		if sp != nil {
@@ -681,7 +663,7 @@ func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode 
 
 // Acquire implements locktable.Table: the request blocks server-side in
 // the hosted table (which owns all mode compatibility decisions);
-// cancellation and doom map to a cancel message that withdraws it there,
+// cancellation maps to a cancel message that withdraws it there,
 // and a grant that races the cancellation is released before returning.
 func (c *Client) Acquire(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode locktable.Mode) error {
 	return c.AcquireAsync(inst, ent, mode).Wait(ctx)
@@ -741,7 +723,7 @@ func (c *Client) finishAcquire(a *acquireCompletion, res result, sp *obs.Span) e
 }
 
 // cancelAcquire withdraws an in-flight acquire after the caller's context
-// or doom fired, then waits for the server's authoritative answer: if the
+// was cancelled, then waits for the server's authoritative answer: if the
 // grant won the race it is released before returning, so the instance
 // holds nothing either way — and leaves no mark.
 func (c *Client) cancelAcquire(a *acquireCompletion, cause error) error {

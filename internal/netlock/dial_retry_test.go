@@ -71,7 +71,7 @@ func TestDialRetriesLateListener(t *testing.T) {
 	// The surviving connection must be a real session, not just a socket.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	in := locktable.Instance{Key: locktable.InstKey{ID: 1}, Prio: 1}
+	in := locktable.Instance{Key: locktable.InstKey{ID: 1}}
 	ent := model.EntityID(0)
 	if err := cli.Acquire(ctx, in, ent, locktable.Exclusive); err != nil {
 		t.Fatalf("acquire after retried dial: %v", err)

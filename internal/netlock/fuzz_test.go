@@ -24,19 +24,20 @@ func frameOf(build func(*enc)) []byte {
 	return e.b
 }
 
-// fuzzSeeds is one v4 frame per request opcode, plus the shapes the
+// fuzzSeeds is one v6 frame per request opcode, plus the shapes the
 // decoder must reject or treat specially: a sampled acquire, releases
 // (acked and fire-and-forget), a truncated acquire, a release-all whose
-// count overstates its entries, opcodes a client never sends, and v3
-// frames (a release with a fencing token, the retired withdraw and wound
-// requests) a v4 server must not mistake for valid ones.
+// count overstates its entries, opcodes a client never sends, v3 frames
+// (a release with a fencing token, the retired withdraw and wound
+// requests) and v5 frames (an acquire carrying an epoch and a priority, a
+// hello carrying the wound-wait byte) a v6 server must not mistake for
+// valid ones.
 func fuzzSeeds(ents []model.EntityID) [][]byte {
 	key := locktable.InstKey{ID: 1}
 	acq := func(e *enc) {
 		e.u8(opAcquire)
 		e.u64(2)
 		e.key(key)
-		e.i64(1)
 		e.i64(int64(ents[0]))
 		e.mode(locktable.Exclusive)
 	}
@@ -75,6 +76,23 @@ func fuzzSeeds(ents []model.EntityID) [][]byte {
 		frameOf(func(e *enc) { e.u8(0x06); e.u64(5); e.i64(int64(ents[1])); e.key(key) }), // v3 withdraw, retired
 		frameOf(func(e *enc) { e.u8(0x07); e.u64(6); e.key(key) }),                        // v3 wound, retired
 		frameOf(func(e *enc) { e.u8(0x08); e.u64(7) }),                                    // v4 snapshot, retired
+		frameOf(func(e *enc) { // v5 acquire: key epoch and priority ahead of the entity
+			e.u8(opAcquire)
+			e.u64(2)
+			e.i64(int64(key.ID))
+			e.i64(3) // epoch
+			e.i64(1) // priority
+			e.i64(int64(ents[0]))
+			e.mode(locktable.Exclusive)
+		}),
+		frameOf(func(e *enc) { // v5 hello: the wound-wait byte ahead of the trace byte
+			e.u8(opHello)
+			e.u64(9)
+			e.u32(5)
+			e.boolean(true) // wound-wait
+			e.boolean(false)
+			e.raw(make([]byte, 32))
+		}),
 		frameOf(func(e *enc) { e.u8(opGrantLog); e.u64(8) }),
 		truncated[:len(truncated)-3],
 		frameOf(func(e *enc) { e.u8(opHello); e.u64(9); e.u32(protocolVersion) }),
@@ -99,7 +117,6 @@ func pipeSession(t *testing.T, srv *Server) net.Conn {
 		e.u8(opHello)
 		e.u64(1)
 		e.u32(protocolVersion)
-		e.boolean(false) // woundWait
 		e.boolean(false) // trace
 		e.raw(hash[:])
 	})
@@ -193,10 +210,10 @@ const fuzzAcquireID = 2
 // reader itself.
 type replyInput struct{ first, second, tail []byte }
 
-// replySeeds cover v4 grants with and without a span trailer, a v3 grant
+// replySeeds cover v6 grants with and without a span trailer, a v3 grant
 // whose fencing token shifts the trailer, every acquire status, failure
-// pushes naming an instance, a wound push, and the framings the reader
-// must reject.
+// pushes naming an instance, v5 wound pushes (0x81, retired in v6), and
+// the framings the reader must reject.
 func replySeeds() []replyInput {
 	result := func(reqID uint64, status byte, payload func(*enc)) []byte {
 		return frameOf(func(e *enc) {
@@ -226,7 +243,8 @@ func replySeeds() []replyInput {
 		{first: push(stStaleFence), second: grant()},
 		{first: push(stLeaseExpired), second: push(0x77)},
 		{first: result(0, stStaleFence, nil)}, // a push naming no instance
-		{first: frameOf(func(e *enc) { e.u8(opWoundPush); e.i64(1) }), second: result(fuzzAcquireID, 0x01, nil)}, // v3's wounded status, unknown to v4
+		{first: frameOf(func(e *enc) { e.u8(0x81); e.i64(1) }), second: result(fuzzAcquireID, 0x01, nil)}, // v3's wounded status, unknown to v4
+		{first: frameOf(func(e *enc) { e.u8(0x81); e.i64(1) }), second: grant()},                          // a v5 wound push, then a grant
 		{first: result(fuzzAcquireID, stErr, func(e *enc) { e.str("boom") })},
 		{first: result(fuzzAcquireID, stCancelled, nil)},
 		{first: result(fuzzAcquireID, stLeaseExpired, nil)},
@@ -303,7 +321,7 @@ func FuzzClientReplies(f *testing.F) {
 		defer conn.Close()
 
 		sp := ring.Start(obs.SpanAcquire, int32(x))
-		inst := locktable.Instance{Key: locktable.InstKey{ID: 1}, Prio: 1, Span: sp}
+		inst := locktable.Instance{Key: locktable.InstKey{ID: 1}, Span: sp}
 		comp := c.AcquireAsync(inst, x, locktable.Exclusive)
 		req, err := readFrame(conn)
 		if err != nil {
@@ -322,8 +340,8 @@ func FuzzClientReplies(f *testing.F) {
 			switch {
 			case err == nil:
 				sp.Commit() // what a session does with a granted op's span: re-anchor the server deltas
-			case errors.Is(err, locktable.ErrStopped), errors.Is(err, locktable.ErrWounded),
-				errors.Is(err, ErrLeaseExpired), strings.HasPrefix(err.Error(), "netlock: "):
+			case errors.Is(err, locktable.ErrStopped), errors.Is(err, ErrLeaseExpired),
+				strings.HasPrefix(err.Error(), "netlock: "):
 			default:
 				t.Fatalf("pending acquire returned %v, outside the Table vocabulary, after stream %x", err, stream)
 			}

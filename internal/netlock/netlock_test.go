@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 // registered from its external test package) covers the blocking
 // semantics shared with the in-process backends. The tests here cover
 // what only the networked backend has: sessions that die, leases that
-// expire, releases that go stale, and wounds that cross processes.
+// expire and releases that go stale.
 
 func testDDB(t *testing.T, n int) (*model.DDB, []model.EntityID) {
 	t.Helper()
@@ -63,7 +62,7 @@ func acquire(t *testing.T, c *Client, id int, ent model.EntityID) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	inst := locktable.Instance{Key: locktable.InstKey{ID: id}, Prio: int64(id)}
+	inst := locktable.Instance{Key: locktable.InstKey{ID: id}}
 	if err := c.Acquire(ctx, inst, ent, locktable.Exclusive); err != nil {
 		t.Fatalf("Acquire(%d, %v) = %v", id, ent, err)
 	}
@@ -95,7 +94,7 @@ func TestKilledConnMidAcquire(t *testing.T) {
 	parked := make(chan error, 1)
 	go func() {
 		parked <- victim.Acquire(context.Background(),
-			locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}, ents[0], locktable.Exclusive)
+			locktable.Instance{Key: locktable.InstKey{ID: 2}}, ents[0], locktable.Exclusive)
 	}()
 	waitFor(t, func() bool { return srv.TableMetrics().Waiting.Load() == 1 })
 
@@ -129,7 +128,7 @@ func TestDuplicateSharedAcquireOverWire(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	in := locktable.Instance{Key: locktable.InstKey{ID: 1}, Prio: 1}
+	in := locktable.Instance{Key: locktable.InstKey{ID: 1}}
 	for i := 1; i <= 2; i++ {
 		if err := reader.Acquire(ctx, in, ents[0], locktable.Shared); err != nil {
 			t.Fatalf("shared acquire %d: %v", i, err)
@@ -140,7 +139,7 @@ func TestDuplicateSharedAcquireOverWire(t *testing.T) {
 	}
 	wctx, wcancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer wcancel()
-	w := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
+	w := locktable.Instance{Key: locktable.InstKey{ID: 2}}
 	if err := writer.Acquire(wctx, w, ents[0], locktable.Exclusive); err != nil {
 		t.Fatalf("writer after the one release = %v; the duplicate shared acquire stranded a reader", err)
 	}
@@ -204,7 +203,7 @@ func TestStaleFenceRejected(t *testing.T) {
 	}
 	probeCtx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
-	err := next.Acquire(probeCtx, locktable.Instance{Key: locktable.InstKey{ID: 3}, Prio: 3}, e, locktable.Exclusive)
+	err := next.Acquire(probeCtx, locktable.Instance{Key: locktable.InstKey{ID: 3}}, e, locktable.Exclusive)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("probe acquired a lock the stale release should not have freed (err=%v)", err)
 	}
@@ -227,7 +226,7 @@ func TestLeaseExpiryWakesParkedAcquire(t *testing.T) {
 	got := make(chan error, 1)
 	go func() {
 		got <- stalled.Acquire(context.Background(),
-			locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}, ents[0], locktable.Exclusive)
+			locktable.Instance{Key: locktable.InstKey{ID: 2}}, ents[0], locktable.Exclusive)
 	}()
 	select {
 	case err := <-got:
@@ -282,77 +281,6 @@ func TestGrantLogAcrossReconnect(t *testing.T) {
 	}
 }
 
-// TestWoundPushCrossConn: under wound-wait, an older requester in one
-// process wounds a younger holder in another — the server pushes the
-// wound to the holder's connection, which surfaces it through OnWound
-// with the holder's local instance ID.
-func TestWoundPushCrossConn(t *testing.T) {
-	ddb, ents := testDDB(t, 1)
-	srvCfg := locktable.Config{WoundWait: true}
-	srv := startServer(t, ddb, srvCfg, ServerOptions{Lease: time.Minute})
-
-	var wounded atomic.Int64
-	wounded.Store(-1)
-	youngCfg := locktable.Config{WoundWait: true, OnWound: func(id int) { wounded.Store(int64(id)) }}
-	young := dial(t, srv, youngCfg, DialOptions{})
-	old := dial(t, srv, locktable.Config{WoundWait: true}, DialOptions{})
-
-	acquire(t, young, 9, ents[0])
-	got := make(chan error, 1)
-	go func() {
-		got <- old.Acquire(context.Background(),
-			locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}, ents[0], locktable.Exclusive)
-	}()
-	waitFor(t, func() bool { return wounded.Load() == 9 })
-	// The wounded holder aborts: releases, and the old requester wins.
-	if err := young.Release(ents[0], locktable.InstKey{ID: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-got; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWoundPushCountsEveryDecision: one victim wounded by two older
-// requesters on two entities gets one push per decision, so the victim
-// connection's Wounds counter equals the server's — pushes are not
-// coalesced per victim.
-func TestWoundPushCountsEveryDecision(t *testing.T) {
-	ddb, ents := testDDB(t, 2)
-	srv := startServer(t, ddb, locktable.Config{WoundWait: true}, ServerOptions{Lease: time.Minute})
-
-	var pushed atomic.Int64
-	victim := dial(t, srv, locktable.Config{WoundWait: true, OnWound: func(int) { pushed.Add(1) }}, DialOptions{})
-	acquire(t, victim, 9, ents[0])
-	acquire(t, victim, 9, ents[1])
-
-	got := make(chan error, 2)
-	for i, e := range ents[:2] {
-		older := dial(t, srv, locktable.Config{WoundWait: true}, DialOptions{})
-		id := 2 + i
-		go func() {
-			got <- older.Acquire(context.Background(),
-				locktable.Instance{Key: locktable.InstKey{ID: id}, Prio: int64(id)}, e, locktable.Exclusive)
-		}()
-	}
-	waitFor(t, func() bool { return srv.TableMetrics().Wounds.Load() == 2 })
-	waitFor(t, func() bool { return pushed.Load() == 2 })
-	if n, want := victim.TableMetrics().Wounds.Load(), srv.TableMetrics().Wounds.Load(); n != want {
-		t.Fatalf("victim connection counted %d wounds, server decided %d", n, want)
-	}
-	// The wounded holder aborts: its releases let both requesters in.
-	for _, e := range ents[:2] {
-		if err := victim.Release(e, locktable.InstKey{ID: 9}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for range 2 {
-		if err := <-got; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestHandshakeRejects: a client over the wrong database, or with a
 // mismatched discipline, is told so instead of corrupting the table.
 func TestHandshakeRejects(t *testing.T) {
@@ -363,10 +291,6 @@ func TestHandshakeRejects(t *testing.T) {
 	if _, err := Dial(srv.Addr(), otherDDB, locktable.Config{}, DialOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("dial over a different DDB = %v, want fingerprint rejection", err)
-	}
-	if _, err := Dial(srv.Addr(), ddb, locktable.Config{WoundWait: true}, DialOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "wound-wait") {
-		t.Fatalf("dial with mismatched wound-wait = %v, want rejection", err)
 	}
 	if _, err := Dial(srv.Addr(), ddb, locktable.Config{Trace: true}, DialOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "trace") {
@@ -390,7 +314,7 @@ func TestLeaseRecoveryAfterExpiry(t *testing.T) {
 		defer p.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		defer cancel()
-		err := p.Acquire(ctx, locktable.Instance{Key: locktable.InstKey{ID: 7}, Prio: 7}, e, locktable.Exclusive)
+		err := p.Acquire(ctx, locktable.Instance{Key: locktable.InstKey{ID: 7}}, e, locktable.Exclusive)
 		if err == nil {
 			p.Release(e, locktable.InstKey{ID: 7})
 			return true
@@ -436,12 +360,14 @@ func waitFor(t *testing.T, cond func() bool) {
 // would reject a v3 client's token-0 release of a held entity as stale
 // and leave the lock held); v3 peers frame a fencing token into every
 // grant reply and release that v4 dropped; v4 peers send the snapshot
-// request (0x08) that v5 rejects as an unknown opcode.
+// request (0x08) that v5 rejects as an unknown opcode; v5 peers frame a
+// wound-wait byte into the hello and a priority and an epoch into every
+// acquire that v6 dropped. Every hello here is framed the pre-v6 way.
 func TestHandshakeRejectsStaleProtocolVersion(t *testing.T) {
 	ddb, _ := testDDB(t, 2)
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
 
-	for _, version := range []uint32{1, 2, 3, 4} {
+	for _, version := range []uint32{1, 2, 3, 4, 5} {
 		nc, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)

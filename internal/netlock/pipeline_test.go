@@ -46,7 +46,7 @@ func TestHeartbeatsSurviveSaturatedSendQueue(t *testing.T) {
 			// send queue without waiting for acks in between, keeping the
 			// queue deep.
 			id := 1 + g
-			inst := locktable.Instance{Key: locktable.InstKey{ID: id}, Prio: int64(id)}
+			inst := locktable.Instance{Key: locktable.InstKey{ID: id}}
 			mine := ents[g*depth : (g+1)*depth]
 			for time.Now().Before(deadline) {
 				comps := make([]locktable.Completion, depth)
@@ -118,7 +118,7 @@ func TestCloseFailsRacingOpsDeterministically(t *testing.T) {
 				for i := 0; ; i++ {
 					id := 1 + g*1000 + i
 					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-					inst := locktable.Instance{Key: locktable.InstKey{ID: id}, Prio: int64(id)}
+					inst := locktable.Instance{Key: locktable.InstKey{ID: id}}
 					err := c.Acquire(ctx, inst, ent, locktable.Exclusive)
 					cancel()
 					if err != nil {
@@ -215,7 +215,7 @@ func TestPipelinedChainHappyPath(t *testing.T) {
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
 	c := dial(t, srv, locktable.Config{}, DialOptions{})
 
-	inst := locktable.Instance{Key: locktable.InstKey{ID: 3}, Prio: 3}
+	inst := locktable.Instance{Key: locktable.InstKey{ID: 3}}
 	comps := make([]locktable.Completion, len(ents))
 	for i, e := range ents {
 		comps[i] = c.AcquireAsync(inst, e, locktable.Exclusive)
@@ -270,7 +270,7 @@ func TestTokenZeroReleaseBehindParkedAcquire(t *testing.T) {
 	c := dial(t, srv, locktable.Config{}, DialOptions{})
 
 	acquire(t, holder, 1, x)
-	inst := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
+	inst := locktable.Instance{Key: locktable.InstKey{ID: 2}}
 	acq := c.AcquireAsync(inst, x, locktable.Exclusive)
 	waitFor(t, func() bool { return srv.TableMetrics().Waiting.Load() == 1 }) // parked
 	rel := c.ReleaseAsync(x, inst.Key)                                        // shipped early, chained behind it
@@ -316,8 +316,8 @@ func TestTokenZeroReleaseAfterLeaseRevokeIsStale(t *testing.T) {
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: 150 * time.Millisecond})
 	c := dial(t, srv, locktable.Config{}, DialOptions{NoHeartbeat: true})
 
-	ix := locktable.Instance{Key: locktable.InstKey{ID: 1}, Prio: 1}
-	iy := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
+	ix := locktable.Instance{Key: locktable.InstKey{ID: 1}}
+	iy := locktable.Instance{Key: locktable.InstKey{ID: 2}}
 	acquire(t, c, 3, z) // joined before the revoke: a recorded grant
 	ax := c.AcquireAsync(ix, x, locktable.Exclusive)
 	ay := c.AcquireAsync(iy, y, locktable.Exclusive)
@@ -376,7 +376,7 @@ func TestCancelledAcquireWithChainedTokenZeroRelease(t *testing.T) {
 	c := dial(t, srv, locktable.Config{}, DialOptions{})
 
 	acquire(t, holder, 1, x)
-	inst := locktable.Instance{Key: locktable.InstKey{ID: 2}, Prio: 2}
+	inst := locktable.Instance{Key: locktable.InstKey{ID: 2}}
 	acq := c.AcquireAsync(inst, x, locktable.Exclusive)
 	waitFor(t, func() bool { return srv.TableMetrics().Waiting.Load() == 1 }) // parked
 	rel := c.ReleaseAsyncAcked(x, inst.Key)
@@ -402,7 +402,7 @@ func TestCancelledAcquireWithChainedTokenZeroRelease(t *testing.T) {
 	// The holder was never disturbed: the entity is still its own.
 	probeCtx, probeCancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer probeCancel()
-	err := c.Acquire(probeCtx, locktable.Instance{Key: locktable.InstKey{ID: 3}, Prio: 3}, x, locktable.Exclusive)
+	err := c.Acquire(probeCtx, locktable.Instance{Key: locktable.InstKey{ID: 3}}, x, locktable.Exclusive)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("probe acquired a lock the holder still has (err=%v)", err)
 	}

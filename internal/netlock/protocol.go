@@ -27,7 +27,7 @@
 //     release names its owner — (connection, entity, instance key), no
 //     grant number — and the server frees the grant record that name
 //     has: composed keys are never reused and a template locks each
-//     entity once per epoch, so one name has at most one record, and the
+//     entity once, so one name has at most one record, and the
 //     release runs behind the instance's earlier acquires in wire order
 //     (chained while one is in flight), so the record it meets is its
 //     own acquire's. No record is the no-op of an acquire that failed or
@@ -35,11 +35,6 @@
 //     and the first release naming that grant consumes it as
 //     ErrStaleFence, so a lost lease fails the instance's commit and a
 //     late release frees nothing. DESIGN.md "Fencing" has the argument.
-//
-//   - Server-push wound delivery. Under wound-wait the grant path decides
-//     to wound a holder that may live in another process: the server pushes
-//     a wound event to the connection owning the holder, where the client
-//     invokes its Config.OnWound exactly as an in-process backend would.
 //
 // Context cancellation maps to withdrawal exactly as in process: a
 // cancelled client Acquire sends a cancel for its in-flight request, the
@@ -83,24 +78,27 @@ import (
 //	    value not reused. A v4 client would send it and lose the
 //	    connection to the v5 server's unknown-opcode error, so the
 //	    handshake rejects it.
-const protocolVersion = 5
+//	6 — no wound-wait: the hello loses its wound-wait byte, an acquire
+//	    its priority, every instance key its epoch, and the wound push
+//	    (0x81) is gone, its value not reused. A v5 peer would mis-frame
+//	    the hello and every acquire, so the handshake rejects it.
+const protocolVersion = 6
 
 // maxFrame bounds a frame body; larger frames indicate a corrupt stream.
 const maxFrame = 16 << 20
 
 // Message opcodes. Client→server requests carry a request ID the matching
-// opResult echoes; opWoundPush is the one server-initiated message.
+// opResult echoes; the server initiates nothing but a reqID-0 result.
 const (
-	opHello      = 0x01 // version, woundWait, trace, ddb hash
-	opAcquire    = 0x02 // reqID, inst key, prio, entity, mode
+	opHello      = 0x01 // version, trace, ddb hash
+	opAcquire    = 0x02 // reqID, inst key, entity, mode
 	opCancel     = 0x03 // reqID of the in-flight acquire to withdraw
 	opRelease    = 0x04 // reqID, entity, inst key
 	opReleaseAll = 0x05 // reqID, inst key, n × entity
 	opGrantLog   = 0x09 // reqID
 	opHeartbeat  = 0x0a // reqID (renews the lease)
 
-	opResult    = 0x80 // reqID, status, payload per request kind (reqID 0: a fire-and-forget release's failure, inst key)
-	opWoundPush = 0x81 // holder's client-side instance ID
+	opResult = 0x80 // reqID, status, payload per request kind (reqID 0: a fire-and-forget release's failure, inst key)
 )
 
 // Result statuses.
@@ -161,10 +159,7 @@ func DDBHash(d *model.DDB) [32]byte {
 // Client instance IDs must fit in 32 bits (engine IDs are small dense
 // integers; the handshake documents the bound).
 func composeKey(connID uint32, k locktable.InstKey) locktable.InstKey {
-	return locktable.InstKey{
-		ID:    int(int64(connID)<<32 | int64(uint32(k.ID))),
-		Epoch: k.Epoch,
-	}
+	return locktable.InstKey{ID: int(int64(connID)<<32 | int64(uint32(k.ID)))}
 }
 
 // stripID translates a composed server-side instance ID back to the
@@ -347,16 +342,9 @@ func (d *dec) mode() locktable.Mode {
 
 // key encodes/decodes an instance key (client-side numbering on the wire;
 // composition is server business).
-func (e *enc) key(k locktable.InstKey) {
-	e.i64(int64(k.ID))
-	e.i64(int64(k.Epoch))
-}
+func (e *enc) key(k locktable.InstKey) { e.i64(int64(k.ID)) }
 
-func (d *dec) key() locktable.InstKey {
-	id := d.i64()
-	ep := d.i64()
-	return locktable.InstKey{ID: int(id), Epoch: int(ep)}
-}
+func (d *dec) key() locktable.InstKey { return locktable.InstKey{ID: int(d.i64())} }
 
 // events encodes a grant-log result.
 func (e *enc) events(evs []locktable.GrantEvent) {
@@ -364,14 +352,13 @@ func (e *enc) events(evs []locktable.GrantEvent) {
 	for _, ev := range evs {
 		e.i64(int64(ev.Entity))
 		e.i64(int64(ev.Inst))
-		e.i64(int64(ev.Epoch))
 		e.mode(ev.Mode)
 	}
 }
 
 func (d *dec) events() []locktable.GrantEvent {
 	n := int(d.u32())
-	if d.err != nil || n > maxFrame/25 {
+	if d.err != nil || n > maxFrame/17 {
 		d.fail()
 		return nil
 	}
@@ -380,7 +367,6 @@ func (d *dec) events() []locktable.GrantEvent {
 		var ev locktable.GrantEvent
 		ev.Entity = model.EntityID(d.i64())
 		ev.Inst = int(d.i64())
-		ev.Epoch = int(d.i64())
 		ev.Mode = d.mode()
 		out = append(out, ev)
 	}

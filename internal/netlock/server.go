@@ -29,9 +29,8 @@ type ServerOptions struct {
 	// DefaultLease.
 	Lease time.Duration
 	// New constructs the hosted in-process table (nil: locktable.NewSharded).
-	// The server hooks its own OnWound into the config it passes down (for
-	// cross-process wound push) and records the grant log itself, so the
-	// constructor receives cfg with OnWound set by the server and Trace off.
+	// The server records the grant log itself, so the constructor receives
+	// cfg with Trace off.
 	New func(*model.DDB, locktable.Config) locktable.Table
 }
 
@@ -42,7 +41,7 @@ type ServerOptions struct {
 // Create with NewServer, serve with Serve, stop with Close.
 type Server struct {
 	ddb    *model.DDB
-	cfg    locktable.Config // handshake contract: WoundWait/Trace must match dialers
+	cfg    locktable.Config // handshake contract: Trace must match dialers
 	tab    locktable.Table
 	tryTab locktable.TryAcquirer // s.tab's non-blocking capability, nil if absent
 	lease  time.Duration
@@ -106,7 +105,6 @@ type chainItem struct {
 	acq   *pendingAcq
 	ctx   context.Context
 	key   locktable.InstKey // composed
-	prio  int64
 	ent   model.EntityID
 	mode  locktable.Mode
 	rel   bool
@@ -125,8 +123,8 @@ type srvConn struct {
 	id  uint32
 	net net.Conn
 
-	// Outbound frames (results, wound pushes) are queued and drained by
-	// one reply-writer goroutine through a buffered writer, one flush per
+	// Outbound frames (results) are queued and drained by one
+	// reply-writer goroutine through a buffered writer, one flush per
 	// drain cycle — grants and acks resolved while a flush is in progress
 	// coalesce into the next syscall.
 	outMu    sync.Mutex
@@ -154,16 +152,12 @@ type srvConn struct {
 	cancel context.CancelFunc
 }
 
-// NewServer builds a server hosting a fresh table over the database. The
-// table config's WoundWait is honored (the handshake requires dialers to
-// agree); cfg.OnWound must be nil (wounds are pushed to the owning
-// connection) and cfg.Trace selects server-side grant logging.
+// NewServer builds a server hosting a fresh table over the database.
+// cfg.Trace selects server-side grant logging (the handshake requires
+// dialers to agree).
 func NewServer(ddb *model.DDB, cfg locktable.Config, opts ServerOptions) (*Server, error) {
 	if ddb == nil {
 		return nil, fmt.Errorf("netlock: nil database")
-	}
-	if cfg.OnWound != nil {
-		return nil, fmt.Errorf("netlock: server config must not set OnWound (wounds are pushed to the owning connection)")
 	}
 	if opts.Lease <= 0 {
 		opts.Lease = DefaultLease
@@ -198,9 +192,6 @@ func NewServer(ddb *model.DDB, cfg locktable.Config, opts ServerOptions) (*Serve
 	// The wire round trip dwarfs a stripe mutex anyway, so this costs
 	// nothing observable.
 	inner.DisableSharedFastPath = true
-	if cfg.WoundWait {
-		inner.OnWound = s.pushWound
-	}
 	s.tab = mk(ddb, inner)
 	s.tryTab, _ = s.tab.(locktable.TryAcquirer)
 	s.wg.Add(1)
@@ -376,8 +367,7 @@ func (s *Server) revoke(c *srvConn, disconnect bool) {
 	if expired {
 		s.wm.LeaseExpiries.Inc()
 	}
-	// Table calls outside every server lock (the grant path's OnWound takes
-	// locks of its own).
+	// Table calls outside every server lock.
 	for _, ref := range grants {
 		s.tab.Release(ref.ent, ref.key)
 	}
@@ -399,30 +389,6 @@ func (s *Server) dropConn(c *srvConn) {
 	s.connsMu.Lock()
 	delete(s.conns, c.id)
 	s.connsMu.Unlock()
-}
-
-// pushWound is the inner table's OnWound: it queues an opWoundPush frame
-// for the victim's connection on that connection's reply writer. It runs
-// inside the grant-path critical section, which is safe because write
-// only takes outMu, never blocks and never calls into the table, and
-// nothing holds outMu while it takes a stripe lock. Every decision is
-// pushed, so the client's Wounds counter matches the server's. Unknown
-// owners (a session that vanished between decision and push) are dropped
-// — their locks are on their way out anyway.
-func (s *Server) pushWound(composedID int) {
-	connID := uint32(uint64(composedID) >> 32)
-	s.connsMu.RLock()
-	c := s.conns[connID]
-	s.connsMu.RUnlock()
-	if c == nil {
-		return
-	}
-	e := encPool.Get().(*enc)
-	e.b = e.b[:0]
-	e.u8(opWoundPush)
-	e.i64(int64(uint32(composedID)))
-	c.write(e.b, nil)
-	encPool.Put(e)
 }
 
 // write queues one frame for the connection's reply writer. A sampled
@@ -447,8 +413,8 @@ func (c *srvConn) write(body []byte, sp *obs.Span) {
 
 // replyWriter is the connection's reply-side flush loop, mirroring the
 // client's: it drains the outbound queue through one buffered writer and
-// flushes once per cycle, so every grant, ack, and wound push the table
-// resolved while the previous flush was in flight leaves in one syscall.
+// flushes once per cycle, so every grant and ack the table resolved
+// while the previous flush was in flight leaves in one syscall.
 func (s *Server) replyWriter(c *srvConn) {
 	bw := bufio.NewWriterSize(c.net, 64<<10)
 	var spanBatch []*obs.Span // reused across cycles; sampled replies only
@@ -512,7 +478,7 @@ func (s *Server) replyWriter(c *srvConn) {
 		}
 		if cycleFrames > 0 {
 			// One completed cycle is one write syscall, shared here across
-			// every reply and wound push it carried.
+			// every reply it carried.
 			s.wm.Frames.Add(cycleFrames)
 			s.wm.Bytes.Add(cycleBytes)
 			s.wm.Flushes.Inc()
@@ -628,7 +594,6 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader) (*srvConn, error) {
 	op := d.u8()
 	reqID := d.u64()
 	version := d.u32()
-	woundWait := d.boolean()
 	trace := d.boolean()
 	hash := d.raw(32)
 	if d.err != nil || op != opHello {
@@ -648,9 +613,6 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader) (*srvConn, error) {
 	}
 	if [32]byte(hash) != s.hash {
 		return reject("netlock: database fingerprint mismatch (client built over a different DDB)")
-	}
-	if woundWait != s.cfg.WoundWait {
-		return reject(fmt.Sprintf("netlock: wound-wait mismatch (client %v, server %v)", woundWait, s.cfg.WoundWait))
 	}
 	if trace != s.cfg.Trace {
 		return reject(fmt.Sprintf("netlock: trace mismatch (client %v, server %v)", trace, s.cfg.Trace))
@@ -707,7 +669,6 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 
 	case opAcquire:
 		key := d.key()
-		prio := d.i64()
 		ent := model.EntityID(d.i64())
 		mode := d.mode()
 		if d.err != nil {
@@ -720,7 +681,7 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 			sp = s.spans.Start(obs.SpanAcquire, int32(ent))
 			sp.Stamp(obs.StageServerRecv)
 		}
-		s.startAcquire(c, reqID, key, prio, ent, mode, sp)
+		s.startAcquire(c, reqID, key, ent, mode, sp)
 		return nil
 
 	case opCancel:
@@ -847,7 +808,7 @@ func (s *Server) recordGrant(c *srvConn, ref grantRef, mode locktable.Mode) {
 	}
 	if s.cfg.Trace {
 		s.traceMu.Lock()
-		s.trace = append(s.trace, locktable.GrantEvent{Entity: ref.ent, Inst: ref.key.ID, Epoch: ref.key.Epoch, Mode: mode})
+		s.trace = append(s.trace, locktable.GrantEvent{Entity: ref.ent, Inst: ref.key.ID, Mode: mode})
 		s.traceMu.Unlock()
 	}
 }
@@ -865,7 +826,7 @@ func (s *Server) execRelease(c *srvConn, reqID uint64, composed locktable.InstKe
 		c.result(reqID, st, nil, nil)
 	} else if st != stOK {
 		local, _ := stripID(c.id, composed.ID)
-		c.result(0, st, nil, func(e *enc) { e.key(locktable.InstKey{ID: local, Epoch: composed.Epoch}) })
+		c.result(0, st, nil, func(e *enc) { e.key(locktable.InstKey{ID: local}) })
 	}
 }
 
@@ -884,7 +845,7 @@ func (s *Server) execRelease(c *srvConn, reqID uint64, composed locktable.InstKe
 // exclusion, queue fairness) is entirely the hosted table's decision, so
 // remote and in-process sessions blocking on one entity obey one
 // discipline.
-func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, prio int64, ent model.EntityID, mode locktable.Mode, sp *obs.Span) {
+func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, ent model.EntityID, mode locktable.Mode, sp *obs.Span) {
 	if int(ent) < 0 || int(ent) >= s.ddb.NumEntities() {
 		c.result(reqID, stErr, nil, func(e *enc) { e.str(fmt.Sprintf("netlock: entity %d outside the database", ent)) })
 		return
@@ -907,8 +868,7 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, p
 	// per connection — and observing the chain record gone happens-after
 	// its last item resolved (runChain deletes it under c.mu), so wire
 	// order within the instance is preserved. A failed try queues nothing
-	// and falls through to the chain path, where wound-wait wounds at queue
-	// time exactly as before.
+	// and falls through to the chain path.
 	if s.tryTab != nil {
 		c.mu.Lock()
 		_, chained := c.chains[composed]
@@ -920,7 +880,7 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, p
 		}
 		if !chained {
 			sp.Stamp(obs.StageChainStart) // inline path: "chain start" is the try itself
-			granted, err := s.tryTab.TryAcquire(locktable.Instance{Key: composed, Prio: prio}, ent, mode)
+			granted, err := s.tryTab.TryAcquire(locktable.Instance{Key: composed}, ent, mode)
 			if err != nil {
 				c.result(reqID, stStopped, nil, nil)
 				return
@@ -949,7 +909,7 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, p
 	}
 	actx := &acqCtx{done: make(chan struct{})}
 	acq := &pendingAcq{cancel: actx.cancelFn}
-	it := &chainItem{reqID: reqID, acq: acq, ctx: actx, key: composed, prio: prio, ent: ent, mode: mode, sp: sp}
+	it := &chainItem{reqID: reqID, acq: acq, ctx: actx, key: composed, ent: ent, mode: mode, sp: sp}
 	c.mu.Lock()
 	if c.leaseLost {
 		// No live lease: the session must heartbeat before it may hold
@@ -1027,9 +987,7 @@ func (s *Server) runChain(c *srvConn, composed locktable.InstKey, it *chainItem)
 // execAcquire runs one chain item to its reply. An item that was
 // cancelled or revoked while queued answers without entering the inner
 // table — the request never existed as far as the lock space is
-// concerned. The hosted table gets no Doomed channel, so it never answers
-// ErrWounded: a wound reaches a parked remote acquire as the client's
-// cancel.
+// concerned.
 func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	reqID, acq, composed, ent := it.reqID, it.acq, it.key, it.ent
 	defer acq.cancel()
@@ -1049,7 +1007,7 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	}
 	c.mu.Unlock()
 	it.sp.Stamp(obs.StageChainStart) // may overwrite a failed inline try's stamp with the real chain start
-	err := s.tab.Acquire(it.ctx, locktable.Instance{Key: composed, Prio: it.prio}, ent, it.mode)
+	err := s.tab.Acquire(it.ctx, locktable.Instance{Key: composed}, ent, it.mode)
 	if err == nil {
 		it.sp.Stamp(obs.StageGrant)
 	}

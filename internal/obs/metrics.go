@@ -30,17 +30,12 @@ type TableMetrics struct {
 	// Releases counts every actual un-hold (releases of nothing are
 	// no-ops and not counted). Grants − Releases = locks currently held.
 	Releases StripedCounter
-	// Wounds counts wound decisions: each OnWound call the table's
-	// wound-wait grant path makes. A netlock client counts each wound the
-	// server pushed to it; the server pushes every decision, so its
-	// owners' counts sum to the server's.
-	Wounds Counter
 	// QueueDepth samples the wait-queue length observed by each request
 	// at park time — the contention a slow-path faller actually met.
 	QueueDepth Histogram
 	// Waiting is the number of requests parked in wait queues right now:
 	// raised when a request joins a queue, lowered when it leaves by a
-	// grant or a withdrawal (cancel, doom). Sharded backend only — a wire
+	// grant or a withdrawal (a cancel). Sharded backend only — a wire
 	// backend's client never parks a request itself, so its bundle stays
 	// 0 and the hosting server's bundle carries the queue.
 	Waiting Gauge
@@ -58,8 +53,11 @@ type TableCounters struct {
 	SlowSharedGrants int64 `json:"slow_shared_grants"`
 	Releases         int64 `json:"releases"`
 	Held             int64 `json:"held"`
-	Wounds           int64 `json:"wounds"`
-	Waiting          int64 `json:"waiting"`
+	// Wounds is always 0: no table picks victims. The field stays only
+	// because the benchmark reads it by name; the next change to the
+	// benchmark drops that read.
+	Wounds  int64 `json:"wounds"`
+	Waiting int64 `json:"waiting"`
 	// StripeSplits is always 0: the sharded table's stripe layout is fixed
 	// at construction. The field stays only because the benchmark reads it
 	// by name; the next change to the benchmark drops that read.
@@ -87,7 +85,6 @@ func (m *TableMetrics) Snapshot() TableCounters {
 		SlowSharedGrants: slow,
 		Releases:         releases,
 		Held:             grants - releases,
-		Wounds:           m.Wounds.Load(),
 		Waiting:          m.Waiting.Load(),
 		QueueDepth:       m.QueueDepth.Snapshot(),
 	}

@@ -31,7 +31,7 @@ import (
 type pad = [56]byte
 
 // Counter is a single padded atomic counter for low-contention sites: a
-// connection's writer loop, a lease sweeper, wound delivery. For
+// connection's writer loop, a lease sweeper. For
 // counters bumped from many goroutines at once, use StripedCounter.
 type Counter struct {
 	v atomic.Int64

@@ -16,10 +16,13 @@ import (
 
 // mixRun is the template driver the engine tests share: clients
 // goroutines each run perClient instances of templates[client %
-// len(templates)] to commit through Begin/Lock/Unlock/Commit, retrying a
-// wounded attempt with Retry (same identity and age priority).
+// len(templates)] to commit through BeginAt/Lock/Unlock/Commit. No engine
+// aborts a session, so there is nothing to retry: any failed instance
+// fails the test, and one whose Lock outlives stall marks the run
+// stalled.
 type mixRun struct {
 	templates          []*model.Transaction
+	twoPhase           bool // run every session two-phase (the fallback tier)
 	clients, perClient int
 	hold               time.Duration // yield-spin after each grant: a wider conflict window, no timer
 	// stall bounds every Lock: one still waiting after it is the stall of
@@ -31,10 +34,10 @@ type mixRun struct {
 // mixResult is what a mixRun leaves behind once the engine is closed.
 type mixResult struct {
 	Counters
-	stalled     bool
-	elapsed     time.Duration
-	GrantLog    map[model.EntityID][]locktable.GrantEvent // Table.Trace only
-	CommitEpoch map[int]int                               // instance id -> committed epoch
+	stalled   bool
+	elapsed   time.Duration
+	GrantLog  map[model.EntityID][]locktable.GrantEvent // Table.Trace only
+	Committed map[int]bool                              // committed instance ids
 }
 
 // run drives the mix on e, closes e, and reports.
@@ -44,10 +47,10 @@ func (m mixRun) run(t *testing.T, e *Engine) mixResult {
 		m.stall = 250 * time.Millisecond
 	}
 	var (
-		mu      sync.Mutex
-		epochs  = map[int]int{}
-		stalled atomic.Bool
-		wg      sync.WaitGroup
+		mu        sync.Mutex
+		committed = map[int]bool{}
+		stalled   atomic.Bool
+		wg        sync.WaitGroup
 	)
 	start := time.Now()
 	for c := 0; c < m.clients; c++ {
@@ -57,17 +60,15 @@ func (m mixRun) run(t *testing.T, e *Engine) mixResult {
 			rng := rand.New(rand.NewPCG(m.seed, uint64(c)*7919+1))
 			tmpl := m.templates[c%len(m.templates)]
 			for i := 0; i < m.perClient && !stalled.Load(); i++ {
-				s, err := e.Begin(tmpl)
-				for err == nil {
+				s := new(Session)
+				err := e.BeginAt(s, tmpl, m.twoPhase)
+				if err == nil {
 					if err = m.attempt(s, rng); err == nil {
 						mu.Lock()
-						epochs[s.key.ID] = s.key.Epoch
+						committed[s.key.ID] = true
 						mu.Unlock()
-						break
-					}
-					s.Abort()
-					if errors.Is(err, ErrAborted) {
-						s, err = e.Retry(s)
+					} else {
+						s.Abort()
 					}
 				}
 				if errors.Is(err, context.DeadlineExceeded) {
@@ -84,7 +85,7 @@ func (m mixRun) run(t *testing.T, e *Engine) mixResult {
 	wg.Wait()
 	e.Close()
 	res := mixResult{Counters: e.Counters(), stalled: stalled.Load(), elapsed: time.Since(start),
-		GrantLog: map[model.EntityID][]locktable.GrantEvent{}, CommitEpoch: epochs}
+		GrantLog: map[model.EntityID][]locktable.GrantEvent{}, Committed: committed}
 	for _, ev := range e.table.GrantLog() {
 		res.GrantLog[ev.Entity] = append(res.GrantLog[ev.Entity], ev)
 	}

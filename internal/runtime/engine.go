@@ -17,7 +17,7 @@ import (
 type Backend int
 
 const (
-	// BackendDefault is BackendSharded, for every strategy.
+	// BackendDefault is BackendSharded.
 	BackendDefault Backend = iota
 	// BackendSharded: hash-striped mutexes with per-entity shared/
 	// exclusive lock states and FIFO wait queues; uncontended grants take
@@ -60,48 +60,45 @@ func (b Backend) resolve() Backend {
 }
 
 // EngineOptions parameterizes a long-lived Engine (see NewEngine). The
-// zero value is a usable StrategyNone engine with default tuning.
+// zero value is a usable in-process engine with default tuning.
 type EngineOptions struct {
-	// Strategy selects the engine's deadlock handling.
-	Strategy Strategy
 	// Backend selects the lock-table implementation. BackendDefault is
 	// the in-process sharded table.
 	Backend Backend
 	// RemoteAddr is the netlock server address BackendRemote dials. The
 	// server must host the same database (the handshake verifies a
-	// fingerprint) with a matching wound-wait/trace configuration.
+	// fingerprint) with a matching trace configuration.
 	RemoteAddr string
 	// RemoteAddrs are the dlserver addresses BackendCluster dials — one
 	// partition per address, each entity owned by exactly one server. The
 	// list order is part of the cluster identity: every client process
 	// must pass the same addresses in the same order to agree on entity
-	// ownership. Every server must host the same database with matching
-	// wound-wait/trace configuration.
+	// ownership. Every server must host the same database with a matching
+	// trace configuration.
 	RemoteAddrs []string
 	// Table is the lock-table configuration, handed to the backend by
 	// value: the stripe count (Shards), the exact grant log (Trace — only
 	// safe to read after Close) and the counter bundle (Metrics — nil
-	// allocates a private one). See locktable.Config for each knob. The
-	// engine owns WoundWait and OnWound and overwrites them from Strategy.
+	// allocates a private one). See locktable.Config for each knob.
 	Table locktable.Config
 	// PipelineDepth enables certified-chain pipelining over a wire
-	// backend: sessions of a StrategyNone engine keep up to this many
+	// backend: sessions keep up to this many
 	// unacknowledged acquires in flight (shipping the next lock request
 	// before the previous ack returns) and fire receipt-free releases,
 	// even before the released entity's own acquire is acked, surfacing
 	// their errors at Commit. Zero (the default) keeps every Lock
 	// synchronous; Unlock on a wire backend returns at submission either
 	// way, its receipt joined by Commit (see Session.Unlock). The knob
-	// only takes effect when the strategy is StrategyNone AND the backend
-	// implements locktable.AsyncTable (remote, cluster): static
-	// certification is the proof that the pipelined chain cannot
-	// deadlock, so the wound-wait tier — whose mix carries no such proof
-	// — always Locks synchronously. A pipelined session trades mid-chain
-	// error locality for throughput: a failed acquire (wound, lease
-	// expiry) surfaces at a later Lock that joins it, or at Commit at the
-	// latest, rather than at the Lock that shipped it, and a context
-	// cancellation inside a chain aborts the whole attempt instead of
-	// leaving the session resumable.
+	// only takes effect when the backend implements locktable.AsyncTable
+	// (remote, cluster): static certification is the proof that the
+	// pipelined chain cannot deadlock, and two-phase sessions, whose mix
+	// carries no such proof, run only on a table with TryAcquire, which
+	// has no async form. A pipelined session trades mid-chain error
+	// locality for throughput: a failed acquire (lease expiry) surfaces at
+	// a later Lock that joins it, or at Commit at the latest, rather than
+	// at the Lock that shipped it, and a context cancellation inside a
+	// chain aborts the whole attempt instead of leaving the session
+	// resumable.
 	PipelineDepth int
 	// TraceSampleEvery arms end-to-end op tracing: roughly one in this
 	// many lock operations is sampled into a span recording its full stage
@@ -124,14 +121,17 @@ const DefaultTraceSample = 64
 // client). Transactions are driven through it as Sessions (Begin / Lock /
 // Unlock / Commit / Abort). Create with NewEngine, shut down with Close.
 type Engine struct {
-	strategy Strategy
-	backend  Backend
-	ddb      *model.DDB
-	table    locktable.Table
+	backend Backend
+	ddb     *model.DDB
+	table   locktable.Table
+
+	// try is the table's non-blocking capability, which two-phase
+	// sessions need; nil on the wire backends.
+	try locktable.TryAcquirer
 
 	// async/pipeline: certified-chain pipelining (EngineOptions.
-	// PipelineDepth), armed only when the strategy is StrategyNone and
-	// the table implements the async capability.
+	// PipelineDepth), armed only when the table implements the async
+	// capability.
 	async    locktable.AsyncTable
 	pipeline int
 
@@ -146,13 +146,12 @@ type Engine struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	// Cumulative tallies, bumped per session or per wound, never per lock
-	// operation: unless tracing is armed, a lock operation writes nothing
+	// Cumulative tallies, bumped per session, never per lock operation:
+	// unless tracing is armed, a lock operation writes nothing
 	// engine-global.
 	commits  atomic.Int64
 	aborts   atomic.Int64
 	discards atomic.Int64
-	wounds   atomic.Int64
 	nextID   atomic.Int64
 
 	// Observability (see internal/obs). metrics is the backend's counter
@@ -171,10 +170,6 @@ type Engine struct {
 	spans     *obs.SpanRing
 	stageHist *obs.StageHistograms
 	spanEvery int
-
-	// mu guards abortChs, so a StrategyNone engine never takes it.
-	mu       sync.Mutex
-	abortChs map[int]chan struct{} // instance id -> abort signal (not StrategyNone)
 }
 
 // NewEngine builds an engine over the database and starts its lock table.
@@ -188,17 +183,10 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 		cfg.Metrics = obs.NewTableMetrics()
 	}
 	e := &Engine{
-		strategy: opts.Strategy,
-		backend:  opts.Backend.resolve(),
-		ddb:      ddb,
-		stop:     make(chan struct{}),
-		abortChs: map[int]chan struct{}{},
-		metrics:  cfg.Metrics,
-	}
-	cfg.WoundWait = opts.Strategy == StrategyWoundWait
-	cfg.OnWound = func(holderID int) {
-		e.wounds.Add(1)
-		e.signalAbort(holderID)
+		backend: opts.Backend.resolve(),
+		ddb:     ddb,
+		stop:    make(chan struct{}),
+		metrics: cfg.Metrics,
 	}
 	switch e.backend {
 	case BackendSharded:
@@ -224,6 +212,7 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("runtime: unknown lock-table backend %v", opts.Backend)
 	}
+	e.try, _ = e.table.(locktable.TryAcquirer)
 	if opts.TraceSampleEvery != 0 {
 		e.spanEvery = opts.TraceSampleEvery
 		if e.spanEvery < 0 {
@@ -232,12 +221,13 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 		e.spans = obs.NewSpanRing(1024)
 		e.stageHist = new(obs.StageHistograms)
 	}
-	if opts.PipelineDepth > 0 && opts.Strategy == StrategyNone {
+	if opts.PipelineDepth > 0 {
 		// Pipelining is gated on the paper's thesis: only a statically
-		// certified mix (StrategyNone) has the deadlock-freedom proof that
-		// makes shipping lock request N+1 before ack N sound. Backends
-		// without the async capability (all in-process ones) silently stay
-		// synchronous — their acquires are already sub-microsecond.
+		// certified mix has the deadlock-freedom proof that makes shipping
+		// lock request N+1 before ack N sound, and only certified sessions
+		// run on a wire backend. Backends without the async capability
+		// (all in-process ones) silently stay synchronous — their acquires
+		// are already sub-microsecond.
 		if at, ok := e.table.(locktable.AsyncTable); ok {
 			e.async = at
 			e.pipeline = opts.PipelineDepth
@@ -257,9 +247,6 @@ var dialRemote = func(addr string, ddb *model.DDB, cfg locktable.Config) (*netlo
 // DDB returns the database the engine serves.
 func (e *Engine) DDB() *model.DDB { return e.ddb }
 
-// Strategy returns the engine's deadlock handling.
-func (e *Engine) Strategy() Strategy { return e.strategy }
-
 // Backend returns the engine's resolved lock-table backend.
 func (e *Engine) Backend() Backend { return e.backend }
 
@@ -272,13 +259,16 @@ type Counters struct {
 	// nothing and is not a transaction abort. Every session ends in
 	// exactly one of Commits, Aborts and Discarded.
 	Discarded int64 `json:"discarded"`
-	Wounds    int64 `json:"wounds"`
+	// Wounds is always 0: no engine picks victims. The field stays only
+	// because the benchmark reads it by name; the next change to the
+	// benchmark drops that read.
+	Wounds int64 `json:"wounds"`
 	// PipelinedOps counts lock operations submitted through the
 	// certified-chain async path; SyncOps those that took the synchronous
-	// fallback (in-process backends, or strategies without the
-	// certification proof). Their split is the realized pipelining ratio.
-	// Sessions tally locally and flush at session end, so live reads lag
-	// open sessions' in-flight operations; exact once sessions close.
+	// path (in-process backends, or engines without a pipeline depth).
+	// Their split is the realized pipelining ratio. Sessions tally locally
+	// and flush at session end, so live reads lag open sessions' in-flight
+	// operations; exact once sessions close.
 	PipelinedOps int64 `json:"pipelined_ops"`
 	SyncOps      int64 `json:"sync_ops"`
 }
@@ -290,7 +280,6 @@ func (e *Engine) Counters() Counters {
 		Commits:      e.commits.Load(),
 		Aborts:       e.aborts.Load(),
 		Discarded:    e.discards.Load(),
-		Wounds:       e.wounds.Load(),
 		PipelinedOps: e.pipelinedOps.Load(),
 		SyncOps:      e.syncOps.Load(),
 	}
@@ -328,18 +317,4 @@ func (e *Engine) recordSpan(sp *obs.Span) {
 func (e *Engine) Close() {
 	e.stopOnce.Do(func() { close(e.stop) })
 	e.table.Close()
-}
-
-// signalAbort notifies a session to abort (non-blocking; coalesced).
-func (e *Engine) signalAbort(id int) {
-	e.mu.Lock()
-	ch := e.abortChs[id]
-	e.mu.Unlock()
-	if ch == nil {
-		return
-	}
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
 }

@@ -16,7 +16,7 @@ import (
 )
 
 // Certified-chain pipelining over a real wire backend: a loopback netlock
-// server hosts the table, the engine runs StrategyNone with a nonzero
+// server hosts the table, the engine runs with a nonzero
 // PipelineDepth, and sessions ship lock requests without waiting for
 // acks. These tests pin the arming rule, the happy path, and the abort
 // path's conservation (in-flight acquires resolved, nothing orphaned).
@@ -48,7 +48,6 @@ func pipelineFixture(t *testing.T, depth, servers int) (*Engine, *model.DDB, []*
 		addrs = append(addrs, srv.Addr())
 	}
 	opts := EngineOptions{
-		Strategy:      StrategyNone,
 		Backend:       BackendRemote,
 		RemoteAddr:    addrs[0],
 		PipelineDepth: depth,
@@ -64,9 +63,8 @@ func pipelineFixture(t *testing.T, depth, servers int) (*Engine, *model.DDB, []*
 	return e, d, srvs
 }
 
-// TestPipelineArming: the depth knob arms only on the certified strategy
-// with an async-capable backend — in-process backends and the wound-wait
-// tier silently stay synchronous.
+// TestPipelineArming: the depth knob arms only with an async-capable
+// backend — in-process backends silently stay synchronous.
 func TestPipelineArming(t *testing.T) {
 	e, _, _ := pipelineFixture(t, 4, 1)
 	if e.async == nil || e.pipeline != 4 {
@@ -76,7 +74,7 @@ func TestPipelineArming(t *testing.T) {
 
 	d := model.NewDDB()
 	d.MustEntity("x", "s1")
-	inproc, err := NewEngine(d, EngineOptions{Strategy: StrategyNone, PipelineDepth: 4})
+	inproc, err := NewEngine(d, EngineOptions{PipelineDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +169,7 @@ func pipelinedAbortConservation(t *testing.T, e *Engine, d *model.DDB, srvs []*n
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := blocker.Acquire(ctx,
-		locktable.Instance{Key: locktable.InstKey{ID: 999}, Prio: 999}, y, locktable.Exclusive); err != nil {
+		locktable.Instance{Key: locktable.InstKey{ID: 999}}, y, locktable.Exclusive); err != nil {
 		t.Fatal(err)
 	}
 
@@ -267,7 +265,7 @@ func TestPipelinedFailedJoinClearsHeld(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	foreign := locktable.InstKey{ID: 999}
-	if err := blocker.Acquire(ctx, locktable.Instance{Key: foreign, Prio: 999}, y, locktable.Exclusive); err != nil {
+	if err := blocker.Acquire(ctx, locktable.Instance{Key: foreign}, y, locktable.Exclusive); err != nil {
 		t.Fatal(err)
 	}
 
@@ -358,7 +356,7 @@ func gatedFixture(t *testing.T, servers int) (*Engine, *model.DDB, []*netlock.Se
 		addrs = append(addrs, srv.Addr())
 	}
 	t.Cleanup(gt.open) // before srv.Close: the parked read loop must exit
-	opts := EngineOptions{Strategy: StrategyNone, Backend: BackendRemote, RemoteAddr: addrs[0]}
+	opts := EngineOptions{Backend: BackendRemote, RemoteAddr: addrs[0]}
 	if servers > 1 {
 		opts.Backend, opts.RemoteAddrs = BackendCluster, addrs
 	}
@@ -549,7 +547,7 @@ func TestStaleFenceFailsOnlyItsOwnCommit(t *testing.T) {
 	dialRemote = func(addr string, ddb *model.DDB, cfg locktable.Config) (*netlock.Client, error) {
 		return netlock.Dial(addr, ddb, cfg, netlock.DialOptions{NoHeartbeat: true})
 	}
-	e, err := NewEngine(d, EngineOptions{Strategy: StrategyNone, Backend: BackendRemote, RemoteAddr: srv.Addr()})
+	e, err := NewEngine(d, EngineOptions{Backend: BackendRemote, RemoteAddr: srv.Addr()})
 	dialRemote = orig
 	if err != nil {
 		t.Fatal(err)
@@ -623,7 +621,7 @@ func TestPipelinedUnlockDoesNotWaitForOwnAcquire(t *testing.T) {
 	defer blocker.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := blocker.Acquire(ctx, locktable.Instance{Key: locktable.InstKey{ID: 999}, Prio: 999}, x, locktable.Exclusive); err != nil {
+	if err := blocker.Acquire(ctx, locktable.Instance{Key: locktable.InstKey{ID: 999}}, x, locktable.Exclusive); err != nil {
 		t.Fatal(err)
 	}
 
@@ -668,7 +666,7 @@ func TestPipelinedUnlockDoesNotWaitForOwnAcquire(t *testing.T) {
 	}
 	// The release ran right behind the grant: x is free and nobody holds it.
 	waitUntil(t, func() bool { return srvs[0].TableMetrics().Snapshot().Held == 0 })
-	if err := blocker.Acquire(ctx, locktable.Instance{Key: locktable.InstKey{ID: 1000}, Prio: 1000}, x, locktable.Exclusive); err != nil {
+	if err := blocker.Acquire(ctx, locktable.Instance{Key: locktable.InstKey{ID: 1000}}, x, locktable.Exclusive); err != nil {
 		t.Fatalf("x not grantable after Commit: %v", err)
 	}
 	if c := e.Counters(); c.Commits != 1 || c.PipelinedOps != 1 {

@@ -8,6 +8,7 @@ import (
 	"distlock/internal/graph"
 	"distlock/internal/locktable"
 	"distlock/internal/model"
+	"distlock/internal/workload"
 )
 
 func buildChain(d *model.DDB, name, spec string) *model.Transaction {
@@ -62,7 +63,7 @@ func newEngine(t *testing.T, d *model.DDB, opts EngineOptions) *Engine {
 func TestCertifiedMixNoHandling(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
 		tmpls := orderedTemplates()
-		e := newEngine(t, tmpls[0].DDB(), EngineOptions{Strategy: StrategyNone, Backend: b})
+		e := newEngine(t, tmpls[0].DDB(), EngineOptions{Backend: b})
 		r := mixRun{templates: tmpls, clients: 6, perClient: 20, seed: 1}.run(t, e)
 		if r.stalled {
 			t.Fatal("certified mix stalled")
@@ -76,13 +77,13 @@ func TestCertifiedMixNoHandling(t *testing.T) {
 	})
 }
 
-// TestDeadlockMixStallsWithoutHandling: an uncertified mix deadlocks under
-// StrategyNone on either backend — the fast path must stall identically,
-// not paper over the missing handling.
+// TestDeadlockMixStallsWithoutHandling: an uncertified mix run as
+// certified sessions deadlocks on every backend — the fast path must
+// stall identically, not paper over the missing certification.
 func TestDeadlockMixStallsWithoutHandling(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
 		tmpls := deadlockTemplates()
-		e := newEngine(t, tmpls[0].DDB(), EngineOptions{Strategy: StrategyNone, Backend: b})
+		e := newEngine(t, tmpls[0].DDB(), EngineOptions{Backend: b})
 		r := mixRun{templates: tmpls, clients: 8, perClient: 30,
 			hold: 300 * time.Microsecond, stall: 150 * time.Millisecond, seed: 2}.run(t, e)
 		if !r.stalled {
@@ -94,18 +95,21 @@ func TestDeadlockMixStallsWithoutHandling(t *testing.T) {
 	})
 }
 
+// TestWoundWaitCompletesDeadlockMix: the mix that stalls as certified
+// sessions completes when run two-phase, with no deadlock handling and no
+// abort — the fallback tier that replaced wound-wait.
 func TestWoundWaitCompletesDeadlockMix(t *testing.T) {
 	tmpls := deadlockTemplates()
-	e := newEngine(t, tmpls[0].DDB(), EngineOptions{Strategy: StrategyWoundWait})
-	r := mixRun{templates: tmpls, clients: 8, perClient: 20, hold: 200 * time.Microsecond, seed: 4}.run(t, e)
+	e := newEngine(t, tmpls[0].DDB(), EngineOptions{})
+	r := mixRun{templates: tmpls, twoPhase: true, clients: 8, perClient: 20, hold: 200 * time.Microsecond, seed: 4}.run(t, e)
 	if r.stalled {
 		t.Fatalf("stalled: %+v", r.Counters)
 	}
-	if r.Commits != 160 {
-		t.Fatalf("committed = %d, want 160", r.Commits)
+	if r.Commits != 160 || r.Aborts != 0 {
+		t.Fatalf("committed = %d, aborts = %d, want 160 and 0", r.Commits, r.Aborts)
 	}
-	if r.Wounds == 0 {
-		t.Fatal("wound-wait never wounded under heavy conflict")
+	if held := e.TableMetrics().Snapshot().Held; held != 0 {
+		t.Fatalf("table holds %d locks after the run", held)
 	}
 }
 
@@ -120,8 +124,8 @@ func TestDistributedParallelTemplates(t *testing.T) {
 	b.LockUnlock("y")
 	b.LockUnlock("z")
 	tmpl := b.MustFreeze()
-	e := newEngine(t, d, EngineOptions{Strategy: StrategyWoundWait})
-	r := mixRun{templates: []*model.Transaction{tmpl}, clients: 8, perClient: 15, seed: 5}.run(t, e)
+	e := newEngine(t, d, EngineOptions{})
+	r := mixRun{templates: []*model.Transaction{tmpl}, twoPhase: true, clients: 8, perClient: 15, seed: 5}.run(t, e)
 	if r.stalled {
 		t.Fatalf("stalled: %+v", r.Counters)
 	}
@@ -130,55 +134,66 @@ func TestDistributedParallelTemplates(t *testing.T) {
 	}
 }
 
+// randomTemplates are non-two-phase classes (workload.PolicyRandom, an
+// entity may be unlocked before another is locked) over a small database:
+// as certified sessions their mix is unsafe, so only the two-phase
+// fallback tier may run it.
+func randomTemplates() []*model.Transaction {
+	return workload.MustGenerate(workload.Config{
+		Sites: 2, EntitiesPerSite: 2, NumTxns: 4, EntitiesPerTxn: 3,
+		Policy: workload.PolicyRandom, Seed: 11,
+	}).Txns
+}
+
 // TestSerializableCommitOrder checks the end-to-end correctness property:
-// for two-phase templates, the conflict graph over committed instances
-// (built from each entity's lock-grant order, final epochs only) is
-// acyclic — every run is serializable. The grant log is the table's own
-// (Table.Trace): in process, or fetched from the dlservers of the remote
-// and cluster backends, with and without certified pipelining.
+// the conflict graph over committed instances (built from each entity's
+// lock-grant order) is acyclic — every run is serializable. Certified rows
+// run ordered two-phase templates; the two-phase rows run the fallback
+// tier, whose sessions are serializable whatever their template's order —
+// the random row's templates are not two-phase at all. The grant log is
+// the table's own (Table.Trace): in process, or fetched from the
+// dlservers of the remote and cluster backends, with and without
+// certified pipelining.
 func TestSerializableCommitOrder(t *testing.T) {
 	type row struct {
 		name     string
-		strat    Strategy
+		tmpls    func() []*model.Transaction
+		twoPhase bool
 		servers  int // 0 = in-process sharded table
 		depth    int
-		deadlock bool // the uncertified mix (wound-wait rows only)
 	}
 	rows := []row{
-		{"sharded/none", StrategyNone, 0, 0, false},
-		{"sharded/woundwait", StrategyWoundWait, 0, 0, false},
-		{"sharded/woundwait-deadlock-mix", StrategyWoundWait, 0, 0, true},
+		{"sharded/none", orderedTemplates, false, 0, 0},
+		{"sharded/twophase", orderedTemplates, true, 0, 0},
+		{"sharded/twophase-deadlock-mix", deadlockTemplates, true, 0, 0},
+		{"sharded/twophase-random", randomTemplates, true, 0, 0},
 	}
 	for _, w := range []struct {
 		name    string
 		servers int
 	}{{"remote", 1}, {"cluster2", 2}} {
 		rows = append(rows,
-			row{w.name + "/none", StrategyNone, w.servers, 0, false},
-			row{w.name + "/woundwait", StrategyWoundWait, w.servers, 0, false},
-			row{w.name + "/none-depth8", StrategyNone, w.servers, 8, false})
+			row{w.name + "/none", orderedTemplates, false, w.servers, 0},
+			row{w.name + "/none-depth8", orderedTemplates, false, w.servers, 8})
 	}
 	for _, rw := range rows {
 		t.Run(rw.name, func(t *testing.T) {
-			tmpls := orderedTemplates()
-			if rw.deadlock {
-				tmpls = deadlockTemplates()
-			}
+			tmpls := rw.tmpls()
 			d := tmpls[0].DDB()
 			opts := EngineOptions{}
 			if rw.servers > 0 {
-				opts = listenServers(t, d, rw.servers,
-					locktable.Config{Trace: true, WoundWait: rw.strat == StrategyWoundWait})
+				opts = listenServers(t, d, rw.servers, locktable.Config{Trace: true})
 			}
-			opts.Strategy, opts.Table, opts.PipelineDepth = rw.strat, locktable.Config{Trace: true}, rw.depth
-			r := mixRun{templates: tmpls, clients: 6, perClient: 15, hold: 100 * time.Microsecond, seed: 11}.run(t, newEngine(t, d, opts))
-			if r.stalled || r.Commits != 90 {
-				t.Fatalf("committed %d of 90 (stalled %v)", r.Commits, r.stalled)
+			opts.Table, opts.PipelineDepth = locktable.Config{Trace: true}, rw.depth
+			r := mixRun{templates: tmpls, twoPhase: rw.twoPhase, clients: 6, perClient: 15,
+				hold: 100 * time.Microsecond, seed: 11}.run(t, newEngine(t, d, opts))
+			if r.stalled || r.Commits != 90 || r.Aborts != 0 {
+				t.Fatalf("committed %d of 90, aborted %d (stalled %v)", r.Commits, r.Aborts, r.stalled)
 			}
 			if !checkSerializable(t, r) {
 				t.Fatal("commit order not serializable")
 			}
-			if n := grants(r); rw.strat == StrategyNone && n != 2*90 {
+			if n := grants(r); !rw.twoPhase && n != 2*90 {
 				t.Fatalf("grant log holds %d events for 90 two-lock commits", n)
 			}
 		})
@@ -195,7 +210,10 @@ func grants(r mixResult) int {
 }
 
 // checkSerializable builds the committed-instances conflict graph from the
-// grant log and reports acyclicity.
+// grant log and reports acyclicity. Only each instance's last grant of an
+// entity counts: a two-phase session may take an entity, give it back on
+// a miss elsewhere and take it again, and a grant released before the
+// session's lock point is not an access.
 func checkSerializable(t *testing.T, m mixResult) bool {
 	t.Helper()
 	ids := map[int]int{}
@@ -211,9 +229,13 @@ func checkSerializable(t *testing.T, m mixResult) bool {
 	type arc struct{ from, to int }
 	var arcs []arc
 	for _, log := range m.GrantLog {
+		last := map[int]int{} // instance id -> index of its last grant
+		for i, ev := range log {
+			last[ev.Inst] = i
+		}
 		var committed []int
-		for _, ev := range log {
-			if ep, ok := m.CommitEpoch[ev.Inst]; ok && ep == ev.Epoch {
+		for i, ev := range log {
+			if m.Committed[ev.Inst] && last[ev.Inst] == i {
 				committed = append(committed, ev.Inst)
 			}
 		}
@@ -226,14 +248,4 @@ func checkSerializable(t *testing.T, m mixResult) bool {
 		g.AddArc(a.from, a.to)
 	}
 	return g.IsAcyclic()
-}
-
-func TestStrategyStrings(t *testing.T) {
-	for s, want := range map[Strategy]string{
-		StrategyNone: "certified-none", StrategyWoundWait: "wound-wait",
-	} {
-		if s.String() != want {
-			t.Fatalf("%d.String() = %q", s, s.String())
-		}
-	}
 }

@@ -13,12 +13,6 @@ import (
 	"distlock/internal/obs"
 )
 
-// ErrAborted is returned by session operations after the engine's deadlock
-// handling (a wound-wait wound) aborted the transaction. The caller must
-// call Abort to release what the session still holds, and may then retry
-// with a fresh session.
-var ErrAborted = errors.New("runtime: transaction aborted by deadlock handling")
-
 // ErrClosed is returned by session operations once the engine has been
 // closed.
 var ErrClosed = errors.New("runtime: engine closed")
@@ -27,7 +21,7 @@ var ErrClosed = errors.New("runtime: engine closed")
 // committed or aborted.
 var ErrSessionDone = errors.New("runtime: session already committed or aborted")
 
-// instKey identifies one attempt (epoch) of one transaction instance.
+// instKey identifies one transaction instance.
 type instKey = locktable.InstKey
 
 // Session is one externally-driven transaction instance: a client-side
@@ -35,22 +29,22 @@ type instKey = locktable.InstKey
 // transaction class (its template) and enforces the class's partial order:
 // each Lock/Unlock must correspond to a template operation whose
 // predecessors have all executed. Lock blocks until the table grants the
-// entity, the context is cancelled, the engine's deadlock handling aborts
-// the transaction, or the engine closes.
+// entity, the context is cancelled, or the engine closes. No engine ever
+// aborts a session: only the caller's Abort or the engine's Close ends
+// one that has not committed.
 //
 // A Session is a transaction handle in the style of database transactions:
 // it must be driven by one goroutine at a time. Distinct sessions are
 // fully concurrent.
 //
-// A Session must not be copied once Begin, Retry, BeginAt or RetryAt has
-// initialised it: for templates of up to 64 nodes its executed and held
-// bitsets alias the session's own inline words, so a copy would share —
-// and corrupt — the original's operation state.
+// A Session must not be copied once Begin or BeginAt has initialised it:
+// for templates of up to 64 nodes its executed and held bitsets alias the
+// session's own inline words, so a copy would share — and corrupt — the
+// original's operation state.
 type Session struct {
 	e    *Engine
 	tmpl *model.Transaction
 	key  instKey
-	prio int64
 
 	// executed marks the template nodes run so far; held marks the Lock
 	// node of every entity the session holds. Their words live in inline
@@ -58,9 +52,10 @@ type Session struct {
 	executed graph.Bitset
 	held     graph.Bitset
 	inline   [2]uint64
-	abortCh  chan struct{} // nil on StrategyNone (see initInstance)
 	done     bool
-	doomed   bool
+	// twoPhase makes the first Lock take the class's whole entity set
+	// (see BeginAt).
+	twoPhase bool
 
 	// nsync tallies this session's synchronous lock operations, flushed
 	// to the engine's counters once at session end — a plain increment
@@ -102,12 +97,11 @@ type sessionExtra struct {
 	pendSpans map[model.EntityID]*obs.Span
 }
 
-// Begin opens a session for one instance of the template transaction. The
-// instance's age priority (for wound-wait) is its begin order on this
-// engine.
+// Begin opens a certified session for one instance of the template
+// transaction (see BeginAt).
 func (e *Engine) Begin(tmpl *model.Transaction) (*Session, error) {
 	s := new(Session)
-	if err := e.BeginAt(s, tmpl); err != nil {
+	if err := e.BeginAt(s, tmpl, false); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -117,12 +111,26 @@ func (e *Engine) Begin(tmpl *model.Transaction) (*Session, error) {
 // must be zero, as a fresh session. It lets a caller embed the Session in
 // its own handle and pay one allocation for both. *s must not be copied
 // afterwards (see Session).
-func (e *Engine) BeginAt(s *Session, tmpl *model.Transaction) error {
+//
+// A certified session (twoPhase false) acquires each entity at its own
+// Lock: the static certification is the proof that its class cannot
+// deadlock. A two-phase session is for a class without that proof: its
+// first Lock acquires the class's whole entity set, in the template's
+// modes, and never waits while it holds a lock (see lockAll); its later
+// Locks only run their template nodes. Every Unlock comes after that lock
+// point, so the session is two-phase whatever its template's order, hence
+// serializable, and no waits-for cycle runs through it. A two-phase
+// session needs a table with TryAcquire (the in-process sharded table);
+// on any other backend BeginAt returns an error.
+func (e *Engine) BeginAt(s *Session, tmpl *model.Transaction, twoPhase bool) error {
 	if tmpl == nil {
 		return fmt.Errorf("runtime: nil template")
 	}
 	if tmpl.DDB() != e.ddb {
 		return fmt.Errorf("runtime: template %s built over a different database", tmpl.Name())
+	}
+	if twoPhase && e.try == nil {
+		return fmt.Errorf("runtime: %s: a two-phase session needs a table with TryAcquire, and the %v backend has none", tmpl.Name(), e.backend)
 	}
 	select {
 	case <-e.stop:
@@ -130,55 +138,10 @@ func (e *Engine) BeginAt(s *Session, tmpl *model.Transaction) error {
 	default:
 	}
 	id := int(e.nextID.Add(1))
-	e.initInstance(s, tmpl, id, 0, int64(id))
-	return nil
-}
-
-// Retry opens a fresh session for the same transaction instance as a
-// closed (aborted) session, preserving its identity and age priority: under
-// wound-wait a retried transaction keeps its original age, so it cannot be
-// wounded forever by younger traffic (no starvation). The previous session
-// must have ended.
-func (e *Engine) Retry(prev *Session) (*Session, error) {
-	s := new(Session)
-	if err := e.RetryAt(s, prev); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// RetryAt is Retry into caller-provided memory, as BeginAt is Begin. The
-// new session copies prev's identity and keeps no pointer into it.
-func (e *Engine) RetryAt(s, prev *Session) error {
-	if prev == nil || prev.e != e {
-		return fmt.Errorf("runtime: Retry of a session from a different engine")
-	}
-	if !prev.done {
-		return fmt.Errorf("runtime: Retry of a session that has not ended")
-	}
-	select {
-	case <-e.stop:
-		return ErrClosed
-	default:
-	}
-	e.initInstance(s, prev.tmpl, prev.key.ID, prev.key.Epoch+1, prev.prio)
-	return nil
-}
-
-// initInstance initialises *s as a session with explicit instance
-// identity: Retry reuses an instance id across epochs so the wound-wait
-// age priority of a wounded transaction survives its retries.
-//
-// Only a wound-wait engine gives the session an abort signal and
-// registers it: on StrategyNone nothing can ever fire one — the table
-// runs without wound-wait, and a wire server must match the engine's
-// wound-wait setting at the handshake — so a certified session takes no
-// engine lock at all.
-func (e *Engine) initInstance(s *Session, tmpl *model.Transaction, id, epoch int, prio int64) {
 	s.e = e
 	s.tmpl = tmpl
-	s.key = instKey{ID: id, Epoch: epoch}
-	s.prio = prio
+	s.key = instKey{ID: id}
+	s.twoPhase = twoPhase
 	n := tmpl.N()
 	words := s.inline[:]
 	if k := graph.WordsFor(n); k > 1 {
@@ -196,12 +159,7 @@ func (e *Engine) initInstance(s *Session, tmpl *model.Transaction, id, epoch int
 		// the 1-in-N threshold and hot classes would go unsampled.
 		s.x.spanTick = (id * 7) % e.spanEvery
 	}
-	if e.strategy != StrategyNone {
-		s.abortCh = make(chan struct{}, 1)
-		e.mu.Lock()
-		e.abortChs[id] = s.abortCh
-		e.mu.Unlock()
-	}
+	return nil
 }
 
 // spanDue ticks the session's sampling counter and reports whether this op
@@ -233,30 +191,12 @@ func (s *Session) Held() []model.EntityID {
 	return out
 }
 
-// Doomed exposes the abort signal: it is readable once the engine's
-// deadlock handling has picked this transaction as a victim. Drivers
-// sleeping between operations select on it to notice wounds promptly. On
-// a StrategyNone engine it is nil — a channel that never fires — because
-// nothing can pick a certified session as a victim.
-func (s *Session) Doomed() <-chan struct{} { return s.abortCh }
-
 // ready validates that the template node may execute now: the session is
-// open, not a deadlock-handling victim, the node not yet executed, and
-// every predecessor in the class's partial order executed.
+// open, the node not yet executed, and every predecessor in the class's
+// partial order executed.
 func (s *Session) ready(nid model.NodeID) error {
 	if s.done {
 		return ErrSessionDone
-	}
-	if s.doomed {
-		return ErrAborted
-	}
-	if s.abortCh != nil {
-		select {
-		case <-s.abortCh:
-			s.doomed = true
-			return ErrAborted
-		default:
-		}
 	}
 	if s.executed.Has(int(nid)) {
 		return fmt.Errorf("runtime: %s: %s already executed", s.tmpl.Name(), s.label(nid))
@@ -290,9 +230,10 @@ func (s *Session) lockNode(ent model.EntityID) int {
 // uncertified — the mismatch is rejected before the table is touched.
 // Lock returns promptly with ctx.Err() if the context is cancelled while
 // waiting (the request is withdrawn from the table first, so no lock is
-// held on return), with ErrAborted if the engine's deadlock handling
-// aborts the transaction, and with ErrClosed if the engine shuts down.
-// After a cancellation the session remains usable and Lock may be retried.
+// held on return) and with ErrClosed if the engine shuts down. After a
+// cancellation the session remains usable and Lock may be retried. On a
+// two-phase session the first Lock acquires the whole entity set and the
+// later ones touch no table (see BeginAt).
 func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode) error {
 	nid, ok := s.tmpl.LockNode(ent)
 	if !ok {
@@ -305,10 +246,15 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 	if err := s.ready(nid); err != nil {
 		return err
 	}
+	if s.twoPhase && s.held.Has(int(nid)) {
+		s.nsync++
+		s.executed.Set(int(nid))
+		return nil
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	inst := locktable.Instance{Key: s.key, Prio: s.prio, Doomed: s.abortCh}
+	inst := locktable.Instance{Key: s.key}
 	if s.e.spans != nil && s.spanDue() {
 		inst.Span = s.e.spans.Start(obs.SpanAcquire, int32(ent))
 		inst.Span.Stamp(obs.StageSubmit)
@@ -323,45 +269,87 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 		}
 		return err
 	}
-	err := s.e.table.Acquire(ctx, inst, ent, mode)
-	switch {
-	case err == nil:
-		if sp != nil {
-			if s.e.backend == BackendSharded {
-				// In-process backend: the whole acquire is one grant stage,
-				// stamped here so the table — in particular the sharded
-				// CAS shared fast path — never sees a span.
-				sp.Stamp(obs.StageGrant)
-				sp.Stamp(obs.StageWakeup)
-			}
-			s.e.recordSpan(sp)
+	var err error
+	if s.twoPhase {
+		err = s.lockAll(ctx, inst)
+	} else {
+		err = s.e.table.Acquire(ctx, inst, ent, mode)
+	}
+	if err != nil {
+		// A context cancellation passes through: the table withdrew the
+		// request.
+		return mapTableErr(err)
+	}
+	if sp != nil {
+		if s.e.backend == BackendSharded {
+			// In-process backend: the whole acquire is one grant stage,
+			// stamped here so the table — in particular the sharded CAS
+			// shared fast path — never sees a span.
+			sp.Stamp(obs.StageGrant)
+			sp.Stamp(obs.StageWakeup)
 		}
-		s.nsync++
+		s.e.recordSpan(sp)
+	}
+	s.nsync++
+	if s.twoPhase {
+		for _, e := range s.tmpl.Entities() {
+			s.held.Set(s.lockNode(e))
+		}
+	} else {
 		s.held.Set(int(nid))
-		s.executed.Set(int(nid))
-		return nil
-	case errors.Is(err, locktable.ErrWounded):
-		s.doomed = true
-		return ErrAborted
-	case errors.Is(err, locktable.ErrStopped):
-		return ErrClosed
-	default:
-		return err // context cancellation: the table withdrew the request
+	}
+	s.executed.Set(int(nid))
+	return nil
+}
+
+// lockAll is a two-phase session's first Lock: it acquires the class's
+// whole entity set, in the template's modes, without ever waiting while
+// it holds a lock. It tries the entities in entity order. On the first
+// miss it releases what it got, blocks on that one entity alone, and once
+// that is granted tries the rest again. This is conservative two-phase
+// locking: the session waits only while it holds nothing, so no waits-for
+// cycle can pass through it. On a non-nil return it holds nothing.
+func (s *Session) lockAll(ctx context.Context, inst locktable.Instance) error {
+	ents := s.tmpl.Entities()
+	blocked := -1 // index of the entity the last blocking Acquire granted
+	for {
+		miss, err := -1, error(nil)
+		for i, ent := range ents {
+			if i == blocked {
+				continue
+			}
+			ok, terr := s.e.try.TryAcquire(inst, ent, s.tmpl.ModeOf(ent))
+			if terr != nil || !ok {
+				miss, err = i, terr
+				break
+			}
+		}
+		if miss < 0 {
+			return nil
+		}
+		// Release everything held: the entities tried before the miss,
+		// which include the blocked one if it sorts before it. A release
+		// fails only on a stopped table, which the Acquire below reports.
+		_ = s.e.table.ReleaseAll(ents[:miss], s.key)
+		if blocked > miss {
+			_ = s.e.table.Release(ents[blocked], s.key)
+		}
+		if err != nil {
+			return err
+		}
+		if err := s.e.table.Acquire(ctx, inst, ents[miss], s.tmpl.ModeOf(ents[miss])); err != nil {
+			return err
+		}
+		blocked = miss
 	}
 }
 
-// mapTableErr maps a lock-table error onto the session contract (the
-// same mapping the synchronous Lock applies inline).
-func (s *Session) mapTableErr(err error) error {
-	switch {
-	case errors.Is(err, locktable.ErrWounded):
-		s.doomed = true
-		return ErrAborted
-	case errors.Is(err, locktable.ErrStopped):
+// mapTableErr maps a lock-table error onto the session contract.
+func mapTableErr(err error) error {
+	if errors.Is(err, locktable.ErrStopped) {
 		return ErrClosed
-	default:
-		return err
 	}
+	return err
 }
 
 // lockPipelined is Lock on a pipelined engine: the acquire is submitted
@@ -369,13 +357,13 @@ func (s *Session) mapTableErr(err error) error {
 // cannot deadlock, so the chain's next request ships before this ack
 // returns — and only when more than PipelineDepth acquires are
 // unacknowledged does the session park on the oldest. A join failure
-// (wound, lease expiry, shutdown) poisons the session: the optimistic
+// (lease expiry, shutdown) poisons the session: the optimistic
 // grants were a bet on the acks, and once one fails the attempt is over —
 // the caller aborts, which resolves everything still in flight before
 // releasing.
 func (s *Session) lockPipelined(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode model.Mode, nid model.NodeID) error {
 	if s.x.pipeErr != nil {
-		return s.mapTableErr(s.x.pipeErr)
+		return mapTableErr(s.x.pipeErr)
 	}
 	if s.x.pendAcq == nil {
 		s.x.pendAcq = map[model.EntityID]locktable.Completion{}
@@ -394,7 +382,7 @@ func (s *Session) lockPipelined(ctx context.Context, inst locktable.Instance, en
 		oldest := s.x.pendQ[0]
 		s.x.pendQ = s.x.pendQ[1:]
 		if err := s.joinAcquire(ctx, oldest); err != nil {
-			return s.mapTableErr(err)
+			return mapTableErr(err)
 		}
 	}
 	return nil
@@ -494,7 +482,7 @@ func (s *Session) Unlock(ent model.EntityID) error {
 // and Commit joins it.
 func (s *Session) unlockAsync(ent model.EntityID, lnid int, nid model.NodeID) error {
 	if s.x.pipeErr != nil {
-		return s.mapTableErr(s.x.pipeErr)
+		return mapTableErr(s.x.pipeErr)
 	}
 	if s.x.rels == nil {
 		s.x.rels = make([]locktable.Completion, 0, s.tmpl.N()/2) // one per Unlock node
@@ -514,9 +502,7 @@ func (s *Session) unlockAsync(ent model.EntityID, lnid int, nid model.NodeID) er
 // fails the commit (the first error wins) — ErrClosed if the table
 // stopped, the operation's error (netlock.ErrStaleFence,
 // netlock.ErrLeaseExpired, ...) wrapped otherwise — and the caller must
-// Abort, exactly as after a failed synchronous Lock or Unlock. A pending
-// deadlock-handling signal does not block a commit — the transaction
-// finished, so the wound is moot.
+// Abort, exactly as after a failed synchronous Lock or Unlock.
 func (s *Session) Commit() error {
 	if s.done {
 		return ErrSessionDone
@@ -536,7 +522,6 @@ func (s *Session) Commit() error {
 	}
 	s.done = true
 	s.flushOps()
-	s.dropAbortCh()
 	s.e.commits.Add(1)
 	return nil
 }
@@ -637,32 +622,18 @@ func (s *Session) Abort() error {
 	// die with the table.
 	s.e.table.ReleaseAll(s.Held(), s.key)
 	s.held.Reset()
-	s.dropAbortCh()
 	s.e.aborts.Add(1)
 	return nil
 }
 
-// discard closes a session during engine shutdown: it only deregisters the
-// abort signal. The lock table dies with the engine, so nothing is
-// released, and the session is counted as Discarded, not aborted —
-// shutdown is not a transaction abort.
+// discard closes a session during engine shutdown. The lock table dies
+// with the engine, so nothing is released, and the session is counted as
+// Discarded, not aborted — shutdown is not a transaction abort.
 func (s *Session) discard() {
 	if s.done {
 		return
 	}
 	s.done = true
 	s.flushOps()
-	s.dropAbortCh()
 	s.e.discards.Add(1)
-}
-
-// dropAbortCh deregisters the session's abort signal from the engine. A
-// session without one (StrategyNone) takes no engine lock.
-func (s *Session) dropAbortCh() {
-	if s.abortCh == nil {
-		return
-	}
-	s.e.mu.Lock()
-	delete(s.e.abortChs, s.key.ID)
-	s.e.mu.Unlock()
 }

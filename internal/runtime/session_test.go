@@ -26,12 +26,12 @@ func forEachBackend(t *testing.T, f func(t *testing.T, b Backend)) {
 }
 
 // sessionFixture builds a two-entity database and an engine over it.
-func sessionFixture(t *testing.T, strat Strategy, b Backend) (*Engine, *model.DDB) {
+func sessionFixture(t *testing.T, b Backend) (*Engine, *model.DDB) {
 	t.Helper()
 	d := model.NewDDB()
 	d.MustEntity("x", "s1")
 	d.MustEntity("y", "s2")
-	e, err := NewEngine(d, EngineOptions{Strategy: strat, Backend: b})
+	e, err := NewEngine(d, EngineOptions{Backend: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func ent(t *testing.T, d *model.DDB, name string) model.EntityID {
 
 func TestSessionDrivesTemplate(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
-		e, d := sessionFixture(t, StrategyNone, b)
+		e, d := sessionFixture(t, b)
 		tmpl := buildChain(d, "A", "Lx Ly Ux Uy")
 		x, y := ent(t, d, "x"), ent(t, d, "y")
 
@@ -83,7 +83,7 @@ func TestSessionDrivesTemplate(t *testing.T) {
 
 func TestSessionEnforcesPartialOrder(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
-		e, d := sessionFixture(t, StrategyNone, b)
+		e, d := sessionFixture(t, b)
 		tmpl := buildChain(d, "A", "Lx Ly Ux Uy")
 		y := ent(t, d, "y")
 
@@ -115,7 +115,7 @@ func TestSessionEnforcesPartialOrder(t *testing.T) {
 // queued request is withdrawn so the entity is granted to no one stale.
 func TestSessionLockCancellation(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
-		e, d := sessionFixture(t, StrategyNone, b)
+		e, d := sessionFixture(t, b)
 		a := buildChain(d, "A", "Lx Ux")
 		bt := buildChain(d, "B", "Lx Ux")
 		x := ent(t, d, "x")
@@ -193,7 +193,7 @@ func TestSessionLockCancellation(t *testing.T) {
 // and the entity is grantable to others.
 func TestSessionCancelGrantRace(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
-		e, d := sessionFixture(t, StrategyNone, b)
+		e, d := sessionFixture(t, b)
 		x := ent(t, d, "x")
 		bg := context.Background()
 		for i := 0; i < 200; i++ {
@@ -240,94 +240,6 @@ func TestSessionCancelGrantRace(t *testing.T) {
 	})
 }
 
-func TestSessionWoundReturnsErrAborted(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		e, d := sessionFixture(t, StrategyWoundWait, b)
-		x := ent(t, d, "x")
-		bg := context.Background()
-
-		// Explicit instance identities: the holder is younger (higher age
-		// priority value) than the requester, so the request wounds it.
-		instance := func(name string, id int) *Session {
-			s := new(Session)
-			e.initInstance(s, buildChain(d, name, "Lx Ux"), id, 0, int64(id))
-			return s
-		}
-		holder := instance("H", 100)
-		requester := instance("R", 50)
-		if err := holder.Lock(bg, x, model.Exclusive); err != nil {
-			t.Fatal(err)
-		}
-		got := make(chan error, 1)
-		go func() { got <- requester.Lock(bg, x, model.Exclusive) }()
-		// The older requester wounds the younger holder: the holder's next
-		// blocking operation (or its Doomed channel) reports the wound.
-		select {
-		case <-holder.Doomed():
-		case <-time.After(2 * time.Second):
-			t.Fatal("holder never wounded")
-		}
-		if err := holder.Abort(); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case err := <-got:
-			if err != nil {
-				t.Fatalf("older requester failed: %v", err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("older requester never granted after the wound")
-		}
-		if err := requester.Unlock(x); err != nil {
-			t.Fatal(err)
-		}
-		if err := requester.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if c := e.Counters(); c.Wounds == 0 {
-			t.Fatalf("counters = %+v, want a wound", c)
-		}
-	})
-}
-
-// TestSessionRetryPreservesIdentity: Retry reopens the same transaction
-// instance — same id, same wound-wait age priority, next attempt epoch —
-// so a wounded transaction cannot be starved by ever-younger traffic.
-func TestSessionRetryPreservesIdentity(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		e, d := sessionFixture(t, StrategyWoundWait, b)
-		tmpl := buildChain(d, "A", "Lx Ux")
-		s, err := e.Begin(tmpl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Retry(s); err == nil {
-			t.Fatal("Retry of a session that has not ended accepted")
-		}
-		if err := s.Abort(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := e.Retry(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.ID() != s.ID() || r.prio != s.prio || r.key.Epoch != s.key.Epoch+1 {
-			t.Fatalf("retry identity = id %d prio %d epoch %d, want id %d prio %d epoch %d",
-				r.ID(), r.prio, r.key.Epoch, s.ID(), s.prio, s.key.Epoch+1)
-		}
-		x := ent(t, d, "x")
-		if err := r.Lock(context.Background(), x, model.Exclusive); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Unlock(x); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 func TestSessionAfterEngineClose(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b Backend) {
 		d := model.NewDDB()
@@ -353,7 +265,7 @@ func TestSessionAfterEngineClose(t *testing.T) {
 }
 
 func TestBeginRejectsForeignTemplate(t *testing.T) {
-	e, _ := sessionFixture(t, StrategyNone, BackendDefault)
+	e, _ := sessionFixture(t, BackendDefault)
 	other := model.NewDDB()
 	other.MustEntity("z", "s9")
 	if _, err := e.Begin(buildChain(other, "Z", "Lz Uz")); err == nil {
@@ -361,46 +273,11 @@ func TestBeginRejectsForeignTemplate(t *testing.T) {
 	}
 }
 
-// TestCertifiedSessionHasNoAbortSignal: a StrategyNone session carries no
-// abort signal — Doomed is nil and nothing is registered with the engine —
-// while a wound-wait session registers one for the length of its life.
-func TestCertifiedSessionHasNoAbortSignal(t *testing.T) {
-	for _, strat := range []Strategy{StrategyNone, StrategyWoundWait} {
-		e, d := sessionFixture(t, strat, BackendDefault)
-		x := ent(t, d, "x")
-		s, err := e.Begin(buildChain(d, "A", "Lx Ux"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		registered := func() int {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return len(e.abortChs)
-		}
-		if err := s.Lock(context.Background(), x, model.Exclusive); err != nil {
-			t.Fatal(err)
-		}
-		certified := strat == StrategyNone
-		if (s.Doomed() == nil) != certified || (registered() == 0) != certified {
-			t.Fatalf("%v: Doomed nil = %v, %d abort signals registered", strat, s.Doomed() == nil, registered())
-		}
-		if err := s.Unlock(x); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if n := registered(); n != 0 {
-			t.Fatalf("%v: %d abort signals left after Commit", strat, n)
-		}
-	}
-}
-
 // TestEngineSessionAllocs: on a plain in-process StrategyNone engine — no
 // pipelining, wire releases or tracing — a whole Begin…Commit cycle is one
 // allocation, the Session itself: it carries no sessionExtra.
 func TestEngineSessionAllocs(t *testing.T) {
-	e, d := sessionFixture(t, StrategyNone, BackendSharded)
+	e, d := sessionFixture(t, BackendSharded)
 	tmpl := buildChain(d, "A", "Lx Ly Ux Uy")
 	x, y := ent(t, d, "x"), ent(t, d, "y")
 	bg := context.Background()
@@ -512,13 +389,80 @@ func TestSessionLargeTemplate(t *testing.T) {
 	}
 }
 
-// TestBackendResolution: BackendDefault is the sharded table for every
-// strategy.
+// TestBackendResolution: BackendDefault is the sharded table.
 func TestBackendResolution(t *testing.T) {
-	for _, strat := range []Strategy{StrategyNone, StrategyWoundWait} {
-		e, _ := sessionFixture(t, strat, BackendDefault)
-		if got := e.Backend(); got != BackendSharded {
-			t.Fatalf("%v default backend = %v, want %v", strat, got, BackendSharded)
-		}
+	e, _ := sessionFixture(t, BackendDefault)
+	if got := e.Backend(); got != BackendSharded {
+		t.Fatalf("default backend = %v, want %v", got, BackendSharded)
+	}
+}
+
+// TestTwoPhaseNeverWaitsHolding: a two-phase session's first Lock takes
+// the class's whole entity set, and when it misses an entity another
+// session holds it gives back what it already got before it parks: while
+// it waits, the table holds only the other session's lock. Once that is
+// released the session holds its whole set, and its later Lock touches no
+// table.
+func TestTwoPhaseNeverWaitsHolding(t *testing.T) {
+	d := model.NewDDB()
+	d.MustEntity("x", "s1")
+	d.MustEntity("y", "s2")
+	d.MustEntity("z", "s3")
+	e, err := NewEngine(d, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	x, z := ent(t, d, "x"), ent(t, d, "z")
+	bg := context.Background()
+	held := func() int64 { return e.TableMetrics().Snapshot().Held }
+
+	holder, err := e.Begin(buildChain(d, "H", "Lz Uz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Lock(bg, z, model.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	s := new(Session)
+	if err := e.BeginAt(s, buildChain(d, "F", "Lx Ux Lz Uz"), true); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() { got <- s.Lock(bg, x, model.Exclusive) }()
+	waitUntil(t, func() bool { return e.TableMetrics().Waiting.Load() == 1 })
+	if n := held(); n != 1 {
+		t.Fatalf("table holds %d locks while the two-phase session waits, want only the holder's 1", n)
+	}
+	if err := holder.Unlock(z); err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	if h := s.Held(); !slices.Equal(h, []model.EntityID{x, z}) || held() != 2 {
+		t.Fatalf("after its first Lock the session holds %v (table %d), want [x z]", h, held())
+	}
+	if err := s.Unlock(x); err != nil {
+		t.Fatal(err)
+	}
+	grants := e.TableMetrics().Snapshot().Grants
+	if err := s.Lock(bg, z, model.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if g := e.TableMetrics().Snapshot().Grants; g != grants {
+		t.Fatalf("a later Lock of a two-phase session reached the table (%d grants, want %d)", g, grants)
+	}
+	if err := s.Unlock(z); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if c := e.Counters(); c.Commits != 2 || c.Aborts != 0 || held() != 0 {
+		t.Fatalf("counters = %+v, table holds %d", c, held())
 	}
 }

@@ -10,26 +10,26 @@ import (
 	"distlock/internal/workload"
 )
 
-// TestWoundStormSoak is the gate that keeps the wound-wait fallback tier
-// on the striped wound path: a long-running mixed stress under
-// production-shaped contention — Zipf hot-entity skew funnelling most
-// lock traffic onto a few entities, high per-class concurrency, and hold
-// times wide enough that nearly every grant decision races a wound —
-// table-driven over every backend that
-// implements wounding (sharded at several stripe counts, the cross-process
-// netlock backend, whose wounds ride the server-push path, and two such
-// servers behind the cluster router).
+// TestWoundStormSoak is the fallback tier's soak (named for the
+// wound-wait tier it replaced): a long-running stress of two-phase
+// sessions under production-shaped contention — a hot little database
+// funnelling every lock onto a few entities, high per-class concurrency,
+// and hold times wide enough that nearly every first Lock meets a holder.
+// The classes are uncertified on purpose: unordered two-phase templates,
+// which deadlock as certified sessions, and random templates, which are
+// not even two-phase. It is table-driven over the sharded table's stripe
+// layouts; the wire backends have no TryAcquire, so their rows check that
+// a two-phase session is refused there instead.
 //
-// The assertions are the wound-wait correctness envelope:
-//   - the run finishes (no stall: wounding must keep breaking every cycle),
-//   - every instance eventually commits (retries keep their age priority,
-//     so ever-younger arrivals cannot starve a wounded instance forever),
-//   - wounds actually happened (a storm that never stormed gates nothing),
-//   - conservation: commits == instances, every abort was a wound-driven
-//     retry that later committed.
+// The assertions are the fallback tier's correctness envelope:
+//   - the run finishes (no stall: a session never waits while it holds,
+//     so no waits-for cycle can form),
+//   - every instance commits and none aborts (nothing picks a victim),
+//   - the table holds nothing at the end,
+//   - the commit order is serializable (the grant log's conflict graph
+//     over committed instances is acyclic).
 //
-// In -short mode the soak shrinks to a smoke; run the full shape (and
-// ideally -race, as CI does) before flipping any default.
+// In -short mode the soak shrinks to a smoke; CI runs it under -race.
 func TestWoundStormSoak(t *testing.T) {
 	const (
 		sites, perSite = 2, 4 // 8 entities total: everything is hot
@@ -42,54 +42,59 @@ func TestWoundStormSoak(t *testing.T) {
 		clients, txnsPerClient = 8, 12
 		hold = 100 * time.Microsecond
 	}
-
-	// PolicyTwoPhase with Zipf-style skew via a tiny entity space: the
-	// shuffled (unordered) lock order is what makes wound-wait earn its
-	// keep — ordered-2PL classes never deadlock, so they never storm. The
-	// zipf policy generates ordered (certifiable) shapes by design; here
-	// the storm is the point, so use unordered two-phase over a hot little
-	// database instead.
-	sys := workload.MustGenerate(workload.Config{
-		Sites: sites, EntitiesPerSite: perSite, NumTxns: classes,
-		EntitiesPerTxn: perTxn, Policy: workload.PolicyTwoPhase, Seed: 4,
-	})
+	mixes := []struct {
+		name   string
+		policy workload.Policy
+	}{{"twophase", workload.PolicyTwoPhase}, {"random", workload.PolicyRandom}}
+	generate := func(policy workload.Policy) *model.System {
+		return workload.MustGenerate(workload.Config{
+			Sites: sites, EntitiesPerSite: perSite, NumTxns: classes,
+			EntitiesPerTxn: perTxn, Policy: policy, Seed: 4,
+		})
+	}
 
 	cases := []struct {
 		name    string
-		opts    EngineOptions
-		servers int // > 0: wound-wait dlservers behind the remote or cluster backend
+		shards  int
+		servers int // > 0: dlservers behind the remote or cluster backend
 	}{
-		{name: "sharded", opts: EngineOptions{Backend: BackendSharded}},
-		{name: "sharded-1stripe", opts: EngineOptions{Backend: BackendSharded, Table: locktable.Config{Shards: 1}}},
-		{name: "sharded-overstriped", opts: EngineOptions{Backend: BackendSharded, Table: locktable.Config{Shards: 256}}},
+		{name: "sharded"},
+		{name: "sharded-1stripe", shards: 1},
+		{name: "sharded-overstriped", shards: 256},
 		{name: "remote", servers: 1},
 		{name: "cluster2", servers: 2},
 	}
 	for _, bc := range cases {
 		t.Run(bc.name, func(t *testing.T) {
-			opts := bc.opts
 			if bc.servers > 0 {
-				// The dlservers host wound-wait tables; the engine's wound
-				// decisions travel: requester → server grant path → wound
-				// push → client OnWound → session abort signal. Behind the
-				// cluster router each entity's wounds come from its owner.
-				opts = listenServers(t, sys.DDB, bc.servers, locktable.Config{WoundWait: true})
+				sys := generate(workload.PolicyTwoPhase)
+				e := newEngine(t, sys.DDB, listenServers(t, sys.DDB, bc.servers, locktable.Config{}))
+				if err := e.BeginAt(new(Session), sys.Txns[0], true); err == nil {
+					t.Fatalf("two-phase Begin on the %v backend accepted; it has no TryAcquire", e.Backend())
+				}
+				return
 			}
-			opts.Strategy = StrategyWoundWait
-			m := mixRun{templates: sys.Txns, clients: clients, perClient: txnsPerClient,
-				hold: hold, stall: 10 * time.Second, seed: 4}.run(t, newEngine(t, sys.DDB, opts))
-			if m.stalled {
-				t.Fatalf("soak stalled (counters %+v)", m.Counters)
+			for _, mix := range mixes {
+				t.Run(mix.name, func(t *testing.T) {
+					sys := generate(mix.policy)
+					e := newEngine(t, sys.DDB, EngineOptions{Table: locktable.Config{Trace: true, Shards: bc.shards}})
+					m := mixRun{templates: sys.Txns, twoPhase: true, clients: clients, perClient: txnsPerClient,
+						hold: hold, stall: 10 * time.Second, seed: 4}.run(t, e)
+					if m.stalled {
+						t.Fatalf("soak stalled (counters %+v)", m.Counters)
+					}
+					if want := int64(clients * txnsPerClient); m.Commits != want || m.Aborts != 0 {
+						t.Fatalf("committed %d of %d instances, %d aborts", m.Commits, want, m.Aborts)
+					}
+					if held := e.TableMetrics().Snapshot().Held; held != 0 {
+						t.Fatalf("table holds %d locks after the soak", held)
+					}
+					if !checkSerializable(t, m) {
+						t.Fatal("commit order not serializable")
+					}
+					t.Logf("%s/%s: %d commits in %v", bc.name, mix.name, m.Commits, m.elapsed)
+				})
 			}
-			want := clients * txnsPerClient
-			if int(m.Commits) != want {
-				t.Fatalf("committed %d of %d instances", m.Commits, want)
-			}
-			if m.Wounds == 0 {
-				t.Fatalf("no wounds under a storm-shaped load — the gate tested nothing")
-			}
-			t.Logf("%s: %d commits, %d wounds, %d aborts in %v",
-				bc.name, m.Commits, m.Wounds, m.Aborts, m.elapsed)
 		})
 	}
 }

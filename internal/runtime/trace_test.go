@@ -21,7 +21,7 @@ func TestTraceSamplingArming(t *testing.T) {
 	d := model.NewDDB()
 	d.MustEntity("x", "s1")
 
-	off, err := NewEngine(d, EngineOptions{Strategy: StrategyNone})
+	off, err := NewEngine(d, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestTraceSamplingArming(t *testing.T) {
 		t.Fatal("tracing armed without TraceSampleEvery")
 	}
 
-	def, err := NewEngine(d, EngineOptions{Strategy: StrategyNone, TraceSampleEvery: -1})
+	def, err := NewEngine(d, EngineOptions{TraceSampleEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestTraceSamplingArming(t *testing.T) {
 		t.Fatalf("negative rate: spanEvery = %d, want default %d", def.spanEvery, DefaultTraceSample)
 	}
 
-	exp, err := NewEngine(d, EngineOptions{Strategy: StrategyNone, TraceSampleEvery: 7})
+	exp, err := NewEngine(d, EngineOptions{TraceSampleEvery: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func traceFixture(t *testing.T, servers, depth int) (*Engine, *model.DDB) {
 	d := model.NewDDB()
 	d.MustEntity("x", "s1")
 	d.MustEntity("y", "s2")
-	opts := EngineOptions{Strategy: StrategyNone, TraceSampleEvery: 1, PipelineDepth: depth}
+	opts := EngineOptions{TraceSampleEvery: 1, PipelineDepth: depth}
 	if servers > 0 {
 		var addrs []string
 		for i := 0; i < servers; i++ {
@@ -212,7 +212,6 @@ func TestTraceSamplingKeepsFastPath(t *testing.T) {
 	d.MustEntity("h", "s0")
 	m := obs.NewTableMetrics()
 	e, err := NewEngine(d, EngineOptions{
-		Strategy:         StrategyNone,
 		Backend:          BackendSharded,
 		Table:            locktable.Config{Metrics: m},
 		TraceSampleEvery: -1, // default rate

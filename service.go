@@ -14,19 +14,13 @@ import (
 	"distlock/internal/runtime"
 )
 
-// ErrTxnAborted is returned by Session operations after the service's
-// deadlock handling (a wound-wait wound on the fallback tier) aborted the
-// transaction. Call Session.Abort to release what the session still holds,
-// then Begin a fresh session to retry.
-var ErrTxnAborted = runtime.ErrAborted
-
 // ErrServiceClosed is returned by operations on a closed LockService.
 var ErrServiceClosed = runtime.ErrClosed
 
 // RegisterResult reports one Register decision; it is the admission
 // service's Result. Admitted means the class joined the certified tier and
 // its sessions run with NO deadlock handling; otherwise the class is
-// pinned to the wound-wait fallback tier and Reason/Violation explain why.
+// pinned to the two-phase fallback tier and Reason/Violation explain why.
 type RegisterResult = admission.Result
 
 // LockBackend names a tier's lock-table implementation (see
@@ -88,7 +82,7 @@ func WithMultiplicity(m int) ServiceOption {
 // dlserver then contend for the same certified-tier locks — the paper's
 // distributed sites made literal — with the server's lease/fencing
 // machinery guaranteeing that a crashed process's locks are revoked and
-// its late releases rejected. The wound-wait fallback tier stays on a
+// its late releases rejected. The two-phase fallback tier stays on a
 // process-local sharded table: rejected classes are this process's private
 // traffic, not part of the shared certified mix.
 func WithRemoteTable(addr string) ServiceOption {
@@ -109,7 +103,7 @@ func WithRemoteTable(addr string) ServiceOption {
 // Each server remains the sole lease/fencing authority for its
 // partition; losing one degrades that slice of the entity space to
 // lease-expiry errors while the rest keep granting. As with
-// WithRemoteTable, the wound-wait fallback tier stays on a process-local
+// WithRemoteTable, the two-phase fallback tier stays on a process-local
 // sharded table: rejected classes are this process's private traffic, not
 // part of the shared certified mix.
 func WithRemoteCluster(addrs ...string) ServiceOption {
@@ -129,8 +123,8 @@ func WithRemoteCluster(addrs ...string) ServiceOption {
 // chain cannot deadlock, so shipping lock k+1 before lock k's ack returns
 // changes only latency, never the set of reachable lock-table states (the
 // server applies one session's acquires strictly in submission order).
-// The wound-wait fallback tier never pipelines: its mixes carry no such
-// proof, so each acquire must observe its outcome before the next. Zero
+// The two-phase fallback tier never pipelines: its classes carry no such
+// proof, and it runs on an in-process table. Zero
 // (the default) keeps every Lock synchronous — Unlock on a wire backend
 // still returns without waiting for the server, with Commit joining its
 // receipt (see Session.Unlock); in-process backends ignore the knob.
@@ -179,16 +173,17 @@ func WithTraceSampling(every int) ServiceOption {
 //	sess.Commit()
 //
 // Register runs incremental Theorem 3/4 admission and pins the class to a
-// tier: certified classes run on an engine with NO deadlock handling
-// (StrategyNone — the static certification guarantees they cannot
-// deadlock), rejected classes on a separate wound-wait engine. The two
-// tiers run separate lock tables over the same entities, and nothing
+// tier: certified classes run with NO deadlock handling (the static
+// certification guarantees they cannot deadlock), rejected classes run
+// two-phase on a separate engine: a fallback session takes its class's
+// whole entity set at its first Lock and never waits while it holds a
+// lock, so it is serializable and needs no deadlock handling either. The
+// two tiers run separate lock tables over the same entities, and nothing
 // partitions the entities between them: locks exclude each other within
 // a tier only, so a certified session and a fallback session can both
 // hold one entity at the same time. Where the tiers must exclude each
 // other, keep fallback classes off the certified classes' entities.
-// Running both tiers on one table, with only fallback instances ever
-// wounded, is the planned fix.
+// Running both tiers on one table is the planned fix.
 //
 // Sessions enforce their class's partial order: each Lock/Unlock must
 // correspond to a template operation whose predecessors have executed.
@@ -244,7 +239,6 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 		mult = 1
 	}
 	certified, err := runtime.NewEngine(ddb, runtime.EngineOptions{
-		Strategy:         runtime.StrategyNone,
 		Backend:          cfg.certBackend, // default (sharded) unless WithRemoteTable/WithRemoteCluster
 		RemoteAddr:       cfg.remoteAddr,
 		RemoteAddrs:      cfg.remoteAddrs,
@@ -255,7 +249,6 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 		return nil, err
 	}
 	fallback, err := runtime.NewEngine(ddb, runtime.EngineOptions{
-		Strategy:         runtime.StrategyWoundWait,
 		Backend:          runtime.BackendDefault,
 		TraceSampleEvery: cfg.traceSample,
 	})
@@ -280,7 +273,7 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 // Register submits a transaction class. The admission decision — an
 // incremental Theorem 3/4 certification against the live certified set,
 // at the service's multiplicity — pins the class to the certified
-// (no-deadlock-handling) or fallback (wound-wait) tier; either way the
+// (no-deadlock-handling) or fallback (two-phase) tier; either way the
 // class becomes Begin-able. Cancelling the context aborts the decision
 // (the class is not registered) and returns ctx.Err().
 func (s *LockService) Register(ctx context.Context, t *Transaction) (RegisterResult, error) {
@@ -380,7 +373,7 @@ func (s *LockService) Classes() []string {
 	return out
 }
 
-// Deregister removes a class: future Begin and BeginRetry calls fail, and
+// Deregister removes a class: future Begin calls fail, and
 // a certified class leaves the live certified set (which stays certified —
 // eviction only removes pairs and cycles). Sessions already begun run to
 // completion; while any of them are live the class remains in the
@@ -415,8 +408,8 @@ func (s *LockService) Deregister(name string) bool {
 // Begin opens a session for one instance of the registered class. On the
 // certified tier Begin enforces the service's multiplicity — the bound the
 // class was certified for — by blocking until a per-class slot frees (or
-// the context is cancelled). The session's age priority for the fallback
-// tier's wound-wait is its begin order.
+// the context is cancelled). A fallback session is two-phase: its first
+// Lock acquires the class's whole entity set (see Session.Lock).
 func (s *LockService) Begin(ctx context.Context, class string) (*Session, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -428,13 +421,6 @@ func (s *LockService) Begin(ctx context.Context, class string) (*Session, error)
 	if !ok {
 		return nil, fmt.Errorf("distlock: class %q not registered", class)
 	}
-	return s.beginOn(ctx, c, nil)
-}
-
-// beginOn acquires the class's certified-tier multiplicity slot (if any)
-// and opens the engine session — fresh, or a retry of prev preserving its
-// instance identity.
-func (s *LockService) beginOn(ctx context.Context, c *svcClass, prev *runtime.Session) (*Session, error) {
 	engine := s.fallback
 	if c.certified {
 		engine = s.certified
@@ -460,13 +446,7 @@ func (s *LockService) beginOn(ctx context.Context, c *svcClass, prev *runtime.Se
 		}
 	}
 	sess := &Session{svc: s, class: c}
-	var err error
-	if prev != nil {
-		err = engine.RetryAt(&sess.inner, prev)
-	} else {
-		err = engine.BeginAt(&sess.inner, c.txn)
-	}
-	if err != nil {
+	if err := engine.BeginAt(&sess.inner, c.txn, !c.certified); err != nil {
 		if c.certified {
 			s.releaseSlot(c)
 		}
@@ -494,29 +474,6 @@ func (s *LockService) releaseSlot(c *svcClass) {
 	<-c.slots
 }
 
-// BeginRetry opens a fresh session for the same transaction instance as a
-// session the fallback tier's wound-wait aborted, preserving the
-// instance's age priority: a retried transaction keeps its original age,
-// so ever-younger new arrivals cannot wound it forever (no starvation).
-// The previous session must have ended (Commit or Abort); like Begin, the
-// call blocks on the certified tier's multiplicity slot.
-func (s *LockService) BeginRetry(ctx context.Context, prev *Session) (*Session, error) {
-	if prev == nil || prev.svc != s {
-		return nil, fmt.Errorf("distlock: BeginRetry of a session from a different service")
-	}
-	s.mu.Lock()
-	closed := s.closed
-	registered := s.classes[prev.class.txn.Name()] == prev.class
-	s.mu.Unlock()
-	if closed {
-		return nil, ErrServiceClosed
-	}
-	if !registered {
-		return nil, fmt.Errorf("distlock: class %q no longer registered", prev.class.txn.Name())
-	}
-	return s.beginOn(ctx, prev.class, &prev.inner)
-}
-
 // Snapshot returns the current certified set as an immutable transaction
 // system (safe to use after further churn).
 func (s *LockService) Snapshot() *System { return s.adm.Snapshot() }
@@ -531,7 +488,7 @@ func (s *LockService) Multiplicity() int { return s.mult }
 func (s *LockService) CertifiedBackend() LockBackend { return s.certified.Backend() }
 
 // TierStats are one engine tier's cumulative counters: the session-level
-// tallies (commits, aborts, wounds, certified-pipelined vs synchronous
+// tallies (commits, aborts, certified-pipelined vs synchronous
 // operations) plus the tier's lock-table counter bundle and — when the
 // service was opened WithTraceSampling — the sampled Lock latency,
 // stage by stage.
@@ -650,8 +607,7 @@ func (s *Session) Class() string { return s.class.txn.Name() }
 // partial order allows.
 func (s *Session) Template() *Transaction { return s.class.txn }
 
-// ID returns the session's instance id on its tier (its wound-wait age
-// priority: smaller is older).
+// ID returns the session's instance id on its tier.
 func (s *Session) ID() int { return s.inner.ID() }
 
 // Certified reports whether the session runs on the certified
@@ -677,11 +633,18 @@ func (s *Session) Held() []string {
 // exactly the template's modes, so a mismatch (upgrading a certified read
 // to a write, or vice versa) is rejected without touching the table.
 // Lock returns promptly with ctx.Err() if the context is cancelled while
-// waiting (the request is withdrawn first — no lock is held on return),
-// with ErrTxnAborted if the tier's deadlock handling aborted the
-// transaction (fallback tier only; certified classes are never aborted),
+// waiting (the request is withdrawn first — no lock is held on return)
 // and with ErrServiceClosed after Close. After a cancellation the session
-// remains usable and the Lock may be retried.
+// remains usable and the Lock may be retried. No session is ever aborted
+// by the service.
+//
+// On the fallback tier the first Lock acquires the class's whole entity
+// set, in the template's modes, and the later ones only record their
+// operation: the session is two-phase whatever the class's order, and it
+// never waits while it holds a lock (it releases what it got, waits for
+// the one entity it missed, then tries again). Held lists the whole set
+// from the first Lock on. Such a session can wait long behind hot
+// certified traffic; that is the price of a class that is not certified.
 //
 // Under WithPipelineDepth a certified session's Lock on a wire backend
 // ships the request and returns before the server grants it: nil means
@@ -752,9 +715,8 @@ func (s *Session) Abort() error {
 // operation in a linear extension of the class's partial order, then
 // Commit. Any failure — an operation's or Commit's — aborts the session
 // before the error is returned, so the session is always closed on
-// return: on ErrTxnAborted the caller can retry with BeginRetry, on
-// context cancellation the error is ctx.Err(). Clients that interleave
-// work between operations drive the session manually instead.
+// return; on context cancellation the error is ctx.Err(). Clients that
+// interleave work between operations drive the session manually instead.
 func (s *Session) Drive(ctx context.Context) error { return s.DriveHold(ctx, 0) }
 
 // DriveHold is Drive with a pause after each granted lock, widening the
@@ -777,9 +739,6 @@ func (s *Session) DriveHold(ctx context.Context, hold time.Duration) error {
 		if nd.Kind == model.LockOp && hold > 0 {
 			select {
 			case <-time.After(hold):
-			case <-s.inner.Doomed():
-				s.Abort()
-				return ErrTxnAborted
 			case <-ctx.Done():
 				s.Abort()
 				return ctx.Err()

@@ -88,6 +88,87 @@ func TestLockServiceRegisterTiers(t *testing.T) {
 	}
 }
 
+// TestFallbackTierProbe is the schedule that made the wound-wait fallback
+// tier commit a non-serializable pair. U1 = Lx Ux Ly Uy is certified;
+// U2 = Ly Uy Lx Ux and U3 = Lx Ux Ly Uy are rejected to the fallback tier.
+// Driving U3's Lx Ux, then all of U2, then the rest of U3 used to commit
+// both with a D(S) cycle (U3 before U2 on x, U2 before U3 on y). Now U3's
+// first Lock takes {x, y}, U2's first Lock waits until U3 commits, and the
+// two commit one after the other.
+func TestFallbackTierProbe(t *testing.T) {
+	db := distlock.NewDDB()
+	db.MustEntity("x", "s1")
+	db.MustEntity("y", "s2")
+	svc, err := distlock.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	for _, c := range []struct {
+		txn       *distlock.Transaction
+		certified bool
+	}{
+		{chain(db, "U1", "Lx", "Ux", "Ly", "Uy"), true},
+		{chain(db, "U2", "Ly", "Uy", "Lx", "Ux"), false},
+		{chain(db, "U3", "Lx", "Ux", "Ly", "Uy"), false},
+	} {
+		res, err := svc.Register(ctx, c.txn)
+		if err != nil || res.Admitted != c.certified {
+			t.Fatalf("Register(%s) = %+v, %v; want admitted %v", c.txn.Name(), res, err, c.certified)
+		}
+	}
+	u2, err := svc.Begin(ctx, "U2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u3, err := svc.Begin(ctx, "U3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u3.LockExclusive(ctx, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if held := u3.Held(); strings.Join(held, " ") != "x y" || svc.Stats().Fallback.Table.Held != 2 {
+		t.Fatalf("U3's first Lock holds %v (table %d), want its whole set [x y]",
+			held, svc.Stats().Fallback.Table.Held)
+	}
+	if err := u3.Unlock("x"); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() { got <- u2.LockExclusive(ctx, "y") }()
+	for deadline := time.Now().Add(5 * time.Second); svc.Stats().Fallback.Table.Waiting != 1; {
+		select {
+		case err := <-got:
+			t.Fatalf("U2's Lock(y) returned %v while U3 holds y", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("U2's Lock(y) never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, op := range []func() error{
+		func() error { return u3.LockExclusive(ctx, "y") },
+		func() error { return u3.Unlock("y") },
+		u3.Commit,
+		func() error { return <-got },
+		func() error { return u2.Unlock("y") },
+		func() error { return u2.LockExclusive(ctx, "x") },
+		func() error { return u2.Unlock("x") },
+		u2.Commit,
+	} {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := svc.Stats().Fallback; st.Commits != 2 || st.Aborts != 0 || st.Table.Held != 0 {
+		t.Fatalf("fallback tier: commits %d, aborts %d, table holds %d; want 2, 0, 0",
+			st.Commits, st.Aborts, st.Table.Held)
+	}
+}
+
 // TestLockServiceLockCancellation is the acceptance criterion at the
 // public surface: a Session.Lock blocked on a held lock returns promptly
 // when its context is cancelled.
@@ -174,7 +255,7 @@ func TestLockServiceMultiplicityBound(t *testing.T) {
 // TestLockServiceRaceStress spins N concurrent client sessions — mixed
 // certified and fallback classes — through the session API and asserts the
 // conservation invariants: every begun session ends in exactly one commit
-// or abort, the certified tier (no deadlock handling) never aborts, and no
+// or abort, neither tier (no deadlock handling on either) ever aborts, and no
 // session ends holding a lock. Runs under the CI -race step, table-driven
 // over the in-process certified-tier lock-table backends.
 func TestLockServiceRaceStress(t *testing.T) {
@@ -239,39 +320,19 @@ func raceStress(t *testing.T, backend distlock.LockBackend) {
 			go func(class string) {
 				defer wg.Done()
 				for i := 0; i < txnsPerClient; i++ {
-					var prev *distlock.Session
-					for {
-						var sess *distlock.Session
-						var err error
-						if prev == nil {
-							sess, err = svc.Begin(ctx, class)
-						} else {
-							// Retry keeps the instance's age priority so
-							// wound-wait cannot starve it.
-							sess, err = svc.BeginRetry(ctx, prev)
-							if err == nil && sess.ID() != prev.ID() {
-								errCh <- fmt.Errorf("retry of %s changed instance id %d -> %d",
-									class, prev.ID(), sess.ID())
-								return
-							}
-						}
-						if err != nil {
-							errCh <- fmt.Errorf("Begin(%s): %w", class, err)
-							return
-						}
-						err = sess.Drive(ctx)
-						if held := sess.Held(); len(held) != 0 {
-							errCh <- fmt.Errorf("%s session closed holding %v", class, held)
-							return
-						}
-						if err == nil {
-							break
-						}
-						if !errors.Is(err, distlock.ErrTxnAborted) {
-							errCh <- fmt.Errorf("Drive(%s): %w", class, err)
-							return
-						}
-						prev = sess // wound-wait abort on the fallback tier: retry
+					sess, err := svc.Begin(ctx, class)
+					if err != nil {
+						errCh <- fmt.Errorf("Begin(%s): %w", class, err)
+						return
+					}
+					err = sess.Drive(ctx)
+					if held := sess.Held(); len(held) != 0 {
+						errCh <- fmt.Errorf("%s session closed holding %v", class, held)
+						return
+					}
+					if err != nil {
+						errCh <- fmt.Errorf("Drive(%s): %w", class, err)
+						return
 					}
 				}
 			}(class)
@@ -290,6 +351,9 @@ func raceStress(t *testing.T, backend distlock.LockBackend) {
 	}
 	if st.Certified.Aborts != 0 || st.Certified.Wounds != 0 {
 		t.Fatalf("certified tier (no deadlock handling) aborted: %+v", st.Certified)
+	}
+	if st.Fallback.Aborts != 0 {
+		t.Fatalf("fallback tier (two-phase, no deadlock handling) aborted: %+v", st.Fallback)
 	}
 	if closed := st.Certified.Commits + st.Certified.Aborts +
 		st.Fallback.Commits + st.Fallback.Aborts; closed != st.Begun {
