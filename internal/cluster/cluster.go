@@ -246,12 +246,18 @@ func (t *Table) Acquire(ctx context.Context, inst locktable.Instance, ent model.
 // read. What the fence costs is exactly the cross-partition reordering
 // that was unsound.
 
-// memoCompletion lets two joiners share one acquire completion. The
-// session owns every completion the async API returns and joins each
-// exactly once; the fence must ALSO join it at the next partition switch.
-// Both run on the session goroutine, so Once is never contended — it just
-// turns the second Wait into a replay of the first result.
+// memoCompletion is the cluster's one object per async operation: it
+// applies the partition-loss translation and the per-partition expiry
+// ledger (mapErrAt) to partition p's completion, and lets two joiners
+// share an acquire's. The session owns every completion the async API
+// returns and joins each exactly once; the fence must ALSO join an
+// acquire's at the next partition switch. Both run on the session
+// goroutine, so Once is never contended — it just turns the second Wait
+// into a replay of the first result, and the partition client's
+// completion is still waited exactly once.
 type memoCompletion struct {
+	t     *Table
+	p     int
 	inner locktable.Completion
 	once  sync.Once
 	done  atomic.Bool
@@ -260,10 +266,20 @@ type memoCompletion struct {
 
 func (m *memoCompletion) Wait(ctx context.Context) error {
 	m.once.Do(func() {
-		m.err = m.inner.Wait(ctx)
+		m.err = m.t.mapErrAt(m.p, m.inner.Wait(ctx))
 		m.done.Store(true)
 	})
 	return m.err
+}
+
+// wrapRelease wraps partition p's release completion. One that resolved at
+// submission without error (a release of nothing) needs no translation
+// and passes through as is.
+func (t *Table) wrapRelease(p int, inner locktable.Completion) locktable.Completion {
+	if inner == locktable.Done {
+		return inner
+	}
+	return &memoCompletion{t: t, p: p, inner: inner}
 }
 
 // instFence is one instance's in-flight frontier: per partition, the
@@ -361,12 +377,12 @@ func (t *Table) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode l
 	st, join := t.fenceBegin(inst.Key, p)
 	t.fenceJoins.Add(int64(len(join)))
 	for _, c := range join {
-		if err := t.mapErr(c.Wait(context.Background())); err != nil {
+		if err := c.Wait(context.Background()); err != nil {
 			t.fenceEnd(st, p, nil)
 			return locktable.ResolvedCompletion(err)
 		}
 	}
-	w := &memoCompletion{inner: t.wrap(p, t.parts[p].AcquireAsync(inst, ent, mode))}
+	w := &memoCompletion{t: t, p: p, inner: t.parts[p].AcquireAsync(inst, ent, mode)}
 	t.fenceEnd(st, p, w)
 	return w
 }
@@ -378,7 +394,7 @@ func (t *Table) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode l
 // server.
 func (t *Table) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktable.Completion {
 	p := t.releaseFence(ent, key)
-	return t.wrap(p, t.parts[p].ReleaseAsync(ent, key))
+	return t.wrapRelease(p, t.parts[p].ReleaseAsync(ent, key))
 }
 
 // ReleaseAsyncAcked is ReleaseAsync with an execution receipt (netlock's
@@ -387,7 +403,7 @@ func (t *Table) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktabl
 // each Commit reports exactly its own releases' outcomes.
 func (t *Table) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) locktable.Completion {
 	p := t.releaseFence(ent, key)
-	return t.wrap(p, t.parts[p].ReleaseAsyncAcked(ent, key))
+	return t.wrapRelease(p, t.parts[p].ReleaseAsyncAcked(ent, key))
 }
 
 // releaseFence joins the instance's unacked acquires on every partition
@@ -408,14 +424,6 @@ func (t *Table) releaseFence(ent model.EntityID, key locktable.InstKey) int {
 		c.Wait(context.Background())
 	}
 	return p
-}
-
-// wrap applies the cluster's partition-loss translation (and the per-
-// partition expiry ledger) to a partition client's completion.
-func (t *Table) wrap(p int, inner locktable.Completion) locktable.Completion {
-	return locktable.CompletionFunc(func(ctx context.Context) error {
-		return t.mapErrAt(p, inner.Wait(ctx))
-	})
 }
 
 // Release implements locktable.Table.

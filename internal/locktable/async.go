@@ -62,8 +62,9 @@ type AsyncTable interface {
 
 // TryAcquirer is the optional non-blocking capability a Table may
 // implement: TryAcquire grants the lock if and only if it can be granted
-// immediately — the instance already holds it, or the entity has no queue
-// and no conflicting holder — and reports false otherwise without
+// immediately — the instance already holds it, or the entity has no
+// conflicting holder and either no queue or a shared request from a
+// holding instance (Instance.Holding) — and reports false otherwise without
 // queueing anything. A false return leaves the table exactly as it was;
 // the caller falls back to the blocking Acquire.
 //
@@ -88,7 +89,19 @@ func (f CompletionFunc) Wait(ctx context.Context) error { return f(ctx) }
 
 // ResolvedCompletion is a Completion that already has its answer: the
 // operation short-circuited (a release of nothing, a submission that
-// failed before reaching the wire).
+// failed before reaching the wire). A nil error yields Done.
 func ResolvedCompletion(err error) Completion {
+	if err == nil {
+		return Done
+	}
 	return CompletionFunc(func(context.Context) error { return err })
 }
+
+// Done is the Completion of an operation that resolved at submission
+// without error. It is one shared comparable value: returning it costs no
+// allocation, and a wrapper may compare against it to pass it through.
+var Done Completion = done{}
+
+type done struct{}
+
+func (done) Wait(context.Context) error { return nil }

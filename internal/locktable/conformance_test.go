@@ -731,3 +731,89 @@ func TestConformanceModeMutualExclusion(t *testing.T) {
 		}
 	})
 }
+
+// TestConformanceHoldingReaderPassesQueuedWriter: a shared request whose
+// instance holds another lock (Instance.Holding) is granted past a queued
+// writer whenever the holders admit it — on arrival, and when a grant wave
+// stops at a blocked head writer — while the writer keeps its place ahead
+// of every reader that holds nothing (TestConformanceWriterBlocksLaterReaders).
+// That is the wait relation certification assumes: parking a holding
+// reader behind a writer adds a waits-for edge the model lacks, and a
+// certified mix can close a cycle through it.
+func TestConformanceHoldingReaderPassesQueuedWriter(t *testing.T) {
+	forEachTable(t, Config{}, func(t *testing.T, tab Table, ents []model.EntityID) {
+		expect := func(what string, got <-chan error, granted bool) {
+			t.Helper()
+			if !granted {
+				select {
+				case err := <-got:
+					t.Fatalf("%s returned (%v) while it should wait", what, err)
+				case <-time.After(20 * time.Millisecond):
+				}
+				return
+			}
+			select {
+			case err := <-got:
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s never granted", what)
+			}
+		}
+		acquire := func(in Instance, e model.EntityID, m Mode) <-chan error {
+			got := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				got <- tab.Acquire(ctx, in, e, m)
+			}()
+			return got
+		}
+		release := func(e model.EntityID, ids ...int) {
+			t.Helper()
+			for _, id := range ids {
+				if err := tab.Release(e, InstKey{ID: id}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		// On arrival: a shared holder, a queued writer, then a holding reader.
+		e, other := ents[0], ents[1]
+		mustAcquireMode(t, tab, inst(1), e, Shared)
+		wGot := acquire(inst(2), e, Exclusive)
+		waitForQueue(t, tab, 1)
+		passer := Instance{Key: InstKey{ID: 3}, Holding: true}
+		mustAcquireMode(t, tab, passer, other, Exclusive)
+		expect("holding reader behind a queued writer", acquire(passer, e, Shared), true)
+		expect("queued writer", wGot, false)
+		release(e, 1, 3)
+		expect("writer after the readers left", wGot, true)
+		release(e, 2)
+		release(other, 3)
+
+		// In the grant wave: an exclusive holder, then a reader that holds
+		// nothing, a writer and a holding reader queue behind it. The
+		// holder's release grants the head reader and stops at the writer;
+		// the holding reader behind the writer is granted too.
+		e = ents[2]
+		mustAcquireMode(t, tab, inst(4), e, Exclusive)
+		rGot := acquire(inst(5), e, Shared)
+		waitForQueue(t, tab, 1)
+		wGot = acquire(inst(6), e, Exclusive)
+		waitForQueue(t, tab, 2)
+		passer = Instance{Key: InstKey{ID: 7}, Holding: true}
+		mustAcquireMode(t, tab, passer, other, Exclusive)
+		pGot := acquire(passer, e, Shared)
+		waitForQueue(t, tab, 3)
+		release(e, 4)
+		expect("head reader", rGot, true)
+		expect("holding reader behind the blocked writer", pGot, true)
+		expect("writer behind two readers", wGot, false)
+		release(e, 5, 7)
+		expect("writer after the readers left", wGot, true)
+		release(e, 6)
+		release(other, 7)
+	})
+}

@@ -29,9 +29,10 @@
 // shared conformance suite: shared grants overlap and a writer excludes
 // everyone (any number of shared holders, at most one exclusive holder),
 // FIFO grant order per entity (a waiting writer blocks later-arriving
-// readers), cancelled waits withdrawn before Acquire returns (a grant
-// racing the withdrawal is released, never leaked), and ErrStopped after
-// Close. No table picks victims: a certified mix needs no deadlock
+// readers that hold nothing; a reader whose instance holds another lock
+// passes it, see Instance.Holding), cancelled waits withdrawn before
+// Acquire returns (a grant racing the withdrawal is released, never
+// leaked), and ErrStopped after Close. No table picks victims: a certified mix needs no deadlock
 // handling, and the fallback tier never waits while it holds a lock.
 //
 // Observation: every backend counts its operations into an
@@ -81,6 +82,15 @@ type Instance struct {
 	// The field stays only because the benchmark sets it by name; the next
 	// change to the benchmark drops that write.
 	Prio int64
+	// Holding says the instance holds some lock already. A shared request
+	// with Holding set is granted whenever it is compatible with the
+	// entity's holders, even past a queued writer; one without it keeps
+	// FIFO order. That is the wait relation the certifier proved
+	// deadlock-free (a request waits on conflicting holders only): a
+	// reader that holds nothing has no incoming waits-for edge, so its
+	// queue wait is on no cycle, while a holding reader parked behind a
+	// writer would add a wait the model lacks (DESIGN.md "Queue order").
+	Holding bool
 	// Span is the sampled op span of this acquire; nil means unsampled.
 	// Wire backends thread it through the transport, stamping the
 	// client-side stages and carrying the server-side ones back on the
@@ -147,7 +157,10 @@ type Table interface {
 	// requested mode: an exclusive grant requires no other holder of any
 	// mode, a shared grant requires no exclusive holder AND no earlier
 	// waiter (FIFO fairness: a reader arriving behind a queued writer
-	// parks behind it rather than starving it). It returns nil on grant;
+	// parks behind it rather than starving it) unless inst.Holding is
+	// set: then a shared request compatible with the holders passes the
+	// queue, on arrival and whenever a grant wave stops at a blocked head.
+	// It returns nil on grant;
 	// ctx.Err() if the context is cancelled while waiting (the request is
 	// withdrawn — or, if a grant raced the cancellation, released —
 	// before returning, so the instance holds nothing on a non-nil

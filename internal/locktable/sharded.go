@@ -52,8 +52,10 @@ import (
 //
 // Lock modes: each entity is held by at most one exclusive holder or any
 // number of shared holders. Grant order is FIFO per entity (a waiting
-// writer blocks later readers; consecutive readers at the queue head are
-// granted as one wave).
+// writer blocks later readers that hold nothing; consecutive readers at
+// the queue head are granted as one wave), except that a shared request of
+// an instance holding another lock passes the queue whenever the holders
+// admit it (Instance.Holding).
 type shardedTable struct {
 	cfg Config
 
@@ -149,9 +151,10 @@ func (l *slock) grantable(mode Mode) bool {
 // most one send, the grant, because the grant wave first removes the
 // waiter from the queue under the stripe mutex.
 type waiter struct {
-	key  InstKey
-	mode Mode
-	ch   chan struct{}
+	key     InstKey
+	mode    Mode
+	holding bool // Instance.Holding: a shared waiter may pass a blocked head
+	ch      chan struct{}
 }
 
 // resolveShards maps a Config.Shards value to the table's stripe count:
@@ -304,17 +307,15 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 	// must be visible to the CAS path first, so late fast readers queue
 	// FIFO instead of slipping past.
 	t.setSlowMode(ent)
-	if len(l.queue) == 0 && t.grantableLocked(ent, l, mode) {
-		// Grant inline, no goroutine handoff. The queue must be empty — a
-		// reader arriving behind a waiting writer parks behind it (FIFO
-		// fairness), it does not slip past on compatibility.
+	if t.admitLocked(ent, l, mode, inst.Holding) {
+		// Grant inline, no goroutine handoff.
 		t.grantLocked(ent, l, inst.Key, mode)
 		t.clearSlowModeIfIdleLocked(ent, l)
 		s.mu.Unlock()
 		return nil
 	}
 	t.m.QueueDepth.Record(int64(len(l.queue)))
-	w := &waiter{key: inst.Key, mode: mode, ch: make(chan struct{}, 1)}
+	w := &waiter{key: inst.Key, mode: mode, holding: inst.Holding, ch: make(chan struct{}, 1)}
 	l.queue = append(l.queue, w)
 	t.m.Waiting.Add(1)
 	s.mu.Unlock()
@@ -361,7 +362,7 @@ func (t *shardedTable) TryAcquire(inst Instance, ent model.EntityID, mode Mode) 
 		return true, nil
 	}
 	t.setSlowMode(ent)
-	if len(l.queue) == 0 && t.grantableLocked(ent, l, mode) {
+	if t.admitLocked(ent, l, mode, inst.Holding) {
 		t.grantLocked(ent, l, inst.Key, mode)
 		t.clearSlowModeIfIdleLocked(ent, l)
 		s.mu.Unlock()
@@ -465,11 +466,14 @@ func (t *shardedTable) releaseLocked(ent model.EntityID, l *slock, key InstKey) 
 // compatibility allows: the head waiter is granted if compatible with the
 // current holders, then the next — so consecutive readers are granted as
 // one wave, and a writer is granted exactly when the last incompatible
-// holder left. Caller holds the stripe mutex.
+// holder left. Where the wave stops at a blocked head, the shared waiters
+// of holding instances behind it that are compatible with the holders are
+// granted too (Instance.Holding). Caller holds the stripe mutex.
 func (t *shardedTable) grantWaveLocked(ent model.EntityID, l *slock) {
 	for len(l.queue) > 0 {
 		w := l.queue[0]
 		if !t.grantableLocked(ent, l, w.mode) {
+			t.passHeadLocked(ent, l)
 			return
 		}
 		l.queue = append(l.queue[:0], l.queue[1:]...)
@@ -477,6 +481,43 @@ func (t *shardedTable) grantWaveLocked(ent model.EntityID, l *slock) {
 		t.grantLocked(ent, l, w.key, w.mode)
 		w.ch <- struct{}{}
 	}
+}
+
+// passHeadLocked grants every queued shared request of a holding instance
+// behind the blocked head, when the holders admit a reader (no exclusive
+// holder). Such a request may only park while an exclusive holder blocks
+// it; once that holder leaves and a writer heads the queue again, it must
+// not keep waiting on the writer (see Instance.Holding). Caller holds the
+// stripe mutex.
+func (t *shardedTable) passHeadLocked(ent model.EntityID, l *slock) {
+	if len(l.queue) < 2 || !t.grantableLocked(ent, l, Shared) {
+		return
+	}
+	kept := l.queue[:1]
+	for _, w := range l.queue[1:] {
+		if w.holding && w.mode == Shared {
+			t.m.Waiting.Add(-1)
+			t.grantLocked(ent, l, w.key, Shared)
+			w.ch <- struct{}{}
+			continue
+		}
+		kept = append(kept, w)
+	}
+	clear(l.queue[len(kept):])
+	l.queue = kept
+}
+
+// admitLocked reports whether a request arriving at the entity is granted
+// at once: it must be compatible with the holders, and either nothing is
+// queued or it is a shared request of a holding instance, which passes the
+// queue (Instance.Holding). Anything else parks behind the queue — a reader
+// that holds nothing waits behind a queued writer rather than starving it.
+// Caller holds the stripe mutex.
+func (t *shardedTable) admitLocked(ent model.EntityID, l *slock, mode Mode, holding bool) bool {
+	if len(l.queue) > 0 && (mode != Shared || !holding) {
+		return false
+	}
+	return t.grantableLocked(ent, l, mode)
 }
 
 // grantableLocked folds the anonymous fast readers into the slock's

@@ -3,6 +3,7 @@ package netlock
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -72,15 +73,11 @@ type Client struct {
 	// into one syscall. qmu orders enqueues against shutdown: once
 	// qclosed is set, enqueue fails with ErrStopped (never a write on a
 	// closed conn).
-	qmu       sync.Mutex
-	sendb     []byte // pending request frames, length-prefixed, encoded in place
-	hbb       []byte // pending heartbeat frames: written first, so a deep queue cannot starve the lease
-	sendn     int64  // frames pending in sendb (swapped out with it by the writer)
-	hbn       int64  // frames pending in hbb
-	sendSpare []byte // retired buffers recycled by the writer (double buffering)
-	hbSpare   []byte
-	qwake     chan struct{}
-	qclosed   bool
+	qmu     sync.Mutex
+	sendq   frameQueue // pending request frames
+	hbq     frameQueue // pending heartbeat frames: written first, so a deep queue cannot starve the lease
+	qwake   chan struct{}
+	qclosed bool
 	// flushSpans holds sampled spans riding queued frames. The writer
 	// drains it with the buffers and stamps StageFlush strictly BEFORE the
 	// flush syscall: the stamp therefore happens-before the server sees
@@ -95,7 +92,11 @@ type Client struct {
 	m  *obs.TableMetrics
 	wm *obs.WireMetrics
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// pending maps each request awaiting a reply to its reply channel (nil
+	// for a heartbeat, whose ack nobody reads). Exactly one party takes an
+	// entry out — readLoop on the reply, or shutdown — and only that party
+	// sends on its channel, once (see replyPool).
 	pending map[uint64]chan result
 	// grants maps each granted (entity, instance) to the acquire that
 	// granted it. Every acquire is entered at submission, with granted
@@ -254,11 +255,9 @@ func (c *Client) enqueue(frame []byte, heartbeat bool, sp *obs.Span) error {
 		return locktable.ErrStopped
 	}
 	if heartbeat {
-		c.hbb = appendFrame(c.hbb, frame)
-		c.hbn++
+		c.hbq.push(frame)
 	} else {
-		c.sendb = appendFrame(c.sendb, frame)
-		c.sendn++
+		c.sendq.push(frame)
 	}
 	if sp != nil {
 		c.flushSpans = append(c.flushSpans, sp)
@@ -291,11 +290,8 @@ func (c *Client) writeLoop() {
 		var cycleFrames, cycleBytes int64
 		for {
 			c.qmu.Lock()
-			hb, q := c.hbb, c.sendb
-			hbN, qN := c.hbn, c.sendn
-			c.hbb, c.sendb = c.hbSpare, c.sendSpare
-			c.hbn, c.sendn = 0, 0
-			c.hbSpare, c.sendSpare = nil, nil
+			hb, hbN := c.hbq.take()
+			q, qN := c.sendq.take()
 			if len(c.flushSpans) > 0 {
 				spanBatch = append(spanBatch, c.flushSpans...)
 				c.flushSpans = c.flushSpans[:0]
@@ -331,12 +327,8 @@ func (c *Client) writeLoop() {
 			// Recycle the drained buffers: steady-state enqueues append
 			// into retired capacity instead of growing fresh buffers.
 			c.qmu.Lock()
-			if c.hbSpare == nil {
-				c.hbSpare = hb[:0]
-			}
-			if c.sendSpare == nil {
-				c.sendSpare = q[:0]
-			}
+			c.hbq.recycle(hb)
+			c.sendq.recycle(q)
 			c.qmu.Unlock()
 			// Loop: drain whatever was enqueued during the writes into the
 			// same flush.
@@ -422,12 +414,14 @@ func (c *Client) readLoop() {
 				payload = append(payload, d.b...)
 			}
 			c.mu.Lock()
-			ch := c.pending[reqID]
+			ch, ok := c.pending[reqID]
 			delete(c.pending, reqID)
 			c.mu.Unlock()
-			if ch != nil {
+			if ok {
 				c.wm.InFlight.Add(-1)
-				ch <- result{status: status, payload: payload}
+				if ch != nil {
+					ch <- result{status: status, payload: payload}
+				}
 			}
 		default:
 			return
@@ -437,8 +431,8 @@ func (c *Client) readLoop() {
 
 // heartbeats renews the lease until Close. The renewal frame rides the
 // flush loop's priority queue — no syscall of its own, and no ordering
-// behind a deep send queue — and its ack is routed and discarded like any
-// other request's (a slow server must not delay the next renewal).
+// behind a deep send queue — and its ack is routed to a nil reply entry
+// and dropped (a slow server must not delay the next renewal).
 func (c *Client) heartbeats(every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -447,7 +441,7 @@ func (c *Client) heartbeats(every time.Duration) {
 		case <-c.stop:
 			return
 		case <-t.C:
-			reqID, _ := c.register(nil)
+			reqID, _ := c.register(nil, false)
 			var e enc
 			e.u8(opHeartbeat)
 			e.u64(reqID)
@@ -470,7 +464,7 @@ func (c *Client) shutdown() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.qmu.Lock()
 	c.qclosed = true
-	c.sendb, c.hbb = nil, nil
+	c.sendq, c.hbq = frameQueue{}, frameQueue{}
 	c.qmu.Unlock()
 	c.conn.Close()
 	c.mu.Lock()
@@ -480,20 +474,39 @@ func (c *Client) shutdown() {
 	c.mu.Unlock()
 	c.wm.InFlight.Add(-int64(len(pending)))
 	for _, ch := range pending {
-		ch <- result{status: stStopped}
+		if ch != nil { // a heartbeat's ack has no reader
+			ch <- result{status: stStopped}
+		}
 	}
 }
 
-// register allocates a request ID and its response channel. A non-nil
-// mark (an acquire) is entered in grants as its in-flight mark, in the
-// same critical section.
-func (c *Client) register(mark *acquireCompletion) (uint64, chan result) {
+// replyPool recycles reply channels. A channel goes back only after its
+// one value was received (recycleReply): the party that took the request
+// out of pending sent that value and will never send again, so the next
+// request that gets the channel owns it alone. Channels abandoned unread —
+// a cancelled, timed-out or stopped wait — are left to the collector,
+// since their send may still be coming.
+var replyPool = sync.Pool{New: func() any { return make(chan result, 1) }}
+
+// recycleReply returns a reply channel whose one value was received.
+func recycleReply(ch chan result) { replyPool.Put(ch) }
+
+// register allocates a request ID and, when reply is set, its response
+// channel (a heartbeat registers none: its ack is dropped). A non-nil mark
+// (an acquire) is entered in grants as its in-flight mark, in the same
+// critical section.
+func (c *Client) register(mark *acquireCompletion, reply bool) (uint64, chan result) {
 	reqID := c.nextReq.Add(1)
-	ch := make(chan result, 1)
+	var ch chan result
+	if reply {
+		ch = replyPool.Get().(chan result)
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		ch <- result{status: stStopped}
+		if ch != nil {
+			ch <- result{status: stStopped}
+		}
 		return reqID, ch
 	}
 	c.pending[reqID] = ch
@@ -534,7 +547,7 @@ func (c *Client) send(build func(*enc), sp *obs.Span) error {
 // call is the synchronous request/response path for everything but
 // Acquire and Release.
 func (c *Client) call(build func(reqID uint64, e *enc)) (result, error) {
-	reqID, ch := c.register(nil)
+	reqID, ch := c.register(nil, true)
 	if err := c.send(func(e *enc) { build(reqID, e) }, nil); err != nil {
 		c.unregister(reqID)
 		return result{}, err
@@ -549,7 +562,9 @@ func (c *Client) call(build func(reqID uint64, e *enc)) (result, error) {
 // self-fences, turning a would-be permanent hang in a release join or a
 // call into the same ErrStopped a closed table gives, with
 // the server's lease machinery reclaiming whatever the session held. A
-// reply that already streamed back is taken without arming the timer.
+// reply that already streamed back is taken without arming the timer, and
+// the timer a wait does arm is a pooled one. A received reply's channel is
+// recycled.
 func (c *Client) await(ch chan result) (result, error) {
 	var res result
 	select {
@@ -559,15 +574,17 @@ func (c *Client) await(ch chan result) (result, error) {
 		if bound < 15*time.Second {
 			bound = 15 * time.Second
 		}
-		timer := time.NewTimer(bound)
-		defer timer.Stop()
+		timer := getTimer(bound)
 		select {
 		case res = <-ch:
+			putTimer(timer)
 		case <-timer.C:
+			putTimer(timer)
 			c.shutdown()
 			return result{}, locktable.ErrStopped
 		}
 	}
+	recycleReply(ch)
 	if res.status == stStopped {
 		return res, locktable.ErrStopped
 	}
@@ -596,15 +613,22 @@ type acquireCompletion struct {
 // Wait implements locktable.Completion: the parked tail of Acquire. The
 // non-blocking first receive is the pipelined steady state — by the time
 // a session joins, the ack usually streamed back long ago — and skips
-// the multi-way select.
+// the multi-way select. The reply's channel is recycled as soon as it is
+// received, and the completion lets go of it, so a second Wait (a
+// contract breach) can never read a channel another request now owns.
 func (a *acquireCompletion) Wait(ctx context.Context) error {
+	if a.ch == nil {
+		return errWaitedTwice
+	}
 	select {
 	case res := <-a.ch:
+		a.recycle()
 		return a.c.finishAcquire(a, res, a.sp)
 	default:
 	}
 	select {
 	case res := <-a.ch:
+		a.recycle()
 		return a.c.finishAcquire(a, res, a.sp)
 	case <-ctx.Done():
 		return a.c.cancelAcquire(a, ctx.Err())
@@ -613,6 +637,17 @@ func (a *acquireCompletion) Wait(ctx context.Context) error {
 		return locktable.ErrStopped
 	}
 }
+
+// recycle returns the reply channel once its one value was received, and
+// lets go of it.
+func (a *acquireCompletion) recycle() {
+	recycleReply(a.ch)
+	a.ch = nil
+}
+
+// errWaitedTwice answers a second Wait on a completion whose reply was
+// already received.
+var errWaitedTwice = errors.New("netlock: completion waited twice")
 
 // unmark clears an acquire's in-flight mark once it resolved without a
 // grant. A grant turned the mark into a record, and an early release
@@ -642,7 +677,7 @@ func (c *Client) unmark(a *acquireCompletion) {
 func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) locktable.Completion {
 	sp := inst.Span
 	a := &acquireCompletion{c: c, key: inst.Key, ent: ent, mode: mode, sp: sp}
-	reqID, ch := c.register(a)
+	reqID, ch := c.register(a, true)
 	a.reqID, a.ch = reqID, ch
 	if err := c.send(func(e *enc) {
 		e.u8(opAcquire)
@@ -650,6 +685,7 @@ func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode 
 		e.key(inst.Key)
 		e.i64(int64(ent))
 		e.mode(mode)
+		e.boolean(inst.Holding)
 		if sp != nil {
 			e.u8(1) // sampled marker: ask the server to time this op
 		}
@@ -745,10 +781,11 @@ func (c *Client) cancelAcquire(a *acquireCompletion, cause error) error {
 	if bound < 2*time.Second {
 		bound = 2 * time.Second
 	}
-	timer := time.NewTimer(bound)
-	defer timer.Stop()
+	timer := getTimer(bound)
+	defer putTimer(timer)
 	select {
 	case res := <-a.ch:
+		a.recycle()
 		if res.status == stOK {
 			// The grant raced the cancel: record it, then give it back (a
 			// no-op when an early release chained behind it already did).
@@ -911,7 +948,7 @@ func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) lo
 	if !held {
 		return locktable.ResolvedCompletion(nil)
 	}
-	reqID, ch := c.register(nil)
+	reqID, ch := c.register(nil, true)
 	if err := c.send(func(e *enc) {
 		e.u8(opRelease)
 		e.u64(reqID)
@@ -921,19 +958,35 @@ func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) lo
 		c.unregister(reqID)
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
-	if !granted {
-		return locktable.CompletionFunc(func(ctx context.Context) error {
-			select {
-			case res := <-ch:
-				return c.finishRelease(res, nil)
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
+	return &ackedRelease{c: c, ch: ch, granted: granted}
+}
+
+// ackedRelease is the completion of ReleaseAsyncAcked: the receipt of one
+// release. Like acquireCompletion it recycles its reply channel once
+// received and lets go of it.
+type ackedRelease struct {
+	c       *Client
+	ch      chan result
+	granted bool // the acquire was acked at submission: await's self-fence bounds the join
+}
+
+// Wait implements locktable.Completion.
+func (r *ackedRelease) Wait(ctx context.Context) error {
+	ch := r.ch
+	if ch == nil {
+		return errWaitedTwice
 	}
-	return locktable.CompletionFunc(func(context.Context) error {
-		return c.finishRelease(c.await(ch))
-	})
+	r.ch = nil
+	if r.granted {
+		return r.c.finishRelease(r.c.await(ch))
+	}
+	select {
+	case res := <-ch:
+		recycleReply(ch)
+		return r.c.finishRelease(res, nil)
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // ReleaseAll implements locktable.Table: one wire round trip releases

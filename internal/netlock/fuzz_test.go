@@ -24,22 +24,28 @@ func frameOf(build func(*enc)) []byte {
 	return e.b
 }
 
-// fuzzSeeds is one v6 frame per request opcode, plus the shapes the
-// decoder must reject or treat specially: a sampled acquire, releases
-// (acked and fire-and-forget), a truncated acquire, a release-all whose
-// count overstates its entries, opcodes a client never sends, v3 frames
-// (a release with a fencing token, the retired withdraw and wound
-// requests) and v5 frames (an acquire carrying an epoch and a priority, a
-// hello carrying the wound-wait byte) a v6 server must not mistake for
-// valid ones.
+// fuzzSeeds is one v7 frame per request opcode, plus the shapes the
+// decoder must reject or treat specially: a sampled acquire, a holding
+// reader's acquire, releases (acked and fire-and-forget), a truncated
+// acquire, a release-all whose count overstates its entries, opcodes a
+// client never sends, v3 frames (a release with a fencing token, the
+// retired withdraw and wound requests), v5 frames (an acquire carrying an
+// epoch and a priority, a hello carrying the wound-wait byte) and v6
+// frames (an acquire without the holding byte, a sampled one whose marker
+// sits where the holding byte now is, a v6 hello) a v7 server must not
+// mistake for valid ones.
 func fuzzSeeds(ents []model.EntityID) [][]byte {
 	key := locktable.InstKey{ID: 1}
-	acq := func(e *enc) {
+	acqV6 := func(e *enc) {
 		e.u8(opAcquire)
 		e.u64(2)
 		e.key(key)
 		e.i64(int64(ents[0]))
 		e.mode(locktable.Exclusive)
+	}
+	acq := func(e *enc) {
+		acqV6(e)
+		e.boolean(false) // holding
 	}
 	rel := func(reqID uint64) []byte {
 		return frameOf(func(e *enc) {
@@ -54,6 +60,14 @@ func fuzzSeeds(ents []model.EntityID) [][]byte {
 		frameOf(func(e *enc) { e.u8(opHeartbeat); e.u64(1) }),
 		frameOf(acq),
 		frameOf(func(e *enc) { acq(e); e.u8(1) }), // sampled marker
+		frameOf(func(e *enc) { // a holding reader
+			e.u8(opAcquire)
+			e.u64(2)
+			e.key(key)
+			e.i64(int64(ents[1]))
+			e.mode(locktable.Shared)
+			e.boolean(true)
+		}),
 		frameOf(func(e *enc) { e.u8(opCancel); e.u64(2) }),
 		rel(3),
 		rel(0), // fire-and-forget
@@ -90,6 +104,15 @@ func fuzzSeeds(ents []model.EntityID) [][]byte {
 			e.u64(9)
 			e.u32(5)
 			e.boolean(true) // wound-wait
+			e.boolean(false)
+			e.raw(make([]byte, 32))
+		}),
+		frameOf(acqV6), // v6 acquire: no holding byte
+		frameOf(func(e *enc) { acqV6(e); e.u8(1) }), // v6 sampled acquire: the marker reads as holding
+		frameOf(func(e *enc) { // v6 hello
+			e.u8(opHello)
+			e.u64(9)
+			e.u32(6)
 			e.boolean(false)
 			e.raw(make([]byte, 32))
 		}),

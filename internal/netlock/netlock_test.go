@@ -362,12 +362,14 @@ func waitFor(t *testing.T, cond func() bool) {
 // grant reply and release that v4 dropped; v4 peers send the snapshot
 // request (0x08) that v5 rejects as an unknown opcode; v5 peers frame a
 // wound-wait byte into the hello and a priority and an epoch into every
-// acquire that v6 dropped. Every hello here is framed the pre-v6 way.
+// acquire that v6 dropped; v6 peers frame no holding byte into an acquire,
+// and a v7 server would read a v6 sampled marker as one. Every hello here
+// is framed the pre-v6 way (the version is checked first).
 func TestHandshakeRejectsStaleProtocolVersion(t *testing.T) {
 	ddb, _ := testDDB(t, 2)
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
 
-	for _, version := range []uint32{1, 2, 3, 4, 5} {
+	for _, version := range []uint32{1, 2, 3, 4, 5, 6} {
 		nc, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)

@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"distlock/internal/locktable"
 	"distlock/internal/model"
@@ -82,7 +83,11 @@ import (
 //	    its priority, every instance key its epoch, and the wound push
 //	    (0x81) is gone, its value not reused. A v5 peer would mis-frame
 //	    the hello and every acquire, so the handshake rejects it.
-const protocolVersion = 6
+//	7 — holding readers: an acquire carries a holding byte after its mode
+//	    (locktable.Instance.Holding), and the hosted table lets a holding
+//	    instance's shared request pass a queued writer. A v6 peer would
+//	    read the byte as the sampled marker, so the handshake rejects it.
+const protocolVersion = 7
 
 // maxFrame bounds a frame body; larger frames indicate a corrupt stream.
 const maxFrame = 16 << 20
@@ -91,7 +96,7 @@ const maxFrame = 16 << 20
 // opResult echoes; the server initiates nothing but a reqID-0 result.
 const (
 	opHello      = 0x01 // version, trace, ddb hash
-	opAcquire    = 0x02 // reqID, inst key, entity, mode
+	opAcquire    = 0x02 // reqID, inst key, entity, mode, holding
 	opCancel     = 0x03 // reqID of the in-flight acquire to withdraw
 	opRelease    = 0x04 // reqID, entity, inst key
 	opReleaseAll = 0x05 // reqID, inst key, n × entity
@@ -212,6 +217,60 @@ func appendFrame(dst, body []byte) []byte {
 	return append(append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n)), body...)
 }
 
+// frameQueue is one connection direction's pending output: frames
+// appended in place, and a spare array for the writer to swap in. The
+// writer takes the pending frames only when there are some, writes them,
+// and hands the array back as the spare, so steady state recycles two
+// arrays per queue; an idle pass leaves both where they are. The owner's
+// queue mutex guards every method.
+type frameQueue struct {
+	b     []byte // pending frames, length-prefixed, encoded in place
+	n     int64  // frames in b
+	spare []byte // the array the next take swaps in
+}
+
+// push appends one frame.
+func (q *frameQueue) push(body []byte) {
+	q.b = appendFrame(q.b, body)
+	q.n++
+}
+
+// take swaps the pending frames out, with their count. An empty queue
+// returns nil and keeps both arrays.
+func (q *frameQueue) take() ([]byte, int64) {
+	if len(q.b) == 0 {
+		return nil, 0
+	}
+	b, n := q.b, q.n
+	q.b, q.n, q.spare = q.spare, 0, nil
+	return b, n
+}
+
+// recycle hands a written array back as the spare.
+func (q *frameQueue) recycle(b []byte) {
+	if b != nil && q.spare == nil {
+		q.spare = b[:0]
+	}
+}
+
+// timerPool recycles the self-fence timers of reply waits that outlast a
+// non-blocking receive. Since Go 1.23 a stopped or reset timer delivers no
+// stale tick, so a pooled timer is as good as a new one.
+var timerPool sync.Pool
+
+func getTimer(d time.Duration) *time.Timer {
+	if t, ok := timerPool.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+func putTimer(t *time.Timer) {
+	t.Stop()
+	timerPool.Put(t)
+}
+
 // encPool recycles the scratch encoders of the fixed-shape per-op frames
 // (requests, status replies): the body is copied into the connection's
 // pending buffer by appendFrame, so the encoder is free for reuse the
@@ -222,18 +281,25 @@ var encPool = sync.Pool{New: func() any { return &enc{b: make([]byte, 0, 128)} }
 // needed. The returned slice aliases *buf and is valid only until the
 // next call — for read loops that fully consume each frame before the
 // next (the per-op hot path reads tens of thousands of small frames a
-// second; reusing one buffer removes an allocation per frame).
+// second; reusing one buffer removes an allocation per frame). The
+// length prefix is read into the buffer too: a header array on the stack
+// would escape through the io.Reader call and cost an allocation a frame.
 func readFrameInto(r io.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(*buf) < 64 {
+		*buf = make([]byte, 64)
+	}
+	hdr := (*buf)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("netlock: frame of %d bytes exceeds limit", n)
 	}
 	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
+		// Grow geometrically: a connection whose frames creep up in size
+		// reallocates a logarithmic number of times, not once per step.
+		*buf = make([]byte, max(int(n), min(2*cap(*buf), maxFrame)))
 	}
 	body := (*buf)[:n]
 	if _, err := io.ReadFull(r, body); err != nil {

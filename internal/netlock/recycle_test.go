@@ -1,0 +1,191 @@
+package netlock
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+
+	"distlock/internal/locktable"
+)
+
+// TestIdleWriterKeepsBuffers: each writer is double-buffered — the
+// client's request and heartbeat queues and the server's reply queue each
+// cycle through two arrays — so sequential round trips, each flush
+// followed by idle writer passes, grow no array past the first two.
+func TestIdleWriterKeepsBuffers(t *testing.T) {
+	ddb, ents := testDDB(t, 2)
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
+	c := dial(t, srv, locktable.Config{}, DialOptions{NoHeartbeat: true})
+	var sc *srvConn
+	waitFor(t, func() bool {
+		srv.connsMu.RLock()
+		defer srv.connsMu.RUnlock()
+		for _, x := range srv.conns {
+			sc = x
+		}
+		return sc != nil
+	})
+	// seen records every array a queue held after a round trip. The
+	// pointers keep the arrays alive, so a fresh array never reuses an
+	// address already counted.
+	seen := map[string]map[*byte]bool{}
+	record := func(name string, mu *sync.Mutex, q *frameQueue) {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[name] == nil {
+			seen[name] = map[*byte]bool{}
+		}
+		for _, b := range [][]byte{q.b, q.spare} {
+			if cap(b) > 0 {
+				seen[name][unsafe.SliceData(b)] = true
+			}
+		}
+	}
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		// A heartbeat on the priority queue, an acquire and an acked
+		// release on the request queue: each reply arrives after both
+		// writers flushed, idle passes included.
+		reqID, ch := c.register(nil, true)
+		if err := c.enqueue(frameOf(func(e *enc) { e.u8(opHeartbeat); e.u64(reqID) }), true, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.await(ch); err != nil {
+			t.Fatal(err)
+		}
+		acquire(t, c, 1, ents[0])
+		if err := c.Release(ents[0], locktable.InstKey{ID: 1}); err != nil {
+			t.Fatal(err)
+		}
+		record("client requests", &c.qmu, &c.sendq)
+		record("client heartbeats", &c.qmu, &c.hbq)
+		record("server replies", &sc.outMu, &sc.outq)
+	}
+	for name, arrays := range seen {
+		if len(arrays) != 2 {
+			t.Errorf("%s: %d arrays over %d round trips, want the same 2 throughout", name, len(arrays), rounds)
+		}
+	}
+}
+
+// TestReplyChannelRecycling drives every path that receives, abandons or
+// never creates a reply channel — acquires cancelled while a grant races
+// them, acked releases (before and after their acquire's ack), a
+// heartbeat stream whose acks nobody reads, and a client closed
+// mid-flight beside a live one — and checks that every completion gets
+// its own request's outcome. A channel recycled while a send was still
+// due would hand one request's reply to another: a completion would then
+// report a grant the server never made (two exclusive holders), a release
+// would read an acquire's status, or a wait would never return. Run it
+// under -race.
+func TestReplyChannelRecycling(t *testing.T) {
+	ddb, ents := testDDB(t, 2)
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
+	live := dial(t, srv, locktable.Config{}, DialOptions{HeartbeatEvery: time.Millisecond})
+	doomed := dial(t, srv, locktable.Config{}, DialOptions{HeartbeatEvery: time.Millisecond})
+
+	var holders [2]atomic.Int32 // exclusive holders per entity, across both clients
+	var grants, cancels, stops atomic.Int64
+	worker := func(c *Client, id int, rounds int, errs chan<- error) {
+		rng := rand.New(rand.NewSource(int64(id)))
+		key := locktable.InstKey{ID: id}
+		inst := locktable.Instance{Key: key}
+		stopped := func() {
+			if c != doomed {
+				errs <- fmt.Errorf("inst %d: ErrStopped on the live client", id)
+			}
+			stops.Add(1)
+		}
+		for r := 0; r < rounds; r++ {
+			i := rng.Intn(len(ents))
+			ent := ents[i]
+			if rng.Intn(4) == 0 {
+				// An acked release shipped before its acquire's ack: it
+				// resolves to whatever the acquire recorded.
+				acq := c.AcquireAsync(inst, ent, locktable.Exclusive)
+				rel := c.ReleaseAsyncAcked(ent, key)
+				aerr, rerr := acq.Wait(context.Background()), rel.Wait(context.Background())
+				switch {
+				case errors.Is(aerr, locktable.ErrStopped) || errors.Is(rerr, locktable.ErrStopped):
+					stopped()
+					return
+				case aerr != nil || rerr != nil:
+					errs <- fmt.Errorf("inst %d: early release: acquire %v, release %v", id, aerr, rerr)
+					return
+				}
+				continue
+			}
+			// A wait short enough that the cancel races the grant.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(rng.Intn(300))*time.Microsecond)
+			err := c.Acquire(ctx, inst, ent, locktable.Exclusive)
+			cancel()
+			switch {
+			case errors.Is(err, locktable.ErrStopped):
+				stopped()
+				return
+			case errors.Is(err, context.DeadlineExceeded):
+				cancels.Add(1)
+				continue
+			case err != nil:
+				errs <- fmt.Errorf("inst %d: acquire: %v", id, err)
+				return
+			}
+			grants.Add(1)
+			if n := holders[i].Add(1); n != 1 {
+				errs <- fmt.Errorf("inst %d: granted %v with %d exclusive holders", id, ent, n)
+			}
+			time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
+			holders[i].Add(-1)
+			if err := c.Release(ent, key); errors.Is(err, locktable.ErrStopped) {
+				stopped()
+				return
+			} else if err != nil {
+				errs <- fmt.Errorf("inst %d: release: %v", id, err)
+				return
+			}
+		}
+	}
+
+	const workers, rounds = 6, 300
+	errs := make(chan error, 2*workers*rounds)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func() { defer wg.Done(); worker(live, w+1, rounds, errs) }()
+		go func() { defer wg.Done(); worker(doomed, w+1, rounds, errs) }()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		time.Sleep(20 * time.Millisecond)
+		doomed.register(nil, false) // a heartbeat whose ack is still out
+		doomed.Close()              // mid-flight: its pending requests resolve ErrStopped
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("a completion never got its reply, or Close hung")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	t.Logf("%d grants, %d cancelled waits, %d ops stopped by Close", grants.Load(), cancels.Load(), stops.Load())
+	if grants.Load() == 0 || cancels.Load() == 0 {
+		t.Errorf("the drive exercised %d grants and %d cancels; want both", grants.Load(), cancels.Load())
+	}
+	// Every grant the live client took was released, and the doomed
+	// client's died with its connection.
+	waitFor(t, func() bool { return srv.TableMetrics().Snapshot().Held == 0 })
+	if held := live.TableMetrics().Snapshot().Held; held != 0 {
+		t.Errorf("live client holds %d records after the drive", held)
+	}
+}

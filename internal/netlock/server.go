@@ -108,7 +108,10 @@ type chainItem struct {
 	ent   model.EntityID
 	mode  locktable.Mode
 	rel   bool
-	sp    *obs.Span // non-nil iff the client sampled this acquire
+	// holding is the acquire's Instance.Holding: the session holds a lock,
+	// so a compatible shared request passes a queued writer.
+	holding bool
+	sp      *obs.Span // non-nil iff the client sampled this acquire
 }
 
 // acqChain is the pipeline chain of one composed instance key: acquires
@@ -127,11 +130,9 @@ type srvConn struct {
 	// reply-writer goroutine through a buffered writer, one flush per
 	// drain cycle — grants and acks resolved while a flush is in progress
 	// coalesce into the next syscall.
-	outMu    sync.Mutex
-	outb     []byte // pending reply frames, length-prefixed, encoded in place
-	outn     int64  // frames pending in outb (swapped out with it by the reply writer)
-	outSpare []byte // retired buffer recycled by the reply writer (double buffering)
-	// outSpans holds server spans whose grant replies are queued in outb;
+	outMu sync.Mutex
+	outq  frameQueue // pending reply frames
+	// outSpans holds server spans whose grant replies are queued in outq;
 	// the reply writer stamps StageReplyFlush just before its flush syscall
 	// and commits them to the server ring (sole owner at that point — the
 	// chain goroutine let go when it queued the reply).
@@ -399,8 +400,7 @@ func (s *Server) dropConn(c *srvConn) {
 // writer exits die with the connection.
 func (c *srvConn) write(body []byte, sp *obs.Span) {
 	c.outMu.Lock()
-	c.outb = appendFrame(c.outb, body)
-	c.outn++
+	c.outq.push(body)
 	if sp != nil {
 		c.outSpans = append(c.outSpans, sp)
 	}
@@ -428,11 +428,7 @@ func (s *Server) replyWriter(c *srvConn) {
 		var cycleFrames, cycleBytes int64
 		for {
 			c.outMu.Lock()
-			q := c.outb
-			qN := c.outn
-			c.outb = c.outSpare
-			c.outn = 0
-			c.outSpare = nil
+			q, qN := c.outq.take()
 			if len(c.outSpans) > 0 {
 				spanBatch = append(spanBatch, c.outSpans...)
 				c.outSpans = c.outSpans[:0]
@@ -457,9 +453,7 @@ func (s *Server) replyWriter(c *srvConn) {
 			// Recycle the drained buffer so steady-state replies append
 			// into retired capacity.
 			c.outMu.Lock()
-			if c.outSpare == nil {
-				c.outSpare = q[:0]
-			}
+			c.outq.recycle(q)
 			c.outMu.Unlock()
 		}
 		if len(spanBatch) > 0 {
@@ -671,6 +665,7 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 		key := d.key()
 		ent := model.EntityID(d.i64())
 		mode := d.mode()
+		holding := d.boolean()
 		if d.err != nil {
 			return d.err
 		}
@@ -681,7 +676,7 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 			sp = s.spans.Start(obs.SpanAcquire, int32(ent))
 			sp.Stamp(obs.StageServerRecv)
 		}
-		s.startAcquire(c, reqID, key, ent, mode, sp)
+		s.startAcquire(c, reqID, locktable.Instance{Key: key, Holding: holding}, ent, mode, sp)
 		return nil
 
 	case opCancel:
@@ -845,7 +840,8 @@ func (s *Server) execRelease(c *srvConn, reqID uint64, composed locktable.InstKe
 // exclusion, queue fairness) is entirely the hosted table's decision, so
 // remote and in-process sessions blocking on one entity obey one
 // discipline.
-func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, ent model.EntityID, mode locktable.Mode, sp *obs.Span) {
+func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance, ent model.EntityID, mode locktable.Mode, sp *obs.Span) {
+	key := inst.Key
 	if int(ent) < 0 || int(ent) >= s.ddb.NumEntities() {
 		c.result(reqID, stErr, nil, func(e *enc) { e.str(fmt.Sprintf("netlock: entity %d outside the database", ent)) })
 		return
@@ -860,6 +856,7 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, e
 		return
 	}
 	composed := composeKey(c.id, key)
+	inst.Key = composed
 	// Inline fast path: an acquire whose instance has no active chain may
 	// try the table non-blocking right here in the read loop, skipping the
 	// per-acquire context, the in-flight record, and the chain worker. The
@@ -880,7 +877,7 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, e
 		}
 		if !chained {
 			sp.Stamp(obs.StageChainStart) // inline path: "chain start" is the try itself
-			granted, err := s.tryTab.TryAcquire(locktable.Instance{Key: composed}, ent, mode)
+			granted, err := s.tryTab.TryAcquire(inst, ent, mode)
 			if err != nil {
 				c.result(reqID, stStopped, nil, nil)
 				return
@@ -909,7 +906,7 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, key locktable.InstKey, e
 	}
 	actx := &acqCtx{done: make(chan struct{})}
 	acq := &pendingAcq{cancel: actx.cancelFn}
-	it := &chainItem{reqID: reqID, acq: acq, ctx: actx, key: composed, ent: ent, mode: mode, sp: sp}
+	it := &chainItem{reqID: reqID, acq: acq, ctx: actx, key: composed, ent: ent, mode: mode, holding: inst.Holding, sp: sp}
 	c.mu.Lock()
 	if c.leaseLost {
 		// No live lease: the session must heartbeat before it may hold
@@ -1007,7 +1004,7 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	}
 	c.mu.Unlock()
 	it.sp.Stamp(obs.StageChainStart) // may overwrite a failed inline try's stamp with the real chain start
-	err := s.tab.Acquire(it.ctx, locktable.Instance{Key: composed}, ent, it.mode)
+	err := s.tab.Acquire(it.ctx, locktable.Instance{Key: composed, Holding: it.holding}, ent, it.mode)
 	if err == nil {
 		it.sp.Stamp(obs.StageGrant)
 	}

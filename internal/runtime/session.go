@@ -254,7 +254,11 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	inst := locktable.Instance{Key: s.key}
+	// Holding lets a shared request pass a queued writer: the wait relation
+	// certification assumed (see locktable.Instance.Holding). A pipelined
+	// session counts its in-flight acquires as held; the server enters them
+	// in the table before this one, so the claim is true when it matters.
+	inst := locktable.Instance{Key: s.key, Holding: s.held.Count() > 0}
 	if s.e.spans != nil && s.spanDue() {
 		inst.Span = s.e.spans.Start(obs.SpanAcquire, int32(ent))
 		inst.Span.Stamp(obs.StageSubmit)
