@@ -9,9 +9,8 @@
 // deadlock-prefix characterization (Theorem 1), the coNP-hardness gadget
 // (Theorem 2), the polynomial safe-and-deadlock-free tests for pairs
 // (Theorem 3), copies (Corollary 3 / Theorem 5), and many transactions
-// (Theorem 4) — plus exhaustive oracles, a discrete-event distributed-DB
-// simulator and a goroutine message-passing engine for end-to-end
-// experiments.
+// (Theorem 4) — plus exhaustive oracles and a discrete-event
+// distributed-DB simulator for experiments.
 //
 // The centre of the public API is the long-lived LockService: clients
 // register transaction classes (Register runs the incremental Theorem 3/4
@@ -42,8 +41,8 @@
 //	fmt.Println(res.Admitted)        // true: runs with NO deadlock handling
 //
 //	sess, _ := svc.Begin(ctx, "T1")  // one transaction instance
-//	sess.Lock(ctx, "x")              // blocks until granted or ctx cancelled
-//	sess.Lock(ctx, "y")
+//	sess.LockExclusive(ctx, "x")     // blocks until granted or ctx cancelled
+//	sess.LockExclusive(ctx, "y")
 //	sess.Unlock("x")
 //	sess.Unlock("y")
 //	sess.Commit()

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,24 +66,11 @@ type Client struct {
 
 	nextReq atomic.Uint64
 
-	// Outbound frames are queued and drained by one writer goroutine
-	// through a buffered writer, one flush per drain cycle — concurrent
-	// sessions' ops, fire-and-forget releases, and heartbeats coalesce
-	// into one syscall. qmu orders enqueues against shutdown: once
-	// qclosed is set, enqueue fails with ErrStopped (never a write on a
-	// closed conn).
-	qmu     sync.Mutex
-	sendq   frameQueue // pending request frames
-	hbq     frameQueue // pending heartbeat frames: written first, so a deep queue cannot starve the lease
-	qwake   chan struct{}
-	qclosed bool
-	// flushSpans holds sampled spans riding queued frames. The writer
-	// drains it with the buffers and stamps StageFlush strictly BEFORE the
-	// flush syscall: the stamp therefore happens-before the server sees
-	// the frame, which happens-before the reply that lets the session
-	// commit (and recycle) the span — no stamp can land on a recycled
-	// carrier.
-	flushSpans []*obs.Span
+	// out is the request writer: concurrent sessions' ops, fire-and-forget
+	// releases, and heartbeats (its priority queue) coalesce into one
+	// syscall. shutdown closes it before the transport, so an op racing
+	// shutdown gets ErrStopped from enqueue, never a write on a closed conn.
+	out flusher
 
 	// Observability. m is the client-side view of the hosted table's
 	// traffic (the server keeps its own authoritative bundle); wm covers
@@ -166,7 +152,7 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 		pending: map[uint64]chan result{},
 		grants:  map[grantRef]*acquireCompletion{},
 		ffErrs:  map[locktable.InstKey]error{},
-		qwake:   make(chan struct{}, 1),
+		out:     flusher{wake: make(chan struct{}, 1)},
 		stop:    make(chan struct{}),
 		m:       cfg.Metrics,
 		wm:      obs.NewWireMetrics(),
@@ -182,11 +168,11 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 	e.boolean(cfg.Trace)
 	e.raw(hash[:])
 	nc.SetDeadline(time.Now().Add(dialTimeout))
-	if err := writeFrame(nc, e.b); err != nil {
+	if _, err := nc.Write(appendFrame(nil, e.b)); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("netlock: handshake: %w", err)
 	}
-	body, err := readFrame(nc)
+	body, err := readFrameInto(nc, new([]byte))
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("netlock: handshake: %w", err)
@@ -220,7 +206,9 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 	}()
 	go func() {
 		defer c.wg.Done()
-		c.writeLoop()
+		if c.out.run(c.conn, c.stop, c.wm, stampFlush) != nil {
+			c.shutdown()
+		}
 	}()
 	if !opts.NoHeartbeat {
 		every := opts.HeartbeatEvery
@@ -239,124 +227,22 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 	return c, nil
 }
 
-// enqueue appends one frame body to the writer's pending buffer
-// (heartbeat frames go to the priority buffer). The body is copied, so
-// the caller may reuse it immediately. A sampled request's span (nil
-// otherwise) joins flushSpans in the same critical section as its frame,
-// so the writer stamps StageFlush on exactly the spans whose frames its
-// cycle carries. Returns ErrStopped once the client is shutting down —
-// set under qmu before the transport closes, so a racing op gets an
-// honest answer instead of a write on a closed conn.
+// enqueue queues one frame body for the request writer (heartbeat frames
+// on its priority queue), with the request's sampled span, nil otherwise.
+// Returns ErrStopped once the client is shutting down.
 func (c *Client) enqueue(frame []byte, heartbeat bool, sp *obs.Span) error {
 	sp.Stamp(obs.StageEnqueue)
-	c.qmu.Lock()
-	if c.qclosed {
-		c.qmu.Unlock()
+	if !c.out.push(frame, heartbeat, sp) {
 		return locktable.ErrStopped
-	}
-	if heartbeat {
-		c.hbq.push(frame)
-	} else {
-		c.sendq.push(frame)
-	}
-	if sp != nil {
-		c.flushSpans = append(c.flushSpans, sp)
-	}
-	c.qmu.Unlock()
-	select {
-	case c.qwake <- struct{}{}:
-	default:
 	}
 	return nil
 }
 
-// writeLoop is the flush-coalescing writer: it drains the send queues
-// through one buffered writer and flushes once per cycle, so everything
-// that accumulated while the previous cycle was writing — concurrent
-// sessions' requests, pipelined chains, heartbeats — leaves in one
-// syscall. A lone op still flushes immediately (the wake fires, the queue
-// holds one frame, the flush follows). Heartbeats drain first each cycle:
-// a saturated send queue must not starve the lease.
-func (c *Client) writeLoop() {
-	bw := bufio.NewWriterSize(c.conn, 64<<10)
-	var spanBatch []*obs.Span // reused across cycles; sampled frames only
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-c.qwake:
-		}
-		yields := 0
-		var cycleFrames, cycleBytes int64
-		for {
-			c.qmu.Lock()
-			hb, hbN := c.hbq.take()
-			q, qN := c.sendq.take()
-			if len(c.flushSpans) > 0 {
-				spanBatch = append(spanBatch, c.flushSpans...)
-				c.flushSpans = c.flushSpans[:0]
-			}
-			c.qmu.Unlock()
-			cycleFrames += hbN + qN
-			cycleBytes += int64(len(hb) + len(q))
-			if len(hb) == 0 && len(q) == 0 {
-				// Micro-batch: before paying the flush syscall, hand the
-				// processor back a few times — a session that was about to
-				// enqueue its next pipelined frame gets to, and its frame
-				// rides this flush instead of forcing its own. Bounded, so
-				// a lone op's latency cost is a few scheduler passes.
-				if yields < writerYields {
-					yields++
-					runtime.Gosched()
-					continue
-				}
-				break
-			}
-			if len(hb) > 0 {
-				if _, err := bw.Write(hb); err != nil {
-					c.shutdown()
-					return
-				}
-			}
-			if len(q) > 0 {
-				if _, err := bw.Write(q); err != nil {
-					c.shutdown()
-					return
-				}
-			}
-			// Recycle the drained buffers: steady-state enqueues append
-			// into retired capacity instead of growing fresh buffers.
-			c.qmu.Lock()
-			c.hbq.recycle(hb)
-			c.sendq.recycle(q)
-			c.qmu.Unlock()
-			// Loop: drain whatever was enqueued during the writes into the
-			// same flush.
-		}
-		if len(spanBatch) > 0 {
-			// Stamp before the syscall: program order on this goroutine puts
-			// the stamp ahead of the kernel hand-off, hence ahead of any
-			// reply — the ordering Commit's recycling relies on.
-			for i, sp := range spanBatch {
-				sp.Stamp(obs.StageFlush)
-				spanBatch[i] = nil
-			}
-			spanBatch = spanBatch[:0]
-		}
-		if bw.Flush() != nil {
-			c.shutdown()
-			return
-		}
-		if cycleFrames > 0 {
-			// One completed cycle is one write syscall; the frame count it
-			// carried is the realized batch width.
-			c.wm.Frames.Add(cycleFrames)
-			c.wm.Bytes.Add(cycleBytes)
-			c.wm.Flushes.Inc()
-			c.wm.BatchWidth.Record(cycleFrames)
-		}
-	}
-}
+// stampFlush is the request writer's onFlush: the stamp happens-before
+// the server sees the frame, which happens-before the reply that lets the
+// session commit (and recycle) the span — no stamp can land on a recycled
+// carrier.
+func stampFlush(sp *obs.Span) { sp.Stamp(obs.StageFlush) }
 
 // readLoop routes responses to their requesters. Any read error (server
 // gone, Close) fails every outstanding request with ErrStopped.
@@ -430,7 +316,7 @@ func (c *Client) readLoop() {
 }
 
 // heartbeats renews the lease until Close. The renewal frame rides the
-// flush loop's priority queue — no syscall of its own, and no ordering
+// request writer's priority queue — no syscall of its own, and no ordering
 // behind a deep send queue — and its ack is routed to a nil reply entry
 // and dropped (a slow server must not delay the next renewal).
 func (c *Client) heartbeats(every time.Duration) {
@@ -454,18 +340,15 @@ func (c *Client) heartbeats(every time.Duration) {
 	}
 }
 
-// shutdown fails the send queue, closes the transport, and fails every
-// outstanding request. It backs both Close and a lost connection. The
-// queue closes first (under qmu): an op racing shutdown either enqueued
-// before — and is failed here through its pending channel — or finds the
-// queue closed and gets ErrStopped from enqueue; either way the answer is
-// deterministic and nothing writes to a closed conn.
+// shutdown closes the request writer, closes the transport, and fails
+// every outstanding request. It backs both Close and a lost connection.
+// The writer closes first: an op racing shutdown either enqueued before —
+// and is failed here through its pending channel — or gets ErrStopped
+// from enqueue; either way the answer is deterministic and nothing writes
+// to a closed conn.
 func (c *Client) shutdown() {
 	c.stopOnce.Do(func() { close(c.stop) })
-	c.qmu.Lock()
-	c.qclosed = true
-	c.sendq, c.hbq = frameQueue{}, frameQueue{}
-	c.qmu.Unlock()
+	c.out.close()
 	c.conn.Close()
 	c.mu.Lock()
 	c.closed = true

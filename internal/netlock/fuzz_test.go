@@ -143,10 +143,10 @@ func pipeSession(t *testing.T, srv *Server) net.Conn {
 		e.boolean(false) // trace
 		e.raw(hash[:])
 	})
-	if err := writeFrame(cli, hello); err != nil {
+	if _, err := cli.Write(appendFrame(nil, hello)); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	body, err := readFrame(cli)
+	body, err := readFrameInto(cli, new([]byte))
 	if err != nil {
 		t.Fatalf("handshake reply: %v", err)
 	}
@@ -198,14 +198,14 @@ func FuzzHandleFrame(f *testing.F) {
 		}
 		// A pipe write returns once the server has read it; any other write
 		// error means the server already dropped the connection.
-		err := writeFrame(conn, body)
+		_, err := conn.Write(appendFrame(nil, body))
 		if err == nil {
-			err = writeFrame(conn, heartbeat)
+			_, err = conn.Write(appendFrame(nil, heartbeat))
 		}
 		hung(err)
 		for err == nil {
 			var reply []byte
-			reply, err = readFrame(conn)
+			reply, err = readFrameInto(conn, new([]byte))
 			hung(err)
 			if err != nil {
 				break // dropped: the frame was malformed
@@ -284,16 +284,17 @@ func replySeeds() []replyInput {
 // fakeHandshake plays the server's side of the handshake on conn.
 func fakeHandshake(conn net.Conn) error {
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := readFrame(conn); err != nil {
+	if _, err := readFrameInto(conn, new([]byte)); err != nil {
 		return err
 	}
-	return writeFrame(conn, frameOf(func(e *enc) {
+	_, err := conn.Write(appendFrame(nil, frameOf(func(e *enc) {
 		e.u8(opResult)
 		e.u64(1)
 		e.u8(stOK)
 		e.u32(1)                                // connection id
 		e.u64(uint64(time.Hour.Milliseconds())) // lease: no heartbeat fires mid-input
-	}))
+	})))
+	return err
 }
 
 // FuzzClientReplies feeds arbitrary replies to the client's read loop. A
@@ -346,7 +347,7 @@ func FuzzClientReplies(f *testing.F) {
 		sp := ring.Start(obs.SpanAcquire, int32(x))
 		inst := locktable.Instance{Key: locktable.InstKey{ID: 1}, Span: sp}
 		comp := c.AcquireAsync(inst, x, locktable.Exclusive)
-		req, err := readFrame(conn)
+		req, err := readFrameInto(conn, new([]byte))
 		if err != nil {
 			t.Fatalf("fake server: reading the acquire: %v", err)
 		}

@@ -384,10 +384,10 @@ func TestHandshakeRejectsStaleProtocolVersion(t *testing.T) {
 		e.boolean(false) // trace
 		e.raw(hash[:])
 		nc.SetDeadline(time.Now().Add(5 * time.Second))
-		if err := writeFrame(nc, e.b); err != nil {
+		if _, err := nc.Write(appendFrame(nil, e.b)); err != nil {
 			t.Fatal(err)
 		}
-		body, err := readFrame(nc)
+		body, err := readFrameInto(nc, new([]byte))
 		if err != nil {
 			t.Fatalf("v%d: no handshake reply: %v", version, err)
 		}
@@ -405,7 +405,7 @@ func TestHandshakeRejectsStaleProtocolVersion(t *testing.T) {
 			t.Fatalf("rejection message %q does not name both versions (%q)", msg, want)
 		}
 		// The server hung up: the next read is EOF, not a session.
-		if _, err := readFrame(nc); err == nil {
+		if _, err := readFrameInto(nc, new([]byte)); err == nil {
 			t.Fatalf("server kept a v%d connection open", version)
 		}
 	}

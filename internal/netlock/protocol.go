@@ -178,79 +178,14 @@ func stripID(connID uint32, id int) (int, bool) {
 	return id, false
 }
 
-// writeFrame sends one length-prefixed frame. Callers serialize writes per
-// connection.
-func writeFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("netlock: frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
-// appendFrame appends one length-prefixed frame to dst. The flush loops
-// keep each connection's pending output as a single flat byte buffer —
-// frames are appended under the queue mutex and the writer swaps the
-// whole buffer out and writes it in one call — so a frame on the hot
-// path costs a memcpy, not a heap-allocated []byte plus a queue slot.
+// appendFrame appends one length-prefixed frame to dst; with
+// readFrameInto it is the one frame codec. A flusher keeps its pending
+// output as a flat byte buffer it writes in one call, so a frame on the
+// hot path costs a memcpy, not a heap-allocated []byte plus a queue slot;
+// a handshake writes one appended frame directly.
 func appendFrame(dst, body []byte) []byte {
 	n := uint32(len(body))
 	return append(append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n)), body...)
-}
-
-// frameQueue is one connection direction's pending output: frames
-// appended in place, and a spare array for the writer to swap in. The
-// writer takes the pending frames only when there are some, writes them,
-// and hands the array back as the spare, so steady state recycles two
-// arrays per queue; an idle pass leaves both where they are. The owner's
-// queue mutex guards every method.
-type frameQueue struct {
-	b     []byte // pending frames, length-prefixed, encoded in place
-	n     int64  // frames in b
-	spare []byte // the array the next take swaps in
-}
-
-// push appends one frame.
-func (q *frameQueue) push(body []byte) {
-	q.b = appendFrame(q.b, body)
-	q.n++
-}
-
-// take swaps the pending frames out, with their count. An empty queue
-// returns nil and keeps both arrays.
-func (q *frameQueue) take() ([]byte, int64) {
-	if len(q.b) == 0 {
-		return nil, 0
-	}
-	b, n := q.b, q.n
-	q.b, q.n, q.spare = q.spare, 0, nil
-	return b, n
-}
-
-// recycle hands a written array back as the spare.
-func (q *frameQueue) recycle(b []byte) {
-	if b != nil && q.spare == nil {
-		q.spare = b[:0]
-	}
 }
 
 // timerPool recycles the self-fence timers of reply waits that outlast a

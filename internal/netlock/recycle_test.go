@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"distlock/internal/locktable"
+	"distlock/internal/obs"
 )
 
 // TestIdleWriterKeepsBuffers: each writer is double-buffered — the
@@ -63,15 +64,68 @@ func TestIdleWriterKeepsBuffers(t *testing.T) {
 		if err := c.Release(ents[0], locktable.InstKey{ID: 1}); err != nil {
 			t.Fatal(err)
 		}
-		record("client requests", &c.qmu, &c.sendq)
-		record("client heartbeats", &c.qmu, &c.hbq)
-		record("server replies", &sc.outMu, &sc.outq)
+		record("client requests", &c.out.mu, &c.out.q)
+		record("client heartbeats", &c.out.mu, &c.out.prio)
+		record("server replies", &sc.out.mu, &sc.out.q)
 	}
 	for name, arrays := range seen {
 		if len(arrays) != 2 {
 			t.Errorf("%s: %d arrays over %d round trips, want the same 2 throughout", name, len(arrays), rounds)
 		}
 	}
+}
+
+// TestDroppedConnWriterDiscards: closing a flusher refuses every later
+// push and drops what was queued, and dropConn closes the connection's
+// reply writer — so a late reply (a chain resolving after the teardown)
+// is discarded instead of piling up in a dead connection's queue, and
+// the writer keeps no frame, array or span.
+func TestDroppedConnWriterDiscards(t *testing.T) {
+	empty := func(name string, f *flusher) {
+		t.Helper()
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		for _, b := range [][]byte{f.prio.b, f.prio.spare, f.q.b, f.q.spare} {
+			if cap(b) > 0 {
+				t.Errorf("%s: a queue still holds a %d-byte array", name, cap(b))
+			}
+		}
+		if f.prio.n+f.q.n != 0 || len(f.spans) != 0 {
+			t.Errorf("%s: %d frames and %d spans queued", name, f.prio.n+f.q.n, len(f.spans))
+		}
+	}
+	frame := frameOf(func(e *enc) { e.u8(opResult); e.u64(7); e.u8(stOK) })
+
+	// The type alone: frames queued with no writer running die with close.
+	f := flusher{wake: make(chan struct{}, 1)}
+	ring := obs.NewSpanRing(4)
+	if !f.push(frame, true, nil) || !f.push(frame, false, ring.Start(obs.SpanAcquire, 0)) {
+		t.Fatal("an open flusher refused a frame")
+	}
+	f.close()
+	if f.push(frame, false, nil) || f.push(frame, true, nil) {
+		t.Error("a closed flusher accepted a frame")
+	}
+	empty("closed flusher", &f)
+
+	// A live server connection whose writer has flushed, and so holds its
+	// spare arrays, until dropConn.
+	ddb, ents := testDDB(t, 2)
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
+	c := dial(t, srv, locktable.Config{}, DialOptions{NoHeartbeat: true})
+	acquire(t, c, 1, ents[0])
+	var sc *srvConn
+	srv.connsMu.RLock()
+	for _, x := range srv.conns {
+		sc = x
+	}
+	srv.connsMu.RUnlock()
+	srv.dropConn(sc)
+	sc.result(99, stOK, nil, nil) // a late chain reply
+	if sc.out.push(frame, false, nil) {
+		t.Error("a dropped connection's writer accepted a frame")
+	}
+	empty("dropped connection", &sc.out)
 }
 
 // TestReplyChannelRecycling drives every path that receives, abandons or

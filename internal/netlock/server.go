@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,18 +125,10 @@ type srvConn struct {
 	id  uint32
 	net net.Conn
 
-	// Outbound frames (results) are queued and drained by one
-	// reply-writer goroutine through a buffered writer, one flush per
-	// drain cycle — grants and acks resolved while a flush is in progress
-	// coalesce into the next syscall.
-	outMu sync.Mutex
-	outq  frameQueue // pending reply frames
-	// outSpans holds server spans whose grant replies are queued in outq;
-	// the reply writer stamps StageReplyFlush just before its flush syscall
-	// and commits them to the server ring (sole owner at that point — the
-	// chain goroutine let go when it queued the reply).
-	outSpans []*obs.Span
-	outWake  chan struct{}
+	// out is the reply writer: grants and acks resolved while a flush is
+	// in progress coalesce into the next syscall. dropConn closes it, so a
+	// late chain reply is dropped, not queued on a dead connection.
+	out flusher
 
 	mu        sync.Mutex // guards the fields below; never held around table calls
 	acquires  map[uint64]*pendingAcq
@@ -384,6 +375,7 @@ func (s *Server) dropConn(c *srvConn) {
 	}
 	c.closed = true
 	c.mu.Unlock()
+	c.out.close()
 	s.revoke(c, true)
 	c.cancel()
 	c.net.Close()
@@ -392,97 +384,18 @@ func (s *Server) dropConn(c *srvConn) {
 	s.connsMu.Unlock()
 }
 
-// write queues one frame for the connection's reply writer. A sampled
-// grant reply's span (nil otherwise) joins outSpans in the same critical
-// section as its frame, so the reply writer stamps and commits exactly the
-// spans whose replies its cycle carries. Errors are dropped: a failing
-// connection is torn down by its read loop, and frames queued after the
-// writer exits die with the connection.
-func (c *srvConn) write(body []byte, sp *obs.Span) {
-	c.outMu.Lock()
-	c.outq.push(body)
-	if sp != nil {
-		c.outSpans = append(c.outSpans, sp)
-	}
-	c.outMu.Unlock()
-	select {
-	case c.outWake <- struct{}{}:
-	default:
-	}
-}
-
-// replyWriter is the connection's reply-side flush loop, mirroring the
-// client's: it drains the outbound queue through one buffered writer and
-// flushes once per cycle, so every grant and ack the table resolved
-// while the previous flush was in flight leaves in one syscall.
-func (s *Server) replyWriter(c *srvConn) {
-	bw := bufio.NewWriterSize(c.net, 64<<10)
-	var spanBatch []*obs.Span // reused across cycles; sampled replies only
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-c.outWake:
-		}
-		yields := 0
-		var cycleFrames, cycleBytes int64
-		for {
-			c.outMu.Lock()
-			q, qN := c.outq.take()
-			if len(c.outSpans) > 0 {
-				spanBatch = append(spanBatch, c.outSpans...)
-				c.outSpans = c.outSpans[:0]
-			}
-			c.outMu.Unlock()
-			cycleFrames += qN
-			cycleBytes += int64(len(q))
-			if len(q) == 0 {
-				// Micro-batch: yield a few scheduler passes before the
-				// flush — a chain mid-burst gets to finish its next grant,
-				// and the ack rides this syscall instead of its own.
-				if yields < writerYields {
-					yields++
-					runtime.Gosched()
-					continue
-				}
-				break
-			}
-			if _, err := bw.Write(q); err != nil {
-				return
-			}
-			// Recycle the drained buffer so steady-state replies append
-			// into retired capacity.
-			c.outMu.Lock()
-			c.outq.recycle(q)
-			c.outMu.Unlock()
-		}
-		if len(spanBatch) > 0 {
-			// Stamp the reply-flush stage before the syscall (program order
-			// keeps it honest within a few microseconds) and commit: this
-			// goroutine is the span's last holder.
-			for i, sp := range spanBatch {
-				sp.Stamp(obs.StageReplyFlush)
-				sp.Commit()
-				spanBatch[i] = nil
-			}
-			spanBatch = spanBatch[:0]
-		}
-		if bw.Flush() != nil {
-			return
-		}
-		if cycleFrames > 0 {
-			// One completed cycle is one write syscall, shared here across
-			// every reply it carried.
-			s.wm.Frames.Add(cycleFrames)
-			s.wm.Bytes.Add(cycleBytes)
-			s.wm.Flushes.Inc()
-			s.wm.BatchWidth.Record(cycleFrames)
-		}
-	}
+// replyFlushed is the reply writer's onFlush: it stamps the reply-flush
+// stage before the syscall (program order keeps it honest within a few
+// microseconds) and commits the span to the server ring — the writer is
+// its last holder, since the chain goroutine let go when it queued the
+// reply.
+func replyFlushed(sp *obs.Span) {
+	sp.Stamp(obs.StageReplyFlush)
+	sp.Commit()
 }
 
 // result replies to a request. The encoder comes from the shared pool —
-// write copies the body into the connection's pending buffer, so the
+// the reply writer copies the body into its pending buffer, so the
 // scratch space recycles immediately. This is the per-op hot path;
 // variable payloads (the grant log) grow the scratch normally.
 //
@@ -506,7 +419,7 @@ func (c *srvConn) result(reqID uint64, status byte, sp *obs.Span, payload func(*
 		e.u64(uint64(nonNeg(sp.Offset(obs.StageGrant))))
 		e.u64(uint64(nonNeg(sp.Offset(obs.StageReplyEnqueue))))
 	}
-	c.write(e.b, sp)
+	c.out.push(e.b, false, sp) // false: the connection is gone, and the reply with it
 	encPool.Put(e)
 }
 
@@ -556,7 +469,9 @@ func (s *Server) handleConn(nc net.Conn) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.replyWriter(c)
+		// A write error ends the writer only: the read loop notices the
+		// broken connection and tears the session down.
+		c.out.run(nc, c.ctx.Done(), s.wm, replyFlushed)
 	}()
 	defer s.dropConn(c)
 	// One reusable frame buffer: handleFrame fully decodes each request
@@ -580,7 +495,7 @@ func (s *Server) handleConn(nc net.Conn) {
 // the reply writer (started right after), the reject reply written
 // directly — no session, no writer.
 func (s *Server) handshake(nc net.Conn, br *bufio.Reader) (*srvConn, error) {
-	body, err := readFrame(br)
+	body, err := readFrameInto(br, new([]byte))
 	if err != nil {
 		return nil, err
 	}
@@ -599,7 +514,7 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader) (*srvConn, error) {
 		e.u64(reqID)
 		e.u8(stErr)
 		e.str(msg)
-		writeFrame(nc, e.b)
+		nc.Write(appendFrame(nil, e.b))
 		return nil, errors.New(msg)
 	}
 	if version != protocolVersion {
@@ -620,7 +535,7 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader) (*srvConn, error) {
 		grants:   map[grantRef]struct{}{},
 		ctx:      ctx,
 		cancel:   cancel,
-		outWake:  make(chan struct{}, 1),
+		out:      flusher{wake: make(chan struct{}, 1)},
 	}
 	c.lastRenew.Store(time.Now().UnixNano())
 	s.connsMu.Lock()

@@ -72,16 +72,14 @@ type Session struct {
 // reads: allocated by initInstance only when the engine pipelines, ships
 // releases without waiting or samples spans.
 type sessionExtra struct {
-	// In-flight state. pendAcq holds in-flight acquires by entity, pendQ
-	// their submission order (the join-oldest window, and Commit's join
-	// order) — both pipelined engines only (see
-	// EngineOptions.PipelineDepth); rels the completions
-	// of releases Unlock shipped without waiting (every wire backend),
-	// joined by Commit; pipeErr poisons the session once any joined
-	// completion failed — every later operation reports it, and Abort
-	// cleans up whatever is in flight.
-	pendAcq map[model.EntityID]locktable.Completion
-	pendQ   []model.EntityID
+	// In-flight state. pend holds the in-flight acquires in submission
+	// order, oldest first (the join-oldest window, and Commit's join
+	// order) — pipelined engines only (see EngineOptions.PipelineDepth);
+	// rels the completions of releases Unlock shipped without waiting
+	// (every wire backend), joined by Commit; pipeErr poisons the session
+	// once any joined completion failed — every later operation reports
+	// it, and Abort cleans up whatever is in flight.
+	pend    []inflight
 	rels    []locktable.Completion
 	pipeErr error
 
@@ -91,10 +89,16 @@ type sessionExtra struct {
 	// Op-trace sampling (engines with TraceSampleEvery armed). spanTick is
 	// the session's plain-int sampling counter — no atomics on the op path
 	// — seeded from the instance id so short sessions collectively still
-	// sample at the aggregate 1-in-N rate. pendSpans holds the spans of
-	// in-flight pipelined acquires by entity, committed at join.
-	spanTick  int
-	pendSpans map[model.EntityID]*obs.Span
+	// sample at the aggregate 1-in-N rate.
+	spanTick int
+}
+
+// inflight is one pipelined acquire shipped and not yet joined: its
+// completion, and its span (nil unless sampled), committed at the join.
+type inflight struct {
+	ent  model.EntityID
+	comp locktable.Completion
+	sp   *obs.Span
 }
 
 // Begin opens a certified session for one instance of the template
@@ -369,22 +373,17 @@ func (s *Session) lockPipelined(ctx context.Context, inst locktable.Instance, en
 	if s.x.pipeErr != nil {
 		return mapTableErr(s.x.pipeErr)
 	}
-	if s.x.pendAcq == nil {
-		s.x.pendAcq = map[model.EntityID]locktable.Completion{}
+	if s.x.pend == nil {
+		// One per Lock node: each entity is submitted once, and the joins
+		// pop the front, so appends never outgrow the array.
+		s.x.pend = make([]inflight, 0, s.tmpl.N()/2)
 	}
-	s.x.pendAcq[ent] = s.e.async.AcquireAsync(inst, ent, mode)
-	if inst.Span != nil {
-		if s.x.pendSpans == nil {
-			s.x.pendSpans = map[model.EntityID]*obs.Span{}
-		}
-		s.x.pendSpans[ent] = inst.Span
-	}
-	s.x.pendQ = append(s.x.pendQ, ent)
+	s.x.pend = append(s.x.pend, inflight{ent, s.e.async.AcquireAsync(inst, ent, mode), inst.Span})
 	s.held.Set(int(nid))
 	s.executed.Set(int(nid))
-	for len(s.x.pendQ) > s.e.pipeline {
-		oldest := s.x.pendQ[0]
-		s.x.pendQ = s.x.pendQ[1:]
+	for len(s.x.pend) > s.e.pipeline {
+		oldest := s.x.pend[0]
+		s.x.pend = s.x.pend[1:]
 		if err := s.joinAcquire(ctx, oldest); err != nil {
 			return mapTableErr(err)
 		}
@@ -392,21 +391,13 @@ func (s *Session) lockPipelined(ctx context.Context, inst locktable.Instance, en
 	return nil
 }
 
-// joinAcquire collects the in-flight acquire of ent, if any. On failure
-// the optimistic hold is rolled back (the completion's Wait guarantees
-// nothing is held on a non-nil return) and the session is poisoned.
-func (s *Session) joinAcquire(ctx context.Context, ent model.EntityID) error {
-	comp := s.x.pendAcq[ent]
-	if comp == nil {
-		return nil
-	}
-	delete(s.x.pendAcq, ent)
-	sp := s.x.pendSpans[ent] // nil map and absent entity both yield nil
-	if sp != nil {
-		delete(s.x.pendSpans, ent)
-	}
-	if err := comp.Wait(ctx); err != nil {
-		s.held.Clear(s.lockNode(ent))
+// joinAcquire collects one in-flight acquire, already taken out of pend.
+// On failure the optimistic hold is rolled back (the completion's Wait
+// guarantees nothing is held on a non-nil return) and the session is
+// poisoned.
+func (s *Session) joinAcquire(ctx context.Context, f inflight) error {
+	if err := f.comp.Wait(ctx); err != nil {
+		s.held.Clear(s.lockNode(f.ent))
 		if s.x.pipeErr == nil {
 			s.x.pipeErr = err
 		}
@@ -414,7 +405,7 @@ func (s *Session) joinAcquire(ctx context.Context, ent model.EntityID) error {
 	}
 	// The client's Wait stamped StageWakeup; the join is the span's last
 	// holder, so it commits here.
-	s.e.recordSpan(sp)
+	s.e.recordSpan(f.sp)
 	return nil
 }
 
@@ -537,10 +528,10 @@ func (s *Session) Commit() error {
 // does.
 func (s *Session) joinShipped() error {
 	x := s.x
-	for _, ent := range x.pendQ {
-		s.joinAcquire(context.Background(), ent)
+	for _, f := range x.pend {
+		s.joinAcquire(context.Background(), f)
 	}
-	x.pendQ = nil
+	x.pend = nil
 	if len(x.rels) > 0 {
 		// The releases Unlock did not wait for settle here: this is where
 		// their errors (a stale fence after lease expiry, a dead server)
@@ -594,7 +585,7 @@ func (s *Session) Abort() error {
 	}
 	s.done = true
 	s.flushOps()
-	if s.x != nil && len(s.x.pendAcq) > 0 {
+	if s.x != nil && len(s.x.pend) > 0 {
 		// Resolve every in-flight acquire with an already-cancelled
 		// context before the release wave: each Wait withdraws its request
 		// — or releases the grant that raced the withdrawal — so nothing
@@ -604,23 +595,20 @@ func (s *Session) Abort() error {
 		// cancel is on the wire at once: the server answers one instance's
 		// operations in submission order, so a Wait on an acquire queued
 		// behind one parked on a foreign holder returns only after the
-		// parked one's cancel has been sent — one at a time, in map order,
-		// that is a coin flip between returning at once and stalling until
-		// the client's reply timeout fences the whole connection.
+		// parked one's cancel has been sent; one at a time, each cancel
+		// would wait out the answers to every acquire ahead of it.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		var wg sync.WaitGroup
-		for _, comp := range s.x.pendAcq {
+		for _, f := range s.x.pend {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				comp.Wait(ctx)
+				f.comp.Wait(ctx)
 			}()
 		}
 		wg.Wait()
-		s.x.pendAcq = nil
-		s.x.pendQ = nil
-		s.x.pendSpans = nil // aborted ops' spans are dropped, never committed
+		s.x.pend = nil // aborted ops' spans are dropped, never committed
 	}
 	// One pipelined release wave; a mid-abort shutdown leaves the rest to
 	// die with the table.
