@@ -14,15 +14,12 @@
 // and unfenced cross-partition pipelining reaches states the
 // certification never admitted. Releases are never ordered against each
 // other: a delayed release only lengthens a hold (see the
-// partition-fencing comment at AcquireAsync). GrantLog merges the
-// per-server logs under one coherent instance namespace (this cluster's
-// own sessions keep their local IDs on every partition; foreign sessions'
-// composed IDs are additionally namespaced by partition, since connection
-// IDs are only unique per server). ReleaseAll fans out to the partitions
-// that own the entities and aggregates failures with errors.Join. A lost
-// partition degrades to ErrLeaseExpired on only its slice of the entity
-// space — the server's lease machinery has already revoked that slice's
-// grants — while every other partition keeps granting.
+// partition-fencing comment at AcquireAsync). ReleaseAll fans out to the
+// partitions that own the entities and aggregates failures with
+// errors.Join. A lost partition degrades to ErrLeaseExpired on only its
+// slice of the entity space — the server's lease machinery has already
+// revoked that slice's grants — while every other partition keeps
+// granting.
 package cluster
 
 import (
@@ -88,9 +85,9 @@ var (
 
 // New dials one client per address and returns the routing table. Every
 // server must host the same database (each handshake verifies the
-// fingerprint) with matching Trace; the address list ORDER is
-// part of the cluster identity — every client process must pass the same
-// addresses in the same order to agree on entity ownership. On any dial
+// fingerprint); the address list ORDER is part of the cluster identity —
+// every client process must pass the same addresses in the same order to
+// agree on entity ownership. On any dial
 // failure the already-connected partitions are closed and the error names
 // the failed partition.
 func New(ddb *model.DDB, cfg locktable.Config, addrs []string, opts Options) (*Table, error) {
@@ -467,47 +464,6 @@ func (t *Table) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// foreignPartitionShift places a partition tag above netlock's composed
-// connection namespace (connection ID in bits 32..63 of the composed
-// instance ID). Folding the tag into bits 48+ assumes per-server
-// connection IDs stay below 2^16 — comfortably true for any deployment
-// this experiment tier runs (IDs are sequential per server process).
-const foreignPartitionShift = 48
-
-// renameID keeps the merged grant log coherent. This cluster's own
-// instance IDs come back from every partition client already stripped to
-// local numbering, so the same session appears under the same ID
-// everywhere. A FOREIGN session's ID stays composed (connection ID in the
-// high bits), and connection IDs are only unique per server: server 0's
-// conn 7 and server 1's conn 7 are different engines. The partition tag
-// keeps foreign identities distinct across partitions, so the merged log
-// never fuses two engines into one. (A foreign engine dialing several
-// partitions holds a different connection ID on each, so its
-// cross-partition identity is inherently unmergeable from here; staying
-// distinct is the sound direction.)
-func renameID(p, id int) int {
-	if uint64(id)>>32 == 0 {
-		return id // ours, stripped to local numbering
-	}
-	return id | (p+1)<<foreignPartitionShift
-}
-
-// GrantLog implements locktable.Table (Config.Trace only; call after
-// Close, like every backend). Each entity lives on exactly one partition,
-// so concatenating the per-server logs preserves every per-entity grant
-// order — the only order the contract and the serializability checker
-// rely on. Foreign instance IDs are renamed by renameID.
-func (t *Table) GrantLog() []locktable.GrantEvent {
-	var out []locktable.GrantEvent
-	for p, c := range t.parts {
-		for _, ev := range c.GrantLog() {
-			ev.Inst = renameID(p, ev.Inst)
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // Close implements locktable.Table: every partition connection is closed

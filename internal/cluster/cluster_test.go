@@ -86,15 +86,13 @@ func TestClusterRoutingCoversPartitions(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotForeignNamespacing: a second engine (its own cluster
-// table over the same servers) reuses instance ID 1. The first engine's
-// merged grant log must keep the foreigner distinct from its own session 1
-// AND distinct across partitions — connection IDs are only unique per
-// server, so without the partition tag two engines could fuse into one.
-func TestClusterSnapshotForeignNamespacing(t *testing.T) {
-	cfg := locktable.Config{Trace: true}
-	tab, srvs, ddb := startCluster(t, 2, cfg)
-	ea, eb := entOn(t, tab, ddb, 0), entOn(t, tab, ddb, 1)
+// TestClusterEnginesReuseInstanceIDs: a second engine (its own cluster
+// table over the same servers) numbers its sessions from 1 too. Its
+// session 1 must be a distinct holder on every partition: while ours
+// holds an entity, the foreigner's exclusive acquire waits, and it is
+// granted once ours releases.
+func TestClusterEnginesReuseInstanceIDs(t *testing.T) {
+	tab, srvs, ddb := startCluster(t, 2, locktable.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -102,7 +100,7 @@ func TestClusterSnapshotForeignNamespacing(t *testing.T) {
 	for _, s := range srvs {
 		addrs = append(addrs, s.Addr())
 	}
-	foreign, err := cluster.New(ddb, cfg, addrs, cluster.Options{
+	foreign, err := cluster.New(ddb, locktable.Config{}, addrs, cluster.Options{
 		Dial: netlock.DialOptions{HeartbeatEvery: 100 * time.Millisecond},
 	})
 	if err != nil {
@@ -110,71 +108,25 @@ func TestClusterSnapshotForeignNamespacing(t *testing.T) {
 	}
 	defer foreign.Close()
 
-	// Our session 1, then the foreign engine's OWN session 1.
-	for _, tb := range []*cluster.Table{tab, foreign} {
-		in := inst(1)
-		for _, ent := range []model.EntityID{ea, eb} {
-			if err := tb.Acquire(ctx, in, ent, locktable.Exclusive); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tb.ReleaseAll([]model.EntityID{ea, eb}, in.Key); err != nil {
+	for p := 0; p < 2; p++ {
+		ent := entOn(t, tab, ddb, p)
+		if err := tab.Acquire(ctx, inst(1), ent, locktable.Exclusive); err != nil {
 			t.Fatal(err)
 		}
-	}
-	tab.Close()
-	log := tab.GrantLog()
-	var foreignIDs []int
-	for _, ent := range []model.EntityID{ea, eb} {
-		var order []int
-		for _, ev := range log {
-			if ev.Entity == ent {
-				order = append(order, ev.Inst)
-			}
+		short, stop := context.WithTimeout(ctx, 50*time.Millisecond)
+		err := foreign.Acquire(short, inst(1), ent, locktable.Exclusive)
+		stop()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("partition %d: the foreign session 1 was granted our session 1's lock (%v)", p, err)
 		}
-		if len(order) != 2 || order[0] != 1 {
-			t.Fatalf("entity %d grant order %v; want [1 foreign] (full log %v)", ent, order, log)
-		}
-		if id := order[1]; uint64(id)>>32 == 0 {
-			t.Fatalf("foreign session %d collides with the local ID namespace", id)
-		}
-		foreignIDs = append(foreignIDs, order[1])
-	}
-	if foreignIDs[0] == foreignIDs[1] {
-		t.Fatalf("foreign session appears as one merged ID %d across partitions; identities must stay distinct", foreignIDs[0])
-	}
-}
-
-// TestClusterGrantLogMerge: with tracing on, the merged grant log must
-// preserve each entity's grant order across the per-server logs.
-func TestClusterGrantLogMerge(t *testing.T) {
-	tab, _, ddb := startCluster(t, 2, locktable.Config{Trace: true})
-	ea, eb := entOn(t, tab, ddb, 0), entOn(t, tab, ddb, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	for _, id := range []int{1, 2} {
-		in := inst(id)
-		for _, ent := range []model.EntityID{ea, eb} {
-			if err := tab.Acquire(ctx, in, ent, locktable.Exclusive); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tab.ReleaseAll([]model.EntityID{ea, eb}, in.Key); err != nil {
+		if err := tab.Release(ent, inst(1).Key); err != nil {
 			t.Fatal(err)
 		}
-	}
-	tab.Close()
-	log := tab.GrantLog()
-	for _, ent := range []model.EntityID{ea, eb} {
-		var order []int
-		for _, ev := range log {
-			if ev.Entity == ent {
-				order = append(order, ev.Inst)
-			}
+		if err := foreign.Acquire(ctx, inst(1), ent, locktable.Exclusive); err != nil {
+			t.Fatalf("partition %d: foreign acquire after our release: %v", p, err)
 		}
-		if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-			t.Fatalf("entity %d grant order %v; want [1 2] (full log %v)", ent, order, log)
+		if err := foreign.Release(ent, inst(1).Key); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

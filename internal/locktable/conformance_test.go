@@ -361,48 +361,6 @@ func TestConformanceClose(t *testing.T) {
 	})
 }
 
-// TestConformanceGrantLog: with Trace on, GrantLog records per-entity
-// grant order.
-func TestConformanceGrantLog(t *testing.T) {
-	forEachTable(t, Config{Trace: true}, func(t *testing.T, tab Table, ents []model.EntityID) {
-		e := ents[0]
-		for id := 1; id <= 5; id++ {
-			in := inst(id)
-			// Odd instances lock shared, even exclusive: the log must
-			// record each grant's MODE faithfully (the remote backend ships
-			// it over the wire, so a dropped mode byte shows up here).
-			mode := Shared
-			if id%2 == 0 {
-				mode = Exclusive
-			}
-			mustAcquireMode(t, tab, in, e, mode)
-			if err := tab.Release(e, in.Key); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tab.Close()
-		var got []int
-		for _, ev := range tab.GrantLog() {
-			if ev.Entity != e {
-				t.Fatalf("grant event for wrong entity: %+v", ev)
-			}
-			wantMode := Shared
-			if ev.Inst%2 == 0 {
-				wantMode = Exclusive
-			}
-			if ev.Mode != wantMode {
-				t.Fatalf("grant event %+v records mode %v, want %v", ev, ev.Mode, wantMode)
-			}
-			got = append(got, ev.Inst)
-		}
-		for i, id := range []int{1, 2, 3, 4, 5} {
-			if i >= len(got) || got[i] != id {
-				t.Fatalf("grant log %v, want [1 2 3 4 5]", got)
-			}
-		}
-	})
-}
-
 // TestConformanceMutualExclusion is the -race workhorse: concurrent
 // acquire/release traffic over all entities, with a per-entity occupancy
 // counter asserting at most one holder at any instant.

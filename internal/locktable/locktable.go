@@ -36,10 +36,10 @@
 // handling, and the fallback tier never waits while it holds a lock.
 //
 // Observation: every backend counts its operations into an
-// obs.TableMetrics bundle (Config.Metrics, always on). Config.Trace adds
-// the exact per-entity grant log (GrantLog) that serializability checks
-// read; it needs identified holders, so it disables the sharded CAS
-// shared fast path.
+// obs.TableMetrics bundle (Config.Metrics, always on). Tests that need
+// the exact per-entity grant order wrap a table in locktabletest.Tap,
+// which records it from outside and leaves the sharded CAS shared fast
+// path on.
 package locktable
 
 import (
@@ -102,22 +102,9 @@ type Instance struct {
 	Span *obs.Span
 }
 
-// GrantEvent records that a transaction instance was granted the lock on
-// an entity in the given mode. Per-entity order in GrantLog is the grant
-// order at the owning stripe or server (concurrent shared grants appear in
-// the order the backend recorded them).
-type GrantEvent struct {
-	Entity model.EntityID
-	Inst   int
-	Mode   Mode
-}
-
 // Config parameterizes a backend. The zero value is a usable FIFO table
 // with default tuning.
 type Config struct {
-	// Trace records per-entity lock-grant order, readable via GrantLog
-	// after Close.
-	Trace bool
 	// Shards is the sharded backend's stripe count, fixed for the table's
 	// lifetime. Zero resolves from GOMAXPROCS (4x, power-of-two, clamped to
 	// [DefaultShards, 512]); a positive count pins exactly that many
@@ -134,8 +121,7 @@ type Config struct {
 	// once), but the netlock server serves outside input: it records one
 	// grant per (connection, instance, entity) and frees one lock per
 	// release, so a duplicate counted twice would strand a reader that
-	// no release can free. The server therefore sets this. Trace disables
-	// the fast path implicitly.
+	// no release can free. The server therefore sets this.
 	DisableSharedFastPath bool
 	// Metrics receives the backend's operation counters (grants by path,
 	// releases, queue-depth samples). Counting is
@@ -184,10 +170,6 @@ type Table interface {
 	// abort path. Every failed release surfaces in the returned error
 	// (errors.Join), not just the last one.
 	ReleaseAll(ents []model.EntityID, key InstKey) error
-	// GrantLog returns the recorded grant events (Config.Trace only).
-	// Per-entity subsequences are in grant order. Only safe to call after
-	// Close.
-	GrantLog() []GrantEvent
 	// Close stops the table and wakes every parked Acquire with
 	// ErrStopped. Held locks die with the table. Close is idempotent.
 	Close()

@@ -32,11 +32,9 @@ import (
 //     the conformance suite proves it.
 //
 //     Fast shared grants are ANONYMOUS — a count, not a holder set — so
-//     the fast path is only enabled when nothing needs per-holder
-//     identity: it is off under Trace (the grant log records identity)
-//     and under Config.DisableSharedFastPath (for embedders like the
-//     netlock server, whose callers may repeat a shared acquire that a
-//     count cannot tell from a new reader).
+//     the fast path is off under Config.DisableSharedFastPath (for
+//     embedders like the netlock server, whose callers may repeat a
+//     shared acquire that a count cannot tell from a new reader).
 //
 //  2. Striping. The stripe count resolves from GOMAXPROCS by default
 //     (Config.Shards > 0 pins it), and each stripe sits on its own cache
@@ -57,29 +55,18 @@ import (
 // an instance holding another lock passes the queue whenever the holders
 // admit it (Instance.Holding).
 type shardedTable struct {
-	cfg Config
-
 	// m counts grants/releases/queue samples (always on; normalized from
 	// Config.Metrics). Striped padded atomics are hot-path safe, so
-	// counting does not disable the CAS fast path the way Config.Trace
-	// does.
+	// counting does not disable the CAS fast path.
 	m *obs.TableMetrics
 
 	// fast holds the per-entity packed reader state (fastSlot), indexed by
-	// the dense EntityID. Nil when the fast path is disabled (trace,
-	// explicit opt-out, or an oversized/absent database).
+	// the dense EntityID. Nil when the fast path is disabled (explicit
+	// opt-out, or an oversized/absent database).
 	fast []fastSlot
 
 	// stripes is the fixed stripe slice; stripeIndex homes each entity.
 	stripes []stripe
-
-	// traceLog is the table-level grant log (Config.Trace only — which
-	// disables the fast path, so every grant passes through here).
-	// Per-entity order is preserved because same-entity grants serialize
-	// under the entity's stripe mutex. Lock order: stripe mutex, then
-	// traceMu.
-	traceMu  sync.Mutex
-	traceLog []GrantEvent
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -181,7 +168,6 @@ func NewSharded(ddb *model.DDB, cfg Config) Table {
 		cfg.Metrics = obs.NewTableMetrics()
 	}
 	t := &shardedTable{
-		cfg:     cfg,
 		m:       cfg.Metrics,
 		stripes: make([]stripe, resolveShards(cfg.Shards)),
 		stop:    make(chan struct{}),
@@ -189,7 +175,7 @@ func NewSharded(ddb *model.DDB, cfg Config) Table {
 	for i := range t.stripes {
 		t.stripes[i].locks = map[model.EntityID]*slock{}
 	}
-	if !cfg.Trace && !cfg.DisableSharedFastPath &&
+	if !cfg.DisableSharedFastPath &&
 		ddb != nil && ddb.NumEntities() > 0 && ddb.NumEntities() <= maxFastPathEntities {
 		t.fast = make([]fastSlot, ddb.NumEntities())
 	}
@@ -554,13 +540,6 @@ func (t *shardedTable) grantLocked(ent model.EntityID, l *slock, key InstKey, mo
 	if mode == Shared {
 		t.m.SlowShared.Inc(hint)
 	}
-	if t.cfg.Trace {
-		// Trace disables the fast path, so every grant lands here with its
-		// identity. Lock order: stripe mutex (held), then traceMu.
-		t.traceMu.Lock()
-		t.traceLog = append(t.traceLog, GrantEvent{Entity: ent, Inst: key.ID, Mode: mode})
-		t.traceMu.Unlock()
-	}
 }
 
 // ReleaseAll releases the listed entities. Stripe operations are plain
@@ -575,14 +554,6 @@ func (t *shardedTable) ReleaseAll(ents []model.EntityID, key InstKey) error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-func (t *shardedTable) GrantLog() []GrantEvent {
-	t.traceMu.Lock()
-	defer t.traceMu.Unlock()
-	out := make([]GrantEvent, len(t.traceLog))
-	copy(out, t.traceLog)
-	return out
 }
 
 func (t *shardedTable) Close() {

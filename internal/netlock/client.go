@@ -29,9 +29,9 @@ type DialOptions struct {
 	// transport connect is retried — `connection refused` from a server
 	// that has not bound its listener yet is the transient this exists
 	// for (a cluster client racing an N-server startup). A server that
-	// answers and then rejects the handshake (version, fingerprint or
-	// trace mismatch) is a configuration error and fails
-	// immediately, retries remaining or not.
+	// answers and then rejects the handshake (version or fingerprint
+	// mismatch) is a configuration error and fails immediately, retries
+	// remaining or not.
 	DialRetries int
 	// RetryBackoff is the delay before the first retry; it doubles per
 	// attempt, capped at one second. Default 25ms when DialRetries > 0.
@@ -60,7 +60,6 @@ type result struct {
 // one, and a release may be submitted before its own acquire's ack.
 type Client struct {
 	ddb   *model.DDB
-	cfg   locktable.Config
 	conn  net.Conn
 	lease time.Duration
 
@@ -102,10 +101,6 @@ type Client struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	logMu     sync.Mutex
-	cachedLog []locktable.GrantEvent
-	logCached bool
 }
 
 var (
@@ -114,11 +109,9 @@ var (
 )
 
 // Dial connects to a netlock server and completes the handshake. The
-// database must be the same one the server hosts (checked by fingerprint),
-// and cfg's Trace must match the server's table — the grant log is kept
-// server-side, so a mismatched client is rejected instead of running with
-// semantics it did not ask for. Shards is server-side tuning and ignored
-// here.
+// database must be the same one the server hosts (checked by fingerprint).
+// Of cfg only Metrics is read, the client-side counter bundle; the rest is
+// server-side tuning.
 func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (*Client, error) {
 	if ddb == nil {
 		return nil, fmt.Errorf("netlock: nil database")
@@ -147,7 +140,6 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 	}
 	c := &Client{
 		ddb:     ddb,
-		cfg:     cfg,
 		conn:    nc,
 		pending: map[uint64]chan result{},
 		grants:  map[grantRef]*acquireCompletion{},
@@ -165,7 +157,6 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 	e.u8(opHello)
 	e.u64(c.nextReq.Add(1))
 	e.u32(protocolVersion)
-	e.boolean(cfg.Trace)
 	e.raw(hash[:])
 	nc.SetDeadline(time.Now().Add(dialTimeout))
 	if _, err := nc.Write(appendFrame(nil, e.b)); err != nil {
@@ -919,51 +910,12 @@ func (c *Client) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error 
 	return nil
 }
 
-// GrantLog implements locktable.Table (Config.Trace only). The log is the
-// server's, with this session's instance IDs translated back; it is
-// fetched once at Close so the contract's "call after Close" works even
-// though the transport is gone by then.
-func (c *Client) GrantLog() []locktable.GrantEvent {
-	c.logMu.Lock()
-	defer c.logMu.Unlock()
-	if !c.logCached && !c.isClosed() {
-		c.cachedLog = c.fetchGrantLog()
-		c.logCached = true
-	}
-	return c.cachedLog
-}
-
-func (c *Client) fetchGrantLog() []locktable.GrantEvent {
-	res, err := c.call(func(reqID uint64, e *enc) {
-		e.u8(opGrantLog)
-		e.u64(reqID)
-	})
-	if err != nil || res.status != stOK {
-		return nil
-	}
-	d := dec{b: res.payload}
-	evs := d.events()
-	if d.err != nil {
-		return nil
-	}
-	return evs
-}
-
 // Close implements locktable.Table: parked Acquires wake with ErrStopped
 // and the connection closes, which is the server's cue to release
 // everything the session still holds. Idempotent.
 func (c *Client) Close() {
-	if c.cfg.Trace {
-		c.GrantLog() // cache it while the transport still works
-	}
 	c.shutdown()
 	c.wg.Wait()
-}
-
-func (c *Client) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
 }
 
 // Lease returns the server-granted lease window (diagnostics and tests).

@@ -24,15 +24,16 @@ func frameOf(build func(*enc)) []byte {
 	return e.b
 }
 
-// fuzzSeeds is one v7 frame per request opcode, plus the shapes the
+// fuzzSeeds is one v8 frame per request opcode, plus the shapes the
 // decoder must reject or treat specially: a sampled acquire, a holding
 // reader's acquire, releases (acked and fire-and-forget), a truncated
 // acquire, a release-all whose count overstates its entries, opcodes a
 // client never sends, v3 frames (a release with a fencing token, the
 // retired withdraw and wound requests), v5 frames (an acquire carrying an
-// epoch and a priority, a hello carrying the wound-wait byte) and v6
-// frames (an acquire without the holding byte, a sampled one whose marker
-// sits where the holding byte now is, a v6 hello) a v7 server must not
+// epoch and a priority, a hello carrying the wound-wait byte), v6 frames
+// (an acquire without the holding byte, a sampled one whose marker sits
+// where the holding byte now is, a v6 hello) and v7 frames (the retired
+// grant-log request, a hello carrying the trace byte) a v8 server must not
 // mistake for valid ones.
 func fuzzSeeds(ents []model.EntityID) [][]byte {
 	key := locktable.InstKey{ID: 1}
@@ -116,7 +117,14 @@ func fuzzSeeds(ents []model.EntityID) [][]byte {
 			e.boolean(false)
 			e.raw(make([]byte, 32))
 		}),
-		frameOf(func(e *enc) { e.u8(opGrantLog); e.u64(8) }),
+		frameOf(func(e *enc) { e.u8(0x09); e.u64(8) }), // v7 grant log, retired
+		frameOf(func(e *enc) { // v7 hello: the trace byte ahead of the hash
+			e.u8(opHello)
+			e.u64(9)
+			e.u32(7)
+			e.boolean(false)
+			e.raw(make([]byte, 32))
+		}),
 		truncated[:len(truncated)-3],
 		frameOf(func(e *enc) { e.u8(opHello); e.u64(9); e.u32(protocolVersion) }),
 		frameOf(func(e *enc) { e.u8(opResult); e.u64(10); e.u8(stOK) }),
@@ -140,7 +148,6 @@ func pipeSession(t *testing.T, srv *Server) net.Conn {
 		e.u8(opHello)
 		e.u64(1)
 		e.u32(protocolVersion)
-		e.boolean(false) // trace
 		e.raw(hash[:])
 	})
 	if _, err := cli.Write(appendFrame(nil, hello)); err != nil {
@@ -222,6 +229,36 @@ func FuzzHandleFrame(f *testing.F) {
 			t.Fatalf("frame %x on one connection broke another: %v", body, err)
 		}
 	})
+}
+
+// TestRetiredOpcodesEndConnection: a request with a retired opcode —
+// withdraw and wound (0x06, 0x07, gone in v4), snapshot (0x08, gone in
+// v5), grant log (0x09, gone in v8) — is an unknown opcode: the server
+// drops that connection instead of answering the heartbeat behind it.
+func TestRetiredOpcodesEndConnection(t *testing.T) {
+	ddb, _ := testDDB(t, 1)
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
+	heartbeat := frameOf(func(e *enc) { e.u8(opHeartbeat); e.u64(fuzzHeartbeatID) })
+	for _, op := range []byte{0x06, 0x07, 0x08, 0x09} {
+		conn := pipeSession(t, srv)
+		_, err := conn.Write(appendFrame(nil, frameOf(func(e *enc) { e.u8(op); e.u64(5) })))
+		if err == nil {
+			_, err = conn.Write(appendFrame(nil, heartbeat))
+		}
+		for err == nil {
+			var reply []byte
+			if reply, err = readFrameInto(conn, new([]byte)); err == nil {
+				if d := (dec{b: reply}); d.u8() == opResult && d.u64() == fuzzHeartbeatID {
+					t.Fatalf("opcode %#x: the server kept serving the connection", op)
+				}
+			}
+		}
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("opcode %#x: the server neither dropped the connection nor answered", op)
+		}
+		conn.Close()
+	}
 }
 
 // fuzzAcquireID is the request ID of the one acquire a fresh client sends

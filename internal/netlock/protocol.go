@@ -13,7 +13,8 @@
 //     instance ID occupies the low 32 bits of the server-side key, the
 //     connection ID the high bits), so engines in different processes can
 //     both number their instances from 1 without colliding in the shared
-//     table.
+//     table. The hosted table, and any wrapper ServerOptions.New puts
+//     around it, sees only composed keys.
 //
 //   - Leases. A holder in another process can crash, hang, or partition
 //     away while holding locks. Every connection holds a lease, renewed by
@@ -87,7 +88,11 @@ import (
 //	    (locktable.Instance.Holding), and the hosted table lets a holding
 //	    instance's shared request pass a queued writer. A v6 peer would
 //	    read the byte as the sampled marker, so the handshake rejects it.
-const protocolVersion = 7
+//	8 — no grant log: the hello loses its trace byte and the grant-log
+//	    request (0x09) is gone, its value not reused; tests record grants
+//	    at the hosted table instead (locktabletest.Tap). A v7 peer would
+//	    mis-frame the hello, so the handshake rejects it.
+const protocolVersion = 8
 
 // maxFrame bounds a frame body; larger frames indicate a corrupt stream.
 const maxFrame = 16 << 20
@@ -95,12 +100,11 @@ const maxFrame = 16 << 20
 // Message opcodes. Client→server requests carry a request ID the matching
 // opResult echoes; the server initiates nothing but a reqID-0 result.
 const (
-	opHello      = 0x01 // version, trace, ddb hash
+	opHello      = 0x01 // version, ddb hash
 	opAcquire    = 0x02 // reqID, inst key, entity, mode, holding
 	opCancel     = 0x03 // reqID of the in-flight acquire to withdraw
 	opRelease    = 0x04 // reqID, entity, inst key
 	opReleaseAll = 0x05 // reqID, inst key, n × entity
-	opGrantLog   = 0x09 // reqID
 	opHeartbeat  = 0x0a // reqID (renews the lease)
 
 	opResult = 0x80 // reqID, status, payload per request kind (reqID 0: a fire-and-forget release's failure, inst key)
@@ -165,17 +169,6 @@ func DDBHash(d *model.DDB) [32]byte {
 // integers; the handshake documents the bound).
 func composeKey(connID uint32, k locktable.InstKey) locktable.InstKey {
 	return locktable.InstKey{ID: int(int64(connID)<<32 | int64(uint32(k.ID)))}
-}
-
-// stripID translates a composed server-side instance ID back to the
-// client-side ID if it belongs to the given connection; foreign IDs (other
-// connections' sessions) are returned composed, which keeps them distinct
-// from every local ID.
-func stripID(connID uint32, id int) (int, bool) {
-	if uint32(uint64(id)>>32) == connID {
-		return int(uint32(id)), true
-	}
-	return id, false
 }
 
 // appendFrame appends one length-prefixed frame to dst; with
@@ -346,30 +339,3 @@ func (d *dec) mode() locktable.Mode {
 func (e *enc) key(k locktable.InstKey) { e.i64(int64(k.ID)) }
 
 func (d *dec) key() locktable.InstKey { return locktable.InstKey{ID: int(d.i64())} }
-
-// events encodes a grant-log result.
-func (e *enc) events(evs []locktable.GrantEvent) {
-	e.u32(uint32(len(evs)))
-	for _, ev := range evs {
-		e.i64(int64(ev.Entity))
-		e.i64(int64(ev.Inst))
-		e.mode(ev.Mode)
-	}
-}
-
-func (d *dec) events() []locktable.GrantEvent {
-	n := int(d.u32())
-	if d.err != nil || n > maxFrame/17 {
-		d.fail()
-		return nil
-	}
-	out := make([]locktable.GrantEvent, 0, n)
-	for i := 0; i < n; i++ {
-		var ev locktable.GrantEvent
-		ev.Entity = model.EntityID(d.i64())
-		ev.Inst = int(d.i64())
-		ev.Mode = d.mode()
-		out = append(out, ev)
-	}
-	return out
-}

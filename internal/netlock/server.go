@@ -28,8 +28,11 @@ type ServerOptions struct {
 	// DefaultLease.
 	Lease time.Duration
 	// New constructs the hosted in-process table (nil: locktable.NewSharded).
-	// The server records the grant log itself, so the constructor receives
-	// cfg with Trace off.
+	// It receives cfg with the server's metrics bundle and the shared fast
+	// path disabled. The server sees the table only through locktable.Table
+	// and TryAcquirer, so a wrapper may observe it: the benchmark times it,
+	// and tests record its grants with locktabletest.Tap, where the low 32
+	// bits of a composed instance key are the client's instance ID.
 	New func(*model.DDB, locktable.Config) locktable.Table
 }
 
@@ -40,7 +43,6 @@ type ServerOptions struct {
 // Create with NewServer, serve with Serve, stop with Close.
 type Server struct {
 	ddb    *model.DDB
-	cfg    locktable.Config // handshake contract: Trace must match dialers
 	tab    locktable.Table
 	tryTab locktable.TryAcquirer // s.tab's non-blocking capability, nil if absent
 	lease  time.Duration
@@ -55,9 +57,6 @@ type Server struct {
 	connsMu  sync.RWMutex // guards conns/preConns only; never held around table calls
 	conns    map[uint32]*srvConn
 	preConns map[net.Conn]struct{} // accepted, not yet past the handshake
-
-	traceMu sync.Mutex
-	trace   []locktable.GrantEvent // composed IDs; translated per querying conn
 
 	// Observability. tm is the hosted table's bundle (the inner table
 	// counts into it); wm aggregates the reply side of every connection;
@@ -145,8 +144,6 @@ type srvConn struct {
 }
 
 // NewServer builds a server hosting a fresh table over the database.
-// cfg.Trace selects server-side grant logging (the handshake requires
-// dialers to agree).
 func NewServer(ddb *model.DDB, cfg locktable.Config, opts ServerOptions) (*Server, error) {
 	if ddb == nil {
 		return nil, fmt.Errorf("netlock: nil database")
@@ -160,7 +157,6 @@ func NewServer(ddb *model.DDB, cfg locktable.Config, opts ServerOptions) (*Serve
 	}
 	s := &Server{
 		ddb:      ddb,
-		cfg:      cfg,
 		lease:    opts.Lease,
 		hash:     DDBHash(ddb),
 		stop:     make(chan struct{}),
@@ -175,7 +171,6 @@ func NewServer(ddb *model.DDB, cfg locktable.Config, opts ServerOptions) (*Serve
 	}
 	inner := cfg
 	inner.Metrics = s.tm // the hosted table counts into the server's bundle
-	inner.Trace = false  // the server records grants itself, with session identity
 	// The sharded backend's anonymous shared fast path is wrong here: a
 	// wire client is outside input, and recordGrant keeps one grant record
 	// per (connection, instance, entity), so a repeated shared acquire is a
@@ -396,8 +391,7 @@ func replyFlushed(sp *obs.Span) {
 
 // result replies to a request. The encoder comes from the shared pool —
 // the reply writer copies the body into its pending buffer, so the
-// scratch space recycles immediately. This is the per-op hot path;
-// variable payloads (the grant log) grow the scratch normally.
+// scratch space recycles immediately. This is the per-op hot path.
 //
 // An unsampled grant reply has no payload. A sampled one (sp non-nil)
 // carries a 24-byte trailer — chain-start, grant, and reply-enqueue
@@ -503,7 +497,6 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader) (*srvConn, error) {
 	op := d.u8()
 	reqID := d.u64()
 	version := d.u32()
-	trace := d.boolean()
 	hash := d.raw(32)
 	if d.err != nil || op != opHello {
 		return nil, fmt.Errorf("netlock: malformed hello")
@@ -522,9 +515,6 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader) (*srvConn, error) {
 	}
 	if [32]byte(hash) != s.hash {
 		return reject("netlock: database fingerprint mismatch (client built over a different DDB)")
-	}
-	if trace != s.cfg.Trace {
-		return reject(fmt.Sprintf("netlock: trace mismatch (client %v, server %v)", trace, s.cfg.Trace))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &srvConn{
@@ -654,20 +644,6 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 		c.result(reqID, stOK, nil, func(e *enc) { e.u32(stale) })
 		return nil
 
-	case opGrantLog:
-		if d.err != nil {
-			return d.err
-		}
-		s.traceMu.Lock()
-		evs := make([]locktable.GrantEvent, len(s.trace))
-		copy(evs, s.trace)
-		s.traceMu.Unlock()
-		for i := range evs {
-			evs[i].Inst, _ = stripID(c.id, evs[i].Inst)
-		}
-		c.result(reqID, stOK, nil, func(e *enc) { e.events(evs) })
-		return nil
-
 	default:
 		return fmt.Errorf("netlock: unknown opcode %#x", op)
 	}
@@ -700,26 +676,16 @@ func (s *Server) releaseComposed(c *srvConn, ent model.EntityID, composed lockta
 	return stStaleFence
 }
 
-// recordGrant records a granted acquire under c.mu: it clears a
-// lease-expiry tombstone left for the same ref and logs the grant. A
-// duplicate acquire by the current holder records and logs nothing — the
-// inner table granted nothing new. Logging inside the critical section
-// that records the grant keeps per-entity trace order equal to grant
-// order: every release path happens-after the append (a release runs
-// behind its acquire in wire order, and revocation reads c.grants under
-// this mutex).
-func (s *Server) recordGrant(c *srvConn, ref grantRef, mode locktable.Mode) {
+// recordGrant records a granted acquire under c.mu and clears a
+// lease-expiry tombstone left for the same ref. A duplicate acquire by the
+// current holder records nothing — the inner table granted nothing new.
+func (s *Server) recordGrant(c *srvConn, ref grantRef) {
 	if _, dup := c.grants[ref]; dup {
 		return
 	}
 	c.grants[ref] = struct{}{}
 	if len(c.tombs) > 0 {
 		delete(c.tombs, ref)
-	}
-	if s.cfg.Trace {
-		s.traceMu.Lock()
-		s.trace = append(s.trace, locktable.GrantEvent{Entity: ref.ent, Inst: ref.key.ID, Mode: mode})
-		s.traceMu.Unlock()
 	}
 }
 
@@ -735,8 +701,9 @@ func (s *Server) execRelease(c *srvConn, reqID uint64, composed locktable.InstKe
 	if reqID != 0 {
 		c.result(reqID, st, nil, nil)
 	} else if st != stOK {
-		local, _ := stripID(c.id, composed.ID)
-		c.result(0, st, nil, func(e *enc) { e.key(locktable.InstKey{ID: local}) })
+		// The low 32 bits of a composed key are the client's instance ID.
+		local := locktable.InstKey{ID: int(uint32(composed.ID))}
+		c.result(0, st, nil, func(e *enc) { e.key(local) })
 	}
 }
 
@@ -812,7 +779,7 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 					}
 					return
 				}
-				s.recordGrant(c, grantRef{ent: ent, key: composed}, mode)
+				s.recordGrant(c, grantRef{ent: ent, key: composed})
 				c.mu.Unlock()
 				c.result(reqID, stOK, sp, nil)
 				return
@@ -932,7 +899,7 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	cancelled, revoked, dead := acq.cancelled, acq.revoked, c.closed
 	recorded := err == nil && !cancelled && !revoked && !dead
 	if recorded {
-		s.recordGrant(c, grantRef{ent: ent, key: composed}, it.mode)
+		s.recordGrant(c, grantRef{ent: ent, key: composed})
 	}
 	c.mu.Unlock()
 	if err == nil && !recorded {

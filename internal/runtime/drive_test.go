@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"distlock/internal/locktable"
 	"distlock/internal/model"
 )
 
@@ -36,8 +35,7 @@ type mixResult struct {
 	Counters
 	stalled   bool
 	elapsed   time.Duration
-	GrantLog  map[model.EntityID][]locktable.GrantEvent // Table.Trace only
-	Committed map[int]bool                              // committed instance ids
+	Committed map[int]bool // committed instance ids
 }
 
 // run drives the mix on e, closes e, and reports.
@@ -84,12 +82,8 @@ func (m mixRun) run(t *testing.T, e *Engine) mixResult {
 	}
 	wg.Wait()
 	e.Close()
-	res := mixResult{Counters: e.Counters(), stalled: stalled.Load(), elapsed: time.Since(start),
-		GrantLog: map[model.EntityID][]locktable.GrantEvent{}, Committed: committed}
-	for _, ev := range e.table.GrantLog() {
-		res.GrantLog[ev.Entity] = append(res.GrantLog[ev.Entity], ev)
-	}
-	return res
+	return mixResult{Counters: e.Counters(), stalled: stalled.Load(), elapsed: time.Since(start),
+		Committed: committed}
 }
 
 // attempt runs one session to commit, executing a random minimal

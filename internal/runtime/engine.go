@@ -67,19 +67,17 @@ type EngineOptions struct {
 	Backend Backend
 	// RemoteAddr is the netlock server address BackendRemote dials. The
 	// server must host the same database (the handshake verifies a
-	// fingerprint) with a matching trace configuration.
+	// fingerprint).
 	RemoteAddr string
 	// RemoteAddrs are the dlserver addresses BackendCluster dials — one
 	// partition per address, each entity owned by exactly one server. The
 	// list order is part of the cluster identity: every client process
 	// must pass the same addresses in the same order to agree on entity
-	// ownership. Every server must host the same database with a matching
-	// trace configuration.
+	// ownership. Every server must host the same database.
 	RemoteAddrs []string
 	// Table is the lock-table configuration, handed to the backend by
-	// value: the stripe count (Shards), the exact grant log (Trace — only
-	// safe to read after Close) and the counter bundle (Metrics — nil
-	// allocates a private one). See locktable.Config for each knob.
+	// value: the stripe count (Shards) and the counter bundle (Metrics —
+	// nil allocates a private one). See locktable.Config for each knob.
 	Table locktable.Config
 	// PipelineDepth enables certified-chain pipelining over a wire
 	// backend: sessions keep up to this many

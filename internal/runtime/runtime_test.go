@@ -7,7 +7,9 @@ import (
 
 	"distlock/internal/graph"
 	"distlock/internal/locktable"
+	"distlock/internal/locktable/locktabletest"
 	"distlock/internal/model"
+	"distlock/internal/netlock"
 	"distlock/internal/workload"
 )
 
@@ -145,15 +147,29 @@ func randomTemplates() []*model.Transaction {
 	}).Txns
 }
 
+// rwTemplates are ordered two-phase classes (workload.PolicyOrdered)
+// whose every lock is shared with probability one half: a certified
+// read/write mix in which every entity is locked in both modes, so readers
+// conflict with writers and, in process, some shared grants take the
+// sharded table's CAS fast path.
+func rwTemplates() []*model.Transaction {
+	return workload.MustGenerate(workload.Config{
+		Sites: 2, EntitiesPerSite: 2, NumTxns: 4, EntitiesPerTxn: 3,
+		Policy: workload.PolicyOrdered, ReadFraction: 0.5, Seed: 4,
+	}).Txns
+}
+
 // TestSerializableCommitOrder checks the end-to-end correctness property:
 // the conflict graph over committed instances (built from each entity's
-// lock-grant order) is acyclic — every run is serializable. Certified rows
-// run ordered two-phase templates; the two-phase rows run the fallback
-// tier, whose sessions are serializable whatever their template's order —
-// the random row's templates are not two-phase at all. The grant log is
-// the table's own (Table.Trace): in process, or fetched from the
-// dlservers of the remote and cluster backends, with and without
-// certified pipelining.
+// lock-grant order) is acyclic — every run is serializable — and no grant
+// ever met a conflicting holder. Certified rows run ordered two-phase
+// templates; the two-phase rows run the fallback tier, whose sessions are
+// serializable whatever their template's order — the random row's
+// templates are not two-phase at all. The grants are recorded by a
+// locktabletest.Tap: over the in-process table, or over the table each
+// dlserver of the remote and cluster backends hosts, with and without
+// certified pipelining. The rw rows mix shared and exclusive locks; in
+// process the tap leaves the CAS shared fast path on.
 func TestSerializableCommitOrder(t *testing.T) {
 	type row struct {
 		name     string
@@ -164,9 +180,11 @@ func TestSerializableCommitOrder(t *testing.T) {
 	}
 	rows := []row{
 		{"sharded/none", orderedTemplates, false, 0, 0},
+		{"sharded/rw", rwTemplates, false, 0, 0},
 		{"sharded/twophase", orderedTemplates, true, 0, 0},
 		{"sharded/twophase-deadlock-mix", deadlockTemplates, true, 0, 0},
 		{"sharded/twophase-random", randomTemplates, true, 0, 0},
+		{"remote/rw", rwTemplates, false, 1, 0},
 	}
 	for _, w := range []struct {
 		name    string
@@ -179,42 +197,99 @@ func TestSerializableCommitOrder(t *testing.T) {
 	for _, rw := range rows {
 		t.Run(rw.name, func(t *testing.T) {
 			tmpls := rw.tmpls()
-			d := tmpls[0].DDB()
-			opts := EngineOptions{}
-			if rw.servers > 0 {
-				opts = listenServers(t, d, rw.servers, locktable.Config{Trace: true})
+			const clients, perClient = 6, 15
+			e, taps := tappedEngine(t, tmpls[0].DDB(), rw.servers, EngineOptions{PipelineDepth: rw.depth})
+			r := mixRun{templates: tmpls, twoPhase: rw.twoPhase, clients: clients, perClient: perClient,
+				hold: 100 * time.Microsecond, seed: 11}.run(t, e)
+			if r.stalled || r.Commits != clients*perClient || r.Aborts != 0 {
+				t.Fatalf("committed %d of %d, aborted %d (stalled %v)", r.Commits, clients*perClient, r.Aborts, r.stalled)
 			}
-			opts.Table, opts.PipelineDepth = locktable.Config{Trace: true}, rw.depth
-			r := mixRun{templates: tmpls, twoPhase: rw.twoPhase, clients: 6, perClient: 15,
-				hold: 100 * time.Microsecond, seed: 11}.run(t, newEngine(t, d, opts))
-			if r.stalled || r.Commits != 90 || r.Aborts != 0 {
-				t.Fatalf("committed %d of 90, aborted %d (stalled %v)", r.Commits, r.Aborts, r.stalled)
+			if n := violations(taps); n != 0 {
+				t.Fatalf("%d grants met a conflicting holder", n)
 			}
-			if !checkSerializable(t, r) {
+			log := grantLog(taps)
+			if !checkSerializable(t, r, log) {
 				t.Fatal("commit order not serializable")
 			}
-			if n := grants(r); !rw.twoPhase && n != 2*90 {
-				t.Fatalf("grant log holds %d events for 90 two-lock commits", n)
+			want := 0
+			for c := 0; c < clients; c++ {
+				want += perClient * len(tmpls[c%len(tmpls)].Entities())
+			}
+			if n := grants(log); !rw.twoPhase && n != want {
+				t.Fatalf("grant log holds %d events for %d certified commits; want %d", n, r.Commits, want)
+			}
+			if fast := e.TableMetrics().Snapshot().FastPathHits; rw.servers == 0 && strings.HasSuffix(rw.name, "/rw") && fast == 0 {
+				t.Fatal("no shared grant took the CAS fast path under the tap")
 			}
 		})
 	}
 }
 
-// grants counts the grant events of a run's log.
-func grants(r mixResult) int {
+// tappedEngine builds an engine whose grants locktabletest.Taps record.
+// With servers == 0 the tap wraps the engine's in-process table, swapped
+// in behind the engine's back (no production seam); otherwise it wraps
+// the table each of that many loopback dlservers hosts, which the engine
+// dials as its remote (one) or cluster (several) backend.
+func tappedEngine(t *testing.T, d *model.DDB, servers int, opts EngineOptions) (*Engine, []*locktabletest.Tap) {
+	t.Helper()
+	if servers == 0 {
+		e := newEngine(t, d, opts)
+		tap := locktabletest.New(e.table)
+		e.table, e.try = tap, tap
+		return e, []*locktabletest.Tap{tap}
+	}
+	var taps []*locktabletest.Tap
+	wire := listenServers(t, d, servers, netlock.ServerOptions{
+		New: func(d *model.DDB, cfg locktable.Config) locktable.Table {
+			tap := locktabletest.New(locktable.NewSharded(d, cfg))
+			taps = append(taps, tap)
+			return tap
+		},
+	})
+	opts.Backend, opts.RemoteAddr, opts.RemoteAddrs = wire.Backend, wire.RemoteAddr, wire.RemoteAddrs
+	return newEngine(t, d, opts), taps
+}
+
+// grantLog merges the taps' records per entity (each entity lives behind
+// exactly one tap, so per-entity order survives). A server's tap records
+// composed keys; their low 32 bits are the engine's instance ID.
+func grantLog(taps []*locktabletest.Tap) map[model.EntityID][]locktabletest.Grant {
+	log := map[model.EntityID][]locktabletest.Grant{}
+	for _, tap := range taps {
+		for _, g := range tap.Grants() {
+			g.Inst = int(uint32(g.Inst))
+			log[g.Entity] = append(log[g.Entity], g)
+		}
+	}
+	return log
+}
+
+// violations sums the taps' mutual-exclusion violations.
+func violations(taps []*locktabletest.Tap) int {
 	n := 0
-	for _, log := range r.GrantLog {
-		n += len(log)
+	for _, tap := range taps {
+		n += tap.Violations()
+	}
+	return n
+}
+
+// grants counts the events of a grant log.
+func grants(log map[model.EntityID][]locktabletest.Grant) int {
+	n := 0
+	for _, l := range log {
+		n += len(l)
 	}
 	return n
 }
 
 // checkSerializable builds the committed-instances conflict graph from the
-// grant log and reports acyclicity. Only each instance's last grant of an
-// entity counts: a two-phase session may take an entity, give it back on
-// a miss elsewhere and take it again, and a grant released before the
-// session's lock point is not an access.
-func checkSerializable(t *testing.T, m mixResult) bool {
+// grant log and reports acyclicity. An arc joins two grants of an entity
+// only if they conflict (one is exclusive): two readers' relative order is
+// not an access order. Only each instance's last grant of an entity
+// counts: a two-phase session may take an entity, give it back on a miss
+// elsewhere and take it again, and a grant released before the session's
+// lock point is not an access.
+func checkSerializable(t *testing.T, m mixResult, grantLog map[model.EntityID][]locktabletest.Grant) bool {
 	t.Helper()
 	ids := map[int]int{}
 	var n int
@@ -228,19 +303,31 @@ func checkSerializable(t *testing.T, m mixResult) bool {
 	}
 	type arc struct{ from, to int }
 	var arcs []arc
-	for _, log := range m.GrantLog {
+	for _, log := range grantLog {
 		last := map[int]int{} // instance id -> index of its last grant
-		for i, ev := range log {
-			last[ev.Inst] = i
+		for i, g := range log {
+			last[g.Inst] = i
 		}
-		var committed []int
-		for i, ev := range log {
-			if m.Committed[ev.Inst] && last[ev.Inst] == i {
-				committed = append(committed, ev.Inst)
+		// writer is the entity's latest committed exclusive access, readers
+		// the shared ones since: a reader follows the writer, a writer
+		// follows both.
+		writer, readers := -1, []int(nil)
+		for i, g := range log {
+			if !m.Committed[g.Inst] || last[g.Inst] != i {
+				continue
 			}
-		}
-		for i := 0; i+1 < len(committed); i++ {
-			arcs = append(arcs, arc{idx(committed[i]), idx(committed[i+1])})
+			v := idx(g.Inst)
+			if writer >= 0 {
+				arcs = append(arcs, arc{writer, v})
+			}
+			if g.Mode == locktable.Exclusive {
+				for _, r := range readers {
+					arcs = append(arcs, arc{r, v})
+				}
+				writer, readers = v, readers[:0]
+			} else {
+				readers = append(readers, v)
+			}
 		}
 	}
 	g := graph.NewDigraph(n)

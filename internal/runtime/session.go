@@ -64,12 +64,12 @@ type Session struct {
 
 	// x holds the state only wire, pipelined or traced engines touch. It
 	// is nil on a plain in-process engine, which keeps the hot session
-	// small (see initInstance).
+	// small (see BeginAt).
 	x *sessionExtra
 }
 
 // sessionExtra is the part of a Session the plain in-process path never
-// reads: allocated by initInstance only when the engine pipelines, ships
+// reads: allocated by BeginAt only when the engine pipelines, ships
 // releases without waiting or samples spans.
 type sessionExtra struct {
 	// In-flight state. pend holds the in-flight acquires in submission

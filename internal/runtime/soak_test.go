@@ -26,8 +26,9 @@ import (
 //     so no waits-for cycle can form),
 //   - every instance commits and none aborts (nothing picks a victim),
 //   - the table holds nothing at the end,
-//   - the commit order is serializable (the grant log's conflict graph
-//     over committed instances is acyclic).
+//   - no grant met a conflicting holder, and the commit order is
+//     serializable (the conflict graph a locktabletest.Tap records over
+//     committed instances is acyclic).
 //
 // In -short mode the soak shrinks to a smoke; CI runs it under -race.
 func TestWoundStormSoak(t *testing.T) {
@@ -68,7 +69,7 @@ func TestWoundStormSoak(t *testing.T) {
 		t.Run(bc.name, func(t *testing.T) {
 			if bc.servers > 0 {
 				sys := generate(workload.PolicyTwoPhase)
-				e := newEngine(t, sys.DDB, listenServers(t, sys.DDB, bc.servers, locktable.Config{}))
+				e := newEngine(t, sys.DDB, listenServers(t, sys.DDB, bc.servers, netlock.ServerOptions{}))
 				if err := e.BeginAt(new(Session), sys.Txns[0], true); err == nil {
 					t.Fatalf("two-phase Begin on the %v backend accepted; it has no TryAcquire", e.Backend())
 				}
@@ -77,7 +78,7 @@ func TestWoundStormSoak(t *testing.T) {
 			for _, mix := range mixes {
 				t.Run(mix.name, func(t *testing.T) {
 					sys := generate(mix.policy)
-					e := newEngine(t, sys.DDB, EngineOptions{Table: locktable.Config{Trace: true, Shards: bc.shards}})
+					e, taps := tappedEngine(t, sys.DDB, 0, EngineOptions{Table: locktable.Config{Shards: bc.shards}})
 					m := mixRun{templates: sys.Txns, twoPhase: true, clients: clients, perClient: txnsPerClient,
 						hold: hold, stall: 10 * time.Second, seed: 4}.run(t, e)
 					if m.stalled {
@@ -89,7 +90,10 @@ func TestWoundStormSoak(t *testing.T) {
 					if held := e.TableMetrics().Snapshot().Held; held != 0 {
 						t.Fatalf("table holds %d locks after the soak", held)
 					}
-					if !checkSerializable(t, m) {
+					if n := violations(taps); n != 0 {
+						t.Fatalf("%d grants met a conflicting holder", n)
+					}
+					if !checkSerializable(t, m, grantLog(taps)) {
 						t.Fatal("commit order not serializable")
 					}
 					t.Logf("%s/%s: %d commits in %v", bc.name, mix.name, m.Commits, m.elapsed)
@@ -99,14 +103,14 @@ func TestWoundStormSoak(t *testing.T) {
 	}
 }
 
-// listenServers starts n loopback netlock servers hosting cfg and returns
+// listenServers starts n loopback netlock servers with opts and returns
 // engine options that dial them: BackendRemote for one, BackendCluster for
 // several.
-func listenServers(t *testing.T, d *model.DDB, n int, cfg locktable.Config) EngineOptions {
+func listenServers(t *testing.T, d *model.DDB, n int, opts netlock.ServerOptions) EngineOptions {
 	t.Helper()
 	var addrs []string
 	for i := 0; i < n; i++ {
-		srv, err := netlock.NewServer(d, cfg, netlock.ServerOptions{})
+		srv, err := netlock.NewServer(d, locktable.Config{}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
