@@ -111,8 +111,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceN != 0 {
 		opts = append(opts, distlock.WithTraceSampling(*traceN))
 	}
+	table := *backend // the certified tier's lock table, as serve prints it
 	switch *backend {
 	case "default":
+		table = "sharded"
 	case "remote":
 		// The certified tier's locks live in a dlserver: its generator
 		// flags must match ours, which the connection handshake verifies.
@@ -206,7 +208,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		snap.N(), scratch)
 
 	if *run {
-		if code := serve(ctx, svc, stdout, stderr, *clients, *txns, time.Duration(*holdUsec)*time.Microsecond, *serveFor); code != 0 {
+		if code := serve(ctx, svc, table, stdout, stderr, *clients, *txns, time.Duration(*holdUsec)*time.Microsecond, *serveFor); code != 0 {
 			return code
 		}
 	}
@@ -284,11 +286,12 @@ func printSlowest(stdout io.Writer, svc *distlock.LockService) {
 // without waiting while they hold. The timeout is the stall watchdog:
 // clients still blocked when it expires mean the certification was
 // falsified — the cancellation propagates into every
-// blocked Lock and serve returns a non-zero exit code.
-func serve(ctx context.Context, svc *distlock.LockService, stdout, stderr io.Writer, clients, txns int, hold, timeout time.Duration) int {
+// blocked Lock and serve returns a non-zero exit code. table names the
+// certified tier's lock table in the banner.
+func serve(ctx context.Context, svc *distlock.LockService, table string, stdout, stderr io.Writer, clients, txns int, hold, timeout time.Duration) int {
 	classes := svc.Classes()
 	fmt.Fprintf(stdout, "\nserving: %d classes x %d clients x %d txns (hold %v per lock; certified tier on the %s lock table)\n",
-		len(classes), clients, txns, hold, svc.CertifiedBackend())
+		len(classes), clients, txns, hold, table)
 	sctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	start := time.Now()

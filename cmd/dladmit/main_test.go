@@ -7,11 +7,11 @@ import (
 )
 
 // TestRun pins the command's flag surface and its self-checks: the churn
-// scenario served on the default (in-process) table must finish with no
-// abort on either tier — a certified mix needs no deadlock handling, and a
-// two-phase fallback session never waits while it holds — and no "BUG:"
-// line from the conservation / from-scratch re-certification checks; a
-// backend value the command does not accept, or a cluster with
+// scenario served on the default (in-process) table, which the serving
+// banner names "sharded", must finish with no abort on either tier — a
+// certified mix needs no deadlock handling, and a two-phase fallback
+// session never waits while it holds — and no "BUG:" line from the
+// conservation / from-scratch re-certification checks; a backend value the command does not accept, or a cluster with
 // no addresses, is a usage error (exit 2) that names what it wants, and so
 // are the deleted -workers and -shards flags.
 func TestRun(t *testing.T) {
@@ -21,8 +21,9 @@ func TestRun(t *testing.T) {
 		code       int
 		wantStdout string // substring of both tier lines
 		wantStderr string
+		wantTable  string // substring of the serving banner
 	}{
-		{name: "serve", args: []string{"-events", "48", "-seed", "7", "-run"}, wantStdout: "aborts=0"},
+		{name: "serve", args: []string{"-events", "48", "-seed", "7", "-run"}, wantStdout: "aborts=0", wantTable: "on the sharded lock table"},
 		{name: "backend actor", args: []string{"-backend", "actor"}, code: 2, wantStderr: "default|remote|cluster"},
 		{name: "backend sharded", args: []string{"-backend", "sharded"}, code: 2, wantStderr: "default|remote|cluster"},
 		{name: "cluster without addrs", args: []string{"-backend", "cluster"}, code: 2, wantStderr: "-addrs"},
@@ -39,6 +40,9 @@ func TestRun(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), tc.wantStderr) {
 				t.Errorf("stderr %q does not mention %q", stderr.String(), tc.wantStderr)
+			}
+			if !strings.Contains(stdout.String(), tc.wantTable) {
+				t.Errorf("stdout does not mention %q:\n%s", tc.wantTable, stdout.String())
 			}
 			if tc.wantStdout == "" {
 				return

@@ -87,7 +87,8 @@ var (
 // server must host the same database (each handshake verifies the
 // fingerprint); the address list ORDER is part of the cluster identity —
 // every client process must pass the same addresses in the same order to
-// agree on entity ownership. On any dial
+// agree on entity ownership. Of cfg only Metrics is read, the merged
+// client-side counter bundle every partition counts into. On any dial
 // failure the already-connected partitions are closed and the error names
 // the failed partition.
 func New(ddb *model.DDB, cfg locktable.Config, addrs []string, opts Options) (*Table, error) {

@@ -35,16 +35,16 @@ type Completion interface {
 //
 // Releases are different: an in-flight release can only lengthen a hold,
 // never grant early or close a waits-for cycle, so the runtime ships every
-// wire-backend release without waiting, certified or not — synchronous
-// sessions through the backend's receipt-carrying ReleaseAsyncAcked,
-// pipelined ones through ReleaseAsync — and joins the completions at
-// commit. A release is ordered behind the instance's earlier acquires,
-// never behind its other releases: it may be submitted while the
-// instance's own AcquireAsync of the entity is still in flight, and the
-// implementation must apply it after that acquire resolved (netlock
-// resolves such a release server-side, in the instance's wire order, to
-// whatever grant the acquire recorded), so the pipelined caller joins its
-// acquires at commit rather than before each release.
+// release on an AsyncTable without waiting, certified or not — synchronous
+// sessions through ReleaseAsyncAcked, pipelined ones through ReleaseAsync —
+// and joins the completions at commit. A release is ordered behind the
+// instance's earlier acquires, never behind its other releases: it may be
+// submitted while the instance's own AcquireAsync of the entity is still
+// in flight, and the implementation must apply it after that acquire
+// resolved (netlock resolves such a release server-side, in the
+// instance's wire order, to whatever grant the acquire recorded), so the
+// pipelined caller joins its acquires at commit rather than before each
+// release.
 //
 // In-process tables do not implement this — their Acquire is already
 // sub-microsecond, and a completion object would cost more than the call.
@@ -58,6 +58,11 @@ type AsyncTable interface {
 	// typically at commit. It may be fire-and-forget: netlock's reports
 	// only a failure the server pushed back before the join.
 	ReleaseAsync(ent model.EntityID, key InstKey) Completion
+	// ReleaseAsyncAcked is ReleaseAsync with an execution receipt: its
+	// completion resolves only once the release was executed, and reports
+	// exactly that release's outcome. A synchronous session, whose Commit
+	// must see its own releases' errors, ships its releases through it.
+	ReleaseAsyncAcked(ent model.EntityID, key InstKey) Completion
 }
 
 // TryAcquirer is the optional non-blocking capability a Table may

@@ -126,11 +126,12 @@ type Config struct {
 	// Metrics receives the backend's operation counters (grants by path,
 	// releases, queue-depth samples). Counting is
 	// always on — a nil Metrics is normalized to a private bundle — and
-	// allocation-free; supplying a shared bundle lets an embedder (the
-	// engine, the cluster router) aggregate several backends into one
-	// view. Remote backends count CLIENT-side: the bundle covers exactly
-	// the traffic this table object generated, and the server keeps its
-	// own authoritative bundle across all its clients.
+	// allocation-free; supplying a bundle lets the caller that built the
+	// table read it (the facade's TierStats) or aggregate several backends
+	// into one view (the cluster router). Remote backends count
+	// CLIENT-side: the bundle covers exactly the traffic this table object
+	// generated, and the server keeps its own authoritative bundle across
+	// all its clients.
 	Metrics *obs.TableMetrics
 }
 

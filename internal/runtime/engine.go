@@ -5,80 +5,36 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"distlock/internal/cluster"
 	"distlock/internal/locktable"
 	"distlock/internal/model"
-	"distlock/internal/netlock"
 	"distlock/internal/obs"
 )
 
-// Backend selects the engine's lock-table implementation (see
-// internal/locktable).
+// Backend is ignored: an engine runs on the table EngineOptions.Table
+// hands it. The type and its two constants stay only because the
+// benchmark sets them by name; the next change to the benchmark drops
+// that write.
 type Backend int
 
 const (
-	// BackendDefault is BackendSharded.
 	BackendDefault Backend = iota
-	// BackendSharded: hash-striped mutexes with per-entity shared/
-	// exclusive lock states and FIFO wait queues; uncontended grants take
-	// zero channel hops. The one in-process table.
 	BackendSharded
-	// BackendRemote: the cross-process backend — a netlock client speaking
-	// the wire protocol to a dlserver-hosted table (internal/netlock).
-	// Requires EngineOptions.RemoteAddr; never chosen by BackendDefault.
-	BackendRemote
-	// BackendCluster: the partitioned lock space — each entity hash-routed
-	// to one of N dlservers (internal/cluster), so independent servers
-	// jointly serve one lock space with no cross-server coordination on
-	// the certified tier. Requires EngineOptions.RemoteAddrs; never chosen
-	// by BackendDefault.
-	BackendCluster
 )
-
-// String names the backend.
-func (b Backend) String() string {
-	switch b {
-	case BackendDefault:
-		return "default"
-	case BackendSharded:
-		return "sharded"
-	case BackendRemote:
-		return "remote"
-	case BackendCluster:
-		return "cluster"
-	default:
-		return fmt.Sprintf("backend(%d)", int(b))
-	}
-}
-
-// resolve maps BackendDefault to the in-process table.
-func (b Backend) resolve() Backend {
-	if b == BackendDefault {
-		return BackendSharded
-	}
-	return b
-}
 
 // EngineOptions parameterizes a long-lived Engine (see NewEngine). The
 // zero value is a usable in-process engine with default tuning.
 type EngineOptions struct {
-	// Backend selects the lock-table implementation. BackendDefault is
-	// the in-process sharded table.
+	// Backend is ignored (see Backend).
 	Backend Backend
-	// RemoteAddr is the netlock server address BackendRemote dials. The
-	// server must host the same database (the handshake verifies a
-	// fingerprint).
-	RemoteAddr string
-	// RemoteAddrs are the dlserver addresses BackendCluster dials — one
-	// partition per address, each entity owned by exactly one server. The
-	// list order is part of the cluster identity: every client process
-	// must pass the same addresses in the same order to agree on entity
-	// ownership. Every server must host the same database.
-	RemoteAddrs []string
-	// Table is the lock-table configuration, handed to the backend by
-	// value: the stripe count (Shards) and the counter bundle (Metrics —
-	// nil allocates a private one). See locktable.Config for each knob.
-	Table locktable.Config
+	// Table is the lock table the engine runs on, built by the caller:
+	// locktable.NewSharded in process, a netlock client or a cluster
+	// router over the wire. Nil means a fresh sharded table with the
+	// default configuration. The engine owns the table, even when
+	// NewEngine fails: Close closes it. Its capabilities are found by
+	// type assertion: two-phase sessions need locktable.TryAcquirer, and
+	// on a locktable.AsyncTable releases ship without waiting and Locks
+	// can pipeline (PipelineDepth).
+	Table locktable.Table
 	// PipelineDepth enables certified-chain pipelining over a wire
 	// backend: sessions keep up to this many
 	// unacknowledged acquires in flight (shipping the next lock request
@@ -87,11 +43,11 @@ type EngineOptions struct {
 	// their errors at Commit. Zero (the default) keeps every Lock
 	// synchronous; Unlock on a wire backend returns at submission either
 	// way, its receipt joined by Commit (see Session.Unlock). The knob
-	// only takes effect when the backend implements locktable.AsyncTable
-	// (remote, cluster): static certification is the proof that the
-	// pipelined chain cannot deadlock, and two-phase sessions, whose mix
-	// carries no such proof, run only on a table with TryAcquire, which
-	// has no async form. A pipelined session trades mid-chain error
+	// only takes effect when the table implements locktable.AsyncTable
+	// (a netlock client, a cluster router): static certification is the
+	// proof that the pipelined chain cannot deadlock, and two-phase
+	// sessions, whose mix carries no such proof, run only on a table with
+	// TryAcquire, which has no async form. A pipelined session trades mid-chain error
 	// locality for throughput: a failed acquire (lease expiry) surfaces at
 	// a later Lock that joins it, or at Commit at the latest, rather than
 	// at the Lock that shipped it, and a context cancellation inside a
@@ -114,17 +70,16 @@ type EngineOptions struct {
 // sparse enough that the clock reads vanish in the op cost.
 const DefaultTraceSample = 64
 
-// Engine is a long-lived lock-service core over a pluggable lock table
-// (internal/locktable — hash-striped mutexes in process, or a wire
+// Engine is a long-lived lock-service core over the lock table it is
+// handed (EngineOptions.Table: hash-striped mutexes in process, or a wire
 // client). Transactions are driven through it as Sessions (Begin / Lock /
 // Unlock / Commit / Abort). Create with NewEngine, shut down with Close.
 type Engine struct {
-	backend Backend
-	ddb     *model.DDB
-	table   locktable.Table
+	ddb   *model.DDB
+	table locktable.Table
 
 	// try is the table's non-blocking capability, which two-phase
-	// sessions need; nil on the wire backends.
+	// sessions need; nil on a wire table.
 	try locktable.TryAcquirer
 
 	// async/pipeline: certified-chain pipelining (EngineOptions.
@@ -133,12 +88,12 @@ type Engine struct {
 	async    locktable.AsyncTable
 	pipeline int
 
-	// releaseAsync is how Unlock ships a release on a wire backend
-	// without waiting for the server: the AsyncTable's fire-and-forget
-	// ReleaseAsync on a pipelined engine, the backend's ReleaseAsyncAcked
-	// (a release with an execution receipt) otherwise — remote and cluster
-	// alike. Nil on the in-process table, whose Release is synchronous.
-	// Picked once in NewEngine.
+	// releaseAsync is how Unlock ships a release on an AsyncTable without
+	// waiting for the server: the fire-and-forget ReleaseAsync on a
+	// pipelined engine, ReleaseAsyncAcked (a release with an execution
+	// receipt) otherwise. Nil on a table without the async capability (the
+	// in-process one), whose Release is synchronous. Picked once in
+	// NewEngine.
 	releaseAsync func(model.EntityID, locktable.InstKey) locktable.Completion
 
 	stop     chan struct{}
@@ -152,63 +107,35 @@ type Engine struct {
 	discards atomic.Int64
 	nextID   atomic.Int64
 
-	// Observability (see internal/obs). metrics is the backend's counter
-	// bundle; pipelinedOps/syncOps split lock operations by path —
-	// certified-chain pipelined submission vs the synchronous fallback
-	// every other configuration takes.
-	metrics      *obs.TableMetrics
+	// pipelinedOps/syncOps split lock operations by path — certified-chain
+	// pipelined submission vs the synchronous fallback every other
+	// configuration takes. The table counts its own operations into the
+	// obs.TableMetrics bundle it was built with.
 	pipelinedOps obs.StripedCounter
 	syncOps      obs.StripedCounter
 
 	// Op tracing (EngineOptions.TraceSampleEvery): spans holds the sampled
 	// waterfalls, stageHist their per-stage gap distributions, spanEvery
 	// the sampling period. A sampled acquire's span rides
-	// locktable.Instance; the sharded backend ignores it, so the session
-	// stamps that backend's single "grant" stage itself.
+	// locktable.Instance; an in-process table ignores it, so the session
+	// stamps that table's single "grant" stage itself.
 	spans     *obs.SpanRing
 	stageHist *obs.StageHistograms
 	spanEvery int
 }
 
-// NewEngine builds an engine over the database and starts its lock table.
-// The engine serves sessions until Close.
+// NewEngine builds an engine over the database and the table opts hands
+// it. The engine serves sessions until Close.
 func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 	if ddb == nil {
+		if opts.Table != nil {
+			opts.Table.Close()
+		}
 		return nil, fmt.Errorf("runtime: nil database")
 	}
-	cfg := opts.Table
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewTableMetrics()
-	}
-	e := &Engine{
-		backend: opts.Backend.resolve(),
-		ddb:     ddb,
-		stop:    make(chan struct{}),
-		metrics: cfg.Metrics,
-	}
-	switch e.backend {
-	case BackendSharded:
-		e.table = locktable.NewSharded(ddb, cfg)
-	case BackendRemote:
-		if opts.RemoteAddr == "" {
-			return nil, fmt.Errorf("runtime: remote backend needs a server address")
-		}
-		tab, err := dialRemote(opts.RemoteAddr, ddb, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: remote lock table: %w", err)
-		}
-		e.table = tab
-		e.releaseAsync = tab.ReleaseAsyncAcked
-	case BackendCluster:
-		// cluster.New rejects an empty address list itself.
-		tab, err := cluster.New(ddb, cfg, opts.RemoteAddrs, cluster.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("runtime: cluster lock table: %w", err)
-		}
-		e.table = tab
-		e.releaseAsync = tab.ReleaseAsyncAcked
-	default:
-		return nil, fmt.Errorf("runtime: unknown lock-table backend %v", opts.Backend)
+	e := &Engine{ddb: ddb, table: opts.Table, stop: make(chan struct{})}
+	if e.table == nil {
+		e.table = locktable.NewSharded(ddb, locktable.Config{})
 	}
 	e.try, _ = e.table.(locktable.TryAcquirer)
 	if opts.TraceSampleEvery != 0 {
@@ -219,14 +146,15 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 		e.spans = obs.NewSpanRing(1024)
 		e.stageHist = new(obs.StageHistograms)
 	}
-	if opts.PipelineDepth > 0 {
+	if at, ok := e.table.(locktable.AsyncTable); ok {
+		e.releaseAsync = at.ReleaseAsyncAcked
 		// Pipelining is gated on the paper's thesis: only a statically
 		// certified mix has the deadlock-freedom proof that makes shipping
 		// lock request N+1 before ack N sound, and only certified sessions
-		// run on a wire backend. Backends without the async capability
-		// (all in-process ones) silently stay synchronous — their acquires
-		// are already sub-microsecond.
-		if at, ok := e.table.(locktable.AsyncTable); ok {
+		// run on a wire table. Tables without the async capability (the
+		// in-process one) silently stay synchronous — their acquires are
+		// already sub-microsecond.
+		if opts.PipelineDepth > 0 {
 			e.async = at
 			e.pipeline = opts.PipelineDepth
 			e.releaseAsync = at.ReleaseAsync
@@ -235,18 +163,8 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 	return e, nil
 }
 
-// dialRemote dials BackendRemote's client. A variable only so tests can
-// hand the engine a client dialed with other DialOptions (a stalled
-// heartbeat); the engine itself always dials with the zero value.
-var dialRemote = func(addr string, ddb *model.DDB, cfg locktable.Config) (*netlock.Client, error) {
-	return netlock.Dial(addr, ddb, cfg, netlock.DialOptions{})
-}
-
 // DDB returns the database the engine serves.
 func (e *Engine) DDB() *model.DDB { return e.ddb }
-
-// Backend returns the engine's resolved lock-table backend.
-func (e *Engine) Backend() Backend { return e.backend }
 
 // Counters is a snapshot of the engine's cumulative counters.
 type Counters struct {
@@ -282,11 +200,6 @@ func (e *Engine) Counters() Counters {
 		SyncOps:      e.syncOps.Load(),
 	}
 }
-
-// TableMetrics returns the engine's lock-table counter bundle
-// (EngineOptions.Table.Metrics, or the private one). Safe to read concurrently
-// with traffic and after Close.
-func (e *Engine) TableMetrics() *obs.TableMetrics { return e.metrics }
 
 // Spans returns the engine's sampled-span ring (nil unless
 // EngineOptions.TraceSampleEvery armed tracing). Safe to read concurrently

@@ -22,8 +22,8 @@ import (
 // path's conservation (in-flight acquires resolved, nothing orphaned).
 
 // pipelineFixture: loopback servers plus a certified engine dialing them
-// with pipelining armed — one server behind BackendRemote, several behind
-// BackendCluster.
+// with pipelining armed — one server behind a netlock client, several
+// behind a cluster router.
 func pipelineFixture(t *testing.T, depth, servers int) (*Engine, *model.DDB, []*netlock.Server) {
 	t.Helper()
 	d := model.NewDDB()
@@ -47,19 +47,10 @@ func pipelineFixture(t *testing.T, depth, servers int) (*Engine, *model.DDB, []*
 		srvs = append(srvs, srv)
 		addrs = append(addrs, srv.Addr())
 	}
-	opts := EngineOptions{
-		Backend:       BackendRemote,
-		RemoteAddr:    addrs[0],
+	e := newEngine(t, d, EngineOptions{
+		Table:         dialTable(t, d, addrs, netlock.DialOptions{}),
 		PipelineDepth: depth,
-	}
-	if servers > 1 {
-		opts.Backend, opts.RemoteAddrs = BackendCluster, addrs
-	}
-	e, err := NewEngine(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
+	})
 	return e, d, srvs
 }
 
@@ -325,8 +316,8 @@ func (g *gatedTable) Release(ent model.EntityID, key locktable.InstKey) error {
 func (g *gatedTable) open() { g.once.Do(func() { close(g.gate) }) }
 
 // gatedFixture: a synchronous certified engine on loopback servers, the
-// first hosting a gatedTable — one server behind BackendRemote, several
-// behind BackendCluster.
+// first hosting a gatedTable — one server behind a netlock client,
+// several behind a cluster router.
 func gatedFixture(t *testing.T, servers int) (*Engine, *model.DDB, []*netlock.Server, *gatedTable) {
 	t.Helper()
 	d := model.NewDDB()
@@ -356,15 +347,7 @@ func gatedFixture(t *testing.T, servers int) (*Engine, *model.DDB, []*netlock.Se
 		addrs = append(addrs, srv.Addr())
 	}
 	t.Cleanup(gt.open) // before srv.Close: the parked read loop must exit
-	opts := EngineOptions{Backend: BackendRemote, RemoteAddr: addrs[0]}
-	if servers > 1 {
-		opts.Backend, opts.RemoteAddrs = BackendCluster, addrs
-	}
-	e, err := NewEngine(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
+	e := newEngine(t, d, EngineOptions{Table: dialTable(t, d, addrs, netlock.DialOptions{})})
 	return e, d, srvs, gt
 }
 
@@ -541,18 +524,8 @@ func TestStaleFenceFailsOnlyItsOwnCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	// Test-only seam: the engine's client never heartbeats, so its lease
-	// lapses on cue.
-	orig := dialRemote
-	dialRemote = func(addr string, ddb *model.DDB, cfg locktable.Config) (*netlock.Client, error) {
-		return netlock.Dial(addr, ddb, cfg, netlock.DialOptions{NoHeartbeat: true})
-	}
-	e, err := NewEngine(d, EngineOptions{Backend: BackendRemote, RemoteAddr: srv.Addr()})
-	dialRemote = orig
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
+	// The engine's client never heartbeats, so its lease lapses on cue.
+	e := newEngine(t, d, EngineOptions{Table: dialTable(t, d, []string{srv.Addr()}, netlock.DialOptions{NoHeartbeat: true})})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 

@@ -10,6 +10,7 @@ import (
 	"distlock/internal/locktable/locktabletest"
 	"distlock/internal/model"
 	"distlock/internal/netlock"
+	"distlock/internal/obs"
 	"distlock/internal/workload"
 )
 
@@ -51,6 +52,14 @@ func deadlockTemplates() []*model.Transaction {
 	}
 }
 
+// meteredSharded builds a sharded table over d with the given stripe
+// count (0 = default) and returns it with the counter bundle it counts
+// into.
+func meteredSharded(d *model.DDB, shards int) (locktable.Table, *obs.TableMetrics) {
+	m := obs.NewTableMetrics()
+	return locktable.NewSharded(d, locktable.Config{Shards: shards, Metrics: m}), m
+}
+
 // newEngine builds an engine over d for a test; mixRun.run closes it.
 func newEngine(t *testing.T, d *model.DDB, opts EngineOptions) *Engine {
 	t.Helper()
@@ -63,9 +72,9 @@ func newEngine(t *testing.T, d *model.DDB, opts EngineOptions) *Engine {
 }
 
 func TestCertifiedMixNoHandling(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, table newTable) {
 		tmpls := orderedTemplates()
-		e := newEngine(t, tmpls[0].DDB(), EngineOptions{Backend: b})
+		e := newEngine(t, tmpls[0].DDB(), EngineOptions{Table: table(tmpls[0].DDB())})
 		r := mixRun{templates: tmpls, clients: 6, perClient: 20, seed: 1}.run(t, e)
 		if r.stalled {
 			t.Fatal("certified mix stalled")
@@ -83,9 +92,9 @@ func TestCertifiedMixNoHandling(t *testing.T) {
 // certified sessions deadlocks on every backend — the fast path must
 // stall identically, not paper over the missing certification.
 func TestDeadlockMixStallsWithoutHandling(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, table newTable) {
 		tmpls := deadlockTemplates()
-		e := newEngine(t, tmpls[0].DDB(), EngineOptions{Backend: b})
+		e := newEngine(t, tmpls[0].DDB(), EngineOptions{Table: table(tmpls[0].DDB())})
 		r := mixRun{templates: tmpls, clients: 8, perClient: 30,
 			hold: 300 * time.Microsecond, stall: 150 * time.Millisecond, seed: 2}.run(t, e)
 		if !r.stalled {
@@ -102,7 +111,8 @@ func TestDeadlockMixStallsWithoutHandling(t *testing.T) {
 // abort — the fallback tier that replaced wound-wait.
 func TestWoundWaitCompletesDeadlockMix(t *testing.T) {
 	tmpls := deadlockTemplates()
-	e := newEngine(t, tmpls[0].DDB(), EngineOptions{})
+	tab, metrics := meteredSharded(tmpls[0].DDB(), 0)
+	e := newEngine(t, tmpls[0].DDB(), EngineOptions{Table: tab})
 	r := mixRun{templates: tmpls, twoPhase: true, clients: 8, perClient: 20, hold: 200 * time.Microsecond, seed: 4}.run(t, e)
 	if r.stalled {
 		t.Fatalf("stalled: %+v", r.Counters)
@@ -110,7 +120,7 @@ func TestWoundWaitCompletesDeadlockMix(t *testing.T) {
 	if r.Commits != 160 || r.Aborts != 0 {
 		t.Fatalf("committed = %d, aborts = %d, want 160 and 0", r.Commits, r.Aborts)
 	}
-	if held := e.TableMetrics().Snapshot().Held; held != 0 {
+	if held := metrics.Snapshot().Held; held != 0 {
 		t.Fatalf("table holds %d locks after the run", held)
 	}
 }
@@ -198,7 +208,12 @@ func TestSerializableCommitOrder(t *testing.T) {
 		t.Run(rw.name, func(t *testing.T) {
 			tmpls := rw.tmpls()
 			const clients, perClient = 6, 15
-			e, taps := tappedEngine(t, tmpls[0].DDB(), rw.servers, EngineOptions{PipelineDepth: rw.depth})
+			opts := EngineOptions{PipelineDepth: rw.depth}
+			var metrics *obs.TableMetrics
+			if rw.servers == 0 {
+				opts.Table, metrics = meteredSharded(tmpls[0].DDB(), 0)
+			}
+			e, taps := tappedEngine(t, tmpls[0].DDB(), rw.servers, opts)
 			r := mixRun{templates: tmpls, twoPhase: rw.twoPhase, clients: clients, perClient: perClient,
 				hold: 100 * time.Microsecond, seed: 11}.run(t, e)
 			if r.stalled || r.Commits != clients*perClient || r.Aborts != 0 {
@@ -218,7 +233,7 @@ func TestSerializableCommitOrder(t *testing.T) {
 			if n := grants(log); !rw.twoPhase && n != want {
 				t.Fatalf("grant log holds %d events for %d certified commits; want %d", n, r.Commits, want)
 			}
-			if fast := e.TableMetrics().Snapshot().FastPathHits; rw.servers == 0 && strings.HasSuffix(rw.name, "/rw") && fast == 0 {
+			if rw.servers == 0 && strings.HasSuffix(rw.name, "/rw") && metrics.Snapshot().FastPathHits == 0 {
 				t.Fatal("no shared grant took the CAS fast path under the tap")
 			}
 		})
@@ -226,27 +241,25 @@ func TestSerializableCommitOrder(t *testing.T) {
 }
 
 // tappedEngine builds an engine whose grants locktabletest.Taps record.
-// With servers == 0 the tap wraps the engine's in-process table, swapped
-// in behind the engine's back (no production seam); otherwise it wraps
-// the table each of that many loopback dlservers hosts, which the engine
-// dials as its remote (one) or cluster (several) backend.
+// With servers == 0 the tap wraps opts.Table, an in-process table;
+// otherwise it wraps the table each of that many loopback dlservers
+// hosts, and the engine runs on a table dialled to them.
 func tappedEngine(t *testing.T, d *model.DDB, servers int, opts EngineOptions) (*Engine, []*locktabletest.Tap) {
 	t.Helper()
 	if servers == 0 {
-		e := newEngine(t, d, opts)
-		tap := locktabletest.New(e.table)
-		e.table, e.try = tap, tap
-		return e, []*locktabletest.Tap{tap}
+		tap := locktabletest.New(opts.Table)
+		opts.Table = tap
+		return newEngine(t, d, opts), []*locktabletest.Tap{tap}
 	}
 	var taps []*locktabletest.Tap
-	wire := listenServers(t, d, servers, netlock.ServerOptions{
+	addrs := listenServers(t, d, servers, netlock.ServerOptions{
 		New: func(d *model.DDB, cfg locktable.Config) locktable.Table {
 			tap := locktabletest.New(locktable.NewSharded(d, cfg))
 			taps = append(taps, tap)
 			return tap
 		},
 	})
-	opts.Backend, opts.RemoteAddr, opts.RemoteAddrs = wire.Backend, wire.RemoteAddr, wire.RemoteAddrs
+	opts.Table = dialTable(t, d, addrs, netlock.DialOptions{})
 	return newEngine(t, d, opts), taps
 }
 

@@ -125,7 +125,7 @@ func (e *Engine) Begin(tmpl *model.Transaction) (*Session, error) {
 // point, so the session is two-phase whatever its template's order, hence
 // serializable, and no waits-for cycle runs through it. A two-phase
 // session needs a table with TryAcquire (the in-process sharded table);
-// on any other backend BeginAt returns an error.
+// on any other table BeginAt returns an error.
 func (e *Engine) BeginAt(s *Session, tmpl *model.Transaction, twoPhase bool) error {
 	if tmpl == nil {
 		return fmt.Errorf("runtime: nil template")
@@ -134,7 +134,7 @@ func (e *Engine) BeginAt(s *Session, tmpl *model.Transaction, twoPhase bool) err
 		return fmt.Errorf("runtime: template %s built over a different database", tmpl.Name())
 	}
 	if twoPhase && e.try == nil {
-		return fmt.Errorf("runtime: %s: a two-phase session needs a table with TryAcquire, and the %v backend has none", tmpl.Name(), e.backend)
+		return fmt.Errorf("runtime: %s: a two-phase session needs a table with TryAcquire, and this engine's table has none", tmpl.Name())
 	}
 	select {
 	case <-e.stop:
@@ -289,10 +289,10 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 		return mapTableErr(err)
 	}
 	if sp != nil {
-		if s.e.backend == BackendSharded {
-			// In-process backend: the whole acquire is one grant stage,
-			// stamped here so the table — in particular the sharded CAS
-			// shared fast path — never sees a span.
+		if s.e.releaseAsync == nil {
+			// In-process table (no AsyncTable): the whole acquire is one
+			// grant stage, stamped here so the table — in particular the
+			// sharded CAS shared fast path — never sees a span.
 			sp.Stamp(obs.StageGrant)
 			sp.Stamp(obs.StageWakeup)
 		}

@@ -9,29 +9,41 @@ import (
 	"testing"
 	"time"
 
+	"distlock/internal/locktable"
 	"distlock/internal/model"
 )
 
-// backends are the lock-table implementations every session-semantics test
-// runs against: the contract ("bit-for-bit" blocking semantics) is part of
-// the Table interface, so the suite is table-driven over it.
-var backends = []Backend{BackendSharded}
+// newTable builds a lock table over a database for a test engine.
+type newTable func(*model.DDB) locktable.Table
 
-// forEachBackend runs the test once per lock-table backend.
-func forEachBackend(t *testing.T, f func(t *testing.T, b Backend)) {
+// newShardedTable is the in-process table with the default configuration.
+func newShardedTable(d *model.DDB) locktable.Table {
+	return locktable.NewSharded(d, locktable.Config{})
+}
+
+// backends are the lock tables every session-semantics test runs
+// against, by name: the contract ("bit-for-bit" blocking semantics) is
+// part of the Table interface, so the suite is table-driven over it.
+var backends = []struct {
+	name  string
+	table newTable
+}{{"sharded", newShardedTable}}
+
+// forEachBackend runs the test once per lock table.
+func forEachBackend(t *testing.T, f func(t *testing.T, table newTable)) {
 	t.Helper()
 	for _, b := range backends {
-		t.Run(b.String(), func(t *testing.T) { f(t, b) })
+		t.Run(b.name, func(t *testing.T) { f(t, b.table) })
 	}
 }
 
 // sessionFixture builds a two-entity database and an engine over it.
-func sessionFixture(t *testing.T, b Backend) (*Engine, *model.DDB) {
+func sessionFixture(t *testing.T, table newTable) (*Engine, *model.DDB) {
 	t.Helper()
 	d := model.NewDDB()
 	d.MustEntity("x", "s1")
 	d.MustEntity("y", "s2")
-	e, err := NewEngine(d, EngineOptions{Backend: b})
+	e, err := NewEngine(d, EngineOptions{Table: table(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +61,8 @@ func ent(t *testing.T, d *model.DDB, name string) model.EntityID {
 }
 
 func TestSessionDrivesTemplate(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		e, d := sessionFixture(t, b)
+	forEachBackend(t, func(t *testing.T, table newTable) {
+		e, d := sessionFixture(t, table)
 		tmpl := buildChain(d, "A", "Lx Ly Ux Uy")
 		x, y := ent(t, d, "x"), ent(t, d, "y")
 
@@ -82,8 +94,8 @@ func TestSessionDrivesTemplate(t *testing.T) {
 }
 
 func TestSessionEnforcesPartialOrder(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		e, d := sessionFixture(t, b)
+	forEachBackend(t, func(t *testing.T, table newTable) {
+		e, d := sessionFixture(t, table)
 		tmpl := buildChain(d, "A", "Lx Ly Ux Uy")
 		y := ent(t, d, "y")
 
@@ -114,8 +126,8 @@ func TestSessionEnforcesPartialOrder(t *testing.T) {
 // on a held entity returns promptly when its context is cancelled, and the
 // queued request is withdrawn so the entity is granted to no one stale.
 func TestSessionLockCancellation(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		e, d := sessionFixture(t, b)
+	forEachBackend(t, func(t *testing.T, table newTable) {
+		e, d := sessionFixture(t, table)
 		a := buildChain(d, "A", "Lx Ux")
 		bt := buildChain(d, "B", "Lx Ux")
 		x := ent(t, d, "x")
@@ -192,8 +204,8 @@ func TestSessionLockCancellation(t *testing.T) {
 // invariant holds — after Lock returns non-nil the session holds nothing
 // and the entity is grantable to others.
 func TestSessionCancelGrantRace(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
-		e, d := sessionFixture(t, b)
+	forEachBackend(t, func(t *testing.T, table newTable) {
+		e, d := sessionFixture(t, table)
 		x := ent(t, d, "x")
 		bg := context.Background()
 		for i := 0; i < 200; i++ {
@@ -241,10 +253,10 @@ func TestSessionCancelGrantRace(t *testing.T) {
 }
 
 func TestSessionAfterEngineClose(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b Backend) {
+	forEachBackend(t, func(t *testing.T, table newTable) {
 		d := model.NewDDB()
 		d.MustEntity("x", "s1")
-		e, err := NewEngine(d, EngineOptions{Backend: b})
+		e, err := NewEngine(d, EngineOptions{Table: table(d)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +277,7 @@ func TestSessionAfterEngineClose(t *testing.T) {
 }
 
 func TestBeginRejectsForeignTemplate(t *testing.T) {
-	e, _ := sessionFixture(t, BackendDefault)
+	e, _ := sessionFixture(t, newShardedTable)
 	other := model.NewDDB()
 	other.MustEntity("z", "s9")
 	if _, err := e.Begin(buildChain(other, "Z", "Lz Uz")); err == nil {
@@ -277,7 +289,7 @@ func TestBeginRejectsForeignTemplate(t *testing.T) {
 // pipelining, wire releases or tracing — a whole Begin…Commit cycle is one
 // allocation, the Session itself: it carries no sessionExtra.
 func TestEngineSessionAllocs(t *testing.T) {
-	e, d := sessionFixture(t, BackendSharded)
+	e, d := sessionFixture(t, newShardedTable)
 	tmpl := buildChain(d, "A", "Lx Ly Ux Uy")
 	x, y := ent(t, d, "x"), ent(t, d, "y")
 	bg := context.Background()
@@ -324,13 +336,10 @@ func TestSessionLargeTemplate(t *testing.T) {
 		unlocks = append(unlocks, "U"+name)
 	}
 	tmpl := buildChain(d, "BIG", strings.Join(append(locks, unlocks...), " "))
-	e, err := NewEngine(d, EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
+	tab, metrics := meteredSharded(d, 0)
+	e := newEngine(t, d, EngineOptions{Table: tab})
 	ctx := context.Background()
-	held := func() int64 { return e.TableMetrics().Snapshot().Held }
+	held := func() int64 { return metrics.Snapshot().Held }
 
 	s, err := e.Begin(tmpl)
 	if err != nil {
@@ -389,11 +398,20 @@ func TestSessionLargeTemplate(t *testing.T) {
 	}
 }
 
-// TestBackendResolution: BackendDefault is the sharded table.
+// TestBackendResolution: an engine with no table runs on a fresh sharded
+// one, whatever the ignored Backend field says: two-phase sessions find
+// TryAcquire, and releases take the synchronous in-process path.
 func TestBackendResolution(t *testing.T) {
-	e, _ := sessionFixture(t, BackendDefault)
-	if got := e.Backend(); got != BackendSharded {
-		t.Fatalf("default backend = %v, want %v", got, BackendSharded)
+	d := model.NewDDB()
+	d.MustEntity("x", "s1")
+	for _, b := range []Backend{BackendDefault, BackendSharded} {
+		e := newEngine(t, d, EngineOptions{Backend: b})
+		if e.try == nil || e.releaseAsync != nil {
+			t.Fatalf("Backend %d: engine without a table is not on the sharded table", b)
+		}
+		if err := e.BeginAt(new(Session), buildChain(d, "F", "Lx Ux"), true); err != nil {
+			t.Fatalf("Backend %d: two-phase Begin: %v", b, err)
+		}
 	}
 }
 
@@ -408,14 +426,11 @@ func TestTwoPhaseNeverWaitsHolding(t *testing.T) {
 	d.MustEntity("x", "s1")
 	d.MustEntity("y", "s2")
 	d.MustEntity("z", "s3")
-	e, err := NewEngine(d, EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	tab, metrics := meteredSharded(d, 0)
+	e := newEngine(t, d, EngineOptions{Table: tab})
 	x, z := ent(t, d, "x"), ent(t, d, "z")
 	bg := context.Background()
-	held := func() int64 { return e.TableMetrics().Snapshot().Held }
+	held := func() int64 { return metrics.Snapshot().Held }
 
 	holder, err := e.Begin(buildChain(d, "H", "Lz Uz"))
 	if err != nil {
@@ -430,7 +445,7 @@ func TestTwoPhaseNeverWaitsHolding(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() { got <- s.Lock(bg, x, model.Exclusive) }()
-	waitUntil(t, func() bool { return e.TableMetrics().Waiting.Load() == 1 })
+	waitUntil(t, func() bool { return metrics.Waiting.Load() == 1 })
 	if n := held(); n != 1 {
 		t.Fatalf("table holds %d locks while the two-phase session waits, want only the holder's 1", n)
 	}
@@ -449,11 +464,11 @@ func TestTwoPhaseNeverWaitsHolding(t *testing.T) {
 	if err := s.Unlock(x); err != nil {
 		t.Fatal(err)
 	}
-	grants := e.TableMetrics().Snapshot().Grants
+	grants := metrics.Snapshot().Grants
 	if err := s.Lock(bg, z, model.Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if g := e.TableMetrics().Snapshot().Grants; g != grants {
+	if g := metrics.Snapshot().Grants; g != grants {
 		t.Fatalf("a later Lock of a two-phase session reached the table (%d grants, want %d)", g, grants)
 	}
 	if err := s.Unlock(z); err != nil {

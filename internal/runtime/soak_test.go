@@ -4,17 +4,18 @@ import (
 	"testing"
 	"time"
 
+	"distlock/internal/cluster"
 	"distlock/internal/locktable"
 	"distlock/internal/model"
 	"distlock/internal/netlock"
 	"distlock/internal/workload"
 )
 
-// TestWoundStormSoak is the fallback tier's soak (named for the
-// wound-wait tier it replaced): a long-running stress of two-phase
-// sessions under production-shaped contention — a hot little database
-// funnelling every lock onto a few entities, high per-class concurrency,
-// and hold times wide enough that nearly every first Lock meets a holder.
+// TestFallbackSoak is the fallback tier's soak: a long-running stress of
+// two-phase sessions under production-shaped contention — a hot little
+// database funnelling every lock onto a few entities, high per-class
+// concurrency, and hold times wide enough that nearly every first Lock
+// meets a holder.
 // The classes are uncertified on purpose: unordered two-phase templates,
 // which deadlock as certified sessions, and random templates, which are
 // not even two-phase. It is table-driven over the sharded table's stripe
@@ -31,7 +32,7 @@ import (
 //     committed instances is acyclic).
 //
 // In -short mode the soak shrinks to a smoke; CI runs it under -race.
-func TestWoundStormSoak(t *testing.T) {
+func TestFallbackSoak(t *testing.T) {
 	const (
 		sites, perSite = 2, 4 // 8 entities total: everything is hot
 		classes        = 6
@@ -69,16 +70,18 @@ func TestWoundStormSoak(t *testing.T) {
 		t.Run(bc.name, func(t *testing.T) {
 			if bc.servers > 0 {
 				sys := generate(workload.PolicyTwoPhase)
-				e := newEngine(t, sys.DDB, listenServers(t, sys.DDB, bc.servers, netlock.ServerOptions{}))
+				addrs := listenServers(t, sys.DDB, bc.servers, netlock.ServerOptions{})
+				e := newEngine(t, sys.DDB, EngineOptions{Table: dialTable(t, sys.DDB, addrs, netlock.DialOptions{})})
 				if err := e.BeginAt(new(Session), sys.Txns[0], true); err == nil {
-					t.Fatalf("two-phase Begin on the %v backend accepted; it has no TryAcquire", e.Backend())
+					t.Fatalf("two-phase Begin on %s accepted; it has no TryAcquire", bc.name)
 				}
 				return
 			}
 			for _, mix := range mixes {
 				t.Run(mix.name, func(t *testing.T) {
 					sys := generate(mix.policy)
-					e, taps := tappedEngine(t, sys.DDB, 0, EngineOptions{Table: locktable.Config{Shards: bc.shards}})
+					tab, metrics := meteredSharded(sys.DDB, bc.shards)
+					e, taps := tappedEngine(t, sys.DDB, 0, EngineOptions{Table: tab})
 					m := mixRun{templates: sys.Txns, twoPhase: true, clients: clients, perClient: txnsPerClient,
 						hold: hold, stall: 10 * time.Second, seed: 4}.run(t, e)
 					if m.stalled {
@@ -87,7 +90,7 @@ func TestWoundStormSoak(t *testing.T) {
 					if want := int64(clients * txnsPerClient); m.Commits != want || m.Aborts != 0 {
 						t.Fatalf("committed %d of %d instances, %d aborts", m.Commits, want, m.Aborts)
 					}
-					if held := e.TableMetrics().Snapshot().Held; held != 0 {
+					if held := metrics.Snapshot().Held; held != 0 {
 						t.Fatalf("table holds %d locks after the soak", held)
 					}
 					if n := violations(taps); n != 0 {
@@ -104,9 +107,8 @@ func TestWoundStormSoak(t *testing.T) {
 }
 
 // listenServers starts n loopback netlock servers with opts and returns
-// engine options that dial them: BackendRemote for one, BackendCluster for
-// several.
-func listenServers(t *testing.T, d *model.DDB, n int, opts netlock.ServerOptions) EngineOptions {
+// their addresses.
+func listenServers(t *testing.T, d *model.DDB, n int, opts netlock.ServerOptions) []string {
 	t.Helper()
 	var addrs []string
 	for i := 0; i < n; i++ {
@@ -121,8 +123,22 @@ func listenServers(t *testing.T, d *model.DDB, n int, opts netlock.ServerOptions
 		t.Cleanup(srv.Close)
 		addrs = append(addrs, srv.Addr())
 	}
-	if n == 1 {
-		return EngineOptions{Backend: BackendRemote, RemoteAddr: addrs[0]}
+	return addrs
+}
+
+// dialTable dials the servers at addrs as one lock table: a netlock
+// client for one address, a cluster router for several.
+func dialTable(t *testing.T, d *model.DDB, addrs []string, opts netlock.DialOptions) locktable.Table {
+	t.Helper()
+	var tab locktable.Table
+	var err error
+	if len(addrs) == 1 {
+		tab, err = netlock.Dial(addrs[0], d, locktable.Config{}, opts)
+	} else {
+		tab, err = cluster.New(d, locktable.Config{}, addrs, cluster.Options{Dial: opts})
 	}
-	return EngineOptions{Backend: BackendCluster, RemoteAddrs: addrs}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }

@@ -59,31 +59,10 @@ func traceFixture(t *testing.T, servers, depth int) (*Engine, *model.DDB) {
 	d.MustEntity("y", "s2")
 	opts := EngineOptions{TraceSampleEvery: 1, PipelineDepth: depth}
 	if servers > 0 {
-		var addrs []string
-		for i := 0; i < servers; i++ {
-			srv, err := netlock.NewServer(d, locktable.Config{}, netlock.ServerOptions{Lease: time.Minute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.Listen("127.0.0.1:0"); err != nil {
-				srv.Close()
-				t.Fatal(err)
-			}
-			t.Cleanup(srv.Close)
-			addrs = append(addrs, srv.Addr())
-		}
-		if servers == 1 {
-			opts.Backend, opts.RemoteAddr = BackendRemote, addrs[0]
-		} else {
-			opts.Backend, opts.RemoteAddrs = BackendCluster, addrs
-		}
+		addrs := listenServers(t, d, servers, netlock.ServerOptions{Lease: time.Minute})
+		opts.Table = dialTable(t, d, addrs, netlock.DialOptions{})
 	}
-	e, err := NewEngine(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
-	return e, d
+	return newEngine(t, d, opts), d
 }
 
 // TestTraceSpanIntegrity is the conformance gate over every sampled
@@ -212,8 +191,7 @@ func TestTraceSamplingKeepsFastPath(t *testing.T) {
 	d.MustEntity("h", "s0")
 	m := obs.NewTableMetrics()
 	e, err := NewEngine(d, EngineOptions{
-		Backend:          BackendSharded,
-		Table:            locktable.Config{Metrics: m},
+		Table:            locktable.NewSharded(d, locktable.Config{Metrics: m}),
 		TraceSampleEvery: -1, // default rate
 	})
 	if err != nil {

@@ -9,7 +9,10 @@ import (
 	"time"
 
 	"distlock/internal/admission"
+	"distlock/internal/cluster"
+	"distlock/internal/locktable"
 	"distlock/internal/model"
+	"distlock/internal/netlock"
 	"distlock/internal/obs"
 	"distlock/internal/runtime"
 )
@@ -23,38 +26,18 @@ var ErrServiceClosed = runtime.ErrClosed
 // pinned to the two-phase fallback tier and Reason/Violation explain why.
 type RegisterResult = admission.Result
 
-// LockBackend names a tier's lock-table implementation (see
-// internal/locktable): BackendSharded is the in-process striped table —
-// what BackendDefault means on both tiers — and BackendRemote /
-// BackendCluster put the certified tier on dlservers (WithRemoteTable,
-// WithRemoteCluster).
-type LockBackend = runtime.Backend
-
-const (
-	// BackendDefault is BackendSharded on both tiers.
-	BackendDefault = runtime.BackendDefault
-	// BackendSharded grants uncontended locks under striped mutexes with
-	// zero channel hops.
-	BackendSharded = runtime.BackendSharded
-	// BackendRemote speaks the netlock wire protocol to a dlserver-hosted
-	// lock table in another process; select it with WithRemoteTable.
-	BackendRemote = runtime.BackendRemote
-	// BackendCluster hash-partitions the certified lock space across
-	// several dlservers; select it with WithRemoteCluster.
-	BackendCluster = runtime.BackendCluster
-)
-
 // ServiceOption configures Open.
 type ServiceOption func(*serviceConfig)
 
 type serviceConfig struct {
 	cycleBudget  int64
 	multiplicity int
-	certBackend  LockBackend
-	remoteAddr   string
-	remoteAddrs  []string
-	pipeline     int
-	traceSample  int
+	// certTable builds the certified tier's lock table, counting into the
+	// bundle cfg names: newSharded, unless WithRemoteTable or
+	// WithRemoteCluster dials one. Its table is unused when it fails.
+	certTable   func(ddb *model.DDB, cfg locktable.Config) (locktable.Table, error)
+	pipeline    int
+	traceSample int
 }
 
 // WithCycleBudget bounds the Theorem 4 cycles certified for a single
@@ -87,8 +70,9 @@ func WithMultiplicity(m int) ServiceOption {
 // traffic, not part of the shared certified mix.
 func WithRemoteTable(addr string) ServiceOption {
 	return func(c *serviceConfig) {
-		c.certBackend = BackendRemote
-		c.remoteAddr = addr
+		c.certTable = func(ddb *model.DDB, cfg locktable.Config) (locktable.Table, error) {
+			return netlock.Dial(addr, ddb, cfg, netlock.DialOptions{})
+		}
 	}
 }
 
@@ -108,9 +92,16 @@ func WithRemoteTable(addr string) ServiceOption {
 // part of the shared certified mix.
 func WithRemoteCluster(addrs ...string) ServiceOption {
 	return func(c *serviceConfig) {
-		c.certBackend = BackendCluster
-		c.remoteAddrs = addrs
+		c.certTable = func(ddb *model.DDB, cfg locktable.Config) (locktable.Table, error) {
+			return cluster.New(ddb, cfg, addrs, cluster.Options{})
+		}
 	}
+}
+
+// newSharded is the certified tier's default table constructor: the
+// in-process sharded table.
+func newSharded(ddb *model.DDB, cfg locktable.Config) (locktable.Table, error) {
+	return locktable.NewSharded(ddb, cfg), nil
 }
 
 // WithPipelineDepth lets certified-tier sessions on a wire backend
@@ -195,6 +186,10 @@ type LockService struct {
 	mult      int
 	certified *runtime.Engine
 	fallback  *runtime.Engine
+	// certMetrics and fallbackMetrics are the counter bundles the tiers'
+	// lock tables were built with (TierStats.Table).
+	certMetrics     *obs.TableMetrics
+	fallbackMetrics *obs.TableMetrics
 
 	begun atomic.Int64
 
@@ -230,7 +225,7 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 	if ddb == nil {
 		return nil, fmt.Errorf("distlock: nil database")
 	}
-	var cfg serviceConfig
+	cfg := serviceConfig{certTable: newSharded}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -238,10 +233,16 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 	if mult <= 0 {
 		mult = 1
 	}
+	// The certified table is dialled when an option put it on dlservers;
+	// the fallback tier always runs on a sharded table of its own (see
+	// LockService). Each engine owns its table from here on.
+	certMetrics, fallbackMetrics := obs.NewTableMetrics(), obs.NewTableMetrics()
+	certTable, err := cfg.certTable(ddb, locktable.Config{Metrics: certMetrics})
+	if err != nil {
+		return nil, err
+	}
 	certified, err := runtime.NewEngine(ddb, runtime.EngineOptions{
-		Backend:          cfg.certBackend, // default (sharded) unless WithRemoteTable/WithRemoteCluster
-		RemoteAddr:       cfg.remoteAddr,
-		RemoteAddrs:      cfg.remoteAddrs,
+		Table:            certTable,
 		PipelineDepth:    cfg.pipeline,
 		TraceSampleEvery: cfg.traceSample,
 	})
@@ -249,7 +250,7 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 		return nil, err
 	}
 	fallback, err := runtime.NewEngine(ddb, runtime.EngineOptions{
-		Backend:          runtime.BackendDefault,
+		Table:            locktable.NewSharded(ddb, locktable.Config{Metrics: fallbackMetrics}),
 		TraceSampleEvery: cfg.traceSample,
 	})
 	if err != nil {
@@ -262,11 +263,13 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 			CycleBudget:  cfg.cycleBudget,
 			Multiplicity: mult,
 		}),
-		mult:      mult,
-		certified: certified,
-		fallback:  fallback,
-		classes:   map[string]*svcClass{},
-		done:      make(chan struct{}),
+		mult:            mult,
+		certified:       certified,
+		fallback:        fallback,
+		certMetrics:     certMetrics,
+		fallbackMetrics: fallbackMetrics,
+		classes:         map[string]*svcClass{},
+		done:            make(chan struct{}),
 	}, nil
 }
 
@@ -482,11 +485,6 @@ func (s *LockService) Snapshot() *System { return s.adm.Snapshot() }
 // tier is certified (and enforced) for.
 func (s *LockService) Multiplicity() int { return s.mult }
 
-// CertifiedBackend returns the certified tier's resolved lock-table
-// backend (BackendSharded unless WithRemoteTable or WithRemoteCluster
-// put it on dlservers).
-func (s *LockService) CertifiedBackend() LockBackend { return s.certified.Backend() }
-
 // TierStats are one engine tier's cumulative counters: the session-level
 // tallies (commits, aborts, certified-pipelined vs synchronous
 // operations) plus the tier's lock-table counter bundle and — when the
@@ -520,10 +518,10 @@ type ServiceStats struct {
 	Begun     int64          `json:"begun"`
 }
 
-func tierStats(e *runtime.Engine) TierStats {
+func tierStats(e *runtime.Engine, m *obs.TableMetrics) TierStats {
 	return TierStats{
 		Counters:    e.Counters(),
-		Table:       e.TableMetrics().Snapshot(),
+		Table:       m.Snapshot(),
 		TraceStages: e.StageLatency(),
 	}
 }
@@ -534,8 +532,8 @@ func tierStats(e *runtime.Engine) TierStats {
 func (s *LockService) Stats() ServiceStats {
 	return ServiceStats{
 		Admission: s.adm.Stats(),
-		Certified: tierStats(s.certified),
-		Fallback:  tierStats(s.fallback),
+		Certified: tierStats(s.certified, s.certMetrics),
+		Fallback:  tierStats(s.fallback, s.fallbackMetrics),
 		Begun:     s.begun.Load(),
 	}
 }

@@ -256,15 +256,13 @@ func TestLockServiceMultiplicityBound(t *testing.T) {
 // certified and fallback classes — through the session API and asserts the
 // conservation invariants: every begun session ends in exactly one commit
 // or abort, neither tier (no deadlock handling on either) ever aborts, and no
-// session ends holding a lock. Runs under the CI -race step, table-driven
-// over the in-process certified-tier lock-table backends.
+// session ends holding a lock. Runs under the CI -race step, on the
+// default (in-process sharded) certified-tier lock table.
 func TestLockServiceRaceStress(t *testing.T) {
-	for _, backend := range []distlock.LockBackend{distlock.BackendSharded} {
-		t.Run(backend.String(), func(t *testing.T) { raceStress(t, backend) })
-	}
+	t.Run("sharded", raceStress)
 }
 
-func raceStress(t *testing.T, backend distlock.LockBackend) {
+func raceStress(t *testing.T) {
 	const (
 		clientsPerClass = 4
 		txnsPerClient   = 25
@@ -274,9 +272,6 @@ func raceStress(t *testing.T, backend distlock.LockBackend) {
 	svc, err := distlock.Open(db, distlock.WithMultiplicity(mult))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := svc.CertifiedBackend(); got != backend {
-		t.Fatalf("certified backend = %v, want %v", got, backend)
 	}
 	ctx := context.Background()
 
