@@ -9,7 +9,9 @@ import (
 // Completion is the join handle of an asynchronous table operation: the
 // operation is already in flight (its request submitted, its frame queued
 // on the wire) and Wait collects the outcome. A Completion must be waited
-// exactly once, by one goroutine.
+// exactly once, by one goroutine: an implementation may recycle it once
+// Wait returned (netlock's request records are the next request's
+// completions), so the caller lets go of it there.
 type Completion interface {
 	// Wait blocks until the operation resolves and returns what the
 	// synchronous call would have. For an acquire, cancelling ctx abandons

@@ -78,18 +78,19 @@ type Client struct {
 	wm *obs.WireMetrics
 
 	mu sync.Mutex
-	// pending maps each request awaiting a reply to its reply channel (nil
-	// for a heartbeat, whose ack nobody reads). Exactly one party takes an
-	// entry out — readLoop on the reply, or shutdown — and only that party
-	// sends on its channel, once (see replyPool).
-	pending map[uint64]chan result
-	// grants maps each granted (entity, instance) to the acquire that
-	// granted it. Every acquire is entered at submission, with granted
-	// unset until its grant arrives: that entry is the in-flight mark. A
-	// release submitted before the ack consumes the mark, and the grant
-	// that then arrives is counted as granted and released at once, so
-	// Grants − Releases stays the records held.
-	grants map[grantRef]*acquireCompletion
+	// pending maps each request awaiting a reply to its record (nil for a
+	// heartbeat, whose ack nobody reads). Exactly one party takes an entry
+	// out — readLoop on the reply, or shutdown — and only that party sends
+	// on its channel, once (see request).
+	pending map[uint64]*request
+	// grants maps each granted (entity, instance) to the mark of the
+	// acquire that granted it. Every acquire is entered at submission, with
+	// granted unset until its grant arrives: that entry is the in-flight
+	// mark. A release submitted before the ack consumes the mark, and the
+	// grant that then arrives finds its mark gone (or a later acquire's)
+	// and is counted as granted and released at once, so Grants − Releases
+	// stays the records held.
+	grants map[grantRef]grantMark
 	closed bool
 	// ffErrs holds the failures pushed back for fire-and-forget releases,
 	// by instance: only that instance's completion joins report one (and
@@ -141,8 +142,8 @@ func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (
 	c := &Client{
 		ddb:     ddb,
 		conn:    nc,
-		pending: map[uint64]chan result{},
-		grants:  map[grantRef]*acquireCompletion{},
+		pending: map[uint64]*request{},
+		grants:  map[grantRef]grantMark{},
 		ffErrs:  map[locktable.InstKey]error{},
 		out:     flusher{wake: make(chan struct{}, 1)},
 		stop:    make(chan struct{}),
@@ -291,13 +292,13 @@ func (c *Client) readLoop() {
 				payload = append(payload, d.b...)
 			}
 			c.mu.Lock()
-			ch, ok := c.pending[reqID]
+			r, ok := c.pending[reqID]
 			delete(c.pending, reqID)
 			c.mu.Unlock()
 			if ok {
 				c.wm.InFlight.Add(-1)
-				if ch != nil {
-					ch <- result{status: status, payload: payload}
+				if r != nil {
+					r.ch <- result{status: status, payload: payload}
 				}
 			}
 		default:
@@ -318,7 +319,7 @@ func (c *Client) heartbeats(every time.Duration) {
 		case <-c.stop:
 			return
 		case <-t.C:
-			reqID, _ := c.register(nil, false)
+			reqID := c.register(nil, false)
 			var e enc
 			e.u8(opHeartbeat)
 			e.u64(reqID)
@@ -344,54 +345,91 @@ func (c *Client) shutdown() {
 	c.mu.Lock()
 	c.closed = true
 	pending := c.pending
-	c.pending = map[uint64]chan result{}
+	c.pending = map[uint64]*request{}
 	c.mu.Unlock()
 	c.wm.InFlight.Add(-int64(len(pending)))
-	for _, ch := range pending {
-		if ch != nil { // a heartbeat's ack has no reader
-			ch <- result{status: stStopped}
+	for _, r := range pending {
+		if r != nil { // a heartbeat's ack has no reader
+			r.ch <- result{status: stStopped}
 		}
 	}
 }
 
-// replyPool recycles reply channels. A channel goes back only after its
-// one value was received (recycleReply): the party that took the request
-// out of pending sent that value and will never send again, so the next
-// request that gets the channel owns it alone. Channels abandoned unread —
-// a cancelled, timed-out or stopped wait — are left to the collector,
-// since their send may still be coming.
-var replyPool = sync.Pool{New: func() any { return make(chan result, 1) }}
+// request is one wire operation: its reply channel, reqID, key, entity,
+// mode and span. It is the Completion of all three async ops — an acquire
+// (op opAcquire), an acked release (op opRelease, reqID set) and a
+// fire-and-forget release (op opRelease, reqID 0, no reply: its Wait reads
+// ffErrs) — and the reply record of call. Records come from reqPool and
+// keep their channel across reuse. A record goes back only after its one
+// reply was received (or, fire-and-forget, once waited): the party that
+// took the request out of pending sent that reply and will never send
+// again, so the next request that draws the record owns it alone. A wait
+// that is abandoned — cancelled, timed out or stopped — leaves its record
+// to the collector, since its reply may still be coming.
+type request struct {
+	c     *Client
+	ch    chan result
+	reqID uint64
+	key   locktable.InstKey
+	ent   model.EntityID
+	sp    *obs.Span // non-nil iff a sampled acquire
+	op    byte
+	mode  locktable.Mode
+	// granted marks an acked release whose acquire was granted at
+	// submission: await's self-fence bounds the join. live is set while
+	// the record is drawn and not yet waited.
+	granted bool
+	live    bool
+}
 
-// recycleReply returns a reply channel whose one value was received.
-func recycleReply(ch chan result) { replyPool.Put(ch) }
+var reqPool = sync.Pool{New: func() any { return &request{ch: make(chan result, 1)} }}
 
-// register allocates a request ID and, when reply is set, its response
-// channel (a heartbeat registers none: its ack is dropped). A non-nil mark
-// (an acquire) is entered in grants as its in-flight mark, in the same
-// critical section.
-func (c *Client) register(mark *acquireCompletion, reply bool) (uint64, chan result) {
+// newRequest draws a record for one op.
+func (c *Client) newRequest(op byte) *request {
+	r := reqPool.Get().(*request)
+	r.c, r.op, r.live = c, op, true
+	return r
+}
+
+// recycle returns a record whose reply was received, keeping only its
+// channel, so a second Wait (a contract breach) finds it not live.
+func (r *request) recycle() {
+	*r = request{ch: r.ch}
+	reqPool.Put(r)
+}
+
+// grantMark is an acquire's entry in grants: the in-flight mark of request
+// reqID until granted is set, its grant record after.
+type grantMark struct {
+	reqID   uint64
+	granted bool
+}
+
+// register allocates a request ID for r (nil for a heartbeat, whose ack is
+// dropped) and enters r in pending. With mark set (an acquire) r is entered
+// in grants as its in-flight mark, in the same critical section.
+func (c *Client) register(r *request, mark bool) uint64 {
 	reqID := c.nextReq.Add(1)
-	var ch chan result
-	if reply {
-		ch = replyPool.Get().(chan result)
+	if r != nil {
+		r.reqID = reqID
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- result{status: stStopped}
+		if r != nil {
+			r.ch <- result{status: stStopped}
 		}
-		return reqID, ch
+		return reqID
 	}
-	c.pending[reqID] = ch
-	if mark != nil {
-		c.grants[grantRef{ent: mark.ent, key: mark.key}] = mark
+	c.pending[reqID] = r
+	if mark {
+		c.grants[grantRef{ent: r.ent, key: r.key}] = grantMark{reqID: reqID}
 	}
 	depth := int64(len(c.pending))
 	c.mu.Unlock()
 	c.wm.InFlight.Add(1)
 	c.wm.PipelineDepth.Record(depth)
-	return reqID, ch
+	return reqID
 }
 
 func (c *Client) unregister(reqID uint64) {
@@ -421,12 +459,13 @@ func (c *Client) send(build func(*enc), sp *obs.Span) error {
 // call is the synchronous request/response path for everything but
 // Acquire and Release.
 func (c *Client) call(build func(reqID uint64, e *enc)) (result, error) {
-	reqID, ch := c.register(nil, true)
+	r := c.newRequest(opReleaseAll)
+	reqID := c.register(r, false)
 	if err := c.send(func(e *enc) { build(reqID, e) }, nil); err != nil {
 		c.unregister(reqID)
 		return result{}, err
 	}
-	return c.await(ch)
+	return c.await(r)
 }
 
 // await collects the reply to a request that completes promptly on a
@@ -437,12 +476,12 @@ func (c *Client) call(build func(reqID uint64, e *enc)) (result, error) {
 // call into the same ErrStopped a closed table gives, with
 // the server's lease machinery reclaiming whatever the session held. A
 // reply that already streamed back is taken without arming the timer, and
-// the timer a wait does arm is a pooled one. A received reply's channel is
+// the timer a wait does arm is a pooled one. A received reply's record is
 // recycled.
-func (c *Client) await(ch chan result) (result, error) {
+func (c *Client) await(r *request) (result, error) {
 	var res result
 	select {
-	case res = <-ch:
+	case res = <-r.ch:
 	default:
 		bound := 3 * c.lease
 		if bound < 15*time.Second {
@@ -450,7 +489,7 @@ func (c *Client) await(ch chan result) (result, error) {
 		}
 		timer := getTimer(bound)
 		select {
-		case res = <-ch:
+		case res = <-r.ch:
 			putTimer(timer)
 		case <-timer.C:
 			putTimer(timer)
@@ -458,78 +497,77 @@ func (c *Client) await(ch chan result) (result, error) {
 			return result{}, locktable.ErrStopped
 		}
 	}
-	recycleReply(ch)
+	r.recycle()
 	if res.status == stStopped {
 		return res, locktable.ErrStopped
 	}
 	return res, nil
 }
 
-// acquireCompletion is one acquire: submitted, then joined, then — once
-// granted — the grant record grants keeps until the release. It is in
-// grants from submission on, as the in-flight mark.
-type acquireCompletion struct {
-	c     *Client
-	reqID uint64
-	ch    chan result
-	key   locktable.InstKey
-	ent   model.EntityID
-	sp    *obs.Span // non-nil iff the op is sampled
-	mode  locktable.Mode
-
-	// Guarded by c.mu. granted is set once the grant is processed;
-	// released is set when a release consumed the in-flight mark before
-	// that. (Both pack into the padding after mode.)
-	released bool
-	granted  bool
-}
-
-// Wait implements locktable.Completion: the parked tail of Acquire. The
-// non-blocking first receive is the pipelined steady state — by the time
-// a session joins, the ack usually streamed back long ago — and skips
-// the multi-way select. The reply's channel is recycled as soon as it is
-// received, and the completion lets go of it, so a second Wait (a
-// contract breach) can never read a channel another request now owns.
-func (a *acquireCompletion) Wait(ctx context.Context) error {
-	if a.ch == nil {
+// Wait implements locktable.Completion, and recycles the record once its
+// reply was received. An acquire's wait is the parked tail of Acquire: its
+// non-blocking first receive is the pipelined steady state — by the time a
+// session joins, the ack usually streamed back long ago — and skips the
+// multi-way select. An acked release's receipt waits for its acquire to
+// resolve when that was still in flight, so its join is bounded by ctx and
+// the connection's life rather than by await's self-fence.
+func (r *request) Wait(ctx context.Context) error {
+	if !r.live {
 		return errWaitedTwice
 	}
-	select {
-	case res := <-a.ch:
-		a.recycle()
-		return a.c.finishAcquire(a, res, a.sp)
-	default:
+	r.live = false
+	c := r.c
+	var res result
+	switch {
+	case r.op == opAcquire:
+		select {
+		case res = <-r.ch:
+		default:
+			select {
+			case res = <-r.ch:
+			case <-ctx.Done():
+				return c.cancelAcquire(r, ctx.Err())
+			case <-c.stop:
+				c.unmark(r)
+				return locktable.ErrStopped
+			}
+		}
+		err := c.finishAcquire(r, res, r.sp)
+		r.recycle()
+		return err
+	case r.reqID == 0: // fire-and-forget release
+		c.mu.Lock()
+		err := c.ffErrs[r.key]
+		if err != nil {
+			delete(c.ffErrs, r.key)
+		}
+		c.mu.Unlock()
+		r.recycle()
+		return err
+	case r.granted:
+		return c.finishRelease(c.await(r))
 	}
 	select {
-	case res := <-a.ch:
-		a.recycle()
-		return a.c.finishAcquire(a, res, a.sp)
+	case res = <-r.ch:
+		r.recycle()
+		return c.finishRelease(res, nil)
 	case <-ctx.Done():
-		return a.c.cancelAcquire(a, ctx.Err())
-	case <-a.c.stop:
-		a.c.unmark(a)
-		return locktable.ErrStopped
+		return ctx.Err()
 	}
 }
 
-// recycle returns the reply channel once its one value was received, and
-// lets go of it.
-func (a *acquireCompletion) recycle() {
-	recycleReply(a.ch)
-	a.ch = nil
-}
-
-// errWaitedTwice answers a second Wait on a completion whose reply was
-// already received.
+// errWaitedTwice answers a second Wait on a completion that was already
+// waited.
 var errWaitedTwice = errors.New("netlock: completion waited twice")
 
 // unmark clears an acquire's in-flight mark once it resolved without a
 // grant. A grant turned the mark into a record, and an early release
-// already consumed it; both are left alone.
-func (c *Client) unmark(a *acquireCompletion) {
-	ref := grantRef{ent: a.ent, key: a.key}
+// already consumed it (a later acquire's mark may stand in its place);
+// all are left alone.
+func (c *Client) unmark(r *request) {
+	ref := grantRef{ent: r.ent, key: r.key}
 	c.mu.Lock()
-	if c.grants[ref] == a && !a.granted {
+	if m, ok := c.grants[ref]; ok && m.reqID == r.reqID && !m.granted {
 		delete(c.grants, ref)
 	}
 	c.mu.Unlock()
@@ -550,9 +588,9 @@ func (c *Client) unmark(a *acquireCompletion) {
 // back as deltas on the grant reply.
 func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) locktable.Completion {
 	sp := inst.Span
-	a := &acquireCompletion{c: c, key: inst.Key, ent: ent, mode: mode, sp: sp}
-	reqID, ch := c.register(a, true)
-	a.reqID, a.ch = reqID, ch
+	r := c.newRequest(opAcquire)
+	r.key, r.ent, r.mode, r.sp = inst.Key, ent, mode, sp
+	reqID := c.register(r, true)
 	if err := c.send(func(e *enc) {
 		e.u8(opAcquire)
 		e.u64(reqID)
@@ -565,10 +603,10 @@ func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode 
 		}
 	}, sp); err != nil {
 		c.unregister(reqID)
-		c.unmark(a)
+		c.unmark(r)
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
-	return a
+	return r
 }
 
 // Acquire implements locktable.Table: the request blocks server-side in
@@ -586,10 +624,10 @@ func (c *Client) Acquire(ctx context.Context, inst locktable.Instance, ent model
 // the hosted table). If an early release consumed the mark, the server
 // ran that release right after the grant, and the grant is counted with
 // its release.
-func (c *Client) finishAcquire(a *acquireCompletion, res result, sp *obs.Span) error {
-	key, mode := a.key, a.mode
+func (c *Client) finishAcquire(r *request, res result, sp *obs.Span) error {
+	key, mode := r.key, r.mode
 	if res.status != stOK {
-		c.unmark(a)
+		c.unmark(r)
 	}
 	switch res.status {
 	case stOK:
@@ -601,9 +639,13 @@ func (c *Client) finishAcquire(a *acquireCompletion, res result, sp *obs.Span) e
 			sp.ServerDeltas(int64(d.u64()), int64(d.u64()), int64(d.u64()))
 		}
 		sp.Stamp(obs.StageWakeup)
+		ref := grantRef{ent: r.ent, key: key}
 		c.mu.Lock()
-		a.granted = true
-		released := a.released
+		m, ok := c.grants[ref]
+		released := !ok || m.reqID != r.reqID
+		if !released {
+			c.grants[ref] = grantMark{reqID: r.reqID, granted: true}
+		}
 		c.mu.Unlock()
 		hint := uint64(key.ID)
 		c.m.Grants.Inc(hint)
@@ -635,15 +677,16 @@ func (c *Client) finishAcquire(a *acquireCompletion, res result, sp *obs.Span) e
 // cancelAcquire withdraws an in-flight acquire after the caller's context
 // was cancelled, then waits for the server's authoritative answer: if the
 // grant won the race it is released before returning, so the instance
-// holds nothing either way — and leaves no mark.
-func (c *Client) cancelAcquire(a *acquireCompletion, cause error) error {
-	defer c.unmark(a)
+// holds nothing either way — and leaves no mark. Only a received answer
+// recycles the record.
+func (c *Client) cancelAcquire(r *request, cause error) error {
 	if err := c.send(func(e *enc) {
 		e.u8(opCancel)
-		e.u64(a.reqID)
+		e.u64(r.reqID)
 	}, nil); err != nil {
 		// Connection gone: the request dies with the session server-side
 		// (release-on-disconnect); nothing is held.
+		c.unmark(r)
 		return cause
 	}
 	// Bound the wait for the server's answer by the lease window (plus
@@ -658,22 +701,22 @@ func (c *Client) cancelAcquire(a *acquireCompletion, cause error) error {
 	timer := getTimer(bound)
 	defer putTimer(timer)
 	select {
-	case res := <-a.ch:
-		a.recycle()
-		if res.status == stOK {
-			// The grant raced the cancel: record it, then give it back (a
-			// no-op when an early release chained behind it already did).
-			if c.finishAcquire(a, res, nil) == nil {
-				c.Release(a.ent, a.key)
-			}
+	case res := <-r.ch:
+		// The grant raced the cancel: record it, then give it back (a
+		// no-op when an early release chained behind it already did).
+		if res.status != stOK {
+			c.unmark(r)
+		} else if c.finishAcquire(r, res, nil) == nil {
+			c.Release(r.ent, r.key)
 		}
+		r.recycle()
 		return cause
 	case <-c.stop:
-		return cause
 	case <-timer.C:
 		c.shutdown()
-		return cause
 	}
+	c.unmark(r)
+	return cause
 }
 
 // takeGrant consumes the client-side grant record for (ent, key),
@@ -689,13 +732,11 @@ func (c *Client) takeGrant(ent model.EntityID, key locktable.InstKey) (granted, 
 		return false, false, true
 	}
 	ref := grantRef{ent: ent, key: key}
-	a, held := c.grants[ref]
+	m, held := c.grants[ref]
 	if held {
 		delete(c.grants, ref)
-		granted = a.granted
-		if !granted {
-			a.released = true
-		} else {
+		granted = m.granted
+		if granted {
 			// The client-side un-hold: the grant record is consumed here,
 			// so this is where Grants − Releases = records still held
 			// balances (whatever the server replies, the record is no
@@ -787,15 +828,9 @@ func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktab
 	}, nil); err != nil {
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
-	return locktable.CompletionFunc(func(context.Context) error {
-		c.mu.Lock()
-		err := c.ffErrs[key]
-		if err != nil {
-			delete(c.ffErrs, key)
-		}
-		c.mu.Unlock()
-		return err
-	})
+	r := c.newRequest(opRelease)
+	r.key = key
+	return r
 }
 
 // ReleaseAsyncAcked is ReleaseAsync with an execution receipt: the
@@ -809,11 +844,8 @@ func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktab
 // the same reason). The wire's FIFO already orders the release ahead of
 // the instance's next operation, which is why the pipelined tier keeps
 // the receipt-free ReleaseAsync. Release is this call joined at once.
-//
-// Like ReleaseAsync, it may ship while the entity's acquire is in
-// flight. Its receipt then waits for that acquire to resolve, which
-// may take as long as any lock wait, so the join is bounded by ctx and
-// the connection's life rather than by await's self-fence.
+// Like ReleaseAsync, it may ship while the entity's acquire is in flight
+// (see request.Wait for how its join is bounded then).
 func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) locktable.Completion {
 	granted, held, closed := c.takeGrant(ent, key)
 	if closed {
@@ -822,7 +854,9 @@ func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) lo
 	if !held {
 		return locktable.ResolvedCompletion(nil)
 	}
-	reqID, ch := c.register(nil, true)
+	r := c.newRequest(opRelease)
+	r.granted = granted
+	reqID := c.register(r, false)
 	if err := c.send(func(e *enc) {
 		e.u8(opRelease)
 		e.u64(reqID)
@@ -832,35 +866,7 @@ func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) lo
 		c.unregister(reqID)
 		return locktable.ResolvedCompletion(locktable.ErrStopped)
 	}
-	return &ackedRelease{c: c, ch: ch, granted: granted}
-}
-
-// ackedRelease is the completion of ReleaseAsyncAcked: the receipt of one
-// release. Like acquireCompletion it recycles its reply channel once
-// received and lets go of it.
-type ackedRelease struct {
-	c       *Client
-	ch      chan result
-	granted bool // the acquire was acked at submission: await's self-fence bounds the join
-}
-
-// Wait implements locktable.Completion.
-func (r *ackedRelease) Wait(ctx context.Context) error {
-	ch := r.ch
-	if ch == nil {
-		return errWaitedTwice
-	}
-	r.ch = nil
-	if r.granted {
-		return r.c.finishRelease(r.c.await(ch))
-	}
-	select {
-	case res := <-ch:
-		recycleReply(ch)
-		return r.c.finishRelease(res, nil)
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return r
 }
 
 // ReleaseAll implements locktable.Table: one wire round trip releases
@@ -880,7 +886,7 @@ func (c *Client) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error 
 	rels := make([]model.EntityID, 0, len(ents))
 	for _, ent := range ents {
 		ref := grantRef{ent: ent, key: key}
-		if a, ok := c.grants[ref]; ok && a.granted {
+		if m, ok := c.grants[ref]; ok && m.granted {
 			delete(c.grants, ref)
 			rels = append(rels, ent)
 		}

@@ -53,11 +53,12 @@ func TestIdleWriterKeepsBuffers(t *testing.T) {
 		// A heartbeat on the priority queue, an acquire and an acked
 		// release on the request queue: each reply arrives after both
 		// writers flushed, idle passes included.
-		reqID, ch := c.register(nil, true)
+		r := c.newRequest(opHeartbeat)
+		reqID := c.register(r, false)
 		if err := c.enqueue(frameOf(func(e *enc) { e.u8(opHeartbeat); e.u64(reqID) }), true, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.await(ch); err != nil {
+		if _, err := c.await(r); err != nil {
 			t.Fatal(err)
 		}
 		acquire(t, c, 1, ents[0])
@@ -238,6 +239,202 @@ func TestReplyChannelRecycling(t *testing.T) {
 	}
 	// Every grant the live client took was released, and the doomed
 	// client's died with its connection.
+	waitFor(t, func() bool { return srv.TableMetrics().Snapshot().Held == 0 })
+	if held := live.TableMetrics().Snapshot().Held; held != 0 {
+		t.Errorf("live client holds %d records after the drive", held)
+	}
+}
+
+// TestRequestRecordRecycling drives every way a request record ends —
+// received and recycled, or abandoned — on a live client beside clients
+// closed mid-flight, and checks that every completion reports its own
+// request's outcome. The pool is shared by every client in the process,
+// so a record recycled while its reply was still due (an abandoned wait:
+// cancelled, timed out or stopped by Close) would carry a doomed client's
+// late ErrStopped, or another request's grant, into the live client's
+// next request — or block the live read loop on a full channel. The
+// paths: cancels racing grants, pipelined releases (fire-and-forget and
+// acked, the receipt joined or abandoned) shipped before their acquire's
+// ack, an abort — acquires waited
+// with a cancelled context — followed by ReleaseAll, and, once the
+// clients are quiet, a second Wait on a received record. Run it under
+// -race.
+func TestRequestRecordRecycling(t *testing.T) {
+	ddb, ents := testDDB(t, 2)
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
+	live := dial(t, srv, locktable.Config{}, DialOptions{HeartbeatEvery: time.Millisecond})
+	const doomedN = 3
+	var doomed [doomedN]*Client
+	for i := range doomed {
+		doomed[i] = dial(t, srv, locktable.Config{}, DialOptions{HeartbeatEvery: time.Millisecond})
+	}
+	var closedAll atomic.Bool
+	// Exclusive holders per entity on the live client. A doomed client's
+	// hold dies with its connection while its worker still counts it, so
+	// only the live client's holds are counted.
+	var holders [2]atomic.Int32
+	var grants, cancels, aborts, abandoned atomic.Int64
+	bg := context.Background()
+
+	worker := func(c *Client, id int, errs chan<- error) {
+		rng := rand.New(rand.NewSource(int64(id)))
+		key := locktable.InstKey{ID: id}
+		inst := locktable.Instance{Key: key}
+		// fail reports err unless it is the ErrStopped of a closed doomed
+		// client, and reports whether the worker must stop.
+		fail := func(what string, err error) bool {
+			if err == nil {
+				return false
+			}
+			if c != live && errors.Is(err, locktable.ErrStopped) {
+				return true
+			}
+			errs <- fmt.Errorf("inst %d: %s: %v", id, what, err)
+			return true
+		}
+		for r := 0; c != live || !closedAll.Load() || r < 400; r++ {
+			if c != live && r >= 4000 {
+				return
+			}
+			i := rng.Intn(len(ents))
+			switch rng.Intn(4) {
+			case 0: // pipelined release shipped before its acquire's ack
+				acq := c.AcquireAsync(inst, ents[i], locktable.Exclusive)
+				switch rng.Intn(3) {
+				case 0:
+					rel := c.ReleaseAsync(ents[i], key)
+					if fail("early release: acquire", acq.Wait(bg)) || fail("early release: release", rel.Wait(bg)) {
+						return
+					}
+				case 1:
+					rel := c.ReleaseAsyncAcked(ents[i], key)
+					if fail("early release: acquire", acq.Wait(bg)) || fail("early release: receipt", rel.Wait(bg)) {
+						return
+					}
+				default:
+					// The receipt waits for the acquire, which may be parked
+					// behind another holder: a short join abandons it.
+					rel := c.ReleaseAsyncAcked(ents[i], key)
+					ctx, cancel := context.WithTimeout(bg, time.Duration(rng.Intn(200))*time.Microsecond)
+					err := rel.Wait(ctx)
+					cancel()
+					if errors.Is(err, context.DeadlineExceeded) {
+						abandoned.Add(1)
+					} else if fail("early release: receipt", err) {
+						return
+					}
+					if fail("early release: acquire", acq.Wait(bg)) {
+						return
+					}
+				}
+			case 1: // an abort: acquires waited with a cancelled context, then ReleaseAll
+				a0 := c.AcquireAsync(inst, ents[0], locktable.Exclusive)
+				a1 := c.AcquireAsync(inst, ents[1], locktable.Exclusive)
+				ctx, cancel := context.WithCancel(bg)
+				if rng.Intn(2) == 0 {
+					cancel() // else a0 joins uncancelled and is swept as a grant
+				}
+				err0 := a0.Wait(ctx)
+				cancel()
+				err1 := a1.Wait(ctx)
+				for _, err := range []error{err0, err1} {
+					if err != nil && !errors.Is(err, context.Canceled) && fail("abort: acquire", err) {
+						return
+					}
+				}
+				if fail("abort: release-all", c.ReleaseAll(ents, key)) {
+					return
+				}
+				if !noRecord(c, ents[0], id) || !noRecord(c, ents[1], id) {
+					errs <- fmt.Errorf("inst %d: a record survived the abort's release wave", id)
+					return
+				}
+				aborts.Add(1)
+			default: // a wait short enough that the cancel races the grant
+				ctx, cancel := context.WithTimeout(bg, time.Duration(rng.Intn(300))*time.Microsecond)
+				err := c.Acquire(ctx, inst, ents[i], locktable.Exclusive)
+				cancel()
+				if errors.Is(err, context.DeadlineExceeded) {
+					cancels.Add(1)
+					continue
+				}
+				if fail("acquire", err) {
+					return
+				}
+				grants.Add(1)
+				if c == live {
+					if n := holders[i].Add(1); n != 1 {
+						errs <- fmt.Errorf("inst %d: granted %v with %d exclusive holders", id, ents[i], n)
+					}
+				}
+				time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
+				if c == live {
+					holders[i].Add(-1)
+				}
+				if fail("release", c.Release(ents[i], key)) {
+					return
+				}
+			}
+		}
+	}
+
+	const workers = 3
+	errs := make(chan error, 1024)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); worker(live, w+1, errs) }()
+		for _, d := range doomed {
+			wg.Add(1)
+			go func() { defer wg.Done(); worker(d, w+1, errs) }()
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, d := range doomed {
+			time.Sleep(15 * time.Millisecond)
+			d.Close() // mid-flight: its pending requests resolve ErrStopped
+		}
+		closedAll.Store(true)
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a completion never got its reply, or Close hung")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	t.Logf("%d grants, %d cancelled waits, %d aborts, %d abandoned receipts",
+		grants.Load(), cancels.Load(), aborts.Load(), abandoned.Load())
+	if grants.Load() == 0 || cancels.Load() == 0 || aborts.Load() == 0 || abandoned.Load() == 0 {
+		t.Errorf("the drive exercised %d grants, %d cancels, %d aborts and %d abandoned receipts; want all four",
+			grants.Load(), cancels.Load(), aborts.Load(), abandoned.Load())
+	}
+
+	// Quiet now: a second Wait on a received record reports errWaitedTwice
+	// and consumes nothing, so the next request — which may draw the same
+	// record — still gets its own reply.
+	key := locktable.InstKey{ID: 99}
+	twice := func(what string, c locktable.Completion) {
+		t.Helper()
+		if err := c.Wait(bg); err != nil {
+			t.Fatalf("%s: first wait: %v", what, err)
+		}
+		if err := c.Wait(bg); !errors.Is(err, errWaitedTwice) {
+			t.Fatalf("%s: second wait = %v, want errWaitedTwice", what, err)
+		}
+	}
+	for _, ent := range ents {
+		twice("acquire", live.AcquireAsync(locktable.Instance{Key: key}, ent, locktable.Exclusive))
+		twice("acked release", live.ReleaseAsyncAcked(ent, key))
+	}
+	twice("acquire", live.AcquireAsync(locktable.Instance{Key: key}, ents[0], locktable.Exclusive))
+	twice("fire-and-forget release", live.ReleaseAsync(ents[0], key))
 	waitFor(t, func() bool { return srv.TableMetrics().Snapshot().Held == 0 })
 	if held := live.TableMetrics().Snapshot().Held; held != 0 {
 		t.Errorf("live client holds %d records after the drive", held)

@@ -76,16 +76,6 @@ type grantRef struct {
 	key locktable.InstKey
 }
 
-// pendingAcq is one in-flight acquire of a connection: either blocked in
-// the inner table's Acquire or still queued in its instance's pipeline
-// chain, plus the flags the cancel and revoke paths set under the
-// connection mutex.
-type pendingAcq struct {
-	cancel    context.CancelFunc
-	cancelled bool // client sent opCancel
-	revoked   bool // lease expiry withdrew the request
-}
-
 // chainItem is one operation waiting its turn in an instance's pipeline
 // chain (see startAcquire): an acquire, or — when rel is set — a release
 // that arrived while the instance still had acquires in flight. Ordering
@@ -93,15 +83,20 @@ type pendingAcq struct {
 // *executed* schedule equal to its program order: a release executed
 // inline while an earlier-submitted acquire was still chained would free
 // the entity before a lock the template ordered ahead of the unlock was
-// granted — a schedule the certificate never admitted. Release items
-// carry no pendingAcq and no context: they cannot block (the hosted
-// table's Release never waits) and are executed unconditionally — even
-// after a revoke sweep, when learning the grant went stale is exactly
-// what must still happen.
+// granted — a schedule the certificate never admitted. Release items have
+// no done channel: they cannot block (the hosted table's Release never
+// waits) and are executed unconditionally — even after a revoke sweep,
+// when learning the grant went stale is exactly what must still happen.
+//
+// An acquire item is also the connection's in-flight record of the
+// request (srvConn.acquires) until execAcquire retires it, and the
+// minimal cancellable context it hands the inner table. context.WithCancel
+// with the connection context as parent would register and unregister a
+// child per acquire — a mutex and map touch on the shared conn context,
+// per op — and the propagation it buys is redundant: revoke cancels every
+// in-flight acquire through c.acquires explicitly.
 type chainItem struct {
 	reqID uint64
-	acq   *pendingAcq
-	ctx   context.Context
 	key   locktable.InstKey // composed
 	ent   model.EntityID
 	mode  locktable.Mode
@@ -109,7 +104,25 @@ type chainItem struct {
 	// holding is the acquire's Instance.Holding: the session holds a lock,
 	// so a compatible shared request passes a queued writer.
 	holding bool
-	sp      *obs.Span // non-nil iff the client sampled this acquire
+	// Set under the connection mutex: the client sent opCancel, or lease
+	// expiry withdrew the request.
+	cancelled, revoked bool
+	sp                 *obs.Span // non-nil iff the client sampled this acquire
+	done               chan struct{}
+	once               sync.Once
+}
+
+func (it *chainItem) cancel()                     { it.once.Do(func() { close(it.done) }) }
+func (it *chainItem) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (it *chainItem) Done() <-chan struct{}       { return it.done }
+func (it *chainItem) Value(any) any               { return nil }
+func (it *chainItem) Err() error {
+	select {
+	case <-it.done:
+		return context.Canceled
+	default:
+		return nil
+	}
 }
 
 // acqChain is the pipeline chain of one composed instance key: acquires
@@ -130,7 +143,7 @@ type srvConn struct {
 	out flusher
 
 	mu        sync.Mutex // guards the fields below; never held around table calls
-	acquires  map[uint64]*pendingAcq
+	acquires  map[uint64]*chainItem
 	chains    map[locktable.InstKey]*acqChain
 	grants    map[grantRef]struct{} // recorded grants
 	tombs     map[grantRef]struct{} // grants a lease expiry revoked, until a release or re-grant (see revoke)
@@ -333,11 +346,11 @@ func (s *Server) revoke(c *srvConn, disconnect bool) {
 	}
 	expired := !c.leaseLost && !disconnect // a live session missed its window
 	c.leaseLost = true
-	for _, acq := range c.acquires {
-		if !acq.cancelled {
-			acq.revoked = true
+	for _, it := range c.acquires {
+		if !it.cancelled {
+			it.revoked = true
 		}
-		acq.cancel()
+		it.cancel()
 	}
 	grants := make([]grantRef, 0, len(c.grants))
 	for ref := range c.grants {
@@ -520,7 +533,7 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader) (*srvConn, error) {
 	c := &srvConn{
 		id:       s.nextConn.Add(1),
 		net:      nc,
-		acquires: map[uint64]*pendingAcq{},
+		acquires: map[uint64]*chainItem{},
 		chains:   map[locktable.InstKey]*acqChain{},
 		grants:   map[grantRef]struct{}{},
 		ctx:      ctx,
@@ -591,9 +604,9 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 			return d.err
 		}
 		c.mu.Lock()
-		if acq := c.acquires[reqID]; acq != nil {
-			acq.cancelled = true
-			acq.cancel()
+		if it := c.acquires[reqID]; it != nil {
+			it.cancelled = true
+			it.cancel()
 		}
 		c.mu.Unlock()
 		// No reply: the acquire's own result (stCancelled, or stOK if the
@@ -786,21 +799,18 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 			}
 		}
 	}
-	actx := &acqCtx{done: make(chan struct{})}
-	acq := &pendingAcq{cancel: actx.cancelFn}
-	it := &chainItem{reqID: reqID, acq: acq, ctx: actx, key: composed, ent: ent, mode: mode, holding: inst.Holding, sp: sp}
+	it := &chainItem{reqID: reqID, key: composed, ent: ent, mode: mode, holding: inst.Holding, sp: sp, done: make(chan struct{})}
 	c.mu.Lock()
 	if c.leaseLost {
 		// No live lease: the session must heartbeat before it may hold
 		// locks again (its earlier grants are already gone).
 		c.mu.Unlock()
-		actx.cancelFn()
 		c.result(reqID, stLeaseExpired, nil, nil)
 		return
 	}
 	// Registered before it runs: opCancel and revocation must reach an
 	// acquire that is still waiting its turn in the chain.
-	c.acquires[reqID] = acq
+	c.acquires[reqID] = it
 	if ch, running := c.chains[composed]; running {
 		ch.q = append(ch.q, it)
 		c.mu.Unlock()
@@ -813,30 +823,6 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 		defer s.wg.Done()
 		s.runChain(c, composed, it)
 	}()
-}
-
-// acqCtx is the minimal cancellable context a chain item hands the inner
-// table. context.WithCancel with the connection context as parent would
-// register and unregister a child per acquire — a mutex and map touch on
-// the shared conn context, per op, on the hot path — and the propagation
-// it buys is redundant: teardown does not rely on it (revoke cancels
-// every in-flight acquire through c.acquires explicitly).
-type acqCtx struct {
-	done chan struct{}
-	once sync.Once
-}
-
-func (a *acqCtx) cancelFn()                   { a.once.Do(func() { close(a.done) }) }
-func (a *acqCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (a *acqCtx) Done() <-chan struct{}       { return a.done }
-func (a *acqCtx) Value(any) any               { return nil }
-func (a *acqCtx) Err() error {
-	select {
-	case <-a.done:
-		return context.Canceled
-	default:
-		return nil
-	}
 }
 
 // runChain drains one instance's pipeline chain: execute the head, then
@@ -868,12 +854,12 @@ func (s *Server) runChain(c *srvConn, composed locktable.InstKey, it *chainItem)
 // table — the request never existed as far as the lock space is
 // concerned.
 func (s *Server) execAcquire(c *srvConn, it *chainItem) {
-	reqID, acq, composed, ent := it.reqID, it.acq, it.key, it.ent
-	defer acq.cancel()
+	reqID, composed, ent := it.reqID, it.key, it.ent
+	defer it.cancel()
 	c.mu.Lock()
-	if acq.cancelled || acq.revoked || c.closed {
+	if it.cancelled || it.revoked || c.closed {
 		delete(c.acquires, reqID)
-		cancelled, dead := acq.cancelled, c.closed
+		cancelled, dead := it.cancelled, c.closed
 		c.mu.Unlock()
 		switch {
 		case dead:
@@ -886,7 +872,7 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	}
 	c.mu.Unlock()
 	it.sp.Stamp(obs.StageChainStart) // may overwrite a failed inline try's stamp with the real chain start
-	err := s.tab.Acquire(it.ctx, locktable.Instance{Key: composed, Holding: it.holding}, ent, it.mode)
+	err := s.tab.Acquire(it, locktable.Instance{Key: composed, Holding: it.holding}, ent, it.mode)
 	if err == nil {
 		it.sp.Stamp(obs.StageGrant)
 	}
@@ -896,7 +882,7 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	// releases it) — never a gap.
 	c.mu.Lock()
 	delete(c.acquires, reqID)
-	cancelled, revoked, dead := acq.cancelled, acq.revoked, c.closed
+	cancelled, revoked, dead := it.cancelled, it.revoked, c.closed
 	recorded := err == nil && !cancelled && !revoked && !dead
 	if recorded {
 		s.recordGrant(c, grantRef{ent: ent, key: composed})

@@ -646,3 +646,94 @@ func TestPipelinedUnlockDoesNotWaitForOwnAcquire(t *testing.T) {
 		t.Fatalf("counters = %+v, want one pipelined commit", c)
 	}
 }
+
+// TestEndedSessionKeepsOffRecycledState: a wire session's sessionExtra
+// goes back to a pool when the session ends, and the next session may
+// draw it. Every method of the ended session — Lock, Unlock, Commit,
+// Abort, Held — must then answer from the session's own done flag without
+// touching that state, while the session that drew it runs. Run it under
+// -race: a method that touched the recycled state would race the live
+// session's writes.
+func TestEndedSessionKeepsOffRecycledState(t *testing.T) {
+	for _, depth := range []int{0, 8} {
+		t.Run(map[int]string{0: "sync", 8: "pipelined"}[depth], func(t *testing.T) {
+			e, d, _ := pipelineFixture(t, depth, 1)
+			tmpl := buildChain(d, "A", "Lx Ly Ux Uy")
+			x, y := ent(t, d, "x"), ent(t, d, "y")
+			bg := context.Background()
+			run := func(s *Session) error {
+				for _, id := range []model.EntityID{x, y} {
+					if err := s.Lock(bg, id, model.Exclusive); err != nil {
+						return err
+					}
+				}
+				for _, id := range []model.EntityID{x, y} {
+					if err := s.Unlock(id); err != nil {
+						return err
+					}
+				}
+				return s.Commit()
+			}
+			// Commit sessions until a new one draws the state the last one
+			// left: the pool may drop an item (under -race it does at random).
+			var ended, live *Session
+			var endedX *sessionExtra
+			commits := int64(1) // the live session's
+			for tries := 0; live == nil; tries++ {
+				if tries == 100 {
+					t.Fatal("no session drew a recycled sessionExtra in 100 tries")
+				}
+				s, err := e.Begin(tmpl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.x == nil {
+					t.Fatal("a wire session carries no sessionExtra")
+				}
+				if ended != nil && s.x == endedX {
+					live = s
+					break
+				}
+				sx := s.x
+				if err := run(s); err != nil {
+					t.Fatal(err)
+				}
+				if s.x != nil {
+					t.Fatal("a committed session keeps its sessionExtra")
+				}
+				ended, endedX = s, sx
+				commits++
+			}
+			done := make(chan error, 1)
+			go func() { done <- run(live) }()
+			for {
+				if err := ended.Lock(bg, x, model.Exclusive); !errors.Is(err, ErrSessionDone) {
+					t.Fatalf("ended session: Lock = %v, want ErrSessionDone", err)
+				}
+				if err := ended.Unlock(x); !errors.Is(err, ErrSessionDone) {
+					t.Fatalf("ended session: Unlock = %v, want ErrSessionDone", err)
+				}
+				if err := ended.Commit(); !errors.Is(err, ErrSessionDone) {
+					t.Fatalf("ended session: Commit = %v, want ErrSessionDone", err)
+				}
+				if err := ended.Abort(); err != nil {
+					t.Fatalf("ended session: Abort = %v, want the no-op", err)
+				}
+				if held := ended.Held(); len(held) != 0 {
+					t.Fatalf("ended session: Held = %v, want none", held)
+				}
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatalf("the session that drew the recycled state: %v", err)
+					}
+					if c := e.Counters(); c.Commits != commits || c.Aborts != 0 {
+						t.Fatalf("counters %+v, want %d commits and no abort: the ended session's calls must change nothing", c, commits)
+					}
+					return
+				default:
+				}
+			}
+		})
+	}
+}

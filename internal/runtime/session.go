@@ -64,13 +64,14 @@ type Session struct {
 
 	// x holds the state only wire, pipelined or traced engines touch. It
 	// is nil on a plain in-process engine, which keeps the hot session
-	// small (see BeginAt).
+	// small (see BeginAt), and once the session ended.
 	x *sessionExtra
 }
 
 // sessionExtra is the part of a Session the plain in-process path never
-// reads: allocated by BeginAt only when the engine pipelines, ships
-// releases without waiting or samples spans.
+// reads: drawn by BeginAt only when the engine pipelines, ships releases
+// without waiting or samples spans, and recycled at session end (see
+// dropExtra) with its arrays kept for the next session.
 type sessionExtra struct {
 	// In-flight state. pend holds the in-flight acquires in submission
 	// order, oldest first (the join-oldest window, and Commit's join
@@ -92,6 +93,8 @@ type sessionExtra struct {
 	// sample at the aggregate 1-in-N rate.
 	spanTick int
 }
+
+var extraPool = sync.Pool{New: func() any { return new(sessionExtra) }}
 
 // inflight is one pipelined acquire shipped and not yet joined: its
 // completion, and its span (nil unless sampled), committed at the join.
@@ -155,7 +158,7 @@ func (e *Engine) BeginAt(s *Session, tmpl *model.Transaction, twoPhase bool) err
 	s.executed = graph.BitsetOver(words[:half], n)
 	s.held = graph.BitsetOver(words[half:], n)
 	if e.async != nil || e.releaseAsync != nil || e.spans != nil {
-		s.x = new(sessionExtra)
+		s.x = extraPool.Get().(*sessionExtra)
 	}
 	if e.spans != nil {
 		// Stagger sessions across the sampling period: sessions run a
@@ -373,9 +376,9 @@ func (s *Session) lockPipelined(ctx context.Context, inst locktable.Instance, en
 	if s.x.pipeErr != nil {
 		return mapTableErr(s.x.pipeErr)
 	}
-	if s.x.pend == nil {
+	if cap(s.x.pend) == 0 {
 		// One per Lock node: each entity is submitted once, and the joins
-		// pop the front, so appends never outgrow the array.
+		// pop the front in place, so appends never outgrow the array.
 		s.x.pend = make([]inflight, 0, s.tmpl.N()/2)
 	}
 	s.x.pend = append(s.x.pend, inflight{ent, s.e.async.AcquireAsync(inst, ent, mode), inst.Span})
@@ -383,7 +386,7 @@ func (s *Session) lockPipelined(ctx context.Context, inst locktable.Instance, en
 	s.executed.Set(int(nid))
 	for len(s.x.pend) > s.e.pipeline {
 		oldest := s.x.pend[0]
-		s.x.pend = s.x.pend[1:]
+		s.x.pend = slices.Delete(s.x.pend, 0, 1)
 		if err := s.joinAcquire(ctx, oldest); err != nil {
 			return mapTableErr(err)
 		}
@@ -479,7 +482,7 @@ func (s *Session) unlockAsync(ent model.EntityID, lnid int, nid model.NodeID) er
 	if s.x.pipeErr != nil {
 		return mapTableErr(s.x.pipeErr)
 	}
-	if s.x.rels == nil {
+	if cap(s.x.rels) == 0 {
 		s.x.rels = make([]locktable.Completion, 0, s.tmpl.N()/2) // one per Unlock node
 	}
 	s.x.rels = append(s.x.rels, s.e.releaseAsync(ent, s.key))
@@ -531,7 +534,7 @@ func (s *Session) joinShipped() error {
 	for _, f := range x.pend {
 		s.joinAcquire(context.Background(), f)
 	}
-	x.pend = nil
+	x.pend = x.pend[:0]
 	if len(x.rels) > 0 {
 		// The releases Unlock did not wait for settle here: this is where
 		// their errors (a stale fence after lease expiry, a dead server)
@@ -542,7 +545,7 @@ func (s *Session) joinShipped() error {
 				x.pipeErr = err
 			}
 		}
-		x.rels = nil
+		x.rels = x.rels[:0]
 	}
 	if x.pipeErr != nil {
 		if errors.Is(x.pipeErr, locktable.ErrStopped) {
@@ -554,18 +557,35 @@ func (s *Session) joinShipped() error {
 }
 
 // flushOps moves the session's per-path op tallies into the engine's
-// counters. Called once at every session end (commit, abort, discard),
-// so Engine.Counters lags a live session's in-flight operations but is
-// exact once the session closes.
+// counters, and hands its sessionExtra back (see dropExtra). Called once
+// at every session end (commit, abort, discard), after the joins, so
+// Engine.Counters lags a live session's in-flight operations but is exact
+// once the session closes.
 func (s *Session) flushOps() {
 	if s.nsync != 0 {
 		s.e.syncOps.Add(uint64(s.key.ID), s.nsync)
 		s.nsync = 0
 	}
-	if s.x != nil && s.x.npipe != 0 {
-		s.e.pipelinedOps.Add(uint64(s.key.ID), s.x.npipe)
-		s.x.npipe = 0
+	if s.x != nil {
+		if s.x.npipe != 0 {
+			s.e.pipelinedOps.Add(uint64(s.key.ID), s.x.npipe)
+		}
+		s.dropExtra()
 	}
+}
+
+// dropExtra ends the session's hold on its sessionExtra, the last use of
+// s.x. The arrays are cleared, so they keep no completion or span alive,
+// and go back to the pool with it. What was shipped and never joined (an
+// abort's release receipts, a discarded session's acquires) is abandoned,
+// which the Completion contract allows.
+func (s *Session) dropExtra() {
+	x := s.x
+	s.x = nil
+	clear(x.pend[:cap(x.pend)])
+	clear(x.rels[:cap(x.rels)])
+	*x = sessionExtra{pend: x.pend[:0], rels: x.rels[:0]}
+	extraPool.Put(x)
 }
 
 // Abort closes the session, releasing every held lock through the lock
@@ -584,7 +604,6 @@ func (s *Session) Abort() error {
 	default:
 	}
 	s.done = true
-	s.flushOps()
 	if s.x != nil && len(s.x.pend) > 0 {
 		// Resolve every in-flight acquire with an already-cancelled
 		// context before the release wave: each Wait withdraws its request
@@ -607,9 +626,9 @@ func (s *Session) Abort() error {
 				f.comp.Wait(ctx)
 			}()
 		}
-		wg.Wait()
-		s.x.pend = nil // aborted ops' spans are dropped, never committed
+		wg.Wait() // aborted ops' spans are dropped, never committed
 	}
+	s.flushOps()
 	// One pipelined release wave; a mid-abort shutdown leaves the rest to
 	// die with the table.
 	s.e.table.ReleaseAll(s.Held(), s.key)

@@ -249,39 +249,52 @@ func TestTraceStagesTotalIsLockLatency(t *testing.T) {
 }
 
 // TestRemoteSessionAllocs is TestCertifiedSessionAllocs over the wire: a
-// certified transaction on a loopback netlock server, server goroutines
-// included in the count, synchronous and pipelined. The wire recycles its
-// frame buffers, reply channels and await timers, so what is left per
-// transaction is the session, one completion per acquire and per acked
-// release, and the server's per-request bookkeeping; a pipelined session
-// adds its one in-flight list.
+// certified transaction on loopback netlock servers, server goroutines
+// included in the count — synchronous and pipelined on one server, and
+// pipelined over a two-server cluster. The wire recycles its frame
+// buffers, its request records (each the completion of one acquire or
+// release, with its reply channel) and its await timers, and the session
+// recycles its wire-side state, so on one server what is left per
+// transaction is the session alone; the cluster router adds its
+// per-operation completions and partition fences.
 func TestRemoteSessionAllocs(t *testing.T) {
 	for _, row := range []struct {
 		name                  string
-		opts                  []distlock.ServiceOption
+		servers               int
+		depth                 int
 		maxAllocs, maxBytes   float64
 		raceAllocs, raceBytes float64
 	}{
-		// Measured on a 2-core host: 9 allocs and ≈580 B, and ≈19 allocs and
-		// ≈1300 B under -race, whose pools drop items at random.
-		{name: "sync", maxAllocs: 12, maxBytes: 768, raceAllocs: 28, raceBytes: 1800},
-		// Measured on a 2-core host: 10 allocs and ≈650 B (a session that
-		// kept its in-flight acquires in two maps and a queue took 14 and
-		// ≈880 B), and ≈16 allocs and ≈1100 B under -race.
-		{name: "pipelined", opts: []distlock.ServiceOption{distlock.WithPipelineDepth(8)},
-			maxAllocs: 11, maxBytes: 720, raceAllocs: 24, raceBytes: 1600},
+		// Measured on a 2-core host: 1 alloc and ≈160 B (9 and ≈560 B while
+		// every acquire and release allocated its completion), and ≈13
+		// allocs and ≈1020 B under -race, whose pools drop items at random.
+		{name: "sync", servers: 1, maxAllocs: 3, maxBytes: 320, raceAllocs: 18, raceBytes: 1450},
+		// Measured on a 2-core host: 1 alloc and ≈160 B (10 and ≈650 B
+		// before), and ≈11 allocs and ≈860 B under -race.
+		{name: "pipelined", servers: 1, depth: 8, maxAllocs: 3, maxBytes: 320, raceAllocs: 16, raceBytes: 1250},
+		// Measured on a 2-core host: 12 allocs and ≈710 B (21 and ≈1190 B
+		// before), and ≈22 allocs and ≈1420 B under -race.
+		{name: "cluster2", servers: 2, depth: 8, maxAllocs: 15, maxBytes: 900, raceAllocs: 30, raceBytes: 2000},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			db := xyzDB()
-			srv, err := netlock.NewServer(xyzDB(), locktable.Config{}, netlock.ServerOptions{})
-			if err != nil {
-				t.Fatal(err)
+			var addrs []string
+			for range row.servers {
+				srv, err := netlock.NewServer(xyzDB(), locktable.Config{}, netlock.ServerOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.Listen("127.0.0.1:0"); err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+				addrs = append(addrs, srv.Addr())
 			}
-			if err := srv.Listen("127.0.0.1:0"); err != nil {
-				t.Fatal(err)
+			table := distlock.WithRemoteTable(addrs[0])
+			if row.servers > 1 {
+				table = distlock.WithRemoteCluster(addrs...)
 			}
-			defer srv.Close()
-			svc, err := distlock.Open(db, append([]distlock.ServiceOption{distlock.WithRemoteTable(srv.Addr())}, row.opts...)...)
+			svc, err := distlock.Open(db, table, distlock.WithPipelineDepth(row.depth))
 			if err != nil {
 				t.Fatal(err)
 			}
