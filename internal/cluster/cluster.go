@@ -68,14 +68,20 @@ type Table struct {
 	expiries   []obs.Counter
 	fenceJoins obs.Counter
 
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 
-	// fmu guards fences and every slot inside an instFence. The blocking
-	// joins themselves happen outside the lock; fmu only serializes slot
-	// bookkeeping against the sweep.
-	fmu    sync.Mutex
-	fences map[int]*instFence
+	// The async tier's frontiers (see the fencing comment below): per
+	// instance, one ticket per partition — the youngest acquire there that
+	// an operation on another partition must join first — kept by value in
+	// one slab. fences maps an instance ID to its frontier's offset in
+	// slots, and free holds the offsets of swept frontiers for reuse.
+	// sweepAt is the map size that triggers the next sweep. fmu guards
+	// them all; the joins themselves happen outside it.
+	fmu     sync.Mutex
+	fences  map[int]int
+	slots   []netlock.Ticket
+	free    []int
+	sweepAt int
 }
 
 var (
@@ -103,7 +109,8 @@ func New(ddb *model.DDB, cfg locktable.Config, addrs []string, opts Options) (*T
 	}
 	t := &Table{
 		parts:    make([]*netlock.Client, len(addrs)),
-		fences:   make(map[int]*instFence),
+		fences:   make(map[int]int),
+		sweepAt:  fenceSweepAt,
 		m:        cfg.Metrics,
 		expiries: make([]obs.Counter, len(addrs)),
 	}
@@ -119,6 +126,7 @@ func New(ddb *model.DDB, cfg locktable.Config, addrs []string, opts Options) (*T
 			}
 			return nil, fmt.Errorf("cluster: partition %d/%d: %w", i, len(addrs), err)
 		}
+		cli.SetErrorHook(func(err error) error { return t.mapErr(i, err) })
 		t.parts[i] = cli
 	}
 	return t, nil
@@ -156,38 +164,24 @@ func (t *Table) Partition(ent model.EntityID) int {
 	return int((h >> 32) % uint64(len(t.parts)))
 }
 
-func (t *Table) part(ent model.EntityID) *netlock.Client {
-	return t.parts[t.Partition(ent)]
-}
-
-// mapErr translates one dead partition's shutdown error into lease
-// language. ErrStopped from a partition client while the cluster itself
-// is still open means that server (or its connection) died: the server's
+// mapErr is partition p's error hook (netlock.Client.SetErrorHook), so
+// it sees every error the partition hands a caller exactly once, sync or
+// async. It translates a dead partition's shutdown error into lease
+// language: ErrStopped from a partition client while the cluster itself
+// is still open means that server (or its connection) died, the server's
 // lease machinery has revoked the session's grants on that slice of the
-// entity space, which is exactly what ErrLeaseExpired reports — and the
+// entity space, and that is exactly what ErrLeaseExpired reports — the
 // cluster as a whole must not present a partial outage as a table
-// shutdown, because every other partition keeps granting. After Close
-// the translation stops and ErrStopped means what it says.
-func (t *Table) mapErr(err error) error {
-	if err == nil || !errors.Is(err, locktable.ErrStopped) {
-		return err
+// shutdown, because every other partition keeps granting. After Close the
+// translation stops and ErrStopped means what it says. Every lease expiry
+// surfaced is then charged to p: counted client-side, because a killed
+// server cannot count its own expiries, and the survivors' counters
+// staying at zero is what certifies the outage stayed contained to one
+// partition.
+func (t *Table) mapErr(p int, err error) error {
+	if errors.Is(err, locktable.ErrStopped) && !t.closed.Load() {
+		err = netlock.ErrLeaseExpired
 	}
-	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
-		return locktable.ErrStopped
-	}
-	return netlock.ErrLeaseExpired
-}
-
-// mapErrAt is mapErr plus the per-partition expiry ledger: every lease
-// expiry surfaced to a caller is charged to the partition that produced
-// it. Counted here — on the client side — because a killed server cannot
-// count its own expiries; the survivors' counters staying at zero is what
-// certifies the outage stayed contained to one partition.
-func (t *Table) mapErrAt(p int, err error) error {
-	err = t.mapErr(err)
 	if errors.Is(err, netlock.ErrLeaseExpired) {
 		t.expiries[p].Inc()
 	}
@@ -199,7 +193,7 @@ func (t *Table) mapErrAt(p int, err error) error {
 func (t *Table) Acquire(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode locktable.Mode) error {
 	p := t.Partition(ent)
 	inst.Span.SetPartition(p)
-	return t.mapErrAt(p, t.parts[p].Acquire(ctx, inst, ent, mode))
+	return t.parts[p].Acquire(ctx, inst, ent, mode)
 }
 
 // The async tier: partition fencing.
@@ -238,132 +232,103 @@ func (t *Table) Acquire(ctx context.Context, inst locktable.Instance, ent model.
 // run's. An acquire never waits on other partitions'
 // releases either: overtaking one only lengthens a hold.
 //
-// Uncontended chains still pipeline: the fence joins are memoized
-// completions whose acks usually streamed back long before the next
-// partition switch, so the steady-state join is a non-blocking channel
-// read. What the fence costs is exactly the cross-partition reordering
-// that was unsound.
-
-// memoCompletion is the cluster's one object per async operation: it
-// applies the partition-loss translation and the per-partition expiry
-// ledger (mapErrAt) to partition p's completion, and lets two joiners
-// share an acquire's. The session owns every completion the async API
-// returns and joins each exactly once; the fence must ALSO join an
-// acquire's at the next partition switch. Both run on the session
-// goroutine, so Once is never contended — it just turns the second Wait
-// into a replay of the first result, and the partition client's
-// completion is still waited exactly once.
-type memoCompletion struct {
-	t     *Table
-	p     int
-	inner locktable.Completion
-	once  sync.Once
-	done  atomic.Bool
-	err   error
-}
-
-func (m *memoCompletion) Wait(ctx context.Context) error {
-	m.once.Do(func() {
-		m.err = m.t.mapErrAt(m.p, m.inner.Wait(ctx))
-		m.done.Store(true)
-	})
-	return m.err
-}
-
-// wrapRelease wraps partition p's release completion. One that resolved at
-// submission without error (a release of nothing) needs no translation
-// and passes through as is.
-func (t *Table) wrapRelease(p int, inner locktable.Completion) locktable.Completion {
-	if inner == locktable.Done {
-		return inner
-	}
-	return &memoCompletion{t: t, p: p, inner: inner}
-}
-
-// instFence is one instance's in-flight frontier: per partition, the
-// youngest unjoined acquire. Slots are only touched by the instance's own
-// session goroutine (the session API is serial per instance) — fmu exists
-// for the sweep, which inspects other instances' slots.
-type instFence struct {
-	busy bool // an acquire is between fenceBegin and fenceEnd; sweep must skip
-	acq  []*memoCompletion
-}
+// Uncontended chains still pipeline: through the tickets of the
+// instance's frontier, the fence joins the partition client's own pooled
+// acquire records in place, and their acks usually streamed back long
+// before the next partition switch, so the steady-state join is a
+// non-blocking channel read that allocates nothing. A joined record keeps
+// its outcome for the session's own Wait, which replays it; an acquire the
+// session already waited holds nothing up and is skipped, its record
+// possibly serving another request by then. What the fence costs is
+// exactly the cross-partition reordering that was unsound.
 
 // fenceSweepAt bounds the fence map: instance IDs are allocated
-// monotonically (one per Begin), so committed instances' entries — all
-// slots acked, imposing no further ordering — are swept out once the map
-// crosses this high-water mark.
-const fenceSweepAt = 1024
+// monotonically (one per Begin), so finished instances' frontiers — their
+// acquires all waited, imposing no further ordering — are swept out once
+// the map reaches this size, or twice what the last sweep kept if that is
+// more: a sweep then costs O(1) per frontier opened, however many
+// instances stay in flight.
+const fenceSweepAt = 64
 
-func (st *instFence) settled() bool {
-	if st.busy {
-		return false
-	}
-	for _, c := range st.acq {
-		if c != nil && !c.done.Load() {
-			return false
+// fence joins, in partition order, the instance's youngest unjoined
+// acquire on every partition but p, and clears those slots; within p the
+// server chain orders the instance's operations. It returns the first
+// join's failure, after which no further slot is joined. Only the
+// instance's own session goroutine fills or clears its slots. A sweep may
+// reclaim its frontier between two steps, but only once every ticket
+// there is settled, so each step looks the frontier up afresh.
+func (t *Table) fence(id, p int) error {
+	var err error
+	for q := range t.parts {
+		if q == p {
+			continue
 		}
-	}
-	return true
-}
-
-// take clears and returns the acquires an operation on partition p must
-// join first: the youngest unacked one on every other partition (wire
-// FIFO and the server chain order the home partition). Called under fmu.
-func (st *instFence) take(p int) []*memoCompletion {
-	var join []*memoCompletion
-	for q, c := range st.acq {
-		if q != p && c != nil {
-			join = append(join, c)
-			st.acq[q] = nil
+		var tk netlock.Ticket
+		t.fmu.Lock()
+		base, ok := t.fences[id]
+		if ok {
+			tk, t.slots[base+q] = t.slots[base+q], netlock.Ticket{}
 		}
-	}
-	return join
-}
-
-// fenceBegin collects the completions an acquire on partition p must join
-// first (R1) and marks the instance busy so the sweep leaves it alone
-// until fenceEnd records the acquire.
-func (t *Table) fenceBegin(key locktable.InstKey, p int) (*instFence, []*memoCompletion) {
-	t.fmu.Lock()
-	defer t.fmu.Unlock()
-	st := t.fences[key.ID]
-	if st == nil {
-		if len(t.fences) >= fenceSweepAt {
-			for id, old := range t.fences {
-				if old.settled() {
-					delete(t.fences, id)
-				}
+		t.fmu.Unlock()
+		if !ok {
+			return err
+		}
+		if tk != (netlock.Ticket{}) {
+			t.fenceJoins.Inc()
+			if err == nil {
+				err = tk.Join()
 			}
 		}
-		st = &instFence{acq: make([]*memoCompletion, len(t.parts))}
-		t.fences[key.ID] = st
 	}
-	st.busy = true
-	return st, st.take(p)
+	return err
 }
 
-// fenceEnd records the newly submitted acquire (nil if it was never
-// submitted) and lifts the sweep guard.
-func (t *Table) fenceEnd(st *instFence, p int, c *memoCompletion) {
+// record makes tk the instance's slot on partition p. An instance with no
+// frontier gets a swept one, or a new one at the end of the slab; the map
+// is swept first when it is at its high-water mark.
+func (t *Table) record(id, p int, tk netlock.Ticket) {
+	n := len(t.parts)
 	t.fmu.Lock()
-	if c != nil {
-		st.acq[p] = c
+	defer t.fmu.Unlock()
+	base, ok := t.fences[id]
+	if !ok {
+		if len(t.fences) >= t.sweepAt {
+		sweep:
+			for id, base := range t.fences {
+				for _, tk := range t.slots[base : base+n] {
+					if !tk.Settled() {
+						continue sweep
+					}
+				}
+				delete(t.fences, id)
+				t.free = append(t.free, base)
+			}
+			t.sweepAt = max(fenceSweepAt, 2*len(t.fences))
+		}
+		if k := len(t.free); k > 0 {
+			base, t.free = t.free[k-1], t.free[:k-1]
+			clear(t.slots[base : base+n])
+		} else {
+			base = len(t.slots)
+			t.slots = append(t.slots, make([]netlock.Ticket, n)...)
+		}
+		t.fences[id] = base
 	}
-	st.busy = false
-	t.fmu.Unlock()
+	t.slots[base+p] = tk
 }
 
 // AcquireAsync implements locktable.AsyncTable: the request is submitted
 // to the entity's owning partition without waiting for the ack — after
 // fencing against the instance's unacked acquires on every other
-// partition (see the partition-fencing comment above). Within one
+// partition (R1, see the partition-fencing comment above). Within one
 // partition the chain pipelines at full depth; a partition switch costs
-// at most one join, already resolved in the uncontended steady state. A
-// fence join that fails means an earlier acquire in program order
-// failed: the chain is over, so the request is not submitted and the
-// failure is returned for the session to observe (it re-observes the
-// same error, memoized, when it joins the predecessor itself).
+// at most one join per other partition, already resolved in the
+// uncontended steady state. A fence join that fails means an earlier
+// acquire in program order failed: the chain is over, so the request is
+// not submitted and the failure is returned for the session to observe
+// (it sees the same error again when it waits the predecessor itself).
+// The completion is the partition client's record, whose ticket becomes
+// the instance's slot on that partition.
 //
 // A sampled acquire's span is tagged with the owning partition, then
 // rides the partition client's submit. Fence joins happen before the
@@ -372,27 +337,26 @@ func (t *Table) fenceEnd(st *instFence, p int, c *memoCompletion) {
 func (t *Table) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) locktable.Completion {
 	p := t.Partition(ent)
 	inst.Span.SetPartition(p)
-	st, join := t.fenceBegin(inst.Key, p)
-	t.fenceJoins.Add(int64(len(join)))
-	for _, c := range join {
-		if err := c.Wait(context.Background()); err != nil {
-			t.fenceEnd(st, p, nil)
-			return locktable.ResolvedCompletion(err)
-		}
+	id := inst.Key.ID
+	if err := t.fence(id, p); err != nil {
+		return locktable.ResolvedCompletion(err)
 	}
-	w := &memoCompletion{t: t, p: p, inner: t.parts[p].AcquireAsync(inst, ent, mode)}
-	t.fenceEnd(st, p, w)
-	return w
+	c := t.parts[p].AcquireAsync(inst, ent, mode)
+	t.record(id, p, netlock.TicketOf(c))
+	return c
 }
 
 // ReleaseAsync implements locktable.AsyncTable: after the release fence
-// (R2) the release goes to the owning partition's fire-and-forget
-// ReleaseAsync — shipped even while the entity's own acquire is in
-// flight — so a pipelined Commit joins acquire acks only, as on one
-// server.
+// (R2: the instance's unacked acquires on every partition but the
+// entity's own) the release goes to the owning partition's
+// fire-and-forget ReleaseAsync — shipped even while the entity's own
+// acquire is in flight — so a pipelined Commit joins acquire acks only,
+// as on one server. A failed join is the session's to surface when it
+// waits that acquire; it left nothing held for this release to free.
 func (t *Table) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktable.Completion {
-	p := t.releaseFence(ent, key)
-	return t.wrapRelease(p, t.parts[p].ReleaseAsync(ent, key))
+	p := t.Partition(ent)
+	t.fence(key.ID, p)
+	return t.parts[p].ReleaseAsync(ent, key)
 }
 
 // ReleaseAsyncAcked is ReleaseAsync with an execution receipt (netlock's
@@ -400,34 +364,14 @@ func (t *Table) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktabl
 // their Unlock returns at submission and Commit joins the receipt, so
 // each Commit reports exactly its own releases' outcomes.
 func (t *Table) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) locktable.Completion {
-	p := t.releaseFence(ent, key)
-	return t.wrapRelease(p, t.parts[p].ReleaseAsyncAcked(ent, key))
-}
-
-// releaseFence joins the instance's unacked acquires on every partition
-// but the entity's own (R2) and returns that partition. It only looks the
-// instance up: no entry means nothing to join. Join errors are the
-// session's to surface at commit; a failed predecessor acquire left
-// nothing held for this release to free.
-func (t *Table) releaseFence(ent model.EntityID, key locktable.InstKey) int {
 	p := t.Partition(ent)
-	var join []*memoCompletion
-	t.fmu.Lock()
-	if st := t.fences[key.ID]; st != nil {
-		join = st.take(p)
-	}
-	t.fmu.Unlock()
-	t.fenceJoins.Add(int64(len(join)))
-	for _, c := range join {
-		c.Wait(context.Background())
-	}
-	return p
+	t.fence(key.ID, p)
+	return t.parts[p].ReleaseAsyncAcked(ent, key)
 }
 
 // Release implements locktable.Table.
 func (t *Table) Release(ent model.EntityID, key locktable.InstKey) error {
-	p := t.Partition(ent)
-	return t.mapErrAt(p, t.parts[p].Release(ent, key))
+	return t.parts[t.Partition(ent)].Release(ent, key)
 }
 
 // ReleaseAll implements locktable.Table: entities are grouped by owning
@@ -438,10 +382,13 @@ func (t *Table) Release(ent model.EntityID, key locktable.InstKey) error {
 // the live partitions' releases.
 func (t *Table) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
 	// The abort path: the session resolved every in-flight async
-	// operation before this wave, so the instance's fence frontier is
-	// dead weight — drop it rather than wait for the sweep.
+	// operation before this wave, so the instance's frontier is dead
+	// weight — free it rather than wait for the sweep.
 	t.fmu.Lock()
-	delete(t.fences, key.ID)
+	if base, ok := t.fences[key.ID]; ok {
+		delete(t.fences, key.ID)
+		t.free = append(t.free, base)
+	}
 	t.fmu.Unlock()
 	if len(ents) == 0 {
 		return nil
@@ -460,7 +407,7 @@ func (t *Table) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
 		wg.Add(1)
 		go func(p int, g []model.EntityID) {
 			defer wg.Done()
-			errs[p] = t.mapErrAt(p, t.parts[p].ReleaseAll(g, key))
+			errs[p] = t.parts[p].ReleaseAll(g, key)
 		}(p, g)
 	}
 	wg.Wait()
@@ -473,9 +420,7 @@ func (t *Table) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
 // observe ErrStopped — a real shutdown — rather than a feigned lease
 // expiry.
 func (t *Table) Close() {
-	t.mu.Lock()
-	t.closed = true
-	t.mu.Unlock()
+	t.closed.Store(true)
 	var wg sync.WaitGroup
 	for _, c := range t.parts {
 		wg.Add(1)

@@ -540,3 +540,120 @@ func TestClusterFenceJoinsCountAcquiresOnly(t *testing.T) {
 		t.Fatalf("FenceJoins = %d, want 2", n)
 	}
 }
+
+// TestClusterFenceJoinOrders pins the two orders in which a partition
+// fence and the session may join one acquire. The fence joins the
+// partition client's own record, so each order must hand every party the
+// acquire's one outcome, and only while the record is still that
+// acquire's.
+func TestClusterFenceJoinOrders(t *testing.T) {
+	// Fence first: partition 1 dies under an in-flight acquire. The
+	// instance's next acquire, on partition 0, joins it and fails, and the
+	// session's own Wait then replays the same lease expiry, counted once.
+	t.Run("fence-first", func(t *testing.T) {
+		tab, srvs, ddb := startCluster(t, 2, locktable.Config{})
+		e0, e1 := entOn(t, tab, ddb, 0), entOn(t, tab, ddb, 1)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+
+		if err := tab.Acquire(ctx, inst(9), e1, locktable.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		c1 := tab.AcquireAsync(inst(1), e1, locktable.Exclusive) // parks behind 9
+		srvs[1].Close()
+		before := tab.PartitionExpiries(1)
+		if err := tab.AcquireAsync(inst(1), e0, locktable.Exclusive).Wait(ctx); !errors.Is(err, netlock.ErrLeaseExpired) {
+			t.Fatalf("acquire behind the lost partition's = %v, want ErrLeaseExpired from the fence join", err)
+		}
+		if err := c1.Wait(ctx); !errors.Is(err, netlock.ErrLeaseExpired) {
+			t.Fatalf("session's wait after the fence join = %v, want the joined ErrLeaseExpired", err)
+		}
+		if n := tab.PartitionExpiries(1) - before; n != 1 {
+			t.Fatalf("partition 1 counted %d lease expiries for one failed acquire, want 1", n)
+		}
+		// The failed join stopped the chain: e0 was never requested.
+		if err := tab.Acquire(ctx, inst(3), e0, locktable.Exclusive); err != nil {
+			t.Fatalf("e0 after the fenced-off acquire: %v", err)
+		}
+	})
+
+	// Session first: the session waited its partition-0 acquire, and the
+	// record went back to the pool. Another instance's acquire draws it and
+	// parks behind a holder. The first instance's acquire on partition 1
+	// must not join that record: it returns at once.
+	t.Run("session-first", func(t *testing.T) {
+		tab, _, ddb := startCluster(t, 2, locktable.Config{})
+		var on0 []model.EntityID
+		for i := 0; i < ddb.NumEntities() && len(on0) < 2; i++ {
+			if tab.Partition(model.EntityID(i)) == 0 {
+				on0 = append(on0, model.EntityID(i))
+			}
+		}
+		if len(on0) < 2 {
+			t.Fatal("fewer than two entities on partition 0")
+		}
+		e0, f0, e1 := on0[0], on0[1], entOn(t, tab, ddb, 1)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		gone, drop := context.WithCancel(ctx)
+		drop()
+
+		if err := tab.Acquire(ctx, inst(9), f0, locktable.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		// The pool hands a record back to the goroutine that returned it,
+		// most of the time: retry with fresh instances until it does.
+		var a, b int
+		var cb locktable.Completion
+		for attempt := 0; ; attempt++ {
+			if attempt == 200 {
+				t.Fatal("the parked acquire never drew the waited acquire's record")
+			}
+			a, b = 10+2*attempt, 11+2*attempt
+			ca := tab.AcquireAsync(inst(a), e0, locktable.Exclusive)
+			if err := ca.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+			cb = tab.AcquireAsync(inst(b), f0, locktable.Exclusive) // parks behind 9
+			if cb == ca {
+				break
+			}
+			if err := cb.Wait(gone); !errors.Is(err, context.Canceled) {
+				t.Fatalf("withdrawn acquire: %v", err)
+			}
+			if err := tab.Release(e0, locktable.InstKey{ID: a}); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		joins := tab.FenceJoins()
+		next := make(chan locktable.Completion, 1)
+		go func() { next <- tab.AcquireAsync(inst(a), e1, locktable.Exclusive) }()
+		select {
+		case c := <-next:
+			if err := c.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("the fence joined another instance's acquire through a recycled record")
+		}
+		if n := tab.FenceJoins() - joins; n != 1 {
+			t.Fatalf("FenceJoins rose by %d, want 1: the waited acquire's slot still counts", n)
+		}
+
+		if err := tab.Release(f0, locktable.InstKey{ID: 9}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cb.Wait(ctx); err != nil {
+			t.Fatalf("the parked instance lost its own grant: %v", err)
+		}
+		for _, rel := range []struct {
+			ent model.EntityID
+			id  int
+		}{{e0, a}, {e1, a}, {f0, b}} {
+			if err := tab.Release(rel.ent, locktable.InstKey{ID: rel.id}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}

@@ -88,12 +88,6 @@ type TryAcquirer interface {
 	TryAcquire(inst Instance, ent model.EntityID, mode Mode) (bool, error)
 }
 
-// CompletionFunc adapts a function to the Completion interface.
-type CompletionFunc func(ctx context.Context) error
-
-// Wait implements Completion.
-func (f CompletionFunc) Wait(ctx context.Context) error { return f(ctx) }
-
 // ResolvedCompletion is a Completion that already has its answer: the
 // operation short-circuited (a release of nothing, a submission that
 // failed before reaching the wire). A nil error yields Done.
@@ -101,14 +95,14 @@ func ResolvedCompletion(err error) Completion {
 	if err == nil {
 		return Done
 	}
-	return CompletionFunc(func(context.Context) error { return err })
+	return resolved{err}
 }
 
 // Done is the Completion of an operation that resolved at submission
-// without error. It is one shared comparable value: returning it costs no
-// allocation, and a wrapper may compare against it to pass it through.
-var Done Completion = done{}
+// without error. It is one shared value: returning it costs no
+// allocation.
+var Done Completion = resolved{}
 
-type done struct{}
+type resolved struct{ err error }
 
-func (done) Wait(context.Context) error { return nil }
+func (r resolved) Wait(context.Context) error { return r.err }

@@ -99,6 +99,9 @@ type Client struct {
 	// arbitrary record is evicted instead of every one kept forever.
 	ffErrs map[locktable.InstKey]error
 
+	// hook maps every error handed to a caller (see SetErrorHook).
+	hook func(error) error
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -324,8 +327,7 @@ func (c *Client) heartbeats(every time.Duration) {
 			e.u8(opHeartbeat)
 			e.u64(reqID)
 			if c.enqueue(e.b, true, nil) != nil {
-				c.unregister(reqID)
-				return
+				return // shutdown began, and takes the pending entry out
 			}
 			c.wm.HeartbeatsSent.Inc()
 		}
@@ -366,9 +368,26 @@ func (c *Client) shutdown() {
 // again, so the next request that draws the record owns it alone. A wait
 // that is abandoned — cancelled, timed out or stopped — leaves its record
 // to the collector, since its reply may still be coming.
+//
+// An acquire's record may also be joined by a partition fence (see
+// Ticket) before its owner waits it: the join collects the reply and
+// keeps the outcome on the record, and the owner's Wait returns that
+// outcome and recycles the record. On a record that has a ticket, mu
+// serializes the two and is held across the wait, so whichever comes
+// second — possibly on another goroutine — returns the first's outcome
+// instead of racing it for the one reply; gen, bumped by that record's
+// Wait, tells a fence whether the record is still the one it saw
+// submitted. A record without a ticket takes neither.
 type request struct {
+	ch  chan result
+	mu  sync.Mutex
+	gen atomic.Uint64
+	reqState
+}
+
+// reqState is what one use of a record carries; recycle clears it.
+type reqState struct {
 	c     *Client
-	ch    chan result
 	reqID uint64
 	key   locktable.InstKey
 	ent   model.EntityID
@@ -377,9 +396,16 @@ type request struct {
 	mode  locktable.Mode
 	// granted marks an acked release whose acquire was granted at
 	// submission: await's self-fence bounds the join. live is set while
-	// the record is drawn and not yet waited.
+	// the record is drawn and not yet waited by its owner, fenced once it
+	// has a ticket. settled is set once the outcome was collected (by a
+	// fence join): err holds it, and spent says the reply was received,
+	// so the record may be recycled.
 	granted bool
 	live    bool
+	fenced  bool
+	settled bool
+	spent   bool
+	err     error
 }
 
 var reqPool = sync.Pool{New: func() any { return &request{ch: make(chan result, 1)} }}
@@ -391,10 +417,10 @@ func (c *Client) newRequest(op byte) *request {
 	return r
 }
 
-// recycle returns a record whose reply was received, keeping only its
-// channel, so a second Wait (a contract breach) finds it not live.
+// recycle returns a record whose reply was received, keeping its channel
+// and generation, so a second Wait (a contract breach) finds it not live.
 func (r *request) recycle() {
-	*r = request{ch: r.ch}
+	r.reqState = reqState{}
 	reqPool.Put(r)
 }
 
@@ -432,16 +458,6 @@ func (c *Client) register(r *request, mark bool) uint64 {
 	return reqID
 }
 
-func (c *Client) unregister(reqID uint64) {
-	c.mu.Lock()
-	_, present := c.pending[reqID]
-	delete(c.pending, reqID)
-	c.mu.Unlock()
-	if present {
-		c.wm.InFlight.Add(-1)
-	}
-}
-
 // send builds one frame and queues it for the flush loop, with the
 // request's sampled span riding along (nil when unsampled). The encoder
 // comes from the shared pool — enqueue copies the body into the pending
@@ -457,15 +473,22 @@ func (c *Client) send(build func(*enc), sp *obs.Span) error {
 }
 
 // call is the synchronous request/response path for everything but
-// Acquire and Release.
+// Acquire and Release. A send that fails means shutdown began, and
+// shutdown answers every pending request ErrStopped, so the reply is
+// awaited either way (so are an acquire's and an acked release's).
 func (c *Client) call(build func(reqID uint64, e *enc)) (result, error) {
 	r := c.newRequest(opReleaseAll)
 	reqID := c.register(r, false)
-	if err := c.send(func(e *enc) { build(reqID, e) }, nil); err != nil {
-		c.unregister(reqID)
-		return result{}, err
+	c.send(func(e *enc) { build(reqID, e) }, nil)
+	res, err := c.await(r)
+	if err != nil {
+		return res, err
 	}
-	return c.await(r)
+	r.recycle()
+	if res.status == stStopped {
+		return res, locktable.ErrStopped
+	}
+	return res, nil
 }
 
 // await collects the reply to a request that completes promptly on a
@@ -476,89 +499,152 @@ func (c *Client) call(build func(reqID uint64, e *enc)) (result, error) {
 // call into the same ErrStopped a closed table gives, with
 // the server's lease machinery reclaiming whatever the session held. A
 // reply that already streamed back is taken without arming the timer, and
-// the timer a wait does arm is a pooled one. A received reply's record is
-// recycled.
+// the timer a wait does arm is a pooled one. The error is set only when
+// the wait self-fenced, the reply still due; the caller recycles a record
+// whose reply was received.
 func (c *Client) await(r *request) (result, error) {
-	var res result
 	select {
-	case res = <-r.ch:
+	case res := <-r.ch:
+		return res, nil
 	default:
-		bound := 3 * c.lease
-		if bound < 15*time.Second {
-			bound = 15 * time.Second
-		}
-		timer := getTimer(bound)
-		select {
-		case res = <-r.ch:
-			putTimer(timer)
-		case <-timer.C:
-			putTimer(timer)
-			c.shutdown()
-			return result{}, locktable.ErrStopped
-		}
 	}
-	r.recycle()
-	if res.status == stStopped {
-		return res, locktable.ErrStopped
+	bound := 3 * c.lease
+	if bound < 15*time.Second {
+		bound = 15 * time.Second
 	}
-	return res, nil
+	timer := getTimer(bound)
+	defer putTimer(timer)
+	select {
+	case res := <-r.ch:
+		return res, nil
+	case <-timer.C:
+		c.shutdown()
+		return result{}, locktable.ErrStopped
+	}
 }
 
 // Wait implements locktable.Completion, and recycles the record once its
-// reply was received. An acquire's wait is the parked tail of Acquire: its
-// non-blocking first receive is the pipelined steady state — by the time a
-// session joins, the ack usually streamed back long ago — and skips the
-// multi-way select. An acked release's receipt waits for its acquire to
-// resolve when that was still in flight, so its join is bounded by ctx and
-// the connection's life rather than by await's self-fence.
+// reply was received. A record a fence already joined hands back the
+// outcome the join kept.
 func (r *request) Wait(ctx context.Context) error {
 	if !r.live {
 		return errWaitedTwice
 	}
 	r.live = false
+	fenced := r.fenced
+	if fenced {
+		r.mu.Lock()
+	}
+	if !r.settled {
+		r.settled, r.err = true, r.c.fail(r.outcome(ctx))
+	}
+	err, spent := r.err, r.spent
+	if fenced {
+		r.gen.Add(1)
+		r.mu.Unlock()
+	}
+	if spent {
+		r.recycle()
+	}
+	return err
+}
+
+// outcome waits for the op's result and sets spent if the reply was
+// received. An acquire's wait is the parked tail of Acquire: its
+// non-blocking first receive is the pipelined steady state — by the time
+// a session joins, the ack usually streamed back long ago — and skips the
+// multi-way select. An acked release's receipt waits for its acquire to
+// resolve when that was still in flight, so its join is bounded by ctx and
+// the connection's life rather than by await's self-fence.
+func (r *request) outcome(ctx context.Context) error {
 	c := r.c
+	var err error
 	var res result
 	switch {
 	case r.op == opAcquire:
 		select {
 		case res = <-r.ch:
+			err, r.spent = c.finishAcquire(r, res, r.sp), true
 		default:
 			select {
 			case res = <-r.ch:
+				err, r.spent = c.finishAcquire(r, res, r.sp), true
 			case <-ctx.Done():
-				return c.cancelAcquire(r, ctx.Err())
+				err = c.cancelAcquire(r, ctx.Err())
 			case <-c.stop:
 				c.unmark(r)
-				return locktable.ErrStopped
+				err = locktable.ErrStopped
 			}
 		}
-		err := c.finishAcquire(r, res, r.sp)
-		r.recycle()
-		return err
 	case r.reqID == 0: // fire-and-forget release
 		c.mu.Lock()
-		err := c.ffErrs[r.key]
+		err = c.ffErrs[r.key]
 		if err != nil {
 			delete(c.ffErrs, r.key)
 		}
 		c.mu.Unlock()
-		r.recycle()
-		return err
+		r.spent = true
 	case r.granted:
-		return c.finishRelease(c.await(r))
+		res, err = c.await(r)
+		r.spent = err == nil
+		err = c.finishRelease(res, err)
+	default:
+		select {
+		case res = <-r.ch:
+			err, r.spent = c.finishRelease(res, nil), true
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
 	}
-	select {
-	case res = <-r.ch:
-		r.recycle()
-		return c.finishRelease(res, nil)
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return err
 }
 
 // errWaitedTwice answers a second Wait on a completion that was already
 // waited.
 var errWaitedTwice = errors.New("netlock: completion waited twice")
+
+// Ticket is a partition fence's hold on one in-flight acquire: the record
+// AcquireAsync returned and its generation then. The cluster router keeps
+// one per instance and partition, by value, and joins it when the
+// instance's next operation goes to another partition.
+type Ticket struct {
+	r   *request
+	gen uint64
+}
+
+// TicketOf returns the ticket of a completion this package's AcquireAsync
+// returned. Call it before the completion is waited or handed to another
+// goroutine: it marks the record, so its owner's Wait serializes with the
+// ticket's Join.
+func TicketOf(comp locktable.Completion) Ticket {
+	r := comp.(*request)
+	r.fenced = true
+	return Ticket{r: r, gen: r.gen.Load()}
+}
+
+// Join waits for the acquire to resolve and returns its outcome, which
+// the record keeps for its owner's later Wait. An acquire its owner
+// already waited imposes no order any more: Join then returns nil at once,
+// without touching the record, which may already serve another request.
+func (t Ticket) Join() error {
+	r := t.r
+	if r.gen.Load() != t.gen {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.gen.Load() != t.gen {
+		return nil
+	}
+	if !r.settled {
+		r.settled, r.err = true, r.c.fail(r.outcome(context.Background()))
+	}
+	return r.err
+}
+
+// Settled reports whether the ticket orders nothing any more: it is the
+// zero Ticket, or its acquire's owner has waited it (see Join).
+func (t Ticket) Settled() bool { return t.r == nil || t.r.gen.Load() != t.gen }
 
 // unmark clears an acquire's in-flight mark once it resolved without a
 // grant. A grant turned the mark into a record, and an early release
@@ -585,13 +671,15 @@ func (c *Client) unmark(r *request) {
 // A sampled acquire (inst.Span set) grows one trailing marker byte on its
 // frame — the acquire decoder ignores leftover bytes, so this needed no
 // version bump — which tells the server to time its stages and send them
-// back as deltas on the grant reply.
+// back as deltas on the grant reply. The completion is always the
+// request's record (see TicketOf): a send that fails means shutdown began,
+// which resolves the record ErrStopped (see call).
 func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) locktable.Completion {
 	sp := inst.Span
 	r := c.newRequest(opAcquire)
 	r.key, r.ent, r.mode, r.sp = inst.Key, ent, mode, sp
 	reqID := c.register(r, true)
-	if err := c.send(func(e *enc) {
+	c.send(func(e *enc) {
 		e.u8(opAcquire)
 		e.u64(reqID)
 		e.key(inst.Key)
@@ -601,11 +689,7 @@ func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode 
 		if sp != nil {
 			e.u8(1) // sampled marker: ask the server to time this op
 		}
-	}, sp); err != nil {
-		c.unregister(reqID)
-		c.unmark(r)
-		return locktable.ResolvedCompletion(locktable.ErrStopped)
-	}
+	}, sp)
 	return r
 }
 
@@ -678,7 +762,7 @@ func (c *Client) finishAcquire(r *request, res result, sp *obs.Span) error {
 // was cancelled, then waits for the server's authoritative answer: if the
 // grant won the race it is released before returning, so the instance
 // holds nothing either way — and leaves no mark. Only a received answer
-// recycles the record.
+// marks the record spent.
 func (c *Client) cancelAcquire(r *request, cause error) error {
 	if err := c.send(func(e *enc) {
 		e.u8(opCancel)
@@ -703,13 +787,19 @@ func (c *Client) cancelAcquire(r *request, cause error) error {
 	select {
 	case res := <-r.ch:
 		// The grant raced the cancel: record it, then give it back (a
-		// no-op when an early release chained behind it already did).
+		// no-op when an early release chained behind it already did). The
+		// give-back's outcome is not the caller's, so it skips the error
+		// hook.
 		if res.status != stOK {
 			c.unmark(r)
 		} else if c.finishAcquire(r, res, nil) == nil {
-			c.Release(r.ent, r.key)
+			if rel, _ := c.release(r.ent, r.key, true); rel != nil {
+				if rel.outcome(context.Background()); rel.spent {
+					rel.recycle()
+				}
+			}
 		}
-		r.recycle()
+		r.spent = true
 		return cause
 	case <-c.stop:
 	case <-timer.C:
@@ -813,24 +903,7 @@ const ffErrCap = 256
 // makes the release the silent no-op. The caller still joins the
 // acquire, whose completion reports the grant (or the failure) as usual.
 func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktable.Completion {
-	_, held, closed := c.takeGrant(ent, key)
-	if closed {
-		return locktable.ResolvedCompletion(locktable.ErrStopped)
-	}
-	if !held {
-		return locktable.ResolvedCompletion(nil)
-	}
-	if err := c.send(func(e *enc) {
-		e.u8(opRelease)
-		e.u64(0) // fire-and-forget: no reply expected on success
-		e.i64(int64(ent))
-		e.key(key)
-	}, nil); err != nil {
-		return locktable.ResolvedCompletion(locktable.ErrStopped)
-	}
-	r := c.newRequest(opRelease)
-	r.key = key
-	return r
+	return c.completion(c.release(ent, key, false))
 }
 
 // ReleaseAsyncAcked is ReleaseAsync with an execution receipt: the
@@ -845,28 +918,49 @@ func (c *Client) ReleaseAsync(ent model.EntityID, key locktable.InstKey) locktab
 // the instance's next operation, which is why the pipelined tier keeps
 // the receipt-free ReleaseAsync. Release is this call joined at once.
 // Like ReleaseAsync, it may ship while the entity's acquire is in flight
-// (see request.Wait for how its join is bounded then).
+// (see request.outcome for how its join is bounded then).
 func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) locktable.Completion {
+	return c.completion(c.release(ent, key, true))
+}
+
+// completion hands a caller an op's record, or the error (through the
+// hook) of an op that resolved at submission — Done for a release of
+// nothing.
+func (c *Client) completion(r *request, err error) locktable.Completion {
+	if r == nil {
+		return locktable.ResolvedCompletion(c.fail(err))
+	}
+	return r
+}
+
+// release ships a release, with a receipt when acked, and returns its
+// record, or nil and the error of a release that resolved at submission
+// (nil when the instance holds no record for the entity). An acked
+// release's failed send is answered through pending (see call).
+func (c *Client) release(ent model.EntityID, key locktable.InstKey, acked bool) (*request, error) {
 	granted, held, closed := c.takeGrant(ent, key)
 	if closed {
-		return locktable.ResolvedCompletion(locktable.ErrStopped)
+		return nil, locktable.ErrStopped
 	}
 	if !held {
-		return locktable.ResolvedCompletion(nil)
+		return nil, nil
 	}
 	r := c.newRequest(opRelease)
-	r.granted = granted
-	reqID := c.register(r, false)
+	r.key, r.granted = key, granted
+	var reqID uint64 // zero: fire-and-forget, no reply expected on success
+	if acked {
+		reqID = c.register(r, false)
+	}
 	if err := c.send(func(e *enc) {
 		e.u8(opRelease)
 		e.u64(reqID)
 		e.i64(int64(ent))
 		e.key(key)
-	}, nil); err != nil {
-		c.unregister(reqID)
-		return locktable.ResolvedCompletion(locktable.ErrStopped)
+	}, nil); err != nil && !acked {
+		r.recycle()
+		return nil, err
 	}
-	return r
+	return r, nil
 }
 
 // ReleaseAll implements locktable.Table: one wire round trip releases
@@ -878,6 +972,10 @@ func (c *Client) ReleaseAsyncAcked(ent model.EntityID, key locktable.InstKey) lo
 // in-flight marks are left for their acquires' joins to settle (callers
 // resolve their acquires first, as Session.Abort does).
 func (c *Client) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
+	return c.fail(c.releaseAll(ents, key))
+}
+
+func (c *Client) releaseAll(ents []model.EntityID, key locktable.InstKey) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -922,6 +1020,22 @@ func (c *Client) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error 
 func (c *Client) Close() {
 	c.shutdown()
 	c.wg.Wait()
+}
+
+// SetErrorHook installs h on the client's error path: every error the
+// client hands a caller — a completion's outcome, an operation that
+// resolved at submission, ReleaseAll's — passes through h exactly once,
+// and the caller gets what h returns. Set it before the client carries
+// traffic. The cluster router installs its partition-loss translation
+// here.
+func (c *Client) SetErrorHook(h func(error) error) { c.hook = h }
+
+// fail applies the error hook to an error handed to a caller.
+func (c *Client) fail(err error) error {
+	if err == nil || c.hook == nil {
+		return err
+	}
+	return c.hook(err)
 }
 
 // Lease returns the server-granted lease window (diagnostics and tests).

@@ -254,9 +254,9 @@ func TestTraceStagesTotalIsLockLatency(t *testing.T) {
 // pipelined over a two-server cluster. The wire recycles its frame
 // buffers, its request records (each the completion of one acquire or
 // release, with its reply channel) and its await timers, and the session
-// recycles its wire-side state, so on one server what is left per
-// transaction is the session alone; the cluster router adds its
-// per-operation completions and partition fences.
+// recycles its wire-side state, so what is left per transaction is the
+// session alone — on a cluster too, whose router hands out the partition
+// clients' records and keeps its partition fences by value.
 func TestRemoteSessionAllocs(t *testing.T) {
 	for _, row := range []struct {
 		name                  string
@@ -272,9 +272,10 @@ func TestRemoteSessionAllocs(t *testing.T) {
 		// Measured on a 2-core host: 1 alloc and ≈160 B (10 and ≈650 B
 		// before), and ≈11 allocs and ≈860 B under -race.
 		{name: "pipelined", servers: 1, depth: 8, maxAllocs: 3, maxBytes: 320, raceAllocs: 16, raceBytes: 1250},
-		// Measured on a 2-core host: 12 allocs and ≈710 B (21 and ≈1190 B
-		// before), and ≈22 allocs and ≈1420 B under -race.
-		{name: "cluster2", servers: 2, depth: 8, maxAllocs: 15, maxBytes: 900, raceAllocs: 30, raceBytes: 2000},
+		// Measured on a 2-core host: 1 alloc and ≈170 B (12 and ≈710 B
+		// while the router wrapped every operation in a completion of its
+		// own), and ≈11 allocs and ≈930 B under -race.
+		{name: "cluster2", servers: 2, depth: 8, maxAllocs: 3, maxBytes: 320, raceAllocs: 16, raceBytes: 1250},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			db := xyzDB()
