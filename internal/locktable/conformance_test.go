@@ -38,13 +38,9 @@ func conformanceBackends() []backendCase {
 			cfg.Shards = 1024
 			return NewSharded(ddb, cfg)
 		}},
-		{"sharded-slowpath", func(ddb *model.DDB, cfg Config) Table {
-			// The mutex-only shared path the netlock server opts into (its
-			// wire callers may repeat a shared acquire): semantics must
-			// match the CAS fast path.
-			cfg.DisableSharedFastPath = true
-			return NewSharded(ddb, cfg)
-		}},
+		// The mutex-only shared path, which a database over 2¹⁸ entities
+		// runs (maxFastPathEntities): semantics must match the CAS fast path.
+		{"sharded-slowpath", newSlowPathTable},
 	}, extraBackends...)
 }
 

@@ -112,17 +112,6 @@ type Config struct {
 	// the entity count leave some stripes empty — both are legal, and the
 	// conformance and soak suites run both.
 	Shards int
-	// DisableSharedFastPath forces every shared Acquire/Release of the
-	// sharded backend through the stripe mutexes. The fast path counts
-	// shared holders anonymously (a padded per-entity atomic) instead of
-	// recording their identity, so a duplicate shared Acquire by a holder
-	// adds a second reader where the mutex path returns the holder's
-	// grant. In-process sessions never issue one (they lock each entity
-	// once), but the netlock server serves outside input: it records one
-	// grant per (connection, instance, entity) and frees one lock per
-	// release, so a duplicate counted twice would strand a reader that
-	// no release can free. The server therefore sets this.
-	DisableSharedFastPath bool
 	// Metrics receives the backend's operation counters (grants by path,
 	// releases, queue-depth samples). Counting is
 	// always on — a nil Metrics is normalized to a private bundle — and
@@ -152,19 +141,21 @@ type Table interface {
 	// withdrawn — or, if a grant raced the cancellation, released —
 	// before returning, so the instance holds nothing on a non-nil
 	// return); and ErrStopped once the table is closed. A duplicate
-	// Acquire by a current holder returns nil immediately regardless of
-	// mode (mode upgrades are not supported; sessions issue at most one
-	// Lock per entity). With the sharded backend's anonymous
-	// shared fast path enabled, a duplicate SHARED Acquire is
-	// indistinguishable from a new reader and must not be issued — the
-	// session layer guarantees it never is.
+	// Acquire by the exclusive holder returns nil immediately regardless
+	// of mode (mode upgrades are not supported). A shared holder must not
+	// repeat its Acquire: the sharded backend's fast path counts shared
+	// holds anonymously, so a shared repeat would add a second reader and
+	// an exclusive one would wait on the holder itself. No caller repeats:
+	// the session layer locks each entity once, and the netlock server
+	// answers a repeat from its grant book.
 	Acquire(ctx context.Context, inst Instance, ent model.EntityID, mode Mode) error
 	// Release frees the entity if the instance holds it, granting it to the
 	// next waiter in FIFO order. Releasing an
 	// entity the instance does not hold is a no-op — except that with the
 	// sharded backend's anonymous shared fast path, a release while fast
-	// readers hold the entity is credited to one of them (callers must
-	// only release what they hold; the session layer guarantees it).
+	// readers hold the entity is credited to one of them. Callers release
+	// only what they hold: the session layer, and the netlock server's
+	// grant book, guarantee it.
 	// Returns ErrStopped on a closed table, whose locks died with it.
 	Release(ent model.EntityID, key InstKey) error
 	// ReleaseAll releases every listed entity the instance holds — the

@@ -31,10 +31,10 @@ import (
 //     writer-blocks-later-readers semantics are preserved bit-for-bit;
 //     the conformance suite proves it.
 //
-//     Fast shared grants are ANONYMOUS — a count, not a holder set — so
-//     the fast path is off under Config.DisableSharedFastPath (for
-//     embedders like the netlock server, whose callers may repeat a
-//     shared acquire that a count cannot tell from a new reader).
+//     Fast shared grants are ANONYMOUS — a count, not a holder set — so a
+//     caller must not repeat a shared acquire, which a count cannot tell
+//     from a new reader (see Table.Acquire). Databases over
+//     maxFastPathEntities run mutex-only, shared holders in sholders.
 //
 //  2. Striping. The stripe count resolves from GOMAXPROCS by default
 //     (Config.Shards > 0 pins it), and each stripe sits on its own cache
@@ -61,8 +61,7 @@ type shardedTable struct {
 	m *obs.TableMetrics
 
 	// fast holds the per-entity packed reader state (fastSlot), indexed by
-	// the dense EntityID. Nil when the fast path is disabled (explicit
-	// opt-out, or an oversized/absent database).
+	// the dense EntityID. Nil for an oversized or absent database.
 	fast []fastSlot
 
 	// stripes is the fixed stripe slice; stripeIndex homes each entity.
@@ -175,8 +174,7 @@ func NewSharded(ddb *model.DDB, cfg Config) Table {
 	for i := range t.stripes {
 		t.stripes[i].locks = map[model.EntityID]*slock{}
 	}
-	if !cfg.DisableSharedFastPath &&
-		ddb != nil && ddb.NumEntities() > 0 && ddb.NumEntities() <= maxFastPathEntities {
+	if ddb != nil && ddb.NumEntities() > 0 && ddb.NumEntities() <= maxFastPathEntities {
 		t.fast = make([]fastSlot, ddb.NumEntities())
 	}
 	return t

@@ -157,10 +157,20 @@ func TestStripeIndexBalance(t *testing.T) {
 	}
 }
 
+// newSlowPathTable builds the sharded table without its CAS shared fast
+// path: every shared Acquire/Release takes the entity's stripe mutex and
+// names its holder in sholders. A database over maxFastPathEntities runs
+// this path; the tests build it over a small one.
+func newSlowPathTable(ddb *model.DDB, cfg Config) Table {
+	t := NewSharded(ddb, cfg).(*shardedTable)
+	t.fast = nil
+	return t
+}
+
 // TestReaderCrowdFastPathBeatsSlowPath is the CI guard for the hot-entity
 // convoy: a crowd of readers on one hot entity must run at least as fast
-// on the default table (atomic fast path) as on the same table with
-// DisableSharedFastPath (every reader through the entity's stripe mutex).
+// on the default table (atomic fast path) as on the same table without it
+// (newSlowPathTable: every reader through the entity's stripe mutex).
 // Kept short — a few hundred milliseconds per run — and asserted with a
 // margin only in the direction that matters: if the fast path regresses
 // into a convoy, its number collapses to (or below) the mutex path's and
@@ -170,10 +180,10 @@ func TestReaderCrowdFastPathBeatsSlowPath(t *testing.T) {
 	if testing.Short() {
 		iters = 4000
 	}
-	run := func(cfg Config) float64 {
+	run := func(mk func(*model.DDB, Config) Table) float64 {
 		ddb := model.NewDDB()
 		hot := ddb.MustEntity("hot", "s0")
-		tab := NewSharded(ddb, cfg)
+		tab := mk(ddb, Config{})
 		defer tab.Close()
 		const crowd = 8
 		ctx := context.Background()
@@ -199,8 +209,8 @@ func TestReaderCrowdFastPathBeatsSlowPath(t *testing.T) {
 		wg.Wait()
 		return float64(crowd*iters) / time.Since(start).Seconds()
 	}
-	fastOps := run(Config{})
-	slowOps := run(Config{DisableSharedFastPath: true})
+	fastOps := run(NewSharded)
+	slowOps := run(newSlowPathTable)
 	t.Logf("reader crowd: fast path %.0f ops/s, stripe-mutex path %.0f ops/s (%.1fx)",
 		fastOps, slowOps, fastOps/slowOps)
 	if fastOps < slowOps {

@@ -114,8 +114,8 @@ var (
 
 // Dial connects to a netlock server and completes the handshake. The
 // database must be the same one the server hosts (checked by fingerprint).
-// Of cfg only Metrics is read, the client-side counter bundle; the rest is
-// server-side tuning.
+// Of cfg only Metrics is read, the client-side counter bundle; Shards
+// sizes the hosted table, which NewServer's cfg sets.
 func Dial(addr string, ddb *model.DDB, cfg locktable.Config, opts DialOptions) (*Client, error) {
 	if ddb == nil {
 		return nil, fmt.Errorf("netlock: nil database")

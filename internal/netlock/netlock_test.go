@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,34 +116,205 @@ func TestKilledConnMidAcquire(t *testing.T) {
 }
 
 // TestDuplicateSharedAcquireOverWire: a wire client is outside input, so
-// the server must survive a repeated shared acquire. It keeps one grant
-// record per (connection, instance, entity), so one release frees the
-// lock and a writer on another connection gets it. This is why the server
-// turns off the hosted table's anonymous shared fast path, which would
-// count the duplicate as a second reader that no release frees.
+// the server must survive a repeated acquire in any pair of modes. Its
+// grant book keeps one record per (connection, instance, entity) and
+// answers the repeat from it, so the hosted table never sees the repeat:
+// it returns at once, upgrades no mode, and one release frees the lock. The
+// hosted table runs its CAS shared fast path, which would count a repeated
+// shared acquire as a second anonymous reader that no release frees.
 func TestDuplicateSharedAcquireOverWire(t *testing.T) {
-	ddb, ents := testDDB(t, 1)
-	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
-	reader := dial(t, srv, locktable.Config{}, DialOptions{})
-	writer := dial(t, srv, locktable.Config{}, DialOptions{})
+	S, X := locktable.Shared, locktable.Exclusive
+	for _, tc := range []struct{ held, repeat locktable.Mode }{{S, S}, {S, X}, {X, S}, {X, X}} {
+		t.Run(fmt.Sprintf("%v-then-%v", tc.held, tc.repeat), func(t *testing.T) {
+			ddb, ents := testDDB(t, 1)
+			e := ents[0]
+			srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
+			holder := dial(t, srv, locktable.Config{}, DialOptions{})
+			other := dial(t, srv, locktable.Config{}, DialOptions{})
+			in := locktable.Instance{Key: locktable.InstKey{ID: 1}}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	in := locktable.Instance{Key: locktable.InstKey{ID: 1}}
-	for i := 1; i <= 2; i++ {
-		if err := reader.Acquire(ctx, in, ents[0], locktable.Shared); err != nil {
-			t.Fatalf("shared acquire %d: %v", i, err)
-		}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := holder.Acquire(ctx, in, e, tc.held); err != nil {
+				t.Fatalf("first acquire: %v", err)
+			}
+			rctx, rcancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer rcancel()
+			if err := holder.Acquire(rctx, in, e, tc.repeat); err != nil {
+				t.Fatalf("repeat acquire = %v, want nil at once", err)
+			}
+
+			// No upgrade: another connection's reader is admitted beside a
+			// shared hold and blocked by an exclusive one.
+			r := locktable.Instance{Key: locktable.InstKey{ID: 2}}
+			pctx, pcancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer pcancel()
+			err := other.Acquire(pctx, r, e, S)
+			if tc.held == S {
+				if err != nil {
+					t.Fatalf("reader beside a shared hold = %v; the repeat upgraded it", err)
+				}
+				if err := other.Release(e, r.Key); err != nil {
+					t.Fatal(err)
+				}
+				if n := srv.TableMetrics().Snapshot().FastPathHits; n == 0 {
+					t.Fatal("no shared grant took the hosted table's CAS fast path")
+				}
+			} else if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("reader beside an exclusive hold = %v, want DeadlineExceeded", err)
+			}
+
+			if err := holder.Release(e, in.Key); err != nil {
+				t.Fatal(err)
+			}
+			if held := srv.TableMetrics().Snapshot().Held; held != 0 {
+				t.Errorf("server table holds %d locks after the one release, want 0", held)
+			}
+			wctx, wcancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer wcancel()
+			w := locktable.Instance{Key: locktable.InstKey{ID: 3}}
+			if err := other.Acquire(wctx, w, e, X); err != nil {
+				t.Fatalf("writer after the one release = %v; the repeat stranded a reader", err)
+			}
+			if err := other.Release(e, w.Key); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if err := reader.Release(ents[0], in.Key); err != nil {
+}
+
+// TestPipelinedRepeatAnsweredFromBook: a repeat shipped while the first
+// acquire is still parked waits in the instance's chain, and the book
+// answers it in its turn, after the first was granted and booked.
+func TestPipelinedRepeatAnsweredFromBook(t *testing.T) {
+	ddb, ents := testDDB(t, 1)
+	e := ents[0]
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
+	holder := dial(t, srv, locktable.Config{}, DialOptions{})
+	other := dial(t, srv, locktable.Config{}, DialOptions{})
+	acquire(t, other, 9, e)
+
+	in := locktable.Instance{Key: locktable.InstKey{ID: 1}}
+	first := holder.AcquireAsync(in, e, locktable.Shared)
+	waitFor(t, func() bool { return srv.TableMetrics().Waiting.Load() == 1 })
+	repeat := holder.AcquireAsync(in, e, locktable.Shared)
+	waitFor(t, func() bool { // the repeat waits in the first's chain
+		srv.connsMu.RLock()
+		defer srv.connsMu.RUnlock()
+		queued := 0
+		for _, sc := range srv.conns {
+			sc.mu.Lock()
+			for _, ch := range sc.chains {
+				queued += len(ch.q)
+			}
+			sc.mu.Unlock()
+		}
+		return queued == 1
+	})
+	if err := other.Release(e, locktable.InstKey{ID: 9}); err != nil {
 		t.Fatal(err)
 	}
-	wctx, wcancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer wcancel()
-	w := locktable.Instance{Key: locktable.InstKey{ID: 2}}
-	if err := writer.Acquire(wctx, w, ents[0], locktable.Exclusive); err != nil {
-		t.Fatalf("writer after the one release = %v; the duplicate shared acquire stranded a reader", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := first.Wait(ctx); err != nil {
+		t.Fatalf("first acquire = %v", err)
 	}
+	if err := repeat.Wait(ctx); err != nil {
+		t.Fatalf("pipelined repeat = %v", err)
+	}
+	if err := holder.Release(e, in.Key); err != nil {
+		t.Fatal(err)
+	}
+	if held := srv.TableMetrics().Snapshot().Held; held != 0 {
+		t.Errorf("server table holds %d locks after the one release, want 0", held)
+	}
+	if err := other.Acquire(ctx, locktable.Instance{Key: locktable.InstKey{ID: 3}}, e, locktable.Exclusive); err != nil {
+		t.Fatalf("writer after the one release = %v; the pipelined repeat stranded a reader", err)
+	}
+}
+
+// gatedTable wraps the hosted table. Armed, its TryAcquire misses and its
+// Acquire signals reached, then waits for its context to be cancelled
+// before it forwards (and disarms): a request the server hands the table
+// is held there until it is withdrawn.
+type gatedTable struct {
+	locktable.Table
+	try     locktable.TryAcquirer
+	armed   atomic.Bool
+	reached chan struct{}
+}
+
+func (g *gatedTable) TryAcquire(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) (bool, error) {
+	if g.armed.Load() {
+		return false, nil
+	}
+	return g.try.TryAcquire(inst, ent, mode)
+}
+
+func (g *gatedTable) Acquire(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode locktable.Mode) error {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.reached)
+		<-ctx.Done()
+	}
+	return g.Table.Acquire(ctx, inst, ent, mode)
+}
+
+// TestRepeatAcquireCancelKeepsHold: a holder's repeated acquire that is
+// cancelled must not free the hold. Had the repeat reached the table, the
+// table would grant it (the instance holds the entity) as the cancel
+// lands, and the server would give that "racing" grant back — releasing
+// the one hold its book still records. The book answers the repeat
+// instead, so the table never sees it, and another connection's writer
+// stays blocked until the holder's own release.
+func TestRepeatAcquireCancelKeepsHold(t *testing.T) {
+	ddb, ents := testDDB(t, 1)
+	x := ents[0]
+	var gate *gatedTable
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{
+		Lease: time.Minute,
+		New: func(ddb *model.DDB, cfg locktable.Config) locktable.Table {
+			tab := locktable.NewSharded(ddb, cfg)
+			gate = &gatedTable{Table: tab, try: tab.(locktable.TryAcquirer), reached: make(chan struct{})}
+			return gate
+		},
+	})
+	a := dial(t, srv, locktable.Config{}, DialOptions{})
+	b := dial(t, srv, locktable.Config{}, DialOptions{})
+	acquire(t, a, 1, x)
+
+	gate.armed.Store(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	repeat := make(chan error, 1)
+	go func() {
+		repeat <- a.Acquire(ctx, locktable.Instance{Key: locktable.InstKey{ID: 1}}, x, locktable.Exclusive)
+	}()
+	select {
+	case <-gate.reached: // the table saw the repeat: withdraw it mid-wait
+		cancel()
+		select {
+		case <-repeat:
+		case <-time.After(5 * time.Second):
+			t.Fatal("cancelled repeat never returned")
+		}
+	case err := <-repeat: // the book answered it
+		if err != nil {
+			t.Fatalf("repeat acquire = %v, want nil", err)
+		}
+		cancel()
+	case <-time.After(5 * time.Second):
+		t.Fatal("repeat acquire neither returned nor reached the table")
+	}
+
+	pctx, pcancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer pcancel()
+	if err := b.Acquire(pctx, locktable.Instance{Key: locktable.InstKey{ID: 2}}, x, locktable.Exclusive); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("second connection's exclusive acquire = %v while the first still holds the entity, want DeadlineExceeded", err)
+	}
+	if err := a.Release(x, locktable.InstKey{ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	acquire(t, b, 3, x)
 }
 
 // TestLeaseExpiryWhileHolding: a holder that stops heartbeating is

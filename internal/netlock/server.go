@@ -28,11 +28,12 @@ type ServerOptions struct {
 	// DefaultLease.
 	Lease time.Duration
 	// New constructs the hosted in-process table (nil: locktable.NewSharded).
-	// It receives cfg with the server's metrics bundle and the shared fast
-	// path disabled. The server sees the table only through locktable.Table
-	// and TryAcquirer, so a wrapper may observe it: the benchmark times it,
-	// and tests record its grants with locktabletest.Tap, where the low 32
-	// bits of a composed instance key are the client's instance ID.
+	// It receives cfg with the server's metrics bundle. The grant book keeps
+	// repeated acquires and releases of unheld locks from the table, which
+	// the server sees only through locktable.Table and TryAcquirer, so a
+	// wrapper may observe it: the benchmark times it, and tests record its
+	// grants with locktabletest.Tap, where the low 32 bits of a composed
+	// instance key are the client's instance ID.
 	New func(*model.DDB, locktable.Config) locktable.Table
 }
 
@@ -184,14 +185,6 @@ func NewServer(ddb *model.DDB, cfg locktable.Config, opts ServerOptions) (*Serve
 	}
 	inner := cfg
 	inner.Metrics = s.tm // the hosted table counts into the server's bundle
-	// The sharded backend's anonymous shared fast path is wrong here: a
-	// wire client is outside input, and recordGrant keeps one grant record
-	// per (connection, instance, entity), so a repeated shared acquire is a
-	// no-op to the server's books — but on the CAS path it would add a
-	// second anonymous reader that the one record's release never frees.
-	// The wire round trip dwarfs a stripe mutex anyway, so this costs
-	// nothing observable.
-	inner.DisableSharedFastPath = true
 	s.tab = mk(ddb, inner)
 	s.tryTab, _ = s.tab.(locktable.TryAcquirer)
 	s.wg.Add(1)
@@ -689,13 +682,9 @@ func (s *Server) releaseComposed(c *srvConn, ent model.EntityID, composed lockta
 	return stStaleFence
 }
 
-// recordGrant records a granted acquire under c.mu and clears a
-// lease-expiry tombstone left for the same ref. A duplicate acquire by the
-// current holder records nothing — the inner table granted nothing new.
+// recordGrant books a granted acquire under c.mu and clears a lease-expiry
+// tombstone left for the same ref, which is new: the book answers repeats.
 func (s *Server) recordGrant(c *srvConn, ref grantRef) {
-	if _, dup := c.grants[ref]; dup {
-		return
-	}
 	c.grants[ref] = struct{}{}
 	if len(c.tombs) > 0 {
 		delete(c.tombs, ref)
@@ -760,17 +749,19 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 	// per connection — and observing the chain record gone happens-after
 	// its last item resolved (runChain deletes it under c.mu), so wire
 	// order within the instance is preserved. A failed try queues nothing
-	// and falls through to the chain path.
+	// and falls through to the chain path, and so does a repeat of a booked
+	// grant, without a try: execAcquire answers it from the book.
 	if s.tryTab != nil {
 		c.mu.Lock()
 		_, chained := c.chains[composed]
+		_, booked := c.grants[grantRef{ent: ent, key: composed}]
 		lost := c.leaseLost
 		c.mu.Unlock()
 		if lost {
 			c.result(reqID, stLeaseExpired, nil, nil)
 			return
 		}
-		if !chained {
+		if !chained && !booked {
 			sp.Stamp(obs.StageChainStart) // inline path: "chain start" is the try itself
 			granted, err := s.tryTab.TryAcquire(inst, ent, mode)
 			if err != nil {
@@ -852,21 +843,26 @@ func (s *Server) runChain(c *srvConn, composed locktable.InstKey, it *chainItem)
 // execAcquire runs one chain item to its reply. An item that was
 // cancelled or revoked while queued answers without entering the inner
 // table — the request never existed as far as the lock space is
-// concerned.
+// concerned — and so does a repeat of a booked grant, which is granted.
 func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	reqID, composed, ent := it.reqID, it.key, it.ent
 	defer it.cancel()
 	c.mu.Lock()
-	if it.cancelled || it.revoked || c.closed {
+	_, booked := c.grants[grantRef{ent: ent, key: composed}]
+	if it.cancelled || it.revoked || c.closed || booked {
 		delete(c.acquires, reqID)
-		cancelled, dead := it.cancelled, c.closed
+		cancelled, revoked, dead := it.cancelled, it.revoked, c.closed
 		c.mu.Unlock()
 		switch {
 		case dead:
 		case cancelled:
 			c.result(reqID, stCancelled, nil, nil)
-		default: // revoked
+		case revoked:
 			c.result(reqID, stLeaseExpired, nil, nil)
+		default: // booked
+			it.sp.Stamp(obs.StageChainStart)
+			it.sp.Stamp(obs.StageGrant)
+			c.result(reqID, stOK, it.sp, nil)
 		}
 		return
 	}
