@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		budget   = fs.Int64("cycle-budget", 4096, "max Theorem 4 cycles certified per registration (0 = unlimited)")
 		seed     = fs.Int64("seed", 1, "generator seed")
 		run      = fs.Bool("run", false, "serve live session traffic for the final mix")
-		backend  = fs.String("backend", "default", "certified-tier lock table: default|remote|cluster (-run)")
+		backend  = fs.String("backend", "default", "lock table both tiers share: default|remote|cluster (-run)")
 		addr     = fs.String("addr", "127.0.0.1:9911", "dlserver address for -backend remote (its -sites/-entities-per-site must match)")
 		addrs    = fs.String("addrs", "", "comma-separated dlserver addresses for -backend cluster (same list, same order, on every client)")
 		clients  = fs.Int("clients", 2, "client goroutines per class (-run)")
@@ -111,16 +111,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceN != 0 {
 		opts = append(opts, distlock.WithTraceSampling(*traceN))
 	}
-	table := *backend // the certified tier's lock table, as serve prints it
+	table := *backend // the lock table both tiers share, as serve prints it
 	switch *backend {
 	case "default":
 		table = "sharded"
 	case "remote":
-		// The certified tier's locks live in a dlserver: its generator
+		// Both tiers' locks live in a dlserver: its generator
 		// flags must match ours, which the connection handshake verifies.
 		opts = append(opts, distlock.WithRemoteTable(*addr))
 	case "cluster":
-		// The certified tier's locks live in a hash-partitioned fleet of
+		// Both tiers' locks live in a hash-partitioned fleet of
 		// dlservers; every one must host the same database (each
 		// handshake verifies it) and every client the same address list.
 		var clean []string
@@ -232,15 +232,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 //     evaluations actually run), cache_hits vs cache_misses on the
 //     fingerprint-keyed pair-verdict cache, cycles_checked (Theorem 4),
 //     and budget_exhausted (classes rejected for exceeding -cycle-budget).
-//   - certified / fallback: one block per engine tier — commits, aborts,
-//     wounds (always 0), the pipelined_ops/sync_ops split, the
-//     tier's lock-table counters (grants, shared_grants split into
+//   - certified / fallback: one block per tier of the one engine —
+//     commits, aborts, wounds (always 0), the pipelined_ops/sync_ops
+//     split. The certified block also carries the counters of the lock
+//     table both tiers share (grants, shared_grants split into
 //     fast_path_hits + slow_shared_grants, releases, held = grants −
 //     releases, wounds and stripe_splits (both always 0), queue_depth
-//     histogram),
-//     and, under -trace-sample, trace_stages: nanosecond histograms of
-//     the sampled Lock calls, "total" first (sampled Lock latency on
-//     every backend), then each stamped stage.
+//     histogram; the fallback block's table stays zero) and, under
+//     -trace-sample, trace_stages: nanosecond histograms of both tiers'
+//     sampled Lock calls, "total" first (sampled Lock latency on every
+//     backend), then each stamped stage.
 //   - begun: sessions opened. Conservation: after all sessions close,
 //     begun == certified.commits+aborts + fallback.commits+aborts.
 func dumpStats(stdout io.Writer, svc *distlock.LockService) error {
@@ -287,10 +288,10 @@ func printSlowest(stdout io.Writer, svc *distlock.LockService) {
 // clients still blocked when it expires mean the certification was
 // falsified — the cancellation propagates into every
 // blocked Lock and serve returns a non-zero exit code. table names the
-// certified tier's lock table in the banner.
+// lock table both tiers share in the banner.
 func serve(ctx context.Context, svc *distlock.LockService, table string, stdout, stderr io.Writer, clients, txns int, hold, timeout time.Duration) int {
 	classes := svc.Classes()
-	fmt.Fprintf(stdout, "\nserving: %d classes x %d clients x %d txns (hold %v per lock; certified tier on the %s lock table)\n",
+	fmt.Fprintf(stdout, "\nserving: %d classes x %d clients x %d txns (hold %v per lock; both tiers on the %s lock table)\n",
 		len(classes), clients, txns, hold, table)
 	sctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()

@@ -85,8 +85,9 @@ type Table struct {
 }
 
 var (
-	_ locktable.Table      = (*Table)(nil)
-	_ locktable.AsyncTable = (*Table)(nil)
+	_ locktable.Table       = (*Table)(nil)
+	_ locktable.AsyncTable  = (*Table)(nil)
+	_ locktable.TryAcquirer = (*Table)(nil)
 )
 
 // New dials one client per address and returns the routing table. Every
@@ -194,6 +195,15 @@ func (t *Table) Acquire(ctx context.Context, inst locktable.Instance, ent model.
 	p := t.Partition(ent)
 	inst.Span.SetPartition(p)
 	return t.parts[p].Acquire(ctx, inst, ent, mode)
+}
+
+// TryAcquire implements locktable.TryAcquirer: the try goes to the
+// entity's owning partition, unfenced like Acquire (only pipelined
+// acquires join the instance's other partitions).
+func (t *Table) TryAcquire(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) (bool, error) {
+	p := t.Partition(ent)
+	inst.Span.SetPartition(p)
+	return t.parts[p].TryAcquire(inst, ent, mode)
 }
 
 // The async tier: partition fencing.

@@ -32,8 +32,8 @@ type Completion interface {
 // remote backend chains them server-side), so the reachable lock-table
 // states are exactly those of the synchronous run — which is what keeps a
 // certified mix deadlock-free when its acks are still in flight. Callers
-// that were NOT certified never pipeline: they run two-phase on an
-// in-process table, which has no async form.
+// that were NOT certified never pipeline: they run two-phase through the
+// synchronous Acquire and TryAcquire, on a pipelined engine too.
 //
 // Releases are different: an in-flight release can only lengthen a hold,
 // never grant early or close a waits-for cycle, so the runtime ships every
@@ -75,12 +75,15 @@ type AsyncTable interface {
 // queueing anything. A false return leaves the table exactly as it was;
 // the caller falls back to the blocking Acquire.
 //
-// Only the sharded table implements it. The runtime's two-phase sessions
-// (the fallback tier) need it: they try their whole entity set and, on
-// the first miss, release what they got before they block. The remote
-// server uses it as its read-loop fast path: an acquire for an instance
-// with no pending chain is tried inline, and only a contended try pays
-// for a per-instance chain goroutine and its parked request.
+// Every table in this module implements it: the sharded table, the
+// netlock client (a try acquire on the wire, answered by the server's
+// TryAcquire) and the cluster router (the owning partition's client). The
+// runtime's two-phase sessions (the fallback tier) need it: they try their
+// whole entity set and, on the first miss, release what they got before
+// they block. The netlock server uses it as its read-loop fast path: an
+// acquire for an instance with no pending chain is tried inline, and only
+// a contended try pays for a per-instance chain goroutine and its parked
+// request.
 type TryAcquirer interface {
 	// TryAcquire reports whether the lock was granted. The error is
 	// non-nil only for table-level failures (ErrStopped), never for

@@ -771,3 +771,69 @@ func TestConformanceHoldingReaderPassesQueuedWriter(t *testing.T) {
 		release(other, 7)
 	})
 }
+
+// TestConformanceTryAcquire: TryAcquirer on every backend that has it —
+// the sharded layouts and, over the wire, the netlock and cluster
+// loopback pairs. A try grants exactly what Acquire would grant at once,
+// and otherwise returns false with the table as it was: nothing queued,
+// nothing held.
+func TestConformanceTryAcquire(t *testing.T) {
+	forEachTable(t, Config{}, func(t *testing.T, tab Table, ents []model.EntityID) {
+		try, ok := tab.(TryAcquirer)
+		if !ok {
+			t.Skip("backend has no TryAcquire")
+		}
+		x, y := ents[0], ents[1]
+		mustTry := func(in Instance, e model.EntityID, m Mode, want bool) {
+			t.Helper()
+			if got, err := try.TryAcquire(in, e, m); err != nil || got != want {
+				t.Fatalf("TryAcquire(%v, %v, %v) = %v, %v; want %v", in.Key, e, m, got, err, want)
+			}
+		}
+		release := func(e model.EntityID, id int) {
+			t.Helper()
+			if err := tab.Release(e, InstKey{ID: id}); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// A free entity is granted.
+		mustTry(inst(1), x, Exclusive, true)
+		// A conflicting holder: false in either mode, and nothing queued.
+		mustTry(inst(2), x, Exclusive, false)
+		mustTry(inst(2), x, Shared, false)
+		if n := parked(tab); n != 0 {
+			t.Fatalf("a missed try left %d requests queued", n)
+		}
+		// The holder's repeat is granted, and adds no hold: one release
+		// frees the entity for the instance whose tries missed.
+		mustTry(inst(1), x, Exclusive, true)
+		mustTry(inst(1), x, Shared, true)
+		release(x, 1)
+		mustTry(inst(2), x, Exclusive, true)
+		release(x, 2)
+
+		// Shared beside shared.
+		mustTry(inst(3), y, Shared, true)
+		mustTry(inst(4), y, Shared, true)
+		// A holding reader passes a queued writer; one that holds nothing
+		// keeps FIFO order and misses.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		writer := make(chan error, 1)
+		go func() { writer <- tab.Acquire(ctx, inst(5), y, Exclusive) }()
+		waitForQueue(t, tab, 1)
+		mustTry(inst(6), y, Shared, false)
+		mustTry(Instance{Key: InstKey{ID: 7}, Holding: true}, y, Shared, true)
+		if n := parked(tab); n != 1 {
+			t.Fatalf("%d requests queued, want the writer alone", n)
+		}
+		for _, id := range []int{3, 4, 7} {
+			release(y, id)
+		}
+		if err := <-writer; err != nil {
+			t.Fatalf("queued writer after the readers left: %v", err)
+		}
+		release(y, 5)
+	})
+}

@@ -57,7 +57,8 @@ type result struct {
 // pipeline lock chains (see internal/runtime). One instance's operations
 // take effect in submission order — the server chains them — so the
 // pipelined run reaches exactly the lock-table states of the synchronous
-// one, and a release may be submitted before its own acquire's ack.
+// one, and a release may be submitted before its own acquire's ack. It
+// implements locktable.TryAcquirer too, through the server's TryAcquire.
 type Client struct {
 	ddb   *model.DDB
 	conn  net.Conn
@@ -89,7 +90,8 @@ type Client struct {
 	// mark. A release submitted before the ack consumes the mark, and the
 	// grant that then arrives finds its mark gone (or a later acquire's)
 	// and is counted as granted and released at once, so Grants − Releases
-	// stays the records held.
+	// stays the records held. A repeat of a granted entity leaves the
+	// record alone (see reqState.repeat).
 	grants map[grantRef]grantMark
 	closed bool
 	// ffErrs holds the failures pushed back for fire-and-forget releases,
@@ -108,8 +110,9 @@ type Client struct {
 }
 
 var (
-	_ locktable.Table      = (*Client)(nil)
-	_ locktable.AsyncTable = (*Client)(nil)
+	_ locktable.Table       = (*Client)(nil)
+	_ locktable.AsyncTable  = (*Client)(nil)
+	_ locktable.TryAcquirer = (*Client)(nil)
 )
 
 // Dial connects to a netlock server and completes the handshake. The
@@ -395,12 +398,16 @@ type reqState struct {
 	op    byte
 	mode  locktable.Mode
 	// granted marks an acked release whose acquire was granted at
-	// submission: await's self-fence bounds the join. live is set while
+	// submission: await's self-fence bounds the join. repeat marks an
+	// acquire of an entity the instance already holds: the server answers
+	// it from its book, and it neither replaces nor releases the holder's
+	// record, whatever its outcome. live is set while
 	// the record is drawn and not yet waited by its owner, fenced once it
 	// has a ticket. settled is set once the outcome was collected (by a
 	// fence join): err holds it, and spent says the reply was received,
 	// so the record may be recycled.
 	granted bool
+	repeat  bool
 	live    bool
 	fenced  bool
 	settled bool
@@ -433,7 +440,8 @@ type grantMark struct {
 
 // register allocates a request ID for r (nil for a heartbeat, whose ack is
 // dropped) and enters r in pending. With mark set (an acquire) r is entered
-// in grants as its in-flight mark, in the same critical section.
+// in grants as its in-flight mark, in the same critical section, unless
+// the entity is granted already: then r is a repeat.
 func (c *Client) register(r *request, mark bool) uint64 {
 	reqID := c.nextReq.Add(1)
 	if r != nil {
@@ -449,7 +457,12 @@ func (c *Client) register(r *request, mark bool) uint64 {
 	}
 	c.pending[reqID] = r
 	if mark {
-		c.grants[grantRef{ent: r.ent, key: r.key}] = grantMark{reqID: reqID}
+		ref := grantRef{ent: r.ent, key: r.key}
+		if c.grants[ref].granted {
+			r.repeat = true
+		} else {
+			c.grants[ref] = grantMark{reqID: reqID}
+		}
 	}
 	depth := int64(len(c.pending))
 	c.mu.Unlock()
@@ -675,22 +688,53 @@ func (c *Client) unmark(r *request) {
 // request's record (see TicketOf): a send that fails means shutdown began,
 // which resolves the record ErrStopped (see call).
 func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) locktable.Completion {
+	return c.submitAcquire(inst, ent, mode, 0)
+}
+
+// submitAcquire registers and ships one acquire with the given flags
+// (acqTry or none; the holding flag comes from inst).
+func (c *Client) submitAcquire(inst locktable.Instance, ent model.EntityID, mode locktable.Mode, flags byte) *request {
 	sp := inst.Span
 	r := c.newRequest(opAcquire)
 	r.key, r.ent, r.mode, r.sp = inst.Key, ent, mode, sp
 	reqID := c.register(r, true)
+	if inst.Holding {
+		flags |= acqHolding
+	}
 	c.send(func(e *enc) {
 		e.u8(opAcquire)
 		e.u64(reqID)
 		e.key(inst.Key)
 		e.i64(int64(ent))
 		e.mode(mode)
-		e.boolean(inst.Holding)
+		e.u8(flags)
 		if sp != nil {
 			e.u8(1) // sampled marker: ask the server to time this op
 		}
 	}, sp)
 	return r
+}
+
+// TryAcquire implements locktable.TryAcquirer: a try acquire, which the
+// server answers from its hosted table's TryAcquire — granted, or a miss
+// that queued nothing on either end — and never parks. A try waits on no
+// holder, so its wait is bounded by await's self-fence, like a call's. A
+// repeat of a held entity is granted and leaves the grant record alone.
+func (c *Client) TryAcquire(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) (bool, error) {
+	r := c.submitAcquire(inst, ent, mode, acqTry)
+	res, err := c.await(r)
+	if err != nil {
+		c.unmark(r)
+		return false, c.fail(err)
+	}
+	if res.status == stMiss {
+		c.unmark(r)
+		r.recycle()
+		return false, nil
+	}
+	err = c.finishAcquire(r, res, r.sp)
+	r.recycle()
+	return err == nil, c.fail(err)
 }
 
 // Acquire implements locktable.Table: the request blocks server-side in
@@ -723,6 +767,9 @@ func (c *Client) finishAcquire(r *request, res result, sp *obs.Span) error {
 			sp.ServerDeltas(int64(d.u64()), int64(d.u64()), int64(d.u64()))
 		}
 		sp.Stamp(obs.StageWakeup)
+		if r.repeat {
+			return nil // the holder's record stands; nothing new was granted
+		}
 		ref := grantRef{ent: r.ent, key: key}
 		c.mu.Lock()
 		m, ok := c.grants[ref]
@@ -789,10 +836,10 @@ func (c *Client) cancelAcquire(r *request, cause error) error {
 		// The grant raced the cancel: record it, then give it back (a
 		// no-op when an early release chained behind it already did). The
 		// give-back's outcome is not the caller's, so it skips the error
-		// hook.
+		// hook. A repeat's grant is the holder's, which stays held.
 		if res.status != stOK {
 			c.unmark(r)
-		} else if c.finishAcquire(r, res, nil) == nil {
+		} else if c.finishAcquire(r, res, nil) == nil && !r.repeat {
 			if rel, _ := c.release(r.ent, r.key, true); rel != nil {
 				if rel.outcome(context.Background()); rel.spent {
 					rel.recycle()

@@ -24,16 +24,17 @@ func frameOf(build func(*enc)) []byte {
 	return e.b
 }
 
-// fuzzSeeds is one v8 frame per request opcode, plus the shapes the
+// fuzzSeeds is one v9 frame per request opcode, plus the shapes the
 // decoder must reject or treat specially: a sampled acquire, a holding
-// reader's acquire, releases (acked and fire-and-forget), a truncated
+// reader's acquire, try acquires (a holding one among them), an acquire
+// with an unknown flag, releases (acked and fire-and-forget), a truncated
 // acquire, a release-all whose count overstates its entries, opcodes a
 // client never sends, v3 frames (a release with a fencing token, the
 // retired withdraw and wound requests), v5 frames (an acquire carrying an
 // epoch and a priority, a hello carrying the wound-wait byte), v6 frames
 // (an acquire without the holding byte, a sampled one whose marker sits
 // where the holding byte now is, a v6 hello) and v7 frames (the retired
-// grant-log request, a hello carrying the trace byte) a v8 server must not
+// grant-log request, a hello carrying the trace byte) a v9 server must not
 // mistake for valid ones.
 func fuzzSeeds(ents []model.EntityID) [][]byte {
 	key := locktable.InstKey{ID: 1}
@@ -46,7 +47,7 @@ func fuzzSeeds(ents []model.EntityID) [][]byte {
 	}
 	acq := func(e *enc) {
 		acqV6(e)
-		e.boolean(false) // holding
+		e.u8(0) // flags
 	}
 	rel := func(reqID uint64) []byte {
 		return frameOf(func(e *enc) {
@@ -67,8 +68,11 @@ func fuzzSeeds(ents []model.EntityID) [][]byte {
 			e.key(key)
 			e.i64(int64(ents[1]))
 			e.mode(locktable.Shared)
-			e.boolean(true)
+			e.u8(acqHolding)
 		}),
+		frameOf(func(e *enc) { acqV6(e); e.u8(acqTry) }),
+		frameOf(func(e *enc) { acqV6(e); e.u8(acqTry | acqHolding); e.u8(1) }), // a sampled holding try
+		frameOf(func(e *enc) { acqV6(e); e.u8(4) }),                            // an unknown flag
 		frameOf(func(e *enc) { e.u8(opCancel); e.u64(2) }),
 		rel(3),
 		rel(0), // fire-and-forget
@@ -271,7 +275,8 @@ const fuzzAcquireID = 2
 type replyInput struct{ first, second, tail []byte }
 
 // replySeeds cover v6 grants with and without a span trailer, a v3 grant
-// whose fencing token shifts the trailer, every acquire status, failure
+// whose fencing token shifts the trailer, every acquire status (a try's
+// miss included), failure
 // pushes naming an instance, v5 wound pushes (0x81, retired in v6), and
 // the framings the reader must reject.
 func replySeeds() []replyInput {
@@ -308,6 +313,7 @@ func replySeeds() []replyInput {
 		{first: result(fuzzAcquireID, stErr, func(e *enc) { e.str("boom") })},
 		{first: result(fuzzAcquireID, stCancelled, nil)},
 		{first: result(fuzzAcquireID, stLeaseExpired, nil)},
+		{first: result(fuzzAcquireID, stMiss, nil)}, // a try's miss, answering a blocking acquire
 		{first: result(fuzzAcquireID, 0x42, nil)},
 		{first: result(99, stOK, nil), second: grant()}, // a reply to no request
 		{first: grant(), second: grant()},               // a duplicate reply

@@ -317,6 +317,47 @@ func TestRepeatAcquireCancelKeepsHold(t *testing.T) {
 	acquire(t, b, 3, x)
 }
 
+// TestCancelledRepeatKeepsClientRecord: a holder's repeated acquire with
+// a cancelled context must leave the client's grant record alone, so the
+// hold stays until the holder's own Release, and that Release reaches the
+// server. The repeat used to overwrite the record with its in-flight
+// mark: when the cancel won, unmark then dropped the record and Release
+// sent nothing, so the server kept the lock for the connection's life;
+// when the server's "granted" won, cancelAcquire gave that grant back,
+// which freed the original hold early.
+func TestCancelledRepeatKeepsClientRecord(t *testing.T) {
+	ddb, ents := testDDB(t, 1)
+	x := ents[0]
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
+	a := dial(t, srv, locktable.Config{}, DialOptions{})
+	b := dial(t, srv, locktable.Config{}, DialOptions{})
+	for i := 1; i <= 3; i++ {
+		key := locktable.InstKey{ID: i}
+		acquire(t, a, i, x)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := a.Acquire(ctx, locktable.Instance{Key: key}, x, locktable.Exclusive); err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled repeat = %v", err)
+		}
+		if granted, ok := fenceOf(a, x, i); !granted || !ok {
+			t.Fatalf("round %d: the cancelled repeat took the holder's record (granted %v, present %v)", i, granted, ok)
+		}
+		pctx, pcancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		err := b.Acquire(pctx, locktable.Instance{Key: locktable.InstKey{ID: 100 + i}}, x, locktable.Exclusive)
+		pcancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d: another connection's writer = %v while the holder holds x; the repeat freed the hold", i, err)
+		}
+		if err := a.Release(x, key); err != nil {
+			t.Fatal(err)
+		}
+		acquire(t, b, 200+i, x) // within its deadline: the Release reached the server
+		if err := b.Release(x, locktable.InstKey{ID: 200 + i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestLeaseExpiryWhileHolding: a holder that stops heartbeating is
 // revoked — its lock is released to the next requester without its
 // cooperation.
@@ -514,14 +555,15 @@ func waitFor(t *testing.T, cond func() bool) {
 // wound-wait byte into the hello and a priority and an epoch into every
 // acquire that v6 dropped; v6 peers frame no holding byte into an acquire,
 // and a v7 server would read a v6 sampled marker as one; v7 peers frame a
-// trace byte into the hello that v8 dropped. Each hello here is framed the
+// trace byte into the hello that v8 dropped; a v8 server would read a v9
+// try acquire as a holding one and park it. Each hello here is framed the
 // way its version framed it: a wound-wait and a trace byte before v6, a
-// trace byte in v6 and v7 (the version is checked first).
+// trace byte in v6 and v7, neither in v8 (the version is checked first).
 func TestHandshakeRejectsStaleProtocolVersion(t *testing.T) {
 	ddb, _ := testDDB(t, 2)
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
 
-	for _, version := range []uint32{1, 2, 3, 4, 5, 6, 7} {
+	for _, version := range []uint32{1, 2, 3, 4, 5, 6, 7, 8} {
 		nc, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -535,7 +577,9 @@ func TestHandshakeRejectsStaleProtocolVersion(t *testing.T) {
 		if version < 6 {
 			e.boolean(false) // woundWait
 		}
-		e.boolean(false) // trace
+		if version < 8 {
+			e.boolean(false) // trace
+		}
 		e.raw(hash[:])
 		nc.SetDeadline(time.Now().Add(5 * time.Second))
 		if _, err := nc.Write(appendFrame(nil, e.b)); err != nil {

@@ -92,7 +92,12 @@ import (
 //	    request (0x09) is gone, its value not reused; tests record grants
 //	    at the hosted table instead (locktabletest.Tap). A v7 peer would
 //	    mis-frame the hello, so the handshake rejects it.
-const protocolVersion = 8
+//	9 — try acquires: the acquire's holding byte becomes a flags byte
+//	    (acqHolding, acqTry), and the server answers a try its hosted
+//	    table cannot grant at once with the miss status (0x07), queueing
+//	    nothing. A v8 server would read a try as a holding acquire and
+//	    park it, so the handshake rejects it.
+const protocolVersion = 9
 
 // maxFrame bounds a frame body; larger frames indicate a corrupt stream.
 const maxFrame = 16 << 20
@@ -101,7 +106,7 @@ const maxFrame = 16 << 20
 // opResult echoes; the server initiates nothing but a reqID-0 result.
 const (
 	opHello      = 0x01 // version, ddb hash
-	opAcquire    = 0x02 // reqID, inst key, entity, mode, holding
+	opAcquire    = 0x02 // reqID, inst key, entity, mode, flags
 	opCancel     = 0x03 // reqID of the in-flight acquire to withdraw
 	opRelease    = 0x04 // reqID, entity, inst key
 	opReleaseAll = 0x05 // reqID, inst key, n × entity
@@ -118,6 +123,13 @@ const (
 	stStaleFence   = 0x04 // release: its grant was revoked by a lease expiry
 	stLeaseExpired = 0x05 // acquire/release: the connection's lease was revoked
 	stErr          = 0x06 // payload: error string
+	stMiss         = 0x07 // try acquire: not grantable now, nothing queued
+)
+
+// Acquire flags, the byte after an acquire's mode.
+const (
+	acqHolding = 1 << 0 // locktable.Instance.Holding
+	acqTry     = 1 << 1 // answer from TryAcquire: granted or stMiss, never parked
 )
 
 // ErrStaleFence is returned by a release whose grant is no longer the

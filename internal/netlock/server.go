@@ -103,8 +103,9 @@ type chainItem struct {
 	mode  locktable.Mode
 	rel   bool
 	// holding is the acquire's Instance.Holding: the session holds a lock,
-	// so a compatible shared request passes a queued writer.
-	holding bool
+	// so a compatible shared request passes a queued writer. try marks a
+	// try acquire, which execAcquire runs through TryAcquire.
+	holding, try bool
 	// Set under the connection mutex: the client sent opCancel, or lease
 	// expiry withdrew the request.
 	cancelled, revoked bool
@@ -576,9 +577,12 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 		key := d.key()
 		ent := model.EntityID(d.i64())
 		mode := d.mode()
-		holding := d.boolean()
+		flags := d.u8()
 		if d.err != nil {
 			return d.err
+		}
+		if flags&^(acqHolding|acqTry) != 0 {
+			return fmt.Errorf("netlock: unknown acquire flags %#x", flags)
 		}
 		var sp *obs.Span
 		if len(d.b) > 0 && d.u8() == 1 {
@@ -587,7 +591,7 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 			sp = s.spans.Start(obs.SpanAcquire, int32(ent))
 			sp.Stamp(obs.StageServerRecv)
 		}
-		s.startAcquire(c, reqID, locktable.Instance{Key: key, Holding: holding}, ent, mode, sp)
+		s.startAcquire(c, reqID, locktable.Instance{Key: key, Holding: flags&acqHolding != 0}, ent, mode, flags&acqTry != 0, sp)
 		return nil
 
 	case opCancel:
@@ -723,8 +727,9 @@ func (s *Server) execRelease(c *srvConn, reqID uint64, composed locktable.InstKe
 // table untouched: grant compatibility (concurrent readers, writer
 // exclusion, queue fairness) is entirely the hosted table's decision, so
 // remote and in-process sessions blocking on one entity obey one
-// discipline.
-func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance, ent model.EntityID, mode locktable.Mode, sp *obs.Span) {
+// discipline. A try acquire takes the same path, except that where the
+// blocking one would park it is answered stMiss.
+func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance, ent model.EntityID, mode locktable.Mode, try bool, sp *obs.Span) {
 	key := inst.Key
 	if int(ent) < 0 || int(ent) >= s.ddb.NumEntities() {
 		c.result(reqID, stErr, nil, func(e *enc) { e.str(fmt.Sprintf("netlock: entity %d outside the database", ent)) })
@@ -739,6 +744,10 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 		})
 		return
 	}
+	if try && s.tryTab == nil {
+		c.result(reqID, stErr, nil, func(e *enc) { e.str("netlock: the hosted table has no TryAcquire") })
+		return
+	}
 	composed := composeKey(c.id, key)
 	inst.Key = composed
 	// Inline fast path: an acquire whose instance has no active chain may
@@ -748,9 +757,10 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 	// creator of this connection's chains, and composed keys are namespaced
 	// per connection — and observing the chain record gone happens-after
 	// its last item resolved (runChain deletes it under c.mu), so wire
-	// order within the instance is preserved. A failed try queues nothing
-	// and falls through to the chain path, and so does a repeat of a booked
-	// grant, without a try: execAcquire answers it from the book.
+	// order within the instance is preserved. A failed try queues nothing:
+	// a try acquire is answered stMiss, a blocking one falls through to the
+	// chain path. So does a repeat of a booked grant, without a try:
+	// execAcquire answers it from the book.
 	if s.tryTab != nil {
 		c.mu.Lock()
 		_, chained := c.chains[composed]
@@ -788,9 +798,13 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 				c.result(reqID, stOK, sp, nil)
 				return
 			}
+			if try {
+				c.result(reqID, stMiss, nil, nil)
+				return
+			}
 		}
 	}
-	it := &chainItem{reqID: reqID, key: composed, ent: ent, mode: mode, holding: inst.Holding, sp: sp, done: make(chan struct{})}
+	it := &chainItem{reqID: reqID, key: composed, ent: ent, mode: mode, holding: inst.Holding, try: try, sp: sp, done: make(chan struct{})}
 	c.mu.Lock()
 	if c.leaseLost {
 		// No live lease: the session must heartbeat before it may hold
@@ -844,6 +858,8 @@ func (s *Server) runChain(c *srvConn, composed locktable.InstKey, it *chainItem)
 // cancelled or revoked while queued answers without entering the inner
 // table — the request never existed as far as the lock space is
 // concerned — and so does a repeat of a booked grant, which is granted.
+// A try item runs TryAcquire in place of Acquire, and a miss is answered
+// stMiss.
 func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	reqID, composed, ent := it.reqID, it.key, it.ent
 	defer it.cancel()
@@ -868,8 +884,15 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	}
 	c.mu.Unlock()
 	it.sp.Stamp(obs.StageChainStart) // may overwrite a failed inline try's stamp with the real chain start
-	err := s.tab.Acquire(it, locktable.Instance{Key: composed, Holding: it.holding}, ent, it.mode)
-	if err == nil {
+	inst := locktable.Instance{Key: composed, Holding: it.holding}
+	granted, err := true, error(nil)
+	if it.try {
+		granted, err = s.tryTab.TryAcquire(inst, ent, it.mode)
+	} else {
+		err = s.tab.Acquire(it, inst, ent, it.mode)
+	}
+	granted = granted && err == nil
+	if granted {
 		it.sp.Stamp(obs.StageGrant)
 	}
 	// Atomically retire the in-flight record and decide the outcome
@@ -879,12 +902,12 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	c.mu.Lock()
 	delete(c.acquires, reqID)
 	cancelled, revoked, dead := it.cancelled, it.revoked, c.closed
-	recorded := err == nil && !cancelled && !revoked && !dead
+	recorded := granted && !cancelled && !revoked && !dead
 	if recorded {
 		s.recordGrant(c, grantRef{ent: ent, key: composed})
 	}
 	c.mu.Unlock()
-	if err == nil && !recorded {
+	if granted && !recorded {
 		// A grant raced a cancel, a revoke, or the teardown: give it back
 		// before answering.
 		s.tab.Release(ent, composed)
@@ -899,6 +922,8 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 		c.result(reqID, stCancelled, nil, nil)
 	case revoked:
 		c.result(reqID, stLeaseExpired, nil, nil)
+	case err == nil: // a try the table could not grant
+		c.result(reqID, stMiss, nil, nil)
 	default:
 		c.result(reqID, stErr, nil, func(e *enc) { e.str(err.Error()) })
 	}

@@ -30,10 +30,12 @@ type EngineOptions struct {
 	// locktable.NewSharded in process, a netlock client or a cluster
 	// router over the wire. Nil means a fresh sharded table with the
 	// default configuration. The engine owns the table, even when
-	// NewEngine fails: Close closes it. Its capabilities are found by
-	// type assertion: two-phase sessions need locktable.TryAcquirer, and
-	// on a locktable.AsyncTable releases ship without waiting and Locks
-	// can pipeline (PipelineDepth).
+	// NewEngine fails: Close closes it. Certified and two-phase sessions
+	// share it, so they exclude each other. Its capabilities are found by
+	// type assertion: two-phase sessions need locktable.TryAcquirer (every
+	// table in this module has it), and on a locktable.AsyncTable releases
+	// ship without waiting and certified Locks can pipeline
+	// (PipelineDepth).
 	Table locktable.Table
 	// PipelineDepth enables certified-chain pipelining over a wire
 	// backend: sessions keep up to this many
@@ -46,8 +48,8 @@ type EngineOptions struct {
 	// only takes effect when the table implements locktable.AsyncTable
 	// (a netlock client, a cluster router): static certification is the
 	// proof that the pipelined chain cannot deadlock, and two-phase
-	// sessions, whose mix carries no such proof, run only on a table with
-	// TryAcquire, which has no async form. A pipelined session trades mid-chain error
+	// sessions, whose mix carries no such proof, take the synchronous path
+	// on every engine. A pipelined session trades mid-chain error
 	// locality for throughput: a failed acquire (lease expiry) surfaces at
 	// a later Lock that joins it, or at Commit at the latest, rather than
 	// at the Lock that shipped it, and a context cancellation inside a
@@ -79,7 +81,7 @@ type Engine struct {
 	table locktable.Table
 
 	// try is the table's non-blocking capability, which two-phase
-	// sessions need; nil on a wire table.
+	// sessions need; nil only on a table without it.
 	try locktable.TryAcquirer
 
 	// async/pipeline: certified-chain pipelining (EngineOptions.
@@ -99,20 +101,13 @@ type Engine struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	// Cumulative tallies, bumped per session, never per lock operation:
+	// modes holds the cumulative tallies of certified sessions [0] and
+	// two-phase ones [1], bumped per session, never per lock operation:
 	// unless tracing is armed, a lock operation writes nothing
-	// engine-global.
-	commits  atomic.Int64
-	aborts   atomic.Int64
-	discards atomic.Int64
-	nextID   atomic.Int64
-
-	// pipelinedOps/syncOps split lock operations by path — certified-chain
-	// pipelined submission vs the synchronous fallback every other
-	// configuration takes. The table counts its own operations into the
+	// engine-global. The table counts its own operations into the
 	// obs.TableMetrics bundle it was built with.
-	pipelinedOps obs.StripedCounter
-	syncOps      obs.StripedCounter
+	modes  [2]tally
+	nextID atomic.Int64
 
 	// Op tracing (EngineOptions.TraceSampleEvery): spans holds the sampled
 	// waterfalls, stageHist their per-stage gap distributions, spanEvery
@@ -122,6 +117,23 @@ type Engine struct {
 	spans     *obs.SpanRing
 	stageHist *obs.StageHistograms
 	spanEvery int
+}
+
+// tally is one session mode's cumulative counters (see Counters).
+// pipelinedOps/syncOps split lock operations by path: certified-chain
+// pipelined submission vs the synchronous path every other session takes.
+type tally struct {
+	commits, aborts, discards atomic.Int64
+	pipelinedOps, syncOps     obs.StripedCounter
+}
+
+// addTo adds the tally's counts to c.
+func (t *tally) addTo(c *Counters) {
+	c.Commits += t.commits.Load()
+	c.Aborts += t.aborts.Load()
+	c.Discarded += t.discards.Load()
+	c.PipelinedOps += t.pipelinedOps.Load()
+	c.SyncOps += t.syncOps.Load()
 }
 
 // NewEngine builds an engine over the database and the table opts hands
@@ -189,16 +201,28 @@ type Counters struct {
 	SyncOps      int64 `json:"sync_ops"`
 }
 
-// Counters returns the engine's cumulative counters. Safe to call on a
+// Counters returns the engine's cumulative counters over both session
+// modes. Safe to call on a running engine.
+func (e *Engine) Counters() (c Counters) {
+	e.modes[0].addTo(&c)
+	e.modes[1].addTo(&c)
+	return c
+}
+
+// ModeCounters returns the cumulative counters of the engine's two-phase
+// sessions (twoPhase true) or of its certified ones. Safe to call on a
 // running engine.
-func (e *Engine) Counters() Counters {
-	return Counters{
-		Commits:      e.commits.Load(),
-		Aborts:       e.aborts.Load(),
-		Discarded:    e.discards.Load(),
-		PipelinedOps: e.pipelinedOps.Load(),
-		SyncOps:      e.syncOps.Load(),
+func (e *Engine) ModeCounters(twoPhase bool) (c Counters) {
+	e.modeTally(twoPhase).addTo(&c)
+	return c
+}
+
+// modeTally is the counter set of the engine's sessions of one mode.
+func (e *Engine) modeTally(twoPhase bool) *tally {
+	if twoPhase {
+		return &e.modes[1]
 	}
+	return &e.modes[0]
 }
 
 // Spans returns the engine's sampled-span ring (nil unless

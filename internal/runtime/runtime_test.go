@@ -178,7 +178,9 @@ func rwTemplates() []*model.Transaction {
 // templates are not two-phase at all. The grants are recorded by a
 // locktabletest.Tap: over the in-process table, or over the table each
 // dlserver of the remote and cluster backends hosts, with and without
-// certified pipelining. The rw rows mix shared and exclusive locks; in
+// certified pipelining. The wire twophase-depth8 rows run a deadlocking
+// mix two-phase on a pipelined engine, whose two-phase sessions must take
+// the synchronous path. The rw rows mix shared and exclusive locks; in
 // process the tap leaves the CAS shared fast path on.
 func TestSerializableCommitOrder(t *testing.T) {
 	type row struct {
@@ -202,7 +204,8 @@ func TestSerializableCommitOrder(t *testing.T) {
 	}{{"remote", 1}, {"cluster2", 2}} {
 		rows = append(rows,
 			row{w.name + "/none", orderedTemplates, false, w.servers, 0},
-			row{w.name + "/none-depth8", orderedTemplates, false, w.servers, 8})
+			row{w.name + "/none-depth8", orderedTemplates, false, w.servers, 8},
+			row{w.name + "/twophase-depth8", deadlockTemplates, true, w.servers, 8})
 	}
 	for _, rw := range rows {
 		t.Run(rw.name, func(t *testing.T) {

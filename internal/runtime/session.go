@@ -126,9 +126,11 @@ func (e *Engine) Begin(tmpl *model.Transaction) (*Session, error) {
 // modes, and never waits while it holds a lock (see lockAll); its later
 // Locks only run their template nodes. Every Unlock comes after that lock
 // point, so the session is two-phase whatever its template's order, hence
-// serializable, and no waits-for cycle runs through it. A two-phase
-// session needs a table with TryAcquire (the in-process sharded table);
-// on any other table BeginAt returns an error.
+// serializable, and no waits-for cycle runs through it. Both kinds share
+// the engine's table, and a two-phase session takes the synchronous path
+// on a pipelined engine too. A two-phase session needs a table with
+// TryAcquire (every table in this module has it); on a table without it
+// BeginAt returns an error.
 func (e *Engine) BeginAt(s *Session, tmpl *model.Transaction, twoPhase bool) error {
 	if tmpl == nil {
 		return fmt.Errorf("runtime: nil template")
@@ -271,7 +273,7 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 		inst.Span.Stamp(obs.StageSubmit)
 	}
 	sp := inst.Span
-	if s.e.async != nil {
+	if s.e.async != nil && !s.twoPhase {
 		err := s.lockPipelined(ctx, inst, ent, mode, nid)
 		if err == nil {
 			// Counted as pipelined at submission: the optimistic hold is
@@ -292,8 +294,9 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 		return mapTableErr(err)
 	}
 	if sp != nil {
-		if s.e.releaseAsync == nil {
-			// In-process table (no AsyncTable): the whole acquire is one
+		if s.e.releaseAsync == nil || s.twoPhase {
+			// In-process table (no AsyncTable), or a two-phase first Lock,
+			// whose table calls carry no span: the whole acquire is one
 			// grant stage, stamped here so the table — in particular the
 			// sharded CAS shared fast path — never sees a span.
 			sp.Stamp(obs.StageGrant)
@@ -319,8 +322,10 @@ func (s *Session) Lock(ctx context.Context, ent model.EntityID, mode model.Mode)
 // miss it releases what it got, blocks on that one entity alone, and once
 // that is granted tries the rest again. This is conservative two-phase
 // locking: the session waits only while it holds nothing, so no waits-for
-// cycle can pass through it. On a non-nil return it holds nothing.
+// cycle can pass through it. On a non-nil return it holds nothing. Its
+// table calls carry no span: Lock stamps the whole set as one grant.
 func (s *Session) lockAll(ctx context.Context, inst locktable.Instance) error {
+	inst.Span = nil
 	ents := s.tmpl.Entities()
 	blocked := -1 // index of the entity the last blocking Acquire granted
 	for {
@@ -485,7 +490,11 @@ func (s *Session) unlockAsync(ent model.EntityID, lnid int, nid model.NodeID) er
 	if cap(s.x.rels) == 0 {
 		s.x.rels = make([]locktable.Completion, 0, s.tmpl.N()/2) // one per Unlock node
 	}
-	s.x.rels = append(s.x.rels, s.e.releaseAsync(ent, s.key))
+	release := s.e.releaseAsync
+	if s.twoPhase && s.e.async != nil {
+		release = s.e.async.ReleaseAsyncAcked // a synchronous session's receipt
+	}
+	s.x.rels = append(s.x.rels, release(ent, s.key))
 	s.held.Clear(lnid)
 	s.executed.Set(int(nid))
 	return nil
@@ -520,7 +529,7 @@ func (s *Session) Commit() error {
 	}
 	s.done = true
 	s.flushOps()
-	s.e.commits.Add(1)
+	s.e.modeTally(s.twoPhase).commits.Add(1)
 	return nil
 }
 
@@ -563,12 +572,12 @@ func (s *Session) joinShipped() error {
 // once the session closes.
 func (s *Session) flushOps() {
 	if s.nsync != 0 {
-		s.e.syncOps.Add(uint64(s.key.ID), s.nsync)
+		s.e.modeTally(s.twoPhase).syncOps.Add(uint64(s.key.ID), s.nsync)
 		s.nsync = 0
 	}
 	if s.x != nil {
 		if s.x.npipe != 0 {
-			s.e.pipelinedOps.Add(uint64(s.key.ID), s.x.npipe)
+			s.e.modeTally(s.twoPhase).pipelinedOps.Add(uint64(s.key.ID), s.x.npipe)
 		}
 		s.dropExtra()
 	}
@@ -633,7 +642,7 @@ func (s *Session) Abort() error {
 	// die with the table.
 	s.e.table.ReleaseAll(s.Held(), s.key)
 	s.held.Reset()
-	s.e.aborts.Add(1)
+	s.e.modeTally(s.twoPhase).aborts.Add(1)
 	return nil
 }
 
@@ -646,5 +655,5 @@ func (s *Session) discard() {
 	}
 	s.done = true
 	s.flushOps()
-	s.e.discards.Add(1)
+	s.e.modeTally(s.twoPhase).discards.Add(1)
 }

@@ -8,6 +8,7 @@ import (
 	"distlock/internal/locktable"
 	"distlock/internal/model"
 	"distlock/internal/netlock"
+	"distlock/internal/obs"
 	"distlock/internal/workload"
 )
 
@@ -19,8 +20,9 @@ import (
 // The classes are uncertified on purpose: unordered two-phase templates,
 // which deadlock as certified sessions, and random templates, which are
 // not even two-phase. It is table-driven over the sharded table's stripe
-// layouts; the wire backends have no TryAcquire, so their rows check that
-// a two-phase session is refused there instead.
+// layouts and the wire backends (one netlock server, a two-server
+// cluster), where every try and every blocking acquire crosses the wire
+// and the taps wrap the servers' tables.
 //
 // The assertions are the fallback tier's correctness envelope:
 //   - the run finishes (no stall: a session never waits while it holds,
@@ -68,20 +70,18 @@ func TestFallbackSoak(t *testing.T) {
 	}
 	for _, bc := range cases {
 		t.Run(bc.name, func(t *testing.T) {
-			if bc.servers > 0 {
-				sys := generate(workload.PolicyTwoPhase)
-				addrs := listenServers(t, sys.DDB, bc.servers, netlock.ServerOptions{})
-				e := newEngine(t, sys.DDB, EngineOptions{Table: dialTable(t, sys.DDB, addrs, netlock.DialOptions{})})
-				if err := e.BeginAt(new(Session), sys.Txns[0], true); err == nil {
-					t.Fatalf("two-phase Begin on %s accepted; it has no TryAcquire", bc.name)
-				}
-				return
-			}
 			for _, mix := range mixes {
 				t.Run(mix.name, func(t *testing.T) {
 					sys := generate(mix.policy)
-					tab, metrics := meteredSharded(sys.DDB, bc.shards)
-					e, taps := tappedEngine(t, sys.DDB, 0, EngineOptions{Table: tab})
+					var opts EngineOptions
+					var metrics *obs.TableMetrics
+					if bc.servers == 0 {
+						opts.Table, metrics = meteredSharded(sys.DDB, bc.shards)
+					}
+					e, taps := tappedEngine(t, sys.DDB, bc.servers, opts)
+					if metrics == nil {
+						metrics = clientMetrics(e.table)
+					}
 					m := mixRun{templates: sys.Txns, twoPhase: true, clients: clients, perClient: txnsPerClient,
 						hold: hold, stall: 10 * time.Second, seed: 4}.run(t, e)
 					if m.stalled {
@@ -104,6 +104,14 @@ func TestFallbackSoak(t *testing.T) {
 			}
 		})
 	}
+}
+
+// clientMetrics is a wire table's client-side counter bundle.
+func clientMetrics(tab locktable.Table) *obs.TableMetrics {
+	if c, ok := tab.(*netlock.Client); ok {
+		return c.TableMetrics()
+	}
+	return tab.(*cluster.Table).Metrics()
 }
 
 // listenServers starts n loopback netlock servers with opts and returns

@@ -32,10 +32,10 @@ type ServiceOption func(*serviceConfig)
 type serviceConfig struct {
 	cycleBudget  int64
 	multiplicity int
-	// certTable builds the certified tier's lock table, counting into the
-	// bundle cfg names: newSharded, unless WithRemoteTable or
-	// WithRemoteCluster dials one. Its table is unused when it fails.
-	certTable   func(ddb *model.DDB, cfg locktable.Config) (locktable.Table, error)
+	// table builds the service's one lock table, counting into the bundle
+	// cfg names: newSharded, unless WithRemoteTable or WithRemoteCluster
+	// dials one. Its table is unused when it fails.
+	table       func(ddb *model.DDB, cfg locktable.Config) (locktable.Table, error)
 	pipeline    int
 	traceSample int
 }
@@ -59,47 +59,45 @@ func WithMultiplicity(m int) ServiceOption {
 	return func(c *serviceConfig) { c.multiplicity = m }
 }
 
-// WithRemoteTable puts the certified tier on a cross-process lock table: a
+// WithRemoteTable puts both tiers on a cross-process lock table: a
 // dlserver at addr hosting the same database (the connection handshake
 // verifies a fingerprint). Several service processes pointed at one
-// dlserver then contend for the same certified-tier locks — the paper's
-// distributed sites made literal — with the server's lease/fencing
-// machinery guaranteeing that a crashed process's locks are revoked and
-// its late releases rejected. The two-phase fallback tier stays on a
-// process-local sharded table: rejected classes are this process's private
-// traffic, not part of the shared certified mix.
+// dlserver then contend for the same locks — the paper's distributed
+// sites made literal — with the server's lease/fencing machinery
+// guaranteeing that a crashed process's locks are revoked and its late
+// releases rejected. Fallback sessions take their entity sets through the
+// server's non-blocking try, so they exclude every other process's
+// sessions, certified or not.
 func WithRemoteTable(addr string) ServiceOption {
 	return func(c *serviceConfig) {
-		c.certTable = func(ddb *model.DDB, cfg locktable.Config) (locktable.Table, error) {
+		c.table = func(ddb *model.DDB, cfg locktable.Config) (locktable.Table, error) {
 			return netlock.Dial(addr, ddb, cfg, netlock.DialOptions{})
 		}
 	}
 }
 
-// WithRemoteCluster puts the certified tier on a partitioned lock space:
-// each entity is hash-routed to exactly one of the dlservers at addrs,
-// so K independent servers jointly serve one certified lock space with
-// no cross-server coordination — static certification is exactly the
+// WithRemoteCluster puts both tiers on a partitioned lock space: each
+// entity is hash-routed to exactly one of the dlservers at addrs, so K
+// independent servers jointly serve one lock space with no cross-server
+// coordination — static certification is exactly the
 // proof that per-entity ordering suffices, restated at fleet scale.
 // Every server must host the same database (each connection handshake
 // verifies a fingerprint), and every client process must pass the same
 // addresses in the same order (the list order decides entity ownership).
 // Each server remains the sole lease/fencing authority for its
 // partition; losing one degrades that slice of the entity space to
-// lease-expiry errors while the rest keep granting. As with
-// WithRemoteTable, the two-phase fallback tier stays on a process-local
-// sharded table: rejected classes are this process's private traffic, not
-// part of the shared certified mix.
+// lease-expiry errors while the rest keep granting. A fallback session
+// tries each entity at its owning partition.
 func WithRemoteCluster(addrs ...string) ServiceOption {
 	return func(c *serviceConfig) {
-		c.certTable = func(ddb *model.DDB, cfg locktable.Config) (locktable.Table, error) {
+		c.table = func(ddb *model.DDB, cfg locktable.Config) (locktable.Table, error) {
 			return cluster.New(ddb, cfg, addrs, cluster.Options{})
 		}
 	}
 }
 
-// newSharded is the certified tier's default table constructor: the
-// in-process sharded table.
+// newSharded is the default table constructor: the in-process sharded
+// table.
 func newSharded(ddb *model.DDB, cfg locktable.Config) (locktable.Table, error) {
 	return locktable.NewSharded(ddb, cfg), nil
 }
@@ -115,7 +113,7 @@ func newSharded(ddb *model.DDB, cfg locktable.Config) (locktable.Table, error) {
 // changes only latency, never the set of reachable lock-table states (the
 // server applies one session's acquires strictly in submission order).
 // The two-phase fallback tier never pipelines: its classes carry no such
-// proof, and it runs on an in-process table. Zero
+// proof, so its sessions take the synchronous path. Zero
 // (the default) keeps every Lock synchronous — Unlock on a wire backend
 // still returns without waiting for the server, with Commit joining its
 // receipt (see Session.Unlock); in-process backends ignore the knob.
@@ -166,30 +164,24 @@ func WithTraceSampling(every int) ServiceOption {
 // Register runs incremental Theorem 3/4 admission and pins the class to a
 // tier: certified classes run with NO deadlock handling (the static
 // certification guarantees they cannot deadlock), rejected classes run
-// two-phase on a separate engine: a fallback session takes its class's
-// whole entity set at its first Lock and never waits while it holds a
-// lock, so it is serializable and needs no deadlock handling either. The
-// two tiers run separate lock tables over the same entities, and nothing
-// partitions the entities between them: locks exclude each other within
-// a tier only, so a certified session and a fallback session can both
-// hold one entity at the same time. Where the tiers must exclude each
-// other, keep fallback classes off the certified classes' entities.
-// Running both tiers on one table is the planned fix.
+// two-phase: a fallback session takes its class's whole entity set at its
+// first Lock and never waits while it holds a lock, so it is serializable
+// and needs no deadlock handling either. Both tiers run on one engine and
+// one lock table, so their locks exclude each other (see Register for
+// what the tiers guarantee together).
 //
 // Sessions enforce their class's partial order: each Lock/Unlock must
 // correspond to a template operation whose predecessors have executed.
 // All methods are safe for concurrent use; a single Session must be driven
 // by one goroutine at a time.
 type LockService struct {
-	ddb       *model.DDB
-	adm       *admission.Service
-	mult      int
-	certified *runtime.Engine
-	fallback  *runtime.Engine
-	// certMetrics and fallbackMetrics are the counter bundles the tiers'
-	// lock tables were built with (TierStats.Table).
-	certMetrics     *obs.TableMetrics
-	fallbackMetrics *obs.TableMetrics
+	ddb    *model.DDB
+	adm    *admission.Service
+	mult   int
+	engine *runtime.Engine
+	// metrics is the counter bundle the lock table was built with
+	// (TierStats.Table).
+	metrics *obs.TableMetrics
 
 	begun atomic.Int64
 
@@ -220,12 +212,13 @@ type svcClass struct {
 const departed = int64(1) << 62 // the svcClass.state bit Deregister sets
 
 // Open starts a lock service over the database: an admission service plus
-// the two engine tiers, all long-lived until Close.
+// one engine over one lock table, which both tiers share, all long-lived
+// until Close.
 func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 	if ddb == nil {
 		return nil, fmt.Errorf("distlock: nil database")
 	}
-	cfg := serviceConfig{certTable: newSharded}
+	cfg := serviceConfig{table: newSharded}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -233,28 +226,19 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 	if mult <= 0 {
 		mult = 1
 	}
-	// The certified table is dialled when an option put it on dlservers;
-	// the fallback tier always runs on a sharded table of its own (see
-	// LockService). Each engine owns its table from here on.
-	certMetrics, fallbackMetrics := obs.NewTableMetrics(), obs.NewTableMetrics()
-	certTable, err := cfg.certTable(ddb, locktable.Config{Metrics: certMetrics})
+	// The table is dialled when an option put it on dlservers; the engine
+	// owns it from here on.
+	metrics := obs.NewTableMetrics()
+	table, err := cfg.table(ddb, locktable.Config{Metrics: metrics})
 	if err != nil {
 		return nil, err
 	}
-	certified, err := runtime.NewEngine(ddb, runtime.EngineOptions{
-		Table:            certTable,
+	engine, err := runtime.NewEngine(ddb, runtime.EngineOptions{
+		Table:            table,
 		PipelineDepth:    cfg.pipeline,
 		TraceSampleEvery: cfg.traceSample,
 	})
 	if err != nil {
-		return nil, err
-	}
-	fallback, err := runtime.NewEngine(ddb, runtime.EngineOptions{
-		Table:            locktable.NewSharded(ddb, locktable.Config{Metrics: fallbackMetrics}),
-		TraceSampleEvery: cfg.traceSample,
-	})
-	if err != nil {
-		certified.Close()
 		return nil, err
 	}
 	return &LockService{
@@ -263,13 +247,11 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 			CycleBudget:  cfg.cycleBudget,
 			Multiplicity: mult,
 		}),
-		mult:            mult,
-		certified:       certified,
-		fallback:        fallback,
-		certMetrics:     certMetrics,
-		fallbackMetrics: fallbackMetrics,
-		classes:         map[string]*svcClass{},
-		done:            make(chan struct{}),
+		mult:    mult,
+		engine:  engine,
+		metrics: metrics,
+		classes: map[string]*svcClass{},
+		done:    make(chan struct{}),
 	}, nil
 }
 
@@ -279,6 +261,15 @@ func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 // (no-deadlock-handling) or fallback (two-phase) tier; either way the
 // class becomes Begin-able. Cancelling the context aborts the decision
 // (the class is not registered) and returns ctx.Err().
+//
+// What the tiers guarantee together: mutual exclusion, because both run
+// on the one lock table, and deadlock freedom, because a fallback session
+// never waits while it holds a lock, so every waits-for cycle would be a
+// cycle of certified sessions, which the certification excludes. They do
+// not yet guarantee serializability across tiers: a certified class that
+// is not two-phase (Lx Ux Ly Uy) can release x, let a fallback session
+// over {x, y} run in between, and lock y after it. Admission checks
+// certified classes only against each other.
 func (s *LockService) Register(ctx context.Context, t *Transaction) (RegisterResult, error) {
 	rs, err := s.RegisterBatch(ctx, []*Transaction{t})
 	if err != nil {
@@ -424,9 +415,7 @@ func (s *LockService) Begin(ctx context.Context, class string) (*Session, error)
 	if !ok {
 		return nil, fmt.Errorf("distlock: class %q not registered", class)
 	}
-	engine := s.fallback
 	if c.certified {
-		engine = s.certified
 		// A free slot is taken without the three-way select, which locks
 		// every channel it names: s.done is shared by every client.
 		select {
@@ -449,7 +438,7 @@ func (s *LockService) Begin(ctx context.Context, class string) (*Session, error)
 		}
 	}
 	sess := &Session{svc: s, class: c}
-	if err := engine.BeginAt(&sess.inner, c.txn, !c.certified); err != nil {
+	if err := s.engine.BeginAt(&sess.inner, c.txn, !c.certified); err != nil {
 		if c.certified {
 			s.releaseSlot(c)
 		}
@@ -485,29 +474,30 @@ func (s *LockService) Snapshot() *System { return s.adm.Snapshot() }
 // tier is certified (and enforced) for.
 func (s *LockService) Multiplicity() int { return s.mult }
 
-// TierStats are one engine tier's cumulative counters: the session-level
-// tallies (commits, aborts, certified-pipelined vs synchronous
-// operations) plus the tier's lock-table counter bundle and — when the
-// service was opened WithTraceSampling — the sampled Lock latency,
-// stage by stage.
+// TierStats are one tier's cumulative counters: the session-level tallies
+// (commits, aborts, certified-pipelined vs synchronous operations) plus,
+// on the certified block only, the service's lock-table counter bundle
+// and — when the service was opened WithTraceSampling — the sampled Lock
+// latency, stage by stage.
 type TierStats struct {
 	runtime.Counters
-	// Table is the tier's lock-table counter bundle. Grants−Releases is
-	// the number of lock records currently held through this tier;
+	// Table is the counter bundle of the lock table both tiers share; the
+	// Certified block carries it and the Fallback block's stays zero.
+	// Grants−Releases is the number of lock records currently held;
 	// FastHits+SlowShared equals the shared grants.
 	Table obs.TableCounters `json:"table"`
 	// TraceStages are the per-stage latency histograms, in nanoseconds,
-	// of the tier's sampled Lock calls: "total" first, then each stamped
-	// stage. It is the service's one lock-latency instrument, and "total"
-	// is sampled Lock latency on every backend (sampled in-process Unlock
-	// spans reach SlowestSpans only). Nil unless the service was opened
-	// WithTraceSampling.
+	// of both tiers' sampled Lock calls: "total" first, then each stamped
+	// stage. The Certified block carries them. It is the service's one
+	// lock-latency instrument, and "total" is sampled Lock latency on
+	// every backend (sampled in-process Unlock spans reach SlowestSpans
+	// only). Nil unless the service was opened WithTraceSampling.
 	TraceStages []obs.StageLatency `json:"trace_stages,omitempty"`
 }
 
 // ServiceStats snapshots the service's counters: the admission service's
-// cumulative work and decisions, both engine tiers, and the number of
-// sessions begun. Conservation: every begun session ends in exactly one
+// cumulative work and decisions, both tiers, and the number of sessions
+// begun. Conservation: every begun session ends in exactly one
 // commit, abort or discard (a session ended by Close), so after all
 // sessions close, Begun == Certified.Commits+Certified.Aborts+
 // Certified.Discarded+Fallback.Commits+Fallback.Aborts+Fallback.Discarded.
@@ -518,44 +508,37 @@ type ServiceStats struct {
 	Begun     int64          `json:"begun"`
 }
 
-func tierStats(e *runtime.Engine, m *obs.TableMetrics) TierStats {
-	return TierStats{
-		Counters:    e.Counters(),
-		Table:       m.Snapshot(),
-		TraceStages: e.StageLatency(),
-	}
-}
-
 // Stats returns a snapshot of the service's counters. Every field is read
 // with atomic loads from state that outlives the engines, so Stats is safe
 // on a live service, concurrently with Close, and after Close.
 func (s *LockService) Stats() ServiceStats {
 	return ServiceStats{
 		Admission: s.adm.Stats(),
-		Certified: tierStats(s.certified, s.certMetrics),
-		Fallback:  tierStats(s.fallback, s.fallbackMetrics),
-		Begun:     s.begun.Load(),
+		Certified: TierStats{
+			Counters:    s.engine.ModeCounters(false),
+			Table:       s.metrics.Snapshot(),
+			TraceStages: s.engine.StageLatency(),
+		},
+		Fallback: TierStats{Counters: s.engine.ModeCounters(true)},
+		Begun:    s.begun.Load(),
 	}
 }
 
 // SlowestSpans returns the n slowest sampled operation traces currently
-// held in the two tiers' span rings, slowest first. Empty unless the
-// service was opened WithTraceSampling. The rings are lossy and
-// fixed-size, so this is "slowest recently", not "slowest ever".
+// held in the engine's span ring, slowest first. Empty unless the service
+// was opened WithTraceSampling. The ring is lossy and fixed-size, so this
+// is "slowest recently", not "slowest ever".
 func (s *LockService) SlowestSpans(n int) []obs.SpanRecord {
-	var recs []obs.SpanRecord
-	if r := s.certified.Spans(); r != nil {
-		recs = append(recs, r.Spans()...)
+	r := s.engine.Spans()
+	if r == nil {
+		return nil
 	}
-	if r := s.fallback.Spans(); r != nil {
-		recs = append(recs, r.Spans()...)
-	}
-	return obs.TopSpansByTotal(recs, n)
+	return obs.TopSpansByTotal(r.Spans(), n)
 }
 
-// Close shuts the service down: both engine tiers stop and session
-// operations blocked in them return ErrServiceClosed. Locks still held by
-// open sessions die with the lock tables. Close is idempotent.
+// Close shuts the service down: the engine stops and session operations
+// blocked in it return ErrServiceClosed. Locks still held by open sessions
+// die with the lock table. Close is idempotent.
 func (s *LockService) Close() error {
 	s.mu.Lock()
 	already := s.closed
@@ -565,12 +548,11 @@ func (s *LockService) Close() error {
 		return nil
 	}
 	close(s.done)
-	s.certified.Close()
-	s.fallback.Close()
+	s.engine.Close()
 	return nil
 }
 
-// Session is a client-driven transaction instance on one of the service's
+// Session is a client-driven transaction instance of one of the service's
 // tiers; create with LockService.Begin. It enforces the registered class's
 // partial order and must end in exactly one Commit or Abort. A Session is
 // driven by one goroutine at a time.
@@ -605,7 +587,7 @@ func (s *Session) Class() string { return s.class.txn.Name() }
 // partial order allows.
 func (s *Session) Template() *Transaction { return s.class.txn }
 
-// ID returns the session's instance id on its tier.
+// ID returns the session's instance id, unique across both tiers.
 func (s *Session) ID() int { return s.inner.ID() }
 
 // Certified reports whether the session runs on the certified
@@ -643,6 +625,7 @@ func (s *Session) Held() []string {
 // the one entity it missed, then tries again). Held lists the whole set
 // from the first Lock on. Such a session can wait long behind hot
 // certified traffic; that is the price of a class that is not certified.
+// Its locks exclude the certified tier's, on every backend.
 //
 // Under WithPipelineDepth a certified session's Lock on a wire backend
 // ships the request and returns before the server grants it: nil means

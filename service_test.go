@@ -129,16 +129,16 @@ func TestFallbackTierProbe(t *testing.T) {
 	if err := u3.LockExclusive(ctx, "x"); err != nil {
 		t.Fatal(err)
 	}
-	if held := u3.Held(); strings.Join(held, " ") != "x y" || svc.Stats().Fallback.Table.Held != 2 {
+	if held := u3.Held(); strings.Join(held, " ") != "x y" || svc.Stats().Certified.Table.Held != 2 {
 		t.Fatalf("U3's first Lock holds %v (table %d), want its whole set [x y]",
-			held, svc.Stats().Fallback.Table.Held)
+			held, svc.Stats().Certified.Table.Held)
 	}
 	if err := u3.Unlock("x"); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
 	go func() { got <- u2.LockExclusive(ctx, "y") }()
-	for deadline := time.Now().Add(5 * time.Second); svc.Stats().Fallback.Table.Waiting != 1; {
+	for deadline := time.Now().Add(5 * time.Second); svc.Stats().Certified.Table.Waiting != 1; {
 		select {
 		case err := <-got:
 			t.Fatalf("U2's Lock(y) returned %v while U3 holds y", err)
@@ -163,9 +163,9 @@ func TestFallbackTierProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := svc.Stats().Fallback; st.Commits != 2 || st.Aborts != 0 || st.Table.Held != 0 {
+	if st := svc.Stats(); st.Fallback.Commits != 2 || st.Fallback.Aborts != 0 || st.Certified.Table.Held != 0 {
 		t.Fatalf("fallback tier: commits %d, aborts %d, table holds %d; want 2, 0, 0",
-			st.Commits, st.Aborts, st.Table.Held)
+			st.Fallback.Commits, st.Fallback.Aborts, st.Certified.Table.Held)
 	}
 }
 
@@ -256,8 +256,10 @@ func TestLockServiceMultiplicityBound(t *testing.T) {
 // certified and fallback classes — through the session API and asserts the
 // conservation invariants: every begun session ends in exactly one commit
 // or abort, neither tier (no deadlock handling on either) ever aborts, and no
-// session ends holding a lock. Runs under the CI -race step, on the
-// default (in-process sharded) certified-tier lock table.
+// session ends holding a lock. The sessions keep service-wide owner words
+// (see ownerWords), so a grant that meets a holder of either tier fails
+// the test. Runs under the CI -race step, on the default (in-process
+// sharded) lock table both tiers share.
 func TestLockServiceRaceStress(t *testing.T) {
 	t.Run("sharded", raceStress)
 }
@@ -307,6 +309,7 @@ func raceStress(t *testing.T) {
 	if len(classes) != 5 {
 		t.Fatalf("classes = %v", classes)
 	}
+	owners := newOwnerWords(db)
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(classes)*clientsPerClass)
 	for _, class := range classes {
@@ -320,7 +323,7 @@ func raceStress(t *testing.T) {
 						errCh <- fmt.Errorf("Begin(%s): %w", class, err)
 						return
 					}
-					err = sess.Drive(ctx)
+					err = driveOwned(ctx, sess, db, owners, 0)
 					if held := sess.Held(); len(held) != 0 {
 						errCh <- fmt.Errorf("%s session closed holding %v", class, held)
 						return
@@ -337,6 +340,9 @@ func raceStress(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+	if n := owners.violations.Load(); n != 0 {
+		t.Fatalf("%d grants met a holder of either tier", n)
 	}
 
 	st := svc.Stats()
