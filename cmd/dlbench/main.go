@@ -71,28 +71,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	exps := []struct {
-		id string
-		fn func()
-	}{
-		{"E1", e1}, {"E2", e2}, {"E3", e3}, {"E4", e4}, {"E5", e5},
-		{"E6", e6}, {"E7", e7}, {"E8", e8}, {"E9", e9}, {"E10", e10}, {"E11", e11},
-	}
-	report := benchReport{Go: goruntime.Version(), OS: goruntime.GOOS, Arch: goruntime.GOARCH}
-	ran := false
-	for _, e := range exps {
-		if *run != "" && !strings.EqualFold(*run, e.id) {
-			continue
-		}
-		ran = true
-		if *jsonOut {
-			report.Experiments = append(report.Experiments, timeExperiment(e.id, e.fn))
-			continue
-		}
-		fmt.Printf("==== %s ====\n", e.id)
-		e.fn()
-		fmt.Println()
-	}
+	report, ran := runExperiments(*run, *jsonOut)
 	if !ran {
 		fmt.Fprintf(os.Stderr, "dlbench: unknown experiment %q\n", *run)
 		os.Exit(2)
@@ -105,6 +84,38 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// experiments are the paper-reproduction experiments, in run order.
+var experiments = []struct {
+	id string
+	fn func()
+}{
+	{"E1", e1}, {"E2", e2}, {"E3", e3}, {"E4", e4}, {"E5", e5},
+	{"E6", e6}, {"E7", e7}, {"E8", e8}, {"E9", e9}, {"E10", e10}, {"E11", e11},
+}
+
+// runExperiments runs every experiment, or only the one named by only
+// (case-insensitive), and reports whether any ran. With jsonOut each is
+// timed into the report with its prose suppressed; otherwise each prints
+// its prose under a header.
+func runExperiments(only string, jsonOut bool) (benchReport, bool) {
+	report := benchReport{Go: goruntime.Version(), OS: goruntime.GOOS, Arch: goruntime.GOARCH}
+	ran := false
+	for _, e := range experiments {
+		if only != "" && !strings.EqualFold(only, e.id) {
+			continue
+		}
+		ran = true
+		if jsonOut {
+			report.Experiments = append(report.Experiments, timeExperiment(e.id, e.fn))
+			continue
+		}
+		fmt.Printf("==== %s ====\n", e.id)
+		e.fn()
+		fmt.Println()
+	}
+	return report, ran
 }
 
 // timeExperiment runs one experiment with its prose diverted to /dev/null

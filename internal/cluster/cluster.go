@@ -14,12 +14,12 @@
 // and unfenced cross-partition pipelining reaches states the
 // certification never admitted. Releases are never ordered against each
 // other: a delayed release only lengthens a hold (see the
-// partition-fencing comment at AcquireAsync). ReleaseAll fans out to the
-// partitions that own the entities and aggregates failures with
-// errors.Join. A lost partition degrades to ErrLeaseExpired on only its
-// slice of the entity space — the server's lease machinery has already
-// revoked that slice's grants — while every other partition keeps
-// granting.
+// partition-fencing comment at AcquireAsync). ReleaseAll is
+// locktable.ReleaseEach: every entity's acked release goes to its owning
+// partition, and failures are joined with errors.Join. A lost partition
+// degrades to ErrLeaseExpired on only its slice of the entity space — the
+// server's lease machinery has already revoked that slice's grants —
+// while every other partition keeps granting.
 package cluster
 
 import (
@@ -84,11 +84,7 @@ type Table struct {
 	sweepAt int
 }
 
-var (
-	_ locktable.Table       = (*Table)(nil)
-	_ locktable.AsyncTable  = (*Table)(nil)
-	_ locktable.TryAcquirer = (*Table)(nil)
-)
+var _ locktable.AsyncTable = (*Table)(nil)
 
 // New dials one client per address and returns the routing table. Every
 // server must host the same database (each handshake verifies the
@@ -197,7 +193,7 @@ func (t *Table) Acquire(ctx context.Context, inst locktable.Instance, ent model.
 	return t.parts[p].Acquire(ctx, inst, ent, mode)
 }
 
-// TryAcquire implements locktable.TryAcquirer: the try goes to the
+// TryAcquire implements locktable.Table: the try goes to the
 // entity's owning partition, unfenced like Acquire (only pipelined
 // acquires join the instance's other partitions).
 func (t *Table) TryAcquire(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) (bool, error) {
@@ -384,44 +380,22 @@ func (t *Table) Release(ent model.EntityID, key locktable.InstKey) error {
 	return t.parts[t.Partition(ent)].Release(ent, key)
 }
 
-// ReleaseAll implements locktable.Table: entities are grouped by owning
-// partition and released with one fan-out call per server, concurrently.
-// Per-partition failures are aggregated with errors.Join in partition
-// order, so a caller sees every slice that could not confirm release —
-// a dead partition contributes its lease-expiry error without blocking
-// the live partitions' releases.
+// ReleaseAll implements locktable.Table as ReleaseEach: each entity's
+// acked release goes to its owning partition, all shipped before any is
+// joined, and the failures are joined in entity order — a dead partition
+// contributes a lease-expiry error per listed entity it owns without
+// blocking the live partitions' releases.
 func (t *Table) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
 	// The abort path: the session resolved every in-flight async
 	// operation before this wave, so the instance's frontier is dead
-	// weight — free it rather than wait for the sweep.
+	// weight — free it first, so the wave joins and counts no fence.
 	t.fmu.Lock()
 	if base, ok := t.fences[key.ID]; ok {
 		delete(t.fences, key.ID)
 		t.free = append(t.free, base)
 	}
 	t.fmu.Unlock()
-	if len(ents) == 0 {
-		return nil
-	}
-	groups := make([][]model.EntityID, len(t.parts))
-	for _, ent := range ents {
-		p := t.Partition(ent)
-		groups[p] = append(groups[p], ent)
-	}
-	errs := make([]error, len(t.parts))
-	var wg sync.WaitGroup
-	for p, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(p int, g []model.EntityID) {
-			defer wg.Done()
-			errs[p] = t.parts[p].ReleaseAll(g, key)
-		}(p, g)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return locktable.ReleaseEach(t, ents, key)
 }
 
 // Close implements locktable.Table: every partition connection is closed

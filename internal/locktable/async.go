@@ -67,30 +67,6 @@ type AsyncTable interface {
 	ReleaseAsyncAcked(ent model.EntityID, key InstKey) Completion
 }
 
-// TryAcquirer is the optional non-blocking capability a Table may
-// implement: TryAcquire grants the lock if and only if it can be granted
-// immediately — the instance already holds it, or the entity has no
-// conflicting holder and either no queue or a shared request from a
-// holding instance (Instance.Holding) — and reports false otherwise without
-// queueing anything. A false return leaves the table exactly as it was;
-// the caller falls back to the blocking Acquire.
-//
-// Every table in this module implements it: the sharded table, the
-// netlock client (a try acquire on the wire, answered by the server's
-// TryAcquire) and the cluster router (the owning partition's client). The
-// runtime's two-phase sessions (the fallback tier) need it: they try their
-// whole entity set and, on the first miss, release what they got before
-// they block. The netlock server uses it as its read-loop fast path: an
-// acquire for an instance with no pending chain is tried inline, and only
-// a contended try pays for a per-instance chain goroutine and its parked
-// request.
-type TryAcquirer interface {
-	// TryAcquire reports whether the lock was granted. The error is
-	// non-nil only for table-level failures (ErrStopped), never for
-	// contention.
-	TryAcquire(inst Instance, ent model.EntityID, mode Mode) (bool, error)
-}
-
 // ResolvedCompletion is a Completion that already has its answer: the
 // operation short-circuited (a release of nothing, a submission that
 // failed before reaching the wire). A nil error yields Done.

@@ -1,10 +1,10 @@
 // Package locktable is the engine's pluggable lock-grant layer: a Table
 // maps entities to shared/exclusive locks with per-entity wait queues, and
-// the runtime engine drives it through a narrow interface (Acquire /
-// Release / ReleaseAll) so the grant machinery can be swapped without
-// touching session semantics.
+// the runtime engine drives it through one interface (Acquire /
+// TryAcquire / Release / ReleaseAll) so the grant machinery can be
+// swapped without touching session semantics.
 //
-// Two implementations exist:
+// Every backend implements the whole interface:
 //
 //   - NewSharded: the one in-process table, for every tier — the fast
 //     path the paper's program pays for. Entities are hashed across a
@@ -25,6 +25,9 @@
 //     stale-release fencing covering the failure modes a network adds.
 //     internal/cluster routes one lock space over several such servers.
 //
+// Each backend's ReleaseAll is ReleaseEach: one loop over its per-entity
+// releases, so a release has one path on every backend.
+//
 // All backends implement identical blocking semantics, verified by a
 // shared conformance suite: shared grants overlap and a writer excludes
 // everyone (any number of shared holders, at most one exclusive holder),
@@ -44,6 +47,7 @@ package locktable
 
 import (
 	"context"
+	"errors"
 
 	"distlock/internal/model"
 	"distlock/internal/obs"
@@ -129,6 +133,7 @@ type Config struct {
 // number of shared holders, waiters queue per entity. All methods are
 // safe for concurrent use.
 type Table interface {
+	TryAcquirer
 	// Acquire blocks until the entity is granted to the instance in the
 	// requested mode: an exclusive grant requires no other holder of any
 	// mode, a shared grant requires no exclusive holder AND no earlier
@@ -160,9 +165,63 @@ type Table interface {
 	Release(ent model.EntityID, key InstKey) error
 	// ReleaseAll releases every listed entity the instance holds — the
 	// abort path. Every failed release surfaces in the returned error
-	// (errors.Join), not just the last one.
+	// (errors.Join), not just the last one. Every backend implements it
+	// as ReleaseEach. On a wire backend the releases run in the
+	// instance's wire order, behind its in-flight acquires, so a caller
+	// resolves those acquires first (Session.Abort does).
 	ReleaseAll(ents []model.EntityID, key InstKey) error
 	// Close stops the table and wakes every parked Acquire with
 	// ErrStopped. Held locks die with the table. Close is idempotent.
 	Close()
+}
+
+// TryAcquirer is the non-blocking acquire every Table has (Table embeds
+// it; the name stays for callers that assert to it): TryAcquire grants
+// the lock if and only if it can be granted immediately — the instance
+// already holds it, or the entity has no conflicting holder and either no
+// queue or a shared request from a holding instance (Instance.Holding) —
+// and reports false otherwise without queueing anything. A false return
+// leaves the table exactly as it was; the caller falls back to the
+// blocking Acquire.
+//
+// On the wire it is a try acquire, answered by the server's TryAcquire;
+// the cluster router sends it to the owning partition. The runtime's
+// two-phase sessions (the fallback tier) try their whole entity set and,
+// on the first miss, release what they got before they block. The
+// netlock server uses it as its read-loop fast path: an acquire for an
+// instance with no pending chain is tried inline, and only a contended
+// try pays for a per-instance chain goroutine and its parked request.
+type TryAcquirer interface {
+	// TryAcquire reports whether the lock was granted. The error is
+	// non-nil only for table-level failures (ErrStopped), never for
+	// contention.
+	TryAcquire(inst Instance, ent model.EntityID, mode Mode) (bool, error)
+}
+
+// ReleaseEach releases every listed entity through t's per-entity
+// releases, and is every backend's ReleaseAll. On an AsyncTable each
+// release ships through ReleaseAsyncAcked before any is joined, so the
+// wave's frames share flushes and its round trips overlap, and each
+// receipt reports exactly its own release; on any other table it loops
+// over Release. Every failure surfaces, joined with errors.Join.
+func ReleaseEach(t Table, ents []model.EntityID, key InstKey) error {
+	var errs []error
+	if at, ok := t.(AsyncTable); ok {
+		comps := make([]Completion, len(ents))
+		for i, ent := range ents {
+			comps[i] = at.ReleaseAsyncAcked(ent, key)
+		}
+		for _, c := range comps {
+			if err := c.Wait(context.Background()); err != nil {
+				errs = append(errs, err)
+			}
+		}
+		return errors.Join(errs...)
+	}
+	for _, ent := range ents {
+		if err := t.Release(ent, key); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }

@@ -38,7 +38,6 @@ type Grant struct {
 // the book as it was.
 type Tap struct {
 	locktable.Table
-	try locktable.TryAcquirer
 
 	mu         sync.Mutex
 	grants     []Grant
@@ -46,15 +45,9 @@ type Tap struct {
 	violations int
 }
 
-// New wraps inner, which must implement locktable.TryAcquirer (the
-// sharded table does): the runtime's two-phase sessions and the netlock
-// server's inline path need it.
+// New wraps inner.
 func New(inner locktable.Table) *Tap {
-	return &Tap{
-		Table:   inner,
-		try:     inner.(locktable.TryAcquirer),
-		holders: map[model.EntityID]map[locktable.InstKey]locktable.Mode{},
-	}
+	return &Tap{Table: inner, holders: map[model.EntityID]map[locktable.InstKey]locktable.Mode{}}
 }
 
 // Acquire forwards to the inner table and records the grant.
@@ -68,7 +61,7 @@ func (t *Tap) Acquire(ctx context.Context, inst locktable.Instance, ent model.En
 
 // TryAcquire forwards to the inner table and records a grant.
 func (t *Tap) TryAcquire(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) (bool, error) {
-	ok, err := t.try.TryAcquire(inst, ent, mode)
+	ok, err := t.Table.TryAcquire(inst, ent, mode)
 	if ok {
 		t.granted(ent, inst.Key, mode)
 	}
@@ -81,12 +74,9 @@ func (t *Tap) Release(ent model.EntityID, key locktable.InstKey) error {
 	return t.Table.Release(ent, key)
 }
 
-// ReleaseAll drops every listed holder from the book, then forwards.
+// ReleaseAll is ReleaseEach through the tap's Release.
 func (t *Tap) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
-	for _, ent := range ents {
-		t.releasing(ent, key)
-	}
-	return t.Table.ReleaseAll(ents, key)
+	return locktable.ReleaseEach(t, ents, key)
 }
 
 // granted records a grant. A duplicate Acquire by a current holder grants

@@ -2,7 +2,6 @@ package locktable
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -314,7 +313,7 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 	}
 }
 
-// TryAcquire implements TryAcquirer: the inline-grant prefix of Acquire
+// TryAcquire implements Table: the inline-grant prefix of Acquire
 // with a false return where Acquire would park. It never queues, so a
 // false return has no side effect beyond the slow-mode fence Acquire
 // itself would have set (and clears it again if the entity is idle).
@@ -540,18 +539,9 @@ func (t *shardedTable) grantLocked(ent model.EntityID, l *slock, key InstKey, mo
 	}
 }
 
-// ReleaseAll releases the listed entities. Stripe operations are plain
-// mutex sections, so there is nothing to pipeline — the loop is already
-// round-trip free. Every failed release surfaces in the joined error,
-// not just the last one.
+// ReleaseAll implements Table as ReleaseEach.
 func (t *shardedTable) ReleaseAll(ents []model.EntityID, key InstKey) error {
-	var errs []error
-	for _, ent := range ents {
-		if e := t.Release(ent, key); e != nil {
-			errs = append(errs, e)
-		}
-	}
-	return errors.Join(errs...)
+	return ReleaseEach(t, ents, key)
 }
 
 func (t *shardedTable) Close() {

@@ -57,8 +57,10 @@ type result struct {
 // pipeline lock chains (see internal/runtime). One instance's operations
 // take effect in submission order — the server chains them — so the
 // pipelined run reaches exactly the lock-table states of the synchronous
-// one, and a release may be submitted before its own acquire's ack. It
-// implements locktable.TryAcquirer too, through the server's TryAcquire.
+// one, and a release may be submitted before its own acquire's ack. Its
+// TryAcquire is answered by the server's TryAcquire, and its ReleaseAll
+// is ReleaseEach: per-entity acked releases, in the instance's wire
+// order.
 type Client struct {
 	ddb   *model.DDB
 	conn  net.Conn
@@ -109,11 +111,7 @@ type Client struct {
 	wg       sync.WaitGroup
 }
 
-var (
-	_ locktable.Table       = (*Client)(nil)
-	_ locktable.AsyncTable  = (*Client)(nil)
-	_ locktable.TryAcquirer = (*Client)(nil)
-)
+var _ locktable.AsyncTable = (*Client)(nil)
 
 // Dial connects to a netlock server and completes the handshake. The
 // database must be the same one the server hosts (checked by fingerprint).
@@ -364,13 +362,13 @@ func (c *Client) shutdown() {
 // mode and span. It is the Completion of all three async ops — an acquire
 // (op opAcquire), an acked release (op opRelease, reqID set) and a
 // fire-and-forget release (op opRelease, reqID 0, no reply: its Wait reads
-// ffErrs) — and the reply record of call. Records come from reqPool and
-// keep their channel across reuse. A record goes back only after its one
-// reply was received (or, fire-and-forget, once waited): the party that
-// took the request out of pending sent that reply and will never send
-// again, so the next request that draws the record owns it alone. A wait
-// that is abandoned — cancelled, timed out or stopped — leaves its record
-// to the collector, since its reply may still be coming.
+// ffErrs). Records come from reqPool and keep their channel across
+// reuse. A record goes back only after its one reply was received (or,
+// fire-and-forget, once waited): the party that took the request out of
+// pending sent that reply and will never send again, so the next request
+// that draws the record owns it alone. A wait that is abandoned —
+// cancelled, timed out or stopped — leaves its record to the collector,
+// since its reply may still be coming.
 //
 // An acquire's record may also be joined by a partition fence (see
 // Ticket) before its owner waits it: the join collects the reply and
@@ -485,32 +483,13 @@ func (c *Client) send(build func(*enc), sp *obs.Span) error {
 	return err
 }
 
-// call is the synchronous request/response path for everything but
-// Acquire and Release. A send that fails means shutdown began, and
-// shutdown answers every pending request ErrStopped, so the reply is
-// awaited either way (so are an acquire's and an acked release's).
-func (c *Client) call(build func(reqID uint64, e *enc)) (result, error) {
-	r := c.newRequest(opReleaseAll)
-	reqID := c.register(r, false)
-	c.send(func(e *enc) { build(reqID, e) }, nil)
-	res, err := c.await(r)
-	if err != nil {
-		return res, err
-	}
-	r.recycle()
-	if res.status == stStopped {
-		return res, locktable.ErrStopped
-	}
-	return res, nil
-}
-
 // await collects the reply to a request that completes promptly on a
 // healthy server (everything but a parked acquire). The wait is bounded:
 // a response that outlasts several lease windows means the server is
 // wedged or partitioned (TCP alive, nobody home) — the client
 // self-fences, turning a would-be permanent hang in a release join or a
-// call into the same ErrStopped a closed table gives, with
-// the server's lease machinery reclaiming whatever the session held. A
+// try into the same ErrStopped a closed table gives, with the server's
+// lease machinery reclaiming whatever the session held. A
 // reply that already streamed back is taken without arming the timer, and
 // the timer a wait does arm is a pooled one. The error is set only when
 // the wait self-fenced, the reply still due; the caller recycles a record
@@ -686,7 +665,7 @@ func (c *Client) unmark(r *request) {
 // version bump — which tells the server to time its stages and send them
 // back as deltas on the grant reply. The completion is always the
 // request's record (see TicketOf): a send that fails means shutdown began,
-// which resolves the record ErrStopped (see call).
+// which answers every pending request ErrStopped.
 func (c *Client) AcquireAsync(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) locktable.Completion {
 	return c.submitAcquire(inst, ent, mode, 0)
 }
@@ -715,11 +694,11 @@ func (c *Client) submitAcquire(inst locktable.Instance, ent model.EntityID, mode
 	return r
 }
 
-// TryAcquire implements locktable.TryAcquirer: a try acquire, which the
+// TryAcquire implements locktable.Table: a try acquire, which the
 // server answers from its hosted table's TryAcquire — granted, or a miss
 // that queued nothing on either end — and never parks. A try waits on no
-// holder, so its wait is bounded by await's self-fence, like a call's. A
-// repeat of a held entity is granted and leaves the grant record alone.
+// holder, so its wait is bounded by await's self-fence. A repeat of a
+// held entity is granted and leaves the grant record alone.
 func (c *Client) TryAcquire(inst locktable.Instance, ent model.EntityID, mode locktable.Mode) (bool, error) {
 	r := c.submitAcquire(inst, ent, mode, acqTry)
 	res, err := c.await(r)
@@ -983,7 +962,8 @@ func (c *Client) completion(r *request, err error) locktable.Completion {
 // release ships a release, with a receipt when acked, and returns its
 // record, or nil and the error of a release that resolved at submission
 // (nil when the instance holds no record for the entity). An acked
-// release's failed send is answered through pending (see call).
+// release's failed send is answered through pending, as shutdown
+// answers every pending request.
 func (c *Client) release(ent model.EntityID, key locktable.InstKey, acked bool) (*request, error) {
 	granted, held, closed := c.takeGrant(ent, key)
 	if closed {
@@ -1010,55 +990,13 @@ func (c *Client) release(ent model.EntityID, key locktable.InstKey, acked bool) 
 	return r, nil
 }
 
-// ReleaseAll implements locktable.Table: one wire round trip releases
-// every listed entity the instance holds a record for (the abort path).
-// Stale entries are skipped server-side — they are no longer this
-// session's to free — and reported back as one ErrStaleFence-wrapping
-// error counting every skipped release, so no failure is silently
-// dropped. The frame executes inline, outside the instance's chain, so
-// in-flight marks are left for their acquires' joins to settle (callers
-// resolve their acquires first, as Session.Abort does).
+// ReleaseAll implements locktable.Table as ReleaseEach: every release is
+// an acked one, shipped before any is joined. Each runs in the
+// instance's wire order, behind its in-flight acquires, so callers
+// resolve those first (Session.Abort does); a revoked grant's release
+// reports ErrStaleFence in the joined error.
 func (c *Client) ReleaseAll(ents []model.EntityID, key locktable.InstKey) error {
-	return c.fail(c.releaseAll(ents, key))
-}
-
-func (c *Client) releaseAll(ents []model.EntityID, key locktable.InstKey) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return locktable.ErrStopped
-	}
-	rels := make([]model.EntityID, 0, len(ents))
-	for _, ent := range ents {
-		ref := grantRef{ent: ent, key: key}
-		if m, ok := c.grants[ref]; ok && m.granted {
-			delete(c.grants, ref)
-			rels = append(rels, ent)
-		}
-	}
-	c.mu.Unlock()
-	if len(rels) == 0 {
-		return nil
-	}
-	c.m.Releases.Add(uint64(key.ID), int64(len(rels)))
-	res, err := c.call(func(reqID uint64, e *enc) {
-		e.u8(opReleaseAll)
-		e.u64(reqID)
-		e.key(key)
-		e.u32(uint32(len(rels)))
-		for _, ent := range rels {
-			e.i64(int64(ent))
-		}
-	})
-	if err != nil {
-		return locktable.ErrStopped
-	}
-	d := dec{b: res.payload}
-	if stale := d.u32(); d.err == nil && stale > 0 {
-		return fmt.Errorf("netlock: release-all: %d stale grant(s) skipped (revoked lease; no longer ours to free): %w",
-			stale, ErrStaleFence)
-	}
-	return nil
+	return locktable.ReleaseEach(c, ents, key)
 }
 
 // Close implements locktable.Table: parked Acquires wake with ErrStopped
@@ -1071,10 +1009,9 @@ func (c *Client) Close() {
 
 // SetErrorHook installs h on the client's error path: every error the
 // client hands a caller — a completion's outcome, an operation that
-// resolved at submission, ReleaseAll's — passes through h exactly once,
-// and the caller gets what h returns. Set it before the client carries
-// traffic. The cluster router installs its partition-loss translation
-// here.
+// resolved at submission — passes through h exactly once, and the
+// caller gets what h returns. Set it before the client carries traffic.
+// The cluster router installs its partition-loss translation here.
 func (c *Client) SetErrorHook(h func(error) error) { c.hook = h }
 
 // fail applies the error hook to an error handed to a caller.

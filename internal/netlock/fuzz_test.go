@@ -24,18 +24,19 @@ func frameOf(build func(*enc)) []byte {
 	return e.b
 }
 
-// fuzzSeeds is one v9 frame per request opcode, plus the shapes the
+// fuzzSeeds is one v10 frame per request opcode, plus the shapes the
 // decoder must reject or treat specially: a sampled acquire, a holding
 // reader's acquire, try acquires (a holding one among them), an acquire
 // with an unknown flag, releases (acked and fire-and-forget), a truncated
-// acquire, a release-all whose count overstates its entries, opcodes a
-// client never sends, v3 frames (a release with a fencing token, the
-// retired withdraw and wound requests), v5 frames (an acquire carrying an
-// epoch and a priority, a hello carrying the wound-wait byte), v6 frames
-// (an acquire without the holding byte, a sampled one whose marker sits
-// where the holding byte now is, a v6 hello) and v7 frames (the retired
-// grant-log request, a hello carrying the trace byte) a v9 server must not
-// mistake for valid ones.
+// acquire, opcodes a client never sends, v3 frames (a release with a
+// fencing token, the retired withdraw and wound requests), v5 frames (an
+// acquire carrying an epoch and a priority, a hello carrying the
+// wound-wait byte), v6 frames (an acquire without the holding byte, a
+// sampled one whose marker sits where the holding byte now is, a v6
+// hello), v7 frames (the retired grant-log request, a hello carrying the
+// trace byte) and v9 frames (the retired release-all request, one with a
+// count that overstates its entries) a v10 server must not mistake for
+// valid ones.
 func fuzzSeeds(ents []model.EntityID) [][]byte {
 	key := locktable.InstKey{ID: 1}
 	acqV6 := func(e *enc) {
@@ -83,15 +84,15 @@ func fuzzSeeds(ents []model.EntityID) [][]byte {
 			e.key(key)
 			e.u64(7)
 		}),
-		frameOf(func(e *enc) {
-			e.u8(opReleaseAll)
+		frameOf(func(e *enc) { // v9 release-all, retired
+			e.u8(0x05)
 			e.u64(4)
 			e.key(key)
 			e.u32(2)
 			e.i64(int64(ents[0]))
 			e.i64(int64(ents[1]))
 		}),
-		frameOf(func(e *enc) { e.u8(opReleaseAll); e.u64(4); e.key(key); e.u32(1 << 20) }),
+		frameOf(func(e *enc) { e.u8(0x05); e.u64(4); e.key(key); e.u32(1 << 20) }),        // v9 release-all, retired
 		frameOf(func(e *enc) { e.u8(0x06); e.u64(5); e.i64(int64(ents[1])); e.key(key) }), // v3 withdraw, retired
 		frameOf(func(e *enc) { e.u8(0x07); e.u64(6); e.key(key) }),                        // v3 wound, retired
 		frameOf(func(e *enc) { e.u8(0x08); e.u64(7) }),                                    // v4 snapshot, retired
@@ -226,10 +227,7 @@ func FuzzHandleFrame(f *testing.F) {
 				break // the read loop is alive past the frame
 			}
 		}
-		if _, err := healthy.call(func(reqID uint64, e *enc) {
-			e.u8(opHeartbeat)
-			e.u64(reqID)
-		}); err != nil {
+		if err := renewLease(healthy); err != nil {
 			t.Fatalf("frame %x on one connection broke another: %v", body, err)
 		}
 	})
@@ -237,13 +235,14 @@ func FuzzHandleFrame(f *testing.F) {
 
 // TestRetiredOpcodesEndConnection: a request with a retired opcode —
 // withdraw and wound (0x06, 0x07, gone in v4), snapshot (0x08, gone in
-// v5), grant log (0x09, gone in v8) — is an unknown opcode: the server
-// drops that connection instead of answering the heartbeat behind it.
+// v5), grant log (0x09, gone in v8), release-all (0x05, gone in v10) — is
+// an unknown opcode: the server drops that connection instead of
+// answering the heartbeat behind it.
 func TestRetiredOpcodesEndConnection(t *testing.T) {
 	ddb, _ := testDDB(t, 1)
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
 	heartbeat := frameOf(func(e *enc) { e.u8(opHeartbeat); e.u64(fuzzHeartbeatID) })
-	for _, op := range []byte{0x06, 0x07, 0x08, 0x09} {
+	for _, op := range []byte{0x05, 0x06, 0x07, 0x08, 0x09} {
 		conn := pipeSession(t, srv)
 		_, err := conn.Write(appendFrame(nil, frameOf(func(e *enc) { e.u8(op); e.u64(5) })))
 		if err == nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -239,7 +240,6 @@ func TestPipelinedRepeatAnsweredFromBook(t *testing.T) {
 // is held there until it is withdrawn.
 type gatedTable struct {
 	locktable.Table
-	try     locktable.TryAcquirer
 	armed   atomic.Bool
 	reached chan struct{}
 }
@@ -248,7 +248,7 @@ func (g *gatedTable) TryAcquire(inst locktable.Instance, ent model.EntityID, mod
 	if g.armed.Load() {
 		return false, nil
 	}
-	return g.try.TryAcquire(inst, ent, mode)
+	return g.Table.TryAcquire(inst, ent, mode)
 }
 
 func (g *gatedTable) Acquire(ctx context.Context, inst locktable.Instance, ent model.EntityID, mode locktable.Mode) error {
@@ -273,8 +273,7 @@ func TestRepeatAcquireCancelKeepsHold(t *testing.T) {
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{
 		Lease: time.Minute,
 		New: func(ddb *model.DDB, cfg locktable.Config) locktable.Table {
-			tab := locktable.NewSharded(ddb, cfg)
-			gate = &gatedTable{Table: tab, try: tab.(locktable.TryAcquirer), reached: make(chan struct{})}
+			gate = &gatedTable{Table: locktable.NewSharded(ddb, cfg), reached: make(chan struct{})}
 			return gate
 		},
 	})
@@ -513,10 +512,7 @@ func TestLeaseRecoveryAfterExpiry(t *testing.T) {
 		return false
 	})
 	// Manual heartbeat: the session's next renewal restores the lease…
-	if _, err := c.call(func(reqID uint64, enc *enc) {
-		enc.u8(opHeartbeat)
-		enc.u64(reqID)
-	}); err != nil {
+	if err := renewLease(c); err != nil {
 		t.Fatal(err)
 	}
 	// …so new acquires succeed again (the dead grant's record is gone, and
@@ -528,6 +524,80 @@ func TestLeaseRecoveryAfterExpiry(t *testing.T) {
 	if err := c.Release(ents[1], locktable.InstKey{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReleaseAllStaleAndLive: an abort's ReleaseAll over one grant a
+// lease expiry revoked and one live grant reports the stale one as
+// ErrStaleFence and still frees the live one, entity by entity in the
+// instance's wire order, leaving nothing held on the server.
+func TestReleaseAllStaleAndLive(t *testing.T) {
+	ddb, ents := testDDB(t, 2)
+	stale, live := ents[0], ents[1]
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: 150 * time.Millisecond})
+	c := dial(t, srv, locktable.Config{}, DialOptions{NoHeartbeat: true})
+	key := locktable.InstKey{ID: 1}
+
+	acquire(t, c, 1, stale)
+	waitFor(t, func() bool { return srv.Metrics().LeaseExpiries.Load() >= 1 })
+	keepLease(t, c)
+	acquire(t, c, 1, live)
+
+	if err := c.ReleaseAll([]model.EntityID{stale, live}, key); !errors.Is(err, ErrStaleFence) {
+		t.Fatalf("ReleaseAll of a revoked and a live grant = %v, want ErrStaleFence", err)
+	}
+	if _, ok := fenceOf(c, live, 1); ok {
+		t.Fatal("the live grant's client record survived ReleaseAll")
+	}
+	if held := srv.TableMetrics().Snapshot().Held; held != 0 {
+		t.Fatalf("server Held = %d after ReleaseAll, want 0", held)
+	}
+	probe := dial(t, srv, locktable.Config{}, DialOptions{})
+	acquire(t, probe, 2, live)
+	acquire(t, probe, 2, stale)
+}
+
+// renewLease sends one heartbeat and waits for its ack (white-box): the
+// manual lease renewal of a client dialled with NoHeartbeat.
+func renewLease(c *Client) error {
+	r := c.newRequest(opHeartbeat)
+	reqID := c.register(r, false)
+	var e enc
+	e.u8(opHeartbeat)
+	e.u64(reqID)
+	c.enqueue(e.b, true, nil) // a failed send is answered through pending
+	res, err := c.await(r)
+	if err == nil && res.status != stOK {
+		err = fmt.Errorf("netlock: heartbeat answered status %#x", res.status)
+	}
+	return err
+}
+
+// keepLease renews c's lease now and every 20ms until the test ends.
+func keepLease(t *testing.T, c *Client) {
+	t.Helper()
+	if err := renewLease(c); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var beats sync.WaitGroup
+	beats.Add(1)
+	go func() {
+		defer beats.Done()
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(20 * time.Millisecond):
+				if err := renewLease(c); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		close(done)
+		beats.Wait()
+	})
 }
 
 // waitFor polls cond for up to 5s.
@@ -556,14 +626,16 @@ func waitFor(t *testing.T, cond func() bool) {
 // acquire that v6 dropped; v6 peers frame no holding byte into an acquire,
 // and a v7 server would read a v6 sampled marker as one; v7 peers frame a
 // trace byte into the hello that v8 dropped; a v8 server would read a v9
-// try acquire as a holding one and park it. Each hello here is framed the
-// way its version framed it: a wound-wait and a trace byte before v6, a
-// trace byte in v6 and v7, neither in v8 (the version is checked first).
+// try acquire as a holding one and park it; a v9 client would send the
+// release-all request (0x05) that v10 rejects as an unknown opcode. Each
+// hello here is framed the way its version framed it: a wound-wait and a
+// trace byte before v6, a trace byte in v6 and v7, neither since v8 (the
+// version is checked first).
 func TestHandshakeRejectsStaleProtocolVersion(t *testing.T) {
 	ddb, _ := testDDB(t, 2)
 	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
 
-	for _, version := range []uint32{1, 2, 3, 4, 5, 6, 7, 8} {
+	for _, version := range []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9} {
 		nc, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)

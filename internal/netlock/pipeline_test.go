@@ -161,33 +161,7 @@ func TestFireAndForgetFailureScopedToInstance(t *testing.T) {
 	waitFor(t, func() bool { return c.Metrics().FenceRejections.Load() == 1 })
 
 	// Renew the lease by hand and keep it renewed for the rest of the test.
-	heartbeat := func() {
-		if _, err := c.call(func(reqID uint64, e *enc) {
-			e.u8(opHeartbeat)
-			e.u64(reqID)
-		}); err != nil {
-			t.Error(err)
-		}
-	}
-	heartbeat()
-	done := make(chan struct{})
-	var beats sync.WaitGroup
-	beats.Add(1)
-	go func() {
-		defer beats.Done()
-		for {
-			select {
-			case <-done:
-				return
-			case <-time.After(20 * time.Millisecond):
-				heartbeat()
-			}
-		}
-	}()
-	defer func() {
-		close(done)
-		beats.Wait()
-	}()
+	keepLease(t, c)
 
 	acquire(t, c, 2, ents[1])
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -97,7 +97,12 @@ import (
 //	    table cannot grant at once with the miss status (0x07), queueing
 //	    nothing. A v8 server would read a try as a holding acquire and
 //	    park it, so the handshake rejects it.
-const protocolVersion = 9
+//	10 — no release-all: the release-all request (0x05) is gone, its
+//	    value not reused; an abort releases entity by entity, in the
+//	    instance's wire order. A v9 client would send it and lose the
+//	    connection to the v10 server's unknown-opcode error, so the
+//	    handshake rejects it.
+const protocolVersion = 10
 
 // maxFrame bounds a frame body; larger frames indicate a corrupt stream.
 const maxFrame = 16 << 20
@@ -105,12 +110,11 @@ const maxFrame = 16 << 20
 // Message opcodes. Client→server requests carry a request ID the matching
 // opResult echoes; the server initiates nothing but a reqID-0 result.
 const (
-	opHello      = 0x01 // version, ddb hash
-	opAcquire    = 0x02 // reqID, inst key, entity, mode, flags
-	opCancel     = 0x03 // reqID of the in-flight acquire to withdraw
-	opRelease    = 0x04 // reqID, entity, inst key
-	opReleaseAll = 0x05 // reqID, inst key, n × entity
-	opHeartbeat  = 0x0a // reqID (renews the lease)
+	opHello     = 0x01 // version, ddb hash
+	opAcquire   = 0x02 // reqID, inst key, entity, mode, flags
+	opCancel    = 0x03 // reqID of the in-flight acquire to withdraw
+	opRelease   = 0x04 // reqID, entity, inst key
+	opHeartbeat = 0x0a // reqID (renews the lease)
 
 	opResult = 0x80 // reqID, status, payload per request kind (reqID 0: a fire-and-forget release's failure, inst key)
 )

@@ -30,10 +30,10 @@ type ServerOptions struct {
 	// New constructs the hosted in-process table (nil: locktable.NewSharded).
 	// It receives cfg with the server's metrics bundle. The grant book keeps
 	// repeated acquires and releases of unheld locks from the table, which
-	// the server sees only through locktable.Table and TryAcquirer, so a
-	// wrapper may observe it: the benchmark times it, and tests record its
-	// grants with locktabletest.Tap, where the low 32 bits of a composed
-	// instance key are the client's instance ID.
+	// the server sees only through locktable.Table, so a wrapper may
+	// observe it: the benchmark times it, and tests record its grants with
+	// locktabletest.Tap, where the low 32 bits of a composed instance key
+	// are the client's instance ID.
 	New func(*model.DDB, locktable.Config) locktable.Table
 }
 
@@ -43,11 +43,10 @@ type ServerOptions struct {
 // by heartbeats.
 // Create with NewServer, serve with Serve, stop with Close.
 type Server struct {
-	ddb    *model.DDB
-	tab    locktable.Table
-	tryTab locktable.TryAcquirer // s.tab's non-blocking capability, nil if absent
-	lease  time.Duration
-	hash   [32]byte
+	ddb   *model.DDB
+	tab   locktable.Table
+	lease time.Duration
+	hash  [32]byte
 
 	ln       net.Listener
 	wg       sync.WaitGroup
@@ -187,7 +186,6 @@ func NewServer(ddb *model.DDB, cfg locktable.Config, opts ServerOptions) (*Serve
 	inner := cfg
 	inner.Metrics = s.tm // the hosted table counts into the server's bundle
 	s.tab = mk(ddb, inner)
-	s.tryTab, _ = s.tab.(locktable.TryAcquirer)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -330,7 +328,7 @@ func (s *Server) sweeper() {
 // disconnect=false the connection survives (lease-lost until the next
 // heartbeat) and every grant taken leaves a tombstone: the first release
 // naming it is rejected as stale, and a new grant of the same ref clears
-// it (see releaseComposed, recordGrant). With disconnect=true it is being
+// it (see execRelease, recordGrant). With disconnect=true it is being
 // torn down, and nobody is left to release.
 func (s *Server) revoke(c *srvConn, disconnect bool) {
 	c.mu.Lock()
@@ -634,56 +632,9 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 		s.execRelease(c, reqID, composed, ent)
 		return nil
 
-	case opReleaseAll:
-		key := d.key()
-		n := int(d.u32())
-		if d.err != nil || n > len(d.b)/8 {
-			// The count comes off the wire: reject a count the frame cannot
-			// hold (8 bytes per entity) before acting on any entry.
-			return fmt.Errorf("netlock: malformed release-all frame")
-		}
-		composed := composeKey(c.id, key)
-		stale := uint32(0)
-		for i := 0; i < n; i++ {
-			// Stale entries are not ours to free, but the client is told
-			// how many were skipped so the abort path can surface them.
-			if s.releaseComposed(c, model.EntityID(d.i64()), composed) != stOK {
-				stale++
-			}
-		}
-		c.result(reqID, stOK, nil, func(e *enc) { e.u32(stale) })
-		return nil
-
 	default:
 		return fmt.Errorf("netlock: unknown opcode %#x", op)
 	}
-}
-
-// releaseComposed frees the grant record the release names — the record
-// its own acquire left, since the release runs behind that acquire in the
-// instance's wire order (DESIGN.md "Fencing"). No record means the session
-// does not hold the entity *now*: a lease-expiry tombstone for the name
-// means the grant was revoked (stStaleFence, reported so a late release
-// can see it did not free anything, and consumed), and otherwise the
-// release names an acquire that failed or was withdrawn (the silent
-// no-op, stOK).
-func (s *Server) releaseComposed(c *srvConn, ent model.EntityID, composed locktable.InstKey) byte {
-	ref := grantRef{ent: ent, key: composed}
-	c.mu.Lock()
-	if _, held := c.grants[ref]; held {
-		delete(c.grants, ref)
-		c.mu.Unlock()
-		s.tab.Release(ent, composed)
-		return stOK
-	}
-	_, tomb := c.tombs[ref]
-	delete(c.tombs, ref)
-	c.mu.Unlock()
-	if !tomb {
-		return stOK
-	}
-	s.wm.FenceRejections.Inc()
-	return stStaleFence
 }
 
 // recordGrant books a granted acquire under c.mu and clears a lease-expiry
@@ -695,15 +646,36 @@ func (s *Server) recordGrant(c *srvConn, ref grantRef) {
 	}
 }
 
-// execRelease frees the entity and replies under the release reply
-// rules: an acked release (nonzero reqID) always gets its result; a
-// fire-and-forget one (reqID 0, the pipelined certified tier) is silent
-// on success and pushes a failure back as an unsolicited result naming
-// the instance (client numbering) in trailing bytes — the client records
-// it for that instance's commit alone. Shared by the inline path and the
-// chain worker.
+// execRelease frees the grant record the release names — the record its
+// own acquire left, since the release runs behind that acquire in the
+// instance's wire order (DESIGN.md "Fencing") — and replies. No record
+// means the session does not hold the entity *now*: a lease-expiry
+// tombstone for the name means the grant was revoked (stStaleFence,
+// reported so a late release can see it did not free anything, and
+// consumed), and otherwise the release names an acquire that failed or
+// was withdrawn (the silent no-op, stOK). An acked release (nonzero
+// reqID) always gets its result; a fire-and-forget one (reqID 0, the
+// pipelined certified tier) is silent on success and pushes a failure
+// back as an unsolicited result naming the instance (client numbering)
+// in trailing bytes — the client records it for that instance's commit
+// alone. Shared by the inline path and the chain worker.
 func (s *Server) execRelease(c *srvConn, reqID uint64, composed locktable.InstKey, ent model.EntityID) {
-	st := s.releaseComposed(c, ent, composed)
+	st := byte(stOK)
+	ref := grantRef{ent: ent, key: composed}
+	c.mu.Lock()
+	if _, held := c.grants[ref]; held {
+		delete(c.grants, ref)
+		c.mu.Unlock()
+		s.tab.Release(ent, composed)
+	} else {
+		_, tomb := c.tombs[ref]
+		delete(c.tombs, ref)
+		c.mu.Unlock()
+		if tomb {
+			s.wm.FenceRejections.Inc()
+			st = stStaleFence
+		}
+	}
 	if reqID != 0 {
 		c.result(reqID, st, nil, nil)
 	} else if st != stOK {
@@ -744,10 +716,6 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 		})
 		return
 	}
-	if try && s.tryTab == nil {
-		c.result(reqID, stErr, nil, func(e *enc) { e.str("netlock: the hosted table has no TryAcquire") })
-		return
-	}
 	composed := composeKey(c.id, key)
 	inst.Key = composed
 	// Inline fast path: an acquire whose instance has no active chain may
@@ -761,47 +729,45 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 	// a try acquire is answered stMiss, a blocking one falls through to the
 	// chain path. So does a repeat of a booked grant, without a try:
 	// execAcquire answers it from the book.
-	if s.tryTab != nil {
-		c.mu.Lock()
-		_, chained := c.chains[composed]
-		_, booked := c.grants[grantRef{ent: ent, key: composed}]
-		lost := c.leaseLost
-		c.mu.Unlock()
-		if lost {
-			c.result(reqID, stLeaseExpired, nil, nil)
+	c.mu.Lock()
+	_, chained := c.chains[composed]
+	_, booked := c.grants[grantRef{ent: ent, key: composed}]
+	lost := c.leaseLost
+	c.mu.Unlock()
+	if lost {
+		c.result(reqID, stLeaseExpired, nil, nil)
+		return
+	}
+	if !chained && !booked {
+		sp.Stamp(obs.StageChainStart) // inline path: "chain start" is the try itself
+		granted, err := s.tab.TryAcquire(inst, ent, mode)
+		if err != nil {
+			c.result(reqID, stStopped, nil, nil)
 			return
 		}
-		if !chained && !booked {
-			sp.Stamp(obs.StageChainStart) // inline path: "chain start" is the try itself
-			granted, err := s.tryTab.TryAcquire(inst, ent, mode)
-			if err != nil {
-				c.result(reqID, stStopped, nil, nil)
-				return
-			}
-			if granted {
-				sp.Stamp(obs.StageGrant)
-				// Mirror execAcquire's post-grant critical section: the
-				// lease or the connection may have died while the grant was
-				// minted, in which case it is given back, never recorded.
-				c.mu.Lock()
-				if c.leaseLost || c.closed {
-					dead := c.closed
-					c.mu.Unlock()
-					s.tab.Release(ent, composed)
-					if !dead {
-						c.result(reqID, stLeaseExpired, nil, nil)
-					}
-					return
-				}
-				s.recordGrant(c, grantRef{ent: ent, key: composed})
+		if granted {
+			sp.Stamp(obs.StageGrant)
+			// Mirror execAcquire's post-grant critical section: the
+			// lease or the connection may have died while the grant was
+			// minted, in which case it is given back, never recorded.
+			c.mu.Lock()
+			if c.leaseLost || c.closed {
+				dead := c.closed
 				c.mu.Unlock()
-				c.result(reqID, stOK, sp, nil)
+				s.tab.Release(ent, composed)
+				if !dead {
+					c.result(reqID, stLeaseExpired, nil, nil)
+				}
 				return
 			}
-			if try {
-				c.result(reqID, stMiss, nil, nil)
-				return
-			}
+			s.recordGrant(c, grantRef{ent: ent, key: composed})
+			c.mu.Unlock()
+			c.result(reqID, stOK, sp, nil)
+			return
+		}
+		if try {
+			c.result(reqID, stMiss, nil, nil)
+			return
 		}
 	}
 	it := &chainItem{reqID: reqID, key: composed, ent: ent, mode: mode, holding: inst.Holding, try: try, sp: sp, done: make(chan struct{})}
@@ -887,7 +853,7 @@ func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	inst := locktable.Instance{Key: composed, Holding: it.holding}
 	granted, err := true, error(nil)
 	if it.try {
-		granted, err = s.tryTab.TryAcquire(inst, ent, it.mode)
+		granted, err = s.tab.TryAcquire(inst, ent, it.mode)
 	} else {
 		err = s.tab.Acquire(it, inst, ent, it.mode)
 	}

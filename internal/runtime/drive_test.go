@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	gort "runtime"
 	"sync"
@@ -17,15 +18,16 @@ import (
 // goroutines each run perClient instances of templates[client %
 // len(templates)] to commit through BeginAt/Lock/Unlock/Commit. No engine
 // aborts a session, so there is nothing to retry: any failed instance
-// fails the test, and one whose Lock outlives stall marks the run
-// stalled.
+// fails the test, and one whose Lock, Unlock or Commit outlives stall
+// marks the run stalled.
 type mixRun struct {
 	templates          []*model.Transaction
 	twoPhase           bool // run every session two-phase (the fallback tier)
 	clients, perClient int
 	hold               time.Duration // yield-spin after each grant: a wider conflict window, no timer
-	// stall bounds every Lock: one still waiting after it is the stall of
-	// an unhandled deadlock, and ends the run. Default 250ms.
+	// stall bounds every session operation: one still waiting after it is
+	// the stall of an unhandled deadlock, and ends the run (see guard).
+	// Default 250ms.
 	stall time.Duration
 	seed  uint64
 }
@@ -61,7 +63,7 @@ func (m mixRun) run(t *testing.T, e *Engine) mixResult {
 				s := new(Session)
 				err := e.BeginAt(s, tmpl, m.twoPhase)
 				if err == nil {
-					if err = m.attempt(s, rng); err == nil {
+					if err = m.attempt(s, rng, &stalled); err == nil {
 						mu.Lock()
 						committed[s.key.ID] = true
 						mu.Unlock()
@@ -74,7 +76,11 @@ func (m mixRun) run(t *testing.T, e *Engine) mixResult {
 					return
 				}
 				if err != nil {
-					t.Errorf("client %d: %v", c, err)
+					// A stalled operation closes the engine under every
+					// client (see guard); that is the stall, reported once.
+					if !stalled.Load() || !errors.Is(err, ErrClosed) {
+						t.Errorf("client %d: %v", c, err)
+					}
 					return
 				}
 			}
@@ -88,21 +94,21 @@ func (m mixRun) run(t *testing.T, e *Engine) mixResult {
 
 // attempt runs one session to commit, executing a random minimal
 // unexecuted template operation at each step.
-func (m mixRun) attempt(s *Session, rng *rand.Rand) error {
+func (m mixRun) attempt(s *Session, rng *rand.Rand, stalled *atomic.Bool) error {
 	for {
 		ready := s.tmpl.MinimalNodes(&s.executed)
 		if len(ready) == 0 {
-			return s.Commit()
+			return m.guard(s.e, stalled, s.Commit)
 		}
 		nd := s.tmpl.Node(ready[rng.IntN(len(ready))])
 		if nd.Kind == model.UnlockOp {
-			if err := s.Unlock(nd.Entity); err != nil {
+			if err := m.guard(s.e, stalled, func() error { return s.Unlock(nd.Entity) }); err != nil {
 				return err
 			}
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), m.stall)
-		err := s.Lock(ctx, nd.Entity, nd.Mode)
+		err := m.guard(s.e, stalled, func() error { return s.Lock(ctx, nd.Entity, nd.Mode) })
 		cancel()
 		if err != nil {
 			return err
@@ -111,4 +117,21 @@ func (m mixRun) attempt(s *Session, rng *rand.Rand) error {
 			gort.Gosched()
 		}
 	}
+}
+
+// guard runs one session operation under the stall watchdog. An operation
+// still running after stall marks the run stalled and closes the engine:
+// that frees a join that takes no context — a pipelined Commit's, or a
+// cluster partition fence's inside Lock or Unlock — and the operation
+// reports the stall.
+func (m mixRun) guard(e *Engine, stalled *atomic.Bool, op func() error) error {
+	w := time.AfterFunc(m.stall, func() {
+		stalled.Store(true)
+		e.Close()
+	})
+	err := op()
+	if !w.Stop() {
+		return fmt.Errorf("runtime test: operation outlived the %v stall bound: %w", m.stall, context.DeadlineExceeded)
+	}
+	return err
 }

@@ -31,10 +31,9 @@ type EngineOptions struct {
 	// router over the wire. Nil means a fresh sharded table with the
 	// default configuration. The engine owns the table, even when
 	// NewEngine fails: Close closes it. Certified and two-phase sessions
-	// share it, so they exclude each other. Its capabilities are found by
-	// type assertion: two-phase sessions need locktable.TryAcquirer (every
-	// table in this module has it), and on a locktable.AsyncTable releases
-	// ship without waiting and certified Locks can pipeline
+	// share it, so they exclude each other; two-phase sessions use its
+	// TryAcquire. On a locktable.AsyncTable, found by type assertion,
+	// releases ship without waiting and certified Locks can pipeline
 	// (PipelineDepth).
 	Table locktable.Table
 	// PipelineDepth enables certified-chain pipelining over a wire
@@ -79,10 +78,6 @@ const DefaultTraceSample = 64
 type Engine struct {
 	ddb   *model.DDB
 	table locktable.Table
-
-	// try is the table's non-blocking capability, which two-phase
-	// sessions need; nil only on a table without it.
-	try locktable.TryAcquirer
 
 	// async/pipeline: certified-chain pipelining (EngineOptions.
 	// PipelineDepth), armed only when the table implements the async
@@ -149,7 +144,6 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 	if e.table == nil {
 		e.table = locktable.NewSharded(ddb, locktable.Config{})
 	}
-	e.try, _ = e.table.(locktable.TryAcquirer)
 	if opts.TraceSampleEvery != 0 {
 		e.spanEvery = opts.TraceSampleEvery
 		if e.spanEvery < 0 {

@@ -128,18 +128,13 @@ func (e *Engine) Begin(tmpl *model.Transaction) (*Session, error) {
 // point, so the session is two-phase whatever its template's order, hence
 // serializable, and no waits-for cycle runs through it. Both kinds share
 // the engine's table, and a two-phase session takes the synchronous path
-// on a pipelined engine too. A two-phase session needs a table with
-// TryAcquire (every table in this module has it); on a table without it
-// BeginAt returns an error.
+// on a pipelined engine too.
 func (e *Engine) BeginAt(s *Session, tmpl *model.Transaction, twoPhase bool) error {
 	if tmpl == nil {
 		return fmt.Errorf("runtime: nil template")
 	}
 	if tmpl.DDB() != e.ddb {
 		return fmt.Errorf("runtime: template %s built over a different database", tmpl.Name())
-	}
-	if twoPhase && e.try == nil {
-		return fmt.Errorf("runtime: %s: a two-phase session needs a table with TryAcquire, and this engine's table has none", tmpl.Name())
 	}
 	select {
 	case <-e.stop:
@@ -334,7 +329,7 @@ func (s *Session) lockAll(ctx context.Context, inst locktable.Instance) error {
 			if i == blocked {
 				continue
 			}
-			ok, terr := s.e.try.TryAcquire(inst, ent, s.tmpl.ModeOf(ent))
+			ok, terr := s.e.table.TryAcquire(inst, ent, s.tmpl.ModeOf(ent))
 			if terr != nil || !ok {
 				miss, err = i, terr
 				break
@@ -638,8 +633,9 @@ func (s *Session) Abort() error {
 		wg.Wait() // aborted ops' spans are dropped, never committed
 	}
 	s.flushOps()
-	// One pipelined release wave; a mid-abort shutdown leaves the rest to
-	// die with the table.
+	// One release wave (locktable.ReleaseEach): on the wire it runs in
+	// the instance's wire order, behind the acquires just resolved. A
+	// mid-abort shutdown leaves the rest to die with the table.
 	s.e.table.ReleaseAll(s.Held(), s.key)
 	s.held.Reset()
 	s.e.modeTally(s.twoPhase).aborts.Add(1)

@@ -399,14 +399,14 @@ func TestSessionLargeTemplate(t *testing.T) {
 }
 
 // TestBackendResolution: an engine with no table runs on a fresh sharded
-// one, whatever the ignored Backend field says: two-phase sessions find
-// TryAcquire, and releases take the synchronous in-process path.
+// one, whatever the ignored Backend field says: two-phase sessions begin,
+// and releases take the synchronous in-process path.
 func TestBackendResolution(t *testing.T) {
 	d := model.NewDDB()
 	d.MustEntity("x", "s1")
 	for _, b := range []Backend{BackendDefault, BackendSharded} {
 		e := newEngine(t, d, EngineOptions{Backend: b})
-		if e.try == nil || e.releaseAsync != nil {
+		if e.table == nil || e.releaseAsync != nil {
 			t.Fatalf("Backend %d: engine without a table is not on the sharded table", b)
 		}
 		if err := e.BeginAt(new(Session), buildChain(d, "F", "Lx Ux"), true); err != nil {
