@@ -3,6 +3,7 @@ package locktable
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -135,12 +136,20 @@ func (l *slock) grantable(mode Mode) bool {
 // waiter is one parked request. The channel is buffered and receives at
 // most one send, the grant, because the grant wave first removes the
 // waiter from the queue under the stripe mutex.
+//
+// Waiters are pooled (waiterPool), channel included. Acquire puts one back
+// only once its channel is empty and nothing can send to it: after
+// receiving the grant, or after cancelWait, draining the token of a grant
+// that raced the cancel. A waiter abandoned by Close is left to the
+// collector.
 type waiter struct {
 	key     InstKey
 	mode    Mode
 	holding bool // Instance.Holding: a shared waiter may pass a blocked head
 	ch      chan struct{}
 }
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct{}, 1)} }}
 
 // resolveShards maps a Config.Shards value to the table's stripe count:
 // an explicit positive count is honored; otherwise the count resolves
@@ -298,15 +307,20 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 		return nil
 	}
 	t.m.QueueDepth.Record(int64(len(l.queue)))
-	w := &waiter{key: inst.Key, mode: mode, holding: inst.Holding, ch: make(chan struct{}, 1)}
+	w := waiterPool.Get().(*waiter)
+	w.key, w.mode, w.holding = inst.Key, mode, inst.Holding
 	l.queue = append(l.queue, w)
 	t.m.Waiting.Add(1)
 	s.mu.Unlock()
 	select {
 	case <-w.ch:
+		waiterPool.Put(w)
 		return nil
 	case <-ctx.Done():
-		t.cancelWait(ent, w)
+		if !t.cancelWait(ent, w) {
+			<-w.ch // the raced grant's token, sent under the stripe mutex
+		}
+		waiterPool.Put(w)
 		return ctx.Err()
 	case <-t.stop:
 		return ErrStopped
@@ -358,27 +372,27 @@ func (t *shardedTable) TryAcquire(inst Instance, ent model.EntityID, mode Mode) 
 
 // cancelWait removes a parked request, or releases its grant when a grant
 // raced the cancellation: whichever way the race went, the instance holds
-// nothing on return.
-func (t *shardedTable) cancelWait(ent model.EntityID, w *waiter) {
+// nothing on return. It reports whether the request was still queued; if
+// not, the grant's token is already buffered in w.ch.
+func (t *shardedTable) cancelWait(ent model.EntityID, w *waiter) bool {
 	s := t.lockStripe(ent)
 	defer s.mu.Unlock()
 	l := s.lockState(ent)
-	for i, q := range l.queue {
-		if q == w {
-			l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			t.m.Waiting.Add(-1)
-			// Removing a queued writer can unblock the readers parked
-			// behind it (and vice versa): run the grant wave.
-			t.grantWaveLocked(ent, l)
-			t.clearSlowModeIfIdleLocked(ent, l)
-			return
-		}
+	if i := slices.Index(l.queue, w); i >= 0 {
+		l.queue = slices.Delete(l.queue, i, i+1)
+		t.m.Waiting.Add(-1)
+		// Removing a queued writer can unblock the readers parked
+		// behind it (and vice versa): run the grant wave.
+		t.grantWaveLocked(ent, l)
+		t.clearSlowModeIfIdleLocked(ent, l)
+		return true
 	}
 	// Not queued: a grant raced the cancellation (the grant wave delivers
 	// it and unqueues the waiter atomically under this stripe's mutex), so
 	// release it — for an anonymous shared grant releaseLocked decrements
 	// the fast-reader count it incremented.
 	t.releaseLocked(ent, l, w.key)
+	return false
 }
 
 func (t *shardedTable) Release(ent model.EntityID, key InstKey) error {
@@ -459,7 +473,7 @@ func (t *shardedTable) grantWaveLocked(ent model.EntityID, l *slock) {
 			t.passHeadLocked(ent, l)
 			return
 		}
-		l.queue = append(l.queue[:0], l.queue[1:]...)
+		l.queue = slices.Delete(l.queue, 0, 1)
 		t.m.Waiting.Add(-1)
 		t.grantLocked(ent, l, w.key, w.mode)
 		w.ch <- struct{}{}

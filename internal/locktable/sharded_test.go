@@ -218,3 +218,80 @@ func TestReaderCrowdFastPathBeatsSlowPath(t *testing.T) {
 			fastOps, slowOps)
 	}
 }
+
+// TestRecycledWaiterHoldsNoToken: a cancel that loses its race to a grant
+// leaves the grant's token in the waiter's channel, and Acquire drains it
+// before the waiter goes back to the pool, so the next request that parks
+// on that waiter really waits. The race is forced: the test holds the
+// entity's stripe mutex while it cancels the parked request and releases
+// the holder, so the grant lands before cancelWait can run. One goroutine
+// parks both requests of a round, where the pool most likely hands the
+// first one's waiter to the second.
+func TestRecycledWaiterHoldsNoToken(t *testing.T) {
+	ddb := model.NewDDB()
+	ent := ddb.MustEntity("x", "s0")
+	tab := NewSharded(ddb, Config{}).(*shardedTable)
+	defer tab.Close()
+	bg := context.Background()
+	holder := Instance{Key: InstKey{ID: 1}}
+	racer, next := InstKey{ID: 2}, InstKey{ID: 3}
+	type park struct {
+		ctx context.Context
+		key InstKey
+	}
+	parks, errs := make(chan park), make(chan error, 1) // one reply per park
+	go func() {
+		for p := range parks {
+			errs <- tab.Acquire(p.ctx, Instance{Key: p.key}, ent, Exclusive)
+		}
+	}()
+	defer close(parks)
+	parked := func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for tab.m.Waiting.Load() != 1 {
+			if time.Now().After(deadline) {
+				t.Fatal("the request never parked")
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	raced := 0
+	for round := 0; round < 50; round++ {
+		must(tab.Acquire(bg, holder, ent, Exclusive))
+		ctx, cancel := context.WithCancel(bg)
+		parks <- park{ctx, racer}
+		parked()
+		s := tab.lockStripe(ent)
+		cancel()
+		tab.releaseLocked(ent, s.lockState(ent), holder.Key) // grants the racer
+		s.mu.Unlock()
+		if err := <-errs; err == nil {
+			must(tab.Release(ent, racer)) // the grant won the select: no race this round
+			continue
+		} else if !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: cancelled request = %v", round, err)
+		}
+		raced++
+		must(tab.Acquire(bg, holder, ent, Exclusive))
+		parks <- park{bg, next}
+		parked()
+		select {
+		case err := <-errs:
+			t.Fatalf("round %d: a request parked behind the holder returned %v before the release", round, err)
+		case <-time.After(time.Millisecond):
+		}
+		must(tab.Release(ent, holder.Key))
+		must(<-errs)
+		must(tab.Release(ent, next))
+	}
+	if raced == 0 {
+		t.Fatal("no round raced a cancel against a grant")
+	}
+	t.Logf("%d of 50 rounds raced a cancel against a grant", raced)
+}

@@ -448,3 +448,169 @@ func TestRequestRecordRecycling(t *testing.T) {
 		t.Errorf("live client holds %d records after the drive", held)
 	}
 }
+
+// TestContendedAcquireAllocs: a request that parks costs the wait and
+// nothing else. The cycle: instance 1 holds the entity, instance 2's
+// Acquire parks behind it, instance 1 releases, and instance 2 is granted
+// and releases. In process the cycle allocates nothing, because the
+// sharded table pools its waiters. Over the wire (one client and its
+// server, both in this process) it allocates only the server's chain
+// goroutine: the server recycles its chain items and chain records, and
+// the client its request records.
+func TestContendedAcquireAllocs(t *testing.T) {
+	ddb, ents := testDDB(t, 2)
+	rows := []struct {
+		name                  string
+		maxAllocs, raceAllocs float64
+		open                  func(t *testing.T) (locktable.Table, *obs.TableMetrics)
+	}{
+		{"sharded", 0, 1, func(t *testing.T) (locktable.Table, *obs.TableMetrics) {
+			m := obs.NewTableMetrics()
+			tab := locktable.NewSharded(ddb, locktable.Config{Metrics: m})
+			t.Cleanup(tab.Close)
+			return tab, m
+		}},
+		{"netlock", 1, 12, func(t *testing.T) (locktable.Table, *obs.TableMetrics) {
+			srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
+			return dial(t, srv, locktable.Config{}, DialOptions{NoHeartbeat: true}), srv.TableMetrics()
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			tab, m := row.open(t)
+			bg := context.Background()
+			ent := ents[0]
+			holder := locktable.Instance{Key: locktable.InstKey{ID: 1}}
+			waiter := locktable.Instance{Key: locktable.InstKey{ID: 2}}
+			// One parker goroutine for every cycle: a goroutine per cycle
+			// would count its own closure. granted holds the one reply of
+			// a cycle, so a failed cycle leaves the parker free to exit.
+			start, granted := make(chan struct{}), make(chan error, 1)
+			go func() {
+				for range start {
+					granted <- tab.Acquire(bg, waiter, ent, locktable.Exclusive)
+				}
+			}()
+			defer close(start)
+			cycle := func() {
+				if err := tab.Acquire(bg, holder, ent, locktable.Exclusive); err != nil {
+					t.Fatal(err)
+				}
+				start <- struct{}{}
+				for m.Waiting.Load() == 0 {
+					// Sleep, not Gosched: AllocsPerRun runs on one P, where
+					// a spinning goroutine leaves the network unpolled.
+					time.Sleep(time.Microsecond)
+				}
+				if err := tab.Release(ent, holder.Key); err != nil {
+					t.Fatal(err)
+				}
+				if err := <-granted; err != nil {
+					t.Fatal(err)
+				}
+				if err := tab.Release(ent, waiter.Key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 50; i++ {
+				cycle() // warm the pools and the connection's buffers
+			}
+			allocs := testing.AllocsPerRun(300, cycle)
+			t.Logf("%s contended cycle: %v allocs", row.name, allocs)
+			limit := row.maxAllocs
+			if raceEnabled {
+				limit = row.raceAllocs
+			}
+			if allocs > limit {
+				t.Fatalf("%s contended cycle = %v allocs, want <= %v", row.name, allocs, limit)
+			}
+		})
+	}
+}
+
+// TestChainItemRecycling: a chain item that a cancel or a revoke fired is
+// recycled with a fresh done channel. One connection parks an acquire and
+// withdraws it through opCancel, parks another and loses it to a lease
+// revoke, and then runs contended acquires, each parked behind a holder on
+// the same connection and so drawn from its free list: every one must be
+// granted. An item that kept its fired channel would enter the table
+// already cancelled, and its acquire would fail.
+func TestChainItemRecycling(t *testing.T) {
+	ddb, ents := testDDB(t, 2)
+	ent := ents[0]
+	srv := startServer(t, ddb, locktable.Config{}, ServerOptions{Lease: time.Minute})
+	c := dial(t, srv, locktable.Config{}, DialOptions{NoHeartbeat: true})
+	var sc *srvConn
+	srv.connsMu.RLock()
+	for _, x := range srv.conns {
+		sc = x
+	}
+	srv.connsMu.RUnlock()
+	bg := context.Background()
+	holder := locktable.InstKey{ID: 1}
+	waiter := locktable.Instance{Key: locktable.InstKey{ID: 2}}
+	got := make(chan error, 1)
+	// park starts the waiter's acquire and returns once it is parked in
+	// the hosted table.
+	park := func(ctx context.Context, what string) {
+		t.Helper()
+		go func() { got <- c.Acquire(ctx, waiter, ent, locktable.Exclusive) }()
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.TableMetrics().Waiting.Load() != 1 {
+			select {
+			case err := <-got:
+				t.Fatalf("%s: the acquire returned %v before it parked", what, err)
+			case <-time.After(100 * time.Microsecond):
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the acquire never parked", what)
+			}
+		}
+	}
+	retired := func() {
+		waitFor(t, func() bool {
+			sc.mu.Lock()
+			defer sc.mu.Unlock()
+			return len(sc.chains) == 0
+		})
+	}
+
+	// opCancel withdraws a parked acquire.
+	acquire(t, c, holder.ID, ent)
+	ctx, cancel := context.WithCancel(bg)
+	park(ctx, "cancelled")
+	cancel()
+	if err := <-got; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled parked acquire = %v, want context.Canceled", err)
+	}
+	retired()
+
+	// A lease revoke withdraws the next one, and the holder's grant.
+	park(bg, "revoked")
+	srv.revoke(sc, false)
+	if err := <-got; !errors.Is(err, ErrLeaseExpired) {
+		t.Fatalf("revoked parked acquire = %v, want ErrLeaseExpired", err)
+	}
+	retired()
+	if err := renewLease(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Release(ent, holder); !errors.Is(err, ErrStaleFence) {
+		t.Fatalf("release of the revoked grant = %v, want ErrStaleFence", err)
+	}
+
+	const rounds = 50
+	for i := 0; i < rounds; i++ {
+		acquire(t, c, holder.ID, ent)
+		park(bg, fmt.Sprintf("round %d", i))
+		if err := c.Release(ent, holder); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-got; err != nil {
+			t.Fatalf("round %d: parked acquire = %v, want a grant", i, err)
+		}
+		if err := c.Release(ent, waiter.Key); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,7 +84,7 @@ type grantRef struct {
 // *executed* schedule equal to its program order: a release executed
 // inline while an earlier-submitted acquire was still chained would free
 // the entity before a lock the template ordered ahead of the unlock was
-// granted — a schedule the certificate never admitted. Release items have
+// granted — a schedule the certificate never admitted. Release items use
 // no done channel: they cannot block (the hosted table's Release never
 // waits) and are executed unconditionally — even after a revoke sweep,
 // when learning the grant went stale is exactly what must still happen.
@@ -95,6 +96,14 @@ type grantRef struct {
 // child per acquire — a mutex and map touch on the shared conn context,
 // per op — and the propagation it buys is redundant: revoke cancels every
 // in-flight acquire through c.acquires explicitly.
+//
+// Items are recycled through the connection's free list (srvConn.free):
+// drawn under c.mu where the request is registered or chained, and put
+// back in runChain's c.mu section once executed, when nothing else can
+// reach them — the inner table returned, the reply and its span went to
+// the writer. done is closed only by cancel (opCancel, revoke), so an
+// item that ran to its grant keeps its channel; a fired one gets a fresh
+// channel when an acquire draws it.
 type chainItem struct {
 	reqID uint64
 	key   locktable.InstKey // composed
@@ -106,14 +115,21 @@ type chainItem struct {
 	// try acquire, which execAcquire runs through TryAcquire.
 	holding, try bool
 	// Set under the connection mutex: the client sent opCancel, or lease
-	// expiry withdrew the request.
-	cancelled, revoked bool
-	sp                 *obs.Span // non-nil iff the client sampled this acquire
-	done               chan struct{}
-	once               sync.Once
+	// expiry withdrew the request; fired once cancel closed done.
+	cancelled, revoked, fired bool
+	sp                        *obs.Span // non-nil iff the client sampled this acquire
+	done                      chan struct{}
+	next                      *chainItem // free-list link
 }
 
-func (it *chainItem) cancel()                     { it.once.Do(func() { close(it.done) }) }
+// cancel closes done, once. Caller holds the connection mutex.
+func (it *chainItem) cancel() {
+	if !it.fired {
+		it.fired = true
+		close(it.done)
+	}
+}
+
 func (it *chainItem) Deadline() (time.Time, bool) { return time.Time{}, false }
 func (it *chainItem) Done() <-chan struct{}       { return it.done }
 func (it *chainItem) Value(any) any               { return nil }
@@ -128,9 +144,32 @@ func (it *chainItem) Err() error {
 
 // acqChain is the pipeline chain of one composed instance key: acquires
 // the client shipped before their predecessors' acks returned. Presence
-// in srvConn.chains means a worker goroutine is draining it.
+// in srvConn.chains means a worker goroutine is draining it. A retired
+// chain is kept, with its array, as the connection's spare.
 type acqChain struct {
 	q []*chainItem
+}
+
+// newItemLocked draws a chain item from the free list, or allocates one.
+// Caller holds c.mu.
+func (c *srvConn) newItemLocked() *chainItem {
+	it := c.free
+	if it == nil {
+		return &chainItem{}
+	}
+	c.free, it.next = it.next, nil
+	return it
+}
+
+// freeItemLocked puts an executed item back on the free list, cleared but
+// for a done channel that never fired. Caller holds c.mu.
+func (c *srvConn) freeItemLocked(it *chainItem) {
+	done := it.done
+	if it.fired {
+		done = nil
+	}
+	*it = chainItem{done: done, next: c.free}
+	c.free = it
 }
 
 // srvConn is one client session.
@@ -148,6 +187,8 @@ type srvConn struct {
 	chains    map[locktable.InstKey]*acqChain
 	grants    map[grantRef]struct{} // recorded grants
 	tombs     map[grantRef]struct{} // grants a lease expiry revoked, until a release or re-grant (see revoke)
+	free      *chainItem            // recycled chain items (see chainItem)
+	spare     *acqChain             // a retired chain, its array kept
 	closed    bool
 	leaseLost bool
 
@@ -624,7 +665,9 @@ func (s *Server) handleFrame(c *srvConn, body []byte) error {
 			// no-chain case below is ordered by the wire itself — an empty
 			// chain means every earlier acquire of this instance already
 			// resolved.
-			ch.q = append(ch.q, &chainItem{reqID: reqID, key: composed, ent: ent, rel: true})
+			it := c.newItemLocked()
+			it.reqID, it.key, it.ent, it.rel = reqID, composed, ent, true
+			ch.q = append(ch.q, it)
 			c.mu.Unlock()
 			return nil
 		}
@@ -770,7 +813,6 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 			return
 		}
 	}
-	it := &chainItem{reqID: reqID, key: composed, ent: ent, mode: mode, holding: inst.Holding, try: try, sp: sp, done: make(chan struct{})}
 	c.mu.Lock()
 	if c.leaseLost {
 		// No live lease: the session must heartbeat before it may hold
@@ -778,6 +820,11 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 		c.mu.Unlock()
 		c.result(reqID, stLeaseExpired, nil, nil)
 		return
+	}
+	it := c.newItemLocked()
+	it.reqID, it.key, it.ent, it.mode, it.holding, it.try, it.sp = reqID, composed, ent, mode, inst.Holding, try, sp
+	if it.done == nil {
+		it.done = make(chan struct{})
 	}
 	// Registered before it runs: opCancel and revocation must reach an
 	// acquire that is still waiting its turn in the chain.
@@ -787,7 +834,12 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 		c.mu.Unlock()
 		return
 	}
-	c.chains[composed] = &acqChain{}
+	ch := c.spare
+	if ch == nil {
+		ch = &acqChain{}
+	}
+	c.spare = nil
+	c.chains[composed] = ch
 	c.mu.Unlock()
 	s.wg.Add(1)
 	go func() {
@@ -798,8 +850,9 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 
 // runChain drains one instance's pipeline chain: execute the head, then
 // pull the next queued item, until the chain is empty (at which point the
-// chain record is retired and a later acquire starts a fresh worker).
-// Release items execute unconditionally in their turn (see chainItem).
+// chain record is retired as the connection's spare and a later acquire
+// starts a fresh worker). Release items execute unconditionally in their
+// turn (see chainItem); each executed item goes back to the free list.
 func (s *Server) runChain(c *srvConn, composed locktable.InstKey, it *chainItem) {
 	for {
 		if it.rel {
@@ -808,14 +861,16 @@ func (s *Server) runChain(c *srvConn, composed locktable.InstKey, it *chainItem)
 			s.execAcquire(c, it)
 		}
 		c.mu.Lock()
+		c.freeItemLocked(it)
 		ch := c.chains[composed]
 		if len(ch.q) == 0 {
 			delete(c.chains, composed)
+			c.spare = ch
 			c.mu.Unlock()
 			return
 		}
 		it = ch.q[0]
-		ch.q = ch.q[1:]
+		ch.q = slices.Delete(ch.q, 0, 1)
 		c.mu.Unlock()
 	}
 }
@@ -828,7 +883,6 @@ func (s *Server) runChain(c *srvConn, composed locktable.InstKey, it *chainItem)
 // stMiss.
 func (s *Server) execAcquire(c *srvConn, it *chainItem) {
 	reqID, composed, ent := it.reqID, it.key, it.ent
-	defer it.cancel()
 	c.mu.Lock()
 	_, booked := c.grants[grantRef{ent: ent, key: composed}]
 	if it.cancelled || it.revoked || c.closed || booked {
