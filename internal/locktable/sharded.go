@@ -67,8 +67,10 @@ type shardedTable struct {
 	// stripes is the fixed stripe slice; stripeIndex homes each entity.
 	stripes []stripe
 
-	stop     chan struct{}
-	stopOnce sync.Once
+	// stopped is the flag every call reads; Close sets it, then closes
+	// stop for the waiters parked in Acquire's select.
+	stopped atomic.Bool
+	stop    chan struct{}
 }
 
 // fastSlot is one entity's packed atomic reader state, padded to a cache
@@ -266,10 +268,8 @@ func (t *shardedTable) clearSlowModeIfIdleLocked(ent model.EntityID, l *slock) {
 }
 
 func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.EntityID, mode Mode) error {
-	select {
-	case <-t.stop:
+	if t.stopped.Load() {
 		return ErrStopped
-	default:
 	}
 	if mode == Shared && t.fast != nil && int(ent) < len(t.fast) {
 		// The atomic fast path: while the slow-mode bit is clear the
@@ -332,10 +332,8 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 // false return has no side effect beyond the slow-mode fence Acquire
 // itself would have set (and clears it again if the entity is idle).
 func (t *shardedTable) TryAcquire(inst Instance, ent model.EntityID, mode Mode) (bool, error) {
-	select {
-	case <-t.stop:
+	if t.stopped.Load() {
 		return false, ErrStopped
-	default:
 	}
 	if mode == Shared && t.fast != nil && int(ent) < len(t.fast) {
 		slot := &t.fast[ent].state
@@ -396,10 +394,8 @@ func (t *shardedTable) cancelWait(ent model.EntityID, w *waiter) bool {
 }
 
 func (t *shardedTable) Release(ent model.EntityID, key InstKey) error {
-	select {
-	case <-t.stop:
+	if t.stopped.Load() {
 		return ErrStopped
-	default:
 	}
 	if t.fast != nil && int(ent) < len(t.fast) {
 		// The atomic fast path: a clear slow-mode bit means no writer and
@@ -559,5 +555,7 @@ func (t *shardedTable) ReleaseAll(ents []model.EntityID, key InstKey) error {
 }
 
 func (t *shardedTable) Close() {
-	t.stopOnce.Do(func() { close(t.stop) })
+	if !t.stopped.Swap(true) {
+		close(t.stop)
+	}
 }

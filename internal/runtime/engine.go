@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"distlock/internal/locktable"
@@ -93,8 +92,8 @@ type Engine struct {
 	// NewEngine.
 	releaseAsync func(model.EntityID, locktable.InstKey) locktable.Completion
 
-	stop     chan struct{}
-	stopOnce sync.Once
+	// stopped is set by Close; no session operation waits on it.
+	stopped atomic.Bool
 
 	// modes holds the cumulative tallies of certified sessions [0] and
 	// two-phase ones [1], bumped per session, never per lock operation:
@@ -140,7 +139,7 @@ func NewEngine(ddb *model.DDB, opts EngineOptions) (*Engine, error) {
 		}
 		return nil, fmt.Errorf("runtime: nil database")
 	}
-	e := &Engine{ddb: ddb, table: opts.Table, stop: make(chan struct{})}
+	e := &Engine{ddb: ddb, table: opts.Table}
 	if e.table == nil {
 		e.table = locktable.NewSharded(ddb, locktable.Config{})
 	}
@@ -244,6 +243,6 @@ func (e *Engine) recordSpan(sp *obs.Span) {
 // return ErrClosed; locks still held by open sessions die with the lock
 // table. Close is idempotent.
 func (e *Engine) Close() {
-	e.stopOnce.Do(func() { close(e.stop) })
+	e.stopped.Store(true)
 	e.table.Close()
 }

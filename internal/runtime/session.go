@@ -116,7 +116,8 @@ func (e *Engine) Begin(tmpl *model.Transaction) (*Session, error) {
 
 // BeginAt is Begin into caller-provided memory: it initialises *s, which
 // must be zero, as a fresh session. It lets a caller embed the Session in
-// its own handle and pay one allocation for both. *s must not be copied
+// its own state, which it may recycle: zeroing *s in place once the session
+// has ended makes it fit for BeginAt again. *s must not be copied
 // afterwards (see Session).
 //
 // A certified session (twoPhase false) acquires each entity at its own
@@ -136,10 +137,8 @@ func (e *Engine) BeginAt(s *Session, tmpl *model.Transaction, twoPhase bool) err
 	if tmpl.DDB() != e.ddb {
 		return fmt.Errorf("runtime: template %s built over a different database", tmpl.Name())
 	}
-	select {
-	case <-e.stop:
+	if e.stopped.Load() {
 		return ErrClosed
-	default:
 	}
 	id := int(e.nextID.Add(1))
 	s.e = e
@@ -601,11 +600,9 @@ func (s *Session) Abort() error {
 	if s.done {
 		return nil
 	}
-	select {
-	case <-s.e.stop:
+	if s.e.stopped.Load() {
 		s.discard()
 		return nil
-	default:
 	}
 	s.done = true
 	if s.x != nil && len(s.x.pend) > 0 {

@@ -20,6 +20,10 @@ import (
 // ErrServiceClosed is returned by operations on a closed LockService.
 var ErrServiceClosed = runtime.ErrClosed
 
+// ErrSessionDone is returned by Lock, Unlock, Commit and Drive on a
+// session that has already committed or aborted.
+var ErrSessionDone = runtime.ErrSessionDone
+
 // RegisterResult reports one Register decision; it is the admission
 // service's Result. Admitted means the class joined the certified tier and
 // its sessions run with NO deadlock handling; otherwise the class is
@@ -196,18 +200,26 @@ type LockService struct {
 	classes map[string]*svcClass
 	closed  bool
 	done    chan struct{}
+	// left, made by a Begin that waits for a free slot, is closed by the
+	// next Deregister.
+	left chan struct{}
 }
 
 // svcClass is one registered class pinned to its tier. On the certified
 // tier, slots is the multiplicity semaphore and state one atomic word: the
 // live-session count, plus the departed bit once Deregister has removed
 // the class. Begin's slot step, Commit and Abort take no service mu.
+// spare is the state the class's last ended session left for its next
+// Begin.
 type svcClass struct {
-	txn       *model.Transaction
-	certified bool
-	slots     chan struct{}
-	state     atomic.Int64
+	txn   *model.Transaction
+	slots chan struct{} // nil on the fallback tier
+	state atomic.Int64
+	spare atomic.Pointer[sessionState]
 }
+
+// certified reports whether c runs on the certified tier.
+func (c *svcClass) certified() bool { return c.slots != nil }
 
 const departed = int64(1) << 62 // the svcClass.state bit Deregister sets
 
@@ -345,8 +357,8 @@ func (s *LockService) RegisterBatch(ctx context.Context, ts []*Transaction) ([]R
 		return nil, ErrServiceClosed
 	}
 	for i, t := range ts {
-		c := &svcClass{txn: t, certified: rs[i].Admitted}
-		if c.certified {
+		c := &svcClass{txn: t}
+		if rs[i].Admitted {
 			c.slots = make(chan struct{}, s.mult)
 		}
 		s.classes[t.Name()] = c
@@ -367,14 +379,14 @@ func (s *LockService) Classes() []string {
 	return out
 }
 
-// Deregister removes a class: future Begin calls fail, and
-// a certified class leaves the live certified set (which stays certified —
-// eviction only removes pairs and cycles). Sessions already begun run to
-// completion; while any of them are live the class remains in the
-// admission interference set (they hold locks on the no-deadlock-handling
-// engine, so later Register decisions must still be checked against it —
-// the class's name stays occupied there until the last session closes).
-// It reports whether the class was registered.
+// Deregister removes a class: future Begin calls fail, as do the ones
+// waiting for a free slot, and a certified class leaves the live certified
+// set (which stays certified — eviction only removes pairs and cycles).
+// Sessions already begun run to completion; while any of them are live
+// the class remains in the admission interference set (they hold locks on
+// the no-deadlock-handling engine, so later Register decisions must still
+// be checked against it — the class's name stays occupied there until the
+// last session closes). It reports whether the class was registered.
 //
 // Eviction happens exactly once. Only the Deregister that removed the
 // class from the map sets departed, and from then on no Begin raises the
@@ -392,8 +404,12 @@ func (s *LockService) Deregister(name string) bool {
 	s.mu.Lock()
 	c, ok := s.classes[name]
 	delete(s.classes, name)
+	if ok && s.left != nil {
+		close(s.left)
+		s.left = nil
+	}
 	s.mu.Unlock()
-	if ok && c.certified && c.state.Or(departed) == 0 {
+	if ok && c.certified() && c.state.Or(departed) == 0 {
 		s.adm.Evict(name)
 	}
 	return ok
@@ -402,8 +418,9 @@ func (s *LockService) Deregister(name string) bool {
 // Begin opens a session for one instance of the registered class. On the
 // certified tier Begin enforces the service's multiplicity — the bound the
 // class was certified for — by blocking until a per-class slot frees (or
-// the context is cancelled). A fallback session is two-phase: its first
-// Lock acquires the class's whole entity set (see Session.Lock).
+// the context is cancelled, the class is deregistered or the service
+// closes). A fallback session is two-phase: its first Lock acquires the
+// class's whole entity set (see Session.Lock).
 func (s *LockService) Begin(ctx context.Context, class string) (*Session, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -415,18 +432,14 @@ func (s *LockService) Begin(ctx context.Context, class string) (*Session, error)
 	if !ok {
 		return nil, fmt.Errorf("distlock: class %q not registered", class)
 	}
-	if c.certified {
-		// A free slot is taken without the three-way select, which locks
+	if c.certified() {
+		// A free slot is taken without the waiting select, which locks
 		// every channel it names: s.done is shared by every client.
 		select {
 		case c.slots <- struct{}{}:
 		default:
-			select {
-			case c.slots <- struct{}{}:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-s.done:
-				return nil, ErrServiceClosed
+			if err := s.waitSlot(ctx, c); err != nil {
+				return nil, err
 			}
 		}
 		// A Deregister after Begin's lookup either finds this session
@@ -434,18 +447,55 @@ func (s *LockService) Begin(ctx context.Context, class string) (*Session, error)
 		// class may already be evicted, so this session must not start.
 		if !c.join() {
 			<-c.slots
-			return nil, fmt.Errorf("distlock: class %q no longer registered", c.txn.Name())
+			return nil, errDeparted(c)
 		}
 	}
-	sess := &Session{svc: s, class: c}
-	if err := s.engine.BeginAt(&sess.inner, c.txn, !c.certified); err != nil {
-		if c.certified {
+	st := c.spare.Swap(nil)
+	if st == nil {
+		st = new(sessionState)
+	}
+	if err := s.engine.BeginAt(&st.inner, c.txn, !c.certified()); err != nil {
+		c.spare.Store(st) // BeginAt fails before it writes the session
+		if c.certified() {
 			s.releaseSlot(c)
 		}
 		return nil, err
 	}
+	st.svc = s
 	s.begun.Add(1)
-	return sess, nil
+	return &Session{st: st, gen: st.gen.Load(), class: c, id: st.inner.ID()}, nil
+}
+
+// waitSlot blocks a Begin on c's full slots until one frees, the context
+// ends, the service closes or Deregister removes c. Every Deregister
+// closes s.left, so the Begins waiting on other classes look again and
+// wait on.
+func (s *LockService) waitSlot(ctx context.Context, c *svcClass) error {
+	for {
+		s.mu.Lock()
+		if s.classes[c.txn.Name()] != c {
+			s.mu.Unlock()
+			return errDeparted(c)
+		}
+		if s.left == nil {
+			s.left = make(chan struct{})
+		}
+		left := s.left
+		s.mu.Unlock()
+		select {
+		case c.slots <- struct{}{}:
+			return nil
+		case <-left:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-s.done:
+			return ErrServiceClosed
+		}
+	}
+}
+
+func errDeparted(c *svcClass) error {
+	return fmt.Errorf("distlock: class %q no longer registered", c.txn.Name())
 }
 
 // join counts one more live session unless the class has departed.
@@ -557,26 +607,49 @@ func (s *LockService) Close() error {
 // partial order and must end in exactly one Commit or Abort. A Session is
 // driven by one goroutine at a time.
 //
-// A Session is only ever handled by pointer: it embeds its engine session
-// by value, so that a transaction costs one allocation, and that engine
-// session must not be copied (see runtime.Session).
+// A Session is a small handle. The session's state, with its engine
+// session embedded, is recycled: when the session commits or aborts it
+// becomes its class's spare, which the class's next Begin draws, so a
+// transaction costs one 32-byte allocation. Each method first compares
+// the handle's generation with the state's: once they differ the session
+// has ended, and the handle answers without touching the state, which
+// another session may already be using.
 type Session struct {
-	svc   *LockService
+	st    *sessionState
+	gen   uint64
 	class *svcClass
-	// released records that the session gave back its multiplicity slot.
-	// A plain bool: a session is driven by one goroutine at a time.
-	released bool
-	inner    runtime.Session
+	id    int
 }
 
-// release gives back the session's certified-tier multiplicity slot, once
-// (fallback sessions hold none).
-func (s *Session) release() {
-	if s.released || !s.class.certified {
-		return
+// sessionState is a live session's state. gen counts the sessions that
+// have ended on it; every other field is zero while it is a spare.
+type sessionState struct {
+	gen   atomic.Uint64
+	svc   *LockService
+	inner runtime.Session
+}
+
+// live returns the session's state, or nil once the session has ended.
+// The generation is the one word an ended handle reads.
+func (s *Session) live() *sessionState {
+	if s.st.gen.Load() != s.gen {
+		return nil
 	}
-	s.released = true
-	s.svc.releaseSlot(s.class)
+	return s.st
+}
+
+// end closes the session: the generation moves on so the handle reads
+// ended, the state, zeroed in place, becomes the class's spare, and the
+// certified-tier multiplicity slot goes back (fallback sessions hold none).
+func (s *Session) end(st *sessionState) {
+	svc := st.svc
+	st.gen.Add(1)
+	st.svc = nil
+	st.inner = runtime.Session{}
+	s.class.spare.Store(st)
+	if s.class.certified() {
+		svc.releaseSlot(s.class)
+	}
 }
 
 // Class returns the name of the class the session instantiates.
@@ -588,20 +661,25 @@ func (s *Session) Class() string { return s.class.txn.Name() }
 func (s *Session) Template() *Transaction { return s.class.txn }
 
 // ID returns the session's instance id, unique across both tiers.
-func (s *Session) ID() int { return s.inner.ID() }
+func (s *Session) ID() int { return s.id }
 
 // Certified reports whether the session runs on the certified
 // (no-deadlock-handling) tier.
-func (s *Session) Certified() bool { return s.class.certified }
+func (s *Session) Certified() bool { return s.class.certified() }
 
-// Held returns the names of the entities the session currently holds.
-// Under WithPipelineDepth it also lists certified entities whose acquire
-// is still in flight: Lock counted them held when it shipped them.
+// Held returns the names of the entities the session currently holds:
+// none once it has ended. Under WithPipelineDepth it also lists certified
+// entities whose acquire is still in flight: Lock counted them held when
+// it shipped them.
 func (s *Session) Held() []string {
-	ids := s.inner.Held()
+	st := s.live()
+	if st == nil {
+		return []string{}
+	}
+	ids := st.inner.Held()
 	out := make([]string, len(ids))
 	for i, id := range ids {
-		out[i] = s.svc.ddb.EntityName(id)
+		out[i] = st.svc.ddb.EntityName(id)
 	}
 	return out
 }
@@ -634,11 +712,15 @@ func (s *Session) Held() []string {
 // with no lock known to be held, and a failed grant surfaces at a later
 // call (at Commit at the latest), after which the session must Abort.
 func (s *Session) Lock(ctx context.Context, entity string, mode Mode) error {
-	id, ok := s.svc.ddb.Entity(entity)
+	st := s.live()
+	if st == nil {
+		return ErrSessionDone
+	}
+	id, ok := st.svc.ddb.Entity(entity)
 	if !ok {
 		return fmt.Errorf("distlock: unknown entity %q", entity)
 	}
-	return s.inner.Lock(ctx, id, mode)
+	return st.inner.Lock(ctx, id, mode)
 }
 
 // LockExclusive is the exclusive-mode shorthand — Lock(ctx, entity,
@@ -661,11 +743,15 @@ func (s *Session) LockShared(ctx context.Context, entity string) error {
 // release may ship before the entity's own acquire has been granted; the
 // server runs it after that grant.
 func (s *Session) Unlock(entity string) error {
-	id, ok := s.svc.ddb.Entity(entity)
+	st := s.live()
+	if st == nil {
+		return ErrSessionDone
+	}
+	id, ok := st.svc.ddb.Entity(entity)
 	if !ok {
 		return fmt.Errorf("distlock: unknown entity %q", entity)
 	}
-	return s.inner.Unlock(id)
+	return st.inner.Unlock(id)
 }
 
 // Commit closes the session after a complete run of the class program
@@ -677,18 +763,26 @@ func (s *Session) Unlock(entity string) error {
 // in-flight acquire: a nil Commit is the first point at which a
 // pipelined session knows each of its locks was granted.
 func (s *Session) Commit() error {
-	if err := s.inner.Commit(); err != nil {
+	st := s.live()
+	if st == nil {
+		return ErrSessionDone
+	}
+	if err := st.inner.Commit(); err != nil {
 		return err
 	}
-	s.release()
+	s.end(st)
 	return nil
 }
 
 // Abort closes the session, releasing everything it holds. Abort is
 // idempotent, and a no-op on a committed session.
 func (s *Session) Abort() error {
-	err := s.inner.Abort()
-	s.release()
+	st := s.live()
+	if st == nil {
+		return nil
+	}
+	err := st.inner.Abort()
+	s.end(st)
 	return err
 }
 
@@ -704,14 +798,18 @@ func (s *Session) Drive(ctx context.Context) error { return s.DriveHold(ctx, 0) 
 // conflict window (simulated work / network latency) — the load drivers
 // and stress tests use it.
 func (s *Session) DriveHold(ctx context.Context, hold time.Duration) error {
+	st := s.live()
+	if st == nil {
+		return ErrSessionDone
+	}
 	t := s.class.txn
 	for _, nid := range t.Order() {
 		nd := t.Node(nid)
 		var err error
 		if nd.Kind == model.LockOp {
-			err = s.inner.Lock(ctx, nd.Entity, nd.Mode)
+			err = st.inner.Lock(ctx, nd.Entity, nd.Mode)
 		} else {
-			err = s.inner.Unlock(nd.Entity)
+			err = st.inner.Unlock(nd.Entity)
 		}
 		if err != nil {
 			s.Abort()

@@ -254,9 +254,10 @@ func TestTraceStagesTotalIsLockLatency(t *testing.T) {
 // pipelined over a two-server cluster. The wire recycles its frame
 // buffers, its request records (each the completion of one acquire or
 // release, with its reply channel) and its await timers, and the session
-// recycles its wire-side state, so what is left per transaction is the
-// session alone — on a cluster too, whose router hands out the partition
-// clients' records and keeps its partition fences by value.
+// recycles its state, wire-side state included, so what is left per
+// transaction is the 32-byte session handle — on a cluster too, whose
+// router hands out the partition clients' records and keeps its partition
+// fences by value.
 func TestRemoteSessionAllocs(t *testing.T) {
 	for _, row := range []struct {
 		name                  string
@@ -265,17 +266,18 @@ func TestRemoteSessionAllocs(t *testing.T) {
 		maxAllocs, maxBytes   float64
 		raceAllocs, raceBytes float64
 	}{
-		// Measured on a 2-core host: 1 alloc and ≈160 B (9 and ≈560 B while
+		// Measured on a 2-core host: 1 alloc and ≈35 B (≈170 B while every
+		// session allocated its 160-byte state, 9 allocs and ≈560 B while
 		// every acquire and release allocated its completion), and ≈13
-		// allocs and ≈1020 B under -race, whose pools drop items at random.
-		{name: "sync", servers: 1, maxAllocs: 3, maxBytes: 320, raceAllocs: 18, raceBytes: 1450},
-		// Measured on a 2-core host: 1 alloc and ≈160 B (10 and ≈650 B
-		// before), and ≈11 allocs and ≈860 B under -race.
-		{name: "pipelined", servers: 1, depth: 8, maxAllocs: 3, maxBytes: 320, raceAllocs: 16, raceBytes: 1250},
-		// Measured on a 2-core host: 1 alloc and ≈170 B (12 and ≈710 B
-		// while the router wrapped every operation in a completion of its
-		// own), and ≈11 allocs and ≈930 B under -race.
-		{name: "cluster2", servers: 2, depth: 8, maxAllocs: 3, maxBytes: 320, raceAllocs: 16, raceBytes: 1250},
+		// allocs and ≈950 B under -race, whose pools drop items at random.
+		{name: "sync", servers: 1, maxAllocs: 3, maxBytes: 96, raceAllocs: 18, raceBytes: 1300},
+		// Measured on a 2-core host: 1 alloc and ≈35–50 B (≈160 B, and 10
+		// allocs and ≈650 B, before), and ≈11 allocs and ≈790 B under -race.
+		{name: "pipelined", servers: 1, depth: 8, maxAllocs: 3, maxBytes: 96, raceAllocs: 16, raceBytes: 1100},
+		// Measured on a 2-core host: 1 alloc and ≈42 B (≈170 B before, 12
+		// allocs and ≈710 B while the router wrapped every operation in a
+		// completion of its own), and ≈11 allocs and ≈800 B under -race.
+		{name: "cluster2", servers: 2, depth: 8, maxAllocs: 3, maxBytes: 96, raceAllocs: 16, raceBytes: 1100},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			db := xyzDB()

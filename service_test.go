@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -249,6 +250,49 @@ func TestLockServiceMultiplicityBound(t *testing.T) {
 	}
 	if err := second.Drive(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeregisterWakesParkedBegin: a Begin parked on a full class returns
+// "no longer registered" as soon as Deregister removes the class, not when
+// its context expires.
+func TestDeregisterWakesParkedBegin(t *testing.T) {
+	db := xyzDB()
+	svc, err := distlock.Open(db) // multiplicity 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	if res, err := svc.Register(ctx, chain(db, "A", "Lx", "Ux")); err != nil || !res.Admitted {
+		t.Fatalf("class not certified: %+v, %v", res, err)
+	}
+	live, err := svc.Begin(ctx, "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	got := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := svc.Begin(wait, "A")
+		got <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the Begin park
+	if !svc.Deregister("A") {
+		t.Fatal("Deregister(A) = false")
+	}
+	err = <-got
+	if took := time.Since(start); err == nil || !strings.Contains(err.Error(), "no longer registered") || took > 2*time.Second {
+		t.Fatalf("parked Begin across Deregister = %v after %v, want \"no longer registered\" at once", err, took)
+	}
+	// The live session runs on, and its commit evicts the class.
+	if err := live.Drive(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Stats().Admission.Evicted; got != 1 {
+		t.Fatalf("%d evictions, want 1", got)
 	}
 }
 
@@ -673,9 +717,10 @@ func TestLockServicePartialOrderEnforced(t *testing.T) {
 }
 
 // TestCertifiedSessionAllocs: a certified in-process transaction pays only
-// for one session object (the facade's, with the engine's embedded) — no
-// abort signal, no held-set map, no per-operation label, no release
-// closure, no wire or trace state.
+// for its 32-byte session handle — the session state, with the engine's
+// session embedded, is the class's recycled spare, and there is no abort
+// signal, no held-set map, no per-operation label, no release closure, no
+// wire or trace state.
 func TestCertifiedSessionAllocs(t *testing.T) {
 	db := xyzDB()
 	svc, err := distlock.Open(db)
@@ -689,7 +734,7 @@ func TestCertifiedSessionAllocs(t *testing.T) {
 		t.Fatalf("class not certified: %+v, %v", res, err)
 	}
 	ents := []string{"x", "y", "z"}
-	allocs := testing.AllocsPerRun(200, func() {
+	cycle := func() {
 		sess, err := svc.Begin(ctx, "A")
 		if err != nil {
 			t.Fatal(err)
@@ -707,9 +752,19 @@ func TestCertifiedSessionAllocs(t *testing.T) {
 		if err := sess.Commit(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 1 {
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 1 {
 		t.Fatalf("certified session cycle = %v allocs, want <= 1", allocs)
+	}
+	const runs = 400
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for range runs {
+		cycle()
+	}
+	goruntime.ReadMemStats(&after)
+	if bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs; bytes > 32 {
+		t.Fatalf("certified session cycle = %.0f B, want <= 32 (the session handle)", bytes)
 	}
 }
 
