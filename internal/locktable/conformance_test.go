@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,13 +15,13 @@ import (
 )
 
 // The conformance suite: every Table semantics test runs against every
-// backend — the sharded table at its default layout and at edge-case
-// stripe counts (1 stripe ≡ a single global mutex; more stripes than
-// entities leaves stripes empty), plus the registered wire backends. A
-// backend passes iff its blocking semantics are indistinguishable from
-// the others' through the interface — shared grants, writer exclusion,
-// FIFO fairness and cancel-while-shared included, and
-// under the race detector (CI's whole-tree race step).
+// backend — the sharded table at its default layout, at edge-case stripe
+// counts (1 stripe ≡ a single global mutex; more stripes than entities
+// leaves stripes empty) and over a large database, plus the registered
+// wire backends. A backend passes iff its blocking semantics are
+// indistinguishable from the others' through the interface — shared
+// grants, writer exclusion, FIFO fairness and cancel-while-shared
+// included, and under the race detector (CI's whole-tree race step).
 
 type backendCase struct {
 	name string
@@ -38,16 +39,63 @@ func conformanceBackends() []backendCase {
 			cfg.Shards = 1024
 			return NewSharded(ddb, cfg)
 		}},
-		// The mutex-only shared path, which a database over 2¹⁸ entities
-		// runs (maxFastPathEntities): semantics must match the CAS fast path.
-		{"sharded-slowpath", newSlowPathTable},
+		// The top four of 2¹⁸+4 entities (largeTable).
+		{"sharded-large", newLargeTable},
 	}, extraBackends...)
+}
+
+// largeDDB is the database of the sharded-large row: 2¹⁸+4 entities over
+// two sites, built once per test binary.
+var largeDDB = sync.OnceValue(func() *model.DDB {
+	ddb := model.NewDDB()
+	for i := 0; i < 1<<18+4; i++ {
+		ddb.MustEntity(fmt.Sprintf("e%d", i), fmt.Sprintf("s%d", i%2))
+	}
+	return ddb
+})
+
+// largeTable is the sharded-large row: a sharded table over largeDDB that
+// serves the suite's entities 0..3 as the database's top four ids, past
+// 2¹⁸ entities. An entity the suite adds after the table was built maps
+// past the database's end.
+type largeTable struct {
+	*shardedTable
+	shift model.EntityID
+}
+
+func newLargeTable(_ *model.DDB, cfg Config) Table {
+	ddb := largeDDB()
+	return largeTable{NewSharded(ddb, cfg).(*shardedTable), model.EntityID(ddb.NumEntities() - 4)}
+}
+
+func (l largeTable) Acquire(ctx context.Context, inst Instance, ent model.EntityID, mode Mode) error {
+	return l.shardedTable.Acquire(ctx, inst, ent+l.shift, mode)
+}
+
+func (l largeTable) TryAcquire(inst Instance, ent model.EntityID, mode Mode) (bool, error) {
+	return l.shardedTable.TryAcquire(inst, ent+l.shift, mode)
+}
+
+func (l largeTable) Release(ent model.EntityID, key InstKey) error {
+	return l.shardedTable.Release(ent+l.shift, key)
+}
+
+func (l largeTable) ReleaseAll(ents []model.EntityID, key InstKey) error {
+	return ReleaseEach(l, ents, key)
 }
 
 // forEachTable runs f once per backend over a fresh 4-entity, 2-site DDB.
 // Every backend counts into cfg.Metrics, or into a fresh bundle per
 // backend when cfg has none, so parked can read its queue.
 func forEachTable(t *testing.T, cfg Config, f func(t *testing.T, tab Table, ents []model.EntityID)) {
+	t.Helper()
+	forEachTableDDB(t, cfg, func(t *testing.T, tab Table, _ *model.DDB, ents []model.EntityID) {
+		f(t, tab, ents)
+	})
+}
+
+// forEachTableDDB is forEachTable that also hands f the table's database.
+func forEachTableDDB(t *testing.T, cfg Config, f func(t *testing.T, tab Table, ddb *model.DDB, ents []model.EntityID)) {
 	t.Helper()
 	for _, bc := range conformanceBackends() {
 		t.Run(bc.name, func(t *testing.T) {
@@ -66,7 +114,7 @@ func forEachTable(t *testing.T, cfg Config, f func(t *testing.T, tab Table, ents
 				tab.Close()
 				suiteMetrics.Delete(tab)
 			})
-			f(t, tab, ents)
+			f(t, tab, ddb, ents)
 		})
 	}
 }
@@ -835,5 +883,50 @@ func TestConformanceTryAcquire(t *testing.T) {
 			t.Fatalf("queued writer after the readers left: %v", err)
 		}
 		release(y, 5)
+	})
+}
+
+// TestConformanceUnknownEntity: a table serves the entities its database
+// had when it was built. An Acquire or a TryAcquire of an entity added
+// later fails on every backend — ErrUnknownEntity in process, the
+// server's error reply carrying it on the wire — and holds nothing: no
+// grant is counted, nothing parks, and the other entities are served.
+func TestConformanceUnknownEntity(t *testing.T) {
+	forEachTableDDB(t, Config{}, func(t *testing.T, tab Table, ddb *model.DDB, ents []model.EntityID) {
+		late := ddb.MustEntity("late", "s0")
+		m, _ := suiteMetrics.Load(tab)
+		before := m.(*obs.TableMetrics).Snapshot()
+		refused := func(op string, err error) {
+			t.Helper()
+			_, wire := tab.(AsyncTable)
+			switch {
+			case err == nil:
+				t.Fatalf("%s of an entity added after the table was built succeeded", op)
+			case !wire && !errors.Is(err, ErrUnknownEntity):
+				t.Fatalf("%s = %v, want ErrUnknownEntity", op, err)
+			case !strings.Contains(err.Error(), ErrUnknownEntity.Error()):
+				t.Fatalf("%s = %v, want the server's %q reply", op, err, ErrUnknownEntity)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		for _, mode := range []Mode{Exclusive, Shared} {
+			refused("Acquire", tab.Acquire(ctx, inst(1), late, mode))
+			granted, err := tab.TryAcquire(inst(2), late, mode)
+			if granted {
+				t.Fatal("TryAcquire granted an entity added after the table was built")
+			}
+			refused("TryAcquire", err)
+		}
+		if grants := m.(*obs.TableMetrics).Snapshot().Grants - before.Grants; grants != 0 {
+			t.Fatalf("refused acquires counted %d grants", grants)
+		}
+		if n := parked(tab); n != 0 {
+			t.Fatalf("refused acquires left %d requests queued", n)
+		}
+		mustAcquire(t, tab, inst(1), ents[0])
+		if err := tab.Release(ents[0], inst(1).Key); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

@@ -130,8 +130,11 @@ type Config struct {
 
 // Table is a shared/exclusive lock table over the entities of one
 // database: each entity is held by at most one exclusive holder or any
-// number of shared holders, waiters queue per entity. All methods are
-// safe for concurrent use.
+// number of shared holders, waiters queue per entity. A table serves the
+// entities its database had when the table was built; an acquire of an
+// entity added later fails and holds nothing (ErrUnknownEntity in
+// process, the server's error reply on the wire). All methods are safe
+// for concurrent use.
 type Table interface {
 	TryAcquirer
 	// Acquire blocks until the entity is granted to the instance in the
@@ -193,8 +196,8 @@ type Table interface {
 // try pays for a per-instance chain goroutine and its parked request.
 type TryAcquirer interface {
 	// TryAcquire reports whether the lock was granted. The error is
-	// non-nil only for table-level failures (ErrStopped), never for
-	// contention.
+	// non-nil only for table-level failures (ErrStopped, an entity the
+	// table does not serve), never for contention.
 	TryAcquire(inst Instance, ent model.EntityID, mode Mode) (bool, error)
 }
 

@@ -31,10 +31,12 @@ import (
 //     writer-blocks-later-readers semantics are preserved bit-for-bit;
 //     the conformance suite proves it.
 //
-//     Fast shared grants are ANONYMOUS — a count, not a holder set — so a
-//     caller must not repeat a shared acquire, which a count cannot tell
-//     from a new reader (see Table.Acquire). Databases over
-//     maxFastPathEntities run mutex-only, shared holders in sholders.
+//     Shared grants are ANONYMOUS on both paths — a count, not a holder
+//     set — so a caller must not repeat a shared acquire, which a count
+//     cannot tell from a new reader (see Table.Acquire). Every database
+//     size runs this one path: the slot array holds one slot per entity
+//     the database had when the table was built, and an entity it gained
+//     later is refused with ErrUnknownEntity.
 //
 //  2. Striping. The stripe count resolves from GOMAXPROCS by default
 //     (Config.Shards > 0 pins it), and each stripe sits on its own cache
@@ -61,7 +63,7 @@ type shardedTable struct {
 	m *obs.TableMetrics
 
 	// fast holds the per-entity packed reader state (fastSlot), indexed by
-	// the dense EntityID. Nil for an oversized or absent database.
+	// the dense EntityID: one slot per entity the table serves.
 	fast []fastSlot
 
 	// stripes is the fixed stripe slice; stripeIndex homes each entity.
@@ -83,17 +85,13 @@ type fastSlot struct {
 
 const (
 	// slowModeBit marks an entity as mutex-managed: set whenever the
-	// entity has any slow-path state (an exclusive holder, identified
-	// shared holders, or a non-empty wait queue). While set, shared
-	// Acquire/Release fall through to the stripe mutex; it is cleared,
-	// under the mutex, when the slow state empties.
+	// entity has any slow-path state (an exclusive holder or a non-empty
+	// wait queue). While set, shared Acquire/Release fall through to the
+	// stripe mutex; it is cleared, under the mutex, when the slow state
+	// empties.
 	slowModeBit = int64(1) << 32
 	// fastCountMask extracts the fast-reader count.
 	fastCountMask = slowModeBit - 1
-
-	// maxFastPathEntities bounds the fast-slot array (64 B per entity);
-	// beyond it the table falls back to mutex-only operation.
-	maxFastPathEntities = 1 << 18
 )
 
 // stripe is one mutex and the lock states it guards, padded to a cache
@@ -105,34 +103,12 @@ type stripe struct {
 	_     [48]byte
 }
 
+// slock is one entity's mutex-managed state. Its shared holders are the
+// fast slot's anonymous count, on the mutex path as on the CAS path.
 type slock struct {
-	xheld    bool
-	xholder  InstKey
-	sholders map[InstKey]struct{} // identified shared holders; nil when none ever
-	queue    []*waiter            // FIFO arrival order
-}
-
-// holds reports whether key currently holds the entity in an identified
-// way (exclusive, or shared with the fast path off). Anonymous fast-path
-// reader grants are a count, not a holder set, so they are invisible here
-// by construction.
-func (l *slock) holds(key InstKey) bool {
-	if l.xheld && l.xholder == key {
-		return true
-	}
-	_, ok := l.sholders[key]
-	return ok
-}
-
-// grantable reports whether a request in the given mode is compatible
-// with the identified holders (ignoring the queue — queue fairness is the
-// caller's business; ignoring fast readers — grantableLocked folds those
-// in).
-func (l *slock) grantable(mode Mode) bool {
-	if l.xheld {
-		return false
-	}
-	return mode == Shared || len(l.sholders) == 0
+	xheld   bool
+	xholder InstKey
+	queue   []*waiter // FIFO arrival order
 }
 
 // waiter is one parked request. The channel is buffered and receives at
@@ -171,23 +147,36 @@ func resolveShards(n int) int {
 }
 
 // NewSharded builds the striped backend over the database. The table
-// serves until Close; it starts no goroutine.
+// serves the entities the database has now, one 64-byte fast slot each
+// (at 2²⁰ entities the slots take 64 MiB, less than the database itself),
+// and refuses any entity the database gains later with ErrUnknownEntity.
+// It serves until Close; it starts no goroutine.
 func NewSharded(ddb *model.DDB, cfg Config) Table {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewTableMetrics()
 	}
 	t := &shardedTable{
 		m:       cfg.Metrics,
+		fast:    make([]fastSlot, ddb.NumEntities()),
 		stripes: make([]stripe, resolveShards(cfg.Shards)),
 		stop:    make(chan struct{}),
 	}
 	for i := range t.stripes {
 		t.stripes[i].locks = map[model.EntityID]*slock{}
 	}
-	if ddb != nil && ddb.NumEntities() > 0 && ddb.NumEntities() <= maxFastPathEntities {
-		t.fast = make([]fastSlot, ddb.NumEntities())
-	}
 	return t
+}
+
+// check is every operation's entry check: ErrStopped once the table is
+// closed, ErrUnknownEntity for an entity the table has no slot for.
+func (t *shardedTable) check(ent model.EntityID) error {
+	if t.stopped.Load() {
+		return ErrStopped
+	}
+	if uint(ent) >= uint(len(t.fast)) {
+		return ErrUnknownEntity
+	}
+	return nil
 }
 
 // stripeIndex hashes an entity to a stripe. Entity IDs are dense small
@@ -217,9 +206,6 @@ func (s *stripe) lockState(e model.EntityID) *slock {
 
 // fastCount returns the entity's current anonymous fast-reader count.
 func (t *shardedTable) fastCount(ent model.EntityID) int64 {
-	if t.fast == nil || int(ent) >= len(t.fast) {
-		return 0
-	}
 	return t.fast[ent].state.Load() & fastCountMask
 }
 
@@ -228,9 +214,6 @@ func (t *shardedTable) fastCount(ent model.EntityID) int64 {
 // slow state is created, so the invariant holds: slow state implies the
 // bit is set, hence a clear bit implies a shared CAS grant is safe.
 func (t *shardedTable) setSlowMode(ent model.EntityID) {
-	if t.fast == nil || int(ent) >= len(t.fast) {
-		return
-	}
 	slot := &t.fast[ent].state
 	for {
 		st := slot.Load()
@@ -244,15 +227,11 @@ func (t *shardedTable) setSlowMode(ent model.EntityID) {
 }
 
 // clearSlowModeIfIdleLocked clears the slow-mode bit once the entity has
-// no slow state left (no exclusive holder, no identified shared holders,
-// no queue), re-arming the CAS fast path. Remaining fast readers are fine
-// — a clear bit with a positive count is the normal fast mode. Caller
-// holds the entity's stripe mutex.
+// no slow state left (no exclusive holder, no queue), re-arming the CAS
+// fast path. Remaining readers are fine — a clear bit with a positive
+// count is the normal fast mode. Caller holds the entity's stripe mutex.
 func (t *shardedTable) clearSlowModeIfIdleLocked(ent model.EntityID, l *slock) {
-	if t.fast == nil || int(ent) >= len(t.fast) {
-		return
-	}
-	if l.xheld || len(l.sholders) > 0 || len(l.queue) > 0 {
+	if l.xheld || len(l.queue) > 0 {
 		return
 	}
 	slot := &t.fast[ent].state
@@ -267,13 +246,16 @@ func (t *shardedTable) clearSlowModeIfIdleLocked(ent model.EntityID, l *slock) {
 	}
 }
 
-func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.EntityID, mode Mode) error {
-	if t.stopped.Load() {
-		return ErrStopped
-	}
-	if mode == Shared && t.fast != nil && int(ent) < len(t.fast) {
-		// The atomic fast path: while the slow-mode bit is clear the
-		// entity has no writer and no queue, so a shared grant is one CAS.
+// grantInline is the step Acquire and TryAcquire share: it grants the
+// request at once if it can — one CAS for a shared request while the
+// slow-mode bit is clear, else under the stripe mutex a holder's repeat or
+// an admitted request. It returns a nil stripe on a grant. Where the
+// request would park it returns the entity's stripe, still locked, and
+// its state, with the slow-mode fence set.
+func (t *shardedTable) grantInline(inst Instance, ent model.EntityID, mode Mode) (*stripe, *slock) {
+	if mode == Shared {
+		// While the slow-mode bit is clear the entity has no writer and no
+		// queue, so a shared grant is one CAS.
 		slot := &t.fast[ent].state
 		for {
 			st := slot.Load()
@@ -284,26 +266,36 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 				// One striped inc, not two: FastHits implies a grant and
 				// Snapshot folds it into the grant total.
 				t.m.FastHits.Inc(uint64(inst.Key.ID))
-				return nil
+				return nil, nil
 			}
 		}
 	}
 	s := t.lockStripe(ent)
 	l := s.lockState(ent)
-	if l.holds(inst.Key) {
+	if l.xheld && l.xholder == inst.Key {
 		// Duplicate (sessions reject re-locks before they reach the table).
 		s.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	// Any slow state about to be created (a grant or a queued waiter)
 	// must be visible to the CAS path first, so late fast readers queue
 	// FIFO instead of slipping past.
 	t.setSlowMode(ent)
 	if t.admitLocked(ent, l, mode, inst.Holding) {
-		// Grant inline, no goroutine handoff.
 		t.grantLocked(ent, l, inst.Key, mode)
 		t.clearSlowModeIfIdleLocked(ent, l)
 		s.mu.Unlock()
+		return nil, nil
+	}
+	return s, l
+}
+
+func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.EntityID, mode Mode) error {
+	if err := t.check(ent); err != nil {
+		return err
+	}
+	s, l := t.grantInline(inst, ent, mode)
+	if s == nil {
 		return nil
 	}
 	t.m.QueueDepth.Record(int64(len(l.queue)))
@@ -327,40 +319,16 @@ func (t *shardedTable) Acquire(ctx context.Context, inst Instance, ent model.Ent
 	}
 }
 
-// TryAcquire implements Table: the inline-grant prefix of Acquire
-// with a false return where Acquire would park. It never queues, so a
-// false return has no side effect beyond the slow-mode fence Acquire
-// itself would have set (and clears it again if the entity is idle).
+// TryAcquire implements Table: Acquire's inline-grant step with a false
+// return where Acquire would park. It never queues, so a false return has
+// no side effect beyond the slow-mode fence Acquire itself would have set
+// (and clears it again if the entity is idle).
 func (t *shardedTable) TryAcquire(inst Instance, ent model.EntityID, mode Mode) (bool, error) {
-	if t.stopped.Load() {
-		return false, ErrStopped
+	if err := t.check(ent); err != nil {
+		return false, err
 	}
-	if mode == Shared && t.fast != nil && int(ent) < len(t.fast) {
-		slot := &t.fast[ent].state
-		for {
-			st := slot.Load()
-			if st&slowModeBit != 0 {
-				break
-			}
-			if slot.CompareAndSwap(st, st+1) {
-				// One striped inc, not two: FastHits implies a grant and
-				// Snapshot folds it into the grant total.
-				t.m.FastHits.Inc(uint64(inst.Key.ID))
-				return true, nil
-			}
-		}
-	}
-	s := t.lockStripe(ent)
-	l := s.lockState(ent)
-	if l.holds(inst.Key) {
-		s.mu.Unlock()
-		return true, nil
-	}
-	t.setSlowMode(ent)
-	if t.admitLocked(ent, l, mode, inst.Holding) {
-		t.grantLocked(ent, l, inst.Key, mode)
-		t.clearSlowModeIfIdleLocked(ent, l)
-		s.mu.Unlock()
+	s, l := t.grantInline(inst, ent, mode)
+	if s == nil {
 		return true, nil
 	}
 	t.clearSlowModeIfIdleLocked(ent, l)
@@ -387,32 +355,29 @@ func (t *shardedTable) cancelWait(ent model.EntityID, w *waiter) bool {
 	}
 	// Not queued: a grant raced the cancellation (the grant wave delivers
 	// it and unqueues the waiter atomically under this stripe's mutex), so
-	// release it — for an anonymous shared grant releaseLocked decrements
-	// the fast-reader count it incremented.
+	// release it — for a shared grant releaseLocked decrements the reader
+	// count it incremented.
 	t.releaseLocked(ent, l, w.key)
 	return false
 }
 
 func (t *shardedTable) Release(ent model.EntityID, key InstKey) error {
-	if t.stopped.Load() {
-		return ErrStopped
+	if err := t.check(ent); err != nil {
+		return err
 	}
-	if t.fast != nil && int(ent) < len(t.fast) {
-		// The atomic fast path: a clear slow-mode bit means no writer and
-		// no queue, so a positive count can only be fast readers — one CAS
-		// decrement releases. With the bit set the release must go through
-		// the mutex (a draining reader may be the one unblocking a parked
-		// writer).
-		slot := &t.fast[ent].state
-		for {
-			st := slot.Load()
-			if st&slowModeBit != 0 || st&fastCountMask == 0 {
-				break
-			}
-			if slot.CompareAndSwap(st, st-1) {
-				t.m.Releases.Inc(uint64(key.ID))
-				return nil
-			}
+	// The atomic fast path: a clear slow-mode bit means no writer and no
+	// queue, so a positive count can only be readers — one CAS decrement
+	// releases. With the bit set the release must go through the mutex (a
+	// draining reader may be the one unblocking a parked writer).
+	slot := &t.fast[ent].state
+	for {
+		st := slot.Load()
+		if st&slowModeBit != 0 || st&fastCountMask == 0 {
+			break
+		}
+		if slot.CompareAndSwap(st, st-1) {
+			t.m.Releases.Inc(uint64(key.ID))
+			return nil
 		}
 	}
 	s := t.lockStripe(ent)
@@ -422,25 +387,19 @@ func (t *shardedTable) Release(ent model.EntityID, key InstKey) error {
 }
 
 // releaseLocked frees the entity if key holds it and grants to the next
-// compatible waiters. With the fast path on, shared holders are an
-// anonymous count: any release that is not the exclusive holder's and not
-// an identified shared holder's is taken as one fast reader leaving while
+// compatible waiters. Shared holders are an anonymous count: any release
+// that is not the exclusive holder's is taken as one reader leaving while
 // the count is positive (the session layer guarantees callers only
 // release what they hold). Caller holds the stripe mutex.
 func (t *shardedTable) releaseLocked(ent model.EntityID, l *slock, key InstKey) {
-	wasExclusive := false
+	wasExclusive := l.xheld && l.xholder == key
 	switch {
-	case l.xheld && l.xholder == key:
+	case wasExclusive:
 		l.xheld = false
-		wasExclusive = true
+	case t.fastCount(ent) > 0:
+		t.fast[ent].state.Add(-1)
 	default:
-		if _, ok := l.sholders[key]; ok {
-			delete(l.sholders, key)
-		} else if t.fastCount(ent) > 0 {
-			t.fast[ent].state.Add(-1)
-		} else {
-			return
-		}
+		return
 	}
 	t.m.Releases.Inc(uint64(key.ID))
 	t.grantWaveLocked(ent, l)
@@ -513,32 +472,23 @@ func (t *shardedTable) admitLocked(ent model.EntityID, l *slock, mode Mode, hold
 	return t.grantableLocked(ent, l, mode)
 }
 
-// grantableLocked folds the anonymous fast readers into the slock's
-// compatibility check: an exclusive grant additionally requires the
-// fast-reader count to have drained to zero. Caller holds the stripe
-// mutex (and, for Exclusive, has set the slow-mode bit, so the count can
-// only fall).
+// grantableLocked reports whether a request in the given mode is
+// compatible with the holders, ignoring the queue (queue fairness is the
+// caller's business): no exclusive holder, and for Exclusive a reader
+// count drained to zero. Caller holds the stripe mutex (and, for
+// Exclusive, has set the slow-mode bit, so the count can only fall).
 func (t *shardedTable) grantableLocked(ent model.EntityID, l *slock, mode Mode) bool {
-	if !l.grantable(mode) {
-		return false
-	}
-	return mode == Shared || t.fastCount(ent) == 0
+	return !l.xheld && (mode == Shared || t.fastCount(ent) == 0)
 }
 
-// grantLocked records the holder. With the fast path on, a shared grant
-// joins the anonymous reader count (so a reader wave granted past a
-// departing writer re-arms the CAS path as soon as the queue empties)
-// rather than the identified holder map. Caller holds the stripe mutex.
+// grantLocked records the holder. A shared grant joins the anonymous
+// reader count, so a reader wave granted past a departing writer re-arms
+// the CAS path as soon as the queue empties. Caller holds the stripe
+// mutex.
 func (t *shardedTable) grantLocked(ent model.EntityID, l *slock, key InstKey, mode Mode) {
-	switch {
-	case mode == Shared && t.fast != nil && int(ent) < len(t.fast):
+	if mode == Shared {
 		t.fast[ent].state.Add(1)
-	case mode == Shared:
-		if l.sholders == nil {
-			l.sholders = map[InstKey]struct{}{}
-		}
-		l.sholders[key] = struct{}{}
-	default:
+	} else {
 		l.xheld = true
 		l.xholder = key
 	}

@@ -784,8 +784,12 @@ func (s *Server) startAcquire(c *srvConn, reqID uint64, inst locktable.Instance,
 	if !chained && !booked {
 		sp.Stamp(obs.StageChainStart) // inline path: "chain start" is the try itself
 		granted, err := s.tab.TryAcquire(inst, ent, mode)
-		if err != nil {
+		if errors.Is(err, locktable.ErrStopped) {
 			c.result(reqID, stStopped, nil, nil)
+			return
+		}
+		if err != nil {
+			c.result(reqID, stErr, nil, func(e *enc) { e.str(err.Error()) })
 			return
 		}
 		if granted {

@@ -225,7 +225,8 @@ const departed = int64(1) << 62 // the svcClass.state bit Deregister sets
 
 // Open starts a lock service over the database: an admission service plus
 // one engine over one lock table, which both tiers share, all long-lived
-// until Close.
+// until Close. The table serves the entities ddb has when Open runs: add
+// every entity first, since a Lock of one added later fails.
 func Open(ddb *DDB, opts ...ServiceOption) (*LockService, error) {
 	if ddb == nil {
 		return nil, fmt.Errorf("distlock: nil database")
